@@ -77,6 +77,7 @@ from .adversary import (
 from .qpir import (
     CorrectnessReport,
     PrivacyReport,
+    PurifiedRun,
     QpirProtocol,
     builtin,
     builtin_from_address,
@@ -95,7 +96,6 @@ from .reduction import (
     guarantee_value,
     lower_bound,
     nayak_check,
-    nu_state,
     recovery_rates,
     superposition_attack,
 )

@@ -3,7 +3,11 @@
 Verbs: run, bound, reduce, qpir-correctness, qpir-privacy, attack, certify,
 schmidt, fuzz.  JSON is the contract format (text/csv are derived); exit
 code 0 on success, 2 when a checked verdict fails, 1 on input errors.
-Reports are deterministic per seed, byte for byte.
+Reports are deterministic per seed, byte for byte, at a fixed BLAS thread
+count.  The thread count changes how BLAS splits its sums, so the last bits
+of floats can differ between thread counts (e.g. `reduce` on random n=6
+seed 1 gives bound_value 5.99999256557387 with OPENBLAS_NUM_THREADS=1 and
+5.999992425625127 with 2).
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .adversary import (
     trace_out_recovery,
 )
 from .qpir import (
+    PurifiedRun,
     QpirProtocol,
     builtin_from_address,
     correctness_delta,
@@ -88,10 +93,6 @@ def _build_parser() -> _Parser:
             p.add_argument("--epsilon", type=float, default=0.0)
         if verb == "certify":
             p.add_argument("--party", choices=("A", "B"), default="A")
-            p.add_argument("--adversary", default=None,
-                           help="adversary JSON (default: purified party)")
-            p.add_argument("--recovery", default=None,
-                           help="recovery-map JSON (default: trace out purifier)")
     return parser
 
 
@@ -178,7 +179,7 @@ def _verb_reduce(args):
 
 def _verb_correctness(args):
     qpir = _resolve_qpir(args)
-    rep = correctness_delta(qpir)
+    rep = correctness_delta(PurifiedRun(qpir))
     return {
         "n": rep.n,
         "deltas": list(rep.deltas),
@@ -189,7 +190,7 @@ def _verb_correctness(args):
 
 def _verb_privacy(args):
     qpir = _resolve_qpir(args)
-    rep = privacy_epsilon_purified(qpir)
+    rep = privacy_epsilon_purified(PurifiedRun(qpir))
     return {
         "n": rep.n,
         "distance_matrix": [list(map(float, row)) for row in rep.distance_matrix],
@@ -209,11 +210,6 @@ def _verb_attack(args):
 def _verb_certify(args):
     qpir = _resolve_qpir(args)
     spec = qpir.spec
-    if args.adversary:
-        raise CliInputError(
-            "custom adversary files are not supported yet; omit --adversary "
-            "to certify the purified party"
-        )
     adv = purified_adversary(spec, args.party)
     recovery = trace_out_recovery(spec, adv)
     suite = default_input_suite(spec)

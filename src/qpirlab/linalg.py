@@ -24,7 +24,7 @@ from .states import (
     DensityOperator,
     Isometry,
     StateVector,
-    _front_positions,
+    matricize,
     reduced_density_matrix,
 )
 
@@ -153,9 +153,8 @@ def _split_cut(layout: RegisterLayout, cut: Iterable[str]) -> tuple[RegisterLayo
 
 def state_matricization(state: StateVector, cut: Iterable[str]) -> np.ndarray:
     """Amplitudes as a (dim_cut, dim_rest) matrix, cut labels in layout order."""
-    cut_lay, rest_lay = _split_cut(state.layout, cut)
-    front, rest = _front_positions(state.layout, cut_lay.labels())
-    return state.tensor().transpose(front + rest).reshape(cut_lay.total_dim, -1)
+    cut_lay, _ = _split_cut(state.layout, cut)
+    return matricize(state.amplitudes, state.layout, cut_lay.labels())
 
 
 def schmidt_decompose(state: StateVector, cut: Iterable[str],

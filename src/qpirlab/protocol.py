@@ -28,6 +28,7 @@ from .states import (
     apply_channel,
     apply_isometry,
     as_single_isometry,
+    matricize,
     permute_registers,
     pure_density,
 )
@@ -249,20 +250,13 @@ def execute_pure_batch(spec: ProtocolSpec, input_layout: RegisterLayout,
              for op in (spec.a_ops[k], spec.b_ops[k])]
     for op in order:
         iso = as_single_isometry(op)
-        front = [lay.position(lb) for lb in iso.input_layout.labels()]
-        rest = [k for k in range(len(lay)) if k not in front]
-        dims = lay.dims()
-        t = cur.reshape(dims + (nb,)).transpose(front + rest + [len(dims)])
-        din = iso.input_layout.total_dim
-        out = iso.matrix @ t.reshape(din, -1)
-        rest_lay = RegisterLayout(tuple(lay.registers[k] for k in rest))
-        lay = concat(iso.output_layout, rest_lay)
-        cur = out
+        labels = iso.input_layout.labels()
+        t = matricize(cur, lay, labels)
+        cur = (iso.matrix @ t.reshape(t.shape[0], -1)).reshape(-1, nb)
+        lay = concat(iso.output_layout, lay.drop(labels))
     final_order = _canonical_order(spec, 2 * s, spectators)
-    perm = [lay.position(lb) for lb in final_order]
-    dims = lay.dims()
-    cur = cur.reshape(dims + (nb,)).transpose(perm + [len(dims)])
     final_lay = lay.reordered(final_order)
+    cur = matricize(cur, lay, final_order)
     return final_lay, cur.reshape(final_lay.total_dim, nb)
 
 

@@ -2,9 +2,12 @@
 
 Party A is the server (database input x, 2^n-dimensional computational
 encoding), party B the client (index input i, n-dimensional encoding).
-Correctness is judged by optimal discrimination of the client's final
-states averaged over databases; privacy by comparing the purified server's
-marginals across index inputs.
+Every audit reads one `PurifiedRun`: the protocol with both parties
+purified, run once on every basis input |x>|i> and once on the uniform
+database superposition with each index.  Correctness is judged by optimal
+discrimination of the client's final states averaged over databases (basis
+runs); privacy by comparing the purified server's marginals across index
+inputs (superposition runs).
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import math
 import urllib.parse
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +27,7 @@ from .linalg import (
     trace_distance_matrices,
 )
 from .registers import Register, RegisterLayout, concat
-from .states import Isometry, KrausChannel, StateVector, reduced_density_matrix
+from .states import Isometry, KrausChannel, StateVector, matricize
 from .protocol import (
     ProtocolSpec,
     communication_complexity,
@@ -93,6 +97,45 @@ def qpir_input(qpir: QpirProtocol, x: int | None, i: int,
 
 
 # ---------------------------------------------------------------------------
+# the purified run every audit reads
+# ---------------------------------------------------------------------------
+
+class PurifiedRun:
+    """Final states of the protocol with both parties purified.
+
+    The protocol is purified once, and each input batch runs at most once,
+    on first use.  Both batches are pure final states over `layout`, one
+    column per input:
+
+    * `basis`: every |x>|i> input, as column x*n + (i-1);
+    * `superposition`: the uniform database with index i (the state nu_i),
+      as column i-1.
+    """
+
+    def __init__(self, qpir: QpirProtocol) -> None:
+        self.qpir = qpir
+        self.spec = purify_both(qpir.spec)
+        self.input_layout = concat(self.spec.a_memory[0], self.spec.b_memory[0])
+        self.layout = concat(self.spec.a_memory[-1], self.spec.b_memory[-1])
+
+    def _final(self, columns: np.ndarray) -> np.ndarray:
+        return execute_pure_batch(self.spec, self.input_layout, columns)[1]
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        d = self.input_layout.total_dim
+        return self._final(np.eye(d, dtype=np.complex128))
+
+    @cached_property
+    def superposition(self) -> np.ndarray:
+        n = self.qpir.n
+        return self._final(np.stack(
+            [qpir_input(self.qpir, None, i).amplitudes for i in range(1, n + 1)],
+            axis=1,
+        ))
+
+
+# ---------------------------------------------------------------------------
 # correctness
 # ---------------------------------------------------------------------------
 
@@ -113,35 +156,16 @@ class CorrectnessReport:
     projectors: tuple[np.ndarray, ...]   # outcome-0 projector per index
 
 
-def _client_batch(qpir: QpirProtocol):
-    """Run all (x, i) basis inputs at once through the purified protocol.
-
-    Returns (final_layout, tensor) with the tensor shaped
-    (client_dim, rest_dim, batch); batch index is x*n + (i-1).
-    """
-    spec_p = purify_both(qpir.spec)
-    lay_in = concat(spec_p.a_memory[0], spec_p.b_memory[0])
-    columns = np.eye(lay_in.total_dim, dtype=np.complex128)
-    final_lay, final = execute_pure_batch(spec_p, lay_in, columns)
-    client = qpir.client_labels()
-    front = [final_lay.position(lb) for lb in client]
-    rest = [k for k in range(len(final_lay)) if k not in front]
-    dims = final_lay.dims()
-    nb = columns.shape[1]
-    t = final.reshape(dims + (nb,)).transpose(front + rest + [len(dims)])
-    d_client = int(np.prod([dims[k] for k in front]))
-    return spec_p, t.reshape(d_client, -1, nb)
-
-
-def correctness_delta(qpir: QpirProtocol) -> CorrectnessReport:
+def correctness_delta(run: PurifiedRun) -> CorrectnessReport:
     """Max/average failure probability of the best x-independent measurement.
 
     delta_i = 1 - P_Helstrom(avg over x_i=0, avg over x_i=1) at priors 1/2,
     evaluated on the client's final registers with everything else traced
     out; the overall report carries both max_i and mean_i.
     """
+    qpir = run.qpir
     n = qpir.n
-    _, t = _client_batch(qpir)
+    t = matricize(run.basis, run.layout, qpir.client_labels())
     d_client = t.shape[0]
     deltas = []
     projectors = []
@@ -187,50 +211,27 @@ class PrivacyReport:
     pairwise_lower: float                # max pairwise distance, halved
 
 
-def server_marginals(qpir: QpirProtocol,
-                     x: int | None = None) -> list[np.ndarray]:
-    """Purified server's reduced state per index input, on database x (or
-    the uniform superposition)."""
-    spec_p = purify_both(qpir.spec)
-    server = spec_p.a_memory[-1].labels()
-    lay_in = concat(spec_p.a_memory[0], spec_p.b_memory[0])
-    cols = np.stack(
-        [qpir_input(qpir, x, i).amplitudes for i in range(1, qpir.n + 1)],
-        axis=1,
-    )
-    final_lay, final = execute_pure_batch(spec_p, lay_in, cols)
-    front = [final_lay.position(lb) for lb in server]
-    rest = [k for k in range(len(final_lay)) if k not in front]
-    dims = final_lay.dims()
-    t = final.reshape(dims + (qpir.n,)).transpose(front + rest + [len(dims)])
-    d_server = int(np.prod([dims[k] for k in front]))
-    t = t.reshape(d_server, -1, qpir.n)
-    return [t[:, :, j] @ t[:, :, j].conj().T for j in range(qpir.n)]
+def server_marginals(run: PurifiedRun) -> list[np.ndarray]:
+    """Purified server's reduced state per index input on the uniform
+    database superposition."""
+    server = run.spec.a_memory[-1].labels()
+    t = matricize(run.superposition, run.layout, server)
+    return [t[:, :, j] @ t[:, :, j].conj().T for j in range(run.qpir.n)]
 
 
-def privacy_epsilon_purified(qpir: QpirProtocol,
-                             include_basis_inputs: bool = False) -> PrivacyReport:
+def privacy_epsilon_purified(run: PurifiedRun) -> PrivacyReport:
     """Estimate the ultimate privacy leak against the purified server.
 
-    Runs the uniform-superposition database input with every index (and
-    optionally every basis database), compares the server-side marginals,
-    and reports the best replay-simulator epsilon together with the
-    simulator-independent pairwise lower bound.
+    Compares the server-side marginals of the uniform-superposition runs
+    across indices, and reports the best replay-simulator epsilon together
+    with the simulator-independent pairwise lower bound.
     """
-    n = qpir.n
-    margs = server_marginals(qpir, None)
+    n = run.qpir.n
+    margs = server_marginals(run)
     dist = np.zeros((n, n))
     for a in range(n):
         for b in range(a + 1, n):
             dist[a, b] = dist[b, a] = trace_distance_matrices(margs[a], margs[b])
-    if include_basis_inputs:
-        for x in range(2 ** n):
-            mx = server_marginals(qpir, x)
-            for a in range(n):
-                for b in range(a + 1, n):
-                    d = trace_distance_matrices(mx[a], mx[b])
-                    if d > dist[a, b]:
-                        dist[a, b] = dist[b, a] = d
     by_ref = tuple(float(np.max(dist[:, j])) for j in range(n))
     ref = int(np.argmin(by_ref))
     dist.setflags(write=False)

@@ -1,13 +1,15 @@
 """Reduction from a QPIR protocol to a random access encoding, plus the
 communication lower bound it certifies.
 
-Pipeline: purify both parties, run the uniform-database superposition to
-find the client subspace actually used, Schmidt-compress it, encode each
-database as the compressed client state of the index-1 run, and decode any
-index i by rotating the index-1 run onto the index-i run with a purifier-
-side (Uhlmann) unitary before measuring.  The measured recovery rate feeds
-the entropy bound on random-access-encoding size, which in turn bounds the
-protocol's communication from below.
+Pipeline: every stage reads one `PurifiedRun` (both parties purified,
+each input batch run once).  The uniform-database superposition runs nu_i
+give the client subspace actually used, which is Schmidt-compressed; each
+database is encoded as the compressed client state of its index-1 basis
+run; and any index i is decoded by rotating nu_1 onto nu_i with a
+purifier-side (Uhlmann) unitary before measuring.  The same run yields
+delta (basis runs) and epsilon (server marginals of the nu_i).  The
+measured recovery rate feeds the entropy bound on random-access-encoding
+size, which in turn bounds the protocol's communication from below.
 """
 
 from __future__ import annotations
@@ -26,50 +28,28 @@ from .linalg import (
     trace_distance_matrices,
     uhlmann_unitary,
 )
-from .registers import RegisterLayout, concat
 from .states import (
     DensityOperator,
     Isometry,
     StateVector,
     apply_matrix_to_factor,
-    reduced_density_matrix,
+    matricize,
 )
-from .protocol import (
-    ProtocolSpec,
-    communication_complexity,
-    execute_pure_batch,
-    purify_both,
-)
+from .protocol import ProtocolSpec, communication_complexity
 from .qpir import (
     CorrectnessReport,
     PrivacyReport,
+    PurifiedRun,
     QpirProtocol,
     bit_of,
     correctness_delta,
     privacy_epsilon_purified,
-    qpir_input,
     server_marginals,
 )
 
 #: Above this privacy leak the purifier-rotation argument says nothing:
 #: the marginal-distance budget 2*eps stops being a trace-distance bound.
 PRIVACY_PREMISE_MAX = 0.5
-
-
-def _final_batch(spec_pp: ProtocolSpec, columns: np.ndarray):
-    lay_in = concat(spec_pp.a_memory[0], spec_pp.b_memory[0])
-    return execute_pure_batch(spec_pp, lay_in, columns)
-
-
-def nu_state(qpir: QpirProtocol, i: int,
-             spec_pp: ProtocolSpec | None = None) -> StateVector:
-    """Final pure state of the doubly-purified run on the uniform database
-    superposition with index i; equals the normalized sum of the per-x runs
-    by linearity."""
-    spec_pp = spec_pp or purify_both(qpir.spec)
-    cols = qpir_input(qpir, None, i).amplitudes[:, None]
-    lay, out = _final_batch(spec_pp, cols)
-    return StateVector(lay, out[:, 0])
 
 
 @dataclass(frozen=True)
@@ -99,43 +79,41 @@ class RandomAccessEncoding:
     compressed_runs: np.ndarray              # (r, server_dim, 2^n), unit columns
 
 
-def build_rae(qpir: QpirProtocol,
+def build_rae(run: PurifiedRun,
               rank_tol: float = DEFAULT_RANK_TOL) -> RandomAccessEncoding:
     """Construct the random access encoding induced by a QPIR protocol.
 
-    The compressor comes from the support of the client marginal of the
-    index-1 superposition run; every per-database run must live inside
-    that support (a violation signals a rank-tolerance misconfiguration or
-    a protocol whose server does not retain the database branches).
+    The compressor comes from the support of the client marginal of nu_1;
+    every per-database run must live inside that support (a violation
+    signals a rank-tolerance misconfiguration or a protocol whose server
+    does not retain the database branches).
     """
+    qpir = run.qpir
     n = qpir.n
-    spec_pp = purify_both(qpir.spec)
     da = 2 ** n
-
-    nu1 = nu_state(qpir, 1, spec_pp)
-    client = spec_pp.b_memory[-1].labels()
-    server = spec_pp.a_memory[-1].labels()
+    client = run.spec.b_memory[-1].labels()
     measured = qpir.client_labels()
     if client[: len(measured)] != measured:
         raise LayoutError("client registers are not front-contiguous")
-
-    compressor = schmidt_compressor(nu1, client, rank_tol=rank_tol,
+    nus = [StateVector(run.layout, run.superposition[:, j]) for j in range(n)]
+    compressor = schmidt_compressor(nus[0], client, rank_tol=rank_tol,
                                     compressed_label="C'")
     r = compressor.input_layout.total_dim
     m = math.log2(r)
 
-    # all per-database runs of the index-1 protocol, client factor in front
-    cols = np.stack(
-        [qpir_input(qpir, x, 1).amplitudes for x in range(da)], axis=1
-    )
-    final_lay, final = _final_batch(spec_pp, cols)
-    front = [final_lay.position(lb) for lb in client]
-    rest = [k for k in range(len(final_lay)) if k not in front]
-    dims = final_lay.dims()
-    t = final.reshape(dims + (da,)).transpose(front + rest + [len(dims)])
-    d_client = int(np.prod([dims[k] for k in front]))
-    t = t.reshape(d_client, -1, da)
+    # rotate before the basis batch exists: it stays out of the SVDs' peak
+    rotations = []
+    rot_dist = []
+    for nui in nus:
+        u = uhlmann_unitary(nui, nus[0], purifier=client)
+        rotations.append(u)
+        rotated = _rotate_client(nus[0], u, client)
+        rot_dist.append(pure_distance_amplitudes(nui.amplitudes, rotated))
+    margs = server_marginals(run)
+    marg_dist = [trace_distance_matrices(marg, margs[0]) for marg in margs]
 
+    # index-1 run of every database; slicing first copies only these columns
+    t = matricize(run.basis[:, 0::n], run.layout, client)
     emat = compressor.matrix
     comp = np.einsum("ci,csx->isx", emat.conj(), t, optimize=True)
     proj_back = np.einsum("ci,isx->csx", emat, comp, optimize=True)
@@ -156,22 +134,7 @@ def build_rae(qpir: QpirProtocol,
         mat = mat / np.trace(mat).real
         encoder.append(DensityOperator(c_prime, mat))
 
-    correctness = correctness_delta(qpir)
-
-    rotations = []
-    rot_dist = []
-    marg_dist = []
-    server_ref = None
-    for i in range(1, n + 1):
-        nui = nu_state(qpir, i, spec_pp) if i != 1 else nu1
-        u = uhlmann_unitary(nui, nu1, purifier=client)
-        rotations.append(u)
-        rotated = _rotate_client(nu1, u, client)
-        rot_dist.append(pure_distance_amplitudes(nui.amplitudes, rotated))
-        marg = reduced_density_matrix(nui, server)
-        if server_ref is None:
-            server_ref = marg
-        marg_dist.append(trace_distance_matrices(marg, server_ref))
+    correctness = correctness_delta(run)
 
     comp.setflags(write=False)
     return RandomAccessEncoding(
@@ -189,7 +152,7 @@ def build_rae(qpir: QpirProtocol,
         correctness=correctness,
         rotation_distances=tuple(rot_dist),
         marginal_distances=tuple(marg_dist),
-        spec_pp=spec_pp,
+        spec_pp=run.spec,
         compressed_runs=comp,
     )
 
@@ -277,13 +240,16 @@ def guarantee_value(delta: float, epsilon: float) -> float:
 
 
 def lower_bound(n: int, delta: float, epsilon: float) -> float:
-    """Communication lower bound (1 - H_bin(1 - delta - 2 sqrt(eps(1-eps)))) n.
+    """Communication lower bound (1 - H_bin(g)) n at the guaranteed recovery
+    rate g = 1 - delta - 2 sqrt(eps(1-eps)).
 
-    The entropy argument is clamped into [0, 1]; values below 1/2 make the
-    bound vacuous and are flagged by the report layer, not clamped silently.
+    Nayak's entropy bound says nothing about recovery rates below 1/2, so
+    the bound is 0 whenever g <= 1/2 (the report layer flags it vacuous).
     """
-    arg = min(1.0, max(0.0, guarantee_value(delta, epsilon)))
-    return (1.0 - binary_entropy(arg)) * n
+    g = guarantee_value(delta, epsilon)
+    if g <= 0.5:
+        return 0.0
+    return (1.0 - binary_entropy(g)) * n
 
 
 @dataclass(frozen=True)
@@ -374,8 +340,9 @@ class BoundReport:
 def bound_report(qpir: QpirProtocol,
                  rank_tol: float = DEFAULT_RANK_TOL) -> BoundReport:
     """Run the whole reduction and audit every claim it rests on."""
-    rae = build_rae(qpir, rank_tol=rank_tol)
-    privacy: PrivacyReport = privacy_epsilon_purified(qpir)
+    run = PurifiedRun(qpir)
+    rae = build_rae(run, rank_tol=rank_tol)
+    privacy: PrivacyReport = privacy_epsilon_purified(run)
     eps = privacy.epsilon_by_reference[0]
     delta_avg = rae.correctness.delta_avg
     per_index, p_avg = recovery_rates(rae)
@@ -460,12 +427,9 @@ def superposition_attack(qpir: QpirProtocol) -> AttackReport:
     """Feed the purified server the uniform database superposition and see
     how well its final marginal reveals the client's index."""
     n = qpir.n
-    margs = server_marginals(qpir, None)
-    dist = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            dist[a, b] = dist[b, a] = trace_distance_matrices(margs[a], margs[b])
-    max_pair = float(np.max(dist)) if n > 1 else 0.0
+    privacy = privacy_epsilon_purified(PurifiedRun(qpir))
+    dist = privacy.distance_matrix
+    max_pair = float(np.max(dist))
     guess = min(1.0, 0.5 + 0.5 * max_pair)
     if max_pair >= 1.0 - 1e-9:
         verdict = "NOT-PRIVATE"
@@ -474,8 +438,7 @@ def superposition_attack(qpir: QpirProtocol) -> AttackReport:
     else:
         verdict = "PRIVATE"
     c = communication_complexity(qpir.spec)
-    eps_replay = float(min(np.max(dist[:, j]) for j in range(n)))
-    premise = eps_replay <= PRIVACY_PREMISE_MAX + 1e-9
+    premise = privacy.epsilon_hat <= PRIVACY_PREMISE_MAX + 1e-9
     sublinear = c < n - 1e-9
     if sublinear and not premise:
         consistency = "consistent-because-non-private"
@@ -483,7 +446,6 @@ def superposition_attack(qpir: QpirProtocol) -> AttackReport:
         consistency = "SUBLINEAR-AND-PRIVATE"
     else:
         consistency = "bound-respected"
-    dist.setflags(write=False)
     return AttackReport(
         n=n,
         communication=c,

@@ -7,6 +7,7 @@ permutations by hand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -198,10 +199,29 @@ def to_density(state: State) -> DensityOperator:
 # label-addressed tensor algebra
 # ---------------------------------------------------------------------------
 
-def _front_positions(layout: RegisterLayout, labels: Sequence[str]) -> tuple[list[int], list[int]]:
+def matricize(array: np.ndarray, layout: RegisterLayout, labels: Sequence[str],
+              operator: bool = False) -> np.ndarray:
+    """`array` with the `labels` factors of `layout` moved to the front.
+
+    Axis 0 runs over `layout` and any further axis is a batch axis that stays
+    last; the result has shape (d_front, d_rest, *batch).  For an `operator`
+    both axes run over `layout` and the result is (d_front, d_rest, d_front,
+    d_rest).  Front factors come in the order of `labels`, the rest in layout
+    order.  Like any reshape, this returns a view where one exists and a
+    C-ordered copy otherwise.
+    """
     front = [layout.position(lb) for lb in labels]
-    rest = [k for k in range(len(layout)) if k not in front]
-    return front, rest
+    perm = front + [k for k in range(len(layout)) if k not in front]
+    dims = layout.dims()
+    d_front = math.prod(dims[k] for k in front)
+    shape = (d_front, layout.total_dim // d_front)
+    n = len(dims)
+    if operator:
+        t = array.reshape(dims + dims).transpose(perm + [n + k for k in perm])
+        return t.reshape(shape + shape)
+    batch = array.shape[1:]
+    t = array.reshape(dims + batch).transpose(perm + list(range(n, n + len(batch))))
+    return t.reshape(shape + batch)
 
 
 def permute_registers(state: State, label_order: Sequence[str]) -> State:
@@ -210,15 +230,11 @@ def permute_registers(state: State, label_order: Sequence[str]) -> State:
     if tuple(label_order) == lay.labels():
         return state
     new_lay = lay.reordered(label_order)
-    perm = [lay.position(lb) for lb in label_order]
     if isinstance(state, StateVector):
-        t = state.tensor().transpose(perm)
+        t = matricize(state.amplitudes, lay, label_order)
         return StateVector(new_lay, t.reshape(-1))
-    dims = lay.dims()
-    n = len(dims)
-    t = state.matrix.reshape(dims + dims)
-    t = t.transpose(perm + [n + p for p in perm])
     d = lay.total_dim
+    t = matricize(state.matrix, lay, label_order, operator=True)
     return DensityOperator(new_lay, t.reshape(d, d))
 
 
@@ -240,13 +256,9 @@ def apply_isometry(op: Isometry, state: StateVector) -> StateVector:
     land at the front, untouched registers keep their relative order."""
     lay = state.layout
     _check_factor(lay, op.input_layout)
-    front, rest = _front_positions(lay, op.input_layout.labels())
-    t = state.tensor().transpose(front + rest)
-    din = op.input_layout.total_dim
-    mat = t.reshape(din, -1)
-    out = op.matrix @ mat
-    rest_lay = RegisterLayout(tuple(lay.registers[k] for k in rest))
-    new_lay = concat(op.output_layout, rest_lay)
+    labels = op.input_layout.labels()
+    out = op.matrix @ matricize(state.amplitudes, lay, labels)
+    new_lay = concat(op.output_layout, lay.drop(labels))
     return StateVector(new_lay, out.reshape(-1))
 
 
@@ -255,20 +267,14 @@ def apply_channel(op: Operation, rho: DensityOperator) -> DensityOperator:
     kraus = (op.matrix,) if isinstance(op, Isometry) else op.kraus_ops
     lay = rho.layout
     _check_factor(lay, op.input_layout)
-    front, rest = _front_positions(lay, op.input_layout.labels())
-    dims = lay.dims()
-    n = len(dims)
-    perm = front + rest
-    t = rho.matrix.reshape(dims + dims).transpose(perm + [n + p for p in perm])
-    din = op.input_layout.total_dim
-    drest = lay.total_dim // din
-    t = t.reshape(din, drest, din, drest)
+    labels = op.input_layout.labels()
+    t = matricize(rho.matrix, lay, labels, operator=True)
     dout = op.output_layout.total_dim
+    drest = t.shape[1]
     acc = np.zeros((dout, drest, dout, drest), dtype=np.complex128)
     for k in kraus:
         acc += np.einsum("xi,iajb,yj->xayb", k, t, k.conj(), optimize=True)
-    rest_lay = RegisterLayout(tuple(lay.registers[k] for k in rest))
-    new_lay = concat(op.output_layout, rest_lay)
+    new_lay = concat(op.output_layout, lay.drop(labels))
     d = new_lay.total_dim
     return DensityOperator(new_lay, acc.reshape(d, d))
 
@@ -290,32 +296,19 @@ def apply_matrix_to_factor(matrix: np.ndarray, state: StateVector,
     order of the state's layout)."""
     lay = state.layout
     sub = lay.sub(labels)
-    front, rest = _front_positions(lay, sub.labels())
-    t = state.tensor().transpose(front + rest)
-    d = sub.total_dim
-    out = matrix @ t.reshape(d, -1)
-    rest_lay = RegisterLayout(tuple(lay.registers[k] for k in rest))
-    new_lay = concat(sub, rest_lay)
-    res = StateVector(new_lay, out.reshape(-1))
+    out = matrix @ matricize(state.amplitudes, lay, sub.labels())
+    res = StateVector(concat(sub, lay.drop(sub.labels())), out.reshape(-1))
     return permute_registers(res, lay.labels())
 
 
 def reduced_density_matrix(state: State, keep: Iterable[str]) -> np.ndarray:
     """Raw reduced density matrix on `keep` (kept in original layout order)."""
     lay = state.layout
-    keep_lay = lay.sub(keep)
-    front, rest = _front_positions(lay, keep_lay.labels())
-    dkeep = keep_lay.total_dim
+    keep = lay.sub(keep).labels()
     if isinstance(state, StateVector):
-        m = state.tensor().transpose(front + rest).reshape(dkeep, -1)
+        m = matricize(state.amplitudes, lay, keep)
         return m @ m.conj().T
-    dims = lay.dims()
-    n = len(dims)
-    perm = front + rest
-    t = state.matrix.reshape(dims + dims).transpose(perm + [n + p for p in perm])
-    drest = lay.total_dim // dkeep
-    t = t.reshape(dkeep, drest, dkeep, drest)
-    return np.einsum("iaja->ij", t)
+    return np.einsum("iaja->ij", matricize(state.matrix, lay, keep, operator=True))
 
 
 def partial_trace(state: State, keep: Iterable[str]) -> DensityOperator:

@@ -1,0 +1,205 @@
+"""End-to-end audits (`qpir`, `reduction`, `cli`) against hand-derived values.
+
+* trivial: the client stores |x> whole, so every delta_i = 0, the server
+  keeps only its copy of x (epsilon = 0), recovery is 1 and m = n.
+* noisy-trivial(delta): each stored bit is flipped with probability delta,
+  so every delta_i = delta and recovery is 1 - delta.
+* index-in-clear: the server ends up holding i, so epsilon = 1.
+"""
+
+import contextlib
+import dataclasses
+import io
+import json
+import math
+import sys
+
+import numpy as np
+import pytest
+
+from qpirlab import cli, serialize
+from qpirlab.protocol import ProtocolSpec
+from qpirlab.qpir import (
+    PurifiedRun,
+    build_index_in_clear,
+    builtin,
+    privacy_epsilon_purified,
+)
+from qpirlab.reduction import bound_report, lower_bound, superposition_attack
+from qpirlab.states import KrausChannel
+
+
+def _h(p: float) -> float:
+    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
+
+def _cli(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+# -- hand-derived verdicts ---------------------------------------------------
+
+def test_trivial_audit_is_exact():
+    rep = bound_report(builtin("trivial", 3))
+    assert rep.deltas == (0.0, 0.0, 0.0)
+    assert rep.epsilon_used == 0.0 and rep.epsilon_min == 0.0
+    assert rep.recovery_avg == pytest.approx(1.0, abs=1e-12)
+    assert rep.m == 3.0 and rep.compressed_dim == 8
+    assert rep.bound_value == pytest.approx(3.0, abs=1e-12)
+    assert rep.nayak.holds and rep.consistency == "bound-applies"
+    assert superposition_attack(builtin("trivial", 3)).verdict == "PRIVATE"
+
+
+def test_noisy_trivial_audit_matches_the_bit_flip_rate():
+    rep = bound_report(builtin("noisy-trivial", 3, delta=0.2))
+    assert rep.deltas == pytest.approx((0.2, 0.2, 0.2), abs=1e-9)
+    assert rep.epsilon_used == pytest.approx(0.0, abs=1e-9)
+    assert rep.recovery_avg == pytest.approx(0.8, abs=1e-9)
+    # epsilon is round-off, which the sqrt in the guarantee lifts to ~1e-8
+    assert rep.bound_value == pytest.approx((1.0 - _h(0.8)) * 3, abs=1e-6)
+    assert rep.consistency == "bound-applies"
+
+
+def test_index_in_clear_is_caught_as_non_private():
+    qpir = builtin("index-in-clear", 3)
+    rep = bound_report(qpir)
+    assert rep.epsilon_used == pytest.approx(1.0, abs=1e-12)
+    assert not rep.privacy_premise_ok
+    assert rep.consistency == "consistent-because-non-private"
+    assert superposition_attack(qpir).verdict == "NOT-PRIVATE"
+
+
+def test_attack_and_privacy_share_one_distance_matrix():
+    qpir = builtin("random", 3, seed=1)
+    privacy = privacy_epsilon_purified(PurifiedRun(qpir))
+    assert np.array_equal(superposition_attack(qpir).distance_matrix,
+                          privacy.distance_matrix)
+
+
+# -- the bound is vacuous below a guarantee of 1/2 ---------------------------
+
+def leaky_index_in_clear(n: int = 3, forward: float = 0.4) -> ProtocolSpec:
+    """index-in-clear whose client forwards i with probability `forward` and
+    otherwise sends a uniformly random index.
+
+    delta = (1 - forward)(n - 1)/(2n) and epsilon = forward, so 0.2 and 0.4
+    at n = 3: the privacy premise holds but the guarantee is negative.
+    """
+    spec = build_index_in_clear(n).spec
+    b1 = spec.b_ops[0]
+    copy = b1.matrix                        # |i>|0> -> |i>|i> on (B1, Y1)
+    kraus = [math.sqrt(forward) * copy]
+    for j in range(n):
+        k = np.zeros_like(copy)
+        for i in range(n):
+            k[i * n + j, i] = math.sqrt((1.0 - forward) / n)
+        kraus.append(k)
+    leaky = KrausChannel(b1.input_layout, b1.output_layout, tuple(kraus))
+    return dataclasses.replace(spec, b_ops=(leaky,) + spec.b_ops[1:])
+
+
+def test_lower_bound_is_zero_when_the_guarantee_is_at_most_half():
+    assert lower_bound(10, 0.4, 0.2) == 0.0     # guarantee < 0
+    assert lower_bound(10, 0.0, 0.3) == 0.0     # guarantee in (0, 1/2)
+    assert lower_bound(10, 0.5, 0.0) == 0.0     # guarantee exactly 1/2
+    assert lower_bound(10, 0.2, 0.0) == pytest.approx((1 - _h(0.8)) * 10)
+
+
+def test_bound_verb_prints_zero_for_a_vacuous_guarantee():
+    for delta, eps in (("0.4", "0.2"), ("0", "0.3")):
+        code, out = _cli(["bound", "--n", "10", "--delta", delta,
+                          "--epsilon", eps])
+        rep = json.loads(out)
+        assert code == 0 and rep["bound"] == 0 and rep["vacuous"] is True
+
+
+def test_leaky_client_is_not_reported_as_a_bound_violation(tmp_path):
+    path = tmp_path / "leaky.json"
+    serialize.dump(serialize.protocol_spec_to_json(leaky_index_in_clear()),
+                   str(path))
+    code, out = _cli(["reduce", "--protocol", str(path), "--n", "3"])
+    rep = json.loads(out)
+    assert rep["communication"] == pytest.approx(math.log2(3) + 1)
+    assert rep["delta_avg"] == pytest.approx(0.2, abs=1e-9)
+    assert rep["epsilon_used"] == pytest.approx(0.4, abs=1e-9)
+    assert rep["guarantee"] < 0.0
+    assert rep["bound_value"] == 0.0
+    assert rep["consistency"] == "bound-applies"
+    assert code == 0
+
+
+# -- CLI behaviour -----------------------------------------------------------
+
+def test_unknown_builtin_and_missing_file_exit_1(tmp_path):
+    assert _cli(["reduce", "--protocol", "builtin:nope?n=2"])[0] == 1
+    assert _cli(["reduce", "--protocol", str(tmp_path / "none.json")])[0] == 1
+
+
+def test_verdict_failure_exits_2(monkeypatch):
+    real = cli.bound_report
+
+    def violated(qpir, rank_tol):
+        rep = real(qpir, rank_tol=rank_tol)
+        nayak = dataclasses.replace(rep.nayak, holds=False)
+        return dataclasses.replace(rep, nayak=nayak)
+
+    monkeypatch.setattr(cli, "bound_report", violated)
+    assert _cli(["reduce", "--protocol", "builtin:trivial?n=2"])[0] == 2
+
+
+def test_rerun_in_one_process_prints_identical_bytes():
+    argv = ["reduce", "--protocol", "builtin:random?n=3&seed=1"]
+    first, second = _cli(argv), _cli(argv)
+    assert first[0] == 0 and first == second
+
+
+@pytest.mark.parametrize("flag", [["--recovery", "/nonexistent.json"],
+                                  ["--adversary", "adv.json"]])
+def test_certify_rejects_removed_options(flag):
+    argv = ["certify", "--protocol", "builtin:trivial?n=2"] + flag
+    assert _cli(argv)[0] == 1
+
+
+# -- each audit purifies once and runs each batch once ------------------------
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count purify_both calls and the column count of every batch run."""
+    import qpirlab.protocol as protocol
+    seen = {"purify_both": 0, "batches": []}
+    purify, batch = protocol.purify_both, protocol.execute_pure_batch
+
+    def counted_purify(spec):
+        seen["purify_both"] += 1
+        return purify(spec)
+
+    def counted_batch(spec, layout, columns):
+        seen["batches"].append(columns.shape[1])
+        return batch(spec, layout, columns)
+
+    for name, module in list(sys.modules.items()):
+        if module is None or not name.startswith("qpirlab"):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is purify:
+                monkeypatch.setattr(module, attr, counted_purify)
+            elif value is batch:
+                monkeypatch.setattr(module, attr, counted_batch)
+    return seen
+
+
+def test_reduce_purifies_once_and_runs_two_batches(calls):
+    n = 4
+    bound_report(builtin("random", n, seed=5))
+    assert calls["purify_both"] == 1
+    assert sorted(calls["batches"]) == [n, 2 ** n * n]
+
+
+@pytest.mark.parametrize("verb", ["qpir-privacy", "attack"])
+def test_privacy_and_attack_run_one_batch_of_n_columns(calls, verb):
+    assert _cli([verb, "--protocol", "builtin:trivial?n=4"])[0] == 0
+    assert calls["purify_both"] == 1
+    assert calls["batches"] == [4]
