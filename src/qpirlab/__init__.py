@@ -92,7 +92,6 @@ from .reduction import (
     RandomAccessEncoding,
     bound_report,
     build_rae,
-    decode_bit,
     guarantee_value,
     lower_bound,
     nayak_check,

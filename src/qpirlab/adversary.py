@@ -5,7 +5,8 @@ it likes but the host protocol's communication spaces.  It is certified
 gamma-specious *on a finite input suite* against supplied recovery maps:
 the existential over all recovery maps and all inputs is not searched.
 Purified adversaries come with analytic trace-out recovery maps and are the
-only ones the main reduction needs.
+only ones the main reduction needs.  Ultimate speciousness is the same
+certification loop restricted to the final step and a single map.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .states import (
     to_density,
 )
 from .linalg import trace_distance_matrices
-from .protocol import ProtocolSpec, Transcript, execute, purify_party
+from .protocol import ProtocolSpec, execute, purify_party
 
 
 @dataclass(frozen=True)
@@ -115,6 +116,17 @@ def recovery_shapes(spec: ProtocolSpec, adv: AdversaryStrategy,
             concat(spec.b_memory[k], spec.y_comm[k - 1]))
 
 
+def _check_map(spec: ProtocolSpec, adv: AdversaryStrategy, step: int,
+               op: Operation, what: str) -> None:
+    expect_in, expect_out = recovery_shapes(spec, adv, step)
+    if op.input_layout != expect_in or op.output_layout != expect_out:
+        raise ShapeMismatch(
+            f"{what}: ({op.input_layout.registers} -> "
+            f"{op.output_layout.registers}) != expected "
+            f"({expect_in.registers} -> {expect_out.registers})"
+        )
+
+
 @dataclass(frozen=True)
 class RecoveryMapSet:
     """Per-step maps F_1..F_2s taking the adversary's view to the honest one."""
@@ -127,13 +139,7 @@ class RecoveryMapSet:
                 f"need {2 * spec.rounds} recovery maps, got {len(self.maps)}"
             )
         for i, op in enumerate(self.maps, start=1):
-            expect_in, expect_out = recovery_shapes(spec, adv, i)
-            if op.input_layout != expect_in or op.output_layout != expect_out:
-                raise ShapeMismatch(
-                    f"recovery map {i}: ({op.input_layout.registers} -> "
-                    f"{op.output_layout.registers}) != expected "
-                    f"({expect_in.registers} -> {expect_out.registers})"
-                )
+            _check_map(spec, adv, i, op, f"recovery map {i}")
 
 
 def identity_recovery(spec: ProtocolSpec, party: str) -> RecoveryMapSet:
@@ -226,6 +232,24 @@ def _step_distance(honest: State, recovered) -> float:
     return trace_distance_matrices(hon.matrix, rec.matrix)
 
 
+def _certify(spec: ProtocolSpec, adv: AdversaryStrategy,
+             maps: dict[int, Operation], inputs: Iterable) -> CertificationReport:
+    """Recovered-state distance at every step of `maps`, for every input."""
+    adv_spec = install(spec, adv)
+    rows: list[CertificationRow] = []
+    for input_id, rho_in in _named(inputs):
+        honest = execute(spec, rho_in)
+        tilde = execute(adv_spec, rho_in)
+        for step, recovery_map in maps.items():
+            recovered = apply_channel(recovery_map, to_density(tilde.state(step)))
+            dist = _step_distance(honest.state(step), recovered)
+            rows.append(CertificationRow(step, input_id, dist))
+    eps = max(row.distance for row in rows)
+    gamma = adv.gamma
+    return CertificationReport(tuple(rows), eps, gamma,
+                               None if gamma is None else eps <= gamma + 1e-8)
+
+
 def certify_specious(spec: ProtocolSpec, adv: AdversaryStrategy,
                      recovery: RecoveryMapSet,
                      inputs: Iterable) -> CertificationReport:
@@ -236,48 +260,16 @@ def certify_specious(spec: ProtocolSpec, adv: AdversaryStrategy,
     under-approximate the quantifier over all input states.
     """
     recovery.validate(spec, adv)
-    adv_spec = install(spec, adv)
-    rows: list[CertificationRow] = []
-    for input_id, rho_in in _named(inputs):
-        honest: Transcript = execute(spec, rho_in)
-        tilde: Transcript = execute(adv_spec, rho_in)
-        for i in range(1, 2 * spec.rounds + 1):
-            recovered = apply_channel(recovery.maps[i - 1],
-                                      to_density(tilde.state(i)))
-            dist = _step_distance(honest.state(i), recovered)
-            rows.append(CertificationRow(i, input_id, dist))
-    eps = max(row.distance for row in rows)
-    gamma = adv.gamma
-    return CertificationReport(tuple(rows), eps, gamma,
-                               None if gamma is None else eps <= gamma + 1e-8)
+    return _certify(spec, adv, dict(enumerate(recovery.maps, start=1)), inputs)
 
 
 def certify_ultimately_specious(spec: ProtocolSpec, adv: AdversaryStrategy,
                                 recovery_map: Operation,
                                 inputs: Iterable) -> CertificationReport:
     """Like certify_specious, restricted to the final state and a single map."""
-    expect_in, expect_out = recovery_shapes(spec, adv, 2 * spec.rounds)
-    if (recovery_map.input_layout != expect_in
-            or recovery_map.output_layout != expect_out):
-        raise ShapeMismatch(
-            f"ultimate recovery map ({recovery_map.input_layout.registers} -> "
-            f"{recovery_map.output_layout.registers}) != expected "
-            f"({expect_in.registers} -> {expect_out.registers})"
-        )
-    adv_spec = install(spec, adv)
-    rows: list[CertificationRow] = []
     last = 2 * spec.rounds
-    for input_id, rho_in in _named(inputs):
-        honest = execute(spec, rho_in)
-        tilde = execute(adv_spec, rho_in)
-        recovered = apply_channel(recovery_map, to_density(tilde.final))
-        rows.append(CertificationRow(
-            last, input_id, _step_distance(honest.final, recovered)
-        ))
-    eps = max(row.distance for row in rows)
-    gamma = adv.gamma
-    return CertificationReport(tuple(rows), eps, gamma,
-                               None if gamma is None else eps <= gamma + 1e-8)
+    _check_map(spec, adv, last, recovery_map, "ultimate recovery map")
+    return _certify(spec, adv, {last: recovery_map}, inputs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,22 @@
 """Batch front-end.
 
-Verbs: run, bound, reduce, qpir-correctness, qpir-privacy, attack, certify,
-schmidt, fuzz.  JSON is the contract format (text/csv are derived); exit
-code 0 on success, 2 when a checked verdict fails, 1 on input errors.
+Every verb takes --dim-guard, --out and --format, plus only the flags it
+reads:
+
+    run               --protocol --n --seed --x --i
+    bound             --n --delta --epsilon
+    reduce            --protocol --n --seed --rank-tol
+    qpir-correctness  --protocol --n --seed
+    qpir-privacy      --protocol --n --seed
+    attack            --protocol --n --seed
+    certify           --protocol --n --seed --party
+    schmidt           --protocol --n --seed --rank-tol --i
+    fuzz              --seed --trials --rank-tol
+
+--n must be positive, --seed and --trials non-negative, --delta and
+--epsilon in [0, 1], and --rank-tol in (0, 1).  JSON is the contract format
+(text/csv are derived); exit code 0 on success, 2 when a checked verdict
+fails, 1 on input errors.
 Reports are deterministic per seed, byte for byte, at a fixed BLAS thread
 count.  The thread count changes how BLAS splits its sums, so the last bits
 of floats can differ between thread counts (e.g. `reduce` on random n=6
@@ -65,49 +79,64 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
+def _checked(kind, ok, name: str):
+    """argparse type: `kind(text)`, rejected unless `ok` holds for it."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise ValueError(text)
+        return value
+    parse.__name__ = name  # argparse reports "invalid <name> value"
+    return parse
+
+
+_SIZE = _checked(int, lambda v: v >= 1, "positive int")
+_COUNT = _checked(int, lambda v: v >= 0, "non-negative int")
+_PROBABILITY = _checked(float, lambda v: 0.0 <= v <= 1.0, "probability")
+_RANK_TOL = _checked(float, lambda v: 0.0 < v < 1.0, "rank tolerance")
+
+_PROTOCOL_VERBS = ("run", "reduce", "qpir-correctness", "qpir-privacy",
+                   "attack", "certify", "schmidt")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qpirlab")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p):
-        p.add_argument("--protocol", help="builtin:<name>?n=... or a JSON file")
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
+    for verb in _VERBS:
+        p = sub.add_parser(verb)
         p.add_argument("--dim-guard", type=int, default=DEFAULT_DIM_GUARD)
-        p.add_argument("--trials", type=int, default=200)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("json", "csv", "text"),
                        default="json")
-        return p
-
-    common(sub.add_parser("run")).add_argument("--x", type=int, default=0)
-    for verb in ("bound", "reduce", "qpir-correctness", "qpir-privacy",
-                 "attack", "certify", "schmidt", "fuzz"):
-        common(sub.add_parser(verb))
-    for verb, p in sub.choices.items():
+        if verb in _PROTOCOL_VERBS:
+            p.add_argument("--protocol", help="builtin:<name>?n=... or a JSON file")
+        if verb in _PROTOCOL_VERBS or verb == "bound":
+            p.add_argument("--n", type=_SIZE, default=None)
+        if verb in _PROTOCOL_VERBS or verb == "fuzz":
+            p.add_argument("--seed", type=_COUNT,
+                           default=os.environ.get("QPIRLAB_SEED") or "0",
+                           help="default: $QPIRLAB_SEED, else 0")
+        if verb in ("reduce", "schmidt", "fuzz"):
+            p.add_argument("--rank-tol", type=_RANK_TOL, default=DEFAULT_RANK_TOL)
+        if verb == "fuzz":
+            p.add_argument("--trials", type=_COUNT, default=200)
+        if verb == "run":
+            p.add_argument("--x", type=int, default=0)
         if verb in ("run", "schmidt"):
             p.add_argument("--i", type=int, default=1)
         if verb == "bound":
-            p.add_argument("--delta", type=float, default=0.0)
-            p.add_argument("--epsilon", type=float, default=0.0)
+            p.add_argument("--delta", type=_PROBABILITY, default=0.0)
+            p.add_argument("--epsilon", type=_PROBABILITY, default=0.0)
         if verb == "certify":
             p.add_argument("--party", choices=("A", "B"), default="A")
     return parser
-
-
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("QPIRLAB_SEED")
-    return int(env) if env else 0
 
 
 def _resolve_qpir(args) -> QpirProtocol:
     if not args.protocol:
         raise CliInputError("--protocol is required for this verb")
     if args.protocol.startswith("builtin:"):
-        return builtin_from_address(args.protocol, n=args.n, seed=_seed(args))
+        return builtin_from_address(args.protocol, n=args.n, seed=args.seed)
     try:
         data = serialize.load(args.protocol)
     except OSError as exc:
@@ -260,7 +289,7 @@ def _random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def _verb_fuzz(args):
-    seed = _seed(args)
+    seed = args.seed
     trials = args.trials
     rng = np.random.default_rng(seed)
 
@@ -316,8 +345,6 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
     if isinstance(value, dict):
         for k, v in value.items():
             _flatten(f"{prefix}.{k}" if prefix else str(k), v, rows)
-    elif isinstance(value, list):
-        rows.append((prefix, json.dumps(value)))
     else:
         rows.append((prefix, json.dumps(value)))
 
@@ -342,15 +369,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except CliInputError as exc:
-        print(f"qpirlab: error: {exc}", file=sys.stderr)
-        return 1
-    try:
         set_dim_guard(args.dim_guard)
         report, failed = _VERBS[args.verb](args)
-    except CliInputError as exc:
-        print(f"qpirlab: error: {exc}", file=sys.stderr)
-        return 1
     except QpirlabError as exc:
         print(f"qpirlab: error: {exc}", file=sys.stderr)
         return 1

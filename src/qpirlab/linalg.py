@@ -20,13 +20,7 @@ import numpy as np
 
 from .errors import LayoutError, LayoutMismatch, NotPositiveSemidefinite
 from .registers import Register, RegisterLayout, concat
-from .states import (
-    DensityOperator,
-    Isometry,
-    StateVector,
-    matricize,
-    reduced_density_matrix,
-)
+from .states import DensityOperator, Isometry, StateVector, matricize
 
 #: Singular values below this count as zero when ranks/supports are decided.
 DEFAULT_RANK_TOL = 1e-10

@@ -19,14 +19,11 @@ from .errors import LayoutError, ShapeMismatch
 from .linalg import DEFAULT_RANK_TOL, haar_unitary_matrix, schmidt_rank
 from .registers import Register, RegisterLayout, concat
 from .states import (
-    DensityOperator,
     Isometry,
-    KrausChannel,
     Operation,
     State,
     StateVector,
-    apply_channel,
-    apply_isometry,
+    apply_operation,
     as_single_isometry,
     matricize,
     permute_registers,
@@ -148,15 +145,15 @@ class Transcript:
         return self.states[-1]
 
 
-def _spectator_layout(spec: ProtocolSpec, rho_in: State) -> RegisterLayout:
-    """Validate the input layout and return the inert trailing registers.
+def _spectator_layout(spec: ProtocolSpec, layout: RegisterLayout) -> RegisterLayout:
+    """Validate an input layout and return its inert trailing registers.
 
     Inputs are A_0 ++ B_0 optionally followed by one reference register of
     dimension 1 or dim(A_0)*dim(B_0).  The reference register is never
     touched by any operation.
     """
     front = concat(spec.a_memory[0], spec.b_memory[0])
-    regs = rho_in.layout.registers
+    regs = layout.registers
     nf = len(front)
     if regs[:nf] != front.registers:
         raise ShapeMismatch(
@@ -189,35 +186,32 @@ def _canonical_order(spec: ProtocolSpec, step: int,
     return order + spectators.labels()
 
 
+def _schedule(spec: ProtocolSpec):
+    """Yield (step, op name, op) in execution order A1, B1, A2, B2, ..."""
+    for k in range(1, spec.rounds + 1):
+        yield 2 * k - 1, _op_name("A", k), spec.a_ops[k - 1]
+        yield 2 * k, _op_name("B", k), spec.b_ops[k - 1]
+
+
 def execute(spec: ProtocolSpec, rho_in: State) -> Transcript:
     """Run the protocol, returning every intermediate global state.
 
     Pure inputs stay vectors as long as every operation is an isometry;
     otherwise the run proceeds on density operators.
     """
-    spectators = _spectator_layout(spec, rho_in)
-    isos = [as_single_isometry(op) for op in spec.a_ops + spec.b_ops]
+    spectators = _spectator_layout(spec, rho_in.layout)
     cur: State = rho_in
-    if isinstance(cur, StateVector) and any(iso is None for iso in isos):
+    if isinstance(cur, StateVector) and not spec.all_unitary():
         cur = pure_density(cur)
 
     states: list[State] = []
-    s = spec.rounds
-    for k in range(1, s + 1):
-        for party, op in (("A", spec.a_ops[k - 1]), ("B", spec.b_ops[k - 1])):
-            iso = as_single_isometry(op)
-            try:
-                if isinstance(cur, StateVector):
-                    cur = apply_isometry(iso, cur)
-                else:
-                    cur = apply_channel(op, cur)
-            except LayoutError as exc:
-                raise ShapeMismatch(
-                    f"op {_op_name(party, k)} failed to apply: {exc}"
-                ) from exc
-            step = 2 * k - 1 if party == "A" else 2 * k
-            cur = permute_registers(cur, _canonical_order(spec, step, spectators))
-            states.append(cur)
+    for step, name, op in _schedule(spec):
+        try:
+            cur = apply_operation(op, cur)
+        except LayoutError as exc:
+            raise ShapeMismatch(f"op {name} failed to apply: {exc}") from exc
+        cur = permute_registers(cur, _canonical_order(spec, step, spectators))
+        states.append(cur)
     return Transcript(spec, rho_in, tuple(states))
 
 
@@ -233,28 +227,18 @@ def execute_pure_batch(spec: ProtocolSpec, input_layout: RegisterLayout,
     """
     if not spec.all_unitary():
         raise LayoutError("batched execution requires an all-isometry protocol")
-    front_check = concat(spec.a_memory[0], spec.b_memory[0])
-    nf = len(front_check)
-    if input_layout.registers[:nf] != front_check.registers:
-        raise ShapeMismatch(
-            f"batch input layout {input_layout.registers} must start with "
-            f"A_0 ++ B_0 = {front_check.registers}"
-        )
-    spectators = RegisterLayout(input_layout.registers[nf:])
+    spectators = _spectator_layout(spec, input_layout)
 
     nb = columns.shape[1]
     lay = input_layout
     cur = columns
-    s = spec.rounds
-    order = [op for k in range(s)
-             for op in (spec.a_ops[k], spec.b_ops[k])]
-    for op in order:
+    for _, _, op in _schedule(spec):
         iso = as_single_isometry(op)
         labels = iso.input_layout.labels()
         t = matricize(cur, lay, labels)
         cur = (iso.matrix @ t.reshape(t.shape[0], -1)).reshape(-1, nb)
         lay = concat(iso.output_layout, lay.drop(labels))
-    final_order = _canonical_order(spec, 2 * s, spectators)
+    final_order = _canonical_order(spec, 2 * spec.rounds, spectators)
     final_lay = lay.reordered(final_order)
     cur = matricize(cur, lay, final_order)
     return final_lay, cur.reshape(final_lay.total_dim, nb)
@@ -472,23 +456,23 @@ def rank_trace(spec: ProtocolSpec, psi_in: StateVector,
 
     events: list[RankEvent] = []
     running = schmidt_rank(psi_in, spec.a_memory[0].labels(), rank_tol)
-    cur = psi_in
-    s = spec.rounds
-    for k in range(1, s + 1):
-        cur = apply_isometry(as_single_isometry(spec.a_ops[k - 1]), cur)
+    states = execute(spec, psi_in).states
+    for (step, name, _), cur in zip(_schedule(spec), states):
+        k = (step + 1) // 2
         a_side = spec.a_memory[k].labels()
-        x_label = spec.x_comm[k - 1].labels()
-        r = schmidt_rank(cur, a_side + x_label, rank_tol)
-        events.append(RankEvent(f"A{k}", a_side + x_label, r, running, r <= running))
-        dim_x = spec.x_comm[k - 1].total_dim
+        if step % 2 == 1:  # A_k acted, then X_k crosses to B
+            x_label = spec.x_comm[k - 1].labels()
+            r = schmidt_rank(cur, a_side + x_label, rank_tol)
+            events.append(RankEvent(name, a_side + x_label, r, running, r <= running))
+            dim_x = spec.x_comm[k - 1].total_dim
+            r = schmidt_rank(cur, a_side, rank_tol)
+            events.append(RankEvent(f"handover X{k}", a_side, r,
+                                    running * dim_x, r <= running * dim_x))
+            running = r
+            continue
         r = schmidt_rank(cur, a_side, rank_tol)
-        events.append(RankEvent(f"handover X{k}", a_side, r,
-                                running * dim_x, r <= running * dim_x))
-        running = r
-        cur = apply_isometry(as_single_isometry(spec.b_ops[k - 1]), cur)
-        r = schmidt_rank(cur, a_side, rank_tol)
-        events.append(RankEvent(f"B{k}", a_side, r, running, r <= running))
-        if k < s:
+        events.append(RankEvent(name, a_side, r, running, r <= running))
+        if k < spec.rounds:  # Y_k crosses back to A
             dim_y = spec.y_comm[k - 1].total_dim
             cut = a_side + spec.y_comm[k - 1].labels()
             r = schmidt_rank(cur, cut, rank_tol)

@@ -66,13 +66,8 @@ class QpirProtocol:
         return self.spec.b_memory[-1].labels()
 
 
-def qpir_input(qpir: QpirProtocol, x: int | None, i: int,
-               with_reference: bool = False) -> StateVector:
-    """Input |x>|i> (or the uniform database superposition for x=None).
-
-    `with_reference` appends the inert reference register in |0>, at its
-    full dimension dim(A_0)*dim(B_0).
-    """
+def qpir_input(qpir: QpirProtocol, x: int | None, i: int) -> StateVector:
+    """Input |x>|i> (or the uniform database superposition for x=None)."""
     n = qpir.n
     if not 1 <= i <= n:
         raise LayoutError(f"index {i} outside 1..{n}")
@@ -87,13 +82,7 @@ def qpir_input(qpir: QpirProtocol, x: int | None, i: int,
     amps_b = np.zeros(n, dtype=np.complex128)
     amps_b[i - 1] = 1.0
     lay = concat(qpir.spec.a_memory[0], qpir.spec.b_memory[0])
-    amps = np.kron(amps_a, amps_b)
-    if with_reference:
-        ref = np.zeros(lay.total_dim, dtype=np.complex128)
-        ref[0] = 1.0
-        amps = np.kron(amps, ref)
-        lay = concat(lay, RegisterLayout((Register("R", lay.total_dim),)))
-    return StateVector(lay, amps)
+    return StateVector(lay, np.kron(amps_a, amps_b))
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +330,8 @@ def build_random_qpir(n: int, seed: int) -> QpirProtocol:
     copy pins the database branches to orthogonal server states, so the
     compression step of the encoding reduction stays well-posed.
     """
+    if seed < 0:
+        raise LayoutError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     da = 2 ** n
     ell = int(rng.integers(0, 2))       # qubits sent back by the client
@@ -412,11 +403,19 @@ def parse_builtin_address(address: str) -> tuple[str, dict[str, str]]:
 def builtin_from_address(address: str, n: int | None = None,
                          seed: int | None = None) -> QpirProtocol:
     name, params = parse_builtin_address(address)
+
+    def number(key: str, kind):
+        try:
+            return kind(params[key])
+        except ValueError as exc:
+            raise LayoutError(f"builtin parameter {key}={params[key]!r} is "
+                              f"not a valid {kind.__name__}") from exc
+
     if "n" in params:
-        n = int(params["n"])
+        n = number("n", int)
     if n is None:
         raise LayoutError(f"builtin address {address!r} needs an n parameter")
-    delta = float(params["delta"]) if "delta" in params else None
+    delta = number("delta", float) if "delta" in params else None
     if "seed" in params:
-        seed = int(params["seed"])
+        seed = number("seed", int)
     return builtin(name, n, delta=delta, seed=seed)

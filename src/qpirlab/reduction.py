@@ -28,14 +28,8 @@ from .linalg import (
     trace_distance_matrices,
     uhlmann_unitary,
 )
-from .states import (
-    DensityOperator,
-    Isometry,
-    StateVector,
-    apply_matrix_to_factor,
-    matricize,
-)
-from .protocol import ProtocolSpec, communication_complexity
+from .states import Isometry, StateVector, apply_matrix_to_factor, matricize
+from .protocol import communication_complexity
 from .qpir import (
     CorrectnessReport,
     PrivacyReport,
@@ -67,15 +61,10 @@ class RandomAccessEncoding:
     m_ceil: int
     compressed_dim: int
     compressor: Isometry                     # compressed register -> client factor
-    client_labels: tuple[str, ...]
-    measured_labels: tuple[str, ...]         # original client registers
-    encoder: tuple[DensityOperator, ...]     # state per database x
     rotations: tuple[Isometry, ...]          # U^{1->i} on the client factor
-    projectors: tuple[np.ndarray, ...]       # outcome-0 projector per index
-    correctness: CorrectnessReport
+    correctness: CorrectnessReport           # carries the per-index projectors
     rotation_distances: tuple[float, ...]    # D((1 x U)nu_1, nu_i) achieved
     marginal_distances: tuple[float, ...]    # D(tr_C nu_i, tr_C nu_1)
-    spec_pp: ProtocolSpec
     compressed_runs: np.ndarray              # (r, server_dim, 2^n), unit columns
 
 
@@ -107,8 +96,8 @@ def build_rae(run: PurifiedRun,
     for nui in nus:
         u = uhlmann_unitary(nui, nus[0], purifier=client)
         rotations.append(u)
-        rotated = _rotate_client(nus[0], u, client)
-        rot_dist.append(pure_distance_amplitudes(nui.amplitudes, rotated))
+        rotated = apply_matrix_to_factor(u.matrix, nus[0], client)
+        rot_dist.append(pure_distance_amplitudes(nui.amplitudes, rotated.amplitudes))
     margs = server_marginals(run)
     marg_dist = [trace_distance_matrices(marg, margs[0]) for marg in margs]
 
@@ -127,13 +116,6 @@ def build_rae(run: PurifiedRun,
     norms = np.linalg.norm(comp.reshape(-1, da), axis=0)
     comp = comp / norms
 
-    c_prime = compressor.input_layout
-    encoder = []
-    for x in range(da):
-        mat = comp[:, :, x] @ comp[:, :, x].conj().T
-        mat = mat / np.trace(mat).real
-        encoder.append(DensityOperator(c_prime, mat))
-
     correctness = correctness_delta(run)
 
     comp.setflags(write=False)
@@ -144,50 +126,12 @@ def build_rae(run: PurifiedRun,
         m_ceil=math.ceil(m - 1e-12),
         compressed_dim=r,
         compressor=compressor,
-        client_labels=client,
-        measured_labels=measured,
-        encoder=tuple(encoder),
         rotations=tuple(rotations),
-        projectors=correctness.projectors,
         correctness=correctness,
         rotation_distances=tuple(rot_dist),
         marginal_distances=tuple(marg_dist),
-        spec_pp=run.spec,
         compressed_runs=comp,
     )
-
-
-def _rotate_client(nu: StateVector, u: Isometry,
-                   client: tuple[str, ...]) -> np.ndarray:
-    """(1 x U) nu as raw amplitudes in nu's own register order."""
-    return apply_matrix_to_factor(u.matrix, nu, client).amplitudes
-
-
-def decode_bit(rae: RandomAccessEncoding, codeword: DensityOperator,
-               i: int) -> tuple[float, float]:
-    """Outcome probabilities (bit 0, bit 1) of decoding index i.
-
-    Decompress onto the client factor, rotate the index-1 run onto the
-    index-i run, trace the purifier part, and apply the index-i projector.
-    """
-    if not 1 <= i <= rae.n:
-        raise LayoutError(f"index {i} outside 1..{rae.n}")
-    if codeword.layout != rae.compressor.input_layout:
-        raise LayoutError(
-            f"codeword layout {codeword.layout.registers} != compressed space "
-            f"{rae.compressor.input_layout.registers}"
-        )
-    e = rae.compressor.matrix
-    u = rae.rotations[i - 1].matrix
-    rho = (u @ e) @ codeword.matrix @ (u @ e).conj().T
-    d_meas = int(np.prod([rae.spec_pp.b_memory[-1].dim_of(lb)
-                          for lb in rae.measured_labels]))
-    d_bar = rho.shape[0] // d_meas
-    rho = rho.reshape(d_meas, d_bar, d_meas, d_bar)
-    rho_meas = np.einsum("abcb->ac", rho)
-    p0 = float(np.real(np.trace(rae.projectors[i - 1] @ rho_meas)))
-    p0 = min(1.0, max(0.0, p0))
-    return p0, 1.0 - p0
 
 
 def recovery_rates(rae: RandomAccessEncoding) -> tuple[tuple[float, ...], float]:
@@ -201,15 +145,15 @@ def recovery_rates(rae: RandomAccessEncoding) -> tuple[tuple[float, ...], float]
     comp = rae.compressed_runs           # (r, d_server, da)
     r, d_server, _ = comp.shape
     e = rae.compressor.matrix            # (d_client, r)
-    d_meas = int(np.prod([rae.spec_pp.b_memory[-1].dim_of(lb)
-                          for lb in rae.measured_labels]))
+    projectors = rae.correctness.projectors
+    d_meas = projectors[0].shape[0]      # the client's original registers
     d_bar = e.shape[0] // d_meas
     rates = []
     for i in range(1, n + 1):
         decode = rae.rotations[i - 1].matrix @ e                    # (d_client, r)
         decoded = decode @ comp.reshape(r, -1)                      # (d_client, ds*da)
         decoded = decoded.reshape(d_meas, d_bar * d_server * da)
-        w, v = np.linalg.eigh(rae.projectors[i - 1])
+        w, v = np.linalg.eigh(projectors[i - 1])
         plus = v[:, w > 0.5]
         amp = plus.conj().T @ decoded
         p0 = np.sum(

@@ -126,6 +126,18 @@ def test_ultimate_no_worse_than_stepwise(rng):
     assert ultimate.epsilon_hat <= stepwise.epsilon_hat + 1e-12
 
 
+def test_ultimate_is_the_final_step_of_stepwise(rng):
+    spec = two_round_protocol()
+    adv = AdversaryStrategy("A", spec.a_memory,
+                            (spec.a_ops[0], _memory_discarding_op(spec)))
+    recovery = identity_recovery(spec, "A")
+    inputs = small_inputs(spec, rng)
+    stepwise = certify_specious(spec, adv, recovery, inputs)
+    ultimate = certify_ultimately_specious(spec, adv, recovery.maps[-1], inputs)
+    assert ultimate.epsilon_hat > 0.1
+    assert ultimate.epsilon_hat == stepwise.worst_by_step()[2 * spec.rounds]
+
+
 def test_epsilon_monotone_in_test_set(rng):
     spec = two_round_protocol()
     adv = AdversaryStrategy("A", spec.a_memory,
@@ -173,6 +185,8 @@ def test_recovery_shape_validation():
     recovery = identity_recovery(spec, "A")  # wrong: ignores the purifier
     with pytest.raises(ShapeMismatch):
         certify_specious(spec, adv, recovery, [])
+    with pytest.raises(ShapeMismatch):
+        certify_ultimately_specious(spec, adv, recovery.maps[-1], [])
     lay_in, lay_out = recovery_shapes(spec, adv, 1)
     assert lay_out.labels()[:1] == ("A1",)
     assert "X1" in lay_in.labels()

@@ -156,6 +156,30 @@ def test_rerun_in_one_process_prints_identical_bytes():
     assert first[0] == 0 and first == second
 
 
+BAD_NUMBERS = [
+    ["bound", "--n", "3", "--delta", "1.5"],
+    ["bound", "--n", "3", "--epsilon", "nan"],
+    ["reduce", "--protocol", "builtin:noisy-trivial?n=2&delta=abc"],
+    ["bound", "--n", "-3"],
+    ["fuzz", "--trials", "-1"],
+    ["schmidt", "--protocol", "builtin:trivial?n=2", "--rank-tol", "-1"],
+]
+IGNORED_FLAGS = [
+    ["reduce", "--protocol", "builtin:trivial?n=2", "--trials", "5"],
+    ["certify", "--protocol", "builtin:trivial?n=2", "--rank-tol", "0.9"],
+    ["fuzz", "--protocol", "builtin:trivial?n=2"],
+    ["bound", "--n", "3", "--protocol", "builtin:trivial?n=2", "--seed", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_NUMBERS + IGNORED_FLAGS, ids=" ".join)
+def test_bad_input_ends_in_a_clean_error(argv, capsys):
+    code, out = _cli(argv)
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("qpirlab: error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag", [["--recovery", "/nonexistent.json"],
                                   ["--adversary", "adv.json"]])
 def test_certify_rejects_removed_options(flag):

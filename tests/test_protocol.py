@@ -115,6 +115,13 @@ def test_input_layout_validated():
         execute(spec, bad_ref)
 
 
+def test_batch_validates_the_reference_register():
+    spec = move_protocol()
+    lay = RegisterLayout.of(("A0", 2), ("B0", 2), ("R", 5))
+    with pytest.raises(ShapeMismatch):
+        execute_pure_batch(spec, lay, np.eye(lay.total_dim, dtype=complex))
+
+
 def test_reference_register_is_inert(rng):
     spec = move_protocol()
     qubit = random_pure(rng, 2)
@@ -284,6 +291,15 @@ class TestRankTrace:
                 prev = e.rank
             else:
                 assert e.rank == prev or e.step.startswith("A1")
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_trivial_entangles_only_when_x1_crosses(self, n):
+        """The server's copy of x is in product with the client until the
+        message X1, the other copy of x, changes sides."""
+        p = builtin("trivial", n)
+        events = rank_trace(purify_both(p.spec), qpir_input(p, None, 1))
+        assert [(e.step, e.rank) for e in events] == [
+            ("A1", 1), ("handover X1", 2 ** n), ("B1", 2 ** n)]
 
     def test_requires_unitary_protocol(self):
         p = builtin("noisy-trivial", 2, delta=0.2)
