@@ -155,7 +155,12 @@ def _resolve_qpir(args) -> QpirProtocol:
     n = data.get("n", args.n)
     if n is None:
         n = spec.b_memory[0].total_dim
-    return QpirProtocol(int(n), spec)
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise CliInputError(
+            f"protocol file {args.protocol}: n must be an integer >= 1, "
+            f"got {n!r}"
+        )
+    return QpirProtocol(n, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +269,7 @@ def _verb_schmidt(args):
     dec = schmidt_decompose(final, cut, rank_tol=args.rank_tol)
     c = communication_complexity(qpir.spec)
     cap = 2 ** c
-    events = rank_trace(spec_pp, psi, rank_tol=args.rank_tol)
+    events = rank_trace(transcript, rank_tol=args.rank_tol)
     report = {
         "n": qpir.n,
         "i": args.i,
@@ -299,7 +304,7 @@ def _verb_fuzz(args):
         rounds = 1 + int(rng.integers(0, 3))
         spec = random_protocol(seed * 1_000_003 + t, rounds, budget)
         psi = product_input(spec, seed=seed + t)
-        events = rank_trace(spec, psi, rank_tol=args.rank_tol)
+        events = rank_trace(execute(spec, psi), rank_tol=args.rank_tol)
         cap = 2 ** communication_complexity(spec)
         final_rank = events[-1].rank
         if final_rank > cap + 1e-9 or not all(e.ok for e in events):

@@ -18,9 +18,20 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import LayoutError, LayoutMismatch, NotPositiveSemidefinite
+from .errors import (
+    LayoutError,
+    LayoutMismatch,
+    NotPositiveSemidefinite,
+    SupportViolation,
+)
 from .registers import Register, RegisterLayout, concat
-from .states import DensityOperator, Isometry, StateVector, matricize
+from .states import (
+    DensityOperator,
+    Isometry,
+    StateVector,
+    _check_factor,
+    matricize,
+)
 
 #: Singular values below this count as zero when ranks/supports are decided.
 DEFAULT_RANK_TOL = 1e-10
@@ -201,33 +212,47 @@ def schmidt_compressor(state: StateVector, cut: Iterable[str],
 
 
 # ---------------------------------------------------------------------------
-# Uhlmann solver (unitary Procrustes on the purifying factor)
+# Uhlmann solver (Procrustes on the purifying factor, restricted to a support)
 # ---------------------------------------------------------------------------
 
 def uhlmann_unitary(phi: StateVector, psi: StateVector,
-                    purifier: Iterable[str]) -> Isometry:
-    """Unitary U on the `purifier` factor maximizing |<phi|(1 x U)|psi>|.
+                    support: Isometry) -> Isometry:
+    """Uhlmann unitary U on the purifier, kept only on the support of psi.
 
-    Both states share a layout; the non-purifier factor carries the reduced
-    states whose fidelity the optimal overlap attains.  U is read off the
-    SVD of the cross-Gram operator between the two purifier-side
-    matricizations; any maximizer is accepted under SVD degeneracy.
+    `support` is an isometry E from a compressed register into the purifier
+    factor (its output layout) whose range holds psi's purifier side, so
+    psi = (1 x E)|c>.  The result is the partial isometry X = U E, with
+    E's layouts, maximizing |<phi|(1 x X)|c>|; the non-purifier factor
+    carries the reduced states whose fidelity that overlap attains.  X is
+    the polar factor of the r x d_purifier cross-Gram operator
+    K = c^T conj(phi), so the cost is O(r^2 d_purifier) and no
+    d_purifier^2 array is formed.  Any maximizer is accepted under SVD
+    degeneracy.  An identity support gives the full unitary U.
 
     If D(tr_purifier phi, tr_purifier psi) <= eps, the rotated psi lands
-    within sqrt(eps (2 - eps)) of phi in trace distance.
+    within sqrt(eps (2 - eps)) of phi in trace distance.  Raises
+    SupportViolation when psi's purifier side leaves range(E) by more
+    than 1e-8.
     """
     _require_same_layout(phi, psi)
-    pur_lay = phi.layout.sub(purifier)
-    if len(pur_lay) == 0 or len(pur_lay) == len(phi.layout):
+    _check_factor(phi.layout, support.output_layout)
+    purifier = support.output_layout.labels()
+    if len(purifier) in (0, len(phi.layout)):
         raise LayoutError("purifier must be a proper nonempty subset")
-    rest = phi.layout.drop(pur_lay.labels()).labels()
-    # matricize with the kept factor as rows, purifier as columns
-    mphi = state_matricization(phi, rest)
-    mpsi = state_matricization(psi, rest)
-    gram = mpsi.T @ mphi.conj()  # G[b', b] = sum_a psi[a,b'] conj(phi[a,b])
-    v, _, wh = np.linalg.svd(gram)
-    u = wh.conj().T @ v.conj().T
-    return Isometry(pur_lay, pur_lay, u)
+    # matricize with the purifier (in the support's order) as rows
+    mphi = matricize(phi.amplitudes, phi.layout, purifier)
+    mpsi = matricize(psi.amplitudes, psi.layout, purifier)
+    e = support.matrix
+    ct = e.conj().T @ mpsi                    # c^T, (r, d_rest)
+    leak = float(np.linalg.norm(mpsi - e @ ct))
+    if leak > 1e-8:
+        raise SupportViolation(
+            f"psi leaves the Uhlmann support by {leak:.3e}"
+        )
+    k = ct @ mphi.conj().T                    # K[j, b] = sum_a c[a,j] conj(phi[a,b])
+    v, _, wh = np.linalg.svd(k, full_matrices=False)
+    x = wh.conj().T @ v.conj().T
+    return Isometry(support.input_layout, support.output_layout, x)
 
 
 # ---------------------------------------------------------------------------

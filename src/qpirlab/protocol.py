@@ -441,23 +441,24 @@ class RankEvent:
     ok: bool
 
 
-def rank_trace(spec: ProtocolSpec, psi_in: StateVector,
+def rank_trace(transcript: Transcript,
                rank_tol: float = DEFAULT_RANK_TOL) -> list[RankEvent]:
-    """Audit how the Schmidt rank across the A/B cut grows step by step.
+    """Audit how the Schmidt rank across the A/B cut grows step by step
+    along a run of `execute`.
 
     Local operations must preserve the running rank; moving a communication
     register of dimension d across the cut may multiply it by at most d
     (one transmitted qubit at most doubles it).
     """
-    if not spec.all_unitary():
-        raise LayoutError("rank trace requires an all-isometry protocol")
+    spec, psi_in = transcript.spec, transcript.rho_in
+    if not spec.all_unitary() or not isinstance(psi_in, StateVector):
+        raise LayoutError("rank trace requires a pure run of an all-isometry protocol")
     if len(psi_in.layout) != len(concat(spec.a_memory[0], spec.b_memory[0])):
         raise LayoutError("rank trace requires an input without reference registers")
 
     events: list[RankEvent] = []
     running = schmidt_rank(psi_in, spec.a_memory[0].labels(), rank_tol)
-    states = execute(spec, psi_in).states
-    for (step, name, _), cur in zip(_schedule(spec), states):
+    for (step, name, _), cur in zip(_schedule(spec), transcript.states):
         k = (step + 1) // 2
         a_side = spec.a_memory[k].labels()
         if step % 2 == 1:  # A_k acted, then X_k crosses to B

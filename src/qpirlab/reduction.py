@@ -3,13 +3,16 @@ communication lower bound it certifies.
 
 Pipeline: every stage reads one `PurifiedRun` (both parties purified,
 each input batch run once).  The uniform-database superposition runs nu_i
-give the client subspace actually used, which is Schmidt-compressed; each
-database is encoded as the compressed client state of its index-1 basis
-run; and any index i is decoded by rotating nu_1 onto nu_i with a
-purifier-side (Uhlmann) unitary before measuring.  The same run yields
-delta (basis runs) and epsilon (server marginals of the nu_i).  The
-measured recovery rate feeds the entropy bound on random-access-encoding
-size, which in turn bounds the protocol's communication from below.
+give the client subspace actually used, which is Schmidt-compressed to
+rank r; each database is encoded as the compressed client state of its
+index-1 basis run; and any index i is decoded by rotating nu_1 onto nu_i
+with a purifier-side (Uhlmann) unitary before measuring.  Only that
+unitary's action on the compressed support matters, so each decoder is
+stored as the d_client x r partial isometry U E (E the compressor), never
+as a d_client x d_client matrix.  The same run yields delta (basis runs)
+and epsilon (server marginals of the nu_i).  The measured recovery rate
+feeds the entropy bound on random-access-encoding size, which in turn
+bounds the protocol's communication from below.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .linalg import (
     trace_distance_matrices,
     uhlmann_unitary,
 )
-from .states import Isometry, StateVector, apply_matrix_to_factor, matricize
+from .states import Isometry, StateVector, matricize
 from .protocol import communication_complexity
 from .qpir import (
     CorrectnessReport,
@@ -51,8 +54,9 @@ class RandomAccessEncoding:
     """n-bit strings encoded as states on the compressed client space.
 
     m is log2 of the compressed dimension (reported with its qubit
-    ceiling); decoding index i decompresses, applies the index-rotation
-    unitary, and measures the per-index discrimination projector.
+    ceiling); decoding index i applies its decoder, which decompresses and
+    rotates in one step, and measures the per-index discrimination
+    projector.
     """
 
     n: int
@@ -61,9 +65,9 @@ class RandomAccessEncoding:
     m_ceil: int
     compressed_dim: int
     compressor: Isometry                     # compressed register -> client factor
-    rotations: tuple[Isometry, ...]          # U^{1->i} on the client factor
+    decoders: tuple[Isometry, ...]           # U^{1->i} E: compressed -> client, (d_client, r)
     correctness: CorrectnessReport           # carries the per-index projectors
-    rotation_distances: tuple[float, ...]    # D((1 x U)nu_1, nu_i) achieved
+    rotation_distances: tuple[float, ...]    # D((1 x U E)c_1, nu_i) achieved
     marginal_distances: tuple[float, ...]    # D(tr_C nu_i, tr_C nu_1)
     compressed_runs: np.ndarray              # (r, server_dim, 2^n), unit columns
 
@@ -91,19 +95,21 @@ def build_rae(run: PurifiedRun,
     m = math.log2(r)
 
     # rotate before the basis batch exists: it stays out of the SVDs' peak
-    rotations = []
+    emat = compressor.matrix
+    ms = matricize(run.superposition, run.layout, client)  # (d_client, rest, n)
+    c1 = emat.conj().T @ ms[:, :, 0]                       # compressed nu_1
+    decoders = []
     rot_dist = []
-    for nui in nus:
-        u = uhlmann_unitary(nui, nus[0], purifier=client)
-        rotations.append(u)
-        rotated = apply_matrix_to_factor(u.matrix, nus[0], client)
-        rot_dist.append(pure_distance_amplitudes(nui.amplitudes, rotated.amplitudes))
+    for j, nui in enumerate(nus):
+        x = uhlmann_unitary(nui, nus[0], support=compressor)
+        decoders.append(x)
+        rot_dist.append(pure_distance_amplitudes(ms[:, :, j].reshape(-1),
+                                                 (x.matrix @ c1).reshape(-1)))
     margs = server_marginals(run)
     marg_dist = [trace_distance_matrices(marg, margs[0]) for marg in margs]
 
     # index-1 run of every database; slicing first copies only these columns
     t = matricize(run.basis[:, 0::n], run.layout, client)
-    emat = compressor.matrix
     comp = np.einsum("ci,csx->isx", emat.conj(), t, optimize=True)
     proj_back = np.einsum("ci,isx->csx", emat, comp, optimize=True)
     leaks = np.linalg.norm((t - proj_back).reshape(-1, da), axis=0)
@@ -126,7 +132,7 @@ def build_rae(run: PurifiedRun,
         m_ceil=math.ceil(m - 1e-12),
         compressed_dim=r,
         compressor=compressor,
-        rotations=tuple(rotations),
+        decoders=tuple(decoders),
         correctness=correctness,
         rotation_distances=tuple(rot_dist),
         marginal_distances=tuple(marg_dist),
@@ -144,13 +150,12 @@ def recovery_rates(rae: RandomAccessEncoding) -> tuple[tuple[float, ...], float]
     da = 2 ** n
     comp = rae.compressed_runs           # (r, d_server, da)
     r, d_server, _ = comp.shape
-    e = rae.compressor.matrix            # (d_client, r)
     projectors = rae.correctness.projectors
     d_meas = projectors[0].shape[0]      # the client's original registers
-    d_bar = e.shape[0] // d_meas
+    d_bar = rae.compressor.output_layout.total_dim // d_meas
     rates = []
     for i in range(1, n + 1):
-        decode = rae.rotations[i - 1].matrix @ e                    # (d_client, r)
+        decode = rae.decoders[i - 1].matrix                         # (d_client, r)
         decoded = decode @ comp.reshape(r, -1)                      # (d_client, ds*da)
         decoded = decoded.reshape(d_meas, d_bar * d_server * da)
         w, v = np.linalg.eigh(projectors[i - 1])

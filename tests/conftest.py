@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qpirlab.linalg import haar_unitary_matrix
+from qpirlab.states import Isometry
 
 
 def random_density(rng: np.random.Generator, dim: int, rank: int | None = None):
@@ -18,6 +19,13 @@ def random_density(rng: np.random.Generator, dim: int, rank: int | None = None):
 def random_pure(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def identity_support(layout, labels) -> Isometry:
+    """Identity on the `labels` factor: the Uhlmann support that yields the
+    full purifier unitary."""
+    sub = layout.sub(labels)
+    return Isometry(sub, sub, np.eye(sub.total_dim))
 
 
 def random_kraus_ops(rng: np.random.Generator, din: int, dout: int, num: int):

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from qpirlab import cli, serialize
+from qpirlab.linalg import uhlmann_unitary
 from qpirlab.protocol import ProtocolSpec
 from qpirlab.qpir import (
     PurifiedRun,
@@ -25,8 +26,15 @@ from qpirlab.qpir import (
     builtin,
     privacy_epsilon_purified,
 )
-from qpirlab.reduction import bound_report, lower_bound, superposition_attack
-from qpirlab.states import KrausChannel
+from qpirlab.reduction import (
+    bound_report,
+    build_rae,
+    lower_bound,
+    superposition_attack,
+)
+from qpirlab.states import KrausChannel, StateVector, matricize
+
+from conftest import identity_support
 
 
 def _h(p: float) -> float:
@@ -70,6 +78,42 @@ def test_index_in_clear_is_caught_as_non_private():
     assert not rep.privacy_premise_ok
     assert rep.consistency == "consistent-because-non-private"
     assert superposition_attack(qpir).verdict == "NOT-PRIVATE"
+
+
+BUILTINS = [("trivial", {}), ("index-in-clear", {}),
+            ("noisy-trivial", {"delta": 0.2}), ("random", {"seed": 1})]
+
+
+@pytest.mark.parametrize("name, params", BUILTINS, ids=[b[0] for b in BUILTINS])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_decoders_agree_with_the_full_uhlmann_unitary(name, params, n):
+    """Each d_client x r decoder is the full purifier unitary U times the
+    compressor E wherever K = c_1^T conj(nu_i) has full rank r, so that its
+    polar factor is unique."""
+    run = PurifiedRun(builtin(name, n, **params))
+    rae = build_rae(run)
+    e = rae.compressor.matrix
+    client = rae.compressor.output_layout.labels()
+    nus = [StateVector(run.layout, run.superposition[:, j]) for j in range(n)]
+    ms = matricize(run.superposition, run.layout, client)
+    c1t = e.conj().T @ ms[:, :, 0]
+    for j, decoder in enumerate(rae.decoders):
+        k = c1t @ ms[:, :, j].conj().T
+        if np.linalg.svd(k, compute_uv=False)[-1] < 1e-6:
+            continue
+        full = uhlmann_unitary(nus[j], nus[0], identity_support(run.layout, client))
+        assert np.max(np.abs(decoder.matrix - full.matrix @ e)) < 1e-10
+
+
+def test_decoders_are_thin():
+    """No d_client x d_client matrix survives in the encoding."""
+    for name, params in BUILTINS:
+        rae = build_rae(PurifiedRun(builtin(name, 3, **params)))
+        d_client = rae.compressor.output_layout.total_dim
+        assert len(rae.decoders) == 3
+        assert rae.compressed_dim < d_client
+        for decoder in rae.decoders:
+            assert decoder.matrix.shape == (d_client, rae.compressed_dim)
 
 
 def test_attack_and_privacy_share_one_distance_matrix():
@@ -133,6 +177,18 @@ def test_leaky_client_is_not_reported_as_a_bound_violation(tmp_path):
 
 # -- CLI behaviour -----------------------------------------------------------
 
+@pytest.mark.parametrize("n", ["abc", 2.5, True, 0])
+def test_protocol_file_n_must_be_a_positive_int(n, tmp_path, capsys):
+    data = serialize.protocol_spec_to_json(builtin("trivial", 2).spec)
+    data["n"] = n
+    path = tmp_path / "trivial.json"
+    serialize.dump(data, str(path))
+    code, out = _cli(["reduce", "--protocol", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("qpirlab: error:") and "Traceback" not in err
+
+
 def test_unknown_builtin_and_missing_file_exit_1(tmp_path):
     assert _cli(["reduce", "--protocol", "builtin:nope?n=2"])[0] == 1
     assert _cli(["reduce", "--protocol", str(tmp_path / "none.json")])[0] == 1
@@ -191,14 +247,20 @@ def test_certify_rejects_removed_options(flag):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count purify_both calls and the column count of every batch run."""
+    """Count purify_both and execute calls and the column count of every
+    batch run."""
     import qpirlab.protocol as protocol
-    seen = {"purify_both": 0, "batches": []}
+    seen = {"purify_both": 0, "execute": 0, "batches": []}
     purify, batch = protocol.purify_both, protocol.execute_pure_batch
+    execute = protocol.execute
 
     def counted_purify(spec):
         seen["purify_both"] += 1
         return purify(spec)
+
+    def counted_execute(spec, rho_in):
+        seen["execute"] += 1
+        return execute(spec, rho_in)
 
     def counted_batch(spec, layout, columns):
         seen["batches"].append(columns.shape[1])
@@ -212,6 +274,8 @@ def calls(monkeypatch):
                 monkeypatch.setattr(module, attr, counted_purify)
             elif value is batch:
                 monkeypatch.setattr(module, attr, counted_batch)
+            elif value is execute:
+                monkeypatch.setattr(module, attr, counted_execute)
     return seen
 
 
@@ -227,3 +291,9 @@ def test_privacy_and_attack_run_one_batch_of_n_columns(calls, verb):
     assert _cli([verb, "--protocol", "builtin:trivial?n=4"])[0] == 0
     assert calls["purify_both"] == 1
     assert calls["batches"] == [4]
+
+
+def test_schmidt_executes_the_protocol_once(calls):
+    assert _cli(["schmidt", "--protocol", "builtin:trivial?n=3"])[0] == 0
+    assert calls["purify_both"] == 1
+    assert calls["execute"] == 1

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from qpirlab.errors import LayoutError, LayoutMismatch
+from qpirlab.errors import LayoutError, LayoutMismatch, SupportViolation
 from qpirlab.registers import RegisterLayout
 from qpirlab.states import (
     DensityOperator,
+    Isometry,
     StateVector,
     basis_state,
     partial_trace,
@@ -27,7 +28,12 @@ from qpirlab.linalg import (
     uhlmann_unitary,
 )
 
-from conftest import bloch_grid_success, random_density, random_pure
+from conftest import (
+    bloch_grid_success,
+    identity_support,
+    random_density,
+    random_pure,
+)
 
 QUBIT = RegisterLayout.of(("q", 2))
 KET0 = basis_state(QUBIT, 0)
@@ -167,7 +173,7 @@ class TestUhlmann:
     def test_identical_states_reach_zero_distance(self, rng):
         lay = RegisterLayout.of(("a", 3), ("p", 4))
         psi = StateVector(lay, random_pure(rng, 12))
-        u = uhlmann_unitary(psi, psi, ["p"])
+        u = uhlmann_unitary(psi, psi, identity_support(lay, ["p"]))
         from qpirlab.states import apply_matrix_to_factor
         rotated = apply_matrix_to_factor(u.matrix, psi, ["p"])
         assert pure_state_distance(psi, rotated) < 1e-9
@@ -179,7 +185,7 @@ class TestUhlmann:
         perm[0, 1] = perm[1, 2] = perm[2, 0] = 1.0
         from qpirlab.states import apply_matrix_to_factor
         psi = apply_matrix_to_factor(perm, phi, ["p"])
-        u = uhlmann_unitary(phi, psi, ["p"])
+        u = uhlmann_unitary(phi, psi, identity_support(lay, ["p"]))
         rotated = apply_matrix_to_factor(u.matrix, psi, ["p"])
         assert pure_state_distance(phi, rotated) < 1e-9
 
@@ -192,10 +198,21 @@ class TestUhlmann:
             psi = StateVector(lay, random_pure(rng, 16))
             eps = trace_distance_matrices(reduced_density_matrix(phi, ["a"]),
                                           reduced_density_matrix(psi, ["a"]))
-            u = uhlmann_unitary(phi, psi, ["p"])
+            u = uhlmann_unitary(phi, psi, identity_support(lay, ["p"]))
             rotated = apply_matrix_to_factor(u.matrix, psi, ["p"])
             achieved = pure_state_distance(phi, rotated)
             assert achieved <= math.sqrt(eps * (2 - eps)) + 1e-9
+
+    def test_support_missing_a_direction_is_rejected(self, rng):
+        lay = RegisterLayout.of(("a", 3), ("p", 4))
+        psi = StateVector(lay, random_pure(rng, 12))
+        support = schmidt_compressor(psi, ["p"])
+        assert support.input_layout.total_dim == 3
+        uhlmann_unitary(psi, psi, support)
+        short = Isometry(RegisterLayout.of(("p'", 2)), support.output_layout,
+                         support.matrix[:, :2])
+        with pytest.raises(SupportViolation):
+            uhlmann_unitary(psi, psi, short)
 
 
 class TestHelstrom:

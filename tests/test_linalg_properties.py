@@ -11,13 +11,19 @@ from qpirlab.linalg import (
     fidelity,
     fidelity_matrices,
     pure_state_distance,
+    schmidt_compressor,
     schmidt_decompose,
     trace_distance,
     trace_distance_matrices,
     uhlmann_unitary,
 )
 
-from conftest import random_density, random_kraus_ops, random_pure
+from conftest import (
+    identity_support,
+    random_density,
+    random_kraus_ops,
+    random_pure,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -92,8 +98,34 @@ def test_uhlmann_achieves_reduced_state_fidelity(seed):
     phi = StateVector(lay, random_pure(rng, da * dp))
     psi = StateVector(lay, random_pure(rng, da * dp))
     from qpirlab.states import apply_matrix_to_factor, partial_trace
-    u = uhlmann_unitary(phi, psi, ["p"])
+    u = uhlmann_unitary(phi, psi, identity_support(lay, ["p"]))
     rotated = apply_matrix_to_factor(u.matrix, psi, ["p"])
+    achieved = abs(np.vdot(phi.amplitudes, rotated.amplitudes))
+    f = fidelity(partial_trace(phi, ["a"]), partial_trace(psi, ["a"]))
+    assert abs(achieved - f) < 1e-8
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_thin_uhlmann_on_the_compressed_support_achieves_fidelity(seed):
+    # psi = (1 x E)|c> with E from the Schmidt compressor: the d_p x r
+    # decoder X realizes F(rho_A, sigma_A) as |<phi|(1 x X)|c>|
+    rng = np.random.default_rng(seed)
+    da = int(rng.choice([2, 3, 4]))
+    dp = int(rng.choice([3, 4, 5]))
+    rank = int(rng.integers(1, min(da, dp - 1) + 1))
+    lay = RegisterLayout.of(("a", da), ("p", dp))
+    phi = StateVector(lay, random_pure(rng, da * dp))
+    g = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+         for shape in ((da, rank), (rank, dp))]
+    m = g[0] @ g[1]
+    psi = StateVector(lay, (m / np.linalg.norm(m)).reshape(-1))
+    e = schmidt_compressor(psi, ["p"])
+    assert e.input_layout.total_dim == rank
+    x = uhlmann_unitary(phi, psi, e)
+    assert x.matrix.shape == (dp, rank)
+    from qpirlab.states import apply_matrix_to_factor, partial_trace
+    rotated = apply_matrix_to_factor(x.matrix @ e.matrix.conj().T, psi, ["p"])
     achieved = abs(np.vdot(phi.amplitudes, rotated.amplitudes))
     f = fidelity(partial_trace(phi, ["a"]), partial_trace(psi, ["a"]))
     assert abs(achieved - f) < 1e-8

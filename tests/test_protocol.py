@@ -277,7 +277,7 @@ class TestRankTrace:
             spec = random_protocol(seed=seed, rounds=1 + seed % 3,
                                    qubit_budget=budget)
             psi = product_input(spec, seed=seed)
-            events = rank_trace(spec, psi)
+            events = rank_trace(execute(spec, psi))
             assert all(e.ok for e in events), events
             assert events[-1].rank <= 2**budget
 
@@ -285,7 +285,7 @@ class TestRankTrace:
         spec = random_protocol(seed=5, rounds=2, qubit_budget=4)
         psi = product_input(spec, seed=99)
         prev = 1
-        for e in rank_trace(spec, psi):
+        for e in rank_trace(execute(spec, psi)):
             if e.step.startswith("handover"):
                 assert e.rank <= e.bound
                 prev = e.rank
@@ -297,11 +297,12 @@ class TestRankTrace:
         """The server's copy of x is in product with the client until the
         message X1, the other copy of x, changes sides."""
         p = builtin("trivial", n)
-        events = rank_trace(purify_both(p.spec), qpir_input(p, None, 1))
+        events = rank_trace(execute(purify_both(p.spec), qpir_input(p, None, 1)))
         assert [(e.step, e.rank) for e in events] == [
             ("A1", 1), ("handover X1", 2 ** n), ("B1", 2 ** n)]
 
     def test_requires_unitary_protocol(self):
         p = builtin("noisy-trivial", 2, delta=0.2)
+        transcript = execute(p.spec, qpir_input(p, 0, 1))
         with pytest.raises(LayoutError):
-            rank_trace(p.spec, qpir_input(p, 0, 1))
+            rank_trace(transcript)
