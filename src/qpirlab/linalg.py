@@ -84,13 +84,17 @@ def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
     """Hermitian square root with round-off clamping.
 
     Eigenvalues in [-PSD_ERROR_TOL, 0) are treated as 0; anything lower is
-    rejected as genuinely non-PSD input.
+    rejected as genuinely non-PSD input.  Eigenvalues below the eigensolver's
+    own error, d * eps * max|w|, are also set to 0: on a rank-deficient
+    matrix their square roots (~1e-8 for round-off ~1e-16) would otherwise
+    add spurious singular values to a fidelity.
     """
     w, v = np.linalg.eigh(matrix)
     lo = float(np.min(w))
     if lo < -PSD_ERROR_TOL:
         raise NotPositiveSemidefinite(f"eigenvalue {lo} below -{PSD_ERROR_TOL}")
-    w = np.where(w < 0.0, 0.0, w)
+    floor = len(w) * np.finfo(float).eps * float(np.max(np.abs(w)))
+    w = np.where(w < floor, 0.0, w)
     return (v * np.sqrt(w)) @ v.conj().T
 
 
