@@ -72,11 +72,7 @@ def install(spec: ProtocolSpec, adv: AdversaryStrategy) -> ProtocolSpec:
             f"adversary input space {adv.memory[0].registers} != host "
             f"{host_input.registers}"
         )
-    if adv.party == "A":
-        return ProtocolSpec(spec.rounds, adv.memory, spec.b_memory, spec.x_comm,
-                            spec.y_comm, adv.operations, spec.b_ops)
-    return ProtocolSpec(spec.rounds, spec.a_memory, adv.memory, spec.x_comm,
-                        spec.y_comm, spec.a_ops, adv.operations)
+    return spec.with_party(adv.party, adv.memory, adv.operations)
 
 
 def honest_adversary(spec: ProtocolSpec, party: str) -> AdversaryStrategy:
@@ -101,19 +97,13 @@ def recovery_shapes(spec: ProtocolSpec, adv: AdversaryStrategy,
     where the adversary has just emitted a message, the still-in-flight
     communication register rides along untouched in the type.
     """
-    s = spec.rounds
-    k = (step + 1) // 2
-    if adv.party == "A":
-        if step % 2 == 1:
-            return (concat(adv.memory[k], spec.x_comm[k - 1]),
-                    concat(spec.a_memory[k], spec.x_comm[k - 1]))
-        return adv.memory[k], spec.a_memory[k]
-    if step % 2 == 1:
-        return adv.memory[k - 1], spec.b_memory[k - 1]
-    if k == s:
-        return adv.memory[s], spec.b_memory[s]
-    return (concat(adv.memory[k], spec.y_comm[k - 1]),
-            concat(spec.b_memory[k], spec.y_comm[k - 1]))
+    if not 1 <= step <= len(spec.steps):
+        raise ShapeMismatch(f"step {step} outside 1..{len(spec.steps)}")
+    current = spec.steps[step - 1]
+    k = [st.party for st in spec.steps[:step]].count(adv.party)  # its ops so far
+    sent = current.message_out if current.party == adv.party else RegisterLayout(())
+    return (concat(adv.memory[k], sent),
+            concat(spec.memory(adv.party)[k], sent))
 
 
 def _check_map(spec: ProtocolSpec, adv: AdversaryStrategy, step: int,

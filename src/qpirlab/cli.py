@@ -16,7 +16,7 @@ reads:
 --n must be positive, --seed and --trials non-negative, --delta and
 --epsilon in [0, 1], and --rank-tol in (0, 1).  JSON is the contract format
 (text/csv are derived); exit code 0 on success, 2 when a checked verdict
-fails, 1 on input errors.
+fails, 1 on input errors and on runs that exhaust memory.
 Reports are deterministic per seed, byte for byte, at a fixed BLAS thread
 count.  The thread count changes how BLAS splits its sums, so the last bits
 of floats can differ between thread counts (e.g. `reduce` on random n=6
@@ -378,6 +378,9 @@ def main(argv=None) -> int:
         report, failed = _VERBS[args.verb](args)
     except QpirlabError as exc:
         print(f"qpirlab: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a run too large for this machine
+        print(f"qpirlab: error: MemoryError: {exc}", file=sys.stderr)
         return 1
     text = _render(report, args.format)
     if args.out:

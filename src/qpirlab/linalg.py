@@ -209,6 +209,12 @@ def schmidt_compressor(state: StateVector, cut: Iterable[str],
     """
     dec = schmidt_decompose(state, cut, rank_tol=rank_tol)
     r = dec.rank
+    if r == 0:
+        raise LayoutError(
+            f"rank tolerance {rank_tol} is at or above every Schmidt coefficient "
+            f"across {dec.cut_labels} (largest {dec.coefficients[0]:.6g}): "
+            f"nothing is left to compress onto"
+        )
     cut_lay = state.layout.sub(cut)
     label = compressed_label or ("+".join(dec.cut_labels) + "'")
     compressed = RegisterLayout((Register(label, r),))

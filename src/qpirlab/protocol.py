@@ -2,8 +2,12 @@
 
 A protocol alternates party-A and party-B operations for `s` rounds; A sends
 the first and last messages, and the last round is only partial (B consumes
-the final message without replying).  Execution tracks the global state after
-every step, counts communication in qubits (log2 of communication-space
+the final message without replying).  Its round structure is one table of
+2s `Step`s, A1, B1, A2, ..., Bs: which memory and message each op reads and
+writes, and which registers are alive after it.  Validation, execution,
+purification, the rank audit, random protocols and the adversary's recovery
+shapes all read that table.  Execution tracks the global state after every
+step, counts communication in qubits (log2 of communication-space
 dimensions, fractional dims allowed), and can replace either party's
 channels by their Stinespring dilations so the whole run stays pure.
 """
@@ -11,7 +15,8 @@ channels by their Stinespring dilations so the whole run stays pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -31,8 +36,56 @@ from .states import (
 )
 
 
-def _op_name(party: str, k: int) -> str:
-    return f"{party}{k}"
+@dataclass(frozen=True)
+class Step:
+    """Step `number` (1..2s): op `round` of `party`.
+
+    The op maps memory_in (x) message_in -> memory_out (x) message_out; a
+    missing message is the empty layout.  `order` lists the labels alive
+    after the step: A's memory, then B's, with the message in flight right
+    after its sender's memory.
+    """
+
+    number: int
+    party: str
+    round: int
+    memory_in: RegisterLayout
+    message_in: RegisterLayout
+    memory_out: RegisterLayout
+    message_out: RegisterLayout
+    order: tuple[str, ...]
+
+    @property
+    def name(self) -> str:
+        return f"{self.party}{self.round}"
+
+    @property
+    def input_layout(self) -> RegisterLayout:
+        return concat(self.memory_in, self.message_in)
+
+    @property
+    def output_layout(self) -> RegisterLayout:
+        return concat(self.memory_out, self.message_out)
+
+
+def _step_table(a_memory, b_memory, x_comm, y_comm) -> tuple[Step, ...]:
+    """The steps A1, B1, ..., Bs of the protocol with these layouts."""
+    none = RegisterLayout(())
+    y = (none,) + tuple(y_comm) + (none,)  # y[k]: B's message in round k
+    steps = []
+    for k in range(1, len(x_comm) + 1):
+        a, b, x = a_memory[k], b_memory[k], x_comm[k - 1]
+        steps.append(Step(2 * k - 1, "A", k, a_memory[k - 1], y[k - 1], a, x,
+                          a.labels() + x.labels() + b_memory[k - 1].labels()))
+        steps.append(Step(2 * k, "B", k, b_memory[k - 1], x, b, y[k],
+                          a.labels() + b.labels() + y[k].labels()))
+    return tuple(steps)
+
+
+def _side(party: str) -> str:
+    if party not in ("A", "B"):
+        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
+    return party.lower()
 
 
 @dataclass(frozen=True)
@@ -42,7 +95,9 @@ class ProtocolSpec:
     Layout lists hold A_0..A_s, B_0..B_s, X_1..X_s, Y_1..Y_{s-1}; op `k` of
     party A maps A_{k-1} (x) Y_{k-1} -> A_k (x) X_k (round 1 has no incoming
     message), op `k` of party B maps B_{k-1} (x) X_k -> B_k (x) Y_k, and the
-    final B op emits no message.
+    final B op emits no message.  `steps` is that structure as a table of
+    `Step`s, built once from the layouts; every op is checked against its
+    step, and the registers alive after each step must have distinct labels.
     """
 
     rounds: int
@@ -63,57 +118,35 @@ class ProtocolSpec:
             raise ShapeMismatch(
                 f"layout/op list lengths {sizes} inconsistent with s={s}"
             )
-        for k in range(1, s + 1):
-            self._check_op("A", k, self.a_ops[k - 1],
-                           self.expected_a_input(k), self.expected_a_output(k))
-            self._check_op("B", k, self.b_ops[k - 1],
-                           self.expected_b_input(k), self.expected_b_output(k))
-        for step in range(1, 2 * s + 1):
-            labels = _canonical_order(self, step, RegisterLayout(()))
-            if len(set(labels)) != len(labels):
+        for step, op in _schedule(self):
+            for what, got, want in (("input", op.input_layout, step.input_layout),
+                                    ("output", op.output_layout, step.output_layout)):
+                if got != want:
+                    raise ShapeMismatch(
+                        f"op {step.name}: {what} layout {got.registers} "
+                        f"!= expected {want.registers}"
+                    )
+            if len(set(step.order)) != len(step.order):
                 raise ShapeMismatch(
-                    f"registers alive after step {step} have clashing labels: {labels}"
+                    f"registers alive after step {step.number} have clashing "
+                    f"labels: {step.order}"
                 )
 
-    @staticmethod
-    def _check_op(party: str, k: int, op: Operation,
-                  expect_in: RegisterLayout, expect_out: RegisterLayout) -> None:
-        if op.input_layout != expect_in:
-            raise ShapeMismatch(
-                f"op {_op_name(party, k)}: input layout "
-                f"{op.input_layout.registers} != expected {expect_in.registers}"
-            )
-        if op.output_layout != expect_out:
-            raise ShapeMismatch(
-                f"op {_op_name(party, k)}: output layout "
-                f"{op.output_layout.registers} != expected {expect_out.registers}"
-            )
-
-    def expected_a_input(self, k: int) -> RegisterLayout:
-        if k == 1:
-            return self.a_memory[0]
-        return concat(self.a_memory[k - 1], self.y_comm[k - 2])
-
-    def expected_a_output(self, k: int) -> RegisterLayout:
-        return concat(self.a_memory[k], self.x_comm[k - 1])
-
-    def expected_b_input(self, k: int) -> RegisterLayout:
-        return concat(self.b_memory[k - 1], self.x_comm[k - 1])
-
-    def expected_b_output(self, k: int) -> RegisterLayout:
-        if k == self.rounds:
-            return self.b_memory[k]
-        return concat(self.b_memory[k], self.y_comm[k - 1])
+    @cached_property
+    def steps(self) -> tuple[Step, ...]:
+        return _step_table(self.a_memory, self.b_memory, self.x_comm, self.y_comm)
 
     def memory(self, party: str) -> tuple[RegisterLayout, ...]:
-        if party == "A":
-            return self.a_memory
-        if party == "B":
-            return self.b_memory
-        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
+        return getattr(self, f"{_side(party)}_memory")
 
     def ops(self, party: str) -> tuple[Operation, ...]:
-        return self.a_ops if party == "A" else self.b_ops
+        return getattr(self, f"{_side(party)}_ops")
+
+    def with_party(self, party: str, memory: tuple[RegisterLayout, ...],
+                   ops: tuple[Operation, ...]) -> ProtocolSpec:
+        """This protocol with one party's memories and ops replaced, re-validated."""
+        side = _side(party)
+        return replace(self, **{f"{side}_memory": memory, f"{side}_ops": ops})
 
     def all_unitary(self) -> bool:
         return all(as_single_isometry(op) is not None
@@ -171,26 +204,10 @@ def _spectator_layout(spec: ProtocolSpec, layout: RegisterLayout) -> RegisterLay
     return RegisterLayout(tuple(rest))
 
 
-def _canonical_order(spec: ProtocolSpec, step: int,
-                     spectators: RegisterLayout) -> tuple[str, ...]:
-    s = spec.rounds
-    k = (step + 1) // 2
-    if step % 2 == 1:  # A just acted; X_k in flight
-        order = (spec.a_memory[k].labels() + spec.x_comm[k - 1].labels()
-                 + spec.b_memory[k - 1].labels())
-    elif k < s:  # B acted; Y_k in flight
-        order = (spec.a_memory[k].labels() + spec.b_memory[k].labels()
-                 + spec.y_comm[k - 1].labels())
-    else:  # final state
-        order = spec.a_memory[s].labels() + spec.b_memory[s].labels()
-    return order + spectators.labels()
-
-
 def _schedule(spec: ProtocolSpec):
-    """Yield (step, op name, op) in execution order A1, B1, A2, B2, ..."""
-    for k in range(1, spec.rounds + 1):
-        yield 2 * k - 1, _op_name("A", k), spec.a_ops[k - 1]
-        yield 2 * k, _op_name("B", k), spec.b_ops[k - 1]
+    """Yield (step, op) in execution order A1, B1, A2, B2, ..."""
+    for step in spec.steps:
+        yield step, spec.ops(step.party)[step.round - 1]
 
 
 def execute(spec: ProtocolSpec, rho_in: State) -> Transcript:
@@ -205,12 +222,12 @@ def execute(spec: ProtocolSpec, rho_in: State) -> Transcript:
         cur = pure_density(cur)
 
     states: list[State] = []
-    for step, name, op in _schedule(spec):
+    for step, op in _schedule(spec):
         try:
             cur = apply_operation(op, cur)
         except LayoutError as exc:
-            raise ShapeMismatch(f"op {name} failed to apply: {exc}") from exc
-        cur = permute_registers(cur, _canonical_order(spec, step, spectators))
+            raise ShapeMismatch(f"op {step.name} failed to apply: {exc}") from exc
+        cur = permute_registers(cur, step.order + spectators.labels())
         states.append(cur)
     return Transcript(spec, rho_in, tuple(states))
 
@@ -232,13 +249,13 @@ def execute_pure_batch(spec: ProtocolSpec, input_layout: RegisterLayout,
     nb = columns.shape[1]
     lay = input_layout
     cur = columns
-    for _, _, op in _schedule(spec):
+    for _, op in _schedule(spec):
         iso = as_single_isometry(op)
         labels = iso.input_layout.labels()
         t = matricize(cur, lay, labels)
         cur = (iso.matrix @ t.reshape(t.shape[0], -1)).reshape(-1, nb)
         lay = concat(iso.output_layout, lay.drop(labels))
-    final_order = _canonical_order(spec, 2 * spec.rounds, spectators)
+    final_order = spec.steps[-1].order + spectators.labels()
     final_lay = lay.reordered(final_order)
     cur = matricize(cur, lay, final_order)
     return final_lay, cur.reshape(final_lay.total_dim, nb)
@@ -261,17 +278,16 @@ def _fresh_label(base: str, taken: set[str]) -> str:
     return label
 
 
-def _dilate_op(op: Operation, bar_prev: int,
-               mem_in: RegisterLayout, comm_in: RegisterLayout,
-               mem_out: RegisterLayout, comm_out: RegisterLayout,
-               bar_label: str, first_round: bool) -> tuple[Isometry, int]:
+def _dilate_op(op: Operation, step: Step, bar_prev: int,
+               bar_label: str) -> tuple[Isometry, int]:
     kraus = [op.matrix] if isinstance(op, Isometry) else list(op.kraus_ops)
     m = len(kraus)
-    dm, dc = mem_in.total_dim, comm_in.total_dim
-    dmo, dco = mem_out.total_dim, comm_out.total_dim
+    dm, dc = step.memory_in.total_dim, step.message_in.total_dim
+    dmo, dco = step.memory_out.total_dim, step.message_out.total_dim
     # V: flat output (mem_out, comm_out, env) <- flat input (mem_in, comm_in)
     v = np.stack(kraus, axis=0).transpose(1, 0, 2).reshape(dmo * dco * m, dm * dc)
 
+    first_round = step.round == 1
     if first_round:
         full = v[_reindex((dmo, dco, m), (0, 2, 1)), :]  # out: (mem, env, comm)
         bar_new = m
@@ -284,13 +300,13 @@ def _dilate_op(op: Operation, bar_prev: int,
         full = core[g_out, :][:, g_in]
         bar_new = bar_prev * m
 
-    in_regs = mem_in.registers
+    in_regs = step.memory_in.registers
     if not first_round:
         in_regs = in_regs + (Register(bar_label, bar_prev),)
-    in_lay = RegisterLayout(in_regs + comm_in.registers)
-    out_lay = RegisterLayout(
-        mem_out.registers + (Register(bar_label, bar_new),) + comm_out.registers
-    )
+    in_lay = RegisterLayout(in_regs + step.message_in.registers)
+    out_lay = RegisterLayout(step.memory_out.registers
+                             + (Register(bar_label, bar_new),)
+                             + step.message_out.registers)
     return Isometry(in_lay, out_lay, full), bar_new
 
 
@@ -302,39 +318,23 @@ def purify_party(spec: ProtocolSpec, party: str) -> ProtocolSpec:
     original run's state.  Already-unitary rounds get a dimension-1
     purifier, so behavior is unchanged.
     """
-    if party not in ("A", "B"):
-        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-    s = spec.rounds
-    mems = spec.memory(party)
-    ops = spec.ops(party)
+    new_mems: list[RegisterLayout] = [spec.memory(party)[0]]
     taken = set()
     for lay in spec.a_memory + spec.b_memory + spec.x_comm + spec.y_comm:
         taken.update(lay.labels())
-    bar_label = _fresh_label("Abar" if party == "A" else "Bbar", taken)
-
-    comm_in = ((RegisterLayout(()),) + spec.y_comm if party == "A"
-               else spec.x_comm)
-    comm_out = (spec.x_comm if party == "A"
-                else spec.y_comm + (RegisterLayout(()),))
+    bar_label = _fresh_label(f"{party}bar", taken)
 
     new_ops: list[Operation] = []
-    new_mems: list[RegisterLayout] = [mems[0]]
     bar = 1
-    for k in range(1, s + 1):
-        dilated, bar = _dilate_op(
-            ops[k - 1], bar, mems[k - 1], comm_in[k - 1],
-            mems[k], comm_out[k - 1], bar_label, first_round=(k == 1),
-        )
+    for step, op in _schedule(spec):
+        if step.party != party:
+            continue
+        dilated, bar = _dilate_op(op, step, bar, bar_label)
         new_ops.append(dilated)
         new_mems.append(RegisterLayout(
-            mems[k].registers + (Register(bar_label, bar),)
+            step.memory_out.registers + (Register(bar_label, bar),)
         ))
-
-    if party == "A":
-        return ProtocolSpec(s, tuple(new_mems), spec.b_memory, spec.x_comm,
-                            spec.y_comm, tuple(new_ops), spec.b_ops)
-    return ProtocolSpec(s, spec.a_memory, tuple(new_mems), spec.x_comm,
-                        spec.y_comm, spec.a_ops, tuple(new_ops))
+    return spec.with_party(party, tuple(new_mems), tuple(new_ops))
 
 
 def purify_both(spec: ProtocolSpec) -> ProtocolSpec:
@@ -395,22 +395,13 @@ def random_protocol(seed: int, rounds: int, qubit_budget: int) -> ProtocolSpec:
     y_comm = tuple(RegisterLayout((Register(f"Y{k + 1}", 2 ** cy[k]),))
                    for k in range(s - 1))
 
-    spec_dims = dict(rounds=s, a_memory=a_mem, b_memory=b_mem,
-                     x_comm=x_comm, y_comm=y_comm)
-
-    a_ops = []
-    b_ops = []
-    for k in range(1, s + 1):
-        din = a_mem[k - 1].total_dim * (y_comm[k - 2].total_dim if k >= 2 else 1)
-        lin = a_mem[0] if k == 1 else concat(a_mem[k - 1], y_comm[k - 2])
-        lout = concat(a_mem[k], x_comm[k - 1])
-        a_ops.append(Isometry(lin, lout, haar_unitary_matrix(din, rng)))
-        din = b_mem[k - 1].total_dim * x_comm[k - 1].total_dim
-        lin = concat(b_mem[k - 1], x_comm[k - 1])
-        lout = b_mem[k] if k == s else concat(b_mem[k], y_comm[k - 1])
-        b_ops.append(Isometry(lin, lout, haar_unitary_matrix(din, rng)))
-
-    return ProtocolSpec(a_ops=tuple(a_ops), b_ops=tuple(b_ops), **spec_dims)
+    ops = {"A": [], "B": []}
+    for step in _step_table(a_mem, b_mem, x_comm, y_comm):  # draws A1, B1, A2, ...
+        lin = step.input_layout
+        ops[step.party].append(Isometry(lin, step.output_layout,
+                                        haar_unitary_matrix(lin.total_dim, rng)))
+    return ProtocolSpec(s, a_mem, b_mem, x_comm, y_comm,
+                        tuple(ops["A"]), tuple(ops["B"]))
 
 
 def product_input(spec: ProtocolSpec, seed: int | None = None) -> StateVector:
@@ -458,26 +449,19 @@ def rank_trace(transcript: Transcript,
 
     events: list[RankEvent] = []
     running = schmidt_rank(psi_in, spec.a_memory[0].labels(), rank_tol)
-    for (step, name, _), cur in zip(_schedule(spec), transcript.states):
-        k = (step + 1) // 2
-        a_side = spec.a_memory[k].labels()
-        if step % 2 == 1:  # A_k acted, then X_k crosses to B
-            x_label = spec.x_comm[k - 1].labels()
-            r = schmidt_rank(cur, a_side + x_label, rank_tol)
-            events.append(RankEvent(name, a_side + x_label, r, running, r <= running))
-            dim_x = spec.x_comm[k - 1].total_dim
-            r = schmidt_rank(cur, a_side, rank_tol)
-            events.append(RankEvent(f"handover X{k}", a_side, r,
-                                    running * dim_x, r <= running * dim_x))
-            running = r
-            continue
-        r = schmidt_rank(cur, a_side, rank_tol)
-        events.append(RankEvent(name, a_side, r, running, r <= running))
-        if k < spec.rounds:  # Y_k crosses back to A
-            dim_y = spec.y_comm[k - 1].total_dim
-            cut = a_side + spec.y_comm[k - 1].labels()
-            r = schmidt_rank(cur, cut, rank_tol)
-            events.append(RankEvent(f"handover Y{k}", cut, r,
-                                    running * dim_y, r <= running * dim_y))
+    for step, cur in zip(spec.steps, transcript.states):
+        a_side = spec.a_memory[step.round].labels()
+        message = step.message_out.labels()
+        if step.party == "A":  # X_k leaves A's side at the handover
+            sender_cut, receiver_cut, sent = a_side + message, a_side, "X"
+        else:                  # Y_k joins A's side at the handover
+            sender_cut, receiver_cut, sent = a_side, a_side + message, "Y"
+        r = schmidt_rank(cur, sender_cut, rank_tol)
+        events.append(RankEvent(step.name, sender_cut, r, running, r <= running))
+        if step is not spec.steps[-1]:
+            bound = running * step.message_out.total_dim
+            r = schmidt_rank(cur, receiver_cut, rank_tol)
+            events.append(RankEvent(f"handover {sent}{step.round}", receiver_cut,
+                                    r, bound, r <= bound))
             running = r
     return events

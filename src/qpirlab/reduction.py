@@ -18,7 +18,7 @@ bounds the protocol's communication from below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -255,35 +255,10 @@ class BoundReport:
     consistency: str
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "communication": self.communication,
-            "m": self.m,
-            "m_ceil": self.m_ceil,
-            "compressed_dim": self.compressed_dim,
-            "delta_avg": self.delta_avg,
-            "delta_max": self.delta_max,
-            "deltas": list(self.deltas),
-            "epsilon_used": self.epsilon_used,
-            "epsilon_min": self.epsilon_min,
-            "recovery_avg": self.recovery_avg,
-            "recovery_per_index": list(self.recovery_per_index),
-            "guarantee": self.guarantee,
-            "bound_value": self.bound_value,
-            "nayak": {
-                "bound": self.nayak.bound,
-                "slack": self.nayak.slack,
-                "holds": self.nayak.holds,
-            },
-            "rotation_distances": list(self.rotation_distances),
-            "marginal_distances": list(self.marginal_distances),
-            "privacy_premise_ok": self.privacy_premise_ok,
-            "guarantee_vacuous": self.guarantee_vacuous,
-            "guarantee_met": self.guarantee_met,
-            "bound_consistent": self.bound_consistent,
-            "premise_failure": self.premise_failure,
-            "consistency": self.consistency,
-        }
+        """The fields in order; of the verdict, only bound, slack and holds."""
+        v = self.nayak
+        return {**asdict(self),
+                "nayak": {"bound": v.bound, "slack": v.slack, "holds": v.holds}}
 
 
 def bound_report(qpir: QpirProtocol,
@@ -357,19 +332,9 @@ class AttackReport:
     consistency: str
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "communication": self.communication,
-            "distance_matrix": [list(map(float, row))
-                                for row in self.distance_matrix],
-            "max_pairwise": self.max_pairwise,
-            "pairwise_lower": self.pairwise_lower,
-            "guess_probability": self.guess_probability,
-            "verdict": self.verdict,
-            "privacy_premise_holds": self.privacy_premise_holds,
-            "sublinear": self.sublinear,
-            "consistency": self.consistency,
-        }
+        """The fields in order, the distance matrix as nested lists."""
+        rows = [list(map(float, row)) for row in self.distance_matrix]
+        return {**asdict(self), "distance_matrix": rows}
 
 
 def superposition_attack(qpir: QpirProtocol) -> AttackReport:

@@ -190,3 +190,23 @@ def test_recovery_shape_validation():
     lay_in, lay_out = recovery_shapes(spec, adv, 1)
     assert lay_out.labels()[:1] == ("A1",)
     assert "X1" in lay_in.labels()
+
+
+@pytest.mark.parametrize("party", "AB")
+def test_recovery_shapes_follow_the_adversary_moves(party):
+    """After each step: the adversary's memory after its last op, plus the
+    message it has just sent, if any."""
+    spec = two_round_protocol()
+    adv = purified_adversary(spec, party)
+    m, h = adv.memory, spec.memory(party)
+    (x1, x2), (y1,) = spec.x_comm, spec.y_comm
+    if party == "A":
+        expected = [(concat(m[1], x1), concat(h[1], x1)), (m[1], h[1]),
+                    (concat(m[2], x2), concat(h[2], x2)), (m[2], h[2])]
+    else:
+        expected = [(m[0], h[0]), (concat(m[1], y1), concat(h[1], y1)),
+                    (m[1], h[1]), (m[2], h[2])]
+    assert [recovery_shapes(spec, adv, t) for t in range(1, 5)] == expected
+    for outside in (0, 5):
+        with pytest.raises(ShapeMismatch):
+            recovery_shapes(spec, adv, outside)

@@ -236,6 +236,34 @@ def test_bad_input_ends_in_a_clean_error(argv, capsys):
     assert err.startswith("qpirlab: error:") and "Traceback" not in err
 
 
+RANK_TOL_ABOVE_EVERY_COEFFICIENT = [
+    ["reduce", "--protocol", "builtin:noisy-trivial?n=3&delta=0.2", "--rank-tol", "0.36"],
+    ["reduce", "--protocol", "builtin:random?n=4&seed=5", "--rank-tol", "0.25"],
+]
+
+
+@pytest.mark.parametrize("argv", RANK_TOL_ABOVE_EVERY_COEFFICIENT, ids=" ".join)
+def test_rank_tolerance_above_every_coefficient_is_named(argv, capsys):
+    """The compressed rank would be 0: the error names the tolerance and
+    the largest Schmidt coefficient, not a dimension-0 register."""
+    code, out = _cli(argv)
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith(f"qpirlab: error: rank tolerance {argv[-1]} ")
+    assert "largest" in err and "Traceback" not in err
+
+
+def test_out_of_memory_ends_in_a_clean_error(monkeypatch, capsys):
+    def oom(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.53 GiB")
+
+    monkeypatch.setattr(cli, "bound_report", oom)
+    code, out = _cli(["reduce", "--protocol", "builtin:trivial?n=2"])
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err == "qpirlab: error: MemoryError: Unable to allocate 1.53 GiB\n"
+
+
 @pytest.mark.parametrize("flag", [["--recovery", "/nonexistent.json"],
                                   ["--adversary", "adv.json"]])
 def test_certify_rejects_removed_options(flag):

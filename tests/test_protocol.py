@@ -93,6 +93,40 @@ def test_shape_mismatch_reports_round():
                      (Isometry(concat(b0, x1), b1, np.eye(4, dtype=complex)),))
 
 
+def test_step_table_of_a_two_round_protocol():
+    spec = random_protocol(seed=3, rounds=2, qubit_budget=3)
+    a, b, x, y = spec.a_memory, spec.b_memory, spec.x_comm, spec.y_comm
+    none = RegisterLayout(())
+    steps = spec.steps
+    assert [(st.number, st.name) for st in steps] == [
+        (1, "A1"), (2, "B1"), (3, "A2"), (4, "B2")]
+    assert [(st.input_layout, st.output_layout) for st in steps] == [
+        (a[0], concat(a[1], x[0])),
+        (concat(b[0], x[0]), concat(b[1], y[0])),
+        (concat(a[1], y[0]), concat(a[2], x[1])),
+        (concat(b[1], x[1]), b[2]),
+    ]
+    assert steps[0].message_in == none and steps[-1].message_out == none
+    assert [st.order for st in steps] == [
+        a[1].labels() + x[0].labels() + b[0].labels(),
+        a[1].labels() + b[1].labels() + y[0].labels(),
+        a[2].labels() + x[1].labels() + b[1].labels(),
+        a[2].labels() + b[2].labels(),
+    ]
+
+
+def test_with_party_replaces_one_party_and_revalidates():
+    spec = move_protocol()
+    pure = purify_party(spec, "B")
+    swapped = spec.with_party("B", pure.b_memory, pure.b_ops)
+    assert swapped.b_ops is pure.b_ops and swapped.b_memory is pure.b_memory
+    assert swapped.a_ops is spec.a_ops and swapped.a_memory is spec.a_memory
+    with pytest.raises(ShapeMismatch, match="B1"):
+        spec.with_party("B", spec.b_memory, pure.b_ops)
+    with pytest.raises(ValueError):
+        spec.with_party("C", spec.b_memory, spec.b_ops)
+
+
 def test_input_layout_validated():
     spec = move_protocol()
     wrong = StateVector(RegisterLayout.of(("B0", 2), ("A0", 2)),
@@ -306,3 +340,19 @@ class TestRankTrace:
         transcript = execute(p.spec, qpir_input(p, 0, 1))
         with pytest.raises(LayoutError):
             rank_trace(transcript)
+
+    def test_an_empty_message_still_has_its_handover(self):
+        """Y1 has no registers: B1's handover is still audited (bound x1)."""
+        a = [RegisterLayout.of((f"A{k}", 2)) for k in range(3)]
+        b = [RegisterLayout.of((f"B{k}", 2)) for k in range(3)]
+        x = [RegisterLayout.of((f"X{k}", 1)) for k in (1, 2)]
+        none = RegisterLayout(())
+        eye = np.eye(2, dtype=complex)
+        a_ops = tuple(Isometry(a[k], concat(a[k + 1], x[k]), eye) for k in (0, 1))
+        b_ops = (Isometry(concat(b[0], x[0]), b[1], eye),
+                 Isometry(concat(b[1], x[1]), b[2], eye))
+        spec = ProtocolSpec(2, tuple(a), tuple(b), tuple(x), (none,), a_ops, b_ops)
+        events = rank_trace(execute(spec, product_input(spec, seed=1)))
+        assert [e.step for e in events] == [
+            "A1", "handover X1", "B1", "handover Y1", "A2", "handover X2", "B2"]
+        assert all(e.rank == 1 and e.bound == 1 and e.ok for e in events)
