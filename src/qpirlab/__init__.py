@@ -24,30 +24,22 @@ from .states import (
     StateVector,
     apply_channel,
     apply_isometry,
-    apply_operation,
-    basis_state,
-    partial_trace,
     permute_registers,
     pure_density,
     reduced_density_matrix,
+    stinespring,
     tensor,
-    to_density,
-    uniform_state,
 )
 from .linalg import (
     SchmidtDecomposition,
     HelstromResult,
     binary_entropy,
-    fidelity,
-    haar_random_unitary,
-    helstrom_probability,
-    purify,
-    pure_state_distance,
+    fidelity_matrices,
+    helstrom_matrices,
     schmidt_compressor,
     schmidt_decompose,
     schmidt_rank,
-    shannon_entropy,
-    trace_distance,
+    trace_distance_matrices,
     uhlmann_unitary,
 )
 from .protocol import (

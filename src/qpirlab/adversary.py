@@ -7,6 +7,13 @@ the existential over all recovery maps and all inputs is not searched.
 Purified adversaries come with analytic trace-out recovery maps and are the
 only ones the main reduction needs.  Ultimate speciousness is the same
 certification loop restricted to the final step and a single map.
+
+Certification runs pure: the honest protocol and the protocol with the
+adversary installed are each run with both parties purified, and a
+recovery map enters through its Stinespring dilation.  Every state
+compared is a marginal of one of those runs, so a purified adversary
+certifies at exactly 0 (both marginals come from the same vector); the
+density-operator reference that this equals is checked in the tests.
 """
 
 from __future__ import annotations
@@ -17,19 +24,18 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ShapeMismatch
-from .registers import Register, RegisterLayout, concat
+from .registers import Register, RegisterLayout, concat, fresh_label
 from .states import (
     Isometry,
     KrausChannel,
     Operation,
-    State,
     StateVector,
-    apply_channel,
-    permute_registers,
-    to_density,
+    apply_isometry,
+    reduced_density_matrix,
+    stinespring,
 )
 from .linalg import trace_distance_matrices
-from .protocol import ProtocolSpec, execute, purify_party
+from .protocol import ProtocolSpec, execute, purify_both, purify_party
 
 
 @dataclass(frozen=True)
@@ -203,10 +209,10 @@ class CertificationReport:
         return out
 
 
-InputSuite = Sequence[tuple[str, State]]
+InputSuite = Sequence[tuple[str, StateVector]]
 
 
-def _named(inputs: Iterable) -> list[tuple[str, State]]:
+def _named(inputs: Iterable) -> list[tuple[str, StateVector]]:
     named = []
     for k, item in enumerate(inputs):
         if isinstance(item, tuple):
@@ -216,23 +222,40 @@ def _named(inputs: Iterable) -> list[tuple[str, State]]:
     return named
 
 
-def _step_distance(honest: State, recovered) -> float:
-    hon = to_density(honest)
-    rec = permute_registers(recovered, hon.layout.labels())
-    return trace_distance_matrices(hon.matrix, rec.matrix)
+def _recover(op: Operation, state: StateVector) -> StateVector:
+    """`state` after the Stinespring isometry of recovery map `op`."""
+    v = stinespring(op)
+    env = Register(fresh_label("E", state.layout.labels()),
+                   v.shape[0] // op.output_layout.total_dim)
+    out = concat(op.output_layout, RegisterLayout((env,)))
+    return apply_isometry(Isometry(op.input_layout, out, v), state)
 
 
 def _certify(spec: ProtocolSpec, adv: AdversaryStrategy,
              maps: dict[int, Operation], inputs: Iterable) -> CertificationReport:
-    """Recovered-state distance at every step of `maps`, for every input."""
-    adv_spec = install(spec, adv)
+    """Recovered-state distance at every step of `maps`, for every input.
+
+    At step t the honest state is the marginal of the purified honest run on
+    the step's registers plus the input's spectators; the recovered state is
+    the marginal, on the same labels, of the purified adversarial run after
+    F_t's dilation.  Tracing out a dilation's environment reproduces the
+    channel, so these are the states the density-operator definition
+    compares.
+    """
+    honest_spec = purify_both(spec)
+    adv_spec = purify_both(install(spec, adv))
+    n_front = len(spec.a_memory[0]) + len(spec.b_memory[0])
     rows: list[CertificationRow] = []
-    for input_id, rho_in in _named(inputs):
-        honest = execute(spec, rho_in)
-        tilde = execute(adv_spec, rho_in)
+    for input_id, psi in _named(inputs):
+        honest = execute(honest_spec, psi)
+        tilde = execute(adv_spec, psi)
+        spectators = psi.layout.labels()[n_front:]
         for step, recovery_map in maps.items():
-            recovered = apply_channel(recovery_map, to_density(tilde.state(step)))
-            dist = _step_distance(honest.state(step), recovered)
+            labels = spec.steps[step - 1].order + spectators
+            recovered = _recover(recovery_map, tilde.state(step))
+            dist = trace_distance_matrices(
+                reduced_density_matrix(honest.state(step), labels),
+                reduced_density_matrix(recovered, labels))
             rows.append(CertificationRow(step, input_id, dist))
     eps = max(row.distance for row in rows)
     gamma = adv.gamma

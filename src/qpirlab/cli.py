@@ -13,6 +13,11 @@ reads:
     schmidt           --protocol --n --seed --rank-tol --i
     fuzz              --seed --trials --rank-tol
 
+`run` checks the input |x>|i> and reports the protocol's step table: the
+registers alive after each step, and whether a pure input stays pure (every
+op an isometry).  It needs no execution.  `certify` compares marginals of
+purified runs, so a purified party certifies at exactly 0.
+
 --n must be positive, --seed and --trials non-negative, --delta and
 --epsilon in [0, 1], and --rank-tol in (0, 1).  JSON is the contract format
 (text/csv are derived); exit code 0 on success, 2 when a checked verdict
@@ -42,7 +47,6 @@ from .linalg import (
     schmidt_decompose,
     trace_distance_matrices,
 )
-from .states import StateVector
 from .protocol import (
     communication_complexity,
     execute,
@@ -152,6 +156,8 @@ def _resolve_qpir(args) -> QpirProtocol:
         raise CliInputError(
             f"protocol file {args.protocol} is missing field {exc}"
         ) from exc
+    except QpirlabError as exc:
+        raise CliInputError(f"protocol file {args.protocol}: {exc}") from exc
     n = data.get("n", args.n)
     if n is None:
         n = spec.b_memory[0].total_dim
@@ -169,19 +175,17 @@ def _resolve_qpir(args) -> QpirProtocol:
 
 def _verb_run(args):
     qpir = _resolve_qpir(args)
-    psi = qpir_input(qpir, args.x, args.i)
-    transcript = execute(qpir.spec, psi)
-    steps = [{"step": k + 1, "registers": list(st.layout.labels())}
-             for k, st in enumerate(transcript.states)]
-    final = transcript.final
+    qpir_input(qpir, args.x, args.i)  # validates x and i
+    spec = qpir.spec
     report = {
         "n": qpir.n,
-        "rounds": qpir.spec.rounds,
-        "communication": communication_complexity(qpir.spec),
+        "rounds": spec.rounds,
+        "communication": communication_complexity(spec),
         "input": {"x": args.x, "i": args.i},
-        "steps": steps,
-        "final_registers": list(final.layout.labels()),
-        "final_is_pure": isinstance(final, StateVector),
+        "steps": [{"step": st.number, "registers": list(st.order)}
+                  for st in spec.steps],
+        "final_registers": list(spec.steps[-1].order),
+        "final_is_pure": spec.all_unitary(),
     }
     return report, False
 
@@ -384,8 +388,12 @@ def main(argv=None) -> int:
         return 1
     text = _render(report, args.format)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"qpirlab: error: cannot write report: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     if failed:

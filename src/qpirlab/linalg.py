@@ -1,4 +1,5 @@
-"""Distances, entropies, decompositions, and purification tools.
+"""Distances, binary entropy, Schmidt decompositions, and the Uhlmann and
+Helstrom solvers, on raw matrices and state vectors.
 
 Conventions:
     trace distance   D(rho, sigma) = (1/2) ||rho - sigma||_1
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -24,9 +25,8 @@ from .errors import (
     NotPositiveSemidefinite,
     SupportViolation,
 )
-from .registers import Register, RegisterLayout, concat
+from .registers import Register, RegisterLayout
 from .states import (
-    DensityOperator,
     Isometry,
     StateVector,
     _check_factor,
@@ -54,12 +54,6 @@ def trace_distance_matrices(a: np.ndarray, b: np.ndarray) -> float:
     return float(0.5 * np.sum(np.abs(eig)))
 
 
-def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """(1/2)||rho - sigma||_1; 0 iff equal, 1 for orthogonal states."""
-    _require_same_layout(rho, sigma)
-    return trace_distance_matrices(rho.matrix, sigma.matrix)
-
-
 def pure_distance_amplitudes(a: np.ndarray, b: np.ndarray) -> float:
     """Trace distance of two pure states given as unit amplitude vectors.
 
@@ -72,12 +66,6 @@ def pure_distance_amplitudes(a: np.ndarray, b: np.ndarray) -> float:
     phase = ov / mag if mag > 1e-12 else 1.0
     diff = float(np.linalg.norm(b - phase * a))  # ||diff||^2 = 2(1 - |ov|)
     return min(1.0, diff * math.sqrt(max(0.0, 1.0 + min(mag, 1.0)) / 2.0))
-
-
-def pure_state_distance(phi: StateVector, psi: StateVector) -> float:
-    """Trace distance of the projectors, sqrt(1 - |<phi|psi>|^2)."""
-    _require_same_layout(phi, psi)
-    return pure_distance_amplitudes(phi.amplitudes, psi.amplitudes)
 
 
 def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
@@ -102,33 +90,6 @@ def fidelity_matrices(a: np.ndarray, b: np.ndarray) -> float:
     ra = psd_sqrt(a)
     rb = psd_sqrt(b)
     return float(np.sum(np.linalg.svd(ra @ rb, compute_uv=False)))
-
-
-def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """||rho^{1/2} sigma^{1/2}||_1 via PSD square roots."""
-    _require_same_layout(rho, sigma)
-    return min(1.0, fidelity_matrices(rho.matrix, sigma.matrix))
-
-
-def purify(rho: DensityOperator, purifier_label: str) -> StateVector:
-    """Purification with a purifier register of full system dimension.
-
-    The purifier could be as small as rank(rho); full dimension keeps the
-    layout algebra trivial, and compression is available separately.
-    """
-    if purifier_label in rho.layout:
-        raise LayoutError(f"purifier label {purifier_label!r} already in layout")
-    w, v = np.linalg.eigh(rho.matrix)
-    lo = float(np.min(w))
-    if lo < -PSD_ERROR_TOL:
-        raise NotPositiveSemidefinite(f"eigenvalue {lo} below -{PSD_ERROR_TOL}")
-    w = np.where(w < 0.0, 0.0, w)
-    psi = v * np.sqrt(w)  # columns sqrt(w_k) |v_k>, purifier index = k
-    d = rho.layout.total_dim
-    lay = concat(rho.layout, RegisterLayout((Register(purifier_label, d),)))
-    amps = psi.reshape(-1)
-    amps = amps / np.linalg.norm(amps)
-    return StateVector(lay, amps)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +236,13 @@ class HelstromResult(NamedTuple):
 
 
 def helstrom_matrices(rho0: np.ndarray, rho1: np.ndarray, prior0: float) -> HelstromResult:
+    """Optimal two-outcome discrimination: 1/2 + (1/2)||p0 rho0 - p1 rho1||_1.
+
+    Returns the success probability together with the optimal projector
+    (onto the positive eigenspace; outcome 0 fires when it clicks).
+    """
+    if not 0.0 <= prior0 <= 1.0:
+        raise ValueError(f"prior0 must lie in [0, 1], got {prior0}")
     m = prior0 * rho0 - (1.0 - prior0) * rho1
     w, v = np.linalg.eigh(m)
     prob = 0.5 + 0.5 * float(np.sum(np.abs(w)))
@@ -283,21 +251,8 @@ def helstrom_matrices(rho0: np.ndarray, rho1: np.ndarray, prior0: float) -> Hels
     return HelstromResult(min(1.0, prob), proj)
 
 
-def helstrom_probability(rho0: DensityOperator, rho1: DensityOperator,
-                         prior0: float = 0.5) -> HelstromResult:
-    """Optimal two-outcome discrimination: 1/2 + (1/2)||p0 rho0 - p1 rho1||_1.
-
-    Returns the success probability together with the optimal projector
-    (onto the positive eigenspace; outcome 0 fires when it clicks).
-    """
-    _require_same_layout(rho0, rho1)
-    if not 0.0 <= prior0 <= 1.0:
-        raise ValueError(f"prior0 must lie in [0, 1], got {prior0}")
-    return helstrom_matrices(rho0.matrix, rho1.matrix, prior0)
-
-
 # ---------------------------------------------------------------------------
-# entropies
+# entropy
 # ---------------------------------------------------------------------------
 
 def binary_entropy(p: float) -> float:
@@ -307,19 +262,6 @@ def binary_entropy(p: float) -> float:
     if p == 0.0 or p == 1.0:
         return 0.0
     return float(-p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p))
-
-
-def shannon_entropy(dist: Sequence[float]) -> float:
-    """Shannon entropy in bits of a probability vector."""
-    arr = np.asarray(dist, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("distribution must be a nonempty vector")
-    if np.min(arr) < 0.0:
-        raise ValueError("distribution has negative entries")
-    if abs(float(np.sum(arr)) - 1.0) > 1e-9:
-        raise ValueError(f"distribution sums to {float(np.sum(arr))}, not 1")
-    nz = arr[arr > 0.0]
-    return float(-np.sum(nz * np.log2(nz)))
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +278,3 @@ def haar_unitary_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
-
-def haar_random_unitary(dim: int, seed: int, label: str = "q") -> Isometry:
-    """Seed-deterministic Haar-random unitary on a single register."""
-    mat = haar_unitary_matrix(dim, np.random.default_rng(seed))
-    lay = RegisterLayout((Register(label, dim),))
-    return Isometry(lay, lay, mat)

@@ -6,10 +6,14 @@ the final message without replying).  Its round structure is one table of
 2s `Step`s, A1, B1, A2, ..., Bs: which memory and message each op reads and
 writes, and which registers are alive after it.  Validation, execution,
 purification, the rank audit, random protocols and the adversary's recovery
-shapes all read that table.  Execution tracks the global state after every
-step, counts communication in qubits (log2 of communication-space
-dimensions, fractional dims allowed), and can replace either party's
-channels by their Stinespring dilations so the whole run stays pure.
+shapes all read that table.
+
+Execution is pure.  `execute` and `execute_pure_batch` run state vectors
+through isometries only; a protocol with channel ops runs after
+`purify_party`/`purify_both` has replaced each channel by its Stinespring
+dilation, and tracing the purifier out of any step reproduces the channel
+run.  Communication is counted in qubits (log2 of communication-space
+dimensions, fractional dims allowed).
 """
 
 from __future__ import annotations
@@ -22,17 +26,16 @@ import numpy as np
 
 from .errors import LayoutError, ShapeMismatch
 from .linalg import DEFAULT_RANK_TOL, haar_unitary_matrix, schmidt_rank
-from .registers import Register, RegisterLayout, concat
+from .registers import Register, RegisterLayout, concat, fresh_label
 from .states import (
     Isometry,
     Operation,
-    State,
     StateVector,
-    apply_operation,
+    apply_isometry,
     as_single_isometry,
     matricize,
     permute_registers,
-    pure_density,
+    stinespring,
 )
 
 
@@ -163,18 +166,18 @@ def communication_complexity(spec: ProtocolSpec) -> float:
 
 @dataclass(frozen=True)
 class Transcript:
-    """Input plus the global state after each of the 2s steps."""
+    """Pure input plus the global state after each of the 2s steps."""
 
     spec: ProtocolSpec
-    rho_in: State
-    states: tuple[State, ...]
+    psi_in: StateVector
+    states: tuple[StateVector, ...]
 
-    def state(self, i: int) -> State:
+    def state(self, i: int) -> StateVector:
         """State after step i (1-indexed, i in 1..2s)."""
         return self.states[i - 1]
 
     @property
-    def final(self) -> State:
+    def final(self) -> StateVector:
         return self.states[-1]
 
 
@@ -210,26 +213,36 @@ def _schedule(spec: ProtocolSpec):
         yield step, spec.ops(step.party)[step.round - 1]
 
 
-def execute(spec: ProtocolSpec, rho_in: State) -> Transcript:
-    """Run the protocol, returning every intermediate global state.
+def _isometries(spec: ProtocolSpec) -> list[tuple[Step, Isometry]]:
+    """(step, isometry) in execution order; every op must be an isometry."""
+    isos = [(step, as_single_isometry(op)) for step, op in _schedule(spec)]
+    for step, iso in isos:
+        if iso is None:
+            raise LayoutError(
+                f"op {step.name} is not an isometry: pure execution needs the "
+                f"protocol's channels dilated first (purify_both)"
+            )
+    return isos
 
-    Pure inputs stay vectors as long as every operation is an isometry;
-    otherwise the run proceeds on density operators.
+
+def execute(spec: ProtocolSpec, psi_in: StateVector) -> Transcript:
+    """Run the protocol on a pure input, returning every intermediate state.
+
+    The state after each step is a vector over that step's `order` plus the
+    input's spectator registers.  Raises LayoutError on an op that is not
+    an isometry.
     """
-    spectators = _spectator_layout(spec, rho_in.layout)
-    cur: State = rho_in
-    if isinstance(cur, StateVector) and not spec.all_unitary():
-        cur = pure_density(cur)
-
-    states: list[State] = []
-    for step, op in _schedule(spec):
+    spectators = _spectator_layout(spec, psi_in.layout).labels()
+    cur = psi_in
+    states: list[StateVector] = []
+    for step, iso in _isometries(spec):
         try:
-            cur = apply_operation(op, cur)
+            cur = apply_isometry(iso, cur)
         except LayoutError as exc:
             raise ShapeMismatch(f"op {step.name} failed to apply: {exc}") from exc
-        cur = permute_registers(cur, step.order + spectators.labels())
+        cur = permute_registers(cur, step.order + spectators)
         states.append(cur)
-    return Transcript(spec, rho_in, tuple(states))
+    return Transcript(spec, psi_in, tuple(states))
 
 
 def execute_pure_batch(spec: ProtocolSpec, input_layout: RegisterLayout,
@@ -242,15 +255,13 @@ def execute_pure_batch(spec: ProtocolSpec, input_layout: RegisterLayout,
     path behind correctness/privacy sweeps, where one big matmul per round
     beats thousands of small ones.
     """
-    if not spec.all_unitary():
-        raise LayoutError("batched execution requires an all-isometry protocol")
+    isos = _isometries(spec)
     spectators = _spectator_layout(spec, input_layout)
 
     nb = columns.shape[1]
     lay = input_layout
     cur = columns
-    for _, op in _schedule(spec):
-        iso = as_single_isometry(op)
+    for _, iso in isos:
         labels = iso.input_layout.labels()
         t = matricize(cur, lay, labels)
         cur = (iso.matrix @ t.reshape(t.shape[0], -1)).reshape(-1, nb)
@@ -271,21 +282,13 @@ def _reindex(dims: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray:
     return np.arange(int(np.prod(dims))).reshape(dims).transpose(order).reshape(-1)
 
 
-def _fresh_label(base: str, taken: set[str]) -> str:
-    label = base
-    while label in taken:
-        label += "_"
-    return label
-
-
 def _dilate_op(op: Operation, step: Step, bar_prev: int,
                bar_label: str) -> tuple[Isometry, int]:
-    kraus = [op.matrix] if isinstance(op, Isometry) else list(op.kraus_ops)
-    m = len(kraus)
     dm, dc = step.memory_in.total_dim, step.message_in.total_dim
     dmo, dco = step.memory_out.total_dim, step.message_out.total_dim
     # V: flat output (mem_out, comm_out, env) <- flat input (mem_in, comm_in)
-    v = np.stack(kraus, axis=0).transpose(1, 0, 2).reshape(dmo * dco * m, dm * dc)
+    v = stinespring(op)
+    m = v.shape[0] // (dmo * dco)
 
     first_round = step.round == 1
     if first_round:
@@ -322,7 +325,7 @@ def purify_party(spec: ProtocolSpec, party: str) -> ProtocolSpec:
     taken = set()
     for lay in spec.a_memory + spec.b_memory + spec.x_comm + spec.y_comm:
         taken.update(lay.labels())
-    bar_label = _fresh_label(f"{party}bar", taken)
+    bar_label = fresh_label(f"{party}bar", taken)
 
     new_ops: list[Operation] = []
     bar = 1
@@ -339,13 +342,6 @@ def purify_party(spec: ProtocolSpec, party: str) -> ProtocolSpec:
 
 def purify_both(spec: ProtocolSpec) -> ProtocolSpec:
     return purify_party(purify_party(spec, "A"), "B")
-
-
-def purifier_labels(spec: ProtocolSpec, purified: ProtocolSpec) -> tuple[str, ...]:
-    """Labels present in the purified spec's final memories but not the original's."""
-    orig = set(spec.a_memory[-1].labels() + spec.b_memory[-1].labels())
-    now = purified.a_memory[-1].labels() + purified.b_memory[-1].labels()
-    return tuple(lb for lb in now if lb not in orig)
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +437,7 @@ def rank_trace(transcript: Transcript,
     register of dimension d across the cut may multiply it by at most d
     (one transmitted qubit at most doubles it).
     """
-    spec, psi_in = transcript.spec, transcript.rho_in
-    if not spec.all_unitary() or not isinstance(psi_in, StateVector):
-        raise LayoutError("rank trace requires a pure run of an all-isometry protocol")
+    spec, psi_in = transcript.spec, transcript.psi_in
     if len(psi_in.layout) != len(concat(spec.a_memory[0], spec.b_memory[0])):
         raise LayoutError("rank trace requires an input without reference registers")
 

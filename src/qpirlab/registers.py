@@ -112,6 +112,15 @@ class RegisterLayout:
         return RegisterLayout(tuple(by_label[lb] for lb in label_order))
 
 
+def fresh_label(base: str, taken: Iterable[str]) -> str:
+    """`base`, with underscores appended until it is not in `taken`."""
+    taken = set(taken)
+    label = base
+    while label in taken:
+        label += "_"
+    return label
+
+
 def concat(*layouts: RegisterLayout) -> RegisterLayout:
     """Tensor concatenation of layouts (labels must stay unique)."""
     regs: list[Register] = []

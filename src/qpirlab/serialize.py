@@ -1,8 +1,10 @@
-"""JSON serialization for layouts, states, operations, and protocol specs.
+"""JSON serialization for layouts, operations, and protocol specs.
 
 Complex entries are stored row-major as [re, im] pairs.  Python's default
 float formatting is shortest-round-trip, so doubles survive a JSON round
-trip bit-exactly.
+trip bit-exactly.  Decoding is strict: a dimension or round count that is
+not an integer >= 1, an entry that is not a numeric pair, a matrix of the
+wrong size, or a value of the wrong JSON type is a LayoutError.
 """
 
 from __future__ import annotations
@@ -14,7 +16,25 @@ import numpy as np
 
 from .errors import LayoutError
 from .registers import Register, RegisterLayout
-from .states import DensityOperator, Isometry, KrausChannel, Operation, StateVector
+from .states import Isometry, KrausChannel, Operation
+
+
+def _positive_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise LayoutError(f"{what} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _field(data, key: str, kind: type = list):
+    """data[key], which must be a `kind`; a missing key is a KeyError."""
+    if not isinstance(data, dict):
+        raise LayoutError(f"expected a JSON object holding {key!r}, got "
+                          f"{type(data).__name__}")
+    value = data[key]
+    if not isinstance(value, kind):
+        raise LayoutError(f"field {key!r} must be a {kind.__name__}, got "
+                          f"{type(value).__name__}")
+    return value
 
 
 def layout_to_json(layout: RegisterLayout) -> list[dict[str, Any]]:
@@ -22,7 +42,13 @@ def layout_to_json(layout: RegisterLayout) -> list[dict[str, Any]]:
 
 
 def layout_from_json(data: list[dict[str, Any]]) -> RegisterLayout:
-    return RegisterLayout(tuple(Register(d["label"], int(d["dim"])) for d in data))
+    if not isinstance(data, list):
+        raise LayoutError(f"a layout must be a list, got {type(data).__name__}")
+    regs = []
+    for d in data:
+        label = _field(d, "label", str)
+        regs.append(Register(label, _positive_int(d["dim"], f"dim of {label!r}")))
+    return RegisterLayout(tuple(regs))
 
 
 def _complex_to_pairs(arr: np.ndarray) -> list[list[float]]:
@@ -30,25 +56,23 @@ def _complex_to_pairs(arr: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
+def _entry(z) -> complex:
+    """One [re, im] pair of JSON numbers as a complex number."""
+    if isinstance(z, list) and len(z) == 2 and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in z):
+        try:
+            return complex(*z)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise LayoutError(f"complex entry must be a [re, im] pair of numbers, got {z!r}")
+
+
 def _pairs_to_complex(pairs: list[list[float]], shape: tuple[int, ...]) -> np.ndarray:
-    arr = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    return arr.reshape(shape)
-
-
-def state_to_json(state: StateVector) -> dict[str, Any]:
-    return {
-        "type": "state_vector",
-        "layout": layout_to_json(state.layout),
-        "amplitudes": _complex_to_pairs(state.amplitudes),
-    }
-
-
-def density_to_json(rho: DensityOperator) -> dict[str, Any]:
-    return {
-        "type": "density_operator",
-        "layout": layout_to_json(rho.layout),
-        "matrix": _complex_to_pairs(rho.matrix),
-    }
+    size = int(np.prod(shape))
+    if not isinstance(pairs, list) or len(pairs) != size:
+        got = len(pairs) if isinstance(pairs, list) else type(pairs).__name__
+        raise LayoutError(f"matrix of shape {shape} needs {size} entries, got {got}")
+    return np.array([_entry(z) for z in pairs], dtype=np.complex128).reshape(shape)
 
 
 def isometry_to_json(op: Isometry) -> dict[str, Any]:
@@ -73,28 +97,18 @@ def operation_to_json(op: Operation) -> dict[str, Any]:
     return isometry_to_json(op) if isinstance(op, Isometry) else kraus_to_json(op)
 
 
-def from_json(data: dict[str, Any]):
-    """Decode any serialized object by its `type` tag."""
-    kind = data.get("type")
-    if kind == "state_vector":
-        lay = layout_from_json(data["layout"])
-        return StateVector(lay, _pairs_to_complex(data["amplitudes"], (lay.total_dim,)))
-    if kind == "density_operator":
-        lay = layout_from_json(data["layout"])
-        d = lay.total_dim
-        return DensityOperator(lay, _pairs_to_complex(data["matrix"], (d, d)))
+def from_json(data: dict[str, Any]) -> Operation:
+    """Decode a serialized operation by its `type` tag."""
+    kind = _field(data, "type", str)
+    if kind not in ("isometry", "kraus_channel"):
+        raise LayoutError(f"unknown operation type {kind!r}")
+    lin = layout_from_json(data["input_layout"])
+    lout = layout_from_json(data["output_layout"])
+    shape = (lout.total_dim, lin.total_dim)
     if kind == "isometry":
-        lin = layout_from_json(data["input_layout"])
-        lout = layout_from_json(data["output_layout"])
-        mat = _pairs_to_complex(data["matrix"], (lout.total_dim, lin.total_dim))
-        return Isometry(lin, lout, mat)
-    if kind == "kraus_channel":
-        lin = layout_from_json(data["input_layout"])
-        lout = layout_from_json(data["output_layout"])
-        shape = (lout.total_dim, lin.total_dim)
-        ops = tuple(_pairs_to_complex(k, shape) for k in data["kraus_ops"])
-        return KrausChannel(lin, lout, ops)
-    raise LayoutError(f"unknown serialized type {kind!r}")
+        return Isometry(lin, lout, _pairs_to_complex(data["matrix"], shape))
+    ops = tuple(_pairs_to_complex(k, shape) for k in _field(data, "kraus_ops"))
+    return KrausChannel(lin, lout, ops)
 
 
 def protocol_spec_to_json(spec) -> dict[str, Any]:
@@ -116,15 +130,16 @@ def protocol_spec_to_json(spec) -> dict[str, Any]:
 def protocol_spec_from_json(data: dict[str, Any]):
     from .protocol import ProtocolSpec  # local import to avoid a cycle
 
-    lay = data["layouts"]
+    lay = _field(data, "layouts", dict)
+    ops = _field(data, "ops", dict)
     return ProtocolSpec(
-        rounds=int(data["s"]),
-        a_memory=tuple(layout_from_json(l) for l in lay["A"]),
-        b_memory=tuple(layout_from_json(l) for l in lay["B"]),
-        x_comm=tuple(layout_from_json(l) for l in lay["X"]),
-        y_comm=tuple(layout_from_json(l) for l in lay["Y"]),
-        a_ops=tuple(from_json(op) for op in data["ops"]["A"]),
-        b_ops=tuple(from_json(op) for op in data["ops"]["B"]),
+        rounds=_positive_int(data["s"], "s"),
+        a_memory=tuple(layout_from_json(l) for l in _field(lay, "A")),
+        b_memory=tuple(layout_from_json(l) for l in _field(lay, "B")),
+        x_comm=tuple(layout_from_json(l) for l in _field(lay, "X")),
+        y_comm=tuple(layout_from_json(l) for l in _field(lay, "Y")),
+        a_ops=tuple(from_json(op) for op in _field(ops, "A")),
+        b_ops=tuple(from_json(op) for op in _field(ops, "B")),
     )
 
 

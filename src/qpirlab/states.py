@@ -3,13 +3,18 @@
 Everything is an immutable dense complex array plus a layout.  Application
 helpers address tensor factors by label, so callers never juggle axis
 permutations by hand.
+
+Execution is pure: protocols run on `StateVector`s through isometries, and a
+`KrausChannel` enters a run only through its Stinespring dilation
+(`stinespring`).  `DensityOperator`, `pure_density` and `apply_channel` are
+the density-operator reference that the tests check the dilation against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -143,7 +148,6 @@ class KrausChannel:
 
 
 Operation = Union[Isometry, KrausChannel]
-State = Union[StateVector, DensityOperator]
 
 
 def as_single_isometry(op: Operation) -> Isometry | None:
@@ -158,24 +162,20 @@ def as_single_isometry(op: Operation) -> Isometry | None:
     return None
 
 
+def stinespring(op: Operation) -> np.ndarray:
+    """Stinespring isometry V = sum_e K_e (x) |e> of `op`, (d_out * m) x d_in.
+
+    Rows run over (output, environment) with the environment index e of the
+    m Kraus operators fastest; tracing the environment out of V rho V^dagger
+    gives back the channel's output.
+    """
+    kraus = (op.matrix,) if isinstance(op, Isometry) else op.kraus_ops
+    return np.stack(kraus, axis=1).reshape(-1, op.input_layout.total_dim)
+
+
 # ---------------------------------------------------------------------------
 # construction helpers
 # ---------------------------------------------------------------------------
-
-def basis_state(layout: RegisterLayout, index: int) -> StateVector:
-    """Computational basis vector |index> on the whole layout."""
-    d = layout.total_dim
-    if not 0 <= index < d:
-        raise LayoutError(f"basis index {index} outside [0, {d})")
-    amps = np.zeros(d, dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector(layout, amps)
-
-
-def uniform_state(layout: RegisterLayout) -> StateVector:
-    d = layout.total_dim
-    return StateVector(layout, np.full(d, 1.0 / np.sqrt(d), dtype=np.complex128))
-
 
 def tensor(*states: StateVector) -> StateVector:
     amps = states[0].amplitudes
@@ -189,10 +189,6 @@ def tensor(*states: StateVector) -> StateVector:
 def pure_density(state: StateVector) -> DensityOperator:
     amps = state.amplitudes
     return DensityOperator(state.layout, np.outer(amps, amps.conj()))
-
-
-def to_density(state: State) -> DensityOperator:
-    return state if isinstance(state, DensityOperator) else pure_density(state)
 
 
 # ---------------------------------------------------------------------------
@@ -224,18 +220,13 @@ def matricize(array: np.ndarray, layout: RegisterLayout, labels: Sequence[str],
     return t.reshape(shape + batch)
 
 
-def permute_registers(state: State, label_order: Sequence[str]) -> State:
+def permute_registers(state: StateVector, label_order: Sequence[str]) -> StateVector:
     """Reorder tensor factors to `label_order` (a permutation of the labels)."""
     lay = state.layout
     if tuple(label_order) == lay.labels():
         return state
-    new_lay = lay.reordered(label_order)
-    if isinstance(state, StateVector):
-        t = matricize(state.amplitudes, lay, label_order)
-        return StateVector(new_lay, t.reshape(-1))
-    d = lay.total_dim
-    t = matricize(state.matrix, lay, label_order, operator=True)
-    return DensityOperator(new_lay, t.reshape(d, d))
+    t = matricize(state.amplitudes, lay, label_order)
+    return StateVector(lay.reordered(label_order), t.reshape(-1))
 
 
 def _check_factor(layout: RegisterLayout, wanted: RegisterLayout) -> None:
@@ -279,40 +270,7 @@ def apply_channel(op: Operation, rho: DensityOperator) -> DensityOperator:
     return DensityOperator(new_lay, acc.reshape(d, d))
 
 
-def apply_operation(op: Operation, state: State) -> State:
-    """Dispatch to the pure or mixed application; pure inputs stay pure only
-    under isometries."""
-    if isinstance(state, StateVector):
-        iso = as_single_isometry(op)
-        if iso is not None:
-            return apply_isometry(iso, state)
-        state = pure_density(state)
-    return apply_channel(op, state)
-
-
-def apply_matrix_to_factor(matrix: np.ndarray, state: StateVector,
-                           labels: Sequence[str]) -> StateVector:
-    """Apply a square matrix to the named factor of a pure state (in label
-    order of the state's layout)."""
-    lay = state.layout
-    sub = lay.sub(labels)
-    out = matrix @ matricize(state.amplitudes, lay, sub.labels())
-    res = StateVector(concat(sub, lay.drop(sub.labels())), out.reshape(-1))
-    return permute_registers(res, lay.labels())
-
-
-def reduced_density_matrix(state: State, keep: Iterable[str]) -> np.ndarray:
-    """Raw reduced density matrix on `keep` (kept in original layout order)."""
-    lay = state.layout
-    keep = lay.sub(keep).labels()
-    if isinstance(state, StateVector):
-        m = matricize(state.amplitudes, lay, keep)
-        return m @ m.conj().T
-    return np.einsum("iaja->ij", matricize(state.matrix, lay, keep, operator=True))
-
-
-def partial_trace(state: State, keep: Iterable[str]) -> DensityOperator:
-    """Trace out everything but `keep`; result keeps original register order."""
-    lay = state.layout
-    keep_lay = lay.sub(keep)
-    return DensityOperator(keep_lay, reduced_density_matrix(state, keep))
+def reduced_density_matrix(state: StateVector, keep: Sequence[str]) -> np.ndarray:
+    """Reduced density matrix of a pure state on `keep`, factors in that order."""
+    m = matricize(state.amplitudes, state.layout, keep)
+    return m @ m.conj().T

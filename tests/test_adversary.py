@@ -7,11 +7,9 @@ from qpirlab.states import (
     Isometry,
     KrausChannel,
     StateVector,
-    pure_density,
     reduced_density_matrix,
-    to_density,
 )
-from qpirlab.protocol import ProtocolSpec, execute, purify_party
+from qpirlab.protocol import ProtocolSpec, execute, purify_both
 from qpirlab.adversary import (
     AdversaryStrategy,
     certify_specious,
@@ -26,7 +24,7 @@ from qpirlab.adversary import (
 )
 from qpirlab.qpir import builtin
 
-from conftest import random_pure
+from conftest import certify_oracle, random_kraus_ops, random_pure
 
 
 def two_round_protocol():
@@ -88,14 +86,21 @@ def test_purified_adversary_with_trace_out_recovery(rng):
 
 
 def test_purified_channel_party_is_zero_specious_each_step(rng):
+    """Both marginals come from one vector, so every row is exactly 0; the
+    density-operator definition reads round-off on the same rows."""
     p = builtin("noisy-trivial", 2, delta=0.3)
     spec = p.spec
     adv = purified_adversary(spec, "B")
-    rep = certify_specious(spec, adv, trace_out_recovery(spec, adv),
-                           default_input_suite(spec))
+    recovery = trace_out_recovery(spec, adv)
+    inputs = default_input_suite(spec)
+    rep = certify_specious(spec, adv, recovery, inputs)
     assert rep.epsilon_hat < 1e-8
     for step, worst in rep.worst_by_step().items():
         assert worst < 1e-8, (step, worst)
+    assert all(row.distance == 0.0 for row in rep.rows)
+    want = certify_oracle(spec, adv, recovery.maps, inputs)
+    assert [(r.step, r.input_id) for r in rep.rows] == [w[:2] for w in want]
+    assert max(w[2] for w in want) < 1e-12
 
 
 def _memory_discarding_op(spec):
@@ -174,8 +179,9 @@ def test_adversarial_measurement_does_not_signal(rng):
     lay = concat(spec.a_memory[0], spec.b_memory[0])
     psi = StateVector(lay, random_pure(rng, lay.total_dim))
     server = spec.a_memory[-1].labels()
-    honest = reduced_density_matrix(execute(spec, psi).final, server)
-    attacked = reduced_density_matrix(execute(tampered, psi).final, server)
+    honest = reduced_density_matrix(execute(purify_both(spec), psi).final, server)
+    attacked = reduced_density_matrix(execute(purify_both(tampered), psi).final,
+                                      server)
     assert np.max(np.abs(honest - attacked)) < 1e-8
 
 
@@ -210,3 +216,34 @@ def test_recovery_shapes_follow_the_adversary_moves(party):
     for outside in (0, 5):
         with pytest.raises(ShapeMismatch):
             recovery_shapes(spec, adv, outside)
+
+
+def _kraus_b_adversary(spec, rng):
+    """Party B with every op replaced by a random channel of the same type."""
+    ops = tuple(KrausChannel(op.input_layout, op.output_layout,
+                             tuple(random_kraus_ops(rng, op.input_layout.total_dim,
+                                                    op.output_layout.total_dim, 3)))
+                for op in spec.b_ops)
+    return AdversaryStrategy("B", spec.b_memory, ops)
+
+
+@pytest.mark.parametrize("case", ["memory-discarding A", "Kraus B"])
+def test_certify_rows_match_the_density_oracle(case, rng):
+    """Row by row, certification on purified runs equals the density-operator
+    definition: apply F_t to the adversarial state and compare it with the
+    honest one."""
+    spec = two_round_protocol()
+    if case == "memory-discarding A":
+        adv = AdversaryStrategy("A", spec.a_memory,
+                                (spec.a_ops[0], _memory_discarding_op(spec)))
+    else:
+        adv = _kraus_b_adversary(spec, rng)
+    recovery = identity_recovery(spec, adv.party)
+    inputs = small_inputs(spec, rng) + default_input_suite(spec)
+    rep = certify_specious(spec, adv, recovery, inputs)
+    want = certify_oracle(spec, adv, recovery.maps, inputs)
+    assert [(r.step, r.input_id) for r in rep.rows] == [w[:2] for w in want]
+    for row, (_, _, distance) in zip(rep.rows, want):
+        assert abs(row.distance - distance) < 1e-12
+    assert rep.epsilon_hat > 0.3
+

@@ -189,6 +189,61 @@ def test_protocol_file_n_must_be_a_positive_int(n, tmp_path, capsys):
     assert err.startswith("qpirlab: error:") and "Traceback" not in err
 
 
+def _set(path, value):
+    """Edit of a protocol file's JSON that puts `value` at `path`."""
+    def edit(data):
+        *head, last = path
+        for key in head:
+            data = data[key]
+        data[last] = value
+    return edit
+
+
+def _drop_an_entry(data):
+    del data["ops"]["A"][0]["matrix"][-1]
+
+
+STATE_IN_AN_OP_SLOT = {"type": "state_vector", "layout": [{"label": "A0", "dim": 4}],
+                       "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
+#: Edits of trivial n=2's protocol file; an edit may return a new document.
+MALFORMED_FILES = {
+    "dim-abc": _set(("layouts", "A", 0, 0, "dim"), "abc"),
+    "dim-4.7": _set(("layouts", "A", 0, 0, "dim"), 4.7),
+    "s-x": _set(("s",), "x"),
+    "matrix-one-short": _drop_an_entry,
+    "entry-one-number": _set(("ops", "A", 0, "matrix", 0), [1.0]),
+    "entry-strings": _set(("ops", "A", 0, "matrix", 0), ["a", "b"]),
+    "entry-beyond-float": _set(("ops", "A", 0, "matrix", 0), [10**400, 0]),
+    "top-level-list": lambda data: [data],
+    "state-in-op-slot": _set(("ops", "A", 0), STATE_IN_AN_OP_SLOT),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_FILES)
+def test_malformed_protocol_file_ends_in_a_clean_error(case, tmp_path, capsys):
+    """A dimension of 4.7 is not read as 4, and no decoding error escapes as
+    a traceback; every error names the file."""
+    data = serialize.protocol_spec_to_json(builtin("trivial", 2).spec)
+    data = MALFORMED_FILES[case](data) or data
+    path = tmp_path / f"{case}.json"
+    serialize.dump(data, str(path))
+    code, out = _cli(["reduce", "--protocol", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("qpirlab: error:") and str(path) in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_out_path_ends_in_a_clean_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out = _cli(["reduce", "--protocol", "builtin:trivial?n=2",
+                      "--out", str(target)])
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("qpirlab: error: cannot write report:")
+    assert "Traceback" not in err and not target.exists()
+
+
 def test_unknown_builtin_and_missing_file_exit_1(tmp_path):
     assert _cli(["reduce", "--protocol", "builtin:nope?n=2"])[0] == 1
     assert _cli(["reduce", "--protocol", str(tmp_path / "none.json")])[0] == 1

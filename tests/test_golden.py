@@ -13,10 +13,11 @@ import io
 import json
 import os
 import pathlib
+import sys
 
 import pytest
 
-from qpirlab import cli
+from qpirlab import cli, states
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_reports.json")
 FLOAT_TOL = 1e-12
@@ -70,6 +71,27 @@ def golden() -> dict:
 @pytest.mark.parametrize("argv", CELLS, ids=" ".join)
 def test_report_matches_golden(argv, golden, monkeypatch):
     monkeypatch.delenv("QPIRLAB_SEED", raising=False)
+    _assert_matches(_run(argv), golden[" ".join(argv)], " ".join(argv))
+
+
+@pytest.mark.parametrize("argv", [c for c in CELLS if c[0] == "certify"],
+                         ids=" ".join)
+def test_certify_builds_no_density_operator(argv, golden, monkeypatch):
+    """`certify` compares marginals of pure runs: with the density-operator
+    reference disabled everywhere in the package, its reports are unchanged."""
+    monkeypatch.delenv("QPIRLAB_SEED", raising=False)
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("certify ran the density-operator reference")
+
+    for name in ("apply_channel", "pure_density"):
+        original = getattr(states, name)
+        for mod_name, module in list(sys.modules.items()):
+            if module is None or not mod_name.startswith("qpirlab"):
+                continue
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, disabled)
     _assert_matches(_run(argv), golden[" ".join(argv)], " ".join(argv))
 
 

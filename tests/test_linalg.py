@@ -3,74 +3,76 @@ import math
 import numpy as np
 import pytest
 
-from qpirlab.errors import LayoutError, LayoutMismatch, SupportViolation
+from qpirlab.errors import LayoutError, SupportViolation
 from qpirlab.registers import RegisterLayout
 from qpirlab.states import (
     DensityOperator,
     Isometry,
     StateVector,
-    basis_state,
-    partial_trace,
+    permute_registers,
     pure_density,
+    reduced_density_matrix,
     tensor,
 )
 from qpirlab.linalg import (
     binary_entropy,
-    fidelity,
-    haar_random_unitary,
-    helstrom_probability,
-    purify,
-    pure_state_distance,
+    fidelity_matrices,
+    haar_unitary_matrix,
+    helstrom_matrices,
+    pure_distance_amplitudes,
     schmidt_compressor,
     schmidt_decompose,
-    shannon_entropy,
-    trace_distance,
+    trace_distance_matrices,
     uhlmann_unitary,
 )
 
 from conftest import (
+    basis,
     bloch_grid_success,
     identity_support,
+    on_factor,
+    purify,
     random_density,
     random_pure,
+    shannon_entropy,
 )
 
 QUBIT = RegisterLayout.of(("q", 2))
-KET0 = basis_state(QUBIT, 0)
-KET1 = basis_state(QUBIT, 1)
+KET0 = basis(QUBIT, 0)
+KET1 = basis(QUBIT, 1)
 PLUS = StateVector(QUBIT, np.array([1.0, 1.0]) / math.sqrt(2))
 
 
-def dm(vec: StateVector) -> DensityOperator:
-    return pure_density(vec)
+def dm(vec: StateVector) -> np.ndarray:
+    return pure_density(vec).matrix
 
 
 class TestTraceDistance:
     def test_identical_states(self):
-        assert trace_distance(dm(KET0), dm(KET0)) == pytest.approx(0.0, abs=1e-12)
+        assert trace_distance_matrices(dm(KET0), dm(KET0)) == \
+            pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_pure_states(self):
-        assert trace_distance(dm(KET0), dm(KET1)) == pytest.approx(1.0, abs=1e-12)
+        assert trace_distance_matrices(dm(KET0), dm(KET1)) == \
+            pytest.approx(1.0, abs=1e-12)
 
     def test_zero_plus_pair(self):
         # pure-state formula sqrt(1 - |<0|+>|^2) = 1/sqrt(2)
         expected = math.sqrt(1.0 - 0.5)
-        assert trace_distance(dm(KET0), dm(PLUS)) == pytest.approx(expected, abs=1e-9)
-        assert pure_state_distance(KET0, PLUS) == pytest.approx(expected, abs=1e-9)
-
-    def test_layout_mismatch(self):
-        other = pure_density(basis_state(RegisterLayout.of(("p", 2)), 0))
-        with pytest.raises(LayoutMismatch):
-            trace_distance(dm(KET0), other)
+        assert trace_distance_matrices(dm(KET0), dm(PLUS)) == \
+            pytest.approx(expected, abs=1e-9)
+        assert pure_distance_amplitudes(KET0.amplitudes, PLUS.amplitudes) == \
+            pytest.approx(expected, abs=1e-9)
 
 
 class TestFidelity:
     def test_equal_states(self):
-        rho = DensityOperator(QUBIT, np.diag([0.25, 0.75]))
-        assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-9)
+        rho = np.diag([0.25, 0.75])
+        assert fidelity_matrices(rho, rho) == pytest.approx(1.0, abs=1e-9)
 
     def test_pure_overlap(self):
-        assert fidelity(dm(KET0), dm(PLUS)) == pytest.approx(1 / math.sqrt(2), abs=1e-9)
+        assert fidelity_matrices(dm(KET0), dm(PLUS)) == \
+            pytest.approx(1 / math.sqrt(2), abs=1e-9)
 
     def test_mixed_vs_pure_oracle(self):
         # direct evaluation of || (I/2)^{1/2} |0><0| ||_1 via singular values
@@ -79,35 +81,37 @@ class TestFidelity:
         expected = float(np.sum(np.linalg.svd(root @ np.diag([1.0, 0.0]),
                                               compute_uv=False)))
         assert expected == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-        got = fidelity(DensityOperator(QUBIT, half), dm(KET0))
+        got = fidelity_matrices(half, dm(KET0))
         assert got == pytest.approx(expected, abs=1e-9)
 
 
 class TestPurify:
+    """The test-side purification oracle."""
+
     def test_pure_state_purifies_to_product(self):
-        out = purify(dm(KET0), "p")
+        out = purify(pure_density(KET0), "p")
         assert out.layout.labels() == ("q", "p")
-        marginal = partial_trace(out, ["q"])
-        assert np.allclose(marginal.matrix, np.diag([1.0, 0.0]), atol=1e-9)
+        marginal = reduced_density_matrix(out, ["q"])
+        assert np.allclose(marginal, np.diag([1.0, 0.0]), atol=1e-9)
 
     def test_maximally_mixed_purifies_to_bell_like(self):
         out = purify(DensityOperator(QUBIT, np.eye(2) / 2), "p")
-        marginal = partial_trace(out, ["q"])
-        assert np.allclose(marginal.matrix, np.eye(2) / 2, atol=1e-9)
+        marginal = reduced_density_matrix(out, ["q"])
+        assert np.allclose(marginal, np.eye(2) / 2, atol=1e-9)
         # purifier marginal is maximally mixed too
-        assert np.allclose(partial_trace(out, ["p"]).matrix, np.eye(2) / 2,
+        assert np.allclose(reduced_density_matrix(out, ["p"]), np.eye(2) / 2,
                            atol=1e-9)
 
     def test_round_trip_on_random_state(self, rng):
         lay = RegisterLayout.of(("m", 5))
         rho = DensityOperator(lay, random_density(rng, 5))
         out = purify(rho, "env")
-        back = partial_trace(out, ["m"])
-        assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-8
+        back = reduced_density_matrix(out, ["m"])
+        assert np.max(np.abs(back - rho.matrix)) < 1e-8
 
     def test_label_clash_rejected(self):
         with pytest.raises(LayoutError):
-            purify(dm(KET0), "q")
+            purify(pure_density(KET0), "q")
 
 
 class TestSchmidt:
@@ -119,7 +123,7 @@ class TestSchmidt:
         assert np.allclose(dec.coefficients[:2], [1 / math.sqrt(2)] * 2, atol=1e-12)
 
     def test_product_state_rank_one(self):
-        prod = tensor(PLUS, basis_state(RegisterLayout.of(("b", 3)), 2))
+        prod = tensor(PLUS, basis(RegisterLayout.of(("b", 3)), 2))
         dec = schmidt_decompose(prod, ["q"])
         assert dec.rank == 1
 
@@ -149,7 +153,7 @@ class TestSchmidtCompressor:
 
     def test_fixed_factor_compresses_to_one(self, rng):
         lay = RegisterLayout.of(("a", 8), ("b", 3))
-        psi = tensor(basis_state(RegisterLayout.of(("a", 8)), 0),
+        psi = tensor(basis(RegisterLayout.of(("a", 8)), 0),
                      StateVector(RegisterLayout.of(("b", 3)), random_pure(rng, 3)))
         comp = schmidt_compressor(psi, ["a"])
         assert comp.input_layout.total_dim == 1
@@ -174,24 +178,23 @@ class TestUhlmann:
         lay = RegisterLayout.of(("a", 3), ("p", 4))
         psi = StateVector(lay, random_pure(rng, 12))
         u = uhlmann_unitary(psi, psi, identity_support(lay, ["p"]))
-        from qpirlab.states import apply_matrix_to_factor
-        rotated = apply_matrix_to_factor(u.matrix, psi, ["p"])
-        assert pure_state_distance(psi, rotated) < 1e-9
+        rotated = on_factor(u.matrix, psi, ["p"])
+        target = on_factor(np.eye(4), psi, ["p"])
+        assert pure_distance_amplitudes(target, rotated) < 1e-9
 
     def test_permuted_purifier_is_unwound(self, rng):
         lay = RegisterLayout.of(("a", 3), ("p", 3))
         phi = StateVector(lay, random_pure(rng, 9))
         perm = np.zeros((3, 3), dtype=complex)
         perm[0, 1] = perm[1, 2] = perm[2, 0] = 1.0
-        from qpirlab.states import apply_matrix_to_factor
-        psi = apply_matrix_to_factor(perm, phi, ["p"])
+        psi = permute_registers(StateVector(RegisterLayout.of(("p", 3), ("a", 3)),
+                                           on_factor(perm, phi, ["p"])), ("a", "p"))
         u = uhlmann_unitary(phi, psi, identity_support(lay, ["p"]))
-        rotated = apply_matrix_to_factor(u.matrix, psi, ["p"])
-        assert pure_state_distance(phi, rotated) < 1e-9
+        rotated = on_factor(u.matrix, psi, ["p"])
+        target = on_factor(np.eye(3), phi, ["p"])
+        assert pure_distance_amplitudes(target, rotated) < 1e-9
 
     def test_random_pairs_meet_distance_bound(self, rng):
-        from qpirlab.states import apply_matrix_to_factor, reduced_density_matrix
-        from qpirlab.linalg import trace_distance_matrices
         lay = RegisterLayout.of(("a", 4), ("p", 4))
         for _ in range(25):
             phi = StateVector(lay, random_pure(rng, 16))
@@ -199,8 +202,9 @@ class TestUhlmann:
             eps = trace_distance_matrices(reduced_density_matrix(phi, ["a"]),
                                           reduced_density_matrix(psi, ["a"]))
             u = uhlmann_unitary(phi, psi, identity_support(lay, ["p"]))
-            rotated = apply_matrix_to_factor(u.matrix, psi, ["p"])
-            achieved = pure_state_distance(phi, rotated)
+            rotated = on_factor(u.matrix, psi, ["p"])
+            achieved = pure_distance_amplitudes(on_factor(np.eye(4), phi, ["p"]),
+                                                rotated)
             assert achieved <= math.sqrt(eps * (2 - eps)) + 1e-9
 
     def test_support_missing_a_direction_is_rejected(self, rng):
@@ -217,25 +221,25 @@ class TestUhlmann:
 
 class TestHelstrom:
     def test_identical_states_coin_flip(self):
-        res = helstrom_probability(dm(KET0), dm(KET0))
+        res = helstrom_matrices(dm(KET0), dm(KET0), 0.5)
         assert res.probability == pytest.approx(0.5, abs=1e-12)
 
     def test_orthogonal_states_certain(self):
-        res = helstrom_probability(dm(KET0), dm(KET1))
+        res = helstrom_matrices(dm(KET0), dm(KET1), 0.5)
         assert res.probability == pytest.approx(1.0, abs=1e-12)
         # the projector points at the first state
-        assert np.trace(res.projector @ dm(KET0).matrix).real == pytest.approx(1.0)
+        assert np.trace(res.projector @ dm(KET0)).real == pytest.approx(1.0)
 
     def test_zero_vs_plus_matches_grid_oracle(self):
-        res = helstrom_probability(dm(KET0), dm(PLUS))
+        res = helstrom_matrices(dm(KET0), dm(PLUS), 0.5)
         closed_form = 0.5 + 0.5 / math.sqrt(2)
         assert res.probability == pytest.approx(closed_form, abs=1e-9)
-        grid = bloch_grid_success(dm(KET0).matrix, dm(PLUS).matrix)
+        grid = bloch_grid_success(dm(KET0), dm(PLUS))
         assert res.probability == pytest.approx(grid, abs=1e-3)
 
     def test_invalid_prior(self):
         with pytest.raises(ValueError):
-            helstrom_probability(dm(KET0), dm(KET1), prior0=1.5)
+            helstrom_matrices(dm(KET0), dm(KET1), prior0=1.5)
 
 
 class TestEntropy:
@@ -255,6 +259,12 @@ class TestEntropy:
         with pytest.raises(ValueError):
             binary_entropy(1.01)
 
+    def test_binary_entropy_is_the_entropy_of_a_bit(self):
+        for p in np.linspace(0.0, 1.0, 41):
+            assert binary_entropy(p) == pytest.approx(shannon_entropy([p, 1 - p]),
+                                                      abs=1e-12)
+
+    # the Shannon entropy oracle itself
     def test_shannon_point_mass(self):
         assert shannon_entropy([1.0, 0.0, 0.0]) == 0.0
 
@@ -274,22 +284,26 @@ class TestEntropy:
 
 
 class TestHaar:
+    @staticmethod
+    def haar(dim: int, seed: int) -> np.ndarray:
+        return haar_unitary_matrix(dim, np.random.default_rng(seed))
+
     def test_dim_one_is_a_phase(self):
-        u = haar_random_unitary(1, seed=1)
-        assert abs(abs(u.matrix[0, 0]) - 1.0) < 1e-12
+        u = self.haar(1, seed=1)
+        assert abs(abs(u[0, 0]) - 1.0) < 1e-12
 
     def test_seed_determinism(self):
-        a = haar_random_unitary(5, seed=42)
-        b = haar_random_unitary(5, seed=42)
-        assert np.array_equal(a.matrix, b.matrix)
-        c = haar_random_unitary(5, seed=43)
-        assert not np.allclose(a.matrix, c.matrix)
+        a = self.haar(5, seed=42)
+        b = self.haar(5, seed=42)
+        assert np.array_equal(a, b)
+        c = self.haar(5, seed=43)
+        assert not np.allclose(a, c)
 
     def test_columns_are_unit_norm(self):
-        u = haar_random_unitary(16, seed=7)
-        norms = np.linalg.norm(u.matrix, axis=0)
+        u = self.haar(16, seed=7)
+        norms = np.linalg.norm(u, axis=0)
         assert np.max(np.abs(norms - 1.0)) < 1e-9
 
     def test_dim_zero_rejected(self):
         with pytest.raises(ValueError):
-            haar_random_unitary(0, seed=1)
+            self.haar(0, seed=1)

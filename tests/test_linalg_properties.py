@@ -6,20 +6,26 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from qpirlab.registers import RegisterLayout
-from qpirlab.states import DensityOperator, KrausChannel, StateVector, apply_channel
+from qpirlab.states import (
+    DensityOperator,
+    KrausChannel,
+    StateVector,
+    apply_channel,
+    pure_density,
+    reduced_density_matrix,
+)
 from qpirlab.linalg import (
-    fidelity,
     fidelity_matrices,
-    pure_state_distance,
+    pure_distance_amplitudes,
     schmidt_compressor,
     schmidt_decompose,
-    trace_distance,
     trace_distance_matrices,
     uhlmann_unitary,
 )
 
 from conftest import (
     identity_support,
+    on_factor,
     random_density,
     random_kraus_ops,
     random_pure,
@@ -65,8 +71,9 @@ def test_data_processing_contracts_distance(seed):
     ch = KrausChannel(lin, lout, tuple(random_kraus_ops(rng, din, dout, num)))
     rho = DensityOperator(lin, random_density(rng, din))
     sigma = DensityOperator(lin, random_density(rng, din))
-    before = trace_distance(rho, sigma)
-    after = trace_distance(apply_channel(ch, rho), apply_channel(ch, sigma))
+    before = trace_distance_matrices(rho.matrix, sigma.matrix)
+    after = trace_distance_matrices(apply_channel(ch, rho).matrix,
+                                    apply_channel(ch, sigma).matrix)
     assert after <= before + 1e-9
 
 
@@ -97,11 +104,11 @@ def test_uhlmann_achieves_reduced_state_fidelity(seed):
     lay = RegisterLayout.of(("a", da), ("p", dp))
     phi = StateVector(lay, random_pure(rng, da * dp))
     psi = StateVector(lay, random_pure(rng, da * dp))
-    from qpirlab.states import apply_matrix_to_factor, partial_trace
     u = uhlmann_unitary(phi, psi, identity_support(lay, ["p"]))
-    rotated = apply_matrix_to_factor(u.matrix, psi, ["p"])
-    achieved = abs(np.vdot(phi.amplitudes, rotated.amplitudes))
-    f = fidelity(partial_trace(phi, ["a"]), partial_trace(psi, ["a"]))
+    rotated = on_factor(u.matrix, psi, ["p"])
+    achieved = abs(np.vdot(on_factor(np.eye(dp), phi, ["p"]), rotated))
+    f = fidelity_matrices(reduced_density_matrix(phi, ["a"]),
+                          reduced_density_matrix(psi, ["a"]))
     assert abs(achieved - f) < 1e-8
 
 
@@ -124,10 +131,10 @@ def test_thin_uhlmann_on_the_compressed_support_achieves_fidelity(seed):
     assert e.input_layout.total_dim == rank
     x = uhlmann_unitary(phi, psi, e)
     assert x.matrix.shape == (dp, rank)
-    from qpirlab.states import apply_matrix_to_factor, partial_trace
-    rotated = apply_matrix_to_factor(x.matrix @ e.matrix.conj().T, psi, ["p"])
-    achieved = abs(np.vdot(phi.amplitudes, rotated.amplitudes))
-    f = fidelity(partial_trace(phi, ["a"]), partial_trace(psi, ["a"]))
+    rotated = on_factor(x.matrix @ e.matrix.conj().T, psi, ["p"])
+    achieved = abs(np.vdot(on_factor(np.eye(dp), phi, ["p"]), rotated))
+    f = fidelity_matrices(reduced_density_matrix(phi, ["a"]),
+                          reduced_density_matrix(psi, ["a"]))
     assert abs(achieved - f) < 1e-8
 
 
@@ -136,8 +143,7 @@ def test_thin_uhlmann_on_the_compressed_support_achieves_fidelity(seed):
 def test_pure_distance_agrees_with_density_distance(seed):
     rng = np.random.default_rng(seed)
     lay = RegisterLayout.of(("a", 5))
-    from qpirlab.states import pure_density
     phi = StateVector(lay, random_pure(rng, 5))
     psi = StateVector(lay, random_pure(rng, 5))
-    dense = trace_distance(pure_density(phi), pure_density(psi))
-    assert abs(pure_state_distance(phi, psi) - dense) < 1e-9
+    dense = trace_distance_matrices(pure_density(phi).matrix, pure_density(psi).matrix)
+    assert abs(pure_distance_amplitudes(phi.amplitudes, psi.amplitudes) - dense) < 1e-9

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -10,14 +8,10 @@ from qpirlab.states import (
     Isometry,
     KrausChannel,
     StateVector,
-    basis_state,
-    partial_trace,
     pure_density,
     reduced_density_matrix,
-    tensor,
-    to_density,
 )
-from qpirlab.linalg import schmidt_rank, trace_distance
+from qpirlab.linalg import trace_distance_matrices
 from qpirlab.protocol import (
     ProtocolSpec,
     communication_complexity,
@@ -26,13 +20,25 @@ from qpirlab.protocol import (
     product_input,
     purify_both,
     purify_party,
-    purifier_labels,
     random_protocol,
     rank_trace,
 )
+from qpirlab.adversary import default_input_suite
 from qpirlab.qpir import builtin, qpir_input
 
-from conftest import random_pure
+from conftest import density_marginal, density_run, purify, random_pure
+
+BUILTINS = [("trivial", {}), ("index-in-clear", {}),
+            ("noisy-trivial", {"delta": 0.2}), ("random", {"seed": 1})]
+
+
+def marginals_match(pure_states, reference, tol=1e-10) -> None:
+    """Each pure step state, traced down to the registers of the reference
+    density operator at that step, equals it."""
+    assert len(pure_states) == len(reference)
+    for psi, rho in zip(pure_states, reference):
+        got = reduced_density_matrix(psi, rho.layout.labels())
+        assert trace_distance_matrices(got, rho.matrix) < tol
 
 
 def move_protocol():
@@ -204,9 +210,9 @@ class TestPurifyParty:
         psi = StateVector(concat(spec.a_memory[0], spec.b_memory[0]),
                           random_pure(rng, 4))
         orig = execute(spec, psi).final
-        traced = partial_trace(execute(pure, psi).final,
-                               orig.layout.labels())
-        assert trace_distance(to_density(orig), traced) < 1e-8
+        traced = reduced_density_matrix(execute(pure, psi).final,
+                                        orig.layout.labels())
+        assert trace_distance_matrices(pure_density(orig).matrix, traced) < 1e-8
 
     def test_measure_and_forget_channel(self, rng):
         a0, a1 = RegisterLayout.of(("A0", 2)), RegisterLayout.of(("A1", 1))
@@ -219,51 +225,82 @@ class TestPurifyParty:
         pure = purify_party(spec, "A")
         assert pure.a_memory[-1].dims()[-1] == 2  # copy register
         psi = StateVector(concat(a0, b0), random_pure(rng, 4))
-        orig = execute(spec, psi)
-        purified = execute(pure, psi)
-        for i in (1, 2):
-            want = to_density(orig.state(i))
-            got = partial_trace(purified.state(i), want.layout.labels())
-            assert trace_distance(want, got) < 1e-8
+        marginals_match(execute(pure, psi).states,
+                        density_run(spec, pure_density(psi)), tol=1e-8)
 
     def test_purify_both_yields_pure_global_state(self, rng):
         p = builtin("noisy-trivial", 2, delta=0.2)
         both = purify_both(p.spec)
         assert both.all_unitary()
         out = execute(both, qpir_input(p, 1, 1)).final
-        assert isinstance(out, StateVector)  # rank 1 by construction
-        bars = purifier_labels(p.spec, both)
+        orig = p.spec.a_memory[-1].labels() + p.spec.b_memory[-1].labels()
+        bars = [lb for lb in out.layout.labels() if lb not in orig]
         assert len(bars) == 2
 
     def test_purified_trace_matches_on_mixed_input(self, rng):
+        """A mixed input, purified by a reference register, runs pure; its
+        marginals are the mixture's density-operator run (the reference
+        rides along untouched)."""
         p = builtin("noisy-trivial", 2, delta=0.3)
         both = purify_both(p.spec)
         lay = concat(p.spec.a_memory[0], p.spec.b_memory[0])
         mix = 0.5 * pure_density(qpir_input(p, 0, 1)).matrix \
             + 0.5 * pure_density(qpir_input(p, 3, 2)).matrix
         rho = DensityOperator(lay, mix)
-        orig = execute(p.spec, rho).final
-        traced = partial_trace(execute(both, rho).final, orig.layout.labels())
-        assert trace_distance(to_density(orig), traced) < 1e-8
+        pure_states = execute(both, purify(rho, "R")).states
+        marginals_match(pure_states, density_run(p.spec, rho), tol=1e-8)
+
+    @pytest.mark.parametrize("name, params", BUILTINS, ids=[b[0] for b in BUILTINS])
+    @pytest.mark.parametrize("party", ["A", "B", "both"])
+    def test_dilation_matches_the_density_reference(self, name, params, party):
+        """Tracing the purifiers out of the dilated protocol reproduces the
+        Kraus protocol's density-operator run at every step, on every input
+        of the certification suite (including the one entangled with a
+        reference register)."""
+        spec = builtin(name, 2, **params).spec
+        pure = purify_both(spec) if party == "both" else purify_party(spec, party)
+        for _, psi in default_input_suite(spec):
+            reference = density_run(spec, pure_density(psi))
+            if pure.all_unitary():
+                got = execute(pure, psi).states
+                marginals_match(got, reference)
+            else:  # the other party still holds a channel
+                dilated = density_run(pure, pure_density(psi))
+                for rho, want in zip(dilated, reference):
+                    traced = density_marginal(rho, want.layout.labels())
+                    assert trace_distance_matrices(traced, want.matrix) < 1e-10
 
 
 class TestExecuteSemantics:
     def test_linear_in_the_input(self, rng):
+        """The pure run is linear in the input amplitudes."""
         p = builtin("noisy-trivial", 2, delta=0.25)
-        lay = concat(p.spec.a_memory[0], p.spec.b_memory[0])
-        rho_a = pure_density(qpir_input(p, 0, 1))
-        rho_b = pure_density(qpir_input(p, 2, 2))
-        mixed = DensityOperator(lay, 0.3 * rho_a.matrix + 0.7 * rho_b.matrix)
-        out_mixed = to_density(execute(p.spec, mixed).final).matrix
-        out_a = to_density(execute(p.spec, rho_a).final).matrix
-        out_b = to_density(execute(p.spec, rho_b).final).matrix
-        assert np.max(np.abs(out_mixed - 0.3 * out_a - 0.7 * out_b)) < 1e-8
+        both = purify_both(p.spec)
+        psi_a, psi_b = qpir_input(p, 0, 1), qpir_input(p, 2, 2)
+        alpha, beta = 0.6, 0.8j
+        superposed = StateVector(psi_a.layout,
+                                 alpha * psi_a.amplitudes + beta * psi_b.amplitudes)
+        out = execute(both, superposed).final.amplitudes
+        out_a = execute(both, psi_a).final.amplitudes
+        out_b = execute(both, psi_b).final.amplitudes
+        assert np.max(np.abs(out - alpha * out_a - beta * out_b)) < 1e-12
 
     def test_every_step_has_unit_trace(self, rng):
         p = builtin("noisy-trivial", 2, delta=0.25)
-        transcript = execute(p.spec, qpir_input(p, 1, 2))
-        for st in transcript.states:
-            assert abs(np.trace(to_density(st).matrix) - 1.0) < 1e-8
+        transcript = execute(purify_both(p.spec), qpir_input(p, 1, 2))
+        for step, st in zip(p.spec.steps, transcript.states):
+            rho = reduced_density_matrix(st, step.order)
+            assert abs(np.trace(rho) - 1.0) < 1e-8
+
+    def test_a_channel_op_is_rejected(self):
+        """Pure execution needs isometries: a Kraus protocol must be
+        purified first."""
+        p = builtin("noisy-trivial", 2, delta=0.25)
+        with pytest.raises(LayoutError, match="B1"):
+            execute(p.spec, qpir_input(p, 1, 2))
+        lay = concat(p.spec.a_memory[0], p.spec.b_memory[0])
+        with pytest.raises(LayoutError):
+            execute_pure_batch(p.spec, lay, np.eye(lay.total_dim, dtype=complex))
 
     def test_batch_agrees_with_single_runs(self, rng):
         p = builtin("trivial", 3)
@@ -337,9 +374,8 @@ class TestRankTrace:
 
     def test_requires_unitary_protocol(self):
         p = builtin("noisy-trivial", 2, delta=0.2)
-        transcript = execute(p.spec, qpir_input(p, 0, 1))
         with pytest.raises(LayoutError):
-            rank_trace(transcript)
+            rank_trace(execute(p.spec, qpir_input(p, 0, 1)))
 
     def test_an_empty_message_still_has_its_handover(self):
         """Y1 has no registers: B1's handover is still audited (bound x1)."""

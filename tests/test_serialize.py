@@ -2,38 +2,22 @@ import json
 import math
 import struct
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpirlab import builtin
 from qpirlab.errors import LayoutError
 from qpirlab.registers import RegisterLayout
-from qpirlab.states import DensityOperator, Isometry, KrausChannel, StateVector
+from qpirlab.linalg import haar_unitary_matrix
+from qpirlab.states import Isometry, KrausChannel
 from qpirlab.qpir import parse_builtin_address
 from qpirlab import serialize
 
-from conftest import random_density, random_kraus_ops, random_pure
+from conftest import random_kraus_ops
 
 
-def round_trip(obj):
-    return serialize.from_json(json.loads(json.dumps(serialize.operation_to_json(obj)
-                                                     if isinstance(obj, (Isometry, KrausChannel))
-                                                     else serialize.state_to_json(obj)
-                                                     if isinstance(obj, StateVector)
-                                                     else serialize.density_to_json(obj))))
-
-
-def test_state_vector_round_trip(rng):
-    lay = RegisterLayout.of(("a", 2), ("b", 3))
-    psi = StateVector(lay, random_pure(rng, 6))
-    assert round_trip(psi) == psi
-
-
-def test_density_round_trip(rng):
-    lay = RegisterLayout.of(("m", 4))
-    rho = DensityOperator(lay, random_density(rng, 4))
-    assert round_trip(rho) == rho
+def round_trip(op):
+    return serialize.from_json(json.loads(json.dumps(serialize.operation_to_json(op))))
 
 
 def test_operation_round_trips(rng):
@@ -41,7 +25,6 @@ def test_operation_round_trips(rng):
     lout = RegisterLayout.of(("out", 2))
     ch = KrausChannel(lin, lout, tuple(random_kraus_ops(rng, 3, 2, 3)))
     assert round_trip(ch) == ch
-    from qpirlab.linalg import haar_unitary_matrix
     iso = Isometry(lin, lin, haar_unitary_matrix(3, rng))
     assert round_trip(iso) == iso
 
@@ -55,6 +38,8 @@ def test_protocol_spec_round_trip():
 def test_unknown_type_rejected():
     with pytest.raises(LayoutError):
         serialize.from_json({"type": "mystery"})
+    with pytest.raises(LayoutError):  # states are not operations
+        serialize.from_json({"type": "state_vector", "layout": [], "amplitudes": []})
 
 
 finite_doubles = st.floats(allow_nan=False, allow_infinity=False)
@@ -71,9 +56,9 @@ def test_doubles_survive_json_bit_exactly(pair):
 
 def test_amplitude_bits_survive(rng):
     lay = RegisterLayout.of(("a", 8))
-    psi = StateVector(lay, random_pure(rng, 8))
-    back = round_trip(psi)
-    assert psi.amplitudes.tobytes() == back.amplitudes.tobytes()
+    iso = Isometry(lay, lay, haar_unitary_matrix(8, rng))
+    back = round_trip(iso)
+    assert iso.matrix.tobytes() == back.matrix.tobytes()
 
 
 def test_builtin_address_parsing():
@@ -101,7 +86,7 @@ def test_builtin_from_address():
 
 def test_file_dump_load(tmp_path, rng):
     lay = RegisterLayout.of(("a", 3))
-    rho = DensityOperator(lay, random_density(rng, 3))
-    path = tmp_path / "rho.json"
-    serialize.dump(serialize.density_to_json(rho), str(path))
-    assert serialize.from_json(serialize.load(str(path))) == rho
+    ch = KrausChannel(lay, lay, tuple(random_kraus_ops(rng, 3, 3, 2)))
+    path = tmp_path / "channel.json"
+    serialize.dump(serialize.operation_to_json(ch), str(path))
+    assert serialize.from_json(serialize.load(str(path))) == ch

@@ -10,18 +10,21 @@ from qpirlab.states import (
     StateVector,
     apply_channel,
     apply_isometry,
-    apply_matrix_to_factor,
     as_single_isometry,
-    basis_state,
-    partial_trace,
     permute_registers,
     pure_density,
     reduced_density_matrix,
+    stinespring,
     tensor,
-    uniform_state,
 )
 
-from conftest import random_kraus_ops, random_pure
+from conftest import (
+    basis,
+    density_marginal,
+    random_kraus_ops,
+    random_pure,
+    reorder,
+)
 
 QUBIT = RegisterLayout.of(("q", 2))
 BELL = StateVector(RegisterLayout.of(("a", 2), ("b", 2)),
@@ -66,32 +69,35 @@ def test_kraus_trace_preservation_checked():
 
 
 def test_partial_trace_bell_gives_maximally_mixed():
-    rho = partial_trace(BELL, ["a"])
-    assert np.allclose(rho.matrix, np.eye(2) / 2, atol=1e-12)
+    rho = reduced_density_matrix(BELL, ["a"])
+    assert np.allclose(rho, np.eye(2) / 2, atol=1e-12)
 
 
 def test_partial_trace_product_state():
-    prod = tensor(basis_state(RegisterLayout.of(("a", 2)), 0),
-                  basis_state(RegisterLayout.of(("b", 2)), 1))
-    rho = partial_trace(prod, ["a"])
-    assert np.allclose(rho.matrix, np.diag([1.0, 0.0]), atol=1e-12)
+    prod = tensor(basis(RegisterLayout.of(("a", 2)), 0),
+                  basis(RegisterLayout.of(("b", 2)), 1))
+    rho = reduced_density_matrix(prod, ["a"])
+    assert np.allclose(rho, np.diag([1.0, 0.0]), atol=1e-12)
 
 
 def test_partial_trace_keeps_unit_trace(rng):
     lay = RegisterLayout.of(("q0", 2), ("q1", 2), ("q2", 2))
     psi = StateVector(lay, random_pure(rng, 8))
-    rho = partial_trace(psi, ["q1"])
-    assert abs(np.trace(rho.matrix) - 1.0) < 1e-9
+    rho = reduced_density_matrix(psi, ["q1"])
+    assert abs(np.trace(rho) - 1.0) < 1e-9
     with pytest.raises(LayoutError):
-        partial_trace(psi, ["nope"])
+        reduced_density_matrix(psi, ["nope"])
 
 
 def test_reduced_density_matches_partial_trace(rng):
+    """The pure marginal equals the trace over the density operator, with
+    the factors in the order asked for."""
     lay = RegisterLayout.of(("a", 2), ("b", 3), ("c", 2))
     psi = StateVector(lay, random_pure(rng, 12))
-    dense = partial_trace(pure_density(psi), ["a", "c"]).matrix
-    quick = reduced_density_matrix(psi, ["a", "c"])
-    assert np.allclose(dense, quick, atol=1e-12)
+    for keep in (["a", "c"], ["c", "a"], ["b", "a"]):
+        dense = density_marginal(pure_density(psi), keep)
+        quick = reduced_density_matrix(psi, keep)
+        assert np.allclose(dense, quick, atol=1e-12)
 
 
 def test_permute_registers_round_trip(rng):
@@ -117,8 +123,7 @@ def test_apply_channel_matches_vector_path(rng):
     u = Isometry(RegisterLayout.of(("b", 2)), RegisterLayout.of(("b", 2)),
                  np.array([[0, 1], [1, 0]], dtype=complex))
     via_vec = pure_density(apply_isometry(u, psi))
-    via_rho = apply_channel(u, pure_density(psi))
-    via_rho = permute_registers(via_rho, via_vec.layout.labels())
+    via_rho = reorder(apply_channel(u, pure_density(psi)), via_vec.layout.labels())
     assert np.allclose(via_vec.matrix, via_rho.matrix, atol=1e-12)
 
 
@@ -132,16 +137,20 @@ def test_kraus_channel_preserves_trace(rng):
     assert abs(np.trace(out.matrix) - 1.0) < 1e-9
 
 
-def test_apply_matrix_to_factor_keeps_layout(rng):
-    lay = RegisterLayout.of(("a", 2), ("b", 2), ("c", 3))
-    psi = StateVector(lay, random_pure(rng, 12))
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    out = apply_matrix_to_factor(np.kron(x, x), psi, ["a", "b"])
-    assert out.layout == lay
-    twice = apply_matrix_to_factor(np.kron(x, x), out, ["a", "b"])
-    assert np.allclose(twice.amplitudes, psi.amplitudes)
-
-
-def test_uniform_state():
-    psi = uniform_state(RegisterLayout.of(("d", 8)))
-    assert np.allclose(psi.amplitudes, np.full(8, 1 / np.sqrt(8)))
+def test_stinespring_reproduces_the_channel(rng):
+    """Tracing the environment out of V rho V^dagger gives the channel's
+    output, for a channel and for an isometry (one Kraus operator)."""
+    lay = RegisterLayout.of(("a", 2), ("b", 3))
+    rho = pure_density(StateVector(lay, random_pure(rng, 6)))
+    b, b2 = RegisterLayout.of(("b", 3)), RegisterLayout.of(("b2", 2))
+    u = np.linalg.qr(rng.standard_normal((3, 3)) + 0j)[0]
+    for op, m in ((KrausChannel(b, b2, tuple(random_kraus_ops(rng, 3, 2, 4))), 4),
+                  (Isometry(b, b, u), 1)):
+        v = stinespring(op)
+        assert v.shape == (op.output_layout.total_dim * m, 3)
+        env = RegisterLayout.of(("e", m))
+        dilated = Isometry(op.input_layout, concat(op.output_layout, env), v)
+        out = apply_channel(dilated, rho)
+        want = apply_channel(op, rho)
+        got = density_marginal(out, want.layout.labels())
+        assert np.allclose(got, want.matrix, atol=1e-12)
