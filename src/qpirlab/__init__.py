@@ -24,11 +24,9 @@ from .states import (
     StateVector,
     apply_channel,
     apply_isometry,
-    permute_registers,
     pure_density,
     reduced_density_matrix,
     stinespring,
-    tensor,
 )
 from .linalg import (
     SchmidtDecomposition,

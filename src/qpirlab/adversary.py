@@ -31,6 +31,7 @@ from .states import (
     Operation,
     StateVector,
     apply_isometry,
+    matricize,
     reduced_density_matrix,
     stinespring,
 )
@@ -151,17 +152,8 @@ def identity_recovery(spec: ProtocolSpec, party: str) -> RecoveryMapSet:
 
 def _trace_out_map(lay_in: RegisterLayout, drop: str) -> KrausChannel:
     """Channel tracing out one register of `lay_in` (Kraus rows <e|)."""
-    pos = lay_in.position(drop)
-    before = int(np.prod([r.dim for r in lay_in.registers[:pos]], initial=1))
-    d = lay_in.dim_of(drop)
-    after = int(np.prod([r.dim for r in lay_in.registers[pos + 1:]], initial=1))
-    lay_out = lay_in.drop([drop])
-    kraus = []
-    for e in range(d):
-        bra = np.zeros((1, d), dtype=np.complex128)
-        bra[0, e] = 1.0
-        kraus.append(np.kron(np.kron(np.eye(before), bra), np.eye(after)))
-    return KrausChannel(lay_in, lay_out, tuple(kraus))
+    bras = matricize(np.eye(lay_in.total_dim), lay_in, [drop])  # (d, rest, in)
+    return KrausChannel(lay_in, lay_in.drop([drop]), tuple(bras))
 
 
 def trace_out_recovery(spec: ProtocolSpec, adv: AdversaryStrategy) -> RecoveryMapSet:

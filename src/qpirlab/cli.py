@@ -13,6 +13,11 @@ reads:
     schmidt           --protocol --n --seed --rank-tol --i
     fuzz              --seed --trials --rank-tol
 
+--protocol is a JSON file or `builtin:<name>?<params>`: trivial and
+index-in-clear read n, noisy-trivial n and delta, random n and seed.  Any
+other parameter is an error, and so is an --n that contradicts the
+address's or the file's n.  --n and --seed fill in a missing n and seed.
+
 `run` checks the input |x>|i> and reports the protocol's step table: the
 registers alive after each step, and whether a pure input stays pure (every
 op an isometry).  It needs no execution.  `certify` compares marginals of
@@ -166,6 +171,8 @@ def _resolve_qpir(args) -> QpirProtocol:
             f"protocol file {args.protocol}: n must be an integer >= 1, "
             f"got {n!r}"
         )
+    if args.n not in (None, n):
+        raise CliInputError(f"protocol file {args.protocol}: n={n} but --n {args.n}")
     return QpirProtocol(n, spec)
 
 

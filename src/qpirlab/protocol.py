@@ -8,17 +8,18 @@ writes, and which registers are alive after it.  Validation, execution,
 purification, the rank audit, random protocols and the adversary's recovery
 shapes all read that table.
 
-Execution is pure.  `execute` and `execute_pure_batch` run state vectors
-through isometries only; a protocol with channel ops runs after
-`purify_party`/`purify_both` has replaced each channel by its Stinespring
-dilation, and tracing the purifier out of any step reproduces the channel
-run.  Communication is counted in qubits (log2 of communication-space
-dimensions, fractional dims allowed).
+Execution is pure and has one loop, `_steps`, which pushes a batch of
+columns through the isometries; a reference register rides as a batch axis.
+A protocol with channel ops runs after `purify_party`/`purify_both` has
+replaced each channel by its Stinespring dilation, and tracing the purifier
+out of any step reproduces the channel run.  Communication is counted in
+qubits (log2 of communication-space dimensions, fractional dims allowed).
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -31,10 +32,8 @@ from .states import (
     Isometry,
     Operation,
     StateVector,
-    apply_isometry,
     as_single_isometry,
     matricize,
-    permute_registers,
     stinespring,
 )
 
@@ -181,12 +180,18 @@ class Transcript:
         return self.states[-1]
 
 
+def _labels(spec: ProtocolSpec) -> set[str]:
+    """Every register label the protocol's layouts use."""
+    layouts = spec.a_memory + spec.b_memory + spec.x_comm + spec.y_comm
+    return {label for lay in layouts for label in lay.labels()}
+
+
 def _spectator_layout(spec: ProtocolSpec, layout: RegisterLayout) -> RegisterLayout:
     """Validate an input layout and return its inert trailing registers.
 
     Inputs are A_0 ++ B_0 optionally followed by one reference register of
-    dimension 1 or dim(A_0)*dim(B_0).  The reference register is never
-    touched by any operation.
+    dimension 1 or dim(A_0)*dim(B_0) whose label no protocol register uses.
+    The reference register is never touched by any operation.
     """
     front = concat(spec.a_memory[0], spec.b_memory[0])
     regs = layout.registers
@@ -198,11 +203,11 @@ def _spectator_layout(spec: ProtocolSpec, layout: RegisterLayout) -> RegisterLay
     rest = regs[nf:]
     if len(rest) > 1:
         raise ShapeMismatch(f"at most one reference register allowed, got {rest}")
-    if rest:
-        allowed = {1, front.total_dim}
-        if rest[0].dim not in allowed:
+    for ref in rest:
+        if ref.dim not in (1, front.total_dim) or ref.label in _labels(spec):
             raise ShapeMismatch(
-                f"reference register dim {rest[0].dim} not in {sorted(allowed)}"
+                f"reference register {ref.label!r} of dim {ref.dim} needs dim 1 "
+                f"or {front.total_dim} and a label no protocol register takes"
             )
     return RegisterLayout(tuple(rest))
 
@@ -225,6 +230,23 @@ def _isometries(spec: ProtocolSpec) -> list[tuple[Step, Isometry]]:
     return isos
 
 
+def _steps(spec: ProtocolSpec, columns: np.ndarray):
+    """Yield (step, layout, columns) after each step of an all-isometry
+    protocol run on `columns`, one input over A_0 (x) B_0 per column.  Each
+    op's output registers land first in the layout, the rest keep their order.
+    """
+    isos = _isometries(spec)
+    nb = columns.shape[1]
+    lay = concat(spec.a_memory[0], spec.b_memory[0])
+    cur = columns
+    for step, iso in isos:
+        labels = iso.input_layout.labels()
+        t = matricize(cur, lay, labels)
+        cur = (iso.matrix @ t.reshape(t.shape[0], -1)).reshape(-1, nb)
+        lay = concat(iso.output_layout, lay.drop(labels))
+        yield step, lay, cur
+
+
 def execute(spec: ProtocolSpec, psi_in: StateVector) -> Transcript:
     """Run the protocol on a pure input, returning every intermediate state.
 
@@ -232,17 +254,14 @@ def execute(spec: ProtocolSpec, psi_in: StateVector) -> Transcript:
     input's spectator registers.  Raises LayoutError on an op that is not
     an isometry.
     """
-    spectators = _spectator_layout(spec, psi_in.layout).labels()
-    cur = psi_in
-    states: list[StateVector] = []
-    for step, iso in _isometries(spec):
-        try:
-            cur = apply_isometry(iso, cur)
-        except LayoutError as exc:
-            raise ShapeMismatch(f"op {step.name} failed to apply: {exc}") from exc
-        cur = permute_registers(cur, step.order + spectators)
-        states.append(cur)
-    return Transcript(spec, psi_in, tuple(states))
+    spectators = _spectator_layout(spec, psi_in.layout)
+    columns = psi_in.amplitudes.reshape(-1, spectators.total_dim)
+    states = tuple(
+        StateVector(concat(lay.reordered(step.order), spectators),
+                    matricize(cur, lay, step.order).reshape(-1))
+        for step, lay, cur in _steps(spec, columns)
+    )
+    return Transcript(spec, psi_in, states)
 
 
 def execute_pure_batch(spec: ProtocolSpec, input_layout: RegisterLayout,
@@ -255,20 +274,12 @@ def execute_pure_batch(spec: ProtocolSpec, input_layout: RegisterLayout,
     path behind correctness/privacy sweeps, where one big matmul per round
     beats thousands of small ones.
     """
-    isos = _isometries(spec)
     spectators = _spectator_layout(spec, input_layout)
-
     nb = columns.shape[1]
-    lay = input_layout
-    cur = columns
-    for _, iso in isos:
-        labels = iso.input_layout.labels()
-        t = matricize(cur, lay, labels)
-        cur = (iso.matrix @ t.reshape(t.shape[0], -1)).reshape(-1, nb)
-        lay = concat(iso.output_layout, lay.drop(labels))
-    final_order = spec.steps[-1].order + spectators.labels()
-    final_lay = lay.reordered(final_order)
-    cur = matricize(cur, lay, final_order)
+    batch = columns.reshape(-1, spectators.total_dim * nb)  # reference -> batch
+    (step, lay, cur), = deque(_steps(spec, batch), maxlen=1)  # the final step
+    final_lay = concat(lay.reordered(step.order), spectators)
+    cur = matricize(cur, lay, step.order)
     return final_lay, cur.reshape(final_lay.total_dim, nb)
 
 
@@ -322,10 +333,7 @@ def purify_party(spec: ProtocolSpec, party: str) -> ProtocolSpec:
     purifier, so behavior is unchanged.
     """
     new_mems: list[RegisterLayout] = [spec.memory(party)[0]]
-    taken = set()
-    for lay in spec.a_memory + spec.b_memory + spec.x_comm + spec.y_comm:
-        taken.update(lay.labels())
-    bar_label = fresh_label(f"{party}bar", taken)
+    bar_label = fresh_label(f"{party}bar", _labels(spec))
 
     new_ops: list[Operation] = []
     bar = 1

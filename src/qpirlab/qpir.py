@@ -239,12 +239,9 @@ def privacy_epsilon_purified(run: PurifiedRun) -> PrivacyReport:
 # built-in protocols
 # ---------------------------------------------------------------------------
 
-def _copy_matrix(d: int) -> np.ndarray:
-    """Basis-copy isometry |j> -> |j>|j>."""
-    v = np.zeros((d * d, d), dtype=np.complex128)
-    for j in range(d):
-        v[j * d + j, j] = 1.0
-    return v
+def _copy_matrix(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(u (x) v) after the basis copy |j> -> |j>|j>: column j is u_j (x) v_j."""
+    return (u[:, None, :] * v[None, :, :]).reshape(-1, u.shape[1])
 
 
 def _layout(label: str, dim: int) -> RegisterLayout:
@@ -257,7 +254,8 @@ def build_trivial(n: int) -> QpirProtocol:
     a0, a1 = _layout("A0", da), _layout("A1", da)
     x1 = _layout("X1", da)
     b0, b1 = _layout("B0", n), _layout("B1", n * da)
-    a_op = Isometry(a0, concat(a1, x1), _copy_matrix(da))
+    eye = np.eye(da, dtype=np.complex128)
+    a_op = Isometry(a0, concat(a1, x1), _copy_matrix(eye, eye))
     b_op = Isometry(concat(b0, x1), b1, np.eye(n * da, dtype=np.complex128))
     spec = ProtocolSpec(1, (a0, a1), (b0, b1), (x1,), (), (a_op,), (b_op,))
     return QpirProtocol(n, spec)
@@ -276,7 +274,8 @@ def build_index_in_clear(n: int) -> QpirProtocol:
     y1 = _layout("Y1", n)
 
     a1_op = Isometry(a0, concat(a1, x1), np.eye(da, dtype=np.complex128))
-    b1_op = Isometry(concat(b0, x1), concat(b1, y1), _copy_matrix(n))
+    eye = np.eye(n, dtype=np.complex128)
+    b1_op = Isometry(concat(b0, x1), concat(b1, y1), _copy_matrix(eye, eye))
     answer = np.zeros((da * n * 2, da * n), dtype=np.complex128)
     for x in range(da):
         for i in range(1, n + 1):
@@ -348,7 +347,7 @@ def build_random_qpir(n: int, seed: int) -> QpirProtocol:
 
     u_a = haar_unitary_matrix(da, rng)
     u_x = haar_unitary_matrix(da, rng)
-    a1_op = Isometry(a0, concat(a1, x1), np.kron(u_a, u_x) @ _copy_matrix(da))
+    a1_op = Isometry(a0, concat(a1, x1), _copy_matrix(u_a, u_x))
     b1_op = Isometry(concat(b0, x1), concat(b1, y1),
                      haar_unitary_matrix(n * da, rng))
     a2_op = Isometry(concat(a1, y1), concat(a2, x2),
@@ -361,24 +360,27 @@ def build_random_qpir(n: int, seed: int) -> QpirProtocol:
     return QpirProtocol(n, spec)
 
 
-_BUILTIN_ALIASES = {
-    "trivial": "trivial",
-    "trivial-qpir": "trivial",
-    "index-in-clear": "index-in-clear",
-    "noisy-trivial": "noisy-trivial",
-    "random": "random",
-    "random-qpir": "random",
+#: Builtin name -> (kind, the address parameters it reads).
+_BUILTINS = {
+    "trivial": ("trivial", ("n",)),
+    "trivial-qpir": ("trivial", ("n",)),
+    "index-in-clear": ("index-in-clear", ("n",)),
+    "noisy-trivial": ("noisy-trivial", ("n", "delta")),
+    "random": ("random", ("n", "seed")),
+    "random-qpir": ("random", ("n", "seed")),
 }
+
+
+def _builtin_entry(name: str) -> tuple[str, tuple[str, ...]]:
+    if name not in _BUILTINS:
+        raise LayoutError(f"unknown builtin {name!r}; known: {sorted(_BUILTINS)}")
+    return _BUILTINS[name]
 
 
 def builtin(name: str, n: int, delta: float | None = None,
             seed: int | None = None) -> QpirProtocol:
     """Construct a named built-in protocol."""
-    kind = _BUILTIN_ALIASES.get(name)
-    if kind is None:
-        raise LayoutError(
-            f"unknown builtin {name!r}; known: {sorted(set(_BUILTIN_ALIASES))}"
-        )
+    kind, _ = _builtin_entry(name)
     if kind == "trivial":
         return build_trivial(n)
     if kind == "index-in-clear":
@@ -396,13 +398,26 @@ def parse_builtin_address(address: str) -> tuple[str, dict[str, str]]:
         raise LayoutError(f"not a builtin address: {address!r}")
     rest = address[len("builtin:"):]
     name, _, query = rest.partition("?")
-    params = {k: v[-1] for k, v in urllib.parse.parse_qs(query).items()}
+    pairs = urllib.parse.parse_qsl(query, keep_blank_values=True)
+    params = dict(pairs)
+    if len(params) != len(pairs):
+        raise LayoutError(f"builtin address {address!r} repeats a parameter")
     return name, params
 
 
 def builtin_from_address(address: str, n: int | None = None,
                          seed: int | None = None) -> QpirProtocol:
+    """The builtin an address names.  `n` and `seed` are defaults for an
+    address without them; an `n` that contradicts the address's is an
+    error, and so is a parameter the builtin does not read."""
     name, params = parse_builtin_address(address)
+    _, reads = _builtin_entry(name)
+    unread = sorted(set(params) - set(reads))
+    if unread:
+        raise LayoutError(
+            f"builtin {name!r} reads only {', '.join(reads)}; "
+            f"unknown parameter(s) {', '.join(unread)}"
+        )
 
     def number(key: str, kind):
         try:
@@ -412,7 +427,9 @@ def builtin_from_address(address: str, n: int | None = None,
                               f"not a valid {kind.__name__}") from exc
 
     if "n" in params:
-        n = number("n", int)
+        given, n = n, number("n", int)
+        if given not in (None, n):
+            raise LayoutError(f"n={given} contradicts the address's n={n}")
     if n is None:
         raise LayoutError(f"builtin address {address!r} needs an n parameter")
     delta = number("delta", float) if "delta" in params else None

@@ -28,7 +28,6 @@ from .linalg import (
     binary_entropy,
     pure_distance_amplitudes,
     schmidt_compressor,
-    trace_distance_matrices,
     uhlmann_unitary,
 )
 from .states import Isometry, StateVector, matricize
@@ -41,7 +40,6 @@ from .qpir import (
     bit_of,
     correctness_delta,
     privacy_epsilon_purified,
-    server_marginals,
 )
 
 #: Above this privacy leak the purifier-rotation argument says nothing:
@@ -68,7 +66,6 @@ class RandomAccessEncoding:
     decoders: tuple[Isometry, ...]           # U^{1->i} E: compressed -> client, (d_client, r)
     correctness: CorrectnessReport           # carries the per-index projectors
     rotation_distances: tuple[float, ...]    # D((1 x U E)c_1, nu_i) achieved
-    marginal_distances: tuple[float, ...]    # D(tr_C nu_i, tr_C nu_1)
     compressed_runs: np.ndarray              # (r, server_dim, 2^n), unit columns
 
 
@@ -105,9 +102,6 @@ def build_rae(run: PurifiedRun,
         decoders.append(x)
         rot_dist.append(pure_distance_amplitudes(ms[:, :, j].reshape(-1),
                                                  (x.matrix @ c1).reshape(-1)))
-    margs = server_marginals(run)
-    marg_dist = [trace_distance_matrices(marg, margs[0]) for marg in margs]
-
     # index-1 run of every database; slicing first copies only these columns
     t = matricize(run.basis[:, 0::n], run.layout, client)
     comp = np.einsum("ci,csx->isx", emat.conj(), t, optimize=True)
@@ -135,7 +129,6 @@ def build_rae(run: PurifiedRun,
         decoders=tuple(decoders),
         correctness=correctness,
         rotation_distances=tuple(rot_dist),
-        marginal_distances=tuple(marg_dist),
         compressed_runs=comp,
     )
 
@@ -246,7 +239,7 @@ class BoundReport:
     bound_value: float
     nayak: NayakVerdict
     rotation_distances: tuple[float, ...]
-    marginal_distances: tuple[float, ...]
+    marginal_distances: tuple[float, ...]  # D(server_i, server_1), from privacy
     privacy_premise_ok: bool
     guarantee_vacuous: bool
     guarantee_met: bool | None     # None when the privacy premise fails
@@ -301,7 +294,7 @@ def bound_report(qpir: QpirProtocol,
         bound_value=bound,
         nayak=nayak,
         rotation_distances=rae.rotation_distances,
-        marginal_distances=rae.marginal_distances,
+        marginal_distances=tuple(float(d) for d in privacy.distance_matrix[:, 0]),
         privacy_premise_ok=premise_ok,
         guarantee_vacuous=vacuous,
         guarantee_met=guarantee_met,

@@ -1,13 +1,15 @@
 """State and operator value types over labeled register layouts.
 
-Everything is an immutable dense complex array plus a layout.  Application
-helpers address tensor factors by label, so callers never juggle axis
+Everything is an immutable dense complex array plus a layout.  `matricize`
+is the one tensor helper: it moves the factors named by label to the front,
+which also reorders a state's factors, so callers never juggle axis
 permutations by hand.
 
-Execution is pure: protocols run on `StateVector`s through isometries, and a
-`KrausChannel` enters a run only through its Stinespring dilation
-(`stinespring`).  `DensityOperator`, `pure_density` and `apply_channel` are
-the density-operator reference that the tests check the dilation against.
+Execution is pure: protocols run batches of amplitude columns through
+isometries, and a `KrausChannel` enters a run only through its Stinespring
+dilation (`stinespring`).  `DensityOperator`, `pure_density` and
+`apply_channel` are the density-operator reference that the tests check the
+dilation against.
 """
 
 from __future__ import annotations
@@ -51,9 +53,6 @@ class StateVector:
         if abs(norm - 1.0) > ATOL_NORM:
             raise LayoutError(f"state vector norm {norm} is not 1 within {ATOL_NORM}")
         object.__setattr__(self, "amplitudes", amps)
-
-    def tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape(self.layout.dims())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, StateVector) and self.layout == other.layout
@@ -177,15 +176,6 @@ def stinespring(op: Operation) -> np.ndarray:
 # construction helpers
 # ---------------------------------------------------------------------------
 
-def tensor(*states: StateVector) -> StateVector:
-    amps = states[0].amplitudes
-    lay = states[0].layout
-    for s in states[1:]:
-        amps = np.kron(amps, s.amplitudes)
-        lay = concat(lay, s.layout)
-    return StateVector(lay, amps)
-
-
 def pure_density(state: StateVector) -> DensityOperator:
     amps = state.amplitudes
     return DensityOperator(state.layout, np.outer(amps, amps.conj()))
@@ -218,15 +208,6 @@ def matricize(array: np.ndarray, layout: RegisterLayout, labels: Sequence[str],
     batch = array.shape[1:]
     t = array.reshape(dims + batch).transpose(perm + list(range(n, n + len(batch))))
     return t.reshape(shape + batch)
-
-
-def permute_registers(state: StateVector, label_order: Sequence[str]) -> StateVector:
-    """Reorder tensor factors to `label_order` (a permutation of the labels)."""
-    lay = state.layout
-    if tuple(label_order) == lay.labels():
-        return state
-    t = matricize(state.amplitudes, lay, label_order)
-    return StateVector(lay.reordered(label_order), t.reshape(-1))
 
 
 def _check_factor(layout: RegisterLayout, wanted: RegisterLayout) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from qpirlab import cli, serialize
-from qpirlab.linalg import uhlmann_unitary
+from qpirlab.linalg import haar_unitary_matrix, uhlmann_unitary
 from qpirlab.protocol import ProtocolSpec
 from qpirlab.qpir import (
     PurifiedRun,
@@ -116,6 +116,29 @@ def test_decoders_are_thin():
             assert decoder.matrix.shape == (d_client, rae.compressed_dim)
 
 
+def test_marginal_distances_are_the_privacy_distances():
+    """epsilon_used is the largest marginal distance, to the last bit:
+    both are read from one distance matrix."""
+    rep = bound_report(builtin("random", 4, seed=2))
+    assert rep.epsilon_used == max(rep.marginal_distances)
+    assert rep.marginal_distances[0] == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_builtin_first_op_matches_the_kron_formula(n, seed):
+    """A1 is (u_a (x) u_x) times the basis-copy isometry |j> -> |j>|j>,
+    with u_a and u_x the third and fourth draws of the seed's generator."""
+    rng = np.random.default_rng(seed)
+    ell = int(rng.integers(0, 2))
+    rng.integers(0, ell + 1)
+    da = 2 ** n
+    u_a, u_x = haar_unitary_matrix(da, rng), haar_unitary_matrix(da, rng)
+    want = np.kron(u_a, u_x) @ np.eye(da * da)[:, :: da + 1]
+    got = builtin("random", n, seed=seed).spec.a_ops[0].matrix
+    assert np.array_equal(got, want)
+
+
 def test_attack_and_privacy_share_one_distance_matrix():
     qpir = builtin("random", 3, seed=1)
     privacy = privacy_epsilon_purified(PurifiedRun(qpir))
@@ -176,6 +199,18 @@ def test_leaky_client_is_not_reported_as_a_bound_violation(tmp_path):
 
 
 # -- CLI behaviour -----------------------------------------------------------
+
+def test_protocol_file_n_must_agree_with_the_n_flag(tmp_path, capsys):
+    data = serialize.protocol_spec_to_json(builtin("trivial", 2).spec)
+    data["n"] = 2
+    path = tmp_path / "trivial.json"
+    serialize.dump(data, str(path))
+    assert _cli(["qpir-correctness", "--protocol", str(path), "--n", "2"])[0] == 0
+    code, out = _cli(["qpir-correctness", "--protocol", str(path), "--n", "3"])
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("qpirlab: error:") and "Traceback" not in err
+
 
 @pytest.mark.parametrize("n", ["abc", 2.5, True, 0])
 def test_protocol_file_n_must_be_a_positive_int(n, tmp_path, capsys):
@@ -281,9 +316,18 @@ IGNORED_FLAGS = [
     ["fuzz", "--protocol", "builtin:trivial?n=2"],
     ["bound", "--n", "3", "--protocol", "builtin:trivial?n=2", "--seed", "3"],
 ]
+#: Address parameters a builtin does not read, and an --n it contradicts.
+IGNORED_PARAMETERS = [
+    ["qpir-correctness", "--protocol", "builtin:random?n=2&sed=5"],
+    ["reduce", "--protocol", "builtin:trivial?n=2&foo=1"],
+    ["reduce", "--protocol", "builtin:trivial?n=2&delta=0.3"],
+    ["reduce", "--protocol", "builtin:index-in-clear?n=2&seed=4"],
+    ["reduce", "--protocol", "builtin:trivial?n=2", "--n", "3"],
+]
 
 
-@pytest.mark.parametrize("argv", BAD_NUMBERS + IGNORED_FLAGS, ids=" ".join)
+@pytest.mark.parametrize("argv", BAD_NUMBERS + IGNORED_FLAGS + IGNORED_PARAMETERS,
+                         ids=" ".join)
 def test_bad_input_ends_in_a_clean_error(argv, capsys):
     code, out = _cli(argv)
     err = capsys.readouterr().err
@@ -330,12 +374,13 @@ def test_certify_rejects_removed_options(flag):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count purify_both and execute calls and the column count of every
-    batch run."""
+    """Count purify_both, execute and server_marginals calls and the column
+    count of every batch run."""
     import qpirlab.protocol as protocol
-    seen = {"purify_both": 0, "execute": 0, "batches": []}
+    import qpirlab.qpir as qpir
+    seen = {"purify_both": 0, "execute": 0, "server_marginals": 0, "batches": []}
     purify, batch = protocol.purify_both, protocol.execute_pure_batch
-    execute = protocol.execute
+    execute, marginals = protocol.execute, qpir.server_marginals
 
     def counted_purify(spec):
         seen["purify_both"] += 1
@@ -344,6 +389,10 @@ def calls(monkeypatch):
     def counted_execute(spec, rho_in):
         seen["execute"] += 1
         return execute(spec, rho_in)
+
+    def counted_marginals(run):
+        seen["server_marginals"] += 1
+        return marginals(run)
 
     def counted_batch(spec, layout, columns):
         seen["batches"].append(columns.shape[1])
@@ -359,6 +408,8 @@ def calls(monkeypatch):
                 monkeypatch.setattr(module, attr, counted_batch)
             elif value is execute:
                 monkeypatch.setattr(module, attr, counted_execute)
+            elif value is marginals:
+                monkeypatch.setattr(module, attr, counted_marginals)
     return seen
 
 
@@ -366,6 +417,7 @@ def test_reduce_purifies_once_and_runs_two_batches(calls):
     n = 4
     bound_report(builtin("random", n, seed=5))
     assert calls["purify_both"] == 1
+    assert calls["server_marginals"] == 1
     assert sorted(calls["batches"]) == [n, 2 ** n * n]
 
 

@@ -9,10 +9,9 @@ from qpirlab.states import (
     DensityOperator,
     Isometry,
     StateVector,
-    permute_registers,
+    matricize,
     pure_density,
     reduced_density_matrix,
-    tensor,
 )
 from qpirlab.linalg import (
     binary_entropy,
@@ -123,7 +122,8 @@ class TestSchmidt:
         assert np.allclose(dec.coefficients[:2], [1 / math.sqrt(2)] * 2, atol=1e-12)
 
     def test_product_state_rank_one(self):
-        prod = tensor(PLUS, basis(RegisterLayout.of(("b", 3)), 2))
+        prod = StateVector(RegisterLayout.of(("q", 2), ("b", 3)),
+                           np.kron(PLUS.amplitudes, [0.0, 0.0, 1.0]))
         dec = schmidt_decompose(prod, ["q"])
         assert dec.rank == 1
 
@@ -153,8 +153,7 @@ class TestSchmidtCompressor:
 
     def test_fixed_factor_compresses_to_one(self, rng):
         lay = RegisterLayout.of(("a", 8), ("b", 3))
-        psi = tensor(basis(RegisterLayout.of(("a", 8)), 0),
-                     StateVector(RegisterLayout.of(("b", 3)), random_pure(rng, 3)))
+        psi = StateVector(lay, np.kron(np.eye(8)[0], random_pure(rng, 3)))
         comp = schmidt_compressor(psi, ["a"])
         assert comp.input_layout.total_dim == 1
 
@@ -169,7 +168,7 @@ class TestSchmidtCompressor:
         assert comp.input_layout.total_dim == 3
         # round trip: project the cut factor onto the support and back
         proj = comp.matrix @ comp.matrix.conj().T
-        t = psi.tensor().reshape(8, 4)
+        t = psi.amplitudes.reshape(8, 4)
         assert np.linalg.norm(proj @ t - t) < 1e-8
 
 
@@ -187,8 +186,9 @@ class TestUhlmann:
         phi = StateVector(lay, random_pure(rng, 9))
         perm = np.zeros((3, 3), dtype=complex)
         perm[0, 1] = perm[1, 2] = perm[2, 0] = 1.0
-        psi = permute_registers(StateVector(RegisterLayout.of(("p", 3), ("a", 3)),
-                                           on_factor(perm, phi, ["p"])), ("a", "p"))
+        rotated = on_factor(perm, phi, ["p"])  # over (p, a)
+        psi = StateVector(lay, matricize(rotated, lay.reordered(["p", "a"]),
+                                         ["a", "p"]).reshape(-1))
         u = uhlmann_unitary(phi, psi, identity_support(lay, ["p"]))
         rotated = on_factor(u.matrix, psi, ["p"])
         target = on_factor(np.eye(3), phi, ["p"])

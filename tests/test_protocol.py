@@ -162,6 +162,19 @@ def test_batch_validates_the_reference_register():
         execute_pure_batch(spec, lay, np.eye(lay.total_dim, dtype=complex))
 
 
+@pytest.mark.parametrize("label", ["A1", "X1", "B1"])
+def test_a_reference_label_taken_by_the_protocol_is_rejected(label):
+    """Both entry points reject it up front, before any op meets it."""
+    spec = builtin("trivial", 2).spec
+    lay = concat(spec.a_memory[0], spec.b_memory[0],
+                 RegisterLayout.of((label, 1)))
+    amps = np.eye(lay.total_dim, dtype=complex)
+    with pytest.raises(ShapeMismatch, match="label"):
+        execute(spec, StateVector(lay, amps[:, 0]))
+    with pytest.raises(ShapeMismatch, match="label"):
+        execute_pure_batch(spec, lay, amps)
+
+
 def test_reference_register_is_inert(rng):
     spec = move_protocol()
     qubit = random_pure(rng, 2)
@@ -302,17 +315,21 @@ class TestExecuteSemantics:
         with pytest.raises(LayoutError):
             execute_pure_batch(p.spec, lay, np.eye(lay.total_dim, dtype=complex))
 
-    def test_batch_agrees_with_single_runs(self, rng):
-        p = builtin("trivial", 3)
-        spec_pp = purify_both(p.spec)
-        lay = concat(spec_pp.a_memory[0], spec_pp.b_memory[0])
-        cols = np.stack([qpir_input(p, x, 1).amplitudes for x in (0, 5)], axis=1)
-        final_lay, final = execute_pure_batch(spec_pp, lay, cols)
-        for j, x in enumerate((0, 5)):
-            single = execute(spec_pp, qpir_input(p, x, 1)).final
-            single = single.amplitudes if single.layout == final_lay else None
-            assert single is not None
-            assert np.allclose(final[:, j], single, atol=1e-12)
+    @pytest.mark.parametrize("name, params", BUILTINS, ids=[b[0] for b in BUILTINS])
+    def test_a_reference_register_is_a_batch_axis(self, name, params):
+        """The entangled-ref input sum_k |k>|k>_R / sqrt(d) ends in the batch
+        run of every basis input |k>, divided by sqrt(d), column k read as
+        the value of R."""
+        spec = purify_both(builtin(name, 2, **params).spec)
+        _, psi = default_input_suite(spec)[-1]
+        lay = concat(spec.a_memory[0], spec.b_memory[0])
+        d = lay.total_dim
+        final_lay, basis_runs = execute_pure_batch(spec, lay,
+                                                   np.eye(d, dtype=complex))
+        final = execute(spec, psi).final
+        assert final.layout == concat(final_lay, psi.layout.sub(["R"]))
+        got = final.amplitudes.reshape(-1, d)
+        assert np.max(np.abs(got - basis_runs / np.sqrt(d))) < 1e-12
 
 
 class TestRandomProtocol:
