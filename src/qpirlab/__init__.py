@@ -29,13 +29,12 @@ from .states import (
     stinespring,
 )
 from .linalg import (
-    SchmidtDecomposition,
     HelstromResult,
     binary_entropy,
     fidelity_matrices,
     helstrom_matrices,
+    schmidt_coefficients,
     schmidt_compressor,
-    schmidt_decompose,
     schmidt_rank,
     trace_distance_matrices,
     uhlmann_unitary,

@@ -15,8 +15,11 @@ reads:
 
 --protocol is a JSON file or `builtin:<name>?<params>`: trivial and
 index-in-clear read n, noisy-trivial n and delta, random n and seed.  Any
-other parameter is an error, and so is an --n that contradicts the
-address's or the file's n.  --n and --seed fill in a missing n and seed.
+other parameter is an error.  --n fills in a missing n and --seed a
+missing seed; either is an error where it contradicts the address's (or,
+for --n, the file's).  --seed is also an error for a builtin that reads no
+seed and for a protocol file.  Without one, the random builtin's seed is 0,
+as is fuzz's.
 
 `run` checks the input |x>|i> and reports the protocol's step table: the
 registers alive after each step, and whether a pure input stays pure (every
@@ -39,7 +42,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -49,7 +51,7 @@ from .registers import DEFAULT_DIM_GUARD, set_dim_guard
 from .linalg import (
     DEFAULT_RANK_TOL,
     fidelity_matrices,
-    schmidt_decompose,
+    schmidt_coefficients,
     trace_distance_matrices,
 )
 from .protocol import (
@@ -123,8 +125,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--n", type=_SIZE, default=None)
         if verb in _PROTOCOL_VERBS or verb == "fuzz":
             p.add_argument("--seed", type=_COUNT,
-                           default=os.environ.get("QPIRLAB_SEED") or "0",
-                           help="default: $QPIRLAB_SEED, else 0")
+                           default=0 if verb == "fuzz" else None)
         if verb in ("reduce", "schmidt", "fuzz"):
             p.add_argument("--rank-tol", type=_RANK_TOL, default=DEFAULT_RANK_TOL)
         if verb == "fuzz":
@@ -146,6 +147,8 @@ def _resolve_qpir(args) -> QpirProtocol:
         raise CliInputError("--protocol is required for this verb")
     if args.protocol.startswith("builtin:"):
         return builtin_from_address(args.protocol, n=args.n, seed=args.seed)
+    if args.seed is not None:
+        raise CliInputError(f"protocol file {args.protocol} reads no --seed")
     try:
         data = serialize.load(args.protocol)
     except OSError as exc:
@@ -234,17 +237,7 @@ def _verb_correctness(args):
 
 
 def _verb_privacy(args):
-    qpir = _resolve_qpir(args)
-    rep = privacy_epsilon_purified(PurifiedRun(qpir))
-    return {
-        "n": rep.n,
-        "distance_matrix": [list(map(float, row)) for row in rep.distance_matrix],
-        "epsilon_by_reference": list(rep.epsilon_by_reference),
-        "epsilon_hat": rep.epsilon_hat,
-        "reference_index": rep.reference_index,
-        "per_index_distances": list(rep.per_index_distances),
-        "pairwise_lower": rep.pairwise_lower,
-    }, False
+    return privacy_epsilon_purified(PurifiedRun(_resolve_qpir(args))).to_dict(), False
 
 
 def _verb_attack(args):
@@ -277,7 +270,8 @@ def _verb_schmidt(args):
     transcript = execute(spec_pp, psi)
     final = transcript.final
     cut = spec_pp.a_memory[-1].labels()
-    dec = schmidt_decompose(final, cut, rank_tol=args.rank_tol)
+    coefficients = schmidt_coefficients(final, cut)
+    kept = coefficients[coefficients > args.rank_tol]
     c = communication_complexity(qpir.spec)
     cap = 2 ** c
     events = rank_trace(transcript, rank_tol=args.rank_tol)
@@ -285,10 +279,10 @@ def _verb_schmidt(args):
         "n": qpir.n,
         "i": args.i,
         "communication": c,
-        "rank": dec.rank,
+        "rank": len(kept),
         "rank_cap": cap,
-        "rank_within_cap": dec.rank <= cap + 1e-9,
-        "coefficients": [float(x) for x in dec.coefficients[:dec.rank]],
+        "rank_within_cap": len(kept) <= cap + 1e-9,
+        "coefficients": [float(x) for x in kept],
         "events": [{"step": e.step, "rank": e.rank, "bound": e.bound,
                     "ok": e.ok} for e in events],
     }

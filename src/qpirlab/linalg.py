@@ -1,6 +1,10 @@
 """Distances, binary entropy, Schmidt decompositions, and the Uhlmann and
 Helstrom solvers, on raw matrices and state vectors.
 
+Every Schmidt question (the coefficients, the rank, the compressor onto the
+support) is one SVD of the state's amplitudes matricized across a validated
+cut; ranks count the coefficients above a tolerance.
+
 Conventions:
     trace distance   D(rho, sigma) = (1/2) ||rho - sigma||_1
     fidelity         F(rho, sigma) = ||rho^{1/2} sigma^{1/2}||_1
@@ -14,7 +18,6 @@ so global phases are irrelevant throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -93,68 +96,28 @@ def fidelity_matrices(a: np.ndarray, b: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Schmidt machinery
+# Schmidt decomposition across a cut
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SchmidtDecomposition:
-    """Bipartite decomposition sum_i lambda_i |a_i>|b_i> across a label cut."""
-
-    cut_labels: tuple[str, ...]
-    rest_labels: tuple[str, ...]
-    coefficients: np.ndarray     # descending, nonnegative, sum of squares 1
-    left_basis: np.ndarray       # (dim_cut, k) orthonormal columns
-    right_basis: np.ndarray      # (dim_rest, k) orthonormal columns
-    rank: int
-
-    def reconstruct(self) -> np.ndarray:
-        """Amplitudes over (cut ++ rest) register order."""
-        m = (self.left_basis * self.coefficients) @ self.right_basis.T
-        return m.reshape(-1)
-
-
-def _split_cut(layout: RegisterLayout, cut: Iterable[str]) -> tuple[RegisterLayout, RegisterLayout]:
-    cut_lay = layout.sub(cut)
-    if len(cut_lay) == 0 or len(cut_lay) == len(layout):
+def _across(state: StateVector,
+            cut: Iterable[str]) -> tuple[RegisterLayout, np.ndarray]:
+    """The `cut` sub-layout, in layout order, and the amplitudes as a
+    (dim_cut, dim_rest) matrix; the cut must be a proper nonempty subset."""
+    cut_lay = state.layout.sub(cut)
+    if len(cut_lay) in (0, len(state.layout)):
         raise LayoutError("cut must be a proper nonempty subset of the registers")
-    rest_lay = layout.drop(cut_lay.labels())
-    return cut_lay, rest_lay
+    return cut_lay, matricize(state.amplitudes, state.layout, cut_lay.labels())
 
 
-def state_matricization(state: StateVector, cut: Iterable[str]) -> np.ndarray:
-    """Amplitudes as a (dim_cut, dim_rest) matrix, cut labels in layout order."""
-    cut_lay, _ = _split_cut(state.layout, cut)
-    return matricize(state.amplitudes, state.layout, cut_lay.labels())
-
-
-def schmidt_decompose(state: StateVector, cut: Iterable[str],
-                      rank_tol: float = DEFAULT_RANK_TOL) -> SchmidtDecomposition:
-    """Schmidt decomposition of a pure state across the `cut` labels."""
-    cut_lay, rest_lay = _split_cut(state.layout, cut)
-    m = state_matricization(state, cut)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    rank = int(np.sum(s > rank_tol))
-    coeffs = s.copy()
-    coeffs.setflags(write=False)
-    left = u.copy()
-    left.setflags(write=False)
-    right = vh.T.copy()  # columns are the right Schmidt vectors (no conjugate)
-    right.setflags(write=False)
-    return SchmidtDecomposition(
-        cut_labels=cut_lay.labels(),
-        rest_labels=rest_lay.labels(),
-        coefficients=coeffs,
-        left_basis=left,
-        right_basis=right,
-        rank=rank,
-    )
+def schmidt_coefficients(state: StateVector, cut: Iterable[str]) -> np.ndarray:
+    """Schmidt coefficients of a pure state across the `cut` labels:
+    descending and nonnegative, with squares summing to 1."""
+    return np.linalg.svd(_across(state, cut)[1], compute_uv=False)
 
 
 def schmidt_rank(state: StateVector, cut: Iterable[str],
                  rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    m = state_matricization(state, cut)
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(s > rank_tol))
+    return int(np.sum(schmidt_coefficients(state, cut) > rank_tol))
 
 
 def schmidt_compressor(state: StateVector, cut: Iterable[str],
@@ -163,23 +126,24 @@ def schmidt_compressor(state: StateVector, cut: Iterable[str],
     """Isometry embedding a rank-r space into the `cut` factor.
 
     The returned isometry maps the compressed register onto the support of
-    the reduced state on `cut`.  Compression applies the adjoint; applying
-    adjoint-then-isometry acts as the identity on any vector whose `cut`
-    marginal lives in that support, in particular on `state` itself and, by
-    linearity, on every branch of a superposition it came from.
+    the reduced state on `cut`: its columns are the left Schmidt vectors
+    whose coefficients exceed `rank_tol`.  Compression applies the adjoint;
+    applying adjoint-then-isometry acts as the identity on any vector whose
+    `cut` marginal lives in that support, in particular on `state` itself
+    and, by linearity, on every branch of a superposition it came from.
     """
-    dec = schmidt_decompose(state, cut, rank_tol=rank_tol)
-    r = dec.rank
+    cut_lay, m = _across(state, cut)
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    r = int(np.sum(s > rank_tol))
     if r == 0:
         raise LayoutError(
             f"rank tolerance {rank_tol} is at or above every Schmidt coefficient "
-            f"across {dec.cut_labels} (largest {dec.coefficients[0]:.6g}): "
+            f"across {cut_lay.labels()} (largest {s[0]:.6g}): "
             f"nothing is left to compress onto"
         )
-    cut_lay = state.layout.sub(cut)
-    label = compressed_label or ("+".join(dec.cut_labels) + "'")
+    label = compressed_label or ("+".join(cut_lay.labels()) + "'")
     compressed = RegisterLayout((Register(label, r),))
-    return Isometry(compressed, cut_lay, dec.left_basis[:, :r])
+    return Isometry(compressed, cut_lay, u[:, :r])
 
 
 # ---------------------------------------------------------------------------
@@ -232,23 +196,22 @@ def uhlmann_unitary(phi: StateVector, psi: StateVector,
 
 class HelstromResult(NamedTuple):
     probability: float
-    projector: np.ndarray  # optimal outcome-0 projector (positive eigenspace)
+    positive: np.ndarray   # (d, k) orthonormal basis of the outcome-0 eigenspace
 
 
 def helstrom_matrices(rho0: np.ndarray, rho1: np.ndarray, prior0: float) -> HelstromResult:
     """Optimal two-outcome discrimination: 1/2 + (1/2)||p0 rho0 - p1 rho1||_1.
 
-    Returns the success probability together with the optimal projector
-    (onto the positive eigenspace; outcome 0 fires when it clicks).
+    Returns the success probability together with an orthonormal basis of
+    the positive eigenspace of p0 rho0 - p1 rho1: the optimal measurement
+    projects onto its span, and outcome 0 fires when it clicks.
     """
     if not 0.0 <= prior0 <= 1.0:
         raise ValueError(f"prior0 must lie in [0, 1], got {prior0}")
     m = prior0 * rho0 - (1.0 - prior0) * rho1
     w, v = np.linalg.eigh(m)
     prob = 0.5 + 0.5 * float(np.sum(np.abs(w)))
-    pos = v[:, w > 0.0]
-    proj = pos @ pos.conj().T
-    return HelstromResult(min(1.0, prob), proj)
+    return HelstromResult(min(1.0, prob), v[:, w > 0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,18 @@ encoding), party B the client (index input i, n-dimensional encoding).
 Every audit reads one `PurifiedRun`: the protocol with both parties
 purified, run once on every basis input |x>|i> and once on the uniform
 database superposition with each index.  Correctness is judged by optimal
-discrimination of the client's final states averaged over databases (basis
-runs); privacy by comparing the purified server's marginals across index
-inputs (superposition runs).
+(Helstrom) discrimination of the client's final states averaged over
+databases (basis runs), and each index's optimal measurement is kept, as a
+basis of its outcome-0 eigenspace, for the reduction's decoder to apply;
+privacy by comparing the purified server's marginals across index inputs
+(superposition runs).
 """
 
 from __future__ import annotations
 
 import math
 import urllib.parse
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -134,15 +136,16 @@ class CorrectnessReport:
 
     The measurement for index i distinguishes the client's average final
     state over {x : x_i = 0} from the one over {x : x_i = 1}; it depends on
-    i but never on x.
+    i but never on x.  It is stored as an orthonormal basis of its outcome-0
+    eigenspace over the client's final registers, so applying it is one
+    matmul.
     """
 
     n: int
     deltas: tuple[float, ...]
     delta_max: float
     delta_avg: float
-    measured_labels: tuple[str, ...]
-    projectors: tuple[np.ndarray, ...]   # outcome-0 projector per index
+    measurements: tuple[np.ndarray, ...]   # (d_client, k_i) outcome-0 basis per index
 
 
 def correctness_delta(run: PurifiedRun) -> CorrectnessReport:
@@ -157,7 +160,7 @@ def correctness_delta(run: PurifiedRun) -> CorrectnessReport:
     t = matricize(run.basis, run.layout, qpir.client_labels())
     d_client = t.shape[0]
     deltas = []
-    projectors = []
+    measurements = []
     half = 2 ** (n - 1)
     for i in range(1, n + 1):
         mats = []
@@ -167,14 +170,13 @@ def correctness_delta(run: PurifiedRun) -> CorrectnessReport:
             mats.append((m @ m.conj().T) / half)
         res: HelstromResult = helstrom_matrices(mats[0], mats[1], 0.5)
         deltas.append(max(0.0, 1.0 - res.probability))
-        projectors.append(res.projector)
+        measurements.append(res.positive)
     return CorrectnessReport(
         n=n,
         deltas=tuple(deltas),
         delta_max=max(deltas),
         delta_avg=float(np.mean(deltas)),
-        measured_labels=qpir.client_labels(),
-        projectors=tuple(projectors),
+        measurements=tuple(measurements),
     )
 
 
@@ -198,6 +200,11 @@ class PrivacyReport:
     reference_index: int                 # 1-based argmin
     per_index_distances: tuple[float, ...]
     pairwise_lower: float                # max pairwise distance, halved
+
+    def to_dict(self) -> dict:
+        """The fields in order, the distance matrix as nested lists."""
+        rows = [list(map(float, row)) for row in self.distance_matrix]
+        return {**asdict(self), "distance_matrix": rows}
 
 
 def server_marginals(run: PurifiedRun) -> list[np.ndarray]:
@@ -360,36 +367,39 @@ def build_random_qpir(n: int, seed: int) -> QpirProtocol:
     return QpirProtocol(n, spec)
 
 
-#: Builtin name -> (kind, the address parameters it reads).
+#: Builtin name -> (builder, the parameters it reads, in its argument order).
 _BUILTINS = {
-    "trivial": ("trivial", ("n",)),
-    "trivial-qpir": ("trivial", ("n",)),
-    "index-in-clear": ("index-in-clear", ("n",)),
-    "noisy-trivial": ("noisy-trivial", ("n", "delta")),
-    "random": ("random", ("n", "seed")),
-    "random-qpir": ("random", ("n", "seed")),
+    "trivial": (build_trivial, ("n",)),
+    "trivial-qpir": (build_trivial, ("n",)),
+    "index-in-clear": (build_index_in_clear, ("n",)),
+    "noisy-trivial": (build_noisy_trivial, ("n", "delta")),
+    "random": (build_random_qpir, ("n", "seed")),
+    "random-qpir": (build_random_qpir, ("n", "seed")),
 }
 
-
-def _builtin_entry(name: str) -> tuple[str, tuple[str, ...]]:
-    if name not in _BUILTINS:
-        raise LayoutError(f"unknown builtin {name!r}; known: {sorted(_BUILTINS)}")
-    return _BUILTINS[name]
+#: Every builtin parameter and the type its address value parses to.
+_PARAMETER_TYPES = {"n": int, "delta": float, "seed": int}
 
 
 def builtin(name: str, n: int, delta: float | None = None,
             seed: int | None = None) -> QpirProtocol:
-    """Construct a named built-in protocol."""
-    kind, _ = _builtin_entry(name)
-    if kind == "trivial":
-        return build_trivial(n)
-    if kind == "index-in-clear":
-        return build_index_in_clear(n)
-    if kind == "noisy-trivial":
-        if delta is None:
-            raise LayoutError("noisy-trivial requires a delta parameter")
-        return build_noisy_trivial(n, delta)
-    return build_random_qpir(n, 0 if seed is None else seed)
+    """Construct a named built-in protocol.
+
+    A `delta` or `seed` the builtin does not read is an error; noisy-trivial
+    needs a delta, and random's seed defaults to 0.
+    """
+    if name not in _BUILTINS:
+        raise LayoutError(f"unknown builtin {name!r}; known: {sorted(_BUILTINS)}")
+    build, reads = _BUILTINS[name]
+    unread = [key for key, value in (("delta", delta), ("seed", seed))
+              if value is not None and key not in reads]
+    if unread:
+        raise LayoutError(f"builtin {name!r} reads only {', '.join(reads)}, "
+                          f"not {', '.join(unread)}")
+    if "delta" in reads and delta is None:
+        raise LayoutError(f"{name} requires a delta parameter")
+    args = {"n": n, "delta": delta, "seed": 0 if seed is None else seed}
+    return build(*(args[key] for key in reads))
 
 
 def parse_builtin_address(address: str) -> tuple[str, dict[str, str]]:
@@ -407,32 +417,25 @@ def parse_builtin_address(address: str) -> tuple[str, dict[str, str]]:
 
 def builtin_from_address(address: str, n: int | None = None,
                          seed: int | None = None) -> QpirProtocol:
-    """The builtin an address names.  `n` and `seed` are defaults for an
-    address without them; an `n` that contradicts the address's is an
-    error, and so is a parameter the builtin does not read."""
+    """The builtin an address names.  `n` and `seed` fill in an address
+    without them; one that contradicts the address's is an error, and so
+    is a parameter the builtin does not read."""
     name, params = parse_builtin_address(address)
-    _, reads = _builtin_entry(name)
-    unread = sorted(set(params) - set(reads))
-    if unread:
-        raise LayoutError(
-            f"builtin {name!r} reads only {', '.join(reads)}; "
-            f"unknown parameter(s) {', '.join(unread)}"
-        )
-
-    def number(key: str, kind):
+    values = {}
+    for key, text in params.items():
+        if key not in _PARAMETER_TYPES:
+            raise LayoutError(f"builtin address {address!r} has unknown parameter "
+                              f"{key!r}; known: {', '.join(_PARAMETER_TYPES)}")
+        kind = _PARAMETER_TYPES[key]
         try:
-            return kind(params[key])
+            values[key] = kind(text)
         except ValueError as exc:
-            raise LayoutError(f"builtin parameter {key}={params[key]!r} is "
+            raise LayoutError(f"builtin parameter {key}={text!r} is "
                               f"not a valid {kind.__name__}") from exc
-
-    if "n" in params:
-        given, n = n, number("n", int)
-        if given not in (None, n):
-            raise LayoutError(f"n={given} contradicts the address's n={n}")
-    if n is None:
+    for key, given in (("n", n), ("seed", seed)):
+        value = values.setdefault(key, given)
+        if given not in (None, value):
+            raise LayoutError(f"{key}={given} contradicts the address's {key}={value}")
+    if values["n"] is None:
         raise LayoutError(f"builtin address {address!r} needs an n parameter")
-    delta = number("delta", float) if "delta" in params else None
-    if "seed" in params:
-        seed = number("seed", int)
-    return builtin(name, n, delta=delta, seed=seed)
+    return builtin(name, **values)

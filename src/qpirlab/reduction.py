@@ -6,11 +6,12 @@ each input batch run once).  The uniform-database superposition runs nu_i
 give the client subspace actually used, which is Schmidt-compressed to
 rank r; each database is encoded as the compressed client state of its
 index-1 basis run; and any index i is decoded by rotating nu_1 onto nu_i
-with a purifier-side (Uhlmann) unitary before measuring.  Only that
-unitary's action on the compressed support matters, so each decoder is
-stored as the d_client x r partial isometry U E (E the compressor), never
-as a d_client x d_client matrix.  The same run yields delta (basis runs)
-and epsilon (server marginals of the nu_i).  The measured recovery rate
+with a purifier-side (Uhlmann) unitary before measuring with index i's
+Helstrom measurement from the correctness audit.  Only that unitary's
+action on the compressed support matters, so each decoder is stored as
+the d_client x r partial isometry U E (E the compressor), never as a
+d_client x d_client matrix.  The same run yields delta (basis runs) and
+epsilon (server marginals of the nu_i).  The measured recovery rate
 feeds the entropy bound on random-access-encoding size, which in turn
 bounds the protocol's communication from below.
 """
@@ -53,8 +54,8 @@ class RandomAccessEncoding:
 
     m is log2 of the compressed dimension (reported with its qubit
     ceiling); decoding index i applies its decoder, which decompresses and
-    rotates in one step, and measures the per-index discrimination
-    projector.
+    rotates in one step, and then index i's Helstrom measurement from
+    `correctness`.
     """
 
     n: int
@@ -64,7 +65,7 @@ class RandomAccessEncoding:
     compressed_dim: int
     compressor: Isometry                     # compressed register -> client factor
     decoders: tuple[Isometry, ...]           # U^{1->i} E: compressed -> client, (d_client, r)
-    correctness: CorrectnessReport           # carries the per-index projectors
+    correctness: CorrectnessReport           # carries the per-index measurements
     rotation_distances: tuple[float, ...]    # D((1 x U E)c_1, nu_i) achieved
     compressed_runs: np.ndarray              # (r, server_dim, 2^n), unit columns
 
@@ -143,17 +144,15 @@ def recovery_rates(rae: RandomAccessEncoding) -> tuple[tuple[float, ...], float]
     da = 2 ** n
     comp = rae.compressed_runs           # (r, d_server, da)
     r, d_server, _ = comp.shape
-    projectors = rae.correctness.projectors
-    d_meas = projectors[0].shape[0]      # the client's original registers
+    measurements = rae.correctness.measurements
+    d_meas = measurements[0].shape[0]    # the client's original registers
     d_bar = rae.compressor.output_layout.total_dim // d_meas
     rates = []
     for i in range(1, n + 1):
         decode = rae.decoders[i - 1].matrix                         # (d_client, r)
         decoded = decode @ comp.reshape(r, -1)                      # (d_client, ds*da)
         decoded = decoded.reshape(d_meas, d_bar * d_server * da)
-        w, v = np.linalg.eigh(projectors[i - 1])
-        plus = v[:, w > 0.5]
-        amp = plus.conj().T @ decoded
+        amp = measurements[i - 1].conj().T @ decoded
         p0 = np.sum(
             np.abs(amp.reshape(-1, d_bar * d_server, da)) ** 2, axis=(0, 1)
         )

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from qpirlab import cli, serialize
-from qpirlab.linalg import haar_unitary_matrix, uhlmann_unitary
+from qpirlab.errors import LayoutError
+from qpirlab.linalg import haar_unitary_matrix, schmidt_coefficients, uhlmann_unitary
 from qpirlab.protocol import ProtocolSpec
 from qpirlab.qpir import (
     PurifiedRun,
@@ -59,6 +60,39 @@ def test_trivial_audit_is_exact():
     assert rep.bound_value == pytest.approx(3.0, abs=1e-12)
     assert rep.nayak.holds and rep.consistency == "bound-applies"
     assert superposition_attack(builtin("trivial", 3)).verdict == "PRIVATE"
+
+
+@pytest.mark.parametrize("name, n, rank", [("trivial", 2, 4), ("trivial", 3, 8),
+                                           ("index-in-clear", 3, 2)])
+def test_final_states_have_flat_schmidt_coefficients(name, n, rank):
+    """Across the server cut every nu_i has `rank` equal coefficients.
+
+    trivial: nu_i = 2^(-n/2) sum_x |x>_server |x, i>_client, so 2^n of them.
+    index-in-clear: the server keeps x and i, the client i and x_i, so nu_i
+    splits into the halves x_i = 0 and x_i = 1, two of 1/sqrt(2).
+    """
+    run = PurifiedRun(builtin(name, n))
+    server = run.spec.a_memory[-1].labels()
+    for i in range(n):
+        s = schmidt_coefficients(StateVector(run.layout, run.superposition[:, i]),
+                                 server)
+        kept = s[s > 1e-10]
+        assert len(kept) == rank
+        assert np.max(np.abs(kept - 1 / math.sqrt(rank))) < 1e-12
+
+
+def test_the_helstrom_solves_are_the_only_eigendecompositions(monkeypatch):
+    """One eigh per index: the decoder applies the Helstrom eigenvectors
+    from the correctness audit instead of diagonalizing again."""
+    eigh, count = np.linalg.eigh, [0]
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    bound_report(builtin("trivial", 3))
+    assert count[0] == 3
 
 
 def test_noisy_trivial_audit_matches_the_bit_flip_rate():
@@ -324,15 +358,43 @@ IGNORED_PARAMETERS = [
     ["reduce", "--protocol", "builtin:index-in-clear?n=2&seed=4"],
     ["reduce", "--protocol", "builtin:trivial?n=2", "--n", "3"],
 ]
+#: Stands for a protocol file of trivial n=2 in an argv.
+PROTOCOL_FILE = "trivial.json"
+#: A --seed the protocol does not read, or one that contradicts the address.
+IGNORED_SEEDS = [
+    ["qpir-correctness", "--protocol", "builtin:trivial?n=2", "--seed", "5"],
+    ["qpir-correctness", "--protocol", "builtin:random?n=2&seed=3", "--seed", "5"],
+    ["reduce", "--protocol", PROTOCOL_FILE, "--seed", "7"],
+]
 
 
-@pytest.mark.parametrize("argv", BAD_NUMBERS + IGNORED_FLAGS + IGNORED_PARAMETERS,
-                         ids=" ".join)
-def test_bad_input_ends_in_a_clean_error(argv, capsys):
-    code, out = _cli(argv)
+@pytest.mark.parametrize(
+    "argv", BAD_NUMBERS + IGNORED_FLAGS + IGNORED_PARAMETERS + IGNORED_SEEDS,
+    ids=" ".join)
+def test_bad_input_ends_in_a_clean_error(argv, tmp_path, capsys):
+    path = tmp_path / PROTOCOL_FILE
+    serialize.dump(serialize.protocol_spec_to_json(builtin("trivial", 2).spec),
+                   str(path))
+    code, out = _cli([str(path) if arg == PROTOCOL_FILE else arg for arg in argv])
     err = capsys.readouterr().err
     assert code == 1 and out == ""
     assert err.startswith("qpirlab: error:") and "Traceback" not in err
+
+
+def test_a_seed_that_agrees_with_the_address_is_accepted():
+    addressed = ["qpir-correctness", "--protocol", "builtin:random?n=2&seed=3"]
+    expected = _cli(addressed)
+    assert expected[0] == 0
+    assert _cli(addressed + ["--seed", "3"]) == expected
+    assert _cli(["qpir-correctness", "--protocol", "builtin:random?n=2",
+                 "--seed", "3"]) == expected
+
+
+@pytest.mark.parametrize("name, params", [("trivial", {"delta": 0.3}),
+                                          ("index-in-clear", {"seed": 9})])
+def test_builtin_rejects_a_parameter_it_does_not_read(name, params):
+    with pytest.raises(LayoutError):
+        builtin(name, 2, **params)
 
 
 RANK_TOL_ABOVE_EVERY_COEFFICIENT = [

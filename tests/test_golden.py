@@ -11,7 +11,6 @@ regenerate the file and review its diff:
 import contextlib
 import io
 import json
-import os
 import pathlib
 import sys
 
@@ -69,8 +68,7 @@ def golden() -> dict:
 
 
 @pytest.mark.parametrize("argv", CELLS, ids=" ".join)
-def test_report_matches_golden(argv, golden, monkeypatch):
-    monkeypatch.delenv("QPIRLAB_SEED", raising=False)
+def test_report_matches_golden(argv, golden):
     _assert_matches(_run(argv), golden[" ".join(argv)], " ".join(argv))
 
 
@@ -79,7 +77,6 @@ def test_report_matches_golden(argv, golden, monkeypatch):
 def test_certify_builds_no_density_operator(argv, golden, monkeypatch):
     """`certify` compares marginals of pure runs: with the density-operator
     reference disabled everywhere in the package, its reports are unchanged."""
-    monkeypatch.delenv("QPIRLAB_SEED", raising=False)
 
     def disabled(*args, **kwargs):
         raise AssertionError("certify ran the density-operator reference")
@@ -100,6 +97,5 @@ def test_golden_file_covers_exactly_the_grid(golden):
 
 
 if __name__ == "__main__":
-    os.environ.pop("QPIRLAB_SEED", None)
     GOLDEN.write_text(json.dumps({" ".join(argv): _run(argv) for argv in CELLS},
                                  indent=1) + "\n")
