@@ -4,13 +4,14 @@ An adversary replaces one party's operations, using whatever memory spaces
 it likes but the host protocol's communication spaces.  It is certified
 gamma-specious *on a finite input suite* against supplied recovery maps:
 the existential over all recovery maps and all inputs is not searched.
-Purified adversaries come with analytic trace-out recovery maps and are the
-only ones the main reduction needs.  Ultimate speciousness is the same
-certification loop restricted to the final step and a single map.
+A recovery map is an isometry from the adversary's view into the honest
+registers plus any environment registers, which are traced out when states
+are compared; a Kraus channel enters through `states.stinespring`.  A
+purified adversary's map is the identity, its purifier the environment.
+Ultimate speciousness is the same loop restricted to the final step.
 
 Certification runs pure: the honest protocol and the protocol with the
-adversary installed are each run with both parties purified, and a
-recovery map enters through its Stinespring dilation.  Every state
+adversary installed are each run with both parties purified.  Every state
 compared is a marginal of one of those runs, so a purified adversary
 certifies at exactly 0 (both marginals come from the same vector); the
 density-operator reference that this equals is checked in the tests.
@@ -24,16 +25,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ShapeMismatch
-from .registers import Register, RegisterLayout, concat, fresh_label
+from .registers import Register, RegisterLayout, concat
 from .states import (
     Isometry,
-    KrausChannel,
     Operation,
     StateVector,
     apply_isometry,
-    matricize,
     reduced_density_matrix,
-    stinespring,
 )
 from .linalg import trace_distance_matrices
 from .protocol import ProtocolSpec, execute, purify_both, purify_party
@@ -115,20 +113,33 @@ def recovery_shapes(spec: ProtocolSpec, adv: AdversaryStrategy,
 
 def _check_map(spec: ProtocolSpec, adv: AdversaryStrategy, step: int,
                op: Operation, what: str) -> None:
+    if not isinstance(op, Isometry):
+        raise ShapeMismatch(
+            f"{what}: a {type(op).__name__} is not an Isometry; pass its "
+            f"Stinespring dilation (states.stinespring) with the Kraus index "
+            f"as an environment register"
+        )
     expect_in, expect_out = recovery_shapes(spec, adv, step)
-    if op.input_layout != expect_in or op.output_layout != expect_out:
+    if (op.input_layout != expect_in
+            or not set(expect_out.registers) <= set(op.output_layout.registers)):
         raise ShapeMismatch(
             f"{what}: ({op.input_layout.registers} -> "
             f"{op.output_layout.registers}) != expected "
-            f"({expect_in.registers} -> {expect_out.registers})"
+            f"({expect_in.registers} -> {expect_out.registers} + environment)"
         )
 
 
 @dataclass(frozen=True)
 class RecoveryMapSet:
-    """Per-step maps F_1..F_2s taking the adversary's view to the honest one."""
+    """Per-step maps F_1..F_2s taking the adversary's view to the honest one.
 
-    maps: tuple[Operation, ...]
+    F_t is an isometry from the view `recovery_shapes(...)[0]` onto every
+    register of `recovery_shapes(...)[1]` plus environment registers.  An
+    environment label must not name a register of the purified adversarial
+    run outside the view.
+    """
+
+    maps: tuple[Isometry, ...]
 
     def validate(self, spec: ProtocolSpec, adv: AdversaryStrategy) -> None:
         if len(self.maps) != 2 * spec.rounds:
@@ -139,41 +150,30 @@ class RecoveryMapSet:
             _check_map(spec, adv, i, op, f"recovery map {i}")
 
 
+def _identity_maps(spec: ProtocolSpec, adv: AdversaryStrategy) -> RecoveryMapSet:
+    """The identity on each step's adversary view; any registers of the view
+    that the honest party lacks are environment."""
+    views = (recovery_shapes(spec, adv, i)[0] for i in range(1, 2 * spec.rounds + 1))
+    return RecoveryMapSet(tuple(
+        Isometry(lay, lay, np.eye(lay.total_dim, dtype=np.complex128))
+        for lay in views))
+
+
 def identity_recovery(spec: ProtocolSpec, party: str) -> RecoveryMapSet:
     """Identity maps; certifies the honest strategy at epsilon 0."""
-    adv = honest_adversary(spec, party)
-    maps = []
-    for i in range(1, 2 * spec.rounds + 1):
-        lay_in, lay_out = recovery_shapes(spec, adv, i)
-        maps.append(Isometry(lay_in, lay_out,
-                             np.eye(lay_in.total_dim, dtype=np.complex128)))
-    return RecoveryMapSet(tuple(maps))
-
-
-def _trace_out_map(lay_in: RegisterLayout, drop: str) -> KrausChannel:
-    """Channel tracing out one register of `lay_in` (Kraus rows <e|)."""
-    bras = matricize(np.eye(lay_in.total_dim), lay_in, [drop])  # (d, rest, in)
-    return KrausChannel(lay_in, lay_in.drop([drop]), tuple(bras))
+    return _identity_maps(spec, honest_adversary(spec, party))
 
 
 def trace_out_recovery(spec: ProtocolSpec, adv: AdversaryStrategy) -> RecoveryMapSet:
-    """Recovery maps for a purified adversary: trace out its purifier register."""
+    """Recovery maps for a purified adversary: the identity, with its
+    purifier register as the environment that is traced out."""
     extra = [lb for lb in adv.memory[-1].labels()
              if lb not in spec.memory(adv.party)[-1]]
     if len(extra) != 1:
         raise ShapeMismatch(
             f"expected exactly one purifier register, found {extra}"
         )
-    bar = extra[0]
-    maps = []
-    for i in range(1, 2 * spec.rounds + 1):
-        lay_in, lay_out = recovery_shapes(spec, adv, i)
-        if bar in lay_in:
-            maps.append(_trace_out_map(lay_in, bar))
-        else:
-            maps.append(Isometry(lay_in, lay_out,
-                                 np.eye(lay_in.total_dim, dtype=np.complex128)))
-    return RecoveryMapSet(tuple(maps))
+    return _identity_maps(spec, adv)
 
 
 # ---------------------------------------------------------------------------
@@ -214,24 +214,15 @@ def _named(inputs: Iterable) -> list[tuple[str, StateVector]]:
     return named
 
 
-def _recover(op: Operation, state: StateVector) -> StateVector:
-    """`state` after the Stinespring isometry of recovery map `op`."""
-    v = stinespring(op)
-    env = Register(fresh_label("E", state.layout.labels()),
-                   v.shape[0] // op.output_layout.total_dim)
-    out = concat(op.output_layout, RegisterLayout((env,)))
-    return apply_isometry(Isometry(op.input_layout, out, v), state)
-
-
 def _certify(spec: ProtocolSpec, adv: AdversaryStrategy,
-             maps: dict[int, Operation], inputs: Iterable) -> CertificationReport:
+             maps: dict[int, Isometry], inputs: Iterable) -> CertificationReport:
     """Recovered-state distance at every step of `maps`, for every input.
 
     At step t the honest state is the marginal of the purified honest run on
     the step's registers plus the input's spectators; the recovered state is
     the marginal, on the same labels, of the purified adversarial run after
-    F_t's dilation.  Tracing out a dilation's environment reproduces the
-    channel, so these are the states the density-operator definition
+    F_t.  The marginal traces out F_t's environment and both runs'
+    purifiers, so these are the states the density-operator definition
     compares.
     """
     honest_spec = purify_both(spec)
@@ -244,7 +235,7 @@ def _certify(spec: ProtocolSpec, adv: AdversaryStrategy,
         spectators = psi.layout.labels()[n_front:]
         for step, recovery_map in maps.items():
             labels = spec.steps[step - 1].order + spectators
-            recovered = _recover(recovery_map, tilde.state(step))
+            recovered = apply_isometry(recovery_map, tilde.state(step))
             dist = trace_distance_matrices(
                 reduced_density_matrix(honest.state(step), labels),
                 reduced_density_matrix(recovered, labels))
@@ -269,7 +260,7 @@ def certify_specious(spec: ProtocolSpec, adv: AdversaryStrategy,
 
 
 def certify_ultimately_specious(spec: ProtocolSpec, adv: AdversaryStrategy,
-                                recovery_map: Operation,
+                                recovery_map: Isometry,
                                 inputs: Iterable) -> CertificationReport:
     """Like certify_specious, restricted to the final state and a single map."""
     last = 2 * spec.rounds

@@ -23,8 +23,9 @@ as is fuzz's.
 
 `run` checks the input |x>|i> and reports the protocol's step table: the
 registers alive after each step, and whether a pure input stays pure (every
-op an isometry).  It needs no execution.  `certify` compares marginals of
-purified runs, so a purified party certifies at exactly 0.
+op an isometry).  It needs no execution.  `certify` certifies the purified
+party against trace-out recovery; both compared marginals come from one
+purified run, so it checks the dilation code and reads 0 by construction.
 
 --n must be positive, --seed and --trials non-negative, --delta and
 --epsilon in [0, 1], and --rank-tol in (0, 1).  JSON is the contract format
@@ -43,6 +44,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -51,7 +53,6 @@ from .registers import DEFAULT_DIM_GUARD, set_dim_guard
 from .linalg import (
     DEFAULT_RANK_TOL,
     fidelity_matrices,
-    schmidt_coefficients,
     trace_distance_matrices,
 )
 from .protocol import (
@@ -252,29 +253,16 @@ def _verb_certify(args):
     recovery = trace_out_recovery(spec, adv)
     suite = default_input_suite(spec)
     rep = certify_specious(spec, adv, recovery, suite)
-    report = {
-        "party": args.party,
-        "rows": [{"step": r.step, "input_id": r.input_id, "distance": r.distance}
-                 for r in rep.rows],
-        "epsilon_hat": rep.epsilon_hat,
-        "gamma": rep.gamma,
-        "certified": rep.certified,
-    }
-    return report, rep.certified is False
+    return {"party": args.party, **asdict(rep)}, rep.certified is False
 
 
 def _verb_schmidt(args):
     qpir = _resolve_qpir(args)
-    spec_pp = purify_both(qpir.spec)
     psi = qpir_input(qpir, None, args.i)
-    transcript = execute(spec_pp, psi)
-    final = transcript.final
-    cut = spec_pp.a_memory[-1].labels()
-    coefficients = schmidt_coefficients(final, cut)
-    kept = coefficients[coefficients > args.rank_tol]
+    events = rank_trace(execute(purify_both(qpir.spec), psi), rank_tol=args.rank_tol)
+    kept = events[-1].coefficients  # B's last step: cut at A's final memory
     c = communication_complexity(qpir.spec)
     cap = 2 ** c
-    events = rank_trace(transcript, rank_tol=args.rank_tol)
     report = {
         "n": qpir.n,
         "i": args.i,
@@ -282,7 +270,7 @@ def _verb_schmidt(args):
         "rank": len(kept),
         "rank_cap": cap,
         "rank_within_cap": len(kept) <= cap + 1e-9,
-        "coefficients": [float(x) for x in kept],
+        "coefficients": list(kept),
         "events": [{"step": e.step, "rank": e.rank, "bound": e.bound,
                     "ok": e.ok} for e in events],
     }

@@ -26,7 +26,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import LayoutError, ShapeMismatch
-from .linalg import DEFAULT_RANK_TOL, haar_unitary_matrix, schmidt_rank
+from .linalg import (
+    DEFAULT_RANK_TOL,
+    haar_unitary_matrix,
+    schmidt_coefficients,
+    schmidt_rank,
+)
 from .registers import Register, RegisterLayout, concat, fresh_label
 from .states import (
     Isometry,
@@ -431,9 +436,13 @@ def product_input(spec: ProtocolSpec, seed: int | None = None) -> StateVector:
 class RankEvent:
     step: str          # "A3", "B1", "handover X2", ...
     cut: tuple[str, ...]
-    rank: int
+    coefficients: tuple[float, ...]  # the Schmidt coefficients above rank_tol
     bound: int         # allowed rank after this event
     ok: bool
+
+    @property
+    def rank(self) -> int:
+        return len(self.coefficients)
 
 
 def rank_trace(transcript: Transcript,
@@ -443,11 +452,18 @@ def rank_trace(transcript: Transcript,
 
     Local operations must preserve the running rank; moving a communication
     register of dimension d across the cut may multiply it by at most d
-    (one transmitted qubit at most doubles it).
+    (one transmitted qubit at most doubles it).  Each event keeps the
+    coefficients it counted.
     """
     spec, psi_in = transcript.spec, transcript.psi_in
     if len(psi_in.layout) != len(concat(spec.a_memory[0], spec.b_memory[0])):
         raise LayoutError("rank trace requires an input without reference registers")
+
+    def event(name: str, state: StateVector, cut: tuple[str, ...],
+              bound: int) -> RankEvent:
+        c = schmidt_coefficients(state, cut)
+        kept = tuple(c[c > rank_tol].tolist())
+        return RankEvent(name, cut, kept, bound, len(kept) <= bound)
 
     events: list[RankEvent] = []
     running = schmidt_rank(psi_in, spec.a_memory[0].labels(), rank_tol)
@@ -458,12 +474,9 @@ def rank_trace(transcript: Transcript,
             sender_cut, receiver_cut, sent = a_side + message, a_side, "X"
         else:                  # Y_k joins A's side at the handover
             sender_cut, receiver_cut, sent = a_side, a_side + message, "Y"
-        r = schmidt_rank(cur, sender_cut, rank_tol)
-        events.append(RankEvent(step.name, sender_cut, r, running, r <= running))
+        events.append(event(step.name, cur, sender_cut, running))
         if step is not spec.steps[-1]:
-            bound = running * step.message_out.total_dim
-            r = schmidt_rank(cur, receiver_cut, rank_tol)
-            events.append(RankEvent(f"handover {sent}{step.round}", receiver_cut,
-                                    r, bound, r <= bound))
-            running = r
+            events.append(event(f"handover {sent}{step.round}", cur, receiver_cut,
+                                running * step.message_out.total_dim))
+            running = events[-1].rank
     return events

@@ -139,23 +139,21 @@ def recovery_rates(rae: RandomAccessEncoding) -> tuple[tuple[float, ...], float]
 
     Works on the stored pure runs (decoding commutes with tracing the
     server side), batching all databases through one matmul per index.
+    Index i's measurement is folded into its decoder first, so that matmul
+    is (k d_bar) x r, with k the rank of the outcome-0 projector.
     """
     n = rae.n
     da = 2 ** n
     comp = rae.compressed_runs           # (r, d_server, da)
-    r, d_server, _ = comp.shape
+    r = comp.shape[0]
     measurements = rae.correctness.measurements
     d_meas = measurements[0].shape[0]    # the client's original registers
-    d_bar = rae.compressor.output_layout.total_dim // d_meas
     rates = []
     for i in range(1, n + 1):
-        decode = rae.decoders[i - 1].matrix                         # (d_client, r)
-        decoded = decode @ comp.reshape(r, -1)                      # (d_client, ds*da)
-        decoded = decoded.reshape(d_meas, d_bar * d_server * da)
-        amp = measurements[i - 1].conj().T @ decoded
-        p0 = np.sum(
-            np.abs(amp.reshape(-1, d_bar * d_server, da)) ** 2, axis=(0, 1)
-        )
+        decode = rae.decoders[i - 1].matrix.reshape(d_meas, -1)     # (d_meas, d_bar*r)
+        measured = (measurements[i - 1].conj().T @ decode).reshape(-1, r)
+        amp = measured @ comp.reshape(r, -1)                        # (k*d_bar, ds*da)
+        p0 = np.sum(np.abs(amp.reshape(-1, da)) ** 2, axis=0)
         correct = [p0[x] if bit_of(x, i, n) == 0 else 1.0 - p0[x]
                    for x in range(da)]
         rates.append(float(np.mean(correct)))

@@ -104,7 +104,8 @@ def density_run(spec, rho: DensityOperator) -> list[DensityOperator]:
 
 def certify_oracle(spec, adv, maps, inputs) -> list[tuple[int, str, float]]:
     """(step, input id, distance) rows of the density-operator definition of
-    certification, in `certify_specious` row order; `maps` are F_1..F_2s."""
+    certification, in `certify_specious` row order; `maps` are F_1..F_2s,
+    and the marginal on the honest registers traces out their environment."""
     adv_spec = install(spec, adv)
     rows = []
     for input_id, psi in inputs:
@@ -112,9 +113,10 @@ def certify_oracle(spec, adv, maps, inputs) -> list[tuple[int, str, float]]:
         tilde = density_run(adv_spec, pure_density(psi))
         for step, op in enumerate(maps, start=1):
             want = honest[step - 1]
-            got = reorder(apply_channel(op, tilde[step - 1]), want.layout.labels())
+            got = density_marginal(apply_channel(op, tilde[step - 1]),
+                                   want.layout.labels())
             rows.append((step, input_id,
-                         trace_distance_matrices(want.matrix, got.matrix)))
+                         trace_distance_matrices(want.matrix, got)))
     return rows
 
 

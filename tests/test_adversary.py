@@ -12,6 +12,7 @@ from qpirlab.states import (
 from qpirlab.protocol import ProtocolSpec, execute, purify_both
 from qpirlab.adversary import (
     AdversaryStrategy,
+    RecoveryMapSet,
     certify_specious,
     certify_ultimately_specious,
     default_input_suite,
@@ -22,6 +23,7 @@ from qpirlab.adversary import (
     recovery_shapes,
     trace_out_recovery,
 )
+from qpirlab.linalg import haar_unitary_matrix
 from qpirlab.qpir import builtin
 
 from conftest import certify_oracle, random_kraus_ops, random_pure
@@ -227,18 +229,34 @@ def _kraus_b_adversary(spec, rng):
     return AdversaryStrategy("B", spec.b_memory, ops)
 
 
-@pytest.mark.parametrize("case", ["memory-discarding A", "Kraus B"])
+def _environment_recovery(spec, adv, rng):
+    """Haar isometries from each step's view into the honest registers plus
+    a qubit environment E, which certification traces out."""
+    maps = []
+    for t in range(1, 2 * spec.rounds + 1):
+        view, honest = recovery_shapes(spec, adv, t)
+        out = concat(honest, RegisterLayout.of(("E", 2)))
+        u = haar_unitary_matrix(out.total_dim, rng)
+        maps.append(Isometry(view, out, u[:, :view.total_dim]))
+    return RecoveryMapSet(tuple(maps))
+
+
+@pytest.mark.parametrize("case", ["memory-discarding A", "Kraus B",
+                                  "memory-discarding A, environment recovery"])
 def test_certify_rows_match_the_density_oracle(case, rng):
     """Row by row, certification on purified runs equals the density-operator
-    definition: apply F_t to the adversarial state and compare it with the
-    honest one."""
+    definition: apply F_t to the adversarial state, trace out F_t's
+    environment and compare it with the honest one."""
     spec = two_round_protocol()
-    if case == "memory-discarding A":
+    if case.startswith("memory-discarding A"):
         adv = AdversaryStrategy("A", spec.a_memory,
                                 (spec.a_ops[0], _memory_discarding_op(spec)))
     else:
         adv = _kraus_b_adversary(spec, rng)
-    recovery = identity_recovery(spec, adv.party)
+    if case.endswith("environment recovery"):
+        recovery = _environment_recovery(spec, adv, rng)
+    else:
+        recovery = identity_recovery(spec, adv.party)
     inputs = small_inputs(spec, rng) + default_input_suite(spec)
     rep = certify_specious(spec, adv, recovery, inputs)
     want = certify_oracle(spec, adv, recovery.maps, inputs)
@@ -247,3 +265,25 @@ def test_certify_rows_match_the_density_oracle(case, rng):
         assert abs(row.distance - distance) < 1e-12
     assert rep.epsilon_hat > 0.3
 
+
+@pytest.mark.parametrize("case", ["Kraus channel", "honest register renamed"])
+def test_a_recovery_map_must_be_an_isometry_onto_the_honest_registers(case, rng):
+    """A Kraus map is rejected with a pointer to its dilation; an isometry
+    whose output lacks an honest register is rejected too."""
+    spec = two_round_protocol()
+    adv = honest_adversary(spec, "A")
+    maps = list(identity_recovery(spec, "A").maps)
+    last = maps[-1]
+    if case == "Kraus channel":
+        maps[-1] = KrausChannel(last.input_layout, last.output_layout, (last.matrix,))
+        match = "stinespring"
+    else:
+        renamed = RegisterLayout.of(*((f"{lb}'", d) for lb, d
+                                      in last.output_layout.registers))
+        maps[-1] = Isometry(last.input_layout, renamed, last.matrix)
+        match = "environment"
+    inputs = small_inputs(spec, rng)
+    with pytest.raises(ShapeMismatch, match=match):
+        certify_specious(spec, adv, RecoveryMapSet(tuple(maps)), inputs)
+    with pytest.raises(ShapeMismatch, match=match):
+        certify_ultimately_specious(spec, adv, maps[-1], inputs)

@@ -95,6 +95,25 @@ def test_the_helstrom_solves_are_the_only_eigendecompositions(monkeypatch):
     assert count[0] == 3
 
 
+def test_schmidt_takes_one_svd_per_cut(monkeypatch):
+    """trivial n=3 has four cuts: the input, A1, the X1 handover and B1.  The
+    reported coefficients are B1's, across A's final memory, not a fifth SVD
+    of that cut."""
+    svd, count = np.linalg.svd, [0]
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    argv = ["schmidt", "--protocol", "builtin:trivial?n=3", "--i", "2"]
+    code, out = _cli(argv)
+    assert code == 0 and count[0] == 4
+    report = json.loads(out)
+    assert report["rank"] == 8
+    assert report["coefficients"] == pytest.approx([8 ** -0.5] * 8, abs=1e-12)
+
+
 def test_noisy_trivial_audit_matches_the_bit_flip_rate():
     rep = bound_report(builtin("noisy-trivial", 3, delta=0.2))
     assert rep.deltas == pytest.approx((0.2, 0.2, 0.2), abs=1e-9)
@@ -328,6 +347,31 @@ def test_verdict_failure_exits_2(monkeypatch):
 
     monkeypatch.setattr(cli, "bound_report", violated)
     assert _cli(["reduce", "--protocol", "builtin:trivial?n=2"])[0] == 2
+
+
+def _leaves(value, path=""):
+    """(dotted path, value) of every non-dict leaf of a JSON object."""
+    if not isinstance(value, dict):
+        return [(path, value)]
+    return [leaf for key, v in value.items()
+            for leaf in _leaves(v, f"{path}.{key}" if path else key)]
+
+
+def test_text_and_csv_are_derived_from_the_json_report():
+    """text: one `path = json` line per leaf; csv: the top-level scalars as
+    a header line and one row of their JSON values."""
+    argv = ["reduce", "--protocol", "builtin:noisy-trivial?n=2&delta=0.2"]
+    code, out = _cli(argv)
+    report = json.loads(out)
+    assert code == 0 and "nayak" in report
+    text = _cli(argv + ["--format", "text"])
+    assert text == (0, "".join(f"{path} = {json.dumps(v)}\n"
+                               for path, v in _leaves(report)))
+    scalars = {k: v for k, v in report.items() if not isinstance(v, (dict, list))}
+    assert "deltas" not in scalars and "consistency" in scalars
+    csv = _cli(argv + ["--format", "csv"])
+    assert csv == (0, ",".join(scalars) + "\n"
+                   + ",".join(json.dumps(v) for v in scalars.values()) + "\n")
 
 
 def test_rerun_in_one_process_prints_identical_bytes():
