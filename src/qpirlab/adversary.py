@@ -136,7 +136,8 @@ class RecoveryMapSet:
     F_t is an isometry from the view `recovery_shapes(...)[0]` onto every
     register of `recovery_shapes(...)[1]` plus environment registers.  An
     environment label must not name a register of the purified adversarial
-    run outside the view.
+    run outside the view, nor an input's spectator; certification checks
+    this before it runs anything.
     """
 
     maps: tuple[Isometry, ...]
@@ -225,11 +226,26 @@ def _certify(spec: ProtocolSpec, adv: AdversaryStrategy,
     purifiers, so these are the states the density-operator definition
     compares.
     """
+    named = _named(inputs)
+    if not named:
+        raise ShapeMismatch("the input suite is empty: certification needs "
+                            "at least one input")
     honest_spec = purify_both(spec)
     adv_spec = purify_both(install(spec, adv))
     n_front = len(spec.a_memory[0]) + len(spec.b_memory[0])
+    taken = adv_spec.labels().union(
+        *(psi.layout.labels()[n_front:] for _, psi in named))
+    for step, recovery_map in maps.items():
+        view, wanted = recovery_shapes(spec, adv, step)
+        for label in recovery_map.output_layout.labels():
+            if label in taken and label not in view and label not in wanted:
+                raise ShapeMismatch(
+                    f"recovery map {step}: environment label {label!r} names "
+                    f"a register of the purified adversarial run or an "
+                    f"input's spectator"
+                )
     rows: list[CertificationRow] = []
-    for input_id, psi in _named(inputs):
+    for input_id, psi in named:
         honest = execute(honest_spec, psi)
         tilde = execute(adv_spec, psi)
         spectators = psi.layout.labels()[n_front:]

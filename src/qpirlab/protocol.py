@@ -155,6 +155,11 @@ class ProtocolSpec:
         side = _side(party)
         return replace(self, **{f"{side}_memory": memory, f"{side}_ops": ops})
 
+    def labels(self) -> set[str]:
+        """Every register label the protocol's layouts use."""
+        layouts = self.a_memory + self.b_memory + self.x_comm + self.y_comm
+        return {label for lay in layouts for label in lay.labels()}
+
     def all_unitary(self) -> bool:
         return all(as_single_isometry(op) is not None
                    for op in self.a_ops + self.b_ops)
@@ -185,12 +190,6 @@ class Transcript:
         return self.states[-1]
 
 
-def _labels(spec: ProtocolSpec) -> set[str]:
-    """Every register label the protocol's layouts use."""
-    layouts = spec.a_memory + spec.b_memory + spec.x_comm + spec.y_comm
-    return {label for lay in layouts for label in lay.labels()}
-
-
 def _spectator_layout(spec: ProtocolSpec, layout: RegisterLayout) -> RegisterLayout:
     """Validate an input layout and return its inert trailing registers.
 
@@ -209,7 +208,7 @@ def _spectator_layout(spec: ProtocolSpec, layout: RegisterLayout) -> RegisterLay
     if len(rest) > 1:
         raise ShapeMismatch(f"at most one reference register allowed, got {rest}")
     for ref in rest:
-        if ref.dim not in (1, front.total_dim) or ref.label in _labels(spec):
+        if ref.dim not in (1, front.total_dim) or ref.label in spec.labels():
             raise ShapeMismatch(
                 f"reference register {ref.label!r} of dim {ref.dim} needs dim 1 "
                 f"or {front.total_dim} and a label no protocol register takes"
@@ -338,7 +337,7 @@ def purify_party(spec: ProtocolSpec, party: str) -> ProtocolSpec:
     purifier, so behavior is unchanged.
     """
     new_mems: list[RegisterLayout] = [spec.memory(party)[0]]
-    bar_label = fresh_label(f"{party}bar", _labels(spec))
+    bar_label = fresh_label(f"{party}bar", spec.labels())
 
     new_ops: list[Operation] = []
     bar = 1

@@ -3,13 +3,14 @@
 Party A is the server (database input x, 2^n-dimensional computational
 encoding), party B the client (index input i, n-dimensional encoding).
 Every audit reads one `PurifiedRun`: the protocol with both parties
-purified, run once on every basis input |x>|i> and once on the uniform
-database superposition with each index.  Correctness is judged by optimal
-(Helstrom) discrimination of the client's final states averaged over
-databases (basis runs), and each index's optimal measurement is kept, as a
-basis of its outcome-0 eigenspace, for the reduction's decoder to apply;
-privacy by comparing the purified server's marginals across index inputs
-(superposition runs).
+purified, run on the basis inputs |x>|i> one index at a time (i fixed
+inside the client's first op, so no batch holds more than 2^n inputs) and
+once on the uniform database superposition with each index.  Correctness
+is judged by optimal (Helstrom) discrimination of the client's final
+states averaged over databases (one index batch at a time), and each
+index's optimal measurement is kept, as a basis of its outcome-0
+eigenspace, for the reduction's decoder to apply; privacy by comparing the
+purified server's marginals across index inputs (superposition runs).
 """
 
 from __future__ import annotations
@@ -94,33 +95,51 @@ def qpir_input(qpir: QpirProtocol, x: int | None, i: int) -> StateVector:
 class PurifiedRun:
     """Final states of the protocol with both parties purified.
 
-    The protocol is purified once, and each input batch runs at most once,
-    on first use.  Both batches are pure final states over `layout`, one
-    column per input:
+    The protocol is purified once.  Both kinds of batch are pure final
+    states over `layout`, one column per input:
 
-    * `basis`: every |x>|i> input, as column x*n + (i-1);
+    * `index_batch(i)`: every basis input |x>|i> of one index i, as column
+      x.  The index is fixed inside the client's first op: only its columns
+      with B_0 = |i> are kept, so B_0 has dimension 1 and never rides
+      through a matmul.  Index 1's batch, which the encoding and the
+      correctness audit both read, runs once and is kept; any other index
+      runs on each call.
     * `superposition`: the uniform database with index i (the state nu_i),
-      as column i-1.
+      as column i-1, run once on first use.
     """
 
     def __init__(self, qpir: QpirProtocol) -> None:
         self.qpir = qpir
         self.spec = purify_both(qpir.spec)
-        self.input_layout = concat(self.spec.a_memory[0], self.spec.b_memory[0])
         self.layout = concat(self.spec.a_memory[-1], self.spec.b_memory[-1])
 
-    def _final(self, columns: np.ndarray) -> np.ndarray:
-        return execute_pure_batch(self.spec, self.input_layout, columns)[1]
+    def _final(self, spec: ProtocolSpec, columns: np.ndarray) -> np.ndarray:
+        lay = concat(spec.a_memory[0], spec.b_memory[0])
+        return execute_pure_batch(spec, lay, columns)[1]
+
+    def index_batch(self, i: int) -> np.ndarray:
+        return self._index_one if i == 1 else self._run_index(i)
 
     @cached_property
-    def basis(self) -> np.ndarray:
-        d = self.input_layout.total_dim
-        return self._final(np.eye(d, dtype=np.complex128))
+    def _index_one(self) -> np.ndarray:
+        return self._run_index(1)
+
+    def _run_index(self, i: int) -> np.ndarray:
+        spec = self.spec
+        b0 = spec.b_memory[0]
+        op = spec.b_ops[0]   # reads B_0 (x) X_1; an isometry once purified
+        fixed = RegisterLayout((Register(b0.labels()[0], 1),))
+        matrix = op.matrix.reshape(op.output_layout.total_dim, b0.total_dim, -1)
+        first = Isometry(concat(fixed, op.input_layout.drop(b0.labels())),
+                         op.output_layout, matrix[:, i - 1, :])
+        sliced = spec.with_party("B", (fixed,) + spec.b_memory[1:],
+                                 (first,) + spec.b_ops[1:])
+        return self._final(sliced, np.eye(2 ** self.qpir.n, dtype=np.complex128))
 
     @cached_property
     def superposition(self) -> np.ndarray:
         n = self.qpir.n
-        return self._final(np.stack(
+        return self._final(self.spec, np.stack(
             [qpir_input(self.qpir, None, i).amplitudes for i in range(1, n + 1)],
             axis=1,
         ))
@@ -148,6 +167,20 @@ class CorrectnessReport:
     measurements: tuple[np.ndarray, ...]   # (d_client, k_i) outcome-0 basis per index
 
 
+def _client_averages(run: PurifiedRun, i: int) -> list[np.ndarray]:
+    """The client's final state averaged over {x : x_i = 0} and over
+    {x : x_i = 1}, from index i's batch, which is released on return."""
+    n = run.qpir.n
+    t = matricize(run.index_batch(i), run.layout, run.qpir.client_labels())
+    d_client = t.shape[0]
+    mats = []
+    for b in (0, 1):
+        m = t[:, :, [x for x in range(2 ** n) if bit_of(x, i, n) == b]]
+        m = m.reshape(d_client, -1)
+        mats.append((m @ m.conj().T) / 2 ** (n - 1))
+    return mats
+
+
 def correctness_delta(run: PurifiedRun) -> CorrectnessReport:
     """Max/average failure probability of the best x-independent measurement.
 
@@ -155,20 +188,11 @@ def correctness_delta(run: PurifiedRun) -> CorrectnessReport:
     evaluated on the client's final registers with everything else traced
     out; the overall report carries both max_i and mean_i.
     """
-    qpir = run.qpir
-    n = qpir.n
-    t = matricize(run.basis, run.layout, qpir.client_labels())
-    d_client = t.shape[0]
+    n = run.qpir.n
     deltas = []
     measurements = []
-    half = 2 ** (n - 1)
     for i in range(1, n + 1):
-        mats = []
-        for b in (0, 1):
-            sel = [x * n + (i - 1) for x in range(2 ** n) if bit_of(x, i, n) == b]
-            m = t[:, :, sel].reshape(d_client, -1)
-            mats.append((m @ m.conj().T) / half)
-        res: HelstromResult = helstrom_matrices(mats[0], mats[1], 0.5)
+        res: HelstromResult = helstrom_matrices(*_client_averages(run, i), 0.5)
         deltas.append(max(0.0, 1.0 - res.probability))
         measurements.append(res.positive)
     return CorrectnessReport(

@@ -1,19 +1,20 @@
 """Reduction from a QPIR protocol to a random access encoding, plus the
 communication lower bound it certifies.
 
-Pipeline: every stage reads one `PurifiedRun` (both parties purified,
-each input batch run once).  The uniform-database superposition runs nu_i
-give the client subspace actually used, which is Schmidt-compressed to
-rank r; each database is encoded as the compressed client state of its
-index-1 basis run; and any index i is decoded by rotating nu_1 onto nu_i
-with a purifier-side (Uhlmann) unitary before measuring with index i's
-Helstrom measurement from the correctness audit.  Only that unitary's
-action on the compressed support matters, so each decoder is stored as
-the d_client x r partial isometry U E (E the compressor), never as a
-d_client x d_client matrix.  The same run yields delta (basis runs) and
-epsilon (server marginals of the nu_i).  The measured recovery rate
-feeds the entropy bound on random-access-encoding size, which in turn
-bounds the protocol's communication from below.
+Pipeline: every stage reads one `PurifiedRun` (both parties purified
+once; the basis inputs run one index at a time, i fixed in the client's
+first op, and each index batch runs once).  The uniform-database
+superposition runs nu_i give the client subspace actually used, which is
+Schmidt-compressed to rank r; each database is encoded as the compressed
+client state of its index-1 basis run; and any index i is decoded by
+rotating nu_1 onto nu_i with a purifier-side (Uhlmann) unitary before
+measuring with index i's Helstrom measurement from the correctness audit.
+Only that unitary's action on the compressed support matters, so each
+decoder is stored as the d_client x r partial isometry U E (E the
+compressor), never as a d_client x d_client matrix.  The same run yields
+delta (index batches) and epsilon (server marginals of the nu_i).  The
+measured recovery rate feeds the entropy bound on random-access-encoding
+size, which in turn bounds the protocol's communication from below.
 """
 
 from __future__ import annotations
@@ -81,7 +82,6 @@ def build_rae(run: PurifiedRun,
     """
     qpir = run.qpir
     n = qpir.n
-    da = 2 ** n
     client = run.spec.b_memory[-1].labels()
     measured = qpir.client_labels()
     if client[: len(measured)] != measured:
@@ -92,7 +92,7 @@ def build_rae(run: PurifiedRun,
     r = compressor.input_layout.total_dim
     m = math.log2(r)
 
-    # rotate before the basis batch exists: it stays out of the SVDs' peak
+    # rotate before index 1's batch exists: it stays out of the SVDs' peak
     emat = compressor.matrix
     ms = matricize(run.superposition, run.layout, client)  # (d_client, rest, n)
     c1 = emat.conj().T @ ms[:, :, 0]                       # compressed nu_1
@@ -103,23 +103,9 @@ def build_rae(run: PurifiedRun,
         decoders.append(x)
         rot_dist.append(pure_distance_amplitudes(ms[:, :, j].reshape(-1),
                                                  (x.matrix @ c1).reshape(-1)))
-    # index-1 run of every database; slicing first copies only these columns
-    t = matricize(run.basis[:, 0::n], run.layout, client)
-    comp = np.einsum("ci,csx->isx", emat.conj(), t, optimize=True)
-    proj_back = np.einsum("ci,isx->csx", emat, comp, optimize=True)
-    leaks = np.linalg.norm((t - proj_back).reshape(-1, da), axis=0)
-    worst = float(np.max(leaks))
-    if worst > 1e-8:
-        raise SupportViolation(
-            f"a database run leaves the compression support by {worst:.3e}; "
-            f"check the rank tolerance ({rank_tol})"
-        )
-    norms = np.linalg.norm(comp.reshape(-1, da), axis=0)
-    comp = comp / norms
-
-    correctness = correctness_delta(run)
-
+    comp = _encode(run, emat, rank_tol)
     comp.setflags(write=False)
+    correctness = correctness_delta(run)
     return RandomAccessEncoding(
         n=n,
         communication=communication_complexity(qpir.spec),
@@ -132,6 +118,26 @@ def build_rae(run: PurifiedRun,
         rotation_distances=tuple(rot_dist),
         compressed_runs=comp,
     )
+
+
+def _encode(run: PurifiedRun, emat: np.ndarray, rank_tol: float) -> np.ndarray:
+    """Every database's index-1 run, compressed by `emat` and renormalized,
+    as (r, server_dim, 2^n).  A run that leaves the compression support is
+    a SupportViolation.  The full-size temporaries are released on return."""
+    da = 2 ** run.qpir.n
+    client = run.spec.b_memory[-1].labels()
+    t = matricize(run.index_batch(1), run.layout, client)
+    comp = np.einsum("ci,csx->isx", emat.conj(), t, optimize=True)
+    residual = np.einsum("ci,isx->csx", emat, comp, optimize=True)
+    residual -= t
+    leaks = np.linalg.norm(residual.reshape(-1, da), axis=0)
+    worst = float(np.max(leaks))
+    if worst > 1e-8:
+        raise SupportViolation(
+            f"a database run leaves the compression support by {worst:.3e}; "
+            f"check the rank tolerance ({rank_tol})"
+        )
+    return comp / np.linalg.norm(comp.reshape(-1, da), axis=0)
 
 
 def recovery_rates(rae: RandomAccessEncoding) -> tuple[tuple[float, ...], float]:

@@ -287,3 +287,47 @@ def test_a_recovery_map_must_be_an_isometry_onto_the_honest_registers(case, rng)
         certify_specious(spec, adv, RecoveryMapSet(tuple(maps)), inputs)
     with pytest.raises(ShapeMismatch, match=match):
         certify_ultimately_specious(spec, adv, maps[-1], inputs)
+
+
+def test_an_empty_input_suite_is_named_up_front():
+    spec = two_round_protocol()
+    adv = honest_adversary(spec, "A")
+    maps = identity_recovery(spec, "A")
+    with pytest.raises(ShapeMismatch, match="input suite is empty"):
+        certify_specious(spec, adv, maps, [])
+    with pytest.raises(ShapeMismatch, match="input suite is empty"):
+        certify_ultimately_specious(spec, adv, maps.maps[-1], iter(()))
+
+
+@pytest.mark.parametrize("label", ["R", "Bbar", "B2", "E"])
+def test_an_environment_label_must_be_free_before_anything_runs(
+        label, rng, monkeypatch):
+    """A dimension-1 environment on the last map: "R" is the entangled
+    input's reference, "Bbar" the honest party's purifier and "B2" its final
+    memory, so each is a ShapeMismatch naming the step and the label before
+    any run; a free label "E" certifies at 0."""
+    import qpirlab.adversary as adversary
+    spec = two_round_protocol()
+    adv = honest_adversary(spec, "A")
+    maps = list(identity_recovery(spec, "A").maps)
+    last = maps[-1]
+    maps[-1] = Isometry(last.input_layout,
+                        concat(last.output_layout, RegisterLayout.of((label, 1))),
+                        last.matrix)
+    inputs = small_inputs(spec, rng) + default_input_suite(spec)
+    if label == "E":
+        assert certify_specious(spec, adv, RecoveryMapSet(tuple(maps)),
+                                inputs).epsilon_hat == 0.0
+        assert certify_ultimately_specious(spec, adv, maps[-1],
+                                           inputs).epsilon_hat == 0.0
+        return
+
+    def no_run(*args):
+        raise AssertionError("a protocol ran before the labels were checked")
+
+    monkeypatch.setattr(adversary, "execute", no_run)
+    match = f"recovery map 4: environment label '{label}'"
+    with pytest.raises(ShapeMismatch, match=match):
+        certify_specious(spec, adv, RecoveryMapSet(tuple(maps)), inputs)
+    with pytest.raises(ShapeMismatch, match=match):
+        certify_ultimately_specious(spec, adv, maps[-1], inputs)

@@ -20,9 +20,10 @@ import pytest
 from qpirlab import cli, serialize
 from qpirlab.errors import LayoutError
 from qpirlab.linalg import haar_unitary_matrix, schmidt_coefficients, uhlmann_unitary
-from qpirlab.protocol import ProtocolSpec
+from qpirlab.protocol import ProtocolSpec, execute_pure_batch
 from qpirlab.qpir import (
     PurifiedRun,
+    QpirProtocol,
     build_index_in_clear,
     builtin,
     privacy_epsilon_purified,
@@ -33,7 +34,8 @@ from qpirlab.reduction import (
     lower_bound,
     superposition_attack,
 )
-from qpirlab.states import KrausChannel, StateVector, matricize
+from qpirlab.registers import RegisterLayout, concat
+from qpirlab.states import Isometry, KrausChannel, StateVector, matricize
 
 from conftest import identity_support
 
@@ -519,12 +521,15 @@ def calls(monkeypatch):
     return seen
 
 
-def test_reduce_purifies_once_and_runs_two_batches(calls):
+def test_reduce_purifies_once_and_runs_each_index_batch_once(calls):
+    """One superposition batch of n columns and one batch of 2^n databases
+    per index: index 1's, read by the encoding and by correctness, runs
+    once, and no batch holds every index."""
     n = 4
     bound_report(builtin("random", n, seed=5))
     assert calls["purify_both"] == 1
     assert calls["server_marginals"] == 1
-    assert sorted(calls["batches"]) == [n, 2 ** n * n]
+    assert sorted(calls["batches"]) == [n] + [2 ** n] * n
 
 
 @pytest.mark.parametrize("verb", ["qpir-privacy", "attack"])
@@ -538,3 +543,42 @@ def test_schmidt_executes_the_protocol_once(calls):
     assert _cli(["schmidt", "--protocol", "builtin:trivial?n=3"])[0] == 0
     assert calls["purify_both"] == 1
     assert calls["execute"] == 1
+
+
+# -- basis inputs run one index at a time --------------------------------------
+
+def _assert_index_batches_are_dense_columns(qpir: QpirProtocol) -> None:
+    """Index i's batch is columns x*n + (i-1) of every |x>|i> run at once."""
+    run = PurifiedRun(qpir)
+    lay = concat(run.spec.a_memory[0], run.spec.b_memory[0])
+    final, dense = execute_pure_batch(run.spec, lay,
+                                      np.eye(lay.total_dim, dtype=complex))
+    assert final == run.layout
+    n = qpir.n
+    for i in range(1, n + 1):
+        batch = run.index_batch(i)
+        assert batch.shape == (dense.shape[0], 2 ** n)
+        assert np.max(np.abs(batch - dense[:, i - 1::n])) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name, params", [
+    ("trivial", {}), ("index-in-clear", {}),
+    ("noisy-trivial", {"delta": 0.2}), ("random", {"seed": 1})])
+def test_index_batches_are_the_dense_basis_columns(name, params, n):
+    _assert_index_batches_are_dense_columns(builtin(name, n, **params))
+
+
+def test_index_batches_slice_a_composite_client_input(tmp_path):
+    """random n=4 seed 1 with B_0 split into two qubits, read from a file:
+    the flat index i-1 runs over both registers."""
+    spec = builtin("random", 4, seed=1).spec
+    b0 = RegisterLayout.of(("B0a", 2), ("B0b", 2))
+    first = spec.b_ops[0]
+    op = Isometry(concat(b0, spec.x_comm[0]), first.output_layout, first.matrix)
+    spec = spec.with_party("B", (b0,) + spec.b_memory[1:], (op,) + spec.b_ops[1:])
+    path = tmp_path / "composite.json"
+    serialize.dump(serialize.protocol_spec_to_json(spec), str(path))
+    loaded = serialize.protocol_spec_from_json(serialize.load(str(path)))
+    assert loaded.b_memory[0] == b0
+    _assert_index_batches_are_dense_columns(QpirProtocol(4, loaded))
