@@ -53,12 +53,9 @@ from .protocol import (
 from .adversary import (
     AdversaryStrategy,
     CertificationReport,
-    RecoveryMapSet,
     certify_specious,
-    certify_ultimately_specious,
     default_input_suite,
     honest_adversary,
-    identity_recovery,
     install,
     purified_adversary,
     trace_out_recovery,

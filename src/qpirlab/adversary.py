@@ -1,4 +1,4 @@
-"""Adversary strategies and certification of (ultimate) speciousness.
+"""Adversary strategies and certification of speciousness.
 
 An adversary replaces one party's operations, using whatever memory spaces
 it likes but the host protocol's communication spaces.  It is certified
@@ -6,9 +6,10 @@ gamma-specious *on a finite input suite* against supplied recovery maps:
 the existential over all recovery maps and all inputs is not searched.
 A recovery map is an isometry from the adversary's view into the honest
 registers plus any environment registers, which are traced out when states
-are compared; a Kraus channel enters through `states.stinespring`.  A
-purified adversary's map is the identity, its purifier the environment.
-Ultimate speciousness is the same loop restricted to the final step.
+are compared; a Kraus channel enters through `states.stinespring`.  The
+maps are a plain tuple F_1..F_2s, one per step.  `trace_out_recovery`
+builds the identity on each view, with every register the honest party
+lacks as environment.
 
 Certification runs pure: the honest protocol and the protocol with the
 adversary installed are each run with both parties purified.  Every state
@@ -20,12 +21,12 @@ density-operator reference that this equals is checked in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ShapeMismatch
-from .registers import Register, RegisterLayout, concat
+from .registers import Register, RegisterLayout, concat, fresh_label
 from .states import (
     Isometry,
     Operation,
@@ -111,70 +112,45 @@ def recovery_shapes(spec: ProtocolSpec, adv: AdversaryStrategy,
             concat(spec.memory(adv.party)[k], sent))
 
 
+def trace_out_recovery(spec: ProtocolSpec,
+                       adv: AdversaryStrategy) -> tuple[Isometry, ...]:
+    """Recovery maps F_1..F_2s: the identity on each step's adversary view.
+
+    Every register of the view that the honest party lacks (a purifier, or
+    a deviating adversary's private memory) is environment, traced out when
+    states are compared.  The honest adversary certifies at 0 under these
+    maps, and so does a purified one.
+    """
+    views = (recovery_shapes(spec, adv, t)[0] for t in range(1, 2 * spec.rounds + 1))
+    return tuple(Isometry(lay, lay, np.eye(lay.total_dim, dtype=np.complex128))
+                 for lay in views)
+
+
 def _check_map(spec: ProtocolSpec, adv: AdversaryStrategy, step: int,
-               op: Operation, what: str) -> None:
+               op: Operation, taken: set[str]) -> None:
+    """F_step must be an isometry from the step's view onto the honest
+    registers plus environment labels that are not in `taken`."""
+    what = f"recovery map {step}"
     if not isinstance(op, Isometry):
         raise ShapeMismatch(
             f"{what}: a {type(op).__name__} is not an Isometry; pass its "
             f"Stinespring dilation (states.stinespring) with the Kraus index "
             f"as an environment register"
         )
-    expect_in, expect_out = recovery_shapes(spec, adv, step)
-    if (op.input_layout != expect_in
-            or not set(expect_out.registers) <= set(op.output_layout.registers)):
+    view, wanted = recovery_shapes(spec, adv, step)
+    if (op.input_layout != view
+            or not set(wanted.registers) <= set(op.output_layout.registers)):
         raise ShapeMismatch(
             f"{what}: ({op.input_layout.registers} -> "
             f"{op.output_layout.registers}) != expected "
-            f"({expect_in.registers} -> {expect_out.registers} + environment)"
+            f"({view.registers} -> {wanted.registers} + environment)"
         )
-
-
-@dataclass(frozen=True)
-class RecoveryMapSet:
-    """Per-step maps F_1..F_2s taking the adversary's view to the honest one.
-
-    F_t is an isometry from the view `recovery_shapes(...)[0]` onto every
-    register of `recovery_shapes(...)[1]` plus environment registers.  An
-    environment label must not name a register of the purified adversarial
-    run outside the view, nor an input's spectator; certification checks
-    this before it runs anything.
-    """
-
-    maps: tuple[Isometry, ...]
-
-    def validate(self, spec: ProtocolSpec, adv: AdversaryStrategy) -> None:
-        if len(self.maps) != 2 * spec.rounds:
+    for label in op.output_layout.labels():
+        if label in taken and label not in view and label not in wanted:
             raise ShapeMismatch(
-                f"need {2 * spec.rounds} recovery maps, got {len(self.maps)}"
+                f"{what}: environment label {label!r} names a register of "
+                f"the purified adversarial run or an input's spectator"
             )
-        for i, op in enumerate(self.maps, start=1):
-            _check_map(spec, adv, i, op, f"recovery map {i}")
-
-
-def _identity_maps(spec: ProtocolSpec, adv: AdversaryStrategy) -> RecoveryMapSet:
-    """The identity on each step's adversary view; any registers of the view
-    that the honest party lacks are environment."""
-    views = (recovery_shapes(spec, adv, i)[0] for i in range(1, 2 * spec.rounds + 1))
-    return RecoveryMapSet(tuple(
-        Isometry(lay, lay, np.eye(lay.total_dim, dtype=np.complex128))
-        for lay in views))
-
-
-def identity_recovery(spec: ProtocolSpec, party: str) -> RecoveryMapSet:
-    """Identity maps; certifies the honest strategy at epsilon 0."""
-    return _identity_maps(spec, honest_adversary(spec, party))
-
-
-def trace_out_recovery(spec: ProtocolSpec, adv: AdversaryStrategy) -> RecoveryMapSet:
-    """Recovery maps for a purified adversary: the identity, with its
-    purifier register as the environment that is traced out."""
-    extra = [lb for lb in adv.memory[-1].labels()
-             if lb not in spec.memory(adv.party)[-1]]
-    if len(extra) != 1:
-        raise ShapeMismatch(
-            f"expected exactly one purifier register, found {extra}"
-        )
-    return _identity_maps(spec, adv)
 
 
 # ---------------------------------------------------------------------------
@@ -202,54 +178,42 @@ class CertificationReport:
         return out
 
 
-InputSuite = Sequence[tuple[str, StateVector]]
+def certify_specious(spec: ProtocolSpec, adv: AdversaryStrategy,
+                     maps: tuple[Isometry, ...],
+                     inputs: Sequence[tuple[str, StateVector]]) -> CertificationReport:
+    """Worst-case recovered-state distance over every step and input.
 
+    `maps` are F_1..F_2s and `inputs` are (name, state) pairs.  The map
+    count, an empty suite and every map are checked before any protocol
+    runs.  At step t the honest state
+    is the marginal of the purified honest run on the step's registers plus
+    the input's spectators; the recovered state is the marginal, on the
+    same labels, of the purified adversarial run after F_t.  The marginal
+    traces out F_t's environment and both runs' purifiers, so these are the
+    states the density-operator definition compares.
 
-def _named(inputs: Iterable) -> list[tuple[str, StateVector]]:
-    named = []
-    for k, item in enumerate(inputs):
-        if isinstance(item, tuple):
-            named.append(item)
-        else:
-            named.append((f"input-{k}", item))
-    return named
-
-
-def _certify(spec: ProtocolSpec, adv: AdversaryStrategy,
-             maps: dict[int, Isometry], inputs: Iterable) -> CertificationReport:
-    """Recovered-state distance at every step of `maps`, for every input.
-
-    At step t the honest state is the marginal of the purified honest run on
-    the step's registers plus the input's spectators; the recovered state is
-    the marginal, on the same labels, of the purified adversarial run after
-    F_t.  The marginal traces out F_t's environment and both runs'
-    purifiers, so these are the states the density-operator definition
-    compares.
+    The adversary is certified gamma-specious on this test suite iff the
+    returned epsilon_hat is at most gamma; a finite suite can only
+    under-approximate the quantifier over all input states.
     """
-    named = _named(inputs)
-    if not named:
+    if len(maps) != 2 * spec.rounds:
+        raise ShapeMismatch(f"need {2 * spec.rounds} recovery maps, got {len(maps)}")
+    if not inputs:
         raise ShapeMismatch("the input suite is empty: certification needs "
                             "at least one input")
     honest_spec = purify_both(spec)
     adv_spec = purify_both(install(spec, adv))
     n_front = len(spec.a_memory[0]) + len(spec.b_memory[0])
     taken = adv_spec.labels().union(
-        *(psi.layout.labels()[n_front:] for _, psi in named))
-    for step, recovery_map in maps.items():
-        view, wanted = recovery_shapes(spec, adv, step)
-        for label in recovery_map.output_layout.labels():
-            if label in taken and label not in view and label not in wanted:
-                raise ShapeMismatch(
-                    f"recovery map {step}: environment label {label!r} names "
-                    f"a register of the purified adversarial run or an "
-                    f"input's spectator"
-                )
+        *(psi.layout.labels()[n_front:] for _, psi in inputs))
+    for step, recovery_map in enumerate(maps, start=1):
+        _check_map(spec, adv, step, recovery_map, taken)
     rows: list[CertificationRow] = []
-    for input_id, psi in named:
+    for input_id, psi in inputs:
         honest = execute(honest_spec, psi)
         tilde = execute(adv_spec, psi)
         spectators = psi.layout.labels()[n_front:]
-        for step, recovery_map in maps.items():
+        for step, recovery_map in enumerate(maps, start=1):
             labels = spec.steps[step - 1].order + spectators
             recovered = apply_isometry(recovery_map, tilde.state(step))
             dist = trace_distance_matrices(
@@ -262,35 +226,14 @@ def _certify(spec: ProtocolSpec, adv: AdversaryStrategy,
                                None if gamma is None else eps <= gamma + 1e-8)
 
 
-def certify_specious(spec: ProtocolSpec, adv: AdversaryStrategy,
-                     recovery: RecoveryMapSet,
-                     inputs: Iterable) -> CertificationReport:
-    """Worst-case recovered-state distance over every step and input.
-
-    The adversary is certified gamma-specious on this test suite iff the
-    returned epsilon_hat is at most gamma; a finite suite can only
-    under-approximate the quantifier over all input states.
-    """
-    recovery.validate(spec, adv)
-    return _certify(spec, adv, dict(enumerate(recovery.maps, start=1)), inputs)
-
-
-def certify_ultimately_specious(spec: ProtocolSpec, adv: AdversaryStrategy,
-                                recovery_map: Isometry,
-                                inputs: Iterable) -> CertificationReport:
-    """Like certify_specious, restricted to the final state and a single map."""
-    last = 2 * spec.rounds
-    _check_map(spec, adv, last, recovery_map, "ultimate recovery map")
-    return _certify(spec, adv, {last: recovery_map}, inputs)
-
-
 # ---------------------------------------------------------------------------
 # default input suite
 # ---------------------------------------------------------------------------
 
 def default_input_suite(spec: ProtocolSpec) -> list[tuple[str, StateVector]]:
     """Basis products, uniform-database inputs per index, and one input
-    maximally entangled with the reference register."""
+    maximally entangled with a reference register whose label ("R", or a
+    fresh variant of it) no protocol register takes."""
     a0 = spec.a_memory[0]
     b0 = spec.b_memory[0]
     lay = concat(a0, b0)
@@ -306,7 +249,8 @@ def default_input_suite(spec: ProtocolSpec) -> list[tuple[str, StateVector]]:
         amps[b::db] = 1.0 / np.sqrt(da)
         suite.append((f"uniform-i{b + 1}", StateVector(lay, amps)))
     d = da * db
-    ref_lay = concat(lay, RegisterLayout((Register("R", d),)))
+    ref = Register(fresh_label("R", spec.labels()), d)
+    ref_lay = concat(lay, RegisterLayout((ref,)))
     amps = (np.eye(d, dtype=np.complex128) / np.sqrt(d)).reshape(-1)
     suite.append(("entangled-ref", StateVector(ref_lay, amps)))
     return suite

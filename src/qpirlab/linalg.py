@@ -199,16 +199,15 @@ class HelstromResult(NamedTuple):
     positive: np.ndarray   # (d, k) orthonormal basis of the outcome-0 eigenspace
 
 
-def helstrom_matrices(rho0: np.ndarray, rho1: np.ndarray, prior0: float) -> HelstromResult:
-    """Optimal two-outcome discrimination: 1/2 + (1/2)||p0 rho0 - p1 rho1||_1.
+def helstrom_matrices(rho0: np.ndarray, rho1: np.ndarray) -> HelstromResult:
+    """Optimal two-outcome discrimination at priors 1/2:
+    1/2 + (1/2)||rho0/2 - rho1/2||_1.
 
     Returns the success probability together with an orthonormal basis of
-    the positive eigenspace of p0 rho0 - p1 rho1: the optimal measurement
+    the positive eigenspace of rho0/2 - rho1/2: the optimal measurement
     projects onto its span, and outcome 0 fires when it clicks.
     """
-    if not 0.0 <= prior0 <= 1.0:
-        raise ValueError(f"prior0 must lie in [0, 1], got {prior0}")
-    m = prior0 * rho0 - (1.0 - prior0) * rho1
+    m = 0.5 * rho0 - 0.5 * rho1
     w, v = np.linalg.eigh(m)
     prob = 0.5 + 0.5 * float(np.sum(np.abs(w)))
     return HelstromResult(min(1.0, prob), v[:, w > 0.0])

@@ -208,10 +208,15 @@ def _spectator_layout(spec: ProtocolSpec, layout: RegisterLayout) -> RegisterLay
     if len(rest) > 1:
         raise ShapeMismatch(f"at most one reference register allowed, got {rest}")
     for ref in rest:
-        if ref.dim not in (1, front.total_dim) or ref.label in spec.labels():
+        if ref.dim not in (1, front.total_dim):
             raise ShapeMismatch(
-                f"reference register {ref.label!r} of dim {ref.dim} needs dim 1 "
-                f"or {front.total_dim} and a label no protocol register takes"
+                f"reference register {ref.label!r} has dim {ref.dim}; it needs "
+                f"dim 1 or {front.total_dim}"
+            )
+        if ref.label in spec.labels():
+            raise ShapeMismatch(
+                f"reference register {ref.label!r} takes the label of a "
+                f"protocol register"
             )
     return RegisterLayout(tuple(rest))
 

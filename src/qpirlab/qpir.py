@@ -192,7 +192,7 @@ def correctness_delta(run: PurifiedRun) -> CorrectnessReport:
     deltas = []
     measurements = []
     for i in range(1, n + 1):
-        res: HelstromResult = helstrom_matrices(*_client_averages(run, i), 0.5)
+        res: HelstromResult = helstrom_matrices(*_client_averages(run, i))
         deltas.append(max(0.0, 1.0 - res.probability))
         measurements.append(res.positive)
     return CorrectnessReport(
@@ -394,11 +394,9 @@ def build_random_qpir(n: int, seed: int) -> QpirProtocol:
 #: Builtin name -> (builder, the parameters it reads, in its argument order).
 _BUILTINS = {
     "trivial": (build_trivial, ("n",)),
-    "trivial-qpir": (build_trivial, ("n",)),
     "index-in-clear": (build_index_in_clear, ("n",)),
     "noisy-trivial": (build_noisy_trivial, ("n", "delta")),
     "random": (build_random_qpir, ("n", "seed")),
-    "random-qpir": (build_random_qpir, ("n", "seed")),
 }
 
 #: Every builtin parameter and the type its address value parses to.

@@ -12,12 +12,9 @@ from qpirlab.states import (
 from qpirlab.protocol import ProtocolSpec, execute, purify_both
 from qpirlab.adversary import (
     AdversaryStrategy,
-    RecoveryMapSet,
     certify_specious,
-    certify_ultimately_specious,
     default_input_suite,
     honest_adversary,
-    identity_recovery,
     install,
     purified_adversary,
     recovery_shapes,
@@ -72,7 +69,7 @@ def test_install_replaces_only_one_party():
 def test_honest_adversary_certifies_at_zero(rng):
     spec = two_round_protocol()
     adv = honest_adversary(spec, "A")
-    rep = certify_specious(spec, adv, identity_recovery(spec, "A"),
+    rep = certify_specious(spec, adv, trace_out_recovery(spec, adv),
                            small_inputs(spec, rng))
     assert rep.epsilon_hat < 1e-8
     assert rep.certified is True
@@ -100,7 +97,7 @@ def test_purified_channel_party_is_zero_specious_each_step(rng):
     for step, worst in rep.worst_by_step().items():
         assert worst < 1e-8, (step, worst)
     assert all(row.distance == 0.0 for row in rep.rows)
-    want = certify_oracle(spec, adv, recovery.maps, inputs)
+    want = certify_oracle(spec, adv, recovery, inputs)
     assert [(r.step, r.input_id) for r in rep.rows] == [w[:2] for w in want]
     assert max(w[2] for w in want) < 1e-12
 
@@ -118,9 +115,16 @@ def test_memory_discarding_adversary_is_detected(rng):
     spec = two_round_protocol()
     adv = AdversaryStrategy("A", spec.a_memory,
                             (spec.a_ops[0], _memory_discarding_op(spec)))
-    rep = certify_specious(spec, adv, identity_recovery(spec, "A"),
+    rep = certify_specious(spec, adv, trace_out_recovery(spec, adv),
                            small_inputs(spec, rng))
     assert rep.epsilon_hat > 0.3
+
+
+def _ultimate(spec, adv, last_map, inputs, rng):
+    """Ultimate speciousness: the final-step row of a certificate whose last
+    map is `last_map` and whose earlier maps are Haar environment maps."""
+    maps = _environment_recovery(spec, adv, rng)[:-1] + (last_map,)
+    return certify_specious(spec, adv, maps, inputs).worst_by_step()[2 * spec.rounds]
 
 
 def test_ultimate_no_worse_than_stepwise(rng):
@@ -129,27 +133,27 @@ def test_ultimate_no_worse_than_stepwise(rng):
     recovery = trace_out_recovery(spec, adv)
     inputs = small_inputs(spec, rng)
     stepwise = certify_specious(spec, adv, recovery, inputs)
-    ultimate = certify_ultimately_specious(spec, adv, recovery.maps[-1], inputs)
-    assert ultimate.epsilon_hat <= stepwise.epsilon_hat + 1e-12
+    ultimate = _ultimate(spec, adv, recovery[-1], inputs, rng)
+    assert ultimate <= stepwise.epsilon_hat + 1e-12
 
 
 def test_ultimate_is_the_final_step_of_stepwise(rng):
     spec = two_round_protocol()
     adv = AdversaryStrategy("A", spec.a_memory,
                             (spec.a_ops[0], _memory_discarding_op(spec)))
-    recovery = identity_recovery(spec, "A")
+    recovery = trace_out_recovery(spec, adv)
     inputs = small_inputs(spec, rng)
     stepwise = certify_specious(spec, adv, recovery, inputs)
-    ultimate = certify_ultimately_specious(spec, adv, recovery.maps[-1], inputs)
-    assert ultimate.epsilon_hat > 0.1
-    assert ultimate.epsilon_hat == stepwise.worst_by_step()[2 * spec.rounds]
+    ultimate = _ultimate(spec, adv, recovery[-1], inputs, rng)
+    assert ultimate > 0.1
+    assert ultimate == stepwise.worst_by_step()[2 * spec.rounds]
 
 
 def test_epsilon_monotone_in_test_set(rng):
     spec = two_round_protocol()
     adv = AdversaryStrategy("A", spec.a_memory,
                             (spec.a_ops[0], _memory_discarding_op(spec)))
-    recovery = identity_recovery(spec, "A")
+    recovery = trace_out_recovery(spec, adv)
     inputs = small_inputs(spec, rng, count=4)
     small = certify_specious(spec, adv, recovery, inputs[:2])
     large = certify_specious(spec, adv, recovery, inputs)
@@ -187,14 +191,13 @@ def test_adversarial_measurement_does_not_signal(rng):
     assert np.max(np.abs(honest - attacked)) < 1e-8
 
 
-def test_recovery_shape_validation():
+def test_recovery_shape_validation(rng):
     spec = two_round_protocol()
     adv = purified_adversary(spec, "A")
-    recovery = identity_recovery(spec, "A")  # wrong: ignores the purifier
-    with pytest.raises(ShapeMismatch):
-        certify_specious(spec, adv, recovery, [])
-    with pytest.raises(ShapeMismatch):
-        certify_ultimately_specious(spec, adv, recovery.maps[-1], [])
+    # wrong: the honest party's maps, whose views lack the purifier
+    recovery = trace_out_recovery(spec, honest_adversary(spec, "A"))
+    with pytest.raises(ShapeMismatch, match="recovery map 1: "):
+        certify_specious(spec, adv, recovery, small_inputs(spec, rng))
     lay_in, lay_out = recovery_shapes(spec, adv, 1)
     assert lay_out.labels()[:1] == ("A1",)
     assert "X1" in lay_in.labels()
@@ -238,7 +241,7 @@ def _environment_recovery(spec, adv, rng):
         out = concat(honest, RegisterLayout.of(("E", 2)))
         u = haar_unitary_matrix(out.total_dim, rng)
         maps.append(Isometry(view, out, u[:, :view.total_dim]))
-    return RecoveryMapSet(tuple(maps))
+    return tuple(maps)
 
 
 @pytest.mark.parametrize("case", ["memory-discarding A", "Kraus B",
@@ -256,10 +259,10 @@ def test_certify_rows_match_the_density_oracle(case, rng):
     if case.endswith("environment recovery"):
         recovery = _environment_recovery(spec, adv, rng)
     else:
-        recovery = identity_recovery(spec, adv.party)
+        recovery = trace_out_recovery(spec, adv)
     inputs = small_inputs(spec, rng) + default_input_suite(spec)
     rep = certify_specious(spec, adv, recovery, inputs)
-    want = certify_oracle(spec, adv, recovery.maps, inputs)
+    want = certify_oracle(spec, adv, recovery, inputs)
     assert [(r.step, r.input_id) for r in rep.rows] == [w[:2] for w in want]
     for row, (_, _, distance) in zip(rep.rows, want):
         assert abs(row.distance - distance) < 1e-12
@@ -272,7 +275,7 @@ def test_a_recovery_map_must_be_an_isometry_onto_the_honest_registers(case, rng)
     whose output lacks an honest register is rejected too."""
     spec = two_round_protocol()
     adv = honest_adversary(spec, "A")
-    maps = list(identity_recovery(spec, "A").maps)
+    maps = list(trace_out_recovery(spec, adv))
     last = maps[-1]
     if case == "Kraus channel":
         maps[-1] = KrausChannel(last.input_layout, last.output_layout, (last.matrix,))
@@ -284,19 +287,16 @@ def test_a_recovery_map_must_be_an_isometry_onto_the_honest_registers(case, rng)
         match = "environment"
     inputs = small_inputs(spec, rng)
     with pytest.raises(ShapeMismatch, match=match):
-        certify_specious(spec, adv, RecoveryMapSet(tuple(maps)), inputs)
-    with pytest.raises(ShapeMismatch, match=match):
-        certify_ultimately_specious(spec, adv, maps[-1], inputs)
+        certify_specious(spec, adv, tuple(maps), inputs)
 
 
 def test_an_empty_input_suite_is_named_up_front():
     spec = two_round_protocol()
     adv = honest_adversary(spec, "A")
-    maps = identity_recovery(spec, "A")
-    with pytest.raises(ShapeMismatch, match="input suite is empty"):
-        certify_specious(spec, adv, maps, [])
-    with pytest.raises(ShapeMismatch, match="input suite is empty"):
-        certify_ultimately_specious(spec, adv, maps.maps[-1], iter(()))
+    maps = trace_out_recovery(spec, adv)
+    for empty in ([], ()):
+        with pytest.raises(ShapeMismatch, match="input suite is empty"):
+            certify_specious(spec, adv, maps, empty)
 
 
 @pytest.mark.parametrize("label", ["R", "Bbar", "B2", "E"])
@@ -309,17 +309,15 @@ def test_an_environment_label_must_be_free_before_anything_runs(
     import qpirlab.adversary as adversary
     spec = two_round_protocol()
     adv = honest_adversary(spec, "A")
-    maps = list(identity_recovery(spec, "A").maps)
+    maps = list(trace_out_recovery(spec, adv))
     last = maps[-1]
     maps[-1] = Isometry(last.input_layout,
                         concat(last.output_layout, RegisterLayout.of((label, 1))),
                         last.matrix)
     inputs = small_inputs(spec, rng) + default_input_suite(spec)
     if label == "E":
-        assert certify_specious(spec, adv, RecoveryMapSet(tuple(maps)),
+        assert certify_specious(spec, adv, tuple(maps),
                                 inputs).epsilon_hat == 0.0
-        assert certify_ultimately_specious(spec, adv, maps[-1],
-                                           inputs).epsilon_hat == 0.0
         return
 
     def no_run(*args):
@@ -328,6 +326,22 @@ def test_an_environment_label_must_be_free_before_anything_runs(
     monkeypatch.setattr(adversary, "execute", no_run)
     match = f"recovery map 4: environment label '{label}'"
     with pytest.raises(ShapeMismatch, match=match):
-        certify_specious(spec, adv, RecoveryMapSet(tuple(maps)), inputs)
-    with pytest.raises(ShapeMismatch, match=match):
-        certify_ultimately_specious(spec, adv, maps[-1], inputs)
+        certify_specious(spec, adv, tuple(maps), inputs)
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_the_map_count_is_checked_before_anything_runs(count, rng, monkeypatch):
+    """Two rounds need 4 maps; a tuple one short or one long is a
+    ShapeMismatch naming both counts, before any run."""
+    import qpirlab.adversary as adversary
+    spec = two_round_protocol()
+    adv = honest_adversary(spec, "A")
+    maps = trace_out_recovery(spec, adv)
+    maps = maps[:count] if count < len(maps) else maps + maps[-1:]
+
+    def no_run(*args):
+        raise AssertionError("a protocol ran before the map count was checked")
+
+    monkeypatch.setattr(adversary, "execute", no_run)
+    with pytest.raises(ShapeMismatch, match=f"need 4 recovery maps, got {count}"):
+        certify_specious(spec, adv, maps, small_inputs(spec, rng))

@@ -478,6 +478,20 @@ def test_certify_rejects_removed_options(flag):
     assert _cli(argv)[0] == 1
 
 
+@pytest.mark.parametrize("party", "AB")
+def test_certify_accepts_a_protocol_register_named_r(party, tmp_path):
+    """Trivial n=2 with A1 renamed R: the entangled input's reference
+    register takes a fresh label, so both parties certify at 0."""
+    text = json.dumps(serialize.protocol_spec_to_json(builtin("trivial", 2).spec))
+    path = tmp_path / "trivial-r.json"
+    path.write_text(text.replace('"A1"', '"R"'))
+    code, out = _cli(["certify", "--protocol", str(path), "--party", party])
+    report = json.loads(out)
+    assert code == 0
+    assert report["epsilon_hat"] == 0.0 and report["certified"] is True
+    assert "entangled-ref" in {row["input_id"] for row in report["rows"]}
+
+
 # -- each audit purifies once and runs each batch once ------------------------
 
 @pytest.fixture

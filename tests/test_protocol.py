@@ -151,14 +151,14 @@ def test_input_layout_validated():
         np.kron(np.array([1, 0, 0, 0], dtype=complex),
                 np.array([1, 0, 0], dtype=complex)),
     )
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeMismatch, match="'R' has dim 3; it needs dim 1 or 4"):
         execute(spec, bad_ref)
 
 
 def test_batch_validates_the_reference_register():
     spec = move_protocol()
     lay = RegisterLayout.of(("A0", 2), ("B0", 2), ("R", 5))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeMismatch, match="'R' has dim 5; it needs dim 1 or 4"):
         execute_pure_batch(spec, lay, np.eye(lay.total_dim, dtype=complex))
 
 
@@ -169,9 +169,10 @@ def test_a_reference_label_taken_by_the_protocol_is_rejected(label):
     lay = concat(spec.a_memory[0], spec.b_memory[0],
                  RegisterLayout.of((label, 1)))
     amps = np.eye(lay.total_dim, dtype=complex)
-    with pytest.raises(ShapeMismatch, match="label"):
+    match = f"{label!r} takes the label of a protocol register"
+    with pytest.raises(ShapeMismatch, match=match):
         execute(spec, StateVector(lay, amps[:, 0]))
-    with pytest.raises(ShapeMismatch, match="label"):
+    with pytest.raises(ShapeMismatch, match=match):
         execute_pure_batch(spec, lay, amps)
 
 

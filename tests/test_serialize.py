@@ -62,8 +62,8 @@ def test_amplitude_bits_survive(rng):
 
 
 def test_builtin_address_parsing():
-    name, params = parse_builtin_address("builtin:trivial-qpir?n=6")
-    assert name == "trivial-qpir"
+    name, params = parse_builtin_address("builtin:trivial?n=6")
+    assert name == "trivial"
     assert params == {"n": "6"}
     name, params = parse_builtin_address("builtin:noisy-trivial?n=4&delta=0.1")
     assert params == {"n": "4", "delta": "0.1"}
@@ -73,13 +73,19 @@ def test_builtin_address_parsing():
 
 def test_builtin_from_address():
     from qpirlab.qpir import builtin_from_address
-    p = builtin_from_address("builtin:trivial-qpir?n=4")
+    p = builtin_from_address("builtin:trivial?n=4")
     assert p.n == 4
     assert p.communication == pytest.approx(4.0)
     q = builtin_from_address("builtin:index-in-clear?n=4")
     assert q.communication == pytest.approx(math.log2(4) + 1)
     with pytest.raises(LayoutError):
         builtin_from_address("builtin:nonsense?n=2")
+    # one name per builtin: the old aliases are unknown, and the error lists
+    # the names that are known
+    with pytest.raises(LayoutError, match=r"unknown builtin 'trivial-qpir'; "
+                       r"known: \['index-in-clear', 'noisy-trivial', "
+                       r"'random', 'trivial'\]"):
+        builtin_from_address("builtin:trivial-qpir?n=4")
     with pytest.raises(LayoutError):
         builtin_from_address("builtin:trivial")
 
