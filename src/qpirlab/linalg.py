@@ -199,16 +199,16 @@ class HelstromResult(NamedTuple):
     positive: np.ndarray   # (d, k) orthonormal basis of the outcome-0 eigenspace
 
 
-def helstrom_matrices(rho0: np.ndarray, rho1: np.ndarray) -> HelstromResult:
-    """Optimal two-outcome discrimination at priors 1/2:
-    1/2 + (1/2)||rho0/2 - rho1/2||_1.
+def helstrom_matrices(gamma: np.ndarray) -> HelstromResult:
+    """Optimal two-outcome discrimination at priors 1/2 from the Helstrom
+    operator gamma = rho0/2 - rho1/2: success 1/2 + (1/2)||gamma||_1.
 
-    Returns the success probability together with an orthonormal basis of
-    the positive eigenspace of rho0/2 - rho1/2: the optimal measurement
-    projects onto its span, and outcome 0 fires when it clicks.
+    The caller forms gamma (`qpir` does so in one paired matmul, without
+    either state).  Returns the success probability together with an
+    orthonormal basis of gamma's positive eigenspace: the optimal
+    measurement projects onto its span, and outcome 0 fires when it clicks.
     """
-    m = 0.5 * rho0 - 0.5 * rho1
-    w, v = np.linalg.eigh(m)
+    w, v = np.linalg.eigh(gamma)
     prob = 0.5 + 0.5 * float(np.sum(np.abs(w)))
     return HelstromResult(min(1.0, prob), v[:, w > 0.0])
 

@@ -5,12 +5,17 @@ encoding), party B the client (index input i, n-dimensional encoding).
 Every audit reads one `PurifiedRun`: the protocol with both parties
 purified, run on the basis inputs |x>|i> one index at a time (i fixed
 inside the client's first op, so no batch holds more than 2^n inputs) and
-once on the uniform database superposition with each index.  Correctness
-is judged by optimal (Helstrom) discrimination of the client's final
-states averaged over databases (one index batch at a time), and each
-index's optimal measurement is kept, as a basis of its outcome-0
-eigenspace, for the reduction's decoder to apply; privacy by comparing the
-purified server's marginals across index inputs (superposition runs).
+once on the uniform database superposition with each index.
+
+Correctness is judged by optimal (Helstrom) discrimination of the client's
+final states averaged over {x : x_i = 0} and over {x : x_i = 1}.  Their
+Helstrom operator Gamma_i = rho_0/2 - rho_1/2 is formed from index i's
+batch in one matmul that pairs each x with its bit-i partner, and each
+index's optimal measurement is kept, as a basis of Gamma_i's positive
+eigenspace, for the reduction's decoder to apply.  Privacy compares the
+purified server's marginals across index inputs (superposition runs); when
+the n runs span fewer dimensions than the server's registers, the
+marginals are written in that span, which keeps every trace distance.
 """
 
 from __future__ import annotations
@@ -167,18 +172,27 @@ class CorrectnessReport:
     measurements: tuple[np.ndarray, ...]   # (d_client, k_i) outcome-0 basis per index
 
 
-def _client_averages(run: PurifiedRun, i: int) -> list[np.ndarray]:
-    """The client's final state averaged over {x : x_i = 0} and over
-    {x : x_i = 1}, from index i's batch, which is released on return."""
+def _helstrom_operator(run: PurifiedRun, i: int) -> np.ndarray:
+    """Gamma_i = rho_0/2 - rho_1/2 on the client's final registers, rho_b
+    the client's state averaged over {x : x_i = b}, from index i's batch,
+    which is released on return.
+
+    The x axis is viewed as (2^(i-1), 2, 2^(n-i)), which lines each x with
+    x_i = 0 up with its partner x + 2^(n-i).  With M_0 and M_1 those
+    columns, G = (M_0 + M_1)(M_0 - M_1)^dagger has M_0 M_0^dagger -
+    M_1 M_1^dagger as its Hermitian part (the cross terms are
+    anti-Hermitian), so Gamma_i = (G + G^dagger) / 2^(n+1) costs one matmul
+    over half the columns.
+    """
     n = run.qpir.n
     t = matricize(run.index_batch(i), run.layout, run.qpir.client_labels())
     d_client = t.shape[0]
-    mats = []
-    for b in (0, 1):
-        m = t[:, :, [x for x in range(2 ** n) if bit_of(x, i, n) == b]]
-        m = m.reshape(d_client, -1)
-        mats.append((m @ m.conj().T) / 2 ** (n - 1))
-    return mats
+    pairs = t.reshape(d_client, -1, 2 ** (i - 1), 2, 2 ** (n - i))
+    m0, m1 = pairs[:, :, :, 0, :], pairs[:, :, :, 1, :]
+    diff = m0 - m1
+    np.conj(diff, out=diff)
+    g = (m0 + m1).reshape(d_client, -1) @ diff.reshape(d_client, -1).T
+    return (g + g.conj().T) / 2 ** (n + 1)
 
 
 def correctness_delta(run: PurifiedRun) -> CorrectnessReport:
@@ -186,13 +200,15 @@ def correctness_delta(run: PurifiedRun) -> CorrectnessReport:
 
     delta_i = 1 - P_Helstrom(avg over x_i=0, avg over x_i=1) at priors 1/2,
     evaluated on the client's final registers with everything else traced
-    out; the overall report carries both max_i and mean_i.
+    out; the overall report carries both max_i and mean_i.  Each index's
+    Helstrom operator is formed from its batch in one paired matmul, and
+    one `eigh` of it gives both delta_i and the measurement.
     """
     n = run.qpir.n
     deltas = []
     measurements = []
     for i in range(1, n + 1):
-        res: HelstromResult = helstrom_matrices(*_client_averages(run, i))
+        res: HelstromResult = helstrom_matrices(_helstrom_operator(run, i))
         deltas.append(max(0.0, 1.0 - res.probability))
         measurements.append(res.positive)
     return CorrectnessReport(
@@ -233,10 +249,24 @@ class PrivacyReport:
 
 def server_marginals(run: PurifiedRun) -> list[np.ndarray]:
     """Purified server's reduced state per index input on the uniform
-    database superposition."""
+    database superposition: t_j t_j^dagger for each index's factor t_j
+    (d_server x d_rest).
+
+    When the n factors have fewer columns in total than d_server, they are
+    replaced by R from a QR of their concatenation [t_1 ... t_n] = QR.
+    Each t_j = Q R_j with Q an isometry, so the marginals R_j R_j^dagger
+    live in the runs' span, n d_rest-dimensional, and keep every trace
+    distance between them.  Wider factors keep the d_server x d_server
+    marginals, where a QR would cost more than it saves.
+    """
     server = run.spec.a_memory[-1].labels()
     t = matricize(run.superposition, run.layout, server)
-    return [t[:, :, j] @ t[:, :, j].conj().T for j in range(run.qpir.n)]
+    d_server, d_rest, n = t.shape
+    if n * d_rest < d_server:
+        cols = t.transpose(0, 2, 1).reshape(d_server, n * d_rest)
+        r = np.linalg.qr(cols, mode="r")
+        t = r.reshape(n * d_rest, n, d_rest).transpose(0, 2, 1)
+    return [t[:, :, j] @ t[:, :, j].conj().T for j in range(n)]
 
 
 def privacy_epsilon_purified(run: PurifiedRun) -> PrivacyReport:

@@ -12,8 +12,10 @@ measuring with index i's Helstrom measurement from the correctness audit.
 Only that unitary's action on the compressed support matters, so each
 decoder is stored as the d_client x r partial isometry U E (E the
 compressor), never as a d_client x d_client matrix.  The same run yields
-delta (index batches) and epsilon (server marginals of the nu_i).  The
-measured recovery rate feeds the entropy bound on random-access-encoding
+delta (from each index batch's Helstrom operator, formed in one matmul
+that pairs every database with its bit-i partner) and epsilon (server
+marginals of the nu_i, written in the runs' span when that is smaller than
+the server's registers).  The measured recovery rate feeds the entropy bound on random-access-encoding
 size, which in turn bounds the protocol's communication from below.
 """
 

@@ -1,0 +1,168 @@
+"""The paired Helstrom kernel and the span-compressed server marginals
+against the dense computation they replace.
+
+The reference forms each client average rho_b as a Gram matrix of the
+columns {x : x_i = b}, copied out by fancy indexing, and each server
+marginal as t_j t_j^dagger on the full d_server x d_server space.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from qpirlab.linalg import haar_unitary_matrix, helstrom_matrices
+from qpirlab.protocol import ProtocolSpec
+from qpirlab.qpir import (
+    PurifiedRun,
+    QpirProtocol,
+    _helstrom_operator,
+    bit_of,
+    build_index_in_clear,
+    build_trivial,
+    builtin,
+    correctness_delta,
+    privacy_epsilon_purified,
+    server_marginals,
+)
+from qpirlab.registers import Register, RegisterLayout, concat
+from qpirlab.states import Isometry, matricize
+
+TOL = 1e-12
+
+
+def scrambled_index_in_clear(n: int, seed: int) -> QpirProtocol:
+    """index-in-clear whose client sends a Haar-random isometric image of
+    i, entangled with its memory, in place of i itself.  The server's
+    factors stay tall (n * 2n columns against d_server = 2^n n), as in
+    index-in-clear, but its marginals now differ by distances below 1."""
+    spec = build_index_in_clear(n).spec
+    b1 = spec.b_ops[0]
+    u = haar_unitary_matrix(n * n, np.random.default_rng(seed))[:, :n]
+    scrambled = dataclasses.replace(b1, matrix=u)
+    return QpirProtocol(n, dataclasses.replace(
+        spec, b_ops=(scrambled,) + spec.b_ops[1:]))
+
+
+def forgetful_trivial(n: int) -> QpirProtocol:
+    """trivial whose server ships |x> and keeps no copy of it.
+
+    In every builtin the server keeps x, which makes the client's states
+    for x and its bit-i partner incoherent, so the cross terms of
+    G = (M_0 + M_1)(M_0 - M_1)^dagger vanish.  Here they do not, and G is
+    not Hermitian."""
+    spec = build_trivial(n).spec
+    a0 = spec.a_memory[0]
+    (x1,) = spec.x_comm
+    a1 = RegisterLayout((Register("A1", 1),))
+    ship = Isometry(a0, concat(a1, x1), np.eye(2 ** n, dtype=np.complex128))
+    return QpirProtocol(n, ProtocolSpec(1, (a0, a1), spec.b_memory, (x1,), (),
+                                        (ship,), spec.b_ops))
+
+
+CASES = [
+    (f"{name}-n{n}-{params}", lambda name=name, n=n, params=params:
+        builtin(name, n, **params))
+    for n in (2, 3)
+    for name, params in (("trivial", {}), ("index-in-clear", {}),
+                         ("noisy-trivial", {"delta": 0.2}),
+                         ("random", {"seed": 1}), ("random", {"seed": 2}))
+] + [
+    ("index-in-clear-n4", lambda: builtin("index-in-clear", 4)),
+    ("trivial-n4", lambda: builtin("trivial", 4)),
+    ("scrambled-index-in-clear-n3", lambda: scrambled_index_in_clear(3, 5)),
+    ("forgetful-trivial-n3", lambda: forgetful_trivial(3)),
+]
+
+
+def halves(run: PurifiedRun, i: int) -> list[np.ndarray]:
+    """The client's columns of index i's batch with x_i = 0 and with
+    x_i = 1, copied out by fancy indexing, each in increasing x."""
+    n = run.qpir.n
+    t = matricize(run.index_batch(i), run.layout, run.qpir.client_labels())
+    return [t[:, :, [x for x in range(2 ** n) if bit_of(x, i, n) == b]]
+            .reshape(t.shape[0], -1) for b in (0, 1)]
+
+
+def dense_client_averages(run: PurifiedRun, i: int) -> list[np.ndarray]:
+    """The client's final state averaged over {x : x_i = 0} and over
+    {x : x_i = 1}, one Gram matmul each."""
+    return [(m @ m.conj().T) / 2 ** (run.qpir.n - 1) for m in halves(run, i)]
+
+
+def dense_server_marginals(run: PurifiedRun) -> list[np.ndarray]:
+    """t_j t_j^dagger on the purified server's registers, per index."""
+    server = run.spec.a_memory[-1].labels()
+    t = matricize(run.superposition, run.layout, server)
+    return [t[:, :, j] @ t[:, :, j].conj().T for j in range(run.qpir.n)]
+
+
+def dense_gamma(run: PurifiedRun, i: int) -> np.ndarray:
+    rho0, rho1 = dense_client_averages(run, i)
+    return 0.5 * rho0 - 0.5 * rho1
+
+
+def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+
+
+@pytest.fixture(scope="module", params=[build for _, build in CASES],
+                ids=[name for name, _ in CASES])
+def run(request) -> PurifiedRun:
+    return PurifiedRun(request.param())
+
+
+def test_deltas_and_probabilities_match_the_dense_reference(run):
+    rep = correctness_delta(run)
+    for i in range(1, run.qpir.n + 1):
+        w = np.linalg.eigvalsh(dense_gamma(run, i))
+        want = min(1.0, 0.5 + 0.5 * float(np.sum(np.abs(w))))
+        got = helstrom_matrices(_helstrom_operator(run, i)).probability
+        assert abs(got - want) <= TOL
+        assert abs(rep.deltas[i - 1] - max(0.0, 1.0 - want)) <= TOL
+
+
+def test_outcome_zero_basis_is_optimal_for_the_dense_operator(run):
+    rep = correctness_delta(run)
+    for i in range(1, run.qpir.n + 1):
+        gamma = dense_gamma(run, i)
+        w = np.linalg.eigvalsh(gamma)
+        p = rep.measurements[i - 1]
+        attained = float(np.trace(p.conj().T @ gamma @ p).real)
+        assert abs(attained - float(np.sum(w[w > 0.0]))) <= TOL
+
+
+def test_distance_matrix_matches_the_dense_reference(run):
+    dense = dense_server_marginals(run)
+    got = privacy_epsilon_purified(run).distance_matrix
+    n = run.qpir.n
+    want = np.array([[_trace_distance(dense[a], dense[b]) for b in range(n)]
+                     for a in range(n)])
+    assert np.max(np.abs(got - want)) <= TOL
+
+
+def test_scrambled_client_leaks_partially():
+    # the span-compressed path is checked above on distances strictly
+    # between 0 and 1, not only on index-in-clear's orthogonal marginals
+    dist = privacy_epsilon_purified(
+        PurifiedRun(scrambled_index_in_clear(3, 5))).distance_matrix
+    off = dist[~np.eye(3, dtype=bool)]
+    assert np.all((off > 0.05) & (off < 0.95))
+
+
+def test_forgetful_server_leaves_cross_terms():
+    # the case above where dropping the Hermitian part of G would show
+    run = PurifiedRun(forgetful_trivial(3))
+    m0, m1 = halves(run, 2)
+    assert np.max(np.abs(m1 @ m0.conj().T)) > 0.5
+    assert correctness_delta(run).deltas == pytest.approx((0.0,) * 3, abs=TOL)
+
+
+def test_marginals_live_in_the_runs_span_only_when_it_is_smaller():
+    # index-in-clear n=3: 3 factors of 24 x 6, so 18 columns < d_server = 24
+    tall = server_marginals(PurifiedRun(builtin("index-in-clear", 3)))
+    assert [m.shape for m in tall] == [(18, 18)] * 3
+    wide_run = PurifiedRun(builtin("trivial", 3))
+    d_server = wide_run.spec.a_memory[-1].total_dim
+    assert [m.shape for m in server_marginals(wide_run)] == \
+        [(d_server, d_server)] * 3

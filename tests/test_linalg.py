@@ -215,11 +215,11 @@ class TestUhlmann:
 
 class TestHelstrom:
     def test_identical_states_coin_flip(self):
-        res = helstrom_matrices(dm(KET0), dm(KET0))
+        res = helstrom_matrices(0.5 * dm(KET0) - 0.5 * dm(KET0))
         assert res.probability == pytest.approx(0.5, abs=1e-12)
 
     def test_orthogonal_states_certain(self):
-        res = helstrom_matrices(dm(KET0), dm(KET1))
+        res = helstrom_matrices(0.5 * dm(KET0) - 0.5 * dm(KET1))
         assert res.probability == pytest.approx(1.0, abs=1e-12)
         # outcome 0 is one orthonormal direction: the first state's
         assert res.positive.shape == (2, 1)
@@ -227,7 +227,7 @@ class TestHelstrom:
             1.0, abs=1e-12)
 
     def test_zero_vs_plus_matches_grid_oracle(self):
-        res = helstrom_matrices(dm(KET0), dm(PLUS))
+        res = helstrom_matrices(0.5 * dm(KET0) - 0.5 * dm(PLUS))
         closed_form = 0.5 + 0.5 / math.sqrt(2)
         assert res.probability == pytest.approx(closed_form, abs=1e-9)
         grid = bloch_grid_success(dm(KET0), dm(PLUS))
