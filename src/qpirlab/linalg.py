@@ -52,9 +52,10 @@ def _require_same_layout(a, b) -> None:
 
 
 def trace_distance_matrices(a: np.ndarray, b: np.ndarray) -> float:
-    """Trace distance of two Hermitian matrices given as raw arrays."""
+    """Trace distance of two unit-trace states given as raw arrays, with
+    round-off above 1 clamped."""
     eig = np.linalg.eigvalsh(a - b)
-    return float(0.5 * np.sum(np.abs(eig)))
+    return min(1.0, float(0.5 * np.sum(np.abs(eig))))
 
 
 def pure_distance_amplitudes(a: np.ndarray, b: np.ndarray) -> float:
@@ -203,10 +204,11 @@ def helstrom_matrices(gamma: np.ndarray) -> HelstromResult:
     """Optimal two-outcome discrimination at priors 1/2 from the Helstrom
     operator gamma = rho0/2 - rho1/2: success 1/2 + (1/2)||gamma||_1.
 
-    The caller forms gamma (`qpir` does so in one paired matmul, without
-    either state).  Returns the success probability together with an
-    orthonormal basis of gamma's positive eigenspace: the optimal
-    measurement projects onto its span, and outcome 0 fires when it clicks.
+    The caller forms gamma (`qpir` does so without either state, in the
+    span of the client's last op).  Returns the success probability
+    together with an orthonormal basis of gamma's positive eigenspace: the
+    optimal measurement projects onto its span, and outcome 0 fires when it
+    clicks.
     """
     w, v = np.linalg.eigh(gamma)
     prob = 0.5 + 0.5 * float(np.sum(np.abs(w)))

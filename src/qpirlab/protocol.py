@@ -252,6 +252,7 @@ def _steps(spec: ProtocolSpec, columns: np.ndarray):
         labels = iso.input_layout.labels()
         t = matricize(cur, lay, labels)
         cur = (iso.matrix @ t.reshape(t.shape[0], -1)).reshape(-1, nb)
+        del t   # a paused run holds only the step's output
         lay = concat(iso.output_layout, lay.drop(labels))
         yield step, lay, cur
 

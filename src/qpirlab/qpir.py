@@ -8,22 +8,28 @@ inside the client's first op, so no batch holds more than 2^n inputs) and
 once on the uniform database superposition with each index.
 
 Correctness is judged by optimal (Helstrom) discrimination of the client's
-final states averaged over {x : x_i = 0} and over {x : x_i = 1}.  Their
-Helstrom operator Gamma_i = rho_0/2 - rho_1/2 is formed from index i's
-batch in one matmul that pairs each x with its bit-i partner, and each
-index's optimal measurement is kept, as a basis of Gamma_i's positive
-eigenspace, for the reduction's decoder to apply.  Privacy compares the
-purified server's marginals across index inputs (superposition runs); when
-the n runs span fewer dimensions than the server's registers, the
-marginals are written in that span, which keeps every trace distance.
+final states averaged over {x : x_i = 0} and over {x : x_i = 1}.  The
+client's last op touches only its own registers, so their Helstrom
+operator Gamma_i = rho_0/2 - rho_1/2 is that op, as a channel, applied to
+Gamma_i^pre, the same operator on the op's inputs.  Index i's batch
+therefore stops before the last op; Gamma_i^pre is formed from it in one
+matmul that pairs each x with its bit-i partner, and Gamma_i is
+diagonalized in the span of the op's Kraus operators.  Each index's
+optimal measurement is kept, as a basis of Gamma_i's positive eigenspace,
+for the reduction's decoder to apply.  Privacy compares the purified
+server's marginals across index inputs (superposition runs); when the n
+runs span fewer dimensions than the server's registers, the marginals are
+written in that span, which keeps every trace distance.
 """
 
 from __future__ import annotations
 
 import math
 import urllib.parse
+from collections import deque
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -35,9 +41,17 @@ from .linalg import (
     trace_distance_matrices,
 )
 from .registers import Register, RegisterLayout, concat
-from .states import Isometry, KrausChannel, StateVector, matricize
+from .states import (
+    Isometry,
+    KrausChannel,
+    Operation,
+    StateVector,
+    matricize,
+    stinespring,
+)
 from .protocol import (
     ProtocolSpec,
+    _steps,
     communication_complexity,
     execute_pure_batch,
     purify_both,
@@ -97,57 +111,106 @@ def qpir_input(qpir: QpirProtocol, x: int | None, i: int) -> StateVector:
 # the purified run every audit reads
 # ---------------------------------------------------------------------------
 
+def _fix_index(spec: ProtocolSpec, i: int) -> ProtocolSpec:
+    """`spec` with the client's input fixed at |i>: B_0 becomes one
+    dimension-1 register and the client's first op keeps only its columns
+    with B_0 = |i>, so B_0 never rides through a matmul."""
+    b0 = spec.b_memory[0]
+    op = spec.b_ops[0]   # reads B_0 (x) X_1
+    fixed = RegisterLayout((Register(b0.labels()[0], 1),))
+    lay = concat(fixed, op.input_layout.drop(b0.labels()))
+
+    def at_i(matrix: np.ndarray) -> np.ndarray:
+        return matrix.reshape(matrix.shape[0], b0.total_dim, -1)[:, i - 1, :]
+
+    if isinstance(op, Isometry):
+        first = Isometry(lay, op.output_layout, at_i(op.matrix))
+    else:
+        first = KrausChannel(lay, op.output_layout, tuple(map(at_i, op.kraus_ops)))
+    return spec.with_party("B", (fixed,) + spec.b_memory[1:],
+                           (first,) + spec.b_ops[1:])
+
+
+def _paired_operator(t: np.ndarray, i: int) -> np.ndarray:
+    """rho_0/2 - rho_1/2 for the factors t (d, d_rest, 2^n) of the basis
+    runs x, rho_b their average over {x : x_i = b}.
+
+    The x axis is viewed as (2^(i-1), 2, 2^(n-i)), which lines each x with
+    x_i = 0 up with its partner x + 2^(n-i).  With M_0 and M_1 those
+    columns, G = (M_0 + M_1)(M_0 - M_1)^dagger has M_0 M_0^dagger -
+    M_1 M_1^dagger as its Hermitian part (the cross terms are
+    anti-Hermitian), so the operator is (G + G^dagger) / 2^(n+1), one
+    matmul over half the columns.
+    """
+    d, _, da = t.shape
+    pairs = t.reshape(d, -1, 2 ** (i - 1), 2, da >> i)
+    m0, m1 = pairs[:, :, :, 0, :], pairs[:, :, :, 1, :]
+    diff = m0 - m1
+    np.conj(diff, out=diff)
+    g = (m0 + m1).reshape(d, -1) @ diff.reshape(d, -1).T
+    return (g + g.conj().T) / (2 * da)
+
+
 class PurifiedRun:
-    """Final states of the protocol with both parties purified.
+    """The protocol with both parties purified, run on the inputs every
+    audit reads.
 
-    The protocol is purified once.  Both kinds of batch are pure final
-    states over `layout`, one column per input:
+    The protocol is purified once.  Its basis inputs |x>|i> run one index
+    at a time, with the index fixed inside the client's first op
+    (`_fix_index`), one column per database x, so no batch holds more than
+    2^n inputs:
 
-    * `index_batch(i)`: every basis input |x>|i> of one index i, as column
-      x.  The index is fixed inside the client's first op: only its columns
-      with B_0 = |i> are kept, so B_0 has dimension 1 and never rides
-      through a matmul.  Index 1's batch, which the encoding and the
-      correctness audit both read, runs once and is kept; any other index
-      runs on each call.
+    * `helstrom_operator(i)`: index i's batch runs through steps 1..2s-1
+      only, up to the client's last op, and is read only through
+      Gamma_i^pre = rho_0/2 - rho_1/2 on the honest client's registers
+      B_{s-1} (x) X_s (B_0 fixed at i when s = 1), everything else,
+      purifiers included, traced out.
+    * `index_batch(i)`: index i's final batch over `layout`.  It runs the
+      same steps once and goes on through the last op; Gamma_i^pre is
+      formed on the way and kept for `helstrom_operator(i)`.
     * `superposition`: the uniform database with index i (the state nu_i),
-      as column i-1, run once on first use.
+      as column i-1, over `layout`, run once on first use.
     """
 
     def __init__(self, qpir: QpirProtocol) -> None:
         self.qpir = qpir
         self.spec = purify_both(qpir.spec)
         self.layout = concat(self.spec.a_memory[-1], self.spec.b_memory[-1])
+        self._pre_operators: dict[int, np.ndarray] = {}
 
-    def _final(self, spec: ProtocolSpec, columns: np.ndarray) -> np.ndarray:
-        lay = concat(spec.a_memory[0], spec.b_memory[0])
-        return execute_pure_batch(spec, lay, columns)[1]
+    def last_op(self, i: int) -> Operation:
+        """The honest client's last op; when s = 1 it reads B_0, fixed at i."""
+        spec = self.qpir.spec
+        return spec.b_ops[-1] if spec.rounds > 1 else _fix_index(spec, i).b_ops[0]
+
+    def _index_steps(self, i: int):
+        columns = np.eye(2 ** self.qpir.n, dtype=np.complex128)
+        return _steps(_fix_index(self.spec, i), columns)
+
+    def _pre_operator(self, i: int, steps) -> np.ndarray:
+        """Gamma_i^pre from the first 2s-1 of index i's `steps`."""
+        (_, lay, cur), = deque(islice(steps, 2 * self.spec.rounds - 1), maxlen=1)
+        pre = self.last_op(i).input_layout.labels()
+        return _paired_operator(matricize(cur, lay, pre), i)
+
+    def helstrom_operator(self, i: int) -> np.ndarray:
+        kept = self._pre_operators.pop(i, None)
+        return self._pre_operator(i, self._index_steps(i)) if kept is None else kept
 
     def index_batch(self, i: int) -> np.ndarray:
-        return self._index_one if i == 1 else self._run_index(i)
-
-    @cached_property
-    def _index_one(self) -> np.ndarray:
-        return self._run_index(1)
-
-    def _run_index(self, i: int) -> np.ndarray:
-        spec = self.spec
-        b0 = spec.b_memory[0]
-        op = spec.b_ops[0]   # reads B_0 (x) X_1; an isometry once purified
-        fixed = RegisterLayout((Register(b0.labels()[0], 1),))
-        matrix = op.matrix.reshape(op.output_layout.total_dim, b0.total_dim, -1)
-        first = Isometry(concat(fixed, op.input_layout.drop(b0.labels())),
-                         op.output_layout, matrix[:, i - 1, :])
-        sliced = spec.with_party("B", (fixed,) + spec.b_memory[1:],
-                                 (first,) + spec.b_ops[1:])
-        return self._final(sliced, np.eye(2 ** self.qpir.n, dtype=np.complex128))
+        steps = self._index_steps(i)
+        self._pre_operators[i] = self._pre_operator(i, steps)
+        (step, lay, cur), = steps   # the client's last op
+        return matricize(cur, lay, step.order).reshape(self.layout.total_dim, -1)
 
     @cached_property
     def superposition(self) -> np.ndarray:
         n = self.qpir.n
-        return self._final(self.spec, np.stack(
+        lay = concat(self.spec.a_memory[0], self.spec.b_memory[0])
+        return execute_pure_batch(self.spec, lay, np.stack(
             [qpir_input(self.qpir, None, i).amplitudes for i in range(1, n + 1)],
             axis=1,
-        ))
+        ))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -172,27 +235,22 @@ class CorrectnessReport:
     measurements: tuple[np.ndarray, ...]   # (d_client, k_i) outcome-0 basis per index
 
 
-def _helstrom_operator(run: PurifiedRun, i: int) -> np.ndarray:
-    """Gamma_i = rho_0/2 - rho_1/2 on the client's final registers, rho_b
-    the client's state averaged over {x : x_i = b}, from index i's batch,
-    which is released on return.
+def _kraus_span(op: Operation) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced QR [K_1 ... K_m] = QR of `op`'s Kraus operators side by side:
+    Q is d_out x r and R is r x m d_in, with r = min(d_out, m d_in)."""
+    return np.linalg.qr(stinespring(op).reshape(op.output_layout.total_dim, -1))
 
-    The x axis is viewed as (2^(i-1), 2, 2^(n-i)), which lines each x with
-    x_i = 0 up with its partner x + 2^(n-i).  With M_0 and M_1 those
-    columns, G = (M_0 + M_1)(M_0 - M_1)^dagger has M_0 M_0^dagger -
-    M_1 M_1^dagger as its Hermitian part (the cross terms are
-    anti-Hermitian), so Gamma_i = (G + G^dagger) / 2^(n+1) costs one matmul
-    over half the columns.
-    """
-    n = run.qpir.n
-    t = matricize(run.index_batch(i), run.layout, run.qpir.client_labels())
-    d_client = t.shape[0]
-    pairs = t.reshape(d_client, -1, 2 ** (i - 1), 2, 2 ** (n - i))
-    m0, m1 = pairs[:, :, :, 0, :], pairs[:, :, :, 1, :]
-    diff = m0 - m1
-    np.conj(diff, out=diff)
-    g = (m0 + m1).reshape(d_client, -1) @ diff.reshape(d_client, -1).T
-    return (g + g.conj().T) / 2 ** (n + 1)
+
+def _pushed_through(gamma_pre: np.ndarray, span: tuple[np.ndarray, np.ndarray]
+                    ) -> HelstromResult:
+    """The Helstrom measurement of sum_k K_k Gamma^pre K_k^dagger, with
+    [K_1 ... K_m] = QR.  That operator is Q (sum_k R_k Gamma^pre R_k^dagger)
+    Q^dagger, so the r x r middle factor is diagonalized and its outcome-0
+    basis P comes back as Q P."""
+    q, r = span
+    y = (r.reshape(-1, gamma_pre.shape[0]) @ gamma_pre).reshape(r.shape[0], -1)
+    res = helstrom_matrices(y @ r.conj().T)
+    return HelstromResult(res.probability, q @ res.positive)
 
 
 def correctness_delta(run: PurifiedRun) -> CorrectnessReport:
@@ -200,15 +258,23 @@ def correctness_delta(run: PurifiedRun) -> CorrectnessReport:
 
     delta_i = 1 - P_Helstrom(avg over x_i=0, avg over x_i=1) at priors 1/2,
     evaluated on the client's final registers with everything else traced
-    out; the overall report carries both max_i and mean_i.  Each index's
-    Helstrom operator is formed from its batch in one paired matmul, and
-    one `eigh` of it gives both delta_i and the measurement.
+    out; the overall report carries both max_i and mean_i.  The client's
+    last op acts on its registers alone, so Gamma_i = rho_0/2 - rho_1/2 is
+    that op, as a channel, applied to Gamma_i^pre on its inputs: each index
+    batch stops before the last op (`PurifiedRun.helstrom_operator`), and
+    Gamma_i is diagonalized in the span of the op's Kraus operators, which
+    is min(d_client, m d_pre)-dimensional.  Every index shares one QR of
+    them unless the last op is the first (s = 1) and reads B_0.
     """
     n = run.qpir.n
     deltas = []
     measurements = []
+    op = span = None
     for i in range(1, n + 1):
-        res: HelstromResult = helstrom_matrices(_helstrom_operator(run, i))
+        last = run.last_op(i)
+        if last is not op:
+            op, span = last, _kraus_span(last)
+        res = _pushed_through(run.helstrom_operator(i), span)
         deltas.append(max(0.0, 1.0 - res.probability))
         measurements.append(res.positive)
     return CorrectnessReport(
@@ -236,8 +302,8 @@ class PrivacyReport:
     n: int
     distance_matrix: np.ndarray          # Delta(server_i, server_j) on |xi>|i>
     epsilon_by_reference: tuple[float, ...]
-    epsilon_hat: float                   # min over reference indices
-    reference_index: int                 # 1-based argmin
+    epsilon_hat: float                   # min over reference indices, to 1e-12
+    reference_index: int                 # 1-based, lowest within 1e-12 of the min
     per_index_distances: tuple[float, ...]
     pairwise_lower: float                # max pairwise distance, halved
 
@@ -283,7 +349,8 @@ def privacy_epsilon_purified(run: PurifiedRun) -> PrivacyReport:
         for b in range(a + 1, n):
             dist[a, b] = dist[b, a] = trace_distance_matrices(margs[a], margs[b])
     by_ref = tuple(float(np.max(dist[:, j])) for j in range(n))
-    ref = int(np.argmin(by_ref))
+    # the lowest index within round-off of the minimum, not float order's pick
+    ref = next(j for j, e in enumerate(by_ref) if e <= min(by_ref) + 1e-12)
     dist.setflags(write=False)
     return PrivacyReport(
         n=n,

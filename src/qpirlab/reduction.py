@@ -3,7 +3,8 @@ communication lower bound it certifies.
 
 Pipeline: every stage reads one `PurifiedRun` (both parties purified
 once; the basis inputs run one index at a time, i fixed in the client's
-first op, and each index batch runs once).  The uniform-database
+first op, and each index batch runs once, only index 1's going on
+through the client's last op, for the encoding).  The uniform-database
 superposition runs nu_i give the client subspace actually used, which is
 Schmidt-compressed to rank r; each database is encoded as the compressed
 client state of its index-1 basis run; and any index i is decoded by
@@ -12,11 +13,14 @@ measuring with index i's Helstrom measurement from the correctness audit.
 Only that unitary's action on the compressed support matters, so each
 decoder is stored as the d_client x r partial isometry U E (E the
 compressor), never as a d_client x d_client matrix.  The same run yields
-delta (from each index batch's Helstrom operator, formed in one matmul
-that pairs every database with its bit-i partner) and epsilon (server
-marginals of the nu_i, written in the runs' span when that is smaller than
-the server's registers).  The measured recovery rate feeds the entropy bound on random-access-encoding
-size, which in turn bounds the protocol's communication from below.
+delta (each index batch stops before the client's last op, where one
+matmul pairing every database with its bit-i partner forms the Helstrom
+operator, which is then pushed through that op and diagonalized in the
+span of its Kraus operators) and epsilon (server marginals of the nu_i,
+written in the runs' span when that is smaller than the server's
+registers).  The measured recovery rate feeds the entropy bound on
+random-access-encoding size, which in turn bounds the protocol's
+communication from below.
 """
 
 from __future__ import annotations
@@ -125,21 +129,26 @@ def build_rae(run: PurifiedRun,
 def _encode(run: PurifiedRun, emat: np.ndarray, rank_tol: float) -> np.ndarray:
     """Every database's index-1 run, compressed by `emat` and renormalized,
     as (r, server_dim, 2^n).  A run that leaves the compression support is
-    a SupportViolation.  The full-size temporaries are released on return."""
+    a SupportViolation.  Index 1's batch and the residual are the only
+    full-size arrays, and neither outlives the call."""
     da = 2 ** run.qpir.n
-    client = run.spec.b_memory[-1].labels()
-    t = matricize(run.index_batch(1), run.layout, client)
-    comp = np.einsum("ci,csx->isx", emat.conj(), t, optimize=True)
-    residual = np.einsum("ci,isx->csx", emat, comp, optimize=True)
-    residual -= t
-    leaks = np.linalg.norm(residual.reshape(-1, da), axis=0)
+    # the final layout is A_s then B_s: a client x database block per server row
+    runs = run.index_batch(1).reshape(-1, run.spec.b_memory[-1].total_dim, da)
+    comp = emat.conj().T @ runs                     # (d_server, r, da)
+    residual = emat @ comp
+    residual -= runs
+    del runs
+    # each column's squared norm, summed over its real and imaginary parts
+    parts = residual.reshape(-1, da).view(np.float64)
+    leaks = np.sqrt(np.einsum("kj,kj->j", parts, parts).reshape(da, 2).sum(axis=1))
     worst = float(np.max(leaks))
     if worst > 1e-8:
         raise SupportViolation(
             f"a database run leaves the compression support by {worst:.3e}; "
             f"check the rank tolerance ({rank_tol})"
         )
-    return comp / np.linalg.norm(comp.reshape(-1, da), axis=0)
+    comp /= np.linalg.norm(comp.reshape(-1, da), axis=0)
+    return np.ascontiguousarray(comp.transpose(1, 0, 2))
 
 
 def recovery_rates(rae: RandomAccessEncoding) -> tuple[tuple[float, ...], float]:

@@ -26,6 +26,7 @@ from qpirlab.qpir import (
     QpirProtocol,
     build_index_in_clear,
     builtin,
+    correctness_delta,
     privacy_epsilon_purified,
 )
 from qpirlab.reduction import (
@@ -133,6 +134,42 @@ def test_index_in_clear_is_caught_as_non_private():
     assert not rep.privacy_premise_ok
     assert rep.consistency == "consistent-because-non-private"
     assert superposition_attack(qpir).verdict == "NOT-PRIVATE"
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_reference_index_is_the_lowest_within_round_off(n):
+    # every reference index of index-in-clear reads 1 up to round-off
+    rep = privacy_epsilon_purified(PurifiedRun(build_index_in_clear(n)))
+    assert rep.reference_index == 1
+    assert rep.per_index_distances == tuple(rep.distance_matrix[:, 0])
+
+
+def test_reference_index_does_not_follow_float_order(monkeypatch):
+    """Distances that differ by round-off only: argmin would pick index 4,
+    whose column is 2e-15 below the first one's."""
+    import qpirlab.qpir as qpir
+    calls = iter(range(6))
+    monkeypatch.setattr(qpir, "trace_distance_matrices",
+                        lambda a, b: 0.5 - 1e-15 * next(calls))
+    rep = privacy_epsilon_purified(PurifiedRun(builtin("trivial", 4)))
+    assert rep.epsilon_by_reference[3] < rep.epsilon_by_reference[0]
+    assert rep.reference_index == 1
+    assert rep.epsilon_hat == rep.epsilon_by_reference[0]
+
+
+@pytest.mark.parametrize("verb, keys", [
+    ("reduce", ("epsilon_used", "epsilon_min", "marginal_distances",
+                "rotation_distances")),
+    ("qpir-privacy", ("distance_matrix", "epsilon_by_reference", "epsilon_hat",
+                      "per_index_distances", "pairwise_lower")),
+])
+def test_index_in_clear_distances_stay_at_most_one(verb, keys):
+    # n=6 printed an epsilon_used of 1.0000000000000009 before the clamp
+    code, out = _cli([verb, "--protocol", "builtin:index-in-clear?n=6"])
+    assert code == 0
+    report = json.loads(out)
+    values = np.hstack([np.ravel(report[key]) for key in keys])
+    assert np.max(values) == 1.0
 
 
 BUILTINS = [("trivial", {}), ("index-in-clear", {}),
@@ -496,13 +533,16 @@ def test_certify_accepts_a_protocol_register_named_r(party, tmp_path):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count purify_both, execute and server_marginals calls and the column
-    count of every batch run."""
+    """Count purify_both, execute and server_marginals calls, the column
+    count of every execute_pure_batch call, and (columns, steps taken) of
+    every run of the step loop."""
     import qpirlab.protocol as protocol
     import qpirlab.qpir as qpir
-    seen = {"purify_both": 0, "execute": 0, "server_marginals": 0, "batches": []}
+    seen = {"purify_both": 0, "execute": 0, "server_marginals": 0, "batches": [],
+            "runs": []}
     purify, batch = protocol.purify_both, protocol.execute_pure_batch
     execute, marginals = protocol.execute, qpir.server_marginals
+    steps = protocol._steps
 
     def counted_purify(spec):
         seen["purify_both"] += 1
@@ -520,6 +560,13 @@ def calls(monkeypatch):
         seen["batches"].append(columns.shape[1])
         return batch(spec, layout, columns)
 
+    def counted_steps(spec, columns):
+        run = [columns.shape[1], 0]
+        seen["runs"].append(run)
+        for item in steps(spec, columns):
+            run[1] += 1
+            yield item
+
     for name, module in list(sys.modules.items()):
         if module is None or not name.startswith("qpirlab"):
             continue
@@ -532,18 +579,29 @@ def calls(monkeypatch):
                 monkeypatch.setattr(module, attr, counted_execute)
             elif value is marginals:
                 monkeypatch.setattr(module, attr, counted_marginals)
+            elif value is steps:
+                monkeypatch.setattr(module, attr, counted_steps)
     return seen
 
 
 def test_reduce_purifies_once_and_runs_each_index_batch_once(calls):
-    """One superposition batch of n columns and one batch of 2^n databases
-    per index: index 1's, read by the encoding and by correctness, runs
-    once, and no batch holds every index."""
-    n = 4
+    """One superposition batch of n columns through all 2s steps, and one
+    batch of 2^n databases per index through steps 1..2s-1: only index
+    1's, read by the encoding as well as by correctness, goes on through
+    the client's last op.  No batch holds every index."""
+    n, s = 4, 2
     bound_report(builtin("random", n, seed=5))
     assert calls["purify_both"] == 1
     assert calls["server_marginals"] == 1
-    assert sorted(calls["batches"]) == [n] + [2 ** n] * n
+    assert calls["batches"] == [n]
+    assert sorted(calls["runs"]) == \
+        [[n, 2 * s]] + [[2 ** n, 2 * s - 1]] * (n - 1) + [[2 ** n, 2 * s]]
+
+
+def test_correctness_runs_no_index_through_the_last_op(calls):
+    n, s = 4, 2
+    correctness_delta(PurifiedRun(builtin("random", n, seed=5)))
+    assert calls["runs"] == [[2 ** n, 2 * s - 1]] * n
 
 
 @pytest.mark.parametrize("verb", ["qpir-privacy", "attack"])

@@ -1,22 +1,26 @@
-"""The paired Helstrom kernel and the span-compressed server marginals
+"""The paired Helstrom kernel, taken before the client's last op and
+diagonalized in that op's span, and the span-compressed server marginals
 against the dense computation they replace.
 
-The reference forms each client average rho_b as a Gram matrix of the
-columns {x : x_i = b}, copied out by fancy indexing, and each server
-marginal as t_j t_j^dagger on the full d_server x d_server space.
+The reference forms each client average rho_b on the client's final
+registers as a Gram matrix of the columns {x : x_i = b} of the full final
+batch, copied out by fancy indexing, and each server marginal as
+t_j t_j^dagger on the full d_server x d_server space.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from qpirlab.linalg import haar_unitary_matrix, helstrom_matrices
+from qpirlab.linalg import haar_unitary_matrix
 from qpirlab.protocol import ProtocolSpec
 from qpirlab.qpir import (
     PurifiedRun,
     QpirProtocol,
-    _helstrom_operator,
+    _kraus_span,
+    _pushed_through,
     bit_of,
     build_index_in_clear,
     build_trivial,
@@ -26,7 +30,7 @@ from qpirlab.qpir import (
     server_marginals,
 )
 from qpirlab.registers import Register, RegisterLayout, concat
-from qpirlab.states import Isometry, matricize
+from qpirlab.states import Isometry, KrausChannel, matricize
 
 TOL = 1e-12
 
@@ -60,6 +64,37 @@ def forgetful_trivial(n: int) -> QpirProtocol:
                                         (ship,), spec.b_ops))
 
 
+def mixing_client_random(n: int, seed: int) -> QpirProtocol:
+    """random whose client applies, in both rounds, its Haar unitary with
+    probability 0.7 and another one with probability 0.3.  Its purifier
+    already exists before the last op and is traced out of Gamma_i^pre,
+    and the last op has m = 2 Kraus operators."""
+    spec = builtin("random", n, seed=seed).spec
+    rng = np.random.default_rng(seed)
+
+    def mixed(op: Isometry) -> KrausChannel:
+        other = haar_unitary_matrix(op.input_layout.total_dim, rng)
+        return KrausChannel(op.input_layout, op.output_layout,
+                            (math.sqrt(0.7) * op.matrix, math.sqrt(0.3) * other))
+
+    return QpirProtocol(n, spec.with_party("B", spec.b_memory,
+                                           tuple(map(mixed, spec.b_ops))))
+
+
+def widening_random(n: int, seed: int) -> QpirProtocol:
+    """random whose client's last op embeds B_1 (x) X_2 isometrically into
+    a B_2 of twice its dimension, so m d_pre = d_pre < d_client and Gamma_i
+    is diagonalized in a proper subspace of the client's registers."""
+    spec = builtin("random", n, seed=seed).spec
+    last = spec.b_ops[-1]
+    d = last.input_layout.total_dim
+    b2 = RegisterLayout((Register("B2", 2 * d),))
+    iso = Isometry(last.input_layout, b2,
+                   haar_unitary_matrix(2 * d, np.random.default_rng(seed))[:, :d])
+    return QpirProtocol(n, spec.with_party("B", spec.b_memory[:-1] + (b2,),
+                                           spec.b_ops[:-1] + (iso,)))
+
+
 CASES = [
     (f"{name}-n{n}-{params}", lambda name=name, n=n, params=params:
         builtin(name, n, **params))
@@ -72,6 +107,8 @@ CASES = [
     ("trivial-n4", lambda: builtin("trivial", 4)),
     ("scrambled-index-in-clear-n3", lambda: scrambled_index_in_clear(3, 5)),
     ("forgetful-trivial-n3", lambda: forgetful_trivial(3)),
+    ("mixing-client-random-n3", lambda: mixing_client_random(3, 1)),
+    ("widening-random-n3", lambda: widening_random(3, 2)),
 ]
 
 
@@ -117,7 +154,8 @@ def test_deltas_and_probabilities_match_the_dense_reference(run):
     for i in range(1, run.qpir.n + 1):
         w = np.linalg.eigvalsh(dense_gamma(run, i))
         want = min(1.0, 0.5 + 0.5 * float(np.sum(np.abs(w))))
-        got = helstrom_matrices(_helstrom_operator(run, i)).probability
+        got = _pushed_through(run.helstrom_operator(i),
+                              _kraus_span(run.last_op(i))).probability
         assert abs(got - want) <= TOL
         assert abs(rep.deltas[i - 1] - max(0.0, 1.0 - want)) <= TOL
 
@@ -166,3 +204,17 @@ def test_marginals_live_in_the_runs_span_only_when_it_is_smaller():
     d_server = wide_run.spec.a_memory[-1].total_dim
     assert [m.shape for m in server_marginals(wide_run)] == \
         [(d_server, d_server)] * 3
+
+
+def test_new_cases_exercise_the_last_op_span():
+    # a purifier before the last op and m = 2; then m d_pre < d_client
+    mixing = PurifiedRun(mixing_client_random(3, 1))
+    b_pre = mixing.spec.b_memory[-2]
+    assert len(b_pre) == 2 and b_pre.dims()[1] == 2
+    q, r = _kraus_span(mixing.last_op(1))
+    assert r.shape[1] == 2 * mixing.last_op(1).input_layout.total_dim
+    widening = PurifiedRun(widening_random(3, 2))
+    q, r = _kraus_span(widening.last_op(1))
+    d_client = widening.last_op(1).output_layout.total_dim
+    assert q.shape == (d_client, d_client // 2)
+    assert correctness_delta(widening).measurements[0].shape[0] == d_client
