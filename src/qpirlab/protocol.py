@@ -190,6 +190,11 @@ class Transcript:
         return self.states[-1]
 
 
+def _inputs(spec: ProtocolSpec) -> RegisterLayout:
+    """A_0 (x) B_0, the layout every run starts from."""
+    return concat(spec.a_memory[0], spec.b_memory[0])
+
+
 def _spectator_layout(spec: ProtocolSpec, layout: RegisterLayout) -> RegisterLayout:
     """Validate an input layout and return its inert trailing registers.
 
@@ -197,7 +202,7 @@ def _spectator_layout(spec: ProtocolSpec, layout: RegisterLayout) -> RegisterLay
     dimension 1 or dim(A_0)*dim(B_0) whose label no protocol register uses.
     The reference register is never touched by any operation.
     """
-    front = concat(spec.a_memory[0], spec.b_memory[0])
+    front = _inputs(spec)
     regs = layout.registers
     nf = len(front)
     if regs[:nf] != front.registers:
@@ -239,16 +244,14 @@ def _isometries(spec: ProtocolSpec) -> list[tuple[Step, Isometry]]:
     return isos
 
 
-def _steps(spec: ProtocolSpec, columns: np.ndarray):
-    """Yield (step, layout, columns) after each step of an all-isometry
-    protocol run on `columns`, one input over A_0 (x) B_0 per column.  Each
+def _steps(schedule, lay: RegisterLayout, columns: np.ndarray):
+    """Yield (step, layout, columns) after each (step, isometry) of
+    `schedule`, run on `columns`, one input over `lay` per column.  Each
     op's output registers land first in the layout, the rest keep their order.
     """
-    isos = _isometries(spec)
     nb = columns.shape[1]
-    lay = concat(spec.a_memory[0], spec.b_memory[0])
     cur = columns
-    for step, iso in isos:
+    for step, iso in schedule:
         labels = iso.input_layout.labels()
         t = matricize(cur, lay, labels)
         cur = (iso.matrix @ t.reshape(t.shape[0], -1)).reshape(-1, nb)
@@ -269,7 +272,7 @@ def execute(spec: ProtocolSpec, psi_in: StateVector) -> Transcript:
     states = tuple(
         StateVector(concat(lay.reordered(step.order), spectators),
                     matricize(cur, lay, step.order).reshape(-1))
-        for step, lay, cur in _steps(spec, columns)
+        for step, lay, cur in _steps(_isometries(spec), _inputs(spec), columns)
     )
     return Transcript(spec, psi_in, states)
 
@@ -287,7 +290,8 @@ def execute_pure_batch(spec: ProtocolSpec, input_layout: RegisterLayout,
     spectators = _spectator_layout(spec, input_layout)
     nb = columns.shape[1]
     batch = columns.reshape(-1, spectators.total_dim * nb)  # reference -> batch
-    (step, lay, cur), = deque(_steps(spec, batch), maxlen=1)  # the final step
+    (step, lay, cur), = deque(_steps(_isometries(spec), _inputs(spec), batch),
+                              maxlen=1)  # the final step
     final_lay = concat(lay.reordered(step.order), spectators)
     cur = matricize(cur, lay, step.order)
     return final_lay, cur.reshape(final_lay.total_dim, nb)

@@ -14,9 +14,12 @@ operator Gamma_i = rho_0/2 - rho_1/2 is that op, as a channel, applied to
 Gamma_i^pre, the same operator on the op's inputs.  Index i's batch
 therefore stops before the last op; Gamma_i^pre is formed from it in one
 matmul that pairs each x with its bit-i partner, and Gamma_i is
-diagonalized in the span of the op's Kraus operators.  Each index's
-optimal measurement is kept, as a basis of Gamma_i's positive eigenspace,
-for the reduction's decoder to apply.  Privacy compares the purified
+diagonalized in the span of the op's Kraus operators.  With i fixed, each
+client memory B_1..B_{s-1} is written in the span the client's ops can
+reach, one thin QR per op, so the batch, Gamma_i^pre and that span are
+only as large as what the client can hold.  Each index's optimal
+measurement is kept, as a basis of Gamma_i's positive eigenspace, for the
+reduction's decoder to apply.  Privacy compares the purified
 server's marginals across index inputs (superposition runs); when the n
 runs span fewer dimensions than the server's registers, the marginals are
 written in that span, which keeps every trace distance.
@@ -111,24 +114,25 @@ def qpir_input(qpir: QpirProtocol, x: int | None, i: int) -> StateVector:
 # the purified run every audit reads
 # ---------------------------------------------------------------------------
 
-def _fix_index(spec: ProtocolSpec, i: int) -> ProtocolSpec:
-    """`spec` with the client's input fixed at |i>: B_0 becomes one
-    dimension-1 register and the client's first op keeps only its columns
-    with B_0 = |i>, so B_0 never rides through a matmul."""
-    b0 = spec.b_memory[0]
-    op = spec.b_ops[0]   # reads B_0 (x) X_1
-    fixed = RegisterLayout((Register(b0.labels()[0], 1),))
-    lay = concat(fixed, op.input_layout.drop(b0.labels()))
+def _held(memory: RegisterLayout, dim: int) -> RegisterLayout:
+    """The one register, under `memory`'s first label, that holds a
+    `dim`-dimensional span of `memory`."""
+    return RegisterLayout((Register(memory.labels()[0], dim),))
 
-    def at_i(matrix: np.ndarray) -> np.ndarray:
-        return matrix.reshape(matrix.shape[0], b0.total_dim, -1)[:, i - 1, :]
+
+def _restricted(op: Operation, memory: RegisterLayout, q: np.ndarray) -> Operation:
+    """`op`, whose input starts with `memory`, on the span of the columns
+    of the isometry q: op (Q (x) 1), reading `_held(memory, r)` in place of
+    `memory`.  With q = |i> this fixes a memory at i."""
+    lay = concat(_held(memory, q.shape[1]), op.input_layout.drop(memory.labels()))
+
+    def compose(matrix: np.ndarray) -> np.ndarray:
+        # rows of matrix^T run over memory first: one matmul with Q^T
+        return (q.T @ matrix.T.reshape(q.shape[0], -1)).reshape(-1, matrix.shape[0]).T
 
     if isinstance(op, Isometry):
-        first = Isometry(lay, op.output_layout, at_i(op.matrix))
-    else:
-        first = KrausChannel(lay, op.output_layout, tuple(map(at_i, op.kraus_ops)))
-    return spec.with_party("B", (fixed,) + spec.b_memory[1:],
-                           (first,) + spec.b_ops[1:])
+        return Isometry(lay, op.output_layout, compose(op.matrix))
+    return KrausChannel(lay, op.output_layout, tuple(map(compose, op.kraus_ops)))
 
 
 def _paired_operator(t: np.ndarray, i: int) -> np.ndarray:
@@ -156,18 +160,22 @@ class PurifiedRun:
     audit reads.
 
     The protocol is purified once.  Its basis inputs |x>|i> run one index
-    at a time, with the index fixed inside the client's first op
-    (`_fix_index`), one column per database x, so no batch holds more than
-    2^n inputs:
+    at a time, one column per database x, so no batch holds more than 2^n
+    inputs.  Each index's run is built when it starts (`_reach`): B_0 is
+    fixed at i, and each honest client memory B_k, k < s, is replaced by
+    the r_k-dimensional span its op reaches, op k factored as
+    V_k = (Q_k (x) 1) W_k.  The purifier is kept whole.  The honest last op
+    reads that span through the same Q_{s-1}:
 
     * `helstrom_operator(i)`: index i's batch runs through steps 1..2s-1
       only, up to the client's last op, and is read only through
       Gamma_i^pre = rho_0/2 - rho_1/2 on the honest client's registers
-      B_{s-1} (x) X_s (B_0 fixed at i when s = 1), everything else,
+      B_{s-1} (x) X_s, as `last_op(i)` reads them, everything else,
       purifiers included, traced out.
     * `index_batch(i)`: index i's final batch over `layout`.  It runs the
-      same steps once and goes on through the last op; Gamma_i^pre is
-      formed on the way and kept for `helstrom_operator(i)`.
+      same steps once and goes on through the purified last op, with
+      Q_{s-1} composed into it; Gamma_i^pre is formed on the way and kept
+      for `helstrom_operator(i)`.
     * `superposition`: the uniform database with index i (the state nu_i),
       as column i-1, over `layout`, run once on first use.
     """
@@ -177,28 +185,67 @@ class PurifiedRun:
         self.spec = purify_both(qpir.spec)
         self.layout = concat(self.spec.a_memory[-1], self.spec.b_memory[-1])
         self._pre_operators: dict[int, np.ndarray] = {}
+        self._reached: tuple[int, list[Isometry], np.ndarray] | None = None
+
+    def _reach(self, i: int) -> tuple[list[Isometry], np.ndarray]:
+        """Index i's purified client ops 1..s-1 on what they reach, and
+        Q_{s-1}, for the index that ran last only.
+
+        B_0 is fixed at i, as Q_0 = |i>.  Each op k < s, with Q_{k-1}
+        composed into its input, is V_k = (Q_k (x) 1) W_k by one thin QR of
+        V_k with the honest memory B_k as rows and everything else, the
+        purifier included, as columns.  W_k writes an r_k-dimensional
+        register in place of B_k, r_k = min(d_{B_k}, d_rest d_in), with
+        d_rest the purifier's and Y_k's dimension and d_in that of op k's
+        restricted input.  No tolerance decides r_k.
+        """
+        if self._reached is None or self._reached[0] != i:
+            memory = self.qpir.spec.b_memory
+            q = np.eye(self.qpir.n, dtype=np.complex128)[:, i - 1:i]
+            ops = []
+            for k, op in enumerate(self.spec.b_ops[:-1], start=1):
+                v = _restricted(op, memory[k - 1], q)
+                q, w = np.linalg.qr(v.matrix.reshape(memory[k].total_dim, -1))
+                out = concat(_held(memory[k], q.shape[1]),
+                             v.output_layout.drop(memory[k].labels()))
+                ops.append(Isometry(v.input_layout, out, w.reshape(out.total_dim, -1)))
+            self._reached = (i, ops, q)
+        return self._reached[1:]
 
     def last_op(self, i: int) -> Operation:
-        """The honest client's last op; when s = 1 it reads B_0, fixed at i."""
+        """The honest client's last op on the span its memory reaches with
+        B_0 = |i>: op (Q_{s-1} (x) 1), which reads B_0 itself when s = 1."""
         spec = self.qpir.spec
-        return spec.b_ops[-1] if spec.rounds > 1 else _fix_index(spec, i).b_ops[0]
+        return _restricted(spec.b_ops[-1], spec.b_memory[-2], self._reach(i)[1])
 
-    def _index_steps(self, i: int):
-        columns = np.eye(2 ** self.qpir.n, dtype=np.complex128)
-        return _steps(_fix_index(self.spec, i), columns)
+    def _index_steps(self, i: int, through_last: bool):
+        """Index i's run, one column per database, through steps 1..2s-1,
+        and through the client's last op as well when `through_last`."""
+        ops, q = self._reach(i)
+        if through_last:
+            ops = ops + [_restricted(self.spec.b_ops[-1], self.qpir.spec.b_memory[-2], q)]
+        by_party = {"A": self.spec.a_ops, "B": ops}
+        schedule = [(step, by_party[step.party][step.round - 1])
+                    for step in self.spec.steps
+                    if step.party == "A" or step.round <= len(ops)]
+        lay = concat(self.spec.a_memory[0], _held(self.spec.b_memory[0], 1))
+        return _steps(schedule, lay, np.eye(2 ** self.qpir.n, dtype=np.complex128))
 
     def _pre_operator(self, i: int, steps) -> np.ndarray:
         """Gamma_i^pre from the first 2s-1 of index i's `steps`."""
         (_, lay, cur), = deque(islice(steps, 2 * self.spec.rounds - 1), maxlen=1)
-        pre = self.last_op(i).input_layout.labels()
+        spec = self.qpir.spec   # the last op reads B_{s-1}'s span and X_s
+        pre = spec.b_memory[-2].labels()[:1] + spec.x_comm[-1].labels()
         return _paired_operator(matricize(cur, lay, pre), i)
 
     def helstrom_operator(self, i: int) -> np.ndarray:
         kept = self._pre_operators.pop(i, None)
-        return self._pre_operator(i, self._index_steps(i)) if kept is None else kept
+        if kept is None:
+            return self._pre_operator(i, self._index_steps(i, through_last=False))
+        return kept
 
     def index_batch(self, i: int) -> np.ndarray:
-        steps = self._index_steps(i)
+        steps = self._index_steps(i, through_last=True)
         self._pre_operators[i] = self._pre_operator(i, steps)
         (step, lay, cur), = steps   # the client's last op
         return matricize(cur, lay, step.order).reshape(self.layout.total_dim, -1)
@@ -263,18 +310,15 @@ def correctness_delta(run: PurifiedRun) -> CorrectnessReport:
     that op, as a channel, applied to Gamma_i^pre on its inputs: each index
     batch stops before the last op (`PurifiedRun.helstrom_operator`), and
     Gamma_i is diagonalized in the span of the op's Kraus operators, which
-    is min(d_client, m d_pre)-dimensional.  Every index shares one QR of
-    them unless the last op is the first (s = 1) and reads B_0.
+    is min(d_client, m d_pre)-dimensional.  d_pre counts B_{s-1} only as
+    far as the client reaches it with i fixed, so each index takes its own
+    QR of its own last op.
     """
     n = run.qpir.n
     deltas = []
     measurements = []
-    op = span = None
     for i in range(1, n + 1):
-        last = run.last_op(i)
-        if last is not op:
-            op, span = last, _kraus_span(last)
-        res = _pushed_through(run.helstrom_operator(i), span)
+        res = _pushed_through(run.helstrom_operator(i), _kraus_span(run.last_op(i)))
         deltas.append(max(0.0, 1.0 - res.probability))
         measurements.append(res.positive)
     return CorrectnessReport(

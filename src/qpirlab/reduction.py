@@ -3,24 +3,26 @@ communication lower bound it certifies.
 
 Pipeline: every stage reads one `PurifiedRun` (both parties purified
 once; the basis inputs run one index at a time, i fixed in the client's
-first op, and each index batch runs once, only index 1's going on
-through the client's last op, for the encoding).  The uniform-database
-superposition runs nu_i give the client subspace actually used, which is
-Schmidt-compressed to rank r; each database is encoded as the compressed
-client state of its index-1 basis run; and any index i is decoded by
-rotating nu_1 onto nu_i with a purifier-side (Uhlmann) unitary before
-measuring with index i's Helstrom measurement from the correctness audit.
-Only that unitary's action on the compressed support matters, so each
-decoder is stored as the d_client x r partial isometry U E (E the
-compressor), never as a d_client x d_client matrix.  The same run yields
-delta (each index batch stops before the client's last op, where one
-matmul pairing every database with its bit-i partner forms the Helstrom
-operator, which is then pushed through that op and diagonalized in the
-span of its Kraus operators) and epsilon (server marginals of the nu_i,
-written in the runs' span when that is smaller than the server's
-registers).  The measured recovery rate feeds the entropy bound on
-random-access-encoding size, which in turn bounds the protocol's
-communication from below.
+first op and each client memory before the last op written in the span
+the client reaches with i fixed; each index batch runs once, only index
+1's going on through the client's last op, for the encoding).  The
+uniform-database superposition runs nu_i give the client subspace
+actually used, which is Schmidt-compressed to rank r; each database is
+encoded as the compressed client state of its index-1 basis run; and any
+index i is decoded by rotating nu_1 onto nu_i with a purifier-side
+(Uhlmann) unitary before measuring with index i's Helstrom measurement
+from the correctness audit.  Only that unitary's action on the
+compressed support matters, so each decoder is stored as the
+d_client x r partial isometry U E (E the compressor), never as a
+d_client x d_client matrix.  The same run yields delta (each index batch
+stops before the client's last op, where one matmul pairing every
+database with its bit-i partner forms the Helstrom operator, which is
+then pushed through that op, restricted to the same span, and
+diagonalized in the span of its Kraus operators) and epsilon (server
+marginals of the nu_i, written in the runs' span when that is smaller
+than the server's registers).  The measured recovery rate feeds the
+entropy bound on random-access-encoding size, which in turn bounds the
+protocol's communication from below.
 """
 
 from __future__ import annotations
@@ -157,7 +159,9 @@ def recovery_rates(rae: RandomAccessEncoding) -> tuple[tuple[float, ...], float]
     Works on the stored pure runs (decoding commutes with tracing the
     server side), batching all databases through one matmul per index.
     Index i's measurement is folded into its decoder first, so that matmul
-    is (k d_bar) x r, with k the rank of the outcome-0 projector.
+    is (k d_bar) x r, with k the rank of the outcome-0 projector.  Each
+    outcome probability and each rate is clamped to [0, 1] against
+    round-off; one beyond it by more than 1e-9 is a ValueError.
     """
     n = rae.n
     da = 2 ** n
@@ -171,9 +175,11 @@ def recovery_rates(rae: RandomAccessEncoding) -> tuple[tuple[float, ...], float]
         measured = (measurements[i - 1].conj().T @ decode).reshape(-1, r)
         amp = measured @ comp.reshape(r, -1)                        # (k*d_bar, ds*da)
         p0 = np.sum(np.abs(amp.reshape(-1, da)) ** 2, axis=0)
-        correct = [p0[x] if bit_of(x, i, n) == 0 else 1.0 - p0[x]
-                   for x in range(da)]
-        rates.append(float(np.mean(correct)))
+        correct = []
+        for x in range(da):
+            p = _unit_interval(float(p0[x]), f"index {i}'s outcome-0 probability")
+            correct.append(p if bit_of(x, i, n) == 0 else 1.0 - p)
+        rates.append(_unit_interval(float(np.mean(correct)), f"index {i}'s recovery rate"))
     return tuple(rates), float(np.mean(rates))
 
 

@@ -6,15 +6,20 @@ library itself only runs pure states through dilations; these oracles are
 what that pure engine is checked against.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from qpirlab.adversary import install
 from qpirlab.linalg import haar_unitary_matrix, trace_distance_matrices
+from qpirlab.protocol import ProtocolSpec
+from qpirlab.qpir import QpirProtocol, builtin
 from qpirlab.registers import RegisterLayout, concat
 from qpirlab.states import (
     DensityOperator,
     Isometry,
+    KrausChannel,
     StateVector,
     apply_channel,
     matricize,
@@ -145,6 +150,62 @@ def bloch_grid_success(rho0: np.ndarray, rho1: np.ndarray,
 
     success = 0.5 * expect(rho0) + 0.5 * (1.0 - expect(rho1))
     return float(success.max())
+
+
+def three_round_random(n: int, seed: int) -> QpirProtocol:
+    """Seeded 3-round QPIR protocol whose client memories B_1 and B_2 are
+    both larger than what the client can reach with its index fixed.
+
+    The server keeps a rotated copy of x, ships another, and then rotates
+    and returns each qubit the client sends.  The client's first two ops
+    are Haar isometries into memories of n 2^n and 4 n 2^n dimensions,
+    each sending one qubit back; with i fixed they reach 2 * 2^n and
+    2 * 2 * 2 * 2^n dimensions.  Its last op applies one of two Haar
+    unitaries, with probabilities 0.7 and 0.3, so delta is not 0.
+    """
+    rng = np.random.default_rng(seed)
+    da = 2 ** n
+
+    def lay(label, dim):
+        return RegisterLayout.of((label, dim))
+
+    a = [lay(f"A{k}", da) for k in range(4)]
+    b = [lay("B0", n), lay("B1", n * da), lay("B2", 4 * n * da), lay("B3", 8 * n * da)]
+    x = [lay("X1", da), lay("X2", 2), lay("X3", 2)]
+    y = [lay("Y1", 2), lay("Y2", 2)]
+
+    def iso(lin, lout):
+        u = haar_unitary_matrix(lout.total_dim, rng)[:, :lin.total_dim]
+        return Isometry(lin, lout, u)
+
+    copy = np.kron(haar_unitary_matrix(da, rng), haar_unitary_matrix(da, rng))
+    a_ops = [Isometry(a[0], concat(a[1], x[0]), copy[:, :: da + 1])]
+    a_ops += [Isometry(concat(a[k], y[k - 1]), concat(a[k + 1], x[k]),
+                       np.kron(np.eye(da), haar_unitary_matrix(2, rng)))
+              for k in (1, 2)]
+    b_ops = [iso(concat(b[0], x[0]), concat(b[1], y[0])),
+             iso(concat(b[1], x[1]), concat(b[2], y[1])),
+             KrausChannel(concat(b[2], x[2]), b[3],
+                          (math.sqrt(0.7) * haar_unitary_matrix(b[3].total_dim, rng),
+                           math.sqrt(0.3) * haar_unitary_matrix(b[3].total_dim, rng)))]
+    return QpirProtocol(n, ProtocolSpec(3, tuple(a), tuple(b), tuple(x), tuple(y),
+                                        tuple(a_ops), tuple(b_ops)))
+
+
+def split_memory_random(n: int, seed: int) -> QpirProtocol:
+    """The random builtin with the client's memory B_1 held as two
+    registers, of n and 2^n dimensions, in place of one of n 2^n (seeds
+    whose client sends nothing back, such as 1)."""
+    spec = builtin("random", n, seed=seed).spec
+    b1 = spec.b_memory[1]
+    split = RegisterLayout.of(("B1a", n), ("B1b", b1.total_dim // n))
+    op1, op2 = spec.b_ops
+    op1 = Isometry(op1.input_layout,
+                   concat(split, op1.output_layout.drop(b1.labels())), op1.matrix)
+    op2 = Isometry(concat(split, op2.input_layout.drop(b1.labels())),
+                   op2.output_layout, op2.matrix)
+    return QpirProtocol(n, spec.with_party("B", (spec.b_memory[0], split, spec.b_memory[2]),
+                                           (op1, op2)))
 
 
 @pytest.fixture

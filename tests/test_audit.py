@@ -24,6 +24,7 @@ from qpirlab.protocol import ProtocolSpec, execute_pure_batch
 from qpirlab.qpir import (
     PurifiedRun,
     QpirProtocol,
+    _kraus_span,
     build_index_in_clear,
     builtin,
     correctness_delta,
@@ -33,12 +34,13 @@ from qpirlab.reduction import (
     bound_report,
     build_rae,
     lower_bound,
+    recovery_rates,
     superposition_attack,
 )
 from qpirlab.registers import RegisterLayout, concat
 from qpirlab.states import Isometry, KrausChannel, StateVector, matricize
 
-from conftest import identity_support
+from conftest import identity_support, split_memory_random, three_round_random
 
 
 def _h(p: float) -> float:
@@ -214,6 +216,20 @@ def test_marginal_distances_are_the_privacy_distances():
     rep = bound_report(builtin("random", 4, seed=2))
     assert rep.epsilon_used == max(rep.marginal_distances)
     assert rep.marginal_distances[0] == 0.0
+
+
+def test_recovery_rates_stay_in_the_unit_interval():
+    # without the clamp, index 1 of random n=4 seed 1 reads 1 + 4.4e-16
+    per_index, avg = recovery_rates(build_rae(PurifiedRun(builtin("random", 4, seed=1))))
+    assert all(0.0 <= p <= 1.0 for p in per_index)
+    assert 0.0 <= avg <= 1.0
+
+
+def test_recovery_rates_reject_a_probability_beyond_round_off():
+    rae = build_rae(PurifiedRun(builtin("trivial", 2)))
+    inflated = dataclasses.replace(rae, compressed_runs=1.1 * rae.compressed_runs)
+    with pytest.raises(ValueError, match="outcome-0 probability 1.21"):
+        recovery_rates(inflated)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -560,10 +576,10 @@ def calls(monkeypatch):
         seen["batches"].append(columns.shape[1])
         return batch(spec, layout, columns)
 
-    def counted_steps(spec, columns):
+    def counted_steps(schedule, lay, columns):
         run = [columns.shape[1], 0]
         seen["runs"].append(run)
-        for item in steps(spec, columns):
+        for item in steps(schedule, lay, columns):
             run[1] += 1
             yield item
 
@@ -639,6 +655,25 @@ def _assert_index_batches_are_dense_columns(qpir: QpirProtocol) -> None:
     ("noisy-trivial", {"delta": 0.2}), ("random", {"seed": 1})])
 def test_index_batches_are_the_dense_basis_columns(name, params, n):
     _assert_index_batches_are_dense_columns(builtin(name, n, **params))
+
+
+@pytest.mark.parametrize("build", [three_round_random, split_memory_random])
+def test_index_batches_of_factored_memories_are_the_dense_basis_columns(build):
+    _assert_index_batches_are_dense_columns(build(3, 1))
+
+
+@pytest.mark.parametrize("seed, d_b1, r", [(140892, 384, 64), (596854, 192, 128)])
+def test_index_batches_run_in_the_client_reachable_span(seed, d_b1, r):
+    """random n=6: with i fixed, the client's first op reads only X_1 (64)
+    and sends Y_1 (1 or 2), so B_1 holds 64 or 128 of its dimensions.
+    Gamma_i^pre and the last op's span are r-dimensional."""
+    run = PurifiedRun(builtin("random", 6, seed=seed))
+    d_client = run.qpir.spec.b_memory[-1].total_dim
+    assert run.qpir.spec.b_memory[1].total_dim == d_b1
+    for i in (1, 6):
+        assert run.helstrom_operator(i).shape == (r, r)
+        q, _ = _kraus_span(run.last_op(i))
+        assert q.shape == (d_client, r)
 
 
 def test_index_batches_slice_a_composite_client_input(tmp_path):

@@ -32,6 +32,8 @@ from qpirlab.qpir import (
 from qpirlab.registers import Register, RegisterLayout, concat
 from qpirlab.states import Isometry, KrausChannel, matricize
 
+from conftest import split_memory_random, three_round_random
+
 TOL = 1e-12
 
 
@@ -109,6 +111,8 @@ CASES = [
     ("forgetful-trivial-n3", lambda: forgetful_trivial(3)),
     ("mixing-client-random-n3", lambda: mixing_client_random(3, 1)),
     ("widening-random-n3", lambda: widening_random(3, 2)),
+    ("three-round-random-n3", lambda: three_round_random(3, 1)),
+    ("split-memory-random-n3", lambda: split_memory_random(3, 1)),
 ]
 
 
@@ -218,3 +222,29 @@ def test_new_cases_exercise_the_last_op_span():
     d_client = widening.last_op(1).output_layout.total_dim
     assert q.shape == (d_client, d_client // 2)
     assert correctness_delta(widening).measurements[0].shape[0] == d_client
+
+
+def _held_dims(run: PurifiedRun, i: int) -> list[int]:
+    """The dimension each of the client's memories B_1..B_{s-1} holds in
+    index i's run."""
+    ops, _ = run._reach(i)
+    return [op.output_layout.dims()[0] for op in ops]
+
+
+def test_new_cases_exercise_the_reachable_span():
+    # three rounds: B_1 (24) and B_2 (96) both factored, Q_1 composed into op 2
+    three = PurifiedRun(three_round_random(3, 1))
+    _, second = three._reach(2)[0]
+    assert three.qpir.spec.b_memory[1].total_dim == 24
+    assert three.qpir.spec.b_memory[2].total_dim == 96
+    assert _held_dims(three, 2) == [16, 64]
+    assert second.input_layout.dims()[0] == 16
+    assert three.helstrom_operator(2).shape == (128, 128)
+    # B_1 made of two registers, of 3 and 8 dimensions, held as one of 8
+    split = PurifiedRun(split_memory_random(3, 1))
+    assert split.qpir.spec.b_memory[1].dims() == (3, 8)
+    assert _held_dims(split, 1) == [8]
+    assert split.last_op(1).input_layout.dims() == (8, 1)
+    # index-in-clear reaches all of B_1: the factoring changes no dimension
+    clear = PurifiedRun(builtin("index-in-clear", 3))
+    assert _held_dims(clear, 1) == [clear.qpir.spec.b_memory[1].total_dim]
