@@ -25,7 +25,8 @@ as is fuzz's.
 registers alive after each step, and whether a pure input stays pure (every
 op an isometry).  It needs no execution.  `certify` certifies the purified
 party against trace-out recovery; both compared marginals come from one
-purified run, so it checks the dilation code and reads 0 by construction.
+purified run, so it checks the dilation code (a party without a channel is
+its own purification) and reads 0 by construction.
 
 --n must be positive, --seed and --trials non-negative, --delta and
 --epsilon in [0, 1], and --rank-tol in (0, 1).  JSON is the contract format
@@ -212,7 +213,7 @@ def _verb_bound(args):
         "epsilon": args.epsilon,
         "guarantee": g,
         "bound": value,
-        "vacuous": g < 0.5,
+        "vacuous": g <= 0.5,
     }
     return report, False
 

@@ -10,10 +10,12 @@ shapes all read that table.
 
 Execution is pure and has one loop, `_steps`, which pushes a batch of
 columns through the isometries; a reference register rides as a batch axis.
-A protocol with channel ops runs after `purify_party`/`purify_both` has
-replaced each channel by its Stinespring dilation, and tracing the purifier
-out of any step reproduces the channel run.  Communication is counted in
-qubits (log2 of communication-space dimensions, fractional dims allowed).
+A protocol with channel ops runs after `purify_party`/`purify_both`: each
+party keeps its ops up to its first channel, and from there on runs their
+Stinespring dilations, which gather the environments in one purifier
+register; tracing it out of any step reproduces the channel run.
+Communication is counted in qubits (log2 of communication-space dimensions,
+fractional dims allowed).
 """
 
 from __future__ import annotations
@@ -298,68 +300,51 @@ def execute_pure_batch(spec: ProtocolSpec, input_layout: RegisterLayout,
 
 
 # ---------------------------------------------------------------------------
-# purification (Stinespring dilation per round, purifier accumulated in one
-# growing register inside the party's memory)
+# purification (a party's ops stand as they are up to its first channel; from
+# there each op is dilated, its environment joining one growing purifier
+# register that sits right after the party's memory)
 # ---------------------------------------------------------------------------
 
-def _reindex(dims: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray:
-    """Index array g with x_new = x_old[g] when factors are reordered."""
-    return np.arange(int(np.prod(dims))).reshape(dims).transpose(order).reshape(-1)
-
-
-def _dilate_op(op: Operation, step: Step, bar_prev: int,
-               bar_label: str) -> tuple[Isometry, int]:
-    dm, dc = step.memory_in.total_dim, step.message_in.total_dim
-    dmo, dco = step.memory_out.total_dim, step.message_out.total_dim
-    # V: flat output (mem_out, comm_out, env) <- flat input (mem_in, comm_in)
-    v = stinespring(op)
-    m = v.shape[0] // (dmo * dco)
-
-    first_round = step.round == 1
-    if first_round:
-        full = v[_reindex((dmo, dco, m), (0, 2, 1)), :]  # out: (mem, env, comm)
-        bar_new = m
-    else:
-        core = np.kron(v, np.eye(bar_prev))
-        # input factors currently (mem, comm, bar) -> accept (mem, bar, comm)
-        g_in = _reindex((dm, dc, bar_prev), (0, 2, 1))
-        # output factors (mem, comm, env, bar) -> (mem, bar, env, comm)
-        g_out = _reindex((dmo, dco, m, bar_prev), (0, 3, 2, 1))
-        full = core[g_out, :][:, g_in]
-        bar_new = bar_prev * m
-
-    in_regs = step.memory_in.registers
-    if not first_round:
-        in_regs = in_regs + (Register(bar_label, bar_prev),)
-    in_lay = RegisterLayout(in_regs + step.message_in.registers)
-    out_lay = RegisterLayout(step.memory_out.registers
-                             + (Register(bar_label, bar_new),)
-                             + step.message_out.registers)
-    return Isometry(in_lay, out_lay, full), bar_new
+def _dilate_op(op: Operation, step: Step, bar: RegisterLayout,
+               bar_label: str) -> tuple[Isometry, RegisterLayout]:
+    """`op`'s Stinespring isometry crossed with the identity on the purifier
+    `bar` (empty before the party's first channel), and the purifier after
+    it, which holds `bar` and then `op`'s environment."""
+    d_bar = bar.total_dim
+    v = stinespring(op).reshape(step.memory_out.total_dim, step.message_out.total_dim,
+                                -1, step.memory_in.total_dim, step.message_in.total_dim)
+    # (memory, purifier, environment, message) <- (memory, purifier, message)
+    full = np.einsum("acemn,bp->abecmpn", v, np.eye(d_bar))
+    bar_out = RegisterLayout((Register(bar_label, d_bar * v.shape[2]),))
+    lay_in = concat(step.memory_in, bar, step.message_in)
+    lay_out = concat(step.memory_out, bar_out, step.message_out)
+    return Isometry(lay_in, lay_out, full.reshape(-1, lay_in.total_dim)), bar_out
 
 
 def purify_party(spec: ProtocolSpec, party: str) -> ProtocolSpec:
     """Replace one party's channels by Stinespring isometries.
 
-    The purifying registers accumulate in a single register inside that
-    party's memory; tracing it out of any intermediate state reproduces the
-    original run's state.  Already-unitary rounds get a dimension-1
-    purifier, so behavior is unchanged.
+    The party's ops up to its first channel (an op with two or more Kraus
+    operators) are kept as the isometries they are, over the honest
+    memories.  From that channel on, each op is dilated and its environment
+    joins one purifier register inside the party's memory; tracing it out
+    of any intermediate state reproduces the original run's state.  A party
+    with no channel is its own purification, so purifying twice changes
+    nothing.
     """
-    new_mems: list[RegisterLayout] = [spec.memory(party)[0]]
     bar_label = fresh_label(f"{party}bar", spec.labels())
-
-    new_ops: list[Operation] = []
-    bar = 1
+    bar = RegisterLayout(())
+    memories: list[RegisterLayout] = [spec.memory(party)[0]]
+    ops: list[Isometry] = []
     for step, op in _schedule(spec):
         if step.party != party:
             continue
-        dilated, bar = _dilate_op(op, step, bar, bar_label)
-        new_ops.append(dilated)
-        new_mems.append(RegisterLayout(
-            step.memory_out.registers + (Register(bar_label, bar),)
-        ))
-    return spec.with_party(party, tuple(new_mems), tuple(new_ops))
+        iso = None if bar else as_single_isometry(op)
+        if iso is None:
+            iso, bar = _dilate_op(op, step, bar, bar_label)
+        ops.append(iso)
+        memories.append(concat(step.memory_out, bar))
+    return spec.with_party(party, tuple(memories), tuple(ops))
 
 
 def purify_both(spec: ProtocolSpec) -> ProtocolSpec:

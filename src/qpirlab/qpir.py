@@ -196,8 +196,8 @@ class PurifiedRun:
         V_k with the honest memory B_k as rows and everything else, the
         purifier included, as columns.  W_k writes an r_k-dimensional
         register in place of B_k, r_k = min(d_{B_k}, d_rest d_in), with
-        d_rest the purifier's and Y_k's dimension and d_in that of op k's
-        restricted input.  No tolerance decides r_k.
+        d_rest the dimension of Y_k and of any purifier, and d_in that of
+        op k's restricted input.  No tolerance decides r_k.
         """
         if self._reached is None or self._reached[0] != i:
             memory = self.qpir.spec.b_memory

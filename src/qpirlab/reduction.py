@@ -227,9 +227,7 @@ class NayakVerdict:
 
 
 def nayak_check(n: int, m: float, p: float) -> NayakVerdict:
-    if not -1e-9 <= p <= 1.0 + 1e-9:
-        raise ValueError(f"recovery probability {p} outside [0, 1]")
-    p = min(1.0, max(0.0, p))
+    p = _unit_interval(p, "recovery probability")
     bound = (1.0 - binary_entropy(p)) * n
     slack = m - bound
     return NayakVerdict(n, m, p, bound, slack, slack >= -1e-9)
@@ -288,7 +286,7 @@ def bound_report(qpir: QpirProtocol,
     bound = lower_bound(rae.n, delta_avg, eps)
     nayak = nayak_check(rae.n, rae.m, p_avg)
     premise_ok = eps <= PRIVACY_PREMISE_MAX + 1e-9
-    vacuous = g < 0.5
+    vacuous = g <= 0.5
     guarantee_met = (p_avg >= g - 1e-6) if premise_ok else None
     bound_consistent = (rae.communication >= bound - 1e-6) if premise_ok else None
     premise_failure = None if premise_ok else "privacy"

@@ -132,6 +132,14 @@ def random_kraus_ops(rng: np.random.Generator, din: int, dout: int, num: int):
     return [u[j * dout:(j + 1) * dout, :] for j in range(num)]
 
 
+def dephased(op: Isometry) -> KrausChannel:
+    """`op` after a computational-basis measurement of its input: a channel
+    with one Kraus operator per input basis state."""
+    d = op.input_layout.total_dim
+    return KrausChannel(op.input_layout, op.output_layout,
+                        tuple(op.matrix * e for e in np.eye(d)))
+
+
 def bloch_grid_success(rho0: np.ndarray, rho1: np.ndarray,
                        grid: int = 100) -> float:
     """Brute-force best success probability over projective qubit

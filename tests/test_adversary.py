@@ -23,7 +23,7 @@ from qpirlab.adversary import (
 from qpirlab.linalg import haar_unitary_matrix
 from qpirlab.qpir import builtin
 
-from conftest import certify_oracle, random_kraus_ops, random_pure
+from conftest import certify_oracle, dephased, random_kraus_ops, random_pure
 
 
 def two_round_protocol():
@@ -192,7 +192,8 @@ def test_adversarial_measurement_does_not_signal(rng):
 
 
 def test_recovery_shape_validation(rng):
-    spec = two_round_protocol()
+    base = two_round_protocol()   # A's first op measures its qubit, then copies it
+    spec = base.with_party("A", base.a_memory, (dephased(base.a_ops[0]), base.a_ops[1]))
     adv = purified_adversary(spec, "A")
     # wrong: the honest party's maps, whose views lack the purifier
     recovery = trace_out_recovery(spec, honest_adversary(spec, "A"))
@@ -303,11 +304,13 @@ def test_an_empty_input_suite_is_named_up_front():
 def test_an_environment_label_must_be_free_before_anything_runs(
         label, rng, monkeypatch):
     """A dimension-1 environment on the last map: "R" is the entangled
-    input's reference, "Bbar" the honest party's purifier and "B2" its final
-    memory, so each is a ShapeMismatch naming the step and the label before
-    any run; a free label "E" certifies at 0."""
+    input's reference, "Bbar" the honest party's purifier (its last op
+    measures what it stores) and "B2" its final memory, so each is a
+    ShapeMismatch naming the step and the label before any run; a free
+    label "E" certifies at 0."""
     import qpirlab.adversary as adversary
-    spec = two_round_protocol()
+    base = two_round_protocol()
+    spec = base.with_party("B", base.b_memory, (base.b_ops[0], dephased(base.b_ops[1])))
     adv = honest_adversary(spec, "A")
     maps = list(trace_out_recovery(spec, adv))
     last = maps[-1]

@@ -291,6 +291,24 @@ def test_bound_verb_prints_zero_for_a_vacuous_guarantee():
         assert code == 0 and rep["bound"] == 0 and rep["vacuous"] is True
 
 
+def test_a_guarantee_of_exactly_half_is_vacuous():
+    """delta = 1/2 and epsilon = 0 give g = 1 - 1/2 - 0 = 1/2 exactly, where
+    the bound is 0: the bound verb flags it vacuous."""
+    code, out = _cli(["bound", "--n", "4", "--delta", "0.5"])
+    rep = json.loads(out)
+    assert code == 0 and rep["guarantee"] == 0.5 and rep["bound"] == 0.0
+    assert rep["vacuous"] is True
+
+
+def test_a_fully_noisy_client_reports_its_guarantee_vacuous():
+    """noisy-trivial at delta = 1/2 flips each stored bit with probability
+    1/2, so delta_avg = 1/2, while the server learns nothing (epsilon = 0):
+    g = 1/2 exactly, and the report flags it vacuous."""
+    rep = bound_report(builtin("noisy-trivial", 2, delta=0.5))
+    assert rep.guarantee == 0.5 and rep.bound_value == 0.0
+    assert rep.guarantee_vacuous is True
+
+
 def test_leaky_client_is_not_reported_as_a_bound_violation(tmp_path):
     path = tmp_path / "leaky.json"
     serialize.dump(serialize.protocol_spec_to_json(leaky_index_in_clear()),

@@ -26,7 +26,14 @@ from qpirlab.protocol import (
 from qpirlab.adversary import default_input_suite
 from qpirlab.qpir import builtin, qpir_input
 
-from conftest import density_marginal, density_run, purify, random_pure
+from conftest import (
+    density_marginal,
+    density_run,
+    dephased,
+    purify,
+    random_pure,
+    three_round_random,
+)
 
 BUILTINS = [("trivial", {}), ("index-in-clear", {}),
             ("noisy-trivial", {"delta": 0.2}), ("random", {"seed": 1})]
@@ -49,6 +56,15 @@ def move_protocol():
     a_op = Isometry(a0, concat(a1, x1), np.eye(2, dtype=complex))
     b_op = Isometry(concat(b0, x1), b1, np.eye(4, dtype=complex))
     return ProtocolSpec(1, (a0, a1), (b0, b1), (x1,), (), (a_op,), (b_op,))
+
+
+def dephasing_protocol():
+    """`move_protocol` with a channel on each side: A measures its qubit
+    before it ships it, and B measures what it stores."""
+    spec = move_protocol()
+    return ProtocolSpec(1, spec.a_memory, spec.b_memory, spec.x_comm, (),
+                        tuple(map(dephased, spec.a_ops)),
+                        tuple(map(dephased, spec.b_ops)))
 
 
 def test_move_protocol_hands_over_the_qubit(rng):
@@ -122,7 +138,7 @@ def test_step_table_of_a_two_round_protocol():
 
 
 def test_with_party_replaces_one_party_and_revalidates():
-    spec = move_protocol()
+    spec = dephasing_protocol()
     pure = purify_party(spec, "B")
     swapped = spec.with_party("B", pure.b_memory, pure.b_ops)
     assert swapped.b_ops is pure.b_ops and swapped.b_memory is pure.b_memory
@@ -218,9 +234,11 @@ class TestCommunicationComplexity:
 
 class TestPurifyParty:
     def test_unitary_party_gets_trivial_purifier(self, rng):
+        """A party with no channel is its own purification: no purifier
+        register, and the very same ops."""
         spec = move_protocol()
         pure = purify_party(spec, "A")
-        assert pure.a_memory[-1].dims()[-1] == 1
+        assert pure.a_memory == spec.a_memory and pure.a_ops[0] is spec.a_ops[0]
         psi = StateVector(concat(spec.a_memory[0], spec.b_memory[0]),
                           random_pure(rng, 4))
         orig = execute(spec, psi).final
@@ -243,13 +261,46 @@ class TestPurifyParty:
                         density_run(spec, pure_density(psi)), tol=1e-8)
 
     def test_purify_both_yields_pure_global_state(self, rng):
-        p = builtin("noisy-trivial", 2, delta=0.2)
-        both = purify_both(p.spec)
+        spec = dephasing_protocol()
+        both = purify_both(spec)
         assert both.all_unitary()
-        out = execute(both, qpir_input(p, 1, 1)).final
-        orig = p.spec.a_memory[-1].labels() + p.spec.b_memory[-1].labels()
+        psi = StateVector(concat(spec.a_memory[0], spec.b_memory[0]),
+                          random_pure(rng, 4))
+        out = execute(both, psi).final
+        orig = spec.a_memory[-1].labels() + spec.b_memory[-1].labels()
         bars = [lb for lb in out.layout.labels() if lb not in orig]
         assert len(bars) == 2
+
+    @pytest.mark.parametrize("name", ["trivial", "index-in-clear", "random"])
+    def test_a_protocol_without_channels_is_its_own_purification(self, name):
+        spec = builtin(name, 2, **dict(BUILTINS)[name]).spec
+        both = purify_both(spec)
+        for party in "AB":
+            assert all(got is op for got, op in zip(both.ops(party), spec.ops(party)))
+            assert both.memory(party) == spec.memory(party)
+
+    @pytest.mark.parametrize("name", [b[0] for b in BUILTINS] + ["three-round"])
+    @pytest.mark.parametrize("party", "AB")
+    def test_purifying_twice_changes_nothing(self, name, party):
+        if name == "three-round":   # the client's first channel is in round 3
+            spec = three_round_random(2, seed=5).spec
+        else:
+            spec = builtin(name, 2, **dict(BUILTINS)[name]).spec
+        once = purify_party(spec, party)
+        assert purify_party(once, party) == once
+
+    def test_a_client_holds_no_purifier_before_its_first_channel(self, rng):
+        """Only the client's round-3 op is a channel, so B_1 and B_2 stay
+        the honest memories and the purifier appears in B_3."""
+        spec = three_round_random(2, seed=5).spec
+        pure = purify_party(spec, "B")
+        assert pure.b_memory[:3] == spec.b_memory[:3]
+        assert pure.b_memory[3].labels() == ("B3", "Bbar")
+        assert pure.b_ops[:2] == spec.b_ops[:2]
+        psi = StateVector(concat(spec.a_memory[0], spec.b_memory[0]),
+                          random_pure(rng, 8))
+        marginals_match(execute(pure, psi).states,
+                        density_run(spec, pure_density(psi)), tol=1e-8)
 
     def test_purified_trace_matches_on_mixed_input(self, rng):
         """A mixed input, purified by a reference register, runs pure; its
