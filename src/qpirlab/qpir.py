@@ -3,26 +3,27 @@
 Party A is the server (database input x, 2^n-dimensional computational
 encoding), party B the client (index input i, n-dimensional encoding).
 Every audit reads one `PurifiedRun`: the protocol with both parties
-purified, run on the basis inputs |x>|i> one index at a time (i fixed
-inside the client's first op, so no batch holds more than 2^n inputs) and
-once on the uniform database superposition with each index.
+purified, run once on the uniform database superposition with each index,
+and on the basis inputs |x>|i> one index at a time (i fixed inside the
+client's first op, so no batch holds more than 2^n inputs).  No basis run
+goes through the client's last op: that op is local and comes after the
+last message, so what an audit needs of it is pulled back through it.
 
 Correctness is judged by optimal (Helstrom) discrimination of the client's
 final states averaged over {x : x_i = 0} and over {x : x_i = 1}.  The
 client's last op touches only its own registers, so their Helstrom
 operator Gamma_i = rho_0/2 - rho_1/2 is that op, as a channel, applied to
-Gamma_i^pre, the same operator on the op's inputs.  Index i's batch
-therefore stops before the last op; Gamma_i^pre is formed from it in one
-matmul that pairs each x with its bit-i partner, and Gamma_i is
-diagonalized in the span of the op's Kraus operators.  With i fixed, each
-client memory B_1..B_{s-1} is written in the span the client's ops can
-reach, one thin QR per op, so the batch, Gamma_i^pre and that span are
-only as large as what the client can hold.  Each index's optimal
-measurement is kept, as a basis of Gamma_i's positive eigenspace, for the
-reduction's decoder to apply.  Privacy compares the purified
-server's marginals across index inputs (superposition runs); when the n
-runs span fewer dimensions than the server's registers, the marginals are
-written in that span, which keeps every trace distance.
+Gamma_i^pre, the same operator on the op's inputs.  Gamma_i^pre is formed
+from index i's batch in one matmul that pairs each x with its bit-i
+partner, and Gamma_i is diagonalized in the span of the op's Kraus
+operators.  With i fixed, each client memory B_1..B_{s-1} is written in
+the span the client's ops can reach, one thin QR per op, so the batch,
+Gamma_i^pre and that span are only as large as what the client can hold.
+Each index's optimal measurement is kept, as a basis of Gamma_i's positive
+eigenspace, for the reduction's decoder to apply.  Privacy compares the
+purified server's marginals across index inputs (superposition runs); when
+the n runs span fewer dimensions than the server's registers, the
+marginals are written in that span, which keeps every trace distance.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import urllib.parse
 from collections import deque
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
@@ -164,18 +164,17 @@ class PurifiedRun:
     inputs.  Each index's run is built when it starts (`_reach`): B_0 is
     fixed at i, and each honest client memory B_k, k < s, is replaced by
     the r_k-dimensional span its op reaches, op k factored as
-    V_k = (Q_k (x) 1) W_k.  The purifier is kept whole.  The honest last op
-    reads that span through the same Q_{s-1}:
+    V_k = (Q_k (x) 1) W_k.  The purifier is kept whole.  No basis run goes
+    through the client's last op, which reads that span through the same
+    Q_{s-1}: honest as `last_op(i)`, purified as `purified_last_op(i)`.
 
-    * `helstrom_operator(i)`: index i's batch runs through steps 1..2s-1
-      only, up to the client's last op, and is read only through
-      Gamma_i^pre = rho_0/2 - rho_1/2 on the honest client's registers
-      B_{s-1} (x) X_s, as `last_op(i)` reads them, everything else,
-      purifiers included, traced out.
-    * `index_batch(i)`: index i's final batch over `layout`.  It runs the
-      same steps once and goes on through the purified last op, with
-      Q_{s-1} composed into it; Gamma_i^pre is formed on the way and kept
-      for `helstrom_operator(i)`.
+    * `index_batch(i)`: index i's batch after steps 1..2s-1, up to the
+      client's last op, and the layout it is over, A_s first.  The batch
+      of the index asked for last is kept, so each index runs once.
+    * `helstrom_operator(i)`: Gamma_i^pre = rho_0/2 - rho_1/2 from that
+      batch, on the honest client's registers B_{s-1} (x) X_s as
+      `last_op(i)` reads them, everything else, purifiers included,
+      traced out.
     * `superposition`: the uniform database with index i (the state nu_i),
       as column i-1, over `layout`, run once on first use.
     """
@@ -184,8 +183,8 @@ class PurifiedRun:
         self.qpir = qpir
         self.spec = purify_both(qpir.spec)
         self.layout = concat(self.spec.a_memory[-1], self.spec.b_memory[-1])
-        self._pre_operators: dict[int, np.ndarray] = {}
         self._reached: tuple[int, list[Isometry], np.ndarray] | None = None
+        self._batch: tuple[int, RegisterLayout, np.ndarray] | None = None
 
     def _reach(self, i: int) -> tuple[list[Isometry], np.ndarray]:
         """Index i's purified client ops 1..s-1 on what they reach, and
@@ -218,37 +217,30 @@ class PurifiedRun:
         spec = self.qpir.spec
         return _restricted(spec.b_ops[-1], spec.b_memory[-2], self._reach(i)[1])
 
-    def _index_steps(self, i: int, through_last: bool):
-        """Index i's run, one column per database, through steps 1..2s-1,
-        and through the client's last op as well when `through_last`."""
-        ops, q = self._reach(i)
-        if through_last:
-            ops = ops + [_restricted(self.spec.b_ops[-1], self.qpir.spec.b_memory[-2], q)]
-        by_party = {"A": self.spec.a_ops, "B": ops}
-        schedule = [(step, by_party[step.party][step.round - 1])
-                    for step in self.spec.steps
-                    if step.party == "A" or step.round <= len(ops)]
-        lay = concat(self.spec.a_memory[0], _held(self.spec.b_memory[0], 1))
-        return _steps(schedule, lay, np.eye(2 ** self.qpir.n, dtype=np.complex128))
+    def purified_last_op(self, i: int) -> Isometry:
+        """The purified client's last op on the same span: it takes index
+        i's batch on to `layout`."""
+        return _restricted(self.spec.b_ops[-1], self.qpir.spec.b_memory[-2],
+                           self._reach(i)[1])
 
-    def _pre_operator(self, i: int, steps) -> np.ndarray:
-        """Gamma_i^pre from the first 2s-1 of index i's `steps`."""
-        (_, lay, cur), = deque(islice(steps, 2 * self.spec.rounds - 1), maxlen=1)
+    def index_batch(self, i: int) -> tuple[RegisterLayout, np.ndarray]:
+        if self._batch is None or self._batch[0] != i:
+            self._batch = None   # the previous index's batch goes first
+            ops, _ = self._reach(i)
+            by_party = {"A": self.spec.a_ops, "B": ops}
+            schedule = [(step, by_party[step.party][step.round - 1])
+                        for step in self.spec.steps[:-1]]
+            lay = concat(self.spec.a_memory[0], _held(self.spec.b_memory[0], 1))
+            eye = np.eye(2 ** self.qpir.n, dtype=np.complex128)
+            (_, lay, cur), = deque(_steps(schedule, lay, eye), maxlen=1)
+            self._batch = (i, lay, cur)
+        return self._batch[1:]
+
+    def helstrom_operator(self, i: int) -> np.ndarray:
+        lay, cur = self.index_batch(i)
         spec = self.qpir.spec   # the last op reads B_{s-1}'s span and X_s
         pre = spec.b_memory[-2].labels()[:1] + spec.x_comm[-1].labels()
         return _paired_operator(matricize(cur, lay, pre), i)
-
-    def helstrom_operator(self, i: int) -> np.ndarray:
-        kept = self._pre_operators.pop(i, None)
-        if kept is None:
-            return self._pre_operator(i, self._index_steps(i, through_last=False))
-        return kept
-
-    def index_batch(self, i: int) -> np.ndarray:
-        steps = self._index_steps(i, through_last=True)
-        self._pre_operators[i] = self._pre_operator(i, steps)
-        (step, lay, cur), = steps   # the client's last op
-        return matricize(cur, lay, step.order).reshape(self.layout.total_dim, -1)
 
     @cached_property
     def superposition(self) -> np.ndarray:

@@ -1,28 +1,27 @@
 """Reduction from a QPIR protocol to a random access encoding, plus the
 communication lower bound it certifies.
 
-Pipeline: every stage reads one `PurifiedRun` (both parties purified
-once; the basis inputs run one index at a time, i fixed in the client's
-first op and each client memory before the last op written in the span
-the client reaches with i fixed; each index batch runs once, only index
-1's going on through the client's last op, for the encoding).  The
-uniform-database superposition runs nu_i give the client subspace
-actually used, which is Schmidt-compressed to rank r; each database is
-encoded as the compressed client state of its index-1 basis run; and any
-index i is decoded by rotating nu_1 onto nu_i with a purifier-side
-(Uhlmann) unitary before measuring with index i's Helstrom measurement
-from the correctness audit.  Only that unitary's action on the
-compressed support matters, so each decoder is stored as the
-d_client x r partial isometry U E (E the compressor), never as a
-d_client x d_client matrix.  The same run yields delta (each index batch
-stops before the client's last op, where one matmul pairing every
-database with its bit-i partner forms the Helstrom operator, which is
-then pushed through that op, restricted to the same span, and
-diagonalized in the span of its Kraus operators) and epsilon (server
-marginals of the nu_i, written in the runs' span when that is smaller
-than the server's registers).  The measured recovery rate feeds the
-entropy bound on random-access-encoding size, which in turn bounds the
-protocol's communication from below.
+Pipeline: every stage reads one `PurifiedRun` (both parties purified once;
+the basis inputs run one index at a time, i fixed in the client's first op
+and each client memory before the last op written in the span the client
+reaches with i fixed; each index batch runs once, and none goes on through
+the client's last op).  The uniform-database superposition runs nu_i give
+the client subspace actually used, which is Schmidt-compressed to rank r;
+each database is encoded as the compressed client state of its index-1
+basis run, the compressor pulled back through the client's last op onto
+index 1's batch; and any index i is decoded by rotating nu_1 onto nu_i
+with a purifier-side (Uhlmann) unitary before measuring with index i's
+Helstrom measurement from the correctness audit.  Only that unitary's
+action on the compressed support matters, so each decoder is stored as the
+d_client x r partial isometry U E (E the compressor), never as a d_client
+x d_client matrix.  The same run yields delta (one matmul pairing every
+database with its bit-i partner forms the Helstrom operator on the
+client's last op's inputs, which is then pushed through that op,
+restricted to the same span, and diagonalized in the span of its Kraus
+operators) and epsilon (server marginals of the nu_i, written in the runs'
+span when that is smaller than the server's registers).  The measured
+recovery rate feeds the entropy bound on random-access-encoding size,
+which in turn bounds the protocol's communication from below.
 """
 
 from __future__ import annotations
@@ -130,25 +129,30 @@ def build_rae(run: PurifiedRun,
 
 def _encode(run: PurifiedRun, emat: np.ndarray, rank_tol: float) -> np.ndarray:
     """Every database's index-1 run, compressed by `emat` and renormalized,
-    as (r, server_dim, 2^n).  A run that leaves the compression support is
-    a SupportViolation.  Index 1's batch and the residual are the only
-    full-size arrays, and neither outlives the call."""
+    as (r, server_dim, 2^n).  With M_x its run before the client's last op
+    V (`purified_last_op(1)`), run x compresses to (1 (x) E^dagger V) M_x
+    and leaves the compression support by ||(1 (x) R') M_x||, where
+    (1 - E E^dagger) V = Q'R'; a leak beyond 1e-8 is a SupportViolation."""
     da = 2 ** run.qpir.n
-    # the final layout is A_s then B_s: a client x database block per server row
-    runs = run.index_batch(1).reshape(-1, run.spec.b_memory[-1].total_dim, da)
-    comp = emat.conj().T @ runs                     # (d_server, r, da)
-    residual = emat @ comp
-    residual -= runs
-    del runs
+    lay, batch = run.index_batch(1)
+    server = run.spec.a_memory[-1].labels()
+    m = matricize(batch, lay, server)   # A_s leads the batch's layout: a view
+    last = run.purified_last_op(1)
+    # V with its input columns in the batch's order of the registers after A_s
+    v = matricize(last.matrix.T, last.input_layout, lay.drop(server).labels())[:, 0].T
+    ev = emat.conj().T @ v
+    r_out = np.linalg.qr(v - emat @ ev, mode="r")
     # each column's squared norm, summed over its real and imaginary parts
-    parts = residual.reshape(-1, da).view(np.float64)
+    parts = (r_out @ m).reshape(-1, da).view(np.float64)
     leaks = np.sqrt(np.einsum("kj,kj->j", parts, parts).reshape(da, 2).sum(axis=1))
+    del parts
     worst = float(np.max(leaks))
     if worst > 1e-8:
         raise SupportViolation(
             f"a database run leaves the compression support by {worst:.3e}; "
             f"check the rank tolerance ({rank_tol})"
         )
+    comp = ev @ m                       # (d_server, r, da)
     comp /= np.linalg.norm(comp.reshape(-1, da), axis=0)
     return np.ascontiguousarray(comp.transpose(1, 0, 2))
 

@@ -27,7 +27,6 @@ ATOL_NORM = 1e-9
 ATOL_HERMITIAN = 1e-9
 ATOL_EIGENVALUE = 1e-9
 ATOL_ISOMETRY = 1e-9
-ATOL_TRACE_PRESERVING = 1e-8
 
 
 def _frozen_array(values, shape=None) -> np.ndarray:
@@ -132,8 +131,9 @@ class KrausChannel:
         din = self.input_layout.total_dim
         dout = self.output_layout.total_dim
         ops = tuple(_frozen_array(k, shape=(dout, din)) for k in self.kraus_ops)
+        # the Gram of the Stinespring matrix: its dilation is an isometry
         total = sum(k.conj().T @ k for k in ops)
-        if np.max(np.abs(total - np.eye(din))) > ATOL_TRACE_PRESERVING:
+        if np.max(np.abs(total - np.eye(din))) > ATOL_ISOMETRY:
             raise LayoutError("Kraus operators do not sum to the identity (not TP)")
         object.__setattr__(self, "kraus_ops", ops)
 

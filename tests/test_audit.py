@@ -20,7 +20,7 @@ import pytest
 from qpirlab import cli, serialize
 from qpirlab.errors import LayoutError
 from qpirlab.linalg import haar_unitary_matrix, schmidt_coefficients, uhlmann_unitary
-from qpirlab.protocol import ProtocolSpec, execute_pure_batch
+from qpirlab.protocol import ProtocolSpec, execute
 from qpirlab.qpir import (
     PurifiedRun,
     QpirProtocol,
@@ -395,6 +395,37 @@ def test_malformed_protocol_file_ends_in_a_clean_error(case, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _scaled_noisy_trivial(tmp_path, excess: float) -> str:
+    """noisy-trivial n=2's protocol file with each Kraus operator scaled by
+    sqrt(1 + excess), so that sum K^dagger K = (1 + excess) 1."""
+    data = serialize.protocol_spec_to_json(builtin("noisy-trivial", 2, delta=0.2).spec)
+    scale = math.sqrt(1.0 + excess)
+    op = data["ops"]["B"][0]
+    op["kraus_ops"] = [[[scale * re, scale * im] for re, im in k]
+                       for k in op["kraus_ops"]]
+    path = tmp_path / f"scaled-{excess}.json"
+    serialize.dump(data, str(path))
+    return str(path)
+
+
+def test_a_channel_off_trace_preserving_by_6e_9_is_refused_when_read(tmp_path, capsys):
+    """A channel and its dilation share one tolerance: Kraus operators 6e-9
+    off trace preserving are refused as not TP, not accepted and then
+    failed by their Stinespring isometry."""
+    path = _scaled_noisy_trivial(tmp_path, 6e-9)
+    code, out = _cli(["certify", "--protocol", path, "--party", "B"])
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("qpirlab: error:") and "(not TP)" in err
+    assert "Traceback" not in err
+
+
+def test_a_channel_within_the_isometry_tolerance_is_audited(tmp_path):
+    path = _scaled_noisy_trivial(tmp_path, 6e-10)
+    assert _cli(["reduce", "--protocol", path])[0] == 0
+    assert _cli(["certify", "--protocol", path, "--party", "B"])[0] == 0
+
+
 def test_unwritable_out_path_ends_in_a_clean_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     code, out = _cli(["reduce", "--protocol", "builtin:trivial?n=2",
@@ -620,16 +651,15 @@ def calls(monkeypatch):
 
 def test_reduce_purifies_once_and_runs_each_index_batch_once(calls):
     """One superposition batch of n columns through all 2s steps, and one
-    batch of 2^n databases per index through steps 1..2s-1: only index
-    1's, read by the encoding as well as by correctness, goes on through
-    the client's last op.  No batch holds every index."""
+    batch of 2^n databases per index through steps 1..2s-1, read by the
+    encoding (index 1) as well as by correctness.  No batch holds every
+    index, and no basis run goes through the client's last op."""
     n, s = 4, 2
     bound_report(builtin("random", n, seed=5))
     assert calls["purify_both"] == 1
     assert calls["server_marginals"] == 1
     assert calls["batches"] == [n]
-    assert sorted(calls["runs"]) == \
-        [[n, 2 * s]] + [[2 ** n, 2 * s - 1]] * (n - 1) + [[2 ** n, 2 * s]]
+    assert sorted(calls["runs"]) == [[n, 2 * s]] + [[2 ** n, 2 * s - 1]] * n
 
 
 def test_correctness_runs_no_index_through_the_last_op(calls):
@@ -653,18 +683,35 @@ def test_schmidt_executes_the_protocol_once(calls):
 
 # -- basis inputs run one index at a time --------------------------------------
 
+def _dense_before_last_op(spec: ProtocolSpec) -> tuple[RegisterLayout, np.ndarray]:
+    """Every basis input of `spec` after steps 1..2s-1, one column each:
+    one `execute` of the inputs entangled with a reference register."""
+    lay = concat(spec.a_memory[0], spec.b_memory[0])
+    d = lay.total_dim
+    phi = np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)
+    state = execute(spec, StateVector(concat(lay, RegisterLayout.of(("R", d))), phi))
+    state = state.state(2 * spec.rounds - 1)
+    return state.layout.drop(["R"]), state.amplitudes.reshape(-1, d) * math.sqrt(d)
+
+
 def _assert_index_batches_are_dense_columns(qpir: QpirProtocol) -> None:
-    """Index i's batch is columns x*n + (i-1) of every |x>|i> run at once."""
+    """Index i's batch, stopped before the client's last op, is columns
+    x*n + (i-1) of every |x>|i> run at once, once the span it holds of
+    B_{s-1} is lifted back through Q_{s-1}."""
     run = PurifiedRun(qpir)
-    lay = concat(run.spec.a_memory[0], run.spec.b_memory[0])
-    final, dense = execute_pure_batch(run.spec, lay,
-                                      np.eye(lay.total_dim, dtype=complex))
-    assert final == run.layout
+    dense_lay, dense = _dense_before_last_op(run.spec)
     n = qpir.n
+    memory = qpir.spec.b_memory[-2]
+    held = memory.labels()[:1]
     for i in range(1, n + 1):
-        batch = run.index_batch(i)
-        assert batch.shape == (dense.shape[0], 2 ** n)
-        assert np.max(np.abs(batch - dense[:, i - 1::n])) < 1e-12
+        lay, batch = run.index_batch(i)
+        _, q = run._reach(i)
+        t = matricize(batch, lay, held)
+        lifted = (q @ t.reshape(t.shape[0], -1)).reshape(-1, 2 ** n)
+        assert lifted.shape == (dense.shape[0], 2 ** n)
+        want = matricize(dense[:, i - 1::n], dense_lay,
+                         concat(memory, lay.drop(held)).labels())
+        assert np.max(np.abs(lifted - want.reshape(lifted.shape))) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

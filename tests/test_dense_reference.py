@@ -2,10 +2,12 @@
 diagonalized in that op's span, and the span-compressed server marginals
 against the dense computation they replace.
 
-The reference forms each client average rho_b on the client's final
-registers as a Gram matrix of the columns {x : x_i = b} of the full final
-batch, copied out by fancy indexing, and each server marginal as
-t_j t_j^dagger on the full d_server x d_server space.
+The reference runs every basis input |x>|i> through the whole purified
+protocol in one `execute_pure_batch`, with no index fixed, no span held
+and no run stopped before the client's last op.  It forms each client
+average rho_b on the client's final registers as a Gram matrix of the
+columns {x : x_i = b}, copied out by fancy indexing, and each server
+marginal as t_j t_j^dagger on the full d_server x d_server space.
 """
 
 import dataclasses
@@ -14,8 +16,9 @@ import math
 import numpy as np
 import pytest
 
-from qpirlab.linalg import haar_unitary_matrix
-from qpirlab.protocol import ProtocolSpec
+from qpirlab.errors import SupportViolation
+from qpirlab.linalg import DEFAULT_RANK_TOL, haar_unitary_matrix, schmidt_compressor
+from qpirlab.protocol import ProtocolSpec, execute_pure_batch
 from qpirlab.qpir import (
     PurifiedRun,
     QpirProtocol,
@@ -29,8 +32,9 @@ from qpirlab.qpir import (
     privacy_epsilon_purified,
     server_marginals,
 )
+from qpirlab.reduction import _encode
 from qpirlab.registers import Register, RegisterLayout, concat
-from qpirlab.states import Isometry, KrausChannel, matricize
+from qpirlab.states import Isometry, KrausChannel, StateVector, matricize
 
 from conftest import split_memory_random, three_round_random
 
@@ -117,10 +121,13 @@ CASES = [
 
 
 def halves(run: PurifiedRun, i: int) -> list[np.ndarray]:
-    """The client's columns of index i's batch with x_i = 0 and with
-    x_i = 1, copied out by fancy indexing, each in increasing x."""
+    """The client's final columns of index i with x_i = 0 and with
+    x_i = 1, copied out by fancy indexing, each in increasing x, from one
+    batch of every basis input |x>|i> (column x*n + (i-1))."""
     n = run.qpir.n
-    t = matricize(run.index_batch(i), run.layout, run.qpir.client_labels())
+    lay = concat(run.spec.a_memory[0], run.spec.b_memory[0])
+    final, dense = execute_pure_batch(run.spec, lay, np.eye(lay.total_dim, dtype=complex))
+    t = matricize(dense[:, i - 1::n], final, run.qpir.client_labels())
     return [t[:, :, [x for x in range(2 ** n) if bit_of(x, i, n) == b]]
             .reshape(t.shape[0], -1) for b in (0, 1)]
 
@@ -248,3 +255,21 @@ def test_new_cases_exercise_the_reachable_span():
     # index-in-clear reaches all of B_1: the factoring changes no dimension
     clear = PurifiedRun(builtin("index-in-clear", 3))
     assert _held_dims(clear, 1) == [clear.qpir.spec.b_memory[1].total_dim]
+
+
+@pytest.mark.parametrize("build", [lambda: builtin("trivial", 2),
+                                   lambda: mixing_client_random(3, 1)],
+                         ids=["trivial-n2", "mixing-client-random-n3"])
+def test_the_encoding_refuses_a_compressor_short_of_the_support(build):
+    """A compressor that lacks one column of nu_1's client support is
+    refused; the mixing client holds a purifier before its last op.
+    trivial n=2's four runs have client parts that are a basis of that
+    support, so their squared leaks sum to 1 and the worst is >= 1/2."""
+    run = PurifiedRun(build())
+    nu1 = StateVector(run.layout, run.superposition[:, 0])
+    emat = schmidt_compressor(nu1, run.spec.b_memory[-1].labels()).matrix
+    _encode(run, emat, DEFAULT_RANK_TOL)
+    with pytest.raises(SupportViolation, match="leaves the compression support") as exc:
+        _encode(run, emat[:, 1:], DEFAULT_RANK_TOL)
+    if run.qpir.n == 2:
+        assert float(str(exc.value).split(" by ")[1].split(";")[0]) >= 0.5
