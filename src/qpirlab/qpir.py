@@ -3,11 +3,12 @@
 Party A is the server (database input x, 2^n-dimensional computational
 encoding), party B the client (index input i, n-dimensional encoding).
 Every audit reads one `PurifiedRun`: the protocol with both parties
-purified, run once on the uniform database superposition with each index,
-and on the basis inputs |x>|i> one index at a time (i fixed inside the
-client's first op, so no batch holds more than 2^n inputs).  No basis run
-goes through the client's last op: that op is local and comes after the
-last message, so what an audit needs of it is pulled back through it.
+purified, run on the basis inputs |x>|i> one index at a time (i fixed
+inside the client's first op, so no batch holds more than 2^n inputs),
+and, for privacy, once on the uniform database superposition with each
+index.  No basis run goes through the client's last op: that op is local
+and comes after the last message, so what an audit needs of it is pulled
+back onto its inputs.
 
 Correctness is judged by optimal (Helstrom) discrimination of the client's
 final states averaged over {x : x_i = 0} and over {x : x_i = 1}.  The
@@ -19,11 +20,12 @@ partner, and Gamma_i is diagonalized in the span of the op's Kraus
 operators.  With i fixed, each client memory B_1..B_{s-1} is written in
 the span the client's ops can reach, one thin QR per op, so the batch,
 Gamma_i^pre and that span are only as large as what the client can hold.
-Each index's optimal measurement is kept, as a basis of Gamma_i's positive
-eigenspace, for the reduction's decoder to apply.  Privacy compares the
-purified server's marginals across index inputs (superposition runs); when
-the n runs span fewer dimensions than the server's registers, the
-marginals are written in that span, which keeps every trace distance.
+Each index's optimal measurement is kept pulled back through the last op,
+as a factor W_i of the effect it induces on the op's inputs, for the
+reduction's decoder to apply.  Privacy compares the purified server's
+marginals across index inputs (superposition runs); when the n runs span
+fewer dimensions than the server's registers, the marginals are written in
+that span, which keeps every trace distance.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import numpy as np
 
 from .errors import LayoutError
 from .linalg import (
-    HelstromResult,
     haar_unitary_matrix,
     helstrom_matrices,
     trace_distance_matrices,
@@ -86,9 +87,6 @@ class QpirProtocol:
     @property
     def communication(self) -> float:
         return communication_complexity(self.spec)
-
-    def client_labels(self) -> tuple[str, ...]:
-        return self.spec.b_memory[-1].labels()
 
 
 def qpir_input(qpir: QpirProtocol, x: int | None, i: int) -> StateVector:
@@ -166,17 +164,19 @@ class PurifiedRun:
     the r_k-dimensional span its op reaches, op k factored as
     V_k = (Q_k (x) 1) W_k.  The purifier is kept whole.  No basis run goes
     through the client's last op, which reads that span through the same
-    Q_{s-1}: honest as `last_op(i)`, purified as `purified_last_op(i)`.
+    Q_{s-1} as `last_op(i)`.  All index batches share one layout.
 
     * `index_batch(i)`: index i's batch after steps 1..2s-1, up to the
       client's last op, and the layout it is over, A_s first.  The batch
       of the index asked for last is kept, so each index runs once.
+    * `nu(i)`: the uniform database with index i (the state nu_i) at that
+      point, kept when the batch runs: its columns summed, over sqrt(2^n).
     * `helstrom_operator(i)`: Gamma_i^pre = rho_0/2 - rho_1/2 from that
       batch, on the honest client's registers B_{s-1} (x) X_s as
       `last_op(i)` reads them, everything else, purifiers included,
       traced out.
-    * `superposition`: the uniform database with index i (the state nu_i),
-      as column i-1, over `layout`, run once on first use.
+    * `superposition`: nu_i through the whole protocol, for privacy, as
+      column i-1, over `layout`, run once on first use.
     """
 
     def __init__(self, qpir: QpirProtocol) -> None:
@@ -185,6 +185,7 @@ class PurifiedRun:
         self.layout = concat(self.spec.a_memory[-1], self.spec.b_memory[-1])
         self._reached: tuple[int, list[Isometry], np.ndarray] | None = None
         self._batch: tuple[int, RegisterLayout, np.ndarray] | None = None
+        self._nus: dict[int, StateVector] = {}
 
     def _reach(self, i: int) -> tuple[list[Isometry], np.ndarray]:
         """Index i's purified client ops 1..s-1 on what they reach, and
@@ -217,12 +218,6 @@ class PurifiedRun:
         spec = self.qpir.spec
         return _restricted(spec.b_ops[-1], spec.b_memory[-2], self._reach(i)[1])
 
-    def purified_last_op(self, i: int) -> Isometry:
-        """The purified client's last op on the same span: it takes index
-        i's batch on to `layout`."""
-        return _restricted(self.spec.b_ops[-1], self.qpir.spec.b_memory[-2],
-                           self._reach(i)[1])
-
     def index_batch(self, i: int) -> tuple[RegisterLayout, np.ndarray]:
         if self._batch is None or self._batch[0] != i:
             self._batch = None   # the previous index's batch goes first
@@ -234,7 +229,13 @@ class PurifiedRun:
             eye = np.eye(2 ** self.qpir.n, dtype=np.complex128)
             (_, lay, cur), = deque(_steps(schedule, lay, eye), maxlen=1)
             self._batch = (i, lay, cur)
+            self._nus[i] = StateVector(lay, cur.sum(axis=1) / math.sqrt(eye.shape[0]))
         return self._batch[1:]
+
+    def nu(self, i: int) -> StateVector:
+        if i not in self._nus:
+            self.index_batch(i)
+        return self._nus[i]
 
     def helstrom_operator(self, i: int) -> np.ndarray:
         lay, cur = self.index_batch(i)
@@ -262,34 +263,38 @@ class CorrectnessReport:
 
     The measurement for index i distinguishes the client's average final
     state over {x : x_i = 0} from the one over {x : x_i = 1}; it depends on
-    i but never on x.  It is stored as an orthonormal basis of its outcome-0
-    eigenspace over the client's final registers, so applying it is one
-    matmul.
+    i but never on x.  It is stored pulled back onto the inputs of the
+    client's last op, K_k its Kraus operators and Pi_i its outcome-0
+    projector, as W_i^dagger W_i = sum_k K_k^dagger Pi_i K_k.
     """
 
     n: int
     deltas: tuple[float, ...]
     delta_max: float
     delta_avg: float
-    measurements: tuple[np.ndarray, ...]   # (d_client, k_i) outcome-0 basis per index
+    measurements: tuple[np.ndarray, ...]   # W_i, upper triangular, at most d_pre x d_pre
+    measured_labels: tuple[str, ...]       # what each W_i reads: held B_{s-1}, then X_s
 
 
-def _kraus_span(op: Operation) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced QR [K_1 ... K_m] = QR of `op`'s Kraus operators side by side:
-    Q is d_out x r and R is r x m d_in, with r = min(d_out, m d_in)."""
-    return np.linalg.qr(stinespring(op).reshape(op.output_layout.total_dim, -1))
+def _kraus_span(op: Operation) -> np.ndarray:
+    """R of the reduced QR [K_1 ... K_m] = QR of `op`'s Kraus operators side
+    by side: r x m d_in, with r = min(d_out, m d_in).  Q is an isometry, so
+    R keeps every product K_j^dagger K_k."""
+    return np.linalg.qr(stinespring(op).reshape(op.output_layout.total_dim, -1),
+                        mode="r")
 
 
-def _pushed_through(gamma_pre: np.ndarray, span: tuple[np.ndarray, np.ndarray]
-                    ) -> HelstromResult:
+def _pushed_through(gamma_pre: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray]:
     """The Helstrom measurement of sum_k K_k Gamma^pre K_k^dagger, with
-    [K_1 ... K_m] = QR.  That operator is Q (sum_k R_k Gamma^pre R_k^dagger)
-    Q^dagger, so the r x r middle factor is diagonalized and its outcome-0
-    basis P comes back as Q P."""
-    q, r = span
-    y = (r.reshape(-1, gamma_pre.shape[0]) @ gamma_pre).reshape(r.shape[0], -1)
+    [K_1 ... K_m] = QR.  The r x r middle factor sum_k R_k Gamma^pre
+    R_k^dagger is diagonalized; with P its outcome-0 basis, the effect on
+    the op's inputs is F^dagger F, F the blocks P^dagger R_k stacked, and
+    W is the triangular factor of a QR of F, at most d_pre x d_pre."""
+    d_pre = gamma_pre.shape[0]
+    y = (r.reshape(-1, d_pre) @ gamma_pre).reshape(r.shape[0], -1)
     res = helstrom_matrices(y @ r.conj().T)
-    return HelstromResult(res.probability, q @ res.positive)
+    f = (res.positive.conj().T @ r).reshape(-1, d_pre)
+    return res.probability, np.linalg.qr(f, mode="r")
 
 
 def correctness_delta(run: PurifiedRun) -> CorrectnessReport:
@@ -303,22 +308,24 @@ def correctness_delta(run: PurifiedRun) -> CorrectnessReport:
     batch stops before the last op (`PurifiedRun.helstrom_operator`), and
     Gamma_i is diagonalized in the span of the op's Kraus operators, which
     is min(d_client, m d_pre)-dimensional.  d_pre counts B_{s-1} only as
-    far as the client reaches it with i fixed, so each index takes its own
-    QR of its own last op.
+    far as the client reaches it with i fixed, so each index pulls its
+    measurement back through its own QR of its own last op.
     """
     n = run.qpir.n
     deltas = []
     measurements = []
     for i in range(1, n + 1):
-        res = _pushed_through(run.helstrom_operator(i), _kraus_span(run.last_op(i)))
-        deltas.append(max(0.0, 1.0 - res.probability))
-        measurements.append(res.positive)
+        op = run.last_op(i)
+        probability, w = _pushed_through(run.helstrom_operator(i), _kraus_span(op))
+        deltas.append(max(0.0, 1.0 - probability))
+        measurements.append(w)
     return CorrectnessReport(
         n=n,
         deltas=tuple(deltas),
         delta_max=max(deltas),
         delta_avg=float(np.mean(deltas)),
         measurements=tuple(measurements),
+        measured_labels=op.input_layout.labels(),   # alike for every index
     )
 
 

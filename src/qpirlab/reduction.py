@@ -5,23 +5,22 @@ Pipeline: every stage reads one `PurifiedRun` (both parties purified once;
 the basis inputs run one index at a time, i fixed in the client's first op
 and each client memory before the last op written in the span the client
 reaches with i fixed; each index batch runs once, and none goes on through
-the client's last op).  The uniform-database superposition runs nu_i give
-the client subspace actually used, which is Schmidt-compressed to rank r;
-each database is encoded as the compressed client state of its index-1
-basis run, the compressor pulled back through the client's last op onto
-index 1's batch; and any index i is decoded by rotating nu_1 onto nu_i
-with a purifier-side (Uhlmann) unitary before measuring with index i's
-Helstrom measurement from the correctness audit.  Only that unitary's
-action on the compressed support matters, so each decoder is stored as the
-d_client x r partial isometry U E (E the compressor), never as a d_client
-x d_client matrix.  The same run yields delta (one matmul pairing every
-database with its bit-i partner forms the Helstrom operator on the
-client's last op's inputs, which is then pushed through that op,
-restricted to the same span, and diagonalized in the span of its Kraus
-operators) and epsilon (server marginals of the nu_i, written in the runs'
-span when that is smaller than the server's registers).  The measured
-recovery rate feeds the entropy bound on random-access-encoding size,
-which in turn bounds the protocol's communication from below.
+the client's last op).  Purified, that op is a local isometry, which moves
+neither the encoding's size nor its decoders' success, so the encoding is
+built before it.  There the states nu_i, each index's batch summed over
+its columns, give the client subspace actually used, which is
+Schmidt-compressed to rank r; each database is encoded as the compressed
+client state of its index-1 basis run; and any index i is decoded by
+rotating nu_1 onto nu_i with a purifier-side (Uhlmann) unitary, from index
+1's span to index i's, before index i's Helstrom measurement from the
+correctness audit, pulled back through the last op.  Each decoder is
+stored as the d_pre x r partial isometry U E (E the compressor).  The same
+batches yield delta (one matmul pairing every database with its bit-i
+partner forms the Helstrom operator on the last op's inputs, which is
+pushed through that op and diagonalized in the span of its Kraus
+operators); epsilon compares the server marginals of the nu_i after the
+whole protocol.  The measured recovery rate feeds the entropy bound on
+random-access-encoding size, which bounds the communication from below.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import LayoutError, SupportViolation
+from .errors import SupportViolation
 from .linalg import (
     DEFAULT_RANK_TOL,
     binary_entropy,
@@ -39,14 +38,13 @@ from .linalg import (
     schmidt_compressor,
     uhlmann_unitary,
 )
-from .states import Isometry, StateVector, matricize
+from .states import Isometry, matricize
 from .protocol import communication_complexity
 from .qpir import (
     CorrectnessReport,
     PrivacyReport,
     PurifiedRun,
     QpirProtocol,
-    bit_of,
     correctness_delta,
     privacy_epsilon_purified,
 )
@@ -63,7 +61,8 @@ class RandomAccessEncoding:
     m is log2 of the compressed dimension (reported with its qubit
     ceiling); decoding index i applies its decoder, which decompresses and
     rotates in one step, and then index i's Helstrom measurement from
-    `correctness`.
+    `correctness`.  Each client space is the d_pre-dimensional one before
+    the client's last op.
     """
 
     n: int
@@ -71,8 +70,8 @@ class RandomAccessEncoding:
     m: float
     m_ceil: int
     compressed_dim: int
-    compressor: Isometry                     # compressed register -> client factor
-    decoders: tuple[Isometry, ...]           # U^{1->i} E: compressed -> client, (d_client, r)
+    compressor: Isometry                     # compressed register -> index 1's client, (d_pre, r)
+    decoders: tuple[Isometry, ...]           # U^{1->i} E: compressed -> index i's client, (d_pre, r)
     correctness: CorrectnessReport           # carries the per-index measurements
     rotation_distances: tuple[float, ...]    # D((1 x U E)c_1, nu_i) achieved
     compressed_runs: np.ndarray              # (r, server_dim, 2^n), unit columns
@@ -82,37 +81,33 @@ def build_rae(run: PurifiedRun,
               rank_tol: float = DEFAULT_RANK_TOL) -> RandomAccessEncoding:
     """Construct the random access encoding induced by a QPIR protocol.
 
-    The compressor comes from the support of the client marginal of nu_1;
-    every per-database run must live inside that support (a violation
+    The compressor comes from the support of nu_1's marginal on all but
+    A_s; every per-database run must live inside that support (a violation
     signals a rank-tolerance misconfiguration or a protocol whose server
-    does not retain the database branches).
+    does not retain the database branches).  Index 1's batch gives the
+    encoding before correctness runs the rest; the decoders rotate the nu_i.
     """
     qpir = run.qpir
     n = qpir.n
-    client = run.spec.b_memory[-1].labels()
-    measured = qpir.client_labels()
-    if client[: len(measured)] != measured:
-        raise LayoutError("client registers are not front-contiguous")
-    nus = [StateVector(run.layout, run.superposition[:, j]) for j in range(n)]
-    compressor = schmidt_compressor(nus[0], client, rank_tol=rank_tol,
+    nu1 = run.nu(1)
+    client = nu1.layout.drop(run.spec.a_memory[-1].labels()).labels()
+    compressor = schmidt_compressor(nu1, client, rank_tol=rank_tol,
                                     compressed_label="C'")
     r = compressor.input_layout.total_dim
     m = math.log2(r)
-
-    # rotate before index 1's batch exists: it stays out of the SVDs' peak
     emat = compressor.matrix
-    ms = matricize(run.superposition, run.layout, client)  # (d_client, rest, n)
-    c1 = emat.conj().T @ ms[:, :, 0]                       # compressed nu_1
-    decoders = []
-    rot_dist = []
-    for j, nui in enumerate(nus):
-        x = uhlmann_unitary(nui, nus[0], support=compressor)
-        decoders.append(x)
-        rot_dist.append(pure_distance_amplitudes(ms[:, :, j].reshape(-1),
-                                                 (x.matrix @ c1).reshape(-1)))
     comp = _encode(run, emat, rank_tol)
     comp.setflags(write=False)
     correctness = correctness_delta(run)
+
+    c1 = emat.conj().T @ matricize(nu1.amplitudes, nu1.layout, client)
+    decoders, rot_dist = [], []
+    for i in range(1, n + 1):
+        nui = run.nu(i)
+        decoders.append(uhlmann_unitary(nui, nu1, support=compressor))
+        rot_dist.append(pure_distance_amplitudes(
+            matricize(nui.amplitudes, nui.layout, client).reshape(-1),
+            (decoders[-1].matrix @ c1).reshape(-1)))
     return RandomAccessEncoding(
         n=n,
         communication=communication_complexity(qpir.spec),
@@ -128,20 +123,15 @@ def build_rae(run: PurifiedRun,
 
 
 def _encode(run: PurifiedRun, emat: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Every database's index-1 run, compressed by `emat` and renormalized,
-    as (r, server_dim, 2^n).  With M_x its run before the client's last op
-    V (`purified_last_op(1)`), run x compresses to (1 (x) E^dagger V) M_x
-    and leaves the compression support by ||(1 (x) R') M_x||, where
-    (1 - E E^dagger) V = Q'R'; a leak beyond 1e-8 is a SupportViolation."""
+    """Every database's index-1 run before the client's last op, compressed
+    by `emat` and renormalized, as (r, server_dim, 2^n).  With M_x run x's
+    column, it compresses to (1 (x) E^dagger) M_x and leaves the
+    compression support by ||(1 (x) R') M_x||, where 1 - E E^dagger = Q'R';
+    a leak beyond 1e-8 is a SupportViolation."""
     da = 2 ** run.qpir.n
     lay, batch = run.index_batch(1)
-    server = run.spec.a_memory[-1].labels()
-    m = matricize(batch, lay, server)   # A_s leads the batch's layout: a view
-    last = run.purified_last_op(1)
-    # V with its input columns in the batch's order of the registers after A_s
-    v = matricize(last.matrix.T, last.input_layout, lay.drop(server).labels())[:, 0].T
-    ev = emat.conj().T @ v
-    r_out = np.linalg.qr(v - emat @ ev, mode="r")
+    m = matricize(batch, lay, run.spec.a_memory[-1].labels())  # A_s leads: a view
+    r_out = np.linalg.qr(np.eye(emat.shape[0]) - emat @ emat.conj().T, mode="r")
     # each column's squared norm, summed over its real and imaginary parts
     parts = (r_out @ m).reshape(-1, da).view(np.float64)
     leaks = np.sqrt(np.einsum("kj,kj->j", parts, parts).reshape(da, 2).sum(axis=1))
@@ -152,7 +142,7 @@ def _encode(run: PurifiedRun, emat: np.ndarray, rank_tol: float) -> np.ndarray:
             f"a database run leaves the compression support by {worst:.3e}; "
             f"check the rank tolerance ({rank_tol})"
         )
-    comp = ev @ m                       # (d_server, r, da)
+    comp = emat.conj().T @ m            # (d_server, r, da)
     comp /= np.linalg.norm(comp.reshape(-1, da), axis=0)
     return np.ascontiguousarray(comp.transpose(1, 0, 2))
 
@@ -161,30 +151,34 @@ def recovery_rates(rae: RandomAccessEncoding) -> tuple[tuple[float, ...], float]
     """Average probability of recovering bit i over uniform databases.
 
     Works on the stored pure runs (decoding commutes with tracing the
-    server side), batching all databases through one matmul per index.
-    Index i's measurement is folded into its decoder first, so that matmul
-    is (k d_bar) x r, with k the rank of the outcome-0 projector.  Each
-    outcome probability and each rate is clamped to [0, 1] against
-    round-off; one beyond it by more than 1e-9 is a ValueError.
+    server side), batching all databases through one matmul per index:
+    p_0(x) = ||(W_i (x) 1) U E c_x||^2, with the decoder's purifier, if
+    any, riding along.  W_i is folded into the decoder first, so that
+    matmul is (k d_bar) x r, with k the rows of W_i.  Each outcome
+    probability and each rate is clamped to [0, 1] against round-off; one
+    beyond it by more than 1e-9 is a ValueError.
     """
     n = rae.n
     da = 2 ** n
     comp = rae.compressed_runs           # (r, d_server, da)
     r = comp.shape[0]
-    measurements = rae.correctness.measurements
-    d_meas = measurements[0].shape[0]    # the client's original registers
-    rates = []
-    for i in range(1, n + 1):
-        decode = rae.decoders[i - 1].matrix.reshape(d_meas, -1)     # (d_meas, d_bar*r)
-        measured = (measurements[i - 1].conj().T @ decode).reshape(-1, r)
-        amp = measured @ comp.reshape(r, -1)                        # (k*d_bar, ds*da)
-        p0 = np.sum(np.abs(amp.reshape(-1, da)) ** 2, axis=0)
-        correct = []
-        for x in range(da):
-            p = _unit_interval(float(p0[x]), f"index {i}'s outcome-0 probability")
-            correct.append(p if bit_of(x, i, n) == 0 else 1.0 - p)
-        rates.append(_unit_interval(float(np.mean(correct)), f"index {i}'s recovery rate"))
-    return tuple(rates), float(np.mean(rates))
+    correctness = rae.correctness
+    p0 = np.empty((n, da))
+    for i, (decoder, w) in enumerate(zip(rae.decoders, correctness.measurements)):
+        decode = matricize(decoder.matrix, decoder.output_layout,
+                           correctness.measured_labels)           # (d_pre, d_bar, r)
+        measured = (w @ decode.reshape(w.shape[1], -1)).reshape(-1, r)
+        amp = measured @ comp.reshape(r, -1)                       # (k*d_bar, ds*da)
+        p0[i] = np.sum(np.abs(amp.reshape(-1, da)) ** 2, axis=0)
+    for i, row in enumerate(p0, start=1):
+        for extreme in (row.min(), row.max()):
+            _unit_interval(float(extreme), f"index {i}'s outcome-0 probability")
+    p0 = np.clip(p0, 0.0, 1.0)
+    bits = np.arange(da) >> (n - np.arange(1, n + 1))[:, None] & 1
+    correct = np.where(bits, 1.0 - p0, p0)
+    rates = tuple(_unit_interval(float(np.mean(row)), f"index {i}'s recovery rate")
+                  for i, row in enumerate(correct, start=1))
+    return rates, float(np.mean(rates))
 
 
 # ---------------------------------------------------------------------------

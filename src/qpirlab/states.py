@@ -150,14 +150,12 @@ Operation = Union[Isometry, KrausChannel]
 
 
 def as_single_isometry(op: Operation) -> Isometry | None:
-    """View `op` as an isometry when possible (enables pure-state runs)."""
+    """View `op` as an isometry when possible (enables pure-state runs): one
+    Kraus operator K is one, as `KrausChannel` checked K^dagger K = 1."""
     if isinstance(op, Isometry):
         return op
     if len(op.kraus_ops) == 1:
-        k = op.kraus_ops[0]
-        gram = k.conj().T @ k
-        if np.max(np.abs(gram - np.eye(k.shape[1]))) <= ATOL_ISOMETRY:
-            return Isometry(op.input_layout, op.output_layout, k)
+        return Isometry(op.input_layout, op.output_layout, op.kraus_ops[0])
     return None
 
 

@@ -1,13 +1,18 @@
 """The paired Helstrom kernel, taken before the client's last op and
-diagonalized in that op's span, and the span-compressed server marginals
-against the dense computation they replace.
+diagonalized in that op's span, the span-compressed server marginals, and
+the random access encoding built before the client's last op, against the
+dense computation they replace.
 
 The reference runs every basis input |x>|i> through the whole purified
 protocol in one `execute_pure_batch`, with no index fixed, no span held
 and no run stopped before the client's last op.  It forms each client
 average rho_b on the client's final registers as a Gram matrix of the
-columns {x : x_i = b}, copied out by fancy indexing, and each server
-marginal as t_j t_j^dagger on the full d_server x d_server space.
+columns {x : x_i = b}, copied out by fancy indexing, each server marginal
+as t_j t_j^dagger on the full d_server x d_server space, and the encoding
+on the client's final registers: nu_i as the sum of index i's columns,
+the compressor from nu_1's SVD, each decoder as the full d_client x
+d_client Uhlmann unitary times it, and each measurement as the projector
+onto the dense Gamma_i's positive eigenspace.
 """
 
 import dataclasses
@@ -17,7 +22,12 @@ import numpy as np
 import pytest
 
 from qpirlab.errors import SupportViolation
-from qpirlab.linalg import DEFAULT_RANK_TOL, haar_unitary_matrix, schmidt_compressor
+from qpirlab.linalg import (
+    DEFAULT_RANK_TOL,
+    haar_unitary_matrix,
+    pure_distance_amplitudes,
+    schmidt_compressor,
+)
 from qpirlab.protocol import ProtocolSpec, execute_pure_batch
 from qpirlab.qpir import (
     PurifiedRun,
@@ -32,7 +42,7 @@ from qpirlab.qpir import (
     privacy_epsilon_purified,
     server_marginals,
 )
-from qpirlab.reduction import _encode
+from qpirlab.reduction import _encode, build_rae, recovery_rates
 from qpirlab.registers import Register, RegisterLayout, concat
 from qpirlab.states import Isometry, KrausChannel, StateVector, matricize
 
@@ -120,14 +130,19 @@ CASES = [
 ]
 
 
+def dense_columns(run: PurifiedRun) -> tuple[RegisterLayout, np.ndarray]:
+    """One batch of every basis input |x>|i> (column x*n + (i-1)) through
+    the whole purified protocol, and its final layout."""
+    lay = concat(run.spec.a_memory[0], run.spec.b_memory[0])
+    return execute_pure_batch(run.spec, lay, np.eye(lay.total_dim, dtype=complex))
+
+
 def halves(run: PurifiedRun, i: int) -> list[np.ndarray]:
     """The client's final columns of index i with x_i = 0 and with
-    x_i = 1, copied out by fancy indexing, each in increasing x, from one
-    batch of every basis input |x>|i> (column x*n + (i-1))."""
+    x_i = 1, copied out by fancy indexing, each in increasing x."""
     n = run.qpir.n
-    lay = concat(run.spec.a_memory[0], run.spec.b_memory[0])
-    final, dense = execute_pure_batch(run.spec, lay, np.eye(lay.total_dim, dtype=complex))
-    t = matricize(dense[:, i - 1::n], final, run.qpir.client_labels())
+    final, dense = dense_columns(run)
+    t = matricize(dense[:, i - 1::n], final, run.qpir.spec.b_memory[-1].labels())
     return [t[:, :, [x for x in range(2 ** n) if bit_of(x, i, n) == b]]
             .reshape(t.shape[0], -1) for b in (0, 1)]
 
@@ -150,6 +165,49 @@ def dense_gamma(run: PurifiedRun, i: int) -> np.ndarray:
     return 0.5 * rho0 - 0.5 * rho1
 
 
+def dense_encoding(run: PurifiedRun) -> list[tuple[float, float, bool, bool]]:
+    """Per index, the recovery rate and the rotation distance of the
+    encoding built on the client's final registers; whether
+    K = c_1^T conj(nu_i) has full rank r there, which makes the decoder
+    unique; and whether the decoded runs carry no weight on Gamma_i's
+    kernel, where any measurement is optimal and the rate depends on which
+    one the eigensolver picks.  A run that leaves the compression support
+    by more than 1e-8 is a SupportViolation."""
+    n, da = run.qpir.n, 2 ** run.qpir.n
+    final, dense = dense_columns(run)
+    client = run.spec.b_memory[-1]            # the honest registers lead
+    t = matricize(dense, final, client.labels())
+    t = t.reshape(t.shape[0], t.shape[1], da, n)              # [a, b, x, i-1]
+    nus = t.sum(axis=2) / math.sqrt(da)
+    u, s, _ = np.linalg.svd(nus[:, :, 0], full_matrices=False)
+    e = u[:, s > DEFAULT_RANK_TOL]
+    runs = t[:, :, :, 0]
+    leak = np.linalg.norm(runs - np.einsum("ak,bk,bcx->acx", e, e.conj(), runs),
+                          axis=(0, 1))
+    if np.max(leak) > 1e-8:
+        raise SupportViolation(f"a run leaves the support by {np.max(leak):.3e}")
+    c = np.einsum("ak,abx->kbx", e.conj(), runs)
+    c /= np.linalg.norm(c, axis=(0, 1))
+    c1 = e.conj().T @ nus[:, :, 0]
+    d_honest = run.qpir.spec.b_memory[-1].total_dim
+    out = []
+    for i in range(1, n + 1):
+        nu = nus[:, :, i - 1]
+        v, _, wh = np.linalg.svd(nus[:, :, 0] @ nu.conj().T)
+        decoder = wh.conj().T @ v.conj().T @ e
+        unique = np.linalg.svd(c1 @ nu.conj().T, compute_uv=False)[-1] >= 1e-6
+        decoded = np.einsum("ak,kbx->abx", decoder, c).reshape(d_honest, -1, da)
+        w, vecs = np.linalg.eigh(dense_gamma(run, i))
+        weight = [np.sum(np.abs(np.einsum("ah,abx->hbx", vecs[:, keep].conj(),
+                                          decoded)) ** 2, axis=(0, 1))
+                  for keep in (w > 0.0, np.abs(w) <= 1e-10)]
+        bits = np.array([bit_of(x, i, n) for x in range(da)])
+        rate = float(np.mean(np.where(bits == 0, weight[0], 1.0 - weight[0])))
+        dist = pure_distance_amplitudes(nu.reshape(-1), (decoder @ c1).reshape(-1))
+        out.append((rate, dist, unique, np.max(weight[1]) <= 1e-10))
+    return out
+
+
 def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
 
@@ -165,20 +223,48 @@ def test_deltas_and_probabilities_match_the_dense_reference(run):
     for i in range(1, run.qpir.n + 1):
         w = np.linalg.eigvalsh(dense_gamma(run, i))
         want = min(1.0, 0.5 + 0.5 * float(np.sum(np.abs(w))))
-        got = _pushed_through(run.helstrom_operator(i),
-                              _kraus_span(run.last_op(i))).probability
+        got, _ = _pushed_through(run.helstrom_operator(i),
+                                 _kraus_span(run.last_op(i)))
         assert abs(got - want) <= TOL
         assert abs(rep.deltas[i - 1] - max(0.0, 1.0 - want)) <= TOL
 
 
 def test_outcome_zero_basis_is_optimal_for_the_dense_operator(run):
+    """W_i^dagger W_i is the outcome-0 effect pulled back through the last
+    op, so Tr(W_i Gamma_i^pre W_i^dagger) = Tr(Pi_i Gamma_i), which is optimal
+    when it is the sum of Gamma_i's positive eigenvalues."""
     rep = correctness_delta(run)
     for i in range(1, run.qpir.n + 1):
-        gamma = dense_gamma(run, i)
-        w = np.linalg.eigvalsh(gamma)
-        p = rep.measurements[i - 1]
-        attained = float(np.trace(p.conj().T @ gamma @ p).real)
+        w = np.linalg.eigvalsh(dense_gamma(run, i))
+        effect = rep.measurements[i - 1]
+        attained = float(np.trace(effect @ run.helstrom_operator(i)
+                                  @ effect.conj().T).real)
         assert abs(attained - float(np.sum(w[w > 0.0]))) <= TOL
+
+
+def test_recovery_matches_the_dense_encoding(run):
+    """Recovery rates and rotation distances of the encoding built before
+    the client's last op equal those of the one built on its final
+    registers, wherever they are unique.  scrambled-index-in-clear's
+    decoded runs reach Gamma_i's kernel at every index, so only its
+    distances are compared.  forgetful-trivial's server keeps nothing, so
+    both sides refuse its runs."""
+    if run.spec.a_memory[-1].total_dim == 1:
+        with pytest.raises(SupportViolation):
+            dense_encoding(run)
+        with pytest.raises(SupportViolation):
+            build_rae(run)
+        return
+    want = dense_encoding(run)
+    rae = build_rae(run)
+    rates, _ = recovery_rates(rae)
+    assert any(unique for _, _, unique, _ in want)
+    for (rate, dist, unique, determined), got_rate, got_dist in zip(
+            want, rates, rae.rotation_distances):
+        if unique:
+            assert abs(got_dist - dist) <= 1e-10
+        if unique and determined:
+            assert abs(got_rate - rate) <= 1e-10
 
 
 def test_distance_matrix_matches_the_dense_reference(run):
@@ -222,13 +308,14 @@ def test_new_cases_exercise_the_last_op_span():
     mixing = PurifiedRun(mixing_client_random(3, 1))
     b_pre = mixing.spec.b_memory[-2]
     assert len(b_pre) == 2 and b_pre.dims()[1] == 2
-    q, r = _kraus_span(mixing.last_op(1))
+    r = _kraus_span(mixing.last_op(1))
     assert r.shape[1] == 2 * mixing.last_op(1).input_layout.total_dim
     widening = PurifiedRun(widening_random(3, 2))
-    q, r = _kraus_span(widening.last_op(1))
-    d_client = widening.last_op(1).output_layout.total_dim
-    assert q.shape == (d_client, d_client // 2)
-    assert correctness_delta(widening).measurements[0].shape[0] == d_client
+    last = widening.last_op(1)
+    d_pre = last.input_layout.total_dim
+    assert last.output_layout.total_dim == 2 * d_pre
+    assert _kraus_span(last).shape == (d_pre, d_pre)
+    assert correctness_delta(widening).measurements[0].shape[1] == d_pre
 
 
 def _held_dims(run: PurifiedRun, i: int) -> list[int]:
@@ -266,8 +353,9 @@ def test_the_encoding_refuses_a_compressor_short_of_the_support(build):
     trivial n=2's four runs have client parts that are a basis of that
     support, so their squared leaks sum to 1 and the worst is >= 1/2."""
     run = PurifiedRun(build())
-    nu1 = StateVector(run.layout, run.superposition[:, 0])
-    emat = schmidt_compressor(nu1, run.spec.b_memory[-1].labels()).matrix
+    nu1 = run.nu(1)
+    emat = schmidt_compressor(nu1, nu1.layout.drop(run.spec.a_memory[-1].labels())
+                              .labels()).matrix
     _encode(run, emat, DEFAULT_RANK_TOL)
     with pytest.raises(SupportViolation, match="leaves the compression support") as exc:
         _encode(run, emat[:, 1:], DEFAULT_RANK_TOL)
