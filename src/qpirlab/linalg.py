@@ -53,9 +53,16 @@ def _require_same_layout(a, b) -> None:
 
 def trace_distance_matrices(a: np.ndarray, b: np.ndarray) -> float:
     """Trace distance of two unit-trace states given as raw arrays, with
-    round-off above 1 clamped."""
-    eig = np.linalg.eigvalsh(a - b)
-    return min(1.0, float(0.5 * np.sum(np.abs(eig))))
+    round-off above 1 clamped.
+
+    Eigenvalues of a - b within d * eps * (|tr a| + |tr b|), the
+    eigensolver's own error (the floor `psd_sqrt` applies), count as 0:
+    states that differ by round-off alone, such as one mixture summed in
+    two orders, are at distance exactly 0, and a distance of 1e-10 is kept.
+    """
+    w = np.linalg.eigvalsh(a - b)
+    floor = len(w) * np.finfo(float).eps * (abs(np.trace(a)) + abs(np.trace(b)))
+    return min(1.0, float(0.5 * np.sum(np.abs(w[np.abs(w) > floor]))))
 
 
 def pure_distance_amplitudes(a: np.ndarray, b: np.ndarray) -> float:

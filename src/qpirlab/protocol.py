@@ -14,6 +14,8 @@ A protocol with channel ops runs after `purify_party`/`purify_both`: each
 party keeps its ops up to its first channel, and from there on runs their
 Stinespring dilations, which gather the environments in one purifier
 register; tracing it out of any step reproduces the channel run.
+`_purified_ops` yields a party's ops one at a time, so a run that stops
+early dilates none of the ops it never reaches.
 Communication is counted in qubits (log2 of communication-space dimensions,
 fractional dims allowed).
 """
@@ -285,9 +287,10 @@ def execute_pure_batch(spec: ProtocolSpec, input_layout: RegisterLayout,
 
     `columns` holds one input amplitude vector per column.  Only the final
     states are returned, as columns over the canonical final layout
-    (A_s registers, B_s registers, then any spectators).  This is the hot
-    path behind correctness/privacy sweeps, where one big matmul per round
-    beats thousands of small ones.
+    (A_s registers, B_s registers, then any spectators).  No audit calls
+    it: they run their own batches through `_steps`, stopped before the
+    client's last op.  It runs a whole protocol for the dense references
+    those audits are tested against.
     """
     spectators = _spectator_layout(spec, input_layout)
     nb = columns.shape[1]
@@ -321,30 +324,36 @@ def _dilate_op(op: Operation, step: Step, bar: RegisterLayout,
     return Isometry(lay_in, lay_out, full.reshape(-1, lay_in.total_dim)), bar_out
 
 
-def purify_party(spec: ProtocolSpec, party: str) -> ProtocolSpec:
-    """Replace one party's channels by Stinespring isometries.
+def _purified_ops(spec: ProtocolSpec, party: str):
+    """Yield (isometry, memory after it) for each of one party's ops in
+    turn, dilating an op only when it is asked for.
 
     The party's ops up to its first channel (an op with two or more Kraus
     operators) are kept as the isometries they are, over the honest
     memories.  From that channel on, each op is dilated and its environment
-    joins one purifier register inside the party's memory; tracing it out
-    of any intermediate state reproduces the original run's state.  A party
-    with no channel is its own purification, so purifying twice changes
-    nothing.
+    joins one purifier register inside the party's memory.
     """
     bar_label = fresh_label(f"{party}bar", spec.labels())
     bar = RegisterLayout(())
-    memories: list[RegisterLayout] = [spec.memory(party)[0]]
-    ops: list[Isometry] = []
     for step, op in _schedule(spec):
         if step.party != party:
             continue
         iso = None if bar else as_single_isometry(op)
         if iso is None:
             iso, bar = _dilate_op(op, step, bar, bar_label)
-        ops.append(iso)
-        memories.append(concat(step.memory_out, bar))
-    return spec.with_party(party, tuple(memories), tuple(ops))
+        yield iso, concat(step.memory_out, bar)
+
+
+def purify_party(spec: ProtocolSpec, party: str) -> ProtocolSpec:
+    """Replace one party's channels by Stinespring isometries
+    (`_purified_ops`, every op).
+
+    Tracing the purifier out of any intermediate state reproduces the
+    original run's state.  A party with no channel is its own
+    purification, so purifying twice changes nothing.
+    """
+    ops, memories = zip(*_purified_ops(spec, party))
+    return spec.with_party(party, spec.memory(party)[:1] + memories, ops)
 
 
 def purify_both(spec: ProtocolSpec) -> ProtocolSpec:

@@ -2,13 +2,13 @@
 
 Party A is the server (database input x, 2^n-dimensional computational
 encoding), party B the client (index input i, n-dimensional encoding).
-Every audit reads one `PurifiedRun`: the protocol with both parties
-purified, run on the basis inputs |x>|i> one index at a time (i fixed
-inside the client's first op, so no batch holds more than 2^n inputs),
-and, for privacy, once on the uniform database superposition with each
-index.  No basis run goes through the client's last op: that op is local
-and comes after the last message, so what an audit needs of it is pulled
-back onto its inputs.
+Every audit reads one `PurifiedRun`: the protocol with the server and the
+client's ops before its last one purified, run on the basis inputs |x>|i>
+one index at a time (i fixed inside the client's first op, so no batch
+holds more than 2^n inputs), and on the uniform database superposition
+with each index, one column per index.  No run goes through the client's
+last op, and that op is never dilated: it is local and comes after the
+last message, so what an audit needs of it is pulled back onto its inputs.
 
 Correctness is judged by optimal (Helstrom) discrimination of the client's
 final states averaged over {x : x_i = 0} and over {x : x_i = 1}.  The
@@ -23,9 +23,11 @@ Gamma_i^pre and that span are only as large as what the client can hold.
 Each index's optimal measurement is kept pulled back through the last op,
 as a factor W_i of the effect it induces on the op's inputs, for the
 reduction's decoder to apply.  Privacy compares the purified server's
-marginals across index inputs (superposition runs); when the n runs span
-fewer dimensions than the server's registers, the marginals are written in
-that span, which keeps every trace distance.
+marginals of the superposition runs nu_i across index inputs.  The
+server's registers are final once it sends its last message, so the
+marginals are read before the client's last op, as they are after it;
+when the n runs span fewer dimensions than the server's registers, the
+marginals are written in that span, which keeps every trace distance.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import math
 import urllib.parse
 from collections import deque
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -55,10 +57,10 @@ from .states import (
 )
 from .protocol import (
     ProtocolSpec,
+    _purified_ops,
     _steps,
     communication_complexity,
-    execute_pure_batch,
-    purify_both,
+    purify_party,
 )
 
 
@@ -154,35 +156,36 @@ def _paired_operator(t: np.ndarray, i: int) -> np.ndarray:
 
 
 class PurifiedRun:
-    """The protocol with both parties purified, run on the inputs every
-    audit reads.
+    """The protocol run on the inputs every audit reads, up to the client's
+    last op.
 
-    The protocol is purified once.  Its basis inputs |x>|i> run one index
-    at a time, one column per database x, so no batch holds more than 2^n
-    inputs.  Each index's run is built when it starts (`_reach`): B_0 is
-    fixed at i, and each honest client memory B_k, k < s, is replaced by
-    the r_k-dimensional span its op reaches, op k factored as
-    V_k = (Q_k (x) 1) W_k.  The purifier is kept whole.  No basis run goes
-    through the client's last op, which reads that span through the same
-    Q_{s-1} as `last_op(i)`.  All index batches share one layout.
+    `spec` is the protocol with its server purified; the client's ops
+    1..s-1 are purified with it, each party once, and its last op is
+    never dilated, since no run reaches it.  Every run starts with B_0
+    fixed at i and goes through steps 1..2s-1 (`_run`), each index's
+    built when it starts (`_reach`): each honest client memory B_k, k < s,
+    is replaced by the r_k-dimensional span its op reaches, op k factored
+    as V_k = (Q_k (x) 1) W_k.  The purifier is kept whole.  The last op
+    reads that span through the same Q_{s-1} as `last_op(i)`.  All runs
+    share one layout, A_s first.
 
-    * `index_batch(i)`: index i's batch after steps 1..2s-1, up to the
-      client's last op, and the layout it is over, A_s first.  The batch
-      of the index asked for last is kept, so each index runs once.
-    * `nu(i)`: the uniform database with index i (the state nu_i) at that
-      point, kept when the batch runs: its columns summed, over sqrt(2^n).
-    * `helstrom_operator(i)`: Gamma_i^pre = rho_0/2 - rho_1/2 from that
-      batch, on the honest client's registers B_{s-1} (x) X_s as
+    * `index_batch(i)`: index i's basis inputs |x>|i>, one column per
+      database x, so no batch holds more than 2^n inputs, and the layout
+      they are over.  The batch of the index asked for last is kept until
+      its Helstrom operator is formed, so each index runs once.
+    * `nu(i)`: the uniform database with index i (the state nu_i), one
+      column through the same steps, kept.
+    * `helstrom_operator(i)`: Gamma_i^pre = rho_0/2 - rho_1/2 from index
+      i's batch, on the honest client's registers B_{s-1} (x) X_s as
       `last_op(i)` reads them, everything else, purifiers included,
-      traced out.
-    * `superposition`: nu_i through the whole protocol, for privacy, as
-      column i-1, over `layout`, run once on first use.
+      traced out.  The batch is freed once this is formed.
     """
 
     def __init__(self, qpir: QpirProtocol) -> None:
         self.qpir = qpir
-        self.spec = purify_both(qpir.spec)
-        self.layout = concat(self.spec.a_memory[-1], self.spec.b_memory[-1])
+        self.spec = purify_party(qpir.spec, "A")
+        pairs = islice(_purified_ops(self.spec, "B"), qpir.spec.rounds - 1)
+        self._client_ops = [op for op, _ in pairs]
         self._reached: tuple[int, list[Isometry], np.ndarray] | None = None
         self._batch: tuple[int, RegisterLayout, np.ndarray] | None = None
         self._nus: dict[int, StateVector] = {}
@@ -203,7 +206,7 @@ class PurifiedRun:
             memory = self.qpir.spec.b_memory
             q = np.eye(self.qpir.n, dtype=np.complex128)[:, i - 1:i]
             ops = []
-            for k, op in enumerate(self.spec.b_ops[:-1], start=1):
+            for k, op in enumerate(self._client_ops, start=1):
                 v = _restricted(op, memory[k - 1], q)
                 q, w = np.linalg.qr(v.matrix.reshape(memory[k].total_dim, -1))
                 out = concat(_held(memory[k], q.shape[1]),
@@ -218,39 +221,38 @@ class PurifiedRun:
         spec = self.qpir.spec
         return _restricted(spec.b_ops[-1], spec.b_memory[-2], self._reach(i)[1])
 
+    def _run(self, i: int, columns: np.ndarray) -> tuple[RegisterLayout, np.ndarray]:
+        """`columns`, each a server input with B_0 = |i>, after steps
+        1..2s-1, and the layout they are over."""
+        ops, _ = self._reach(i)
+        by_party = {"A": self.spec.a_ops, "B": ops}
+        schedule = [(step, by_party[step.party][step.round - 1])
+                    for step in self.spec.steps[:-1]]
+        lay = concat(self.spec.a_memory[0], _held(self.spec.b_memory[0], 1))
+        (_, lay, cur), = deque(_steps(schedule, lay, columns), maxlen=1)
+        return lay, cur
+
     def index_batch(self, i: int) -> tuple[RegisterLayout, np.ndarray]:
         if self._batch is None or self._batch[0] != i:
             self._batch = None   # the previous index's batch goes first
-            ops, _ = self._reach(i)
-            by_party = {"A": self.spec.a_ops, "B": ops}
-            schedule = [(step, by_party[step.party][step.round - 1])
-                        for step in self.spec.steps[:-1]]
-            lay = concat(self.spec.a_memory[0], _held(self.spec.b_memory[0], 1))
             eye = np.eye(2 ** self.qpir.n, dtype=np.complex128)
-            (_, lay, cur), = deque(_steps(schedule, lay, eye), maxlen=1)
-            self._batch = (i, lay, cur)
-            self._nus[i] = StateVector(lay, cur.sum(axis=1) / math.sqrt(eye.shape[0]))
+            self._batch = (i, *self._run(i, eye))
         return self._batch[1:]
 
     def nu(self, i: int) -> StateVector:
         if i not in self._nus:
-            self.index_batch(i)
+            da = 2 ** self.qpir.n
+            uniform = np.full((da, 1), 1.0 / math.sqrt(da), dtype=np.complex128)
+            lay, cur = self._run(i, uniform)
+            self._nus[i] = StateVector(lay, cur[:, 0])
         return self._nus[i]
 
     def helstrom_operator(self, i: int) -> np.ndarray:
         lay, cur = self.index_batch(i)
+        self._batch = None      # read once: the batch goes with this call
         spec = self.qpir.spec   # the last op reads B_{s-1}'s span and X_s
         pre = spec.b_memory[-2].labels()[:1] + spec.x_comm[-1].labels()
         return _paired_operator(matricize(cur, lay, pre), i)
-
-    @cached_property
-    def superposition(self) -> np.ndarray:
-        n = self.qpir.n
-        lay = concat(self.spec.a_memory[0], self.spec.b_memory[0])
-        return execute_pure_batch(self.spec, lay, np.stack(
-            [qpir_input(self.qpir, None, i).amplitudes for i in range(1, n + 1)],
-            axis=1,
-        ))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +360,13 @@ class PrivacyReport:
 
 def server_marginals(run: PurifiedRun) -> list[np.ndarray]:
     """Purified server's reduced state per index input on the uniform
-    database superposition: t_j t_j^dagger for each index's factor t_j
-    (d_server x d_rest).
+    database superposition: t_j t_j^dagger for the server factor t_j
+    (d_server x d_rest) of each nu_j (`PurifiedRun.nu`).
+
+    The nu_j stop before the client's last op.  The server's registers A_s
+    are final after its last message, and that op acts on the client's
+    registers alone, so it leaves every marginal as it is and need not be
+    run, nor dilated.
 
     When the n factors have fewer columns in total than d_server, they are
     replaced by R from a QR of their concatenation [t_1 ... t_n] = QR.
@@ -369,7 +376,8 @@ def server_marginals(run: PurifiedRun) -> list[np.ndarray]:
     marginals, where a QR would cost more than it saves.
     """
     server = run.spec.a_memory[-1].labels()
-    t = matricize(run.superposition, run.layout, server)
+    nus = [run.nu(j) for j in range(1, run.qpir.n + 1)]
+    t = np.stack([matricize(nu.amplitudes, nu.layout, server) for nu in nus], axis=2)
     d_server, d_rest, n = t.shape
     if n * d_rest < d_server:
         cols = t.transpose(0, 2, 1).reshape(d_server, n * d_rest)
@@ -382,8 +390,12 @@ def privacy_epsilon_purified(run: PurifiedRun) -> PrivacyReport:
     """Estimate the ultimate privacy leak against the purified server.
 
     Compares the server-side marginals of the uniform-superposition runs
-    across indices, and reports the best replay-simulator epsilon together
-    with the simulator-independent pairwise lower bound.
+    across indices (`server_marginals`, before the client's last op), and
+    reports the best replay-simulator epsilon together with the
+    simulator-independent pairwise lower bound.  Each distance floors the
+    eigensolver's round-off (`trace_distance_matrices`), so a private
+    protocol's epsilon is exactly 0, not round-off that the guarantee's
+    2 sqrt(eps (1 - eps)) would lift to about 1e-8.
     """
     n = run.qpir.n
     margs = server_marginals(run)

@@ -1,25 +1,28 @@
 """Reduction from a QPIR protocol to a random access encoding, plus the
 communication lower bound it certifies.
 
-Pipeline: every stage reads one `PurifiedRun` (both parties purified once;
-the basis inputs run one index at a time, i fixed in the client's first op
-and each client memory before the last op written in the span the client
-reaches with i fixed; each index batch runs once, and none goes on through
-the client's last op).  Purified, that op is a local isometry, which moves
-neither the encoding's size nor its decoders' success, so the encoding is
-built before it.  There the states nu_i, each index's batch summed over
-its columns, give the client subspace actually used, which is
-Schmidt-compressed to rank r; each database is encoded as the compressed
-client state of its index-1 basis run; and any index i is decoded by
-rotating nu_1 onto nu_i with a purifier-side (Uhlmann) unitary, from index
-1's span to index i's, before index i's Helstrom measurement from the
+Pipeline: every stage reads one `PurifiedRun` (the server and the client's
+ops before its last one purified, each party once; the basis inputs run
+one index at a time, i fixed in the client's first op and each client
+memory before the last op written in the span the client reaches with i
+fixed; each index batch runs once, and no run goes on through the
+client's last op, which is never dilated).  Purified, that op would be a
+local isometry, which moves neither the encoding's size, nor its
+decoders' success, nor the server's marginals, so every stage is built
+before it.  There the states nu_i, the uniform database with each index,
+give the client subspace actually used, which is Schmidt-compressed to
+rank r; each database is encoded as the compressed client state of its
+index-1 basis run; and any index i is decoded by rotating nu_1 onto nu_i
+with a purifier-side (Uhlmann) unitary, from index 1's span to index
+i's, before index i's Helstrom measurement from the
 correctness audit, pulled back through the last op.  Each decoder is
 stored as the d_pre x r partial isometry U E (E the compressor).  The same
 batches yield delta (one matmul pairing every database with its bit-i
 partner forms the Helstrom operator on the last op's inputs, which is
 pushed through that op and diagonalized in the span of its Kraus
-operators); epsilon compares the server marginals of the nu_i after the
-whole protocol.  The measured recovery rate feeds the entropy bound on
+operators); epsilon compares the server marginals of the same nu_i, with
+the eigensolver's round-off floored, so a private protocol's epsilon is
+exactly 0.  The measured recovery rate feeds the entropy bound on
 random-access-encoding size, which bounds the communication from below.
 """
 

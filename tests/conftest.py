@@ -216,6 +216,23 @@ def split_memory_random(n: int, seed: int) -> QpirProtocol:
                                            (op1, op2)))
 
 
+def mixing_client_random(n: int, seed: int) -> QpirProtocol:
+    """random whose client applies, in both rounds, its Haar unitary with
+    probability 0.7 and another one with probability 0.3.  Its purifier
+    already exists before the last op and is traced out of Gamma_i^pre,
+    and the last op has m = 2 Kraus operators."""
+    spec = builtin("random", n, seed=seed).spec
+    rng = np.random.default_rng(seed)
+
+    def mixed(op: Isometry) -> KrausChannel:
+        other = haar_unitary_matrix(op.input_layout.total_dim, rng)
+        return KrausChannel(op.input_layout, op.output_layout,
+                            (math.sqrt(0.7) * op.matrix, math.sqrt(0.3) * other))
+
+    return QpirProtocol(n, spec.with_party("B", spec.b_memory,
+                                           tuple(map(mixed, spec.b_ops))))
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240811)

@@ -20,7 +20,7 @@ import pytest
 from qpirlab import cli, serialize
 from qpirlab.errors import LayoutError
 from qpirlab.linalg import haar_unitary_matrix, schmidt_coefficients, uhlmann_unitary
-from qpirlab.protocol import ProtocolSpec, execute
+from qpirlab.protocol import ProtocolSpec, execute, purify_both
 from qpirlab.qpir import (
     PurifiedRun,
     QpirProtocol,
@@ -29,6 +29,7 @@ from qpirlab.qpir import (
     builtin,
     correctness_delta,
     privacy_epsilon_purified,
+    qpir_input,
 )
 from qpirlab.reduction import (
     bound_report,
@@ -40,7 +41,12 @@ from qpirlab.reduction import (
 from qpirlab.registers import RegisterLayout, concat
 from qpirlab.states import Isometry, KrausChannel, StateVector, matricize
 
-from conftest import identity_support, split_memory_random, three_round_random
+from conftest import (
+    identity_support,
+    mixing_client_random,
+    split_memory_random,
+    three_round_random,
+)
 
 
 def _h(p: float) -> float:
@@ -70,17 +76,18 @@ def test_trivial_audit_is_exact():
 @pytest.mark.parametrize("name, n, rank", [("trivial", 2, 4), ("trivial", 3, 8),
                                            ("index-in-clear", 3, 2)])
 def test_final_states_have_flat_schmidt_coefficients(name, n, rank):
-    """Across the server cut every nu_i has `rank` equal coefficients.
+    """Across the server cut every final nu_i has `rank` equal coefficients.
 
     trivial: nu_i = 2^(-n/2) sum_x |x>_server |x, i>_client, so 2^n of them.
     index-in-clear: the server keeps x and i, the client i and x_i, so nu_i
     splits into the halves x_i = 0 and x_i = 1, two of 1/sqrt(2).
     """
-    run = PurifiedRun(builtin(name, n))
-    server = run.spec.a_memory[-1].labels()
-    for i in range(n):
-        s = schmidt_coefficients(StateVector(run.layout, run.superposition[:, i]),
-                                 server)
+    qpir = builtin(name, n)
+    spec = purify_both(qpir.spec)
+    server = spec.a_memory[-1].labels()
+    for i in range(1, n + 1):
+        final = execute(spec, qpir_input(qpir, None, i)).final
+        s = schmidt_coefficients(final, server)
         kept = s[s > 1e-10]
         assert len(kept) == rank
         assert np.max(np.abs(kept - 1 / math.sqrt(rank))) < 1e-12
@@ -120,13 +127,25 @@ def test_schmidt_takes_one_svd_per_cut(monkeypatch):
 
 
 def test_noisy_trivial_audit_matches_the_bit_flip_rate():
+    """The server keeps only its copy of x, so epsilon is exactly 0 and
+    the guarantee is 1 - delta = 0.8, with no round-off lifted by the
+    sqrt in 2 sqrt(eps (1 - eps))."""
     rep = bound_report(builtin("noisy-trivial", 3, delta=0.2))
     assert rep.deltas == pytest.approx((0.2, 0.2, 0.2), abs=1e-9)
-    assert rep.epsilon_used == pytest.approx(0.0, abs=1e-9)
+    assert rep.epsilon_used == 0.0 and rep.epsilon_min == 0.0
     assert rep.recovery_avg == pytest.approx(0.8, abs=1e-9)
-    # epsilon is round-off, which the sqrt in the guarantee lifts to ~1e-8
-    assert rep.bound_value == pytest.approx((1.0 - _h(0.8)) * 3, abs=1e-6)
+    assert rep.guarantee == pytest.approx(0.8, abs=1e-12)
+    assert rep.bound_value == pytest.approx((1.0 - _h(0.8)) * 3, abs=1e-12)
     assert rep.consistency == "bound-applies"
+
+
+def test_random_protocol_is_exactly_private():
+    """random seed 1's client sends the server nothing (Y_1 is one
+    dimension), so the server's marginals cannot depend on the index:
+    epsilon is 0.0, not round-off."""
+    rep = bound_report(builtin("random", 3, seed=1))
+    assert rep.epsilon_used == 0.0 and rep.epsilon_min == 0.0
+    assert rep.marginal_distances == (0.0, 0.0, 0.0)
 
 
 def test_index_in_clear_is_caught_as_non_private():
@@ -214,11 +233,11 @@ def test_decoders_are_thin():
             assert decoder.matrix.shape == (d_pre, rae.compressed_dim)
 
 
-def test_the_reduction_reads_no_purified_last_op_and_no_final_run(monkeypatch):
+def test_the_reduction_reads_no_purified_last_op_and_no_final_run(monkeypatch, calls):
     """noisy-trivial's last op is a channel.  Only its Kraus form is
-    restricted to the span the client reaches, never its dilation, and the
-    encoding reads no run through the whole protocol: neither the final
-    superposition nor its layout."""
+    restricted to the span the client reaches, never its dilation, and
+    neither the reduction nor privacy nor the attack runs anything through
+    the whole protocol: no final-layout batch, and no final run kept."""
     import qpirlab.qpir as qpir_module
     qpir = builtin("noisy-trivial", 3, delta=0.2)
     restricted, seen = qpir_module._restricted, []
@@ -228,16 +247,44 @@ def test_the_reduction_reads_no_purified_last_op_and_no_final_run(monkeypatch):
         return restricted(op, memory, q)
 
     monkeypatch.setattr(qpir_module, "_restricted", recorded)
-    bound_report(qpir)
+    rep = bound_report(qpir)
+    assert rep.compressed_dim == 8 and rep.epsilon_used == 0.0
     assert seen and all(op is qpir.spec.b_ops[-1] for op in seen)
+    del seen[:]
+    assert privacy_epsilon_purified(PurifiedRun(qpir)).epsilon_hat == 0.0
+    assert superposition_attack(qpir).verdict == "PRIVATE"
+    assert seen == []   # privacy reads no last op at all
+    last = 2 * qpir.spec.rounds - 1
+    assert calls["batches"] == [] and all(steps == last for _, steps in calls["runs"])
+    assert not any(hasattr(PurifiedRun(qpir), name) for name in ("superposition", "layout"))
 
-    def unread(run):
-        raise AssertionError("the encoding read the final superposition")
 
-    monkeypatch.setattr(PurifiedRun, "superposition", property(unread))
-    run = PurifiedRun(qpir)
-    del run.layout
-    assert build_rae(run).compressed_dim == 8
+@pytest.mark.parametrize("build", [
+    lambda: builtin("noisy-trivial", 3, delta=0.2), lambda: mixing_client_random(3, 1)],
+    ids=["noisy-trivial-n3", "mixing-client-random-n3"])
+def test_no_audit_dilates_the_clients_last_op(monkeypatch, build):
+    """reduce, qpir-correctness, qpir-privacy and attack each purify the
+    client's ops before its last one only.  Both protocols end in a client
+    channel; the mixing client's first op is one too, and is dilated."""
+    import qpirlab.protocol as protocol
+    qpir = build()
+    dilate, dilated = protocol._dilate_op, []
+
+    def recorded(op, step, bar, bar_label):
+        dilated.append(step.name)
+        return dilate(op, step, bar, bar_label)
+
+    monkeypatch.setattr(protocol, "_dilate_op", recorded)
+    audits = [lambda: bound_report(qpir),
+              lambda: correctness_delta(PurifiedRun(qpir)),
+              lambda: privacy_epsilon_purified(PurifiedRun(qpir)),
+              lambda: superposition_attack(qpir)]
+    last = f"B{qpir.spec.rounds}"
+    for audit in audits:
+        del dilated[:]
+        audit()
+        assert last not in dilated
+        assert dilated == (["B1"] if qpir.spec.rounds == 2 else [])
 
 
 def test_marginal_distances_are_the_privacy_distances():
@@ -643,20 +690,21 @@ def test_certify_accepts_a_protocol_register_named_r(party, tmp_path):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count purify_both, execute and server_marginals calls, the column
-    count of every execute_pure_batch call, and (columns, steps taken) of
-    every run of the step loop."""
+    """Record the party of every purification, count execute and
+    server_marginals calls, and record the column count of every
+    execute_pure_batch call and (columns, steps taken) of every run of the
+    step loop."""
     import qpirlab.protocol as protocol
     import qpirlab.qpir as qpir
-    seen = {"purify_both": 0, "execute": 0, "server_marginals": 0, "batches": [],
+    seen = {"purified": [], "execute": 0, "server_marginals": 0, "batches": [],
             "runs": []}
-    purify, batch = protocol.purify_both, protocol.execute_pure_batch
+    purify, batch = protocol._purified_ops, protocol.execute_pure_batch
     execute, marginals = protocol.execute, qpir.server_marginals
     steps = protocol._steps
 
-    def counted_purify(spec):
-        seen["purify_both"] += 1
-        return purify(spec)
+    def counted_purify(spec, party):
+        seen["purified"].append(party)
+        return purify(spec, party)
 
     def counted_execute(spec, rho_in):
         seen["execute"] += 1
@@ -695,34 +743,38 @@ def calls(monkeypatch):
 
 
 def test_reduce_purifies_once_and_runs_each_index_batch_once(calls):
-    """One superposition batch of n columns through all 2s steps, and one
-    batch of 2^n databases per index through steps 1..2s-1, read by the
-    encoding (index 1) as well as by correctness.  No batch holds every
-    index, and no basis run goes through the client's last op."""
+    """Each party purified once; one uniform-database column per index and
+    one batch of 2^n databases per index, all through steps 1..2s-1, the
+    batch of index 1 read by the encoding as well as by correctness.  No
+    batch holds every index, and no run goes through the client's last op."""
     n, s = 4, 2
     bound_report(builtin("random", n, seed=5))
-    assert calls["purify_both"] == 1
+    assert calls["purified"] == ["A", "B"]
     assert calls["server_marginals"] == 1
-    assert calls["batches"] == [n]
-    assert sorted(calls["runs"]) == [[n, 2 * s]] + [[2 ** n, 2 * s - 1]] * n
+    assert calls["batches"] == []
+    assert sorted(calls["runs"]) == [[1, 2 * s - 1]] * n + [[2 ** n, 2 * s - 1]] * n
 
 
 def test_correctness_runs_no_index_through_the_last_op(calls):
     n, s = 4, 2
-    correctness_delta(PurifiedRun(builtin("random", n, seed=5)))
+    run = PurifiedRun(builtin("random", n, seed=5))
+    correctness_delta(run)
     assert calls["runs"] == [[2 ** n, 2 * s - 1]] * n
+    assert run._batch is None   # each batch is freed with its Helstrom operator
 
 
 @pytest.mark.parametrize("verb", ["qpir-privacy", "attack"])
-def test_privacy_and_attack_run_one_batch_of_n_columns(calls, verb):
-    assert _cli([verb, "--protocol", "builtin:trivial?n=4"])[0] == 0
-    assert calls["purify_both"] == 1
-    assert calls["batches"] == [4]
+def test_privacy_and_attack_run_one_column_per_index(calls, verb):
+    n, s = 4, 1
+    assert _cli([verb, "--protocol", f"builtin:trivial?n={n}"])[0] == 0
+    assert calls["purified"] == ["A", "B"]
+    assert calls["batches"] == []
+    assert calls["runs"] == [[1, 2 * s - 1]] * n
 
 
 def test_schmidt_executes_the_protocol_once(calls):
     assert _cli(["schmidt", "--protocol", "builtin:trivial?n=3"])[0] == 0
-    assert calls["purify_both"] == 1
+    assert calls["purified"] == ["A", "B"]
     assert calls["execute"] == 1
 
 
@@ -744,7 +796,7 @@ def _assert_index_batches_are_dense_columns(qpir: QpirProtocol) -> None:
     x*n + (i-1) of every |x>|i> run at once, once the span it holds of
     B_{s-1} is lifted back through Q_{s-1}."""
     run = PurifiedRun(qpir)
-    dense_lay, dense = _dense_before_last_op(run.spec)
+    dense_lay, dense = _dense_before_last_op(purify_both(qpir.spec))
     n = qpir.n
     memory = qpir.spec.b_memory[-2]
     held = memory.labels()[:1]

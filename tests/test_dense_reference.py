@@ -3,16 +3,17 @@ diagonalized in that op's span, the span-compressed server marginals, and
 the random access encoding built before the client's last op, against the
 dense computation they replace.
 
-The reference runs every basis input |x>|i> through the whole purified
+The reference purifies both parties itself (`purify_both`, the client's
+last op dilated) and runs every basis input |x>|i> through the whole
 protocol in one `execute_pure_batch`, with no index fixed, no span held
 and no run stopped before the client's last op.  It forms each client
 average rho_b on the client's final registers as a Gram matrix of the
-columns {x : x_i = b}, copied out by fancy indexing, each server marginal
-as t_j t_j^dagger on the full d_server x d_server space, and the encoding
-on the client's final registers: nu_i as the sum of index i's columns,
-the compressor from nu_1's SVD, each decoder as the full d_client x
-d_client Uhlmann unitary times it, and each measurement as the projector
-onto the dense Gamma_i's positive eigenspace.
+columns {x : x_i = b}, copied out by fancy indexing; nu_i as the sum of
+index i's final columns; each server marginal as t_j t_j^dagger of nu_j
+on the full d_server x d_server space; and the encoding on the client's
+final registers: the compressor from nu_1's SVD, each decoder as the full
+d_client x d_client Uhlmann unitary times it, and each measurement as the
+projector onto the dense Gamma_i's positive eigenspace.
 """
 
 import dataclasses
@@ -28,7 +29,7 @@ from qpirlab.linalg import (
     pure_distance_amplitudes,
     schmidt_compressor,
 )
-from qpirlab.protocol import ProtocolSpec, execute_pure_batch
+from qpirlab.protocol import ProtocolSpec, execute_pure_batch, purify_both
 from qpirlab.qpir import (
     PurifiedRun,
     QpirProtocol,
@@ -44,9 +45,9 @@ from qpirlab.qpir import (
 )
 from qpirlab.reduction import _encode, build_rae, recovery_rates
 from qpirlab.registers import Register, RegisterLayout, concat
-from qpirlab.states import Isometry, KrausChannel, StateVector, matricize
+from qpirlab.states import Isometry, matricize
 
-from conftest import split_memory_random, three_round_random
+from conftest import mixing_client_random, split_memory_random, three_round_random
 
 TOL = 1e-12
 
@@ -78,23 +79,6 @@ def forgetful_trivial(n: int) -> QpirProtocol:
     ship = Isometry(a0, concat(a1, x1), np.eye(2 ** n, dtype=np.complex128))
     return QpirProtocol(n, ProtocolSpec(1, (a0, a1), spec.b_memory, (x1,), (),
                                         (ship,), spec.b_ops))
-
-
-def mixing_client_random(n: int, seed: int) -> QpirProtocol:
-    """random whose client applies, in both rounds, its Haar unitary with
-    probability 0.7 and another one with probability 0.3.  Its purifier
-    already exists before the last op and is traced out of Gamma_i^pre,
-    and the last op has m = 2 Kraus operators."""
-    spec = builtin("random", n, seed=seed).spec
-    rng = np.random.default_rng(seed)
-
-    def mixed(op: Isometry) -> KrausChannel:
-        other = haar_unitary_matrix(op.input_layout.total_dim, rng)
-        return KrausChannel(op.input_layout, op.output_layout,
-                            (math.sqrt(0.7) * op.matrix, math.sqrt(0.3) * other))
-
-    return QpirProtocol(n, spec.with_party("B", spec.b_memory,
-                                           tuple(map(mixed, spec.b_ops))))
 
 
 def widening_random(n: int, seed: int) -> QpirProtocol:
@@ -132,9 +116,10 @@ CASES = [
 
 def dense_columns(run: PurifiedRun) -> tuple[RegisterLayout, np.ndarray]:
     """One batch of every basis input |x>|i> (column x*n + (i-1)) through
-    the whole purified protocol, and its final layout."""
-    lay = concat(run.spec.a_memory[0], run.spec.b_memory[0])
-    return execute_pure_batch(run.spec, lay, np.eye(lay.total_dim, dtype=complex))
+    the whole protocol, both parties purified, and its final layout."""
+    spec = purify_both(run.qpir.spec)
+    lay = concat(spec.a_memory[0], spec.b_memory[0])
+    return execute_pure_batch(spec, lay, np.eye(lay.total_dim, dtype=complex))
 
 
 def halves(run: PurifiedRun, i: int) -> list[np.ndarray]:
@@ -154,10 +139,14 @@ def dense_client_averages(run: PurifiedRun, i: int) -> list[np.ndarray]:
 
 
 def dense_server_marginals(run: PurifiedRun) -> list[np.ndarray]:
-    """t_j t_j^dagger on the purified server's registers, per index."""
-    server = run.spec.a_memory[-1].labels()
-    t = matricize(run.superposition, run.layout, server)
-    return [t[:, :, j] @ t[:, :, j].conj().T for j in range(run.qpir.n)]
+    """t_j t_j^dagger on the purified server's registers, per index, with
+    t_j the server factor of nu_j after the whole protocol: index j's
+    final columns summed, over sqrt(2^n)."""
+    n = run.qpir.n
+    final, dense = dense_columns(run)
+    t = matricize(dense, final, run.spec.a_memory[-1].labels())
+    t = t.reshape(t.shape[0], -1, 2 ** n, n).sum(axis=2) / math.sqrt(2 ** n)
+    return [t[:, :, j] @ t[:, :, j].conj().T for j in range(n)]
 
 
 def dense_gamma(run: PurifiedRun, i: int) -> np.ndarray:
@@ -175,7 +164,7 @@ def dense_encoding(run: PurifiedRun) -> list[tuple[float, float, bool, bool]]:
     by more than 1e-8 is a SupportViolation."""
     n, da = run.qpir.n, 2 ** run.qpir.n
     final, dense = dense_columns(run)
-    client = run.spec.b_memory[-1]            # the honest registers lead
+    client = final.drop(run.spec.a_memory[-1].labels())   # honest B_s leads
     t = matricize(dense, final, client.labels())
     t = t.reshape(t.shape[0], t.shape[1], da, n)              # [a, b, x, i-1]
     nus = t.sum(axis=2) / math.sqrt(da)
@@ -306,8 +295,8 @@ def test_marginals_live_in_the_runs_span_only_when_it_is_smaller():
 def test_new_cases_exercise_the_last_op_span():
     # a purifier before the last op and m = 2; then m d_pre < d_client
     mixing = PurifiedRun(mixing_client_random(3, 1))
-    b_pre = mixing.spec.b_memory[-2]
-    assert len(b_pre) == 2 and b_pre.dims()[1] == 2
+    b_pre = mixing._reach(1)[0][-1].output_layout   # held B_1, purifier, Y_1
+    assert b_pre.labels()[1] == "Bbar" and b_pre.dims()[1] == 2
     r = _kraus_span(mixing.last_op(1))
     assert r.shape[1] == 2 * mixing.last_op(1).input_layout.total_dim
     widening = PurifiedRun(widening_random(3, 2))

@@ -64,6 +64,28 @@ class TestTraceDistance:
         assert pure_distance_amplitudes(KET0.amplitudes, PLUS.amplitudes) == \
             pytest.approx(expected, abs=1e-9)
 
+    def test_one_mixture_summed_in_two_orders_is_at_distance_zero(self):
+        """sum_k p_k |u_k><u_k| over the columns u_k of a Haar unitary, added
+        up forwards and backwards: the two arrays differ by round-off, and
+        the floored distance is exactly 0."""
+        rng = np.random.default_rng(3)
+        u = haar_unitary_matrix(8, rng)
+        p = rng.dirichlet(np.ones(8))
+        terms = [p[k] * np.outer(u[:, k], u[:, k].conj()) for k in range(8)]
+        forwards, backwards = sum(terms), sum(terms[::-1])
+        assert np.max(np.abs(forwards - backwards)) > 0.0
+        assert trace_distance_matrices(forwards, backwards) == 0.0
+
+    def test_a_distance_of_1e_10_is_kept(self):
+        """Moving weight 1e-10 from one eigenvector of a rotated d=8 state to
+        another is at distance 1e-10, far above the round-off floor."""
+        rng = np.random.default_rng(4)
+        u = haar_unitary_matrix(8, rng)
+        p = rng.dirichlet(np.ones(8))
+        moved = p + 1e-10 * np.eye(8)[0] - 1e-10 * np.eye(8)[1]
+        a, b = ((u * w) @ u.conj().T for w in (p, moved))
+        assert abs(trace_distance_matrices(a, b) - 1e-10) <= 1e-12
+
 
 class TestFidelity:
     def test_equal_states(self):
