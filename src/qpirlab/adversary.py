@@ -11,11 +11,16 @@ maps are a plain tuple F_1..F_2s, one per step.  `trace_out_recovery`
 builds the identity on each view, with every register the honest party
 lacks as environment.
 
-Certification runs pure: the honest protocol and the protocol with the
-adversary installed are each run with both parties purified.  Every state
-compared is a marginal of one of those runs, so a purified adversary
-certifies at exactly 0 (both marginals come from the same vector); the
-density-operator reference that this equals is checked in the tests.
+Certification runs pure, on the engine the audits use: the honest protocol
+and the protocol with the adversary installed, each with both parties
+purified, run once each through `protocol._steps` on one batch of every
+input, and F_t runs on the adversarial batch as a one-op schedule.  Each
+pair of marginals is compared in the span of its two factors
+(`linalg.marginals_in_span`), so no step forms a matrix on the kept
+registers and a reference register.  A purified adversary certifies at
+exactly 0: both factors are equal, and so are their marginals, bit for
+bit.  The density-operator reference that this equals is checked in the
+tests.
 """
 
 from __future__ import annotations
@@ -27,15 +32,10 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .registers import Register, RegisterLayout, concat, fresh_label
-from .states import (
-    Isometry,
-    Operation,
-    StateVector,
-    apply_isometry,
-    reduced_density_matrix,
-)
-from .linalg import trace_distance_matrices
-from .protocol import ProtocolSpec, execute, purify_both, purify_party
+from .states import Isometry, Operation, StateVector, matricize
+from .linalg import marginals_in_span, trace_distance_matrices
+from .protocol import (ProtocolSpec, _inputs, _isometries, _spectator_layout,
+                       _steps, purify_both, purify_party)
 
 
 @dataclass(frozen=True)
@@ -178,19 +178,32 @@ class CertificationReport:
         return out
 
 
+def _factors(lay, cur, order, widths):
+    """Yield each input's amplitudes after a step, with `order` and then
+    the input's spectator (its `widths` batch columns, in turn) as rows."""
+    m = matricize(cur, lay, order)
+    for end, w in zip(np.cumsum(widths), widths):
+        yield m[:, :, end - w:end].transpose(0, 2, 1).reshape(-1, m.shape[1])
+
+
 def certify_specious(spec: ProtocolSpec, adv: AdversaryStrategy,
                      maps: tuple[Isometry, ...],
                      inputs: Sequence[tuple[str, StateVector]]) -> CertificationReport:
     """Worst-case recovered-state distance over every step and input.
 
     `maps` are F_1..F_2s and `inputs` are (name, state) pairs.  The map
-    count, an empty suite and every map are checked before any protocol
-    runs.  At step t the honest state
-    is the marginal of the purified honest run on the step's registers plus
-    the input's spectators; the recovered state is the marginal, on the
-    same labels, of the purified adversarial run after F_t.  The marginal
-    traces out F_t's environment and both runs' purifiers, so these are the
-    states the density-operator definition compares.
+    count, an empty suite, every map and every input's layout are checked
+    before any protocol runs.  Then the purified honest protocol and the
+    purified protocol with the adversary installed each run once, through
+    `protocol._steps`, on one batch that holds every input side by side, a
+    reference register as batch columns.  After step t, F_t is applied to
+    the adversarial batch as a one-op run.  For each input, the honest
+    state is the marginal on the step's registers plus the input's
+    spectator, and the recovered state is the marginal on the same labels
+    after F_t; F_t's environment and both runs' purifiers are traced out,
+    so these are the states the density-operator definition compares.
+    Each pair is compared in the span of its two factors
+    (`marginals_in_span`).  Rows run input by input, each step in turn.
 
     The adversary is certified gamma-specious on this test suite iff the
     returned epsilon_hat is at most gamma; a finite suite can only
@@ -208,22 +221,25 @@ def certify_specious(spec: ProtocolSpec, adv: AdversaryStrategy,
         *(psi.layout.labels()[n_front:] for _, psi in inputs))
     for step, recovery_map in enumerate(maps, start=1):
         _check_map(spec, adv, step, recovery_map, taken)
-    rows: list[CertificationRow] = []
-    for input_id, psi in inputs:
-        honest = execute(honest_spec, psi)
-        tilde = execute(adv_spec, psi)
-        spectators = psi.layout.labels()[n_front:]
-        for step, recovery_map in enumerate(maps, start=1):
-            labels = spec.steps[step - 1].order + spectators
-            recovered = apply_isometry(recovery_map, tilde.state(step))
-            dist = trace_distance_matrices(
-                reduced_density_matrix(honest.state(step), labels),
-                reduced_density_matrix(recovered, labels))
-            rows.append(CertificationRow(step, input_id, dist))
+    for _, psi in inputs:   # each input's layout, as both runs read it
+        _spectator_layout(honest_spec, psi.layout)
+    widths = [_spectator_layout(adv_spec, psi.layout).total_dim for _, psi in inputs]
+    batch = np.hstack([psi.amplitudes.reshape(-1, w)
+                       for (_, psi), w in zip(inputs, widths)])
+    runs = zip(_steps(_isometries(honest_spec), _inputs(spec), batch),
+               _steps(_isometries(adv_spec), _inputs(spec), batch), maps)
+    dist = np.empty((len(inputs), len(maps)))
+    for (step, lay, cur), (_, lay_adv, cur_adv), recovery_map in runs:
+        (_, lay_adv, cur_adv), = _steps([(step, recovery_map)], lay_adv, cur_adv)
+        pairs = zip(_factors(lay, cur, step.order, widths),
+                    _factors(lay_adv, cur_adv, step.order, widths))
+        dist[:, step.number - 1] = [trace_distance_matrices(*marginals_in_span(pair))
+                                    for pair in pairs]
+    rows = tuple(CertificationRow(t, input_id, float(d)) for (input_id, _), by_step
+                 in zip(inputs, dist) for t, d in enumerate(by_step, start=1))
     eps = max(row.distance for row in rows)
-    gamma = adv.gamma
-    return CertificationReport(tuple(rows), eps, gamma,
-                               None if gamma is None else eps <= gamma + 1e-8)
+    return CertificationReport(rows, eps, adv.gamma,
+                               None if adv.gamma is None else eps <= adv.gamma + 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -234,23 +250,15 @@ def default_input_suite(spec: ProtocolSpec) -> list[tuple[str, StateVector]]:
     """Basis products, uniform-database inputs per index, and one input
     maximally entangled with a reference register whose label ("R", or a
     fresh variant of it) no protocol register takes."""
-    a0 = spec.a_memory[0]
-    b0 = spec.b_memory[0]
-    lay = concat(a0, b0)
-    da, db = a0.total_dim, b0.total_dim
-    suite: list[tuple[str, StateVector]] = []
-    for a in range(da):
-        for b in range(db):
-            amps = np.zeros(lay.total_dim, dtype=np.complex128)
-            amps[a * db + b] = 1.0
-            suite.append((f"basis-a{a}-b{b}", StateVector(lay, amps)))
-    for b in range(db):
-        amps = np.zeros(lay.total_dim, dtype=np.complex128)
-        amps[b::db] = 1.0 / np.sqrt(da)
-        suite.append((f"uniform-i{b + 1}", StateVector(lay, amps)))
-    d = da * db
-    ref = Register(fresh_label("R", spec.labels()), d)
-    ref_lay = concat(lay, RegisterLayout((ref,)))
-    amps = (np.eye(d, dtype=np.complex128) / np.sqrt(d)).reshape(-1)
-    suite.append(("entangled-ref", StateVector(ref_lay, amps)))
+    lay = _inputs(spec)
+    da, db = spec.a_memory[0].total_dim, spec.b_memory[0].total_dim
+    eye = np.eye(da * db, dtype=np.complex128)
+    suite = [(f"basis-a{a}-b{b}", StateVector(lay, eye[a * db + b]))
+             for a in range(da) for b in range(db)]
+    suite += [(f"uniform-i{b + 1}",
+               StateVector(lay, eye[b::db].sum(axis=0) / np.sqrt(da)))
+              for b in range(db)]
+    ref = Register(fresh_label("R", spec.labels()), da * db)
+    suite.append(("entangled-ref", StateVector(concat(lay, RegisterLayout((ref,))),
+                                               (eye / np.sqrt(da * db)).reshape(-1))))
     return suite

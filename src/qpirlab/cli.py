@@ -24,9 +24,10 @@ as is fuzz's.
 `run` checks the input |x>|i> and reports the protocol's step table: the
 registers alive after each step, and whether a pure input stays pure (every
 op an isometry).  It needs no execution.  `certify` certifies the purified
-party against trace-out recovery; both compared marginals come from one
-purified run, so it checks the dilation code (a party without a channel is
-its own purification) and reads 0 by construction.
+party against trace-out recovery, on one batched run of each purified spec
+with every marginal pair compared in its span; both factors of each pair
+are equal, so it checks the dilation code (a party without a channel is
+its own purification) and reads exactly 0 by construction.
 
 --n must be positive, --seed and --trials non-negative, --delta and
 --epsilon in [0, 1], and --rank-tol in (0, 1).  JSON is the contract format

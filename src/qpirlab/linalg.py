@@ -18,7 +18,7 @@ so global phases are irrelevant throughout.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,17 +52,38 @@ def _require_same_layout(a, b) -> None:
 
 
 def trace_distance_matrices(a: np.ndarray, b: np.ndarray) -> float:
-    """Trace distance of two unit-trace states given as raw arrays, with
-    round-off above 1 clamped.
+    """Trace distance of two unit-trace states given as raw arrays.
 
-    Eigenvalues of a - b within d * eps * (|tr a| + |tr b|), the
-    eigensolver's own error (the floor `psd_sqrt` applies), count as 0:
-    states that differ by round-off alone, such as one mixture summed in
-    two orders, are at distance exactly 0, and a distance of 1e-10 is kept.
+    The floor is d * eps * (|tr a| + |tr b|), the eigensolver's own error
+    (the floor `psd_sqrt` applies).  Eigenvalues of a - b within it count
+    as 0: states that differ by round-off alone, such as one mixture summed
+    in two orders, are at distance exactly 0, and a distance of 1e-10 is
+    kept.  A sum within the floor of 1, or above 1, reads as exactly 1:
+    orthogonal states are at distance 1.0, not 1 - 2e-16, which
+    2 sqrt(eps (1 - eps)) would lift to about 3e-8.
     """
     w = np.linalg.eigvalsh(a - b)
     floor = len(w) * np.finfo(float).eps * (abs(np.trace(a)) + abs(np.trace(b)))
-    return min(1.0, float(0.5 * np.sum(np.abs(w[np.abs(w) > floor]))))
+    dist = float(0.5 * np.sum(np.abs(w[np.abs(w) > floor])))
+    return 1.0 if dist >= 1.0 - floor else dist
+
+
+def marginals_in_span(factors: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The marginals t t^dagger of `factors`, each d x k_j (a pure state's
+    amplitudes with the kept registers as rows), in the span of them all.
+
+    With Q the reduced QR factor of [t_1 ... t_m], each marginal is written
+    as (Q^dagger t_j)(Q^dagger t_j)^dagger: Q is an isometry onto every
+    column, so these (sum_j k_j)-dimensional marginals keep every trace
+    distance between the d x d ones (Watrous, The Theory of Quantum
+    Information, chs. 1-3).  Equal factors give bitwise-equal marginals,
+    which a split of R would not.  With at least d columns in all, the
+    d x d marginals are kept, where a QR would cost more than it saves.
+    """
+    if sum(t.shape[1] for t in factors) < factors[0].shape[0]:
+        q = np.linalg.qr(np.concatenate(factors, axis=1))[0].conj().T
+        factors = [q @ t for t in factors]
+    return [t @ t.conj().T for t in factors]
 
 
 def pure_distance_amplitudes(a: np.ndarray, b: np.ndarray) -> float:

@@ -44,6 +44,7 @@ from .errors import LayoutError
 from .linalg import (
     haar_unitary_matrix,
     helstrom_matrices,
+    marginals_in_span,
     trace_distance_matrices,
 )
 from .registers import Register, RegisterLayout, concat
@@ -361,29 +362,17 @@ class PrivacyReport:
 def server_marginals(run: PurifiedRun) -> list[np.ndarray]:
     """Purified server's reduced state per index input on the uniform
     database superposition: t_j t_j^dagger for the server factor t_j
-    (d_server x d_rest) of each nu_j (`PurifiedRun.nu`).
+    (d_server x d_rest) of each nu_j (`PurifiedRun.nu`), written in the
+    span of all n factors (`marginals_in_span`).
 
     The nu_j stop before the client's last op.  The server's registers A_s
     are final after its last message, and that op acts on the client's
     registers alone, so it leaves every marginal as it is and need not be
     run, nor dilated.
-
-    When the n factors have fewer columns in total than d_server, they are
-    replaced by R from a QR of their concatenation [t_1 ... t_n] = QR.
-    Each t_j = Q R_j with Q an isometry, so the marginals R_j R_j^dagger
-    live in the runs' span, n d_rest-dimensional, and keep every trace
-    distance between them.  Wider factors keep the d_server x d_server
-    marginals, where a QR would cost more than it saves.
     """
     server = run.spec.a_memory[-1].labels()
     nus = [run.nu(j) for j in range(1, run.qpir.n + 1)]
-    t = np.stack([matricize(nu.amplitudes, nu.layout, server) for nu in nus], axis=2)
-    d_server, d_rest, n = t.shape
-    if n * d_rest < d_server:
-        cols = t.transpose(0, 2, 1).reshape(d_server, n * d_rest)
-        r = np.linalg.qr(cols, mode="r")
-        t = r.reshape(n * d_rest, n, d_rest).transpose(0, 2, 1)
-    return [t[:, :, j] @ t[:, :, j].conj().T for j in range(n)]
+    return marginals_in_span([matricize(nu.amplitudes, nu.layout, server) for nu in nus])
 
 
 def privacy_epsilon_purified(run: PurifiedRun) -> PrivacyReport:

@@ -326,10 +326,36 @@ def test_an_environment_label_must_be_free_before_anything_runs(
     def no_run(*args):
         raise AssertionError("a protocol ran before the labels were checked")
 
-    monkeypatch.setattr(adversary, "execute", no_run)
+    monkeypatch.setattr(adversary, "_steps", no_run)
     match = f"recovery map 4: environment label '{label}'"
     with pytest.raises(ShapeMismatch, match=match):
         certify_specious(spec, adv, tuple(maps), inputs)
+
+
+@pytest.mark.parametrize("name, party", [("trivial", "A"), ("index-in-clear", "B")])
+def test_certify_runs_each_spec_once_on_the_whole_suite(name, party, monkeypatch):
+    """The purified honest and adversarial protocols each run once, on one
+    batch that holds every input of the default suite side by side (the
+    entangled input's reference as 8 columns), and each F_t runs as a
+    one-op schedule on the adversarial batch of its step."""
+    import qpirlab.adversary as adversary
+    spec = builtin(name, 2).spec
+    adv = purified_adversary(spec, party)
+    suite = default_input_suite(spec)
+    width = 8 + 2 + 8   # basis inputs, uniform ones, reference (A_0 B_0: 4 x 2)
+    runs = []
+
+    def recorded(schedule, lay, columns):
+        runs.append((len(schedule), columns.shape[1]))
+        return real(schedule, lay, columns)
+
+    real = adversary._steps
+    monkeypatch.setattr(adversary, "_steps", recorded)
+    rep = certify_specious(spec, adv, trace_out_recovery(spec, adv), suite)
+    steps = 2 * spec.rounds
+    assert [r for r in runs if r[0] == steps] == [(steps, width)] * 2
+    assert [r for r in runs if r[0] != steps] == [(1, width)] * steps
+    assert len(rep.rows) == len(suite) * steps and rep.epsilon_hat == 0.0
 
 
 @pytest.mark.parametrize("count", [3, 5])
@@ -345,6 +371,6 @@ def test_the_map_count_is_checked_before_anything_runs(count, rng, monkeypatch):
     def no_run(*args):
         raise AssertionError("a protocol ran before the map count was checked")
 
-    monkeypatch.setattr(adversary, "execute", no_run)
+    monkeypatch.setattr(adversary, "_steps", no_run)
     with pytest.raises(ShapeMismatch, match=f"need 4 recovery maps, got {count}"):
         certify_specious(spec, adv, maps, small_inputs(spec, rng))

@@ -157,6 +157,17 @@ def test_index_in_clear_is_caught_as_non_private():
     assert superposition_attack(qpir).verdict == "NOT-PRIVATE"
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_index_in_clear_reads_epsilon_exactly_one(n):
+    """The server's marginals across indices are orthogonal, so epsilon is
+    1.0, not 1 - 2e-16, which 2 sqrt(eps (1 - eps)) lifted to a guarantee
+    of 0.99999997 and a bound 2.4e-6 short of n."""
+    rep = bound_report(builtin("index-in-clear", n))
+    assert rep.epsilon_used == 1.0 and rep.epsilon_min == 1.0
+    assert rep.guarantee == 1.0
+    assert rep.bound_value == n
+
+
 @pytest.mark.parametrize("n", [4, 6])
 def test_reference_index_is_the_lowest_within_round_off(n):
     # every reference index of index-in-clear reads 1 up to round-off
@@ -684,6 +695,21 @@ def test_certify_accepts_a_protocol_register_named_r(party, tmp_path):
     assert code == 0
     assert report["epsilon_hat"] == 0.0 and report["certified"] is True
     assert "entangled-ref" in {row["input_id"] for row in report["rows"]}
+
+
+@pytest.mark.parametrize("address, party", [("builtin:trivial?n=3", "A"),
+                                            ("builtin:noisy-trivial?n=3&delta=0.2", "B")])
+def test_certify_at_n3_reads_exactly_zero(address, party):
+    """A purified party against trace-out recovery: both marginals of every
+    row come from equal factors, so every distance is 0.0, the entangled
+    input's included (its marginals keep the 24-dimensional reference, and
+    are compared in the span of the two factors)."""
+    code, out = _cli(["certify", "--protocol", address, "--party", party])
+    report = json.loads(out)
+    assert code == 0 and report["certified"] is True
+    assert {row["distance"] for row in report["rows"]} == {0.0}
+    assert len(report["rows"]) == 28 * 2   # 24 basis, 3 uniform, 1 entangled
+    assert report["epsilon_hat"] == 0.0
 
 
 # -- each audit purifies once and runs each batch once ------------------------

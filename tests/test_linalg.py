@@ -18,6 +18,7 @@ from qpirlab.linalg import (
     fidelity_matrices,
     haar_unitary_matrix,
     helstrom_matrices,
+    marginals_in_span,
     pure_distance_amplitudes,
     schmidt_coefficients,
     schmidt_compressor,
@@ -85,6 +86,30 @@ class TestTraceDistance:
         moved = p + 1e-10 * np.eye(8)[0] - 1e-10 * np.eye(8)[1]
         a, b = ((u * w) @ u.conj().T for w in (p, moved))
         assert abs(trace_distance_matrices(a, b) - 1e-10) <= 1e-12
+
+
+class TestMarginalsInSpan:
+    @pytest.mark.parametrize("d, widths", [(64, (3, 2)), (6, (4, 5))],
+                             ids=["narrow", "wide"])
+    def test_distances_match_the_dense_marginals(self, d, widths):
+        """Haar factors, each a pure state on d x k with the d rows kept:
+        in their span when the columns number fewer than d, as d x d
+        marginals otherwise; either way the dense distance, within 1e-12."""
+        rng = np.random.default_rng(5)
+        a, b = (haar_unitary_matrix(d * k, rng)[:, 0].reshape(d, k) for k in widths)
+        ma, mb = marginals_in_span([a, b])
+        assert ma.shape == mb.shape == (min(d, sum(widths)),) * 2
+        dense = trace_distance_matrices(a @ a.conj().T, b @ b.conj().T)
+        assert dense > 0.1
+        assert abs(trace_distance_matrices(ma, mb) - dense) <= 1e-12
+
+    @pytest.mark.parametrize("d, k", [(64, 3), (6, 4)], ids=["narrow", "wide"])
+    def test_equal_factors_are_at_distance_exactly_zero(self, d, k):
+        rng = np.random.default_rng(6)
+        a = haar_unitary_matrix(d * k, rng)[:, 0].reshape(d, k)
+        ma, mb = marginals_in_span([a, a.copy()])
+        assert np.array_equal(ma, mb)
+        assert trace_distance_matrices(ma, mb) == 0.0
 
 
 class TestFidelity:
