@@ -41,7 +41,6 @@ from .linalg import (
 )
 from .protocol import (
     ProtocolSpec,
-    Transcript,
     communication_complexity,
     execute,
     product_input,

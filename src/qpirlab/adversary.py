@@ -194,7 +194,8 @@ def certify_specious(spec: ProtocolSpec, adv: AdversaryStrategy,
     `maps` are F_1..F_2s and `inputs` are (name, state) pairs.  The map
     count, an empty suite, every map and every input's layout are checked
     before any protocol runs.  Then the purified honest protocol and the
-    purified protocol with the adversary installed each run once, through
+    same protocol with the purified adversary installed in place of its
+    party (so the honest party is dilated once) each run once, through
     `protocol._steps`, on one batch that holds every input side by side, a
     reference register as batch columns.  After step t, F_t is applied to
     the adversarial batch as a one-op run.  For each input, the honest
@@ -215,7 +216,7 @@ def certify_specious(spec: ProtocolSpec, adv: AdversaryStrategy,
         raise ShapeMismatch("the input suite is empty: certification needs "
                             "at least one input")
     honest_spec = purify_both(spec)
-    adv_spec = purify_both(install(spec, adv))
+    adv_spec = purify_party(install(honest_spec, adv), adv.party)
     n_front = len(spec.a_memory[0]) + len(spec.b_memory[0])
     taken = adv_spec.labels().union(
         *(psi.layout.labels()[n_front:] for _, psi in inputs))

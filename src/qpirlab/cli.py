@@ -27,7 +27,11 @@ op an isometry).  It needs no execution.  `certify` certifies the purified
 party against trace-out recovery, on one batched run of each purified spec
 with every marginal pair compared in its span; both factors of each pair
 are equal, so it checks the dilation code (a party without a channel is
-its own purification) and reads exactly 0 by construction.
+its own purification) and reads exactly 0 by construction.  `schmidt` (on
+the purified protocol) and `fuzz` (on random unitary ones) each audit a
+run with `protocol.rank_trace`, one `execute` per run, and judge it by one
+rule: the final rank across the cut is at most 2^c for c qubits exchanged,
+and no event exceeds its bound.
 
 --n must be positive, --seed and --trials non-negative, --delta and
 --epsilon in [0, 1], and --rank-tol in (0, 1).  JSON is the contract format
@@ -59,7 +63,6 @@ from .linalg import (
 )
 from .protocol import (
     communication_complexity,
-    execute,
     product_input,
     purify_both,
     random_protocol,
@@ -258,27 +261,33 @@ def _verb_certify(args):
     return {"party": args.party, **asdict(rep)}, rep.certified is False
 
 
+def _rank_verdict(events, cap: float) -> tuple[bool, bool]:
+    """(final rank within the cap 2^c, audit failed): the rank audit fails
+    when the final rank exceeds the cap or any event exceeds its bound."""
+    within = events[-1].rank <= cap + 1e-9
+    return within, not within or not all(e.ok for e in events)
+
+
 def _verb_schmidt(args):
     qpir = _resolve_qpir(args)
     psi = qpir_input(qpir, None, args.i)
-    events = rank_trace(execute(purify_both(qpir.spec), psi), rank_tol=args.rank_tol)
+    events = rank_trace(purify_both(qpir.spec), psi, rank_tol=args.rank_tol)
     kept = events[-1].coefficients  # B's last step: cut at A's final memory
     c = communication_complexity(qpir.spec)
     cap = 2 ** c
+    within, failed = _rank_verdict(events, cap)
     report = {
         "n": qpir.n,
         "i": args.i,
         "communication": c,
         "rank": len(kept),
         "rank_cap": cap,
-        "rank_within_cap": len(kept) <= cap + 1e-9,
+        "rank_within_cap": within,
         "coefficients": list(kept),
         "events": [{"step": e.step, "rank": e.rank, "bound": e.bound,
                     "ok": e.ok} for e in events],
     }
-    return report, not report["rank_within_cap"] or not all(
-        e.ok for e in events
-    )
+    return report, failed
 
 
 def _random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -299,10 +308,8 @@ def _verb_fuzz(args):
         rounds = 1 + int(rng.integers(0, 3))
         spec = random_protocol(seed * 1_000_003 + t, rounds, budget)
         psi = product_input(spec, seed=seed + t)
-        events = rank_trace(execute(spec, psi), rank_tol=args.rank_tol)
-        cap = 2 ** communication_complexity(spec)
-        final_rank = events[-1].rank
-        if final_rank > cap + 1e-9 or not all(e.ok for e in events):
+        events = rank_trace(spec, psi, rank_tol=args.rank_tol)
+        if _rank_verdict(events, 2 ** communication_complexity(spec))[1]:
             schmidt_violations.append(t)
 
     fvdg_violations = []

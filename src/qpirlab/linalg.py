@@ -234,13 +234,18 @@ def helstrom_matrices(gamma: np.ndarray) -> HelstromResult:
 
     The caller forms gamma (`qpir` does so without either state, in the
     span of the client's last op).  Returns the success probability
-    together with an orthonormal basis of gamma's positive eigenspace: the
-    optimal measurement projects onto its span, and outcome 0 fires when it
-    clicks.
+    together with an orthonormal basis of the eigenvectors of gamma whose
+    eigenvalues exceed d * eps: the optimal measurement projects onto
+    their span, and outcome 0 fires when it clicks.  That floor is the one
+    `trace_distance_matrices` applies to rho0/2 and rho1/2, whose traces
+    sum to 1.  Any split of gamma's kernel is optimal, but a rate read
+    from the measurement should not hinge on the round-off sign of a
+    kernel eigenvalue: within the floor, none is kept.
     """
     w, v = np.linalg.eigh(gamma)
     prob = 0.5 + 0.5 * float(np.sum(np.abs(w)))
-    return HelstromResult(min(1.0, prob), v[:, w > 0.0])
+    floor = len(w) * np.finfo(float).eps
+    return HelstromResult(min(1.0, prob), v[:, w > floor])
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,13 @@ shapes all read that table.
 
 Execution is pure and has one loop, `_steps`, which pushes a batch of
 columns through the isometries; a reference register rides as a batch axis.
-A protocol with channel ops runs after `purify_party`/`purify_both`: each
-party keeps its ops up to its first channel, and from there on runs their
-Stinespring dilations, which gather the environments in one purifier
-register; tracing it out of any step reproduces the channel run.
+`execute` runs one input and returns the tuple of states after each step;
+`rank_trace` makes one such run of the protocol it audits and reads the
+Schmidt rank across the A/B cut from each state.  A protocol with channel
+ops runs after `purify_party`/`purify_both`: each party keeps its ops up
+to its first channel, and from there on runs their Stinespring dilations,
+which gather the environments in one purifier register; tracing it out of
+any step reproduces the channel run.
 `_purified_ops` yields a party's ops one at a time, so a run that stops
 early dilates none of the ops it never reaches.
 Communication is counted in qubits (log2 of communication-space dimensions,
@@ -177,23 +180,6 @@ def communication_complexity(spec: ProtocolSpec) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class Transcript:
-    """Pure input plus the global state after each of the 2s steps."""
-
-    spec: ProtocolSpec
-    psi_in: StateVector
-    states: tuple[StateVector, ...]
-
-    def state(self, i: int) -> StateVector:
-        """State after step i (1-indexed, i in 1..2s)."""
-        return self.states[i - 1]
-
-    @property
-    def final(self) -> StateVector:
-        return self.states[-1]
-
-
 def _inputs(spec: ProtocolSpec) -> RegisterLayout:
     """A_0 (x) B_0, the layout every run starts from."""
     return concat(spec.a_memory[0], spec.b_memory[0])
@@ -264,21 +250,21 @@ def _steps(schedule, lay: RegisterLayout, columns: np.ndarray):
         yield step, lay, cur
 
 
-def execute(spec: ProtocolSpec, psi_in: StateVector) -> Transcript:
-    """Run the protocol on a pure input, returning every intermediate state.
+def execute(spec: ProtocolSpec, psi_in: StateVector) -> tuple[StateVector, ...]:
+    """Run the protocol on a pure input: the global state after each of
+    the 2s steps, in order.
 
-    The state after each step is a vector over that step's `order` plus the
+    The state after a step is a vector over that step's `order` plus the
     input's spectator registers.  Raises LayoutError on an op that is not
     an isometry.
     """
     spectators = _spectator_layout(spec, psi_in.layout)
     columns = psi_in.amplitudes.reshape(-1, spectators.total_dim)
-    states = tuple(
+    return tuple(
         StateVector(concat(lay.reordered(step.order), spectators),
                     matricize(cur, lay, step.order).reshape(-1))
         for step, lay, cur in _steps(_isometries(spec), _inputs(spec), columns)
     )
-    return Transcript(spec, psi_in, states)
 
 
 def execute_pure_batch(spec: ProtocolSpec, input_layout: RegisterLayout,
@@ -416,19 +402,14 @@ def random_protocol(seed: int, rounds: int, qubit_budget: int) -> ProtocolSpec:
                         tuple(ops["A"]), tuple(ops["B"]))
 
 
-def product_input(spec: ProtocolSpec, seed: int | None = None) -> StateVector:
-    """Pure product input on A_0 (x) B_0 (|0...0> or Haar-random local states)."""
-    lay = concat(spec.a_memory[0], spec.b_memory[0])
-    if seed is None:
-        amps = np.zeros(lay.total_dim, dtype=np.complex128)
-        amps[0] = 1.0
-        return StateVector(lay, amps)
+def product_input(spec: ProtocolSpec, seed: int) -> StateVector:
+    """Pure product input on A_0 (x) B_0: Haar-random local states."""
     rng = np.random.default_rng(seed)
     parts = []
     for d in (spec.a_memory[0].total_dim, spec.b_memory[0].total_dim):
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         parts.append(v / np.linalg.norm(v))
-    return StateVector(lay, np.kron(parts[0], parts[1]))
+    return StateVector(_inputs(spec), np.kron(parts[0], parts[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +419,6 @@ def product_input(spec: ProtocolSpec, seed: int | None = None) -> StateVector:
 @dataclass(frozen=True)
 class RankEvent:
     step: str          # "A3", "B1", "handover X2", ...
-    cut: tuple[str, ...]
     coefficients: tuple[float, ...]  # the Schmidt coefficients above rank_tol
     bound: int         # allowed rank after this event
     ok: bool
@@ -448,29 +428,29 @@ class RankEvent:
         return len(self.coefficients)
 
 
-def rank_trace(transcript: Transcript,
+def rank_trace(spec: ProtocolSpec, psi_in: StateVector,
                rank_tol: float = DEFAULT_RANK_TOL) -> list[RankEvent]:
-    """Audit how the Schmidt rank across the A/B cut grows step by step
-    along a run of `execute`.
+    """Run the protocol on `psi_in` (one `execute`) and audit how the
+    Schmidt rank across the A/B cut grows step by step.
 
     Local operations must preserve the running rank; moving a communication
     register of dimension d across the cut may multiply it by at most d
     (one transmitted qubit at most doubles it).  Each event keeps the
-    coefficients it counted.
+    coefficients it counted.  The input must hold A_0 ++ B_0 alone: a
+    reference register would sit on neither side of the cut.
     """
-    spec, psi_in = transcript.spec, transcript.psi_in
-    if len(psi_in.layout) != len(concat(spec.a_memory[0], spec.b_memory[0])):
+    if len(psi_in.layout) != len(_inputs(spec)):
         raise LayoutError("rank trace requires an input without reference registers")
 
     def event(name: str, state: StateVector, cut: tuple[str, ...],
               bound: int) -> RankEvent:
         c = schmidt_coefficients(state, cut)
         kept = tuple(c[c > rank_tol].tolist())
-        return RankEvent(name, cut, kept, bound, len(kept) <= bound)
+        return RankEvent(name, kept, bound, len(kept) <= bound)
 
     events: list[RankEvent] = []
     running = schmidt_rank(psi_in, spec.a_memory[0].labels(), rank_tol)
-    for step, cur in zip(spec.steps, transcript.states):
+    for step, cur in zip(spec.steps, execute(spec, psi_in)):
         a_side = spec.a_memory[step.round].labels()
         message = step.message_out.labels()
         if step.party == "A":  # X_k leaves A's side at the handover

@@ -185,8 +185,8 @@ def test_adversarial_measurement_does_not_signal(rng):
     lay = concat(spec.a_memory[0], spec.b_memory[0])
     psi = StateVector(lay, random_pure(rng, lay.total_dim))
     server = spec.a_memory[-1].labels()
-    honest = reduced_density_matrix(execute(purify_both(spec), psi).final, server)
-    attacked = reduced_density_matrix(execute(purify_both(tampered), psi).final,
+    honest = reduced_density_matrix(execute(purify_both(spec), psi)[-1], server)
+    attacked = reduced_density_matrix(execute(purify_both(tampered), psi)[-1],
                                       server)
     assert np.max(np.abs(honest - attacked)) < 1e-8
 

@@ -20,7 +20,8 @@ import pytest
 from qpirlab import cli, serialize
 from qpirlab.errors import LayoutError
 from qpirlab.linalg import haar_unitary_matrix, schmidt_coefficients, uhlmann_unitary
-from qpirlab.protocol import ProtocolSpec, execute, purify_both
+from qpirlab.protocol import (ProtocolSpec, execute, product_input, purify_both,
+                               random_protocol, rank_trace)
 from qpirlab.qpir import (
     PurifiedRun,
     QpirProtocol,
@@ -86,7 +87,7 @@ def test_final_states_have_flat_schmidt_coefficients(name, n, rank):
     spec = purify_both(qpir.spec)
     server = spec.a_memory[-1].labels()
     for i in range(1, n + 1):
-        final = execute(spec, qpir_input(qpir, None, i)).final
+        final = execute(spec, qpir_input(qpir, None, i))[-1]
         s = schmidt_coefficients(final, server)
         kept = s[s > 1e-10]
         assert len(kept) == rank
@@ -716,17 +717,21 @@ def test_certify_at_n3_reads_exactly_zero(address, party):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Record the party of every purification, count execute and
-    server_marginals calls, and record the column count of every
-    execute_pure_batch call and (columns, steps taken) of every run of the
-    step loop."""
+    """Record the party of every purification, count execute,
+    server_marginals and op dilation calls, and record the column count of
+    every execute_pure_batch call and (columns, steps taken) of every run
+    of the step loop."""
     import qpirlab.protocol as protocol
     import qpirlab.qpir as qpir
     seen = {"purified": [], "execute": 0, "server_marginals": 0, "batches": [],
-            "runs": []}
+            "runs": [], "dilated": 0}
     purify, batch = protocol._purified_ops, protocol.execute_pure_batch
     execute, marginals = protocol.execute, qpir.server_marginals
-    steps = protocol._steps
+    steps, dilate = protocol._steps, protocol._dilate_op
+
+    def counted_dilate(*args):
+        seen["dilated"] += 1
+        return dilate(*args)
 
     def counted_purify(spec, party):
         seen["purified"].append(party)
@@ -765,6 +770,8 @@ def calls(monkeypatch):
                 monkeypatch.setattr(module, attr, counted_marginals)
             elif value is steps:
                 monkeypatch.setattr(module, attr, counted_steps)
+            elif value is dilate:
+                monkeypatch.setattr(module, attr, counted_dilate)
     return seen
 
 
@@ -804,6 +811,25 @@ def test_schmidt_executes_the_protocol_once(calls):
     assert calls["execute"] == 1
 
 
+def test_rank_trace_executes_the_protocol_once(calls):
+    spec = random_protocol(seed=4, rounds=2, qubit_budget=3)
+    events = rank_trace(spec, product_input(spec, seed=4))
+    assert len(events) == 2 * len(spec.steps) - 1
+    assert calls["execute"] == 1
+
+
+@pytest.mark.parametrize("party, dilations", [("A", 1), ("B", 2)])
+def test_certify_dilates_the_honest_party_once(calls, party, dilations):
+    """noisy-trivial's client ends in a channel, dilated once for the
+    purified honest run; the adversary goes into that run in place of its
+    party, so the honest client is not dilated again.  For party B the
+    verb dilates the client once more, to build the purified adversary."""
+    argv = ["certify", "--protocol", "builtin:noisy-trivial?n=2&delta=0.2",
+            "--party", party]
+    assert _cli(argv)[0] == 0
+    assert calls["dilated"] == dilations
+
+
 # -- basis inputs run one index at a time --------------------------------------
 
 def _dense_before_last_op(spec: ProtocolSpec) -> tuple[RegisterLayout, np.ndarray]:
@@ -812,8 +838,8 @@ def _dense_before_last_op(spec: ProtocolSpec) -> tuple[RegisterLayout, np.ndarra
     lay = concat(spec.a_memory[0], spec.b_memory[0])
     d = lay.total_dim
     phi = np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)
-    state = execute(spec, StateVector(concat(lay, RegisterLayout.of(("R", d))), phi))
-    state = state.state(2 * spec.rounds - 1)
+    state = execute(spec, StateVector(concat(lay, RegisterLayout.of(("R", d))),
+                                      phi))[2 * spec.rounds - 2]
     return state.layout.drop(["R"]), state.amplitudes.reshape(-1, d) * math.sqrt(d)
 
 

@@ -6,6 +6,11 @@ thread count does not matter.  After an intended change to a report,
 regenerate the file and review its diff:
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/test_golden.py
+
+Regeneration keeps every stored value that the new run matches as the test
+does (floats within FLOAT_TOL), so round-off that differs between machines
+leaves the file as it was and the diff shows only real moves.  It rewrites
+the rest, adds new cells and drops cells no longer in the grid.
 """
 
 import contextlib
@@ -96,6 +101,33 @@ def test_golden_file_covers_exactly_the_grid(golden):
     assert list(golden) == [" ".join(argv) for argv in CELLS]
 
 
+def _merged(new, old):
+    """`new`, keeping each part of `old` that `_assert_matches` accepts
+    for it: dicts with the same keys and lists of the same length merge
+    entry by entry, and any other value is kept only when it matches."""
+    if type(new) is type(old) is dict and list(new) == list(old):
+        return {key: _merged(new[key], old[key]) for key in new}
+    if type(new) is type(old) is list and len(new) == len(old):
+        return [_merged(g, w) for g, w in zip(new, old)]
+    try:
+        _assert_matches(new, old, "")
+    except AssertionError:
+        return new
+    return old
+
+
+def test_regeneration_keeps_only_what_still_matches():
+    old = {"exit": 0, "report": {"a": 0.1, "b": [1.0, 2.0], "c": {"x": 1}}}
+    new = {"exit": 0, "report": {"a": 0.1 + 1e-13, "b": [1.0, 2.0 + 1e-11],
+                                 "c": {"y": 1}}}
+    got = _merged(new, old)
+    assert got["report"]["a"] == 0.1                 # within 1e-12: kept
+    assert got["report"]["b"] == [1.0, 2.0 + 1e-11]  # moved beyond: rewritten
+    assert got["report"]["c"] == {"y": 1}            # a changed key: rewritten
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({" ".join(argv): _run(argv) for argv in CELLS},
-                                 indent=1) + "\n")
+    stored = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    fresh = {" ".join(argv): _run(argv) for argv in CELLS}
+    GOLDEN.write_text(json.dumps({cell: _merged(got, stored.get(cell))
+                                  for cell, got in fresh.items()}, indent=1) + "\n")

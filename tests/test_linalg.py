@@ -280,6 +280,16 @@ class TestHelstrom:
         grid = bloch_grid_success(dm(KET0), dm(PLUS))
         assert res.probability == pytest.approx(grid, abs=1e-3)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_round_off_kernel_eigenvalue_is_not_kept(self, sign):
+        """gamma = |0><0|/2 - |1><1|/2 on 4 dimensions has a 2-dimensional
+        kernel; a kernel eigenvalue of +-1e-17, below the floor 4 eps, leaves
+        the outcome-0 space at |0> for either sign."""
+        gamma = np.diag([0.5, -0.5, sign * 1e-17, 0.0]).astype(complex)
+        res = helstrom_matrices(gamma)
+        assert res.positive.shape == (4, 1)
+        assert abs(res.positive[0, 0]) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestEntropy:
     def test_binary_entropy_endpoints(self):

@@ -72,7 +72,7 @@ def test_move_protocol_hands_over_the_qubit(rng):
     qubit = random_pure(rng, 2)
     psi = StateVector(concat(spec.a_memory[0], spec.b_memory[0]),
                       np.kron(qubit, np.array([1.0, 0.0])))
-    out = execute(spec, psi).final
+    out = execute(spec, psi)[-1]
     assert out.layout.labels() == ("A1", "B1")
     got = reduced_density_matrix(out, ["B1"])
     # B1 = (B0, X1) merged; the moved qubit sits in the X1 half
@@ -90,14 +90,14 @@ def test_identity_protocol_is_a_relabel(rng):
         (Isometry(concat(b0, x1), b1, np.eye(2, dtype=complex)),),
     )
     psi = StateVector(concat(a0, b0), random_pure(rng, 6))
-    out = execute(spec, psi).final
+    out = execute(spec, psi)[-1]
     assert np.allclose(out.amplitudes, psi.amplitudes)
 
 
 def test_trivial_qpir_client_holds_database():
     p = builtin("trivial", 6)
     x = 0b101101
-    out = execute(p.spec, qpir_input(p, x, 2)).final
+    out = execute(p.spec, qpir_input(p, x, 2))[-1]
     client = reduced_density_matrix(out, ["B1"])
     # client state is |i=2><i=2| (x) |x><x| in the merged register
     idx = 1 * 2**6 + x
@@ -160,7 +160,7 @@ def test_input_layout_validated():
         np.kron(np.array([1, 0, 0, 0], dtype=complex),
                 np.array([1, 0, 0, 0], dtype=complex)),
     )
-    out = execute(spec, with_ref).final
+    out = execute(spec, with_ref)[-1]
     assert out.layout.labels() == ("A1", "B1", "R")
     bad_ref = StateVector(
         RegisterLayout.of(("A0", 2), ("B0", 2), ("R", 3)),
@@ -198,7 +198,7 @@ def test_reference_register_is_inert(rng):
     ref = random_pure(rng, 4)
     amps = np.kron(np.kron(qubit, np.array([1.0, 0.0])), ref)
     psi = StateVector(RegisterLayout.of(("A0", 2), ("B0", 2), ("R", 4)), amps)
-    out = execute(spec, psi).final
+    out = execute(spec, psi)[-1]
     got = reduced_density_matrix(out, ["R"])
     assert np.allclose(got, np.outer(ref, ref.conj()), atol=1e-12)
 
@@ -241,8 +241,8 @@ class TestPurifyParty:
         assert pure.a_memory == spec.a_memory and pure.a_ops[0] is spec.a_ops[0]
         psi = StateVector(concat(spec.a_memory[0], spec.b_memory[0]),
                           random_pure(rng, 4))
-        orig = execute(spec, psi).final
-        traced = reduced_density_matrix(execute(pure, psi).final,
+        orig = execute(spec, psi)[-1]
+        traced = reduced_density_matrix(execute(pure, psi)[-1],
                                         orig.layout.labels())
         assert trace_distance_matrices(pure_density(orig).matrix, traced) < 1e-8
 
@@ -257,7 +257,7 @@ class TestPurifyParty:
         pure = purify_party(spec, "A")
         assert pure.a_memory[-1].dims()[-1] == 2  # copy register
         psi = StateVector(concat(a0, b0), random_pure(rng, 4))
-        marginals_match(execute(pure, psi).states,
+        marginals_match(execute(pure, psi),
                         density_run(spec, pure_density(psi)), tol=1e-8)
 
     def test_purify_both_yields_pure_global_state(self, rng):
@@ -266,7 +266,7 @@ class TestPurifyParty:
         assert both.all_unitary()
         psi = StateVector(concat(spec.a_memory[0], spec.b_memory[0]),
                           random_pure(rng, 4))
-        out = execute(both, psi).final
+        out = execute(both, psi)[-1]
         orig = spec.a_memory[-1].labels() + spec.b_memory[-1].labels()
         bars = [lb for lb in out.layout.labels() if lb not in orig]
         assert len(bars) == 2
@@ -299,7 +299,7 @@ class TestPurifyParty:
         assert pure.b_ops[:2] == spec.b_ops[:2]
         psi = StateVector(concat(spec.a_memory[0], spec.b_memory[0]),
                           random_pure(rng, 8))
-        marginals_match(execute(pure, psi).states,
+        marginals_match(execute(pure, psi),
                         density_run(spec, pure_density(psi)), tol=1e-8)
 
     def test_purified_trace_matches_on_mixed_input(self, rng):
@@ -312,7 +312,7 @@ class TestPurifyParty:
         mix = 0.5 * pure_density(qpir_input(p, 0, 1)).matrix \
             + 0.5 * pure_density(qpir_input(p, 3, 2)).matrix
         rho = DensityOperator(lay, mix)
-        pure_states = execute(both, purify(rho, "R")).states
+        pure_states = execute(both, purify(rho, "R"))
         marginals_match(pure_states, density_run(p.spec, rho), tol=1e-8)
 
     @pytest.mark.parametrize("name, params", BUILTINS, ids=[b[0] for b in BUILTINS])
@@ -327,7 +327,7 @@ class TestPurifyParty:
         for _, psi in default_input_suite(spec):
             reference = density_run(spec, pure_density(psi))
             if pure.all_unitary():
-                got = execute(pure, psi).states
+                got = execute(pure, psi)
                 marginals_match(got, reference)
             else:  # the other party still holds a channel
                 dilated = density_run(pure, pure_density(psi))
@@ -345,15 +345,15 @@ class TestExecuteSemantics:
         alpha, beta = 0.6, 0.8j
         superposed = StateVector(psi_a.layout,
                                  alpha * psi_a.amplitudes + beta * psi_b.amplitudes)
-        out = execute(both, superposed).final.amplitudes
-        out_a = execute(both, psi_a).final.amplitudes
-        out_b = execute(both, psi_b).final.amplitudes
+        out = execute(both, superposed)[-1].amplitudes
+        out_a = execute(both, psi_a)[-1].amplitudes
+        out_b = execute(both, psi_b)[-1].amplitudes
         assert np.max(np.abs(out - alpha * out_a - beta * out_b)) < 1e-12
 
     def test_every_step_has_unit_trace(self, rng):
         p = builtin("noisy-trivial", 2, delta=0.25)
-        transcript = execute(purify_both(p.spec), qpir_input(p, 1, 2))
-        for step, st in zip(p.spec.steps, transcript.states):
+        states = execute(purify_both(p.spec), qpir_input(p, 1, 2))
+        for step, st in zip(p.spec.steps, states):
             rho = reduced_density_matrix(st, step.order)
             assert abs(np.trace(rho) - 1.0) < 1e-8
 
@@ -378,7 +378,7 @@ class TestExecuteSemantics:
         d = lay.total_dim
         final_lay, basis_runs = execute_pure_batch(spec, lay,
                                                    np.eye(d, dtype=complex))
-        final = execute(spec, psi).final
+        final = execute(spec, psi)[-1]
         assert final.layout == concat(final_lay, psi.layout.sub(["R"]))
         got = final.amplitudes.reshape(-1, d)
         assert np.max(np.abs(got - basis_runs / np.sqrt(d))) < 1e-12
@@ -417,7 +417,7 @@ class TestRankTrace:
             spec = random_protocol(seed=seed, rounds=1 + seed % 3,
                                    qubit_budget=budget)
             psi = product_input(spec, seed=seed)
-            events = rank_trace(execute(spec, psi))
+            events = rank_trace(spec, psi)
             assert all(e.ok for e in events), events
             assert events[-1].rank <= 2**budget
 
@@ -425,7 +425,7 @@ class TestRankTrace:
         spec = random_protocol(seed=5, rounds=2, qubit_budget=4)
         psi = product_input(spec, seed=99)
         prev = 1
-        for e in rank_trace(execute(spec, psi)):
+        for e in rank_trace(spec, psi):
             if e.step.startswith("handover"):
                 assert e.rank <= e.bound
                 prev = e.rank
@@ -437,14 +437,14 @@ class TestRankTrace:
         """The server's copy of x is in product with the client until the
         message X1, the other copy of x, changes sides."""
         p = builtin("trivial", n)
-        events = rank_trace(execute(purify_both(p.spec), qpir_input(p, None, 1)))
+        events = rank_trace(purify_both(p.spec), qpir_input(p, None, 1))
         assert [(e.step, e.rank) for e in events] == [
             ("A1", 1), ("handover X1", 2 ** n), ("B1", 2 ** n)]
 
     def test_requires_unitary_protocol(self):
         p = builtin("noisy-trivial", 2, delta=0.2)
         with pytest.raises(LayoutError):
-            rank_trace(execute(p.spec, qpir_input(p, 0, 1)))
+            rank_trace(p.spec, qpir_input(p, 0, 1))
 
     def test_an_empty_message_still_has_its_handover(self):
         """Y1 has no registers: B1's handover is still audited (bound x1)."""
@@ -457,7 +457,7 @@ class TestRankTrace:
         b_ops = (Isometry(concat(b[0], x[0]), b[1], eye),
                  Isometry(concat(b[1], x[1]), b[2], eye))
         spec = ProtocolSpec(2, tuple(a), tuple(b), tuple(x), (none,), a_ops, b_ops)
-        events = rank_trace(execute(spec, product_input(spec, seed=1)))
+        events = rank_trace(spec, product_input(spec, seed=1))
         assert [e.step for e in events] == [
             "A1", "handover X1", "B1", "handover Y1", "A2", "handover X2", "B2"]
         assert all(e.rank == 1 and e.bound == 1 and e.ok for e in events)
