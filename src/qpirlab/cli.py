@@ -13,13 +13,16 @@ reads:
     schmidt           --protocol --n --seed --rank-tol --i
     fuzz              --seed --trials --rank-tol
 
---protocol is a JSON file or `builtin:<name>?<params>`: trivial and
-index-in-clear read n, noisy-trivial n and delta, random n and seed.  Any
-other parameter is an error.  --n fills in a missing n and --seed a
-missing seed; either is an error where it contradicts the address's (or,
-for --n, the file's).  --seed is also an error for a builtin that reads no
-seed and for a protocol file.  Without one, the random builtin's seed is 0,
-as is fuzz's.
+--protocol is a JSON file or `builtin:<name>?<params>`.  Each builtin's
+parameters, with their types, are its entry in `qpir._BUILTINS`: trivial
+and index-in-clear read n, noisy-trivial n and a required delta, random n
+and a seed that is 0 by default.  Any other parameter is an error.  For
+an address, --n fills in a missing n and --seed a missing seed, and either
+is an error where it contradicts the address's; --seed is also an error
+for a builtin that reads no seed.  A protocol's n is its client's input
+dimension, and its server's must be 2^n.  So for a file, its optional
+"n" and --n only check that n, and --seed is an error.  fuzz's seed is 0
+by default.
 
 `run` checks the input |x>|i> and reports the protocol's step table: the
 registers alive after each step, and whether a pure input stays pure (every
@@ -165,24 +168,21 @@ def _resolve_qpir(args) -> QpirProtocol:
             f"column {exc.colno}: {exc.msg}"
         ) from exc
     try:
-        spec = serialize.protocol_spec_from_json(data)
+        qpir = QpirProtocol(serialize.protocol_spec_from_json(data))
     except KeyError as exc:
         raise CliInputError(
             f"protocol file {args.protocol} is missing field {exc}"
         ) from exc
     except QpirlabError as exc:
         raise CliInputError(f"protocol file {args.protocol}: {exc}") from exc
-    n = data.get("n", args.n)
-    if n is None:
-        n = spec.b_memory[0].total_dim
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise CliInputError(
-            f"protocol file {args.protocol}: n must be an integer >= 1, "
-            f"got {n!r}"
-        )
-    if args.n not in (None, n):
-        raise CliInputError(f"protocol file {args.protocol}: n={n} but --n {args.n}")
-    return QpirProtocol(n, spec)
+    for what, n in (('its "n"', data.get("n", qpir.n)),
+                    ("--n", qpir.n if args.n is None else args.n)):
+        if type(n) is not int or n != qpir.n:
+            raise CliInputError(
+                f"protocol file {args.protocol}: {what} is {n!r}, but its "
+                f"client input dimension is {qpir.n}"
+            )
+    return qpir
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +401,13 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    """`main` as a process.  OpenBLAS allocates its work buffers on the
+    first complex and the first real matmul, and a failed allocation there
+    ends the process with no Python error; made here, small, they leave a
+    later allocation to fail as a MemoryError, which `main` reports."""
+    for dtype in (np.float64, np.complex128):
+        a = np.ones((256, 256), dtype)
+        a @ a
     raise SystemExit(main())
 
 

@@ -150,8 +150,7 @@ def schmidt_rank(state: StateVector, cut: Iterable[str],
 
 
 def schmidt_compressor(state: StateVector, cut: Iterable[str],
-                       rank_tol: float = DEFAULT_RANK_TOL,
-                       compressed_label: str | None = None) -> Isometry:
+                       rank_tol: float = DEFAULT_RANK_TOL) -> Isometry:
     """Isometry embedding a rank-r space into the `cut` factor.
 
     The returned isometry maps the compressed register onto the support of
@@ -170,8 +169,7 @@ def schmidt_compressor(state: StateVector, cut: Iterable[str],
             f"across {cut_lay.labels()} (largest {s[0]:.6g}): "
             f"nothing is left to compress onto"
         )
-    label = compressed_label or ("+".join(cut_lay.labels()) + "'")
-    compressed = RegisterLayout((Register(label, r),))
+    compressed = RegisterLayout((Register("+".join(cut_lay.labels()) + "'", r),))
     return Isometry(compressed, cut_lay, u[:, :r])
 
 

@@ -72,20 +72,21 @@ def bit_of(x: int, i: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class QpirProtocol:
-    """An n-bit QPIR protocol: server input space 2^n, client input space n."""
+    """An n-bit QPIR protocol: the client's input space holds the n indices
+    and the server's the 2^n databases, so n is the client's input
+    dimension, and the server's must be 2^n."""
 
-    n: int
     spec: ProtocolSpec
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise LayoutError(f"database size must be >= 1, got {self.n}")
         da = self.spec.a_memory[0].total_dim
-        db = self.spec.b_memory[0].total_dim
-        if da != 2 ** self.n or db != self.n:
-            raise LayoutError(
-                f"server/client input dims ({da}, {db}) != (2^{self.n}, {self.n})"
-            )
+        if da != 2 ** self.n:
+            raise LayoutError(f"server input dim {da} != 2^{self.n}, for the "
+                              f"client's {self.n} indices")
+
+    @property
+    def n(self) -> int:
+        return self.spec.b_memory[0].total_dim
 
     @property
     def communication(self) -> float:
@@ -430,7 +431,7 @@ def build_trivial(n: int) -> QpirProtocol:
     a_op = Isometry(a0, concat(a1, x1), _copy_matrix(eye, eye))
     b_op = Isometry(concat(b0, x1), b1, np.eye(n * da, dtype=np.complex128))
     spec = ProtocolSpec(1, (a0, a1), (b0, b1), (x1,), (), (a_op,), (b_op,))
-    return QpirProtocol(n, spec)
+    return QpirProtocol(spec)
 
 
 def build_index_in_clear(n: int) -> QpirProtocol:
@@ -457,42 +458,40 @@ def build_index_in_clear(n: int) -> QpirProtocol:
     b2_op = Isometry(concat(b1, x2), b2, np.eye(2 * n, dtype=np.complex128))
     spec = ProtocolSpec(2, (a0, a1, a2), (b0, b1, b2), (x1, x2), (y1,),
                         (a1_op, a2_op), (b1_op, b2_op))
-    return QpirProtocol(n, spec)
+    return QpirProtocol(spec)
 
 
-def build_noisy_trivial(n: int, delta: float) -> QpirProtocol:
+def build_noisy_trivial(n: int, delta: float | None = None) -> QpirProtocol:
     """Trivial protocol with client-side noise tuned to correctness error delta.
 
     Each stored database qubit passes through a bit-flip channel of
     strength delta, which makes every per-index Helstrom error exactly
     delta while keeping the purifying environment at 2^n dimensions.
+    delta is required: None, for one not given, is an error.
     """
-    if not 0.0 <= delta <= 0.5:
-        raise LayoutError(f"noise level must lie in [0, 0.5], got {delta}")
-    da = 2 ** n
+    if delta is None or not 0.0 <= delta <= 0.5:
+        raise LayoutError(f"noisy-trivial needs a noise level delta in [0, 0.5], "
+                          f"got {delta}")
     base = build_trivial(n)
-    a0, a1 = base.spec.a_memory
-    (x1,) = base.spec.x_comm
-    b0, b1 = base.spec.b_memory
     if delta == 0.0:
         return base
     flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
     eye2 = np.eye(2, dtype=np.complex128)
     kraus = []
-    for mask in range(da):
+    for mask in range(2 ** n):
         f = np.ones((1, 1), dtype=np.complex128)
         for j in range(n):
             factor = math.sqrt(delta) * flip if (mask >> j) & 1 else \
                 math.sqrt(1.0 - delta) * eye2
             f = np.kron(f, factor)
         kraus.append(np.kron(np.eye(n, dtype=np.complex128), f))
-    b_op = KrausChannel(concat(b0, x1), b1, tuple(kraus))
-    spec = ProtocolSpec(1, (a0, a1), (b0, b1), (x1,), (),
-                        base.spec.a_ops, (b_op,))
-    return QpirProtocol(n, spec)
+    spec = base.spec
+    (store,) = spec.b_ops
+    noisy = KrausChannel(store.input_layout, store.output_layout, tuple(kraus))
+    return QpirProtocol(spec.with_party("B", spec.b_memory, (noisy,)))
 
 
-def build_random_qpir(n: int, seed: int) -> QpirProtocol:
+def build_random_qpir(n: int, seed: int = 0) -> QpirProtocol:
     """Seeded 2-round fuzzing protocol with Haar-random unitary rounds.
 
     The server rotates and ships a basis copy of the database (keeping the
@@ -529,72 +528,70 @@ def build_random_qpir(n: int, seed: int) -> QpirProtocol:
                      haar_unitary_matrix(b2.total_dim, rng))
     spec = ProtocolSpec(2, (a0, a1, a2), (b0, b1, b2), (x1, x2), (y1,),
                         (a1_op, a2_op), (b1_op, b2_op))
-    return QpirProtocol(n, spec)
+    return QpirProtocol(spec)
 
 
-#: Builtin name -> (builder, the parameters it reads, in its argument order).
+#: Builtin name -> (builder, each parameter it reads and the type an
+#: address value of it parses to).  n comes first, as the builder's first
+#: argument; a default or a required parameter lives in the builder.
 _BUILTINS = {
-    "trivial": (build_trivial, ("n",)),
-    "index-in-clear": (build_index_in_clear, ("n",)),
-    "noisy-trivial": (build_noisy_trivial, ("n", "delta")),
-    "random": (build_random_qpir, ("n", "seed")),
+    "trivial": (build_trivial, {"n": int}),
+    "index-in-clear": (build_index_in_clear, {"n": int}),
+    "noisy-trivial": (build_noisy_trivial, {"n": int, "delta": float}),
+    "random": (build_random_qpir, {"n": int, "seed": int}),
 }
 
-#: Every builtin parameter and the type its address value parses to.
-_PARAMETER_TYPES = {"n": int, "delta": float, "seed": int}
 
-
-def builtin(name: str, n: int, delta: float | None = None,
-            seed: int | None = None) -> QpirProtocol:
-    """Construct a named built-in protocol.
-
-    A `delta` or `seed` the builtin does not read is an error; noisy-trivial
-    needs a delta, and random's seed defaults to 0.
-    """
+def _entry(name: str) -> tuple:
+    """Builtin `name`'s builder and the parameters it reads, with their types."""
     if name not in _BUILTINS:
         raise LayoutError(f"unknown builtin {name!r}; known: {sorted(_BUILTINS)}")
-    build, reads = _BUILTINS[name]
-    unread = [key for key, value in (("delta", delta), ("seed", seed))
-              if value is not None and key not in reads]
+    return _BUILTINS[name]
+
+
+def builtin(name: str, n: int, **params) -> QpirProtocol:
+    """Construct a named built-in protocol on n-bit databases.
+
+    `params` are the builtin's other parameters, by the names `_BUILTINS`
+    gives; None stands for one not given, which the builder defaults or
+    refuses.  A parameter the builtin does not read is an error, and so is
+    an n below 1.
+    """
+    build, reads = _entry(name)
+    given = {key: value for key, value in params.items() if value is not None}
+    unread = [key for key in given if key not in reads]
     if unread:
         raise LayoutError(f"builtin {name!r} reads only {', '.join(reads)}, "
                           f"not {', '.join(unread)}")
-    if "delta" in reads and delta is None:
-        raise LayoutError(f"{name} requires a delta parameter")
-    args = {"n": n, "delta": delta, "seed": 0 if seed is None else seed}
-    return build(*(args[key] for key in reads))
-
-
-def parse_builtin_address(address: str) -> tuple[str, dict[str, str]]:
-    """Split 'builtin:name?k=v&...' into the name and its parameters."""
-    if not address.startswith("builtin:"):
-        raise LayoutError(f"not a builtin address: {address!r}")
-    rest = address[len("builtin:"):]
-    name, _, query = rest.partition("?")
-    pairs = urllib.parse.parse_qsl(query, keep_blank_values=True)
-    params = dict(pairs)
-    if len(params) != len(pairs):
-        raise LayoutError(f"builtin address {address!r} repeats a parameter")
-    return name, params
+    if n < 1:
+        raise LayoutError(f"database size must be >= 1, got {n}")
+    return build(n, **given)
 
 
 def builtin_from_address(address: str, n: int | None = None,
                          seed: int | None = None) -> QpirProtocol:
-    """The builtin an address names.  `n` and `seed` fill in an address
-    without them; one that contradicts the address's is an error, and so
-    is a parameter the builtin does not read."""
-    name, params = parse_builtin_address(address)
+    """The builtin that 'builtin:<name>?<key>=<value>&...' names.
+
+    Each value is read as the type the builtin's `_BUILTINS` entry gives
+    it, and `builtin` gets them all, so it refuses one the builtin does not
+    read.  A repeated parameter and a value that does not parse are errors.
+    `n` and `seed` fill in an address without them, and one that
+    contradicts the address's is an error.
+    """
+    if not address.startswith("builtin:"):
+        raise LayoutError(f"not a builtin address: {address!r}")
+    name, _, query = address[len("builtin:"):].partition("?")
+    _, reads = _entry(name)
     values = {}
-    for key, text in params.items():
-        if key not in _PARAMETER_TYPES:
-            raise LayoutError(f"builtin address {address!r} has unknown parameter "
-                              f"{key!r}; known: {', '.join(_PARAMETER_TYPES)}")
-        kind = _PARAMETER_TYPES[key]
+    for key, text in urllib.parse.parse_qsl(query, keep_blank_values=True):
+        if key in values:
+            raise LayoutError(f"builtin address {address!r} repeats {key!r}")
+        kind = reads.get(key, str)   # one the builtin does not read stays text
         try:
             values[key] = kind(text)
         except ValueError as exc:
-            raise LayoutError(f"builtin parameter {key}={text!r} is "
-                              f"not a valid {kind.__name__}") from exc
+            raise LayoutError(f"builtin parameter {key}={text!r} is not a "
+                              f"valid {kind.__name__}") from exc
     for key, given in (("n", n), ("seed", seed)):
         value = values.setdefault(key, given)
         if given not in (None, value):

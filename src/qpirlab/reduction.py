@@ -94,8 +94,7 @@ def build_rae(run: PurifiedRun,
     n = qpir.n
     nu1 = run.nu(1)
     client = nu1.layout.drop(run.spec.a_memory[-1].labels()).labels()
-    compressor = schmidt_compressor(nu1, client, rank_tol=rank_tol,
-                                    compressed_label="C'")
+    compressor = schmidt_compressor(nu1, client, rank_tol=rank_tol)
     r = compressor.input_layout.total_dim
     m = math.log2(r)
     emat = compressor.matrix
@@ -129,23 +128,24 @@ def _encode(run: PurifiedRun, emat: np.ndarray, rank_tol: float) -> np.ndarray:
     """Every database's index-1 run before the client's last op, compressed
     by `emat` and renormalized, as (r, server_dim, 2^n).  With M_x run x's
     column, it compresses to (1 (x) E^dagger) M_x and leaves the
-    compression support by ||(1 (x) R') M_x||, where 1 - E E^dagger = Q'R';
-    a leak beyond 1e-8 is a SupportViolation."""
+    compression support by ||M_x - (1 (x) E)(1 (x) E^dagger) M_x||; a leak
+    beyond 1e-8 is a SupportViolation."""
     da = 2 ** run.qpir.n
     lay, batch = run.index_batch(1)
     m = matricize(batch, lay, run.spec.a_memory[-1].labels())  # A_s leads: a view
-    r_out = np.linalg.qr(np.eye(emat.shape[0]) - emat @ emat.conj().T, mode="r")
+    comp = emat.conj().T @ m            # (d_server, r, da)
+    outside = emat @ comp
+    np.subtract(m, outside, out=outside)
     # each column's squared norm, summed over its real and imaginary parts
-    parts = (r_out @ m).reshape(-1, da).view(np.float64)
+    parts = outside.reshape(-1, da).view(np.float64)
     leaks = np.sqrt(np.einsum("kj,kj->j", parts, parts).reshape(da, 2).sum(axis=1))
-    del parts
+    del outside, parts
     worst = float(np.max(leaks))
     if worst > 1e-8:
         raise SupportViolation(
             f"a database run leaves the compression support by {worst:.3e}; "
             f"check the rank tolerance ({rank_tol})"
         )
-    comp = emat.conj().T @ m            # (d_server, r, da)
     comp /= np.linalg.norm(comp.reshape(-1, da), axis=0)
     return np.ascontiguousarray(comp.transpose(1, 0, 2))
 

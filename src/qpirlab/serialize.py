@@ -4,7 +4,10 @@ Complex entries are stored row-major as [re, im] pairs.  Python's default
 float formatting is shortest-round-trip, so doubles survive a JSON round
 trip bit-exactly.  Decoding is strict: a dimension or round count that is
 not an integer >= 1, an entry that is not a numeric pair, a matrix of the
-wrong size, or a value of the wrong JSON type is a LayoutError.
+wrong size, a value of the wrong JSON type, or a field that nothing reads
+(an isometry's `kraus_ops`, a comment) is a LayoutError, at every level:
+a protocol, its layouts and ops, each register and each op.  A protocol's
+top level may also hold an "n", which is its reader's to check.
 """
 
 from __future__ import annotations
@@ -37,6 +40,14 @@ def _field(data, key: str, kind: type = list):
     return value
 
 
+def _only(data: dict, *keys: str) -> None:
+    """Refuse a field of the JSON object `data` that is not in `keys`."""
+    unread = [key for key in data if key not in keys]
+    if unread:
+        raise LayoutError(f"unread field(s) {', '.join(map(repr, unread))}; "
+                          f"expected only {', '.join(keys)}")
+
+
 def layout_to_json(layout: RegisterLayout) -> list[dict[str, Any]]:
     return [{"label": r.label, "dim": r.dim} for r in layout.registers]
 
@@ -47,6 +58,7 @@ def layout_from_json(data: list[dict[str, Any]]) -> RegisterLayout:
     regs = []
     for d in data:
         label = _field(d, "label", str)
+        _only(d, "label", "dim")
         regs.append(Register(label, _positive_int(d["dim"], f"dim of {label!r}")))
     return RegisterLayout(tuple(regs))
 
@@ -102,6 +114,8 @@ def from_json(data: dict[str, Any]) -> Operation:
     kind = _field(data, "type", str)
     if kind not in ("isometry", "kraus_channel"):
         raise LayoutError(f"unknown operation type {kind!r}")
+    _only(data, "type", "input_layout", "output_layout",
+          "matrix" if kind == "isometry" else "kraus_ops")
     lin = layout_from_json(data["input_layout"])
     lout = layout_from_json(data["output_layout"])
     shape = (lout.total_dim, lin.total_dim)
@@ -132,6 +146,9 @@ def protocol_spec_from_json(data: dict[str, Any]):
 
     lay = _field(data, "layouts", dict)
     ops = _field(data, "ops", dict)
+    _only(data, "s", "layouts", "ops", "n")   # n is the caller's to check
+    _only(lay, "A", "B", "X", "Y")
+    _only(ops, "A", "B")
     return ProtocolSpec(
         rounds=_positive_int(data["s"], "s"),
         a_memory=tuple(layout_from_json(l) for l in _field(lay, "A")),

@@ -196,8 +196,8 @@ def three_round_random(n: int, seed: int) -> QpirProtocol:
              KrausChannel(concat(b[2], x[2]), b[3],
                           (math.sqrt(0.7) * haar_unitary_matrix(b[3].total_dim, rng),
                            math.sqrt(0.3) * haar_unitary_matrix(b[3].total_dim, rng)))]
-    return QpirProtocol(n, ProtocolSpec(3, tuple(a), tuple(b), tuple(x), tuple(y),
-                                        tuple(a_ops), tuple(b_ops)))
+    return QpirProtocol(ProtocolSpec(3, tuple(a), tuple(b), tuple(x), tuple(y),
+                                     tuple(a_ops), tuple(b_ops)))
 
 
 def split_memory_random(n: int, seed: int) -> QpirProtocol:
@@ -212,8 +212,8 @@ def split_memory_random(n: int, seed: int) -> QpirProtocol:
                    concat(split, op1.output_layout.drop(b1.labels())), op1.matrix)
     op2 = Isometry(concat(split, op2.input_layout.drop(b1.labels())),
                    op2.output_layout, op2.matrix)
-    return QpirProtocol(n, spec.with_party("B", (spec.b_memory[0], split, spec.b_memory[2]),
-                                           (op1, op2)))
+    return QpirProtocol(spec.with_party("B", (spec.b_memory[0], split, spec.b_memory[2]),
+                                        (op1, op2)))
 
 
 def mixing_client_random(n: int, seed: int) -> QpirProtocol:
@@ -229,8 +229,8 @@ def mixing_client_random(n: int, seed: int) -> QpirProtocol:
         return KrausChannel(op.input_layout, op.output_layout,
                             (math.sqrt(0.7) * op.matrix, math.sqrt(0.3) * other))
 
-    return QpirProtocol(n, spec.with_party("B", spec.b_memory,
-                                           tuple(map(mixed, spec.b_ops))))
+    return QpirProtocol(spec.with_party("B", spec.b_memory,
+                                        tuple(map(mixed, spec.b_ops))))
 
 
 @pytest.fixture

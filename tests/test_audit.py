@@ -12,6 +12,10 @@ import dataclasses
 import io
 import json
 import math
+import os
+import pathlib
+import resource
+import subprocess
 import sys
 
 import numpy as np
@@ -23,11 +27,13 @@ from qpirlab.linalg import haar_unitary_matrix, schmidt_coefficients, uhlmann_un
 from qpirlab.protocol import (ProtocolSpec, execute, product_input, purify_both,
                                random_protocol, rank_trace)
 from qpirlab.qpir import (
+    _BUILTINS,
     PurifiedRun,
     QpirProtocol,
     _kraus_span,
     build_index_in_clear,
     builtin,
+    builtin_from_address,
     correctness_delta,
     privacy_epsilon_purified,
     qpir_input,
@@ -415,6 +421,16 @@ def test_leaky_client_is_not_reported_as_a_bound_violation(tmp_path):
 
 # -- CLI behaviour -----------------------------------------------------------
 
+def _one_clean_error(capsys, code, out, path) -> str:
+    """The stderr of a run that must end in one `qpirlab: error:` line
+    naming the protocol file."""
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("qpirlab: error:") and err.count("\n") == 1
+    assert str(path) in err and "Traceback" not in err
+    return err
+
+
 def test_protocol_file_n_must_agree_with_the_n_flag(tmp_path, capsys):
     data = serialize.protocol_spec_to_json(builtin("trivial", 2).spec)
     data["n"] = 2
@@ -422,21 +438,32 @@ def test_protocol_file_n_must_agree_with_the_n_flag(tmp_path, capsys):
     serialize.dump(data, str(path))
     assert _cli(["qpir-correctness", "--protocol", str(path), "--n", "2"])[0] == 0
     code, out = _cli(["qpir-correctness", "--protocol", str(path), "--n", "3"])
-    err = capsys.readouterr().err
-    assert code == 1 and out == ""
-    assert err.startswith("qpirlab: error:") and "Traceback" not in err
+    assert "client input dimension is 2" in _one_clean_error(capsys, code, out, path)
 
 
-@pytest.mark.parametrize("n", ["abc", 2.5, True, 0])
+@pytest.mark.parametrize("n", ["abc", 2.5, 2.0, True, 0, None, 3])
 def test_protocol_file_n_must_be_a_positive_int(n, tmp_path, capsys):
+    """n is the client's input dimension, 2 for trivial n=2, and the
+    file's "n" is a check of it: only the int 2 passes."""
     data = serialize.protocol_spec_to_json(builtin("trivial", 2).spec)
     data["n"] = n
     path = tmp_path / "trivial.json"
     serialize.dump(data, str(path))
     code, out = _cli(["reduce", "--protocol", str(path)])
-    err = capsys.readouterr().err
-    assert code == 1 and out == ""
-    assert err.startswith("qpirlab: error:") and "Traceback" not in err
+    assert "client input dimension is 2" in _one_clean_error(capsys, code, out, path)
+
+
+def test_protocol_file_whose_server_input_is_not_2_to_the_n(tmp_path, capsys):
+    """trivial n=2's server (4 databases) with a client of 3 indices."""
+    spec = builtin("trivial", 2).spec
+    b0, b1 = RegisterLayout.of(("B0", 3)), RegisterLayout.of(("B1", 12))
+    store = Isometry(concat(b0, spec.x_comm[0]), b1, np.eye(12, dtype=np.complex128))
+    path = tmp_path / "three-indices.json"
+    serialize.dump(serialize.protocol_spec_to_json(
+        spec.with_party("B", (b0, b1), (store,))), str(path))
+    code, out = _cli(["reduce", "--protocol", str(path)])
+    err = _one_clean_error(capsys, code, out, path)
+    assert "server input dim 4 != 2^3" in err
 
 
 def _set(path, value):
@@ -466,22 +493,27 @@ MALFORMED_FILES = {
     "entry-beyond-float": _set(("ops", "A", 0, "matrix", 0), [10**400, 0]),
     "top-level-list": lambda data: [data],
     "state-in-op-slot": _set(("ops", "A", 0), STATE_IN_AN_OP_SLOT),
+    # fields that nothing reads, at each level
+    "unread-top-level": lambda data: {**data, "seed": 5, "delta": 0.3, "N": 7},
+    "unread-in-layouts": _set(("layouts", "Z"), []),
+    "unread-in-ops": _set(("ops", "C"), []),
+    "unread-in-register": _set(("layouts", "A", 0, 0, "note"), "x"),
+    "op-comment": _set(("ops", "A", 0, "comment"), "ships x"),
+    "isometry-kraus-ops": _set(("ops", "B", 0, "kraus_ops"), []),
 }
 
 
 @pytest.mark.parametrize("case", MALFORMED_FILES)
 def test_malformed_protocol_file_ends_in_a_clean_error(case, tmp_path, capsys):
-    """A dimension of 4.7 is not read as 4, and no decoding error escapes as
-    a traceback; every error names the file."""
+    """A dimension of 4.7 is not read as 4, a field that nothing reads is
+    not passed over, and no decoding error escapes as a traceback; every
+    error is one line that names the file."""
     data = serialize.protocol_spec_to_json(builtin("trivial", 2).spec)
     data = MALFORMED_FILES[case](data) or data
     path = tmp_path / f"{case}.json"
     serialize.dump(data, str(path))
     code, out = _cli(["reduce", "--protocol", str(path)])
-    err = capsys.readouterr().err
-    assert code == 1 and out == ""
-    assert err.startswith("qpirlab: error:") and str(path) in err
-    assert "Traceback" not in err
+    _one_clean_error(capsys, code, out, path)
 
 
 def _scaled_noisy_trivial(tmp_path, excess: float) -> str:
@@ -634,6 +666,31 @@ def test_builtin_rejects_a_parameter_it_does_not_read(name, params):
         builtin(name, 2, **params)
 
 
+#: A value of each parameter type a builtin declares.
+_SAMPLE = {int: "1", float: "0.25"}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILTINS))
+def test_builtin_reads_exactly_the_parameters_its_table_declares(name):
+    """Every parameter `_BUILTINS` gives a builtin is accepted by `builtin`
+    and in an address, alike; any other is refused by both."""
+    reads = _BUILTINS[name][1]
+    assert next(iter(reads)) == "n" and reads["n"] is int
+    # every parameter some builtin reads, and one that none reads
+    others = {key for _, table in _BUILTINS.values() for key in table} | {"k"}
+    for key in sorted(others - {"n"}):
+        text = _SAMPLE[reads.get(key, int)]
+        address = f"builtin:{name}?n=2&{key}={text}"
+        if key in reads:
+            built = builtin(name, 2, **{key: reads[key](text)})
+            assert builtin_from_address(address).spec == built.spec
+        else:
+            with pytest.raises(LayoutError, match=f"reads only {', '.join(reads)}"):
+                builtin(name, 2, **{key: 1})
+            with pytest.raises(LayoutError, match=f"reads only {', '.join(reads)}"):
+                builtin_from_address(address)
+
+
 RANK_TOL_ABOVE_EVERY_COEFFICIENT = [
     ["reduce", "--protocol", "builtin:noisy-trivial?n=3&delta=0.2", "--rank-tol", "0.36"],
     ["reduce", "--protocol", "builtin:random?n=4&seed=5", "--rank-tol", "0.3"],
@@ -675,6 +732,27 @@ def test_out_of_memory_ends_in_a_clean_error(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 1 and out == ""
     assert err == "qpirlab: error: MemoryError: Unable to allocate 1.53 GiB\n"
+
+
+@pytest.mark.parametrize("cap_mib", [200, 210, 220])
+def test_a_capped_process_ends_in_one_error_line(cap_mib):
+    """trivial n=7's `reduce` under an address-space cap, in its own process
+    with one BLAS thread: it fits in about 300 MiB, so these caps stop it.
+    Wherever the allocation that fails is, the process exits 1 with one
+    `qpirlab: error:` line, never with a message of OpenBLAS's own."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (cap_mib << 20, cap_mib << 20))
+
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    path = [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, "-m", "qpirlab.cli", "reduce", "--protocol", "builtin:trivial?n=7"],
+        env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120)
+    if done.returncode != 0:
+        assert done.returncode == 1
+        assert done.stderr.startswith("qpirlab: error:") and done.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("flag", [["--recovery", "/nonexistent.json"],
@@ -903,4 +981,4 @@ def test_index_batches_slice_a_composite_client_input(tmp_path):
     serialize.dump(serialize.protocol_spec_to_json(spec), str(path))
     loaded = serialize.protocol_spec_from_json(serialize.load(str(path)))
     assert loaded.b_memory[0] == b0
-    _assert_index_batches_are_dense_columns(QpirProtocol(4, loaded))
+    _assert_index_batches_are_dense_columns(QpirProtocol(loaded))

@@ -61,7 +61,7 @@ def scrambled_index_in_clear(n: int, seed: int) -> QpirProtocol:
     b1 = spec.b_ops[0]
     u = haar_unitary_matrix(n * n, np.random.default_rng(seed))[:, :n]
     scrambled = dataclasses.replace(b1, matrix=u)
-    return QpirProtocol(n, dataclasses.replace(
+    return QpirProtocol(dataclasses.replace(
         spec, b_ops=(scrambled,) + spec.b_ops[1:]))
 
 
@@ -77,8 +77,8 @@ def forgetful_trivial(n: int) -> QpirProtocol:
     (x1,) = spec.x_comm
     a1 = RegisterLayout((Register("A1", 1),))
     ship = Isometry(a0, concat(a1, x1), np.eye(2 ** n, dtype=np.complex128))
-    return QpirProtocol(n, ProtocolSpec(1, (a0, a1), spec.b_memory, (x1,), (),
-                                        (ship,), spec.b_ops))
+    return QpirProtocol(ProtocolSpec(1, (a0, a1), spec.b_memory, (x1,), (),
+                                     (ship,), spec.b_ops))
 
 
 def widening_random(n: int, seed: int) -> QpirProtocol:
@@ -91,8 +91,8 @@ def widening_random(n: int, seed: int) -> QpirProtocol:
     b2 = RegisterLayout((Register("B2", 2 * d),))
     iso = Isometry(last.input_layout, b2,
                    haar_unitary_matrix(2 * d, np.random.default_rng(seed))[:, :d])
-    return QpirProtocol(n, spec.with_party("B", spec.b_memory[:-1] + (b2,),
-                                           spec.b_ops[:-1] + (iso,)))
+    return QpirProtocol(spec.with_party("B", spec.b_memory[:-1] + (b2,),
+                                        spec.b_ops[:-1] + (iso,)))
 
 
 CASES = [

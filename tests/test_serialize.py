@@ -10,7 +10,7 @@ from qpirlab.errors import LayoutError
 from qpirlab.registers import RegisterLayout
 from qpirlab.linalg import haar_unitary_matrix
 from qpirlab.states import Isometry, KrausChannel
-from qpirlab.qpir import parse_builtin_address
+from qpirlab.qpir import builtin_from_address
 from qpirlab import serialize
 
 from conftest import random_kraus_ops
@@ -42,6 +42,16 @@ def test_unknown_type_rejected():
         serialize.from_json({"type": "state_vector", "layout": [], "amplitudes": []})
 
 
+def test_unread_fields_are_named_in_one_error():
+    data = serialize.protocol_spec_to_json(builtin("trivial", 2).spec)
+    with pytest.raises(LayoutError, match=r"unread field\(s\) 'seed', 'delta', 'N'; "
+                       r"expected only s, layouts, ops, n"):
+        serialize.protocol_spec_from_json({**data, "seed": 5, "delta": 0.3, "N": 7})
+    op = {**data["ops"]["A"][0], "kraus_ops": []}
+    with pytest.raises(LayoutError, match=r"unread field\(s\) 'kraus_ops'"):
+        serialize.from_json(op)
+
+
 finite_doubles = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -62,17 +72,14 @@ def test_amplitude_bits_survive(rng):
 
 
 def test_builtin_address_parsing():
-    name, params = parse_builtin_address("builtin:trivial?n=6")
-    assert name == "trivial"
-    assert params == {"n": "6"}
-    name, params = parse_builtin_address("builtin:noisy-trivial?n=4&delta=0.1")
-    assert params == {"n": "4", "delta": "0.1"}
+    assert builtin_from_address("builtin:trivial?n=6").spec == builtin("trivial", 6).spec
+    noisy = builtin_from_address("builtin:noisy-trivial?n=4&delta=0.1")
+    assert noisy.spec == builtin("noisy-trivial", 4, delta=0.1).spec
     with pytest.raises(LayoutError):
-        parse_builtin_address("trivial?n=2")
+        builtin_from_address("trivial?n=2")
 
 
 def test_builtin_from_address():
-    from qpirlab.qpir import builtin_from_address
     p = builtin_from_address("builtin:trivial?n=4")
     assert p.n == 4
     assert p.communication == pytest.approx(4.0)
