@@ -14,13 +14,15 @@ lacks as environment.
 Certification runs pure, on the engine the audits use: the honest protocol
 and the protocol with the adversary installed, each with both parties
 purified, run once each through `protocol._steps` on one batch of every
-input, and F_t runs on the adversarial batch as a one-op schedule.  Each
-pair of marginals is compared in the span of its two factors
-(`linalg.marginals_in_span`), so no step forms a matrix on the kept
-registers and a reference register.  A purified adversary certifies at
-exactly 0: both factors are equal, and so are their marginals, bit for
-bit.  The density-operator reference that this equals is checked in the
-tests.
+input, and F_t runs on the adversarial batch as a one-op schedule.  Both
+states keep only the host protocol's registers at that step, so every
+purifier, the honest party's as well as the adversary's, is traced out,
+as in the density-operator definition.  Each pair of marginals is
+compared in the span of its two factors (`linalg.marginals_in_span`), so
+no step forms a matrix on the kept registers and a reference register.
+A purified adversary certifies at exactly 0: both factors are equal, and
+so are their marginals, bit for bit.  The density-operator reference
+that this equals is checked in the tests.
 """
 
 from __future__ import annotations
@@ -87,8 +89,7 @@ def honest_adversary(spec: ProtocolSpec, party: str) -> AdversaryStrategy:
 
 def purified_adversary(spec: ProtocolSpec, party: str) -> AdversaryStrategy:
     """The canonical purification of one party, a 0-specious adversary."""
-    pure = purify_party(spec, party)
-    return AdversaryStrategy(party, pure.memory(party), pure.ops(party), gamma=0.0)
+    return honest_adversary(purify_party(spec, party), party)
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +200,12 @@ def certify_specious(spec: ProtocolSpec, adv: AdversaryStrategy,
     `protocol._steps`, on one batch that holds every input side by side, a
     reference register as batch columns.  After step t, F_t is applied to
     the adversarial batch as a one-op run.  For each input, the honest
-    state is the marginal on the step's registers plus the input's
-    spectator, and the recovered state is the marginal on the same labels
-    after F_t; F_t's environment and both runs' purifiers are traced out,
-    so these are the states the density-operator definition compares.
+    state is the marginal on the registers of `spec`'s step t (its
+    `order`, which holds no purifier) plus the input's spectator, and the
+    recovered state is the marginal on the same labels after F_t; F_t's
+    environment and both parties' purifiers, the honest one's included,
+    are traced out, so these are the states the density-operator
+    definition compares.
     Each pair is compared in the span of its two factors
     (`marginals_in_span`).  Rows run input by input, each step in turn.
 
@@ -227,10 +230,10 @@ def certify_specious(spec: ProtocolSpec, adv: AdversaryStrategy,
     widths = [_spectator_layout(adv_spec, psi.layout).total_dim for _, psi in inputs]
     batch = np.hstack([psi.amplitudes.reshape(-1, w)
                        for (_, psi), w in zip(inputs, widths)])
-    runs = zip(_steps(_isometries(honest_spec), _inputs(spec), batch),
+    runs = zip(spec.steps, _steps(_isometries(honest_spec), _inputs(spec), batch),
                _steps(_isometries(adv_spec), _inputs(spec), batch), maps)
     dist = np.empty((len(inputs), len(maps)))
-    for (step, lay, cur), (_, lay_adv, cur_adv), recovery_map in runs:
+    for step, (_, lay, cur), (_, lay_adv, cur_adv), recovery_map in runs:
         (_, lay_adv, cur_adv), = _steps([(step, recovery_map)], lay_adv, cur_adv)
         pairs = zip(_factors(lay, cur, step.order, widths),
                     _factors(lay_adv, cur_adv, step.order, widths))

@@ -10,8 +10,11 @@ shapes all read that table.
 
 Execution is pure and has one loop, `_steps`, which pushes a batch of
 columns through the isometries; a reference register rides as a batch axis.
-`execute` runs one input and returns the tuple of states after each step;
-`rank_trace` makes one such run of the protocol it audits and reads the
+`execute` and `execute_pure_batch` read one runner, `_run`, which checks
+the reference register, runs `_steps` and writes each state in its step's
+`order`: `execute` runs one input and returns the tuple of states after
+each step, `execute_pure_batch` many inputs and returns the last state.
+`rank_trace` makes one `execute` of the protocol it audits and reads the
 Schmidt rank across the A/B cut from each state.  A protocol with channel
 ops runs after `purify_party`/`purify_both`: each party keeps its ops up
 to its first channel, and from there on runs their Stinespring dilations,
@@ -250,6 +253,20 @@ def _steps(schedule, lay: RegisterLayout, columns: np.ndarray):
         yield step, lay, cur
 
 
+def _run(spec: ProtocolSpec, input_layout: RegisterLayout, columns: np.ndarray):
+    """Yield (layout, columns) after each step, `columns` holding one input
+    over `input_layout` per column: the runner of `execute` and
+    `execute_pure_batch`.  It checks the reference register, which rides
+    as a batch axis through `_steps`, and writes each state in its step's
+    `order`, then the spectators."""
+    spectators = _spectator_layout(spec, input_layout)
+    nb = columns.shape[1]
+    batch = columns.reshape(-1, spectators.total_dim * nb)  # reference -> batch
+    for step, lay, cur in _steps(_isometries(spec), _inputs(spec), batch):
+        out = concat(lay.reordered(step.order), spectators)
+        yield out, matricize(cur, lay, step.order).reshape(out.total_dim, nb)
+
+
 def execute(spec: ProtocolSpec, psi_in: StateVector) -> tuple[StateVector, ...]:
     """Run the protocol on a pure input: the global state after each of
     the 2s steps, in order.
@@ -258,13 +275,8 @@ def execute(spec: ProtocolSpec, psi_in: StateVector) -> tuple[StateVector, ...]:
     input's spectator registers.  Raises LayoutError on an op that is not
     an isometry.
     """
-    spectators = _spectator_layout(spec, psi_in.layout)
-    columns = psi_in.amplitudes.reshape(-1, spectators.total_dim)
-    return tuple(
-        StateVector(concat(lay.reordered(step.order), spectators),
-                    matricize(cur, lay, step.order).reshape(-1))
-        for step, lay, cur in _steps(_isometries(spec), _inputs(spec), columns)
-    )
+    return tuple(StateVector(lay, cur[:, 0])
+                 for lay, cur in _run(spec, psi_in.layout, psi_in.amplitudes[:, None]))
 
 
 def execute_pure_batch(spec: ProtocolSpec, input_layout: RegisterLayout,
@@ -278,14 +290,7 @@ def execute_pure_batch(spec: ProtocolSpec, input_layout: RegisterLayout,
     client's last op.  It runs a whole protocol for the dense references
     those audits are tested against.
     """
-    spectators = _spectator_layout(spec, input_layout)
-    nb = columns.shape[1]
-    batch = columns.reshape(-1, spectators.total_dim * nb)  # reference -> batch
-    (step, lay, cur), = deque(_steps(_isometries(spec), _inputs(spec), batch),
-                              maxlen=1)  # the final step
-    final_lay = concat(lay.reordered(step.order), spectators)
-    cur = matricize(cur, lay, step.order)
-    return final_lay, cur.reshape(final_lay.total_dim, nb)
+    return deque(_run(spec, input_layout, columns), maxlen=1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -375,23 +380,20 @@ def random_protocol(seed: int, rounds: int, qubit_budget: int) -> ProtocolSpec:
     alpha = [0] * (s + 1)
     for k in range(s, 0, -1):
         alpha[k - 1] = alpha[k] + cx[k - 1] - (cy[k - 2] if k >= 2 else 0)
-    shift = max(0, -min(alpha))
-    alpha = [a + shift for a in alpha]
-
     beta = [0] * (s + 1)
     for k in range(1, s + 1):
         beta[k] = beta[k - 1] + cx[k - 1] - (cy[k - 1] if k < s else 0)
-    shift = max(0, -min(beta))
-    beta = [b + shift for b in beta]
 
-    a_mem = tuple(RegisterLayout((Register(f"A{k}", 2 ** alpha[k]),))
-                  for k in range(s + 1))
-    b_mem = tuple(RegisterLayout((Register(f"B{k}", 2 ** beta[k]),))
-                  for k in range(s + 1))
-    x_comm = tuple(RegisterLayout((Register(f"X{k + 1}", 2 ** cx[k]),))
-                   for k in range(s))
-    y_comm = tuple(RegisterLayout((Register(f"Y{k + 1}", 2 ** cy[k]),))
-                   for k in range(s - 1))
+    def layouts(prefix: str, walk: list[int], first: int = 0) -> tuple:
+        """One 2^w-dimensional register per qubit count w of `walk`,
+        shifted so that the smallest count is 0 (a communication walk
+        never goes below 0, so it is not shifted)."""
+        low = min(walk + [0])
+        return tuple(RegisterLayout.of((f"{prefix}{k}", 2 ** (w - low)))
+                     for k, w in enumerate(walk, start=first))
+
+    a_mem, b_mem = layouts("A", alpha), layouts("B", beta)
+    x_comm, y_comm = layouts("X", cx, 1), layouts("Y", cy, 1)
 
     ops = {"A": [], "B": []}
     for step in _step_table(a_mem, b_mem, x_comm, y_comm):  # draws A1, B1, A2, ...

@@ -20,6 +20,9 @@ partner, and Gamma_i is diagonalized in the span of the op's Kraus
 operators.  With i fixed, each client memory B_1..B_{s-1} is written in
 the span the client's ops can reach, one thin QR per op, so the batch,
 Gamma_i^pre and that span are only as large as what the client can hold.
+The last op itself is never rebuilt on that span: each of its Kraus
+operators is composed with the span's isometry Q_{s-1} in turn, and only
+the triangular factor of the composed operators is kept (`_kraus_span`).
 Each index's optimal measurement is kept pulled back through the last op,
 as a factor W_i of the effect it induces on the op's inputs, for the
 reduction's decoder to apply.  Privacy compares the purified server's
@@ -54,7 +57,6 @@ from .states import (
     Operation,
     StateVector,
     matricize,
-    stinespring,
 )
 from .protocol import (
     ProtocolSpec,
@@ -122,19 +124,12 @@ def _held(memory: RegisterLayout, dim: int) -> RegisterLayout:
     return RegisterLayout((Register(memory.labels()[0], dim),))
 
 
-def _restricted(op: Operation, memory: RegisterLayout, q: np.ndarray) -> Operation:
-    """`op`, whose input starts with `memory`, on the span of the columns
-    of the isometry q: op (Q (x) 1), reading `_held(memory, r)` in place of
-    `memory`.  With q = |i> this fixes a memory at i."""
-    lay = concat(_held(memory, q.shape[1]), op.input_layout.drop(memory.labels()))
-
-    def compose(matrix: np.ndarray) -> np.ndarray:
-        # rows of matrix^T run over memory first: one matmul with Q^T
-        return (q.T @ matrix.T.reshape(q.shape[0], -1)).reshape(-1, matrix.shape[0]).T
-
-    if isinstance(op, Isometry):
-        return Isometry(lay, op.output_layout, compose(op.matrix))
-    return KrausChannel(lay, op.output_layout, tuple(map(compose, op.kraus_ops)))
+def _compose(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """matrix (Q (x) 1), for a matrix whose input starts with the memory
+    that the isometry q's rows run over; with q = |i> this fixes that
+    memory at i.  The rows of matrix^T run over the memory first, so this
+    is one matmul with Q^T."""
+    return (q.T @ matrix.T.reshape(q.shape[0], -1)).reshape(-1, matrix.shape[0]).T
 
 
 def _paired_operator(t: np.ndarray, i: int) -> np.ndarray:
@@ -168,8 +163,8 @@ class PurifiedRun:
     built when it starts (`_reach`): each honest client memory B_k, k < s,
     is replaced by the r_k-dimensional span its op reaches, op k factored
     as V_k = (Q_k (x) 1) W_k.  The purifier is kept whole.  The last op
-    reads that span through the same Q_{s-1} as `last_op(i)`.  All runs
-    share one layout, A_s first.
+    reads that span through Q_{s-1}, which `_kraus_span` composes into
+    each of its Kraus operators.  All runs share one layout, A_s first.
 
     * `index_batch(i)`: index i's basis inputs |x>|i>, one column per
       database x, so no batch holds more than 2^n inputs, and the layout
@@ -178,9 +173,9 @@ class PurifiedRun:
     * `nu(i)`: the uniform database with index i (the state nu_i), one
       column through the same steps, kept.
     * `helstrom_operator(i)`: Gamma_i^pre = rho_0/2 - rho_1/2 from index
-      i's batch, on the honest client's registers B_{s-1} (x) X_s as
-      `last_op(i)` reads them, everything else, purifiers included,
-      traced out.  The batch is freed once this is formed.
+      i's batch, on the registers `pre` that the last op reads, B_{s-1}'s
+      held span and then X_s, everything else, purifiers included, traced
+      out.  The batch is freed once this is formed.
     """
 
     def __init__(self, qpir: QpirProtocol) -> None:
@@ -188,13 +183,14 @@ class PurifiedRun:
         self.spec = purify_party(qpir.spec, "A")
         pairs = islice(_purified_ops(self.spec, "B"), qpir.spec.rounds - 1)
         self._client_ops = [op for op, _ in pairs]
-        self._reached: tuple[int, list[Isometry], np.ndarray] | None = None
+        self.pre = qpir.spec.b_memory[-2].labels()[:1] + qpir.spec.x_comm[-1].labels()
+        self._reached: dict[int, tuple[list[Isometry], np.ndarray]] = {}
         self._batch: tuple[int, RegisterLayout, np.ndarray] | None = None
         self._nus: dict[int, StateVector] = {}
 
     def _reach(self, i: int) -> tuple[list[Isometry], np.ndarray]:
         """Index i's purified client ops 1..s-1 on what they reach, and
-        Q_{s-1}, for the index that ran last only.
+        Q_{s-1}, each index's kept once built.
 
         B_0 is fixed at i, as Q_0 = |i>.  Each op k < s, with Q_{k-1}
         composed into its input, is V_k = (Q_k (x) 1) W_k by one thin QR of
@@ -204,24 +200,20 @@ class PurifiedRun:
         d_rest the dimension of Y_k and of any purifier, and d_in that of
         op k's restricted input.  No tolerance decides r_k.
         """
-        if self._reached is None or self._reached[0] != i:
+        if i not in self._reached:
             memory = self.qpir.spec.b_memory
             q = np.eye(self.qpir.n, dtype=np.complex128)[:, i - 1:i]
             ops = []
             for k, op in enumerate(self._client_ops, start=1):
-                v = _restricted(op, memory[k - 1], q)
-                q, w = np.linalg.qr(v.matrix.reshape(memory[k].total_dim, -1))
+                lay = concat(_held(memory[k - 1], q.shape[1]),
+                             op.input_layout.drop(memory[k - 1].labels()))
+                v = _compose(op.matrix, q)
+                q, w = np.linalg.qr(v.reshape(memory[k].total_dim, -1))
                 out = concat(_held(memory[k], q.shape[1]),
-                             v.output_layout.drop(memory[k].labels()))
-                ops.append(Isometry(v.input_layout, out, w.reshape(out.total_dim, -1)))
-            self._reached = (i, ops, q)
-        return self._reached[1:]
-
-    def last_op(self, i: int) -> Operation:
-        """The honest client's last op on the span its memory reaches with
-        B_0 = |i>: op (Q_{s-1} (x) 1), which reads B_0 itself when s = 1."""
-        spec = self.qpir.spec
-        return _restricted(spec.b_ops[-1], spec.b_memory[-2], self._reach(i)[1])
+                             op.output_layout.drop(memory[k].labels()))
+                ops.append(Isometry(lay, out, w.reshape(out.total_dim, -1)))
+            self._reached[i] = (ops, q)
+        return self._reached[i]
 
     def _run(self, i: int, columns: np.ndarray) -> tuple[RegisterLayout, np.ndarray]:
         """`columns`, each a server input with B_0 = |i>, after steps
@@ -252,9 +244,7 @@ class PurifiedRun:
     def helstrom_operator(self, i: int) -> np.ndarray:
         lay, cur = self.index_batch(i)
         self._batch = None      # read once: the batch goes with this call
-        spec = self.qpir.spec   # the last op reads B_{s-1}'s span and X_s
-        pre = spec.b_memory[-2].labels()[:1] + spec.x_comm[-1].labels()
-        return _paired_operator(matricize(cur, lay, pre), i)
+        return _paired_operator(matricize(cur, lay, self.pre), i)
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +270,18 @@ class CorrectnessReport:
     measured_labels: tuple[str, ...]       # what each W_i reads: held B_{s-1}, then X_s
 
 
-def _kraus_span(op: Operation) -> np.ndarray:
-    """R of the reduced QR [K_1 ... K_m] = QR of `op`'s Kraus operators side
-    by side: r x m d_in, with r = min(d_out, m d_in).  Q is an isometry, so
-    R keeps every product K_j^dagger K_k."""
-    return np.linalg.qr(stinespring(op).reshape(op.output_layout.total_dim, -1),
-                        mode="r")
+def _kraus_span(op: Operation, q: np.ndarray) -> np.ndarray:
+    """R of the reduced QR [K_1 ... K_m] = QR of `op`'s Kraus operators
+    side by side, each composed with the isometry q on the memory its input
+    starts with (`_compose`), one at a time: r x m d_in, with d_in the
+    composed input's dimension and r = min(d_out, m d_in).  Q is an
+    isometry, so R keeps every product K_j^dagger K_k."""
+    kraus = (op.matrix,) if isinstance(op, Isometry) else op.kraus_ops
+    d_in = q.shape[1] * op.input_layout.total_dim // q.shape[0]
+    side = np.empty((op.output_layout.total_dim, len(kraus), d_in), dtype=np.complex128)
+    for k, matrix in enumerate(kraus):
+        side[:, k] = _compose(matrix, q)
+    return np.linalg.qr(side.reshape(len(side), -1), mode="r")
 
 
 def _pushed_through(gamma_pre: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray]:
@@ -313,14 +309,16 @@ def correctness_delta(run: PurifiedRun) -> CorrectnessReport:
     Gamma_i is diagonalized in the span of the op's Kraus operators, which
     is min(d_client, m d_pre)-dimensional.  d_pre counts B_{s-1} only as
     far as the client reaches it with i fixed, so each index pulls its
-    measurement back through its own QR of its own last op.
+    measurement back through the last op's Kraus operators composed with
+    its own Q_{s-1} (`_kraus_span`).
     """
     n = run.qpir.n
     deltas = []
     measurements = []
+    last = run.qpir.spec.b_ops[-1]
     for i in range(1, n + 1):
-        op = run.last_op(i)
-        probability, w = _pushed_through(run.helstrom_operator(i), _kraus_span(op))
+        probability, w = _pushed_through(run.helstrom_operator(i),
+                                         _kraus_span(last, run._reach(i)[1]))
         deltas.append(max(0.0, 1.0 - probability))
         measurements.append(w)
     return CorrectnessReport(
@@ -329,7 +327,7 @@ def correctness_delta(run: PurifiedRun) -> CorrectnessReport:
         delta_max=max(deltas),
         delta_avg=float(np.mean(deltas)),
         measurements=tuple(measurements),
-        measured_labels=op.input_layout.labels(),   # alike for every index
+        measured_labels=run.pre,
     )
 
 

@@ -343,10 +343,7 @@ class AttackReport:
     sublinear: bool
     consistency: str
 
-    def to_dict(self) -> dict:
-        """The fields in order, the distance matrix as nested lists."""
-        rows = [list(map(float, row)) for row in self.distance_matrix]
-        return {**asdict(self), "distance_matrix": rows}
+    to_dict = PrivacyReport.to_dict   # the fields, the matrix as nested lists
 
 
 def superposition_attack(qpir: QpirProtocol) -> AttackReport:

@@ -8,6 +8,7 @@ lets operations address subsystems by label instead of by axis arithmetic.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -33,6 +34,15 @@ def dim_guard() -> int:
     return _dim_guard
 
 
+def _dim(label, dim) -> int:
+    """`dim` as an int: an int or a numpy integer, never a float or text."""
+    try:
+        return operator.index(dim)
+    except TypeError:
+        raise LayoutError(f"register {label!r} has dimension {dim!r}, which is "
+                          f"not an integer") from None
+
+
 class Register(NamedTuple):
     label: str
     dim: int
@@ -45,7 +55,7 @@ class RegisterLayout:
     registers: tuple[Register, ...]
 
     def __post_init__(self) -> None:
-        regs = tuple(Register(str(r[0]), int(r[1])) for r in self.registers)
+        regs = tuple(Register(str(r[0]), _dim(*r)) for r in self.registers)
         object.__setattr__(self, "registers", regs)
         labels = [r.label for r in regs]
         if len(set(labels)) != len(labels):
@@ -88,20 +98,22 @@ class RegisterLayout:
     def dim_of(self, label: str) -> int:
         return self.registers[self.position(label)].dim
 
-    def sub(self, labels: Iterable[str]) -> "RegisterLayout":
-        """Sub-layout of `labels`, kept in this layout's order."""
-        wanted = set(labels)
-        missing = wanted - set(self.labels())
+    def _known(self, labels: Iterable[str]) -> set[str]:
+        """`labels` as a set, each of which must name a register here."""
+        named = set(labels)
+        missing = named - set(self.labels())
         if missing:
             raise LayoutError(f"unknown register labels {sorted(missing)}")
+        return named
+
+    def sub(self, labels: Iterable[str]) -> "RegisterLayout":
+        """Sub-layout of `labels`, kept in this layout's order."""
+        wanted = self._known(labels)
         return RegisterLayout(tuple(r for r in self.registers if r.label in wanted))
 
     def drop(self, labels: Iterable[str]) -> "RegisterLayout":
-        dropped = set(labels)
-        missing = dropped - set(self.labels())
-        if missing:
-            raise LayoutError(f"unknown register labels {sorted(missing)}")
-        return RegisterLayout(tuple(r for r in self.registers if r.label not in dropped))
+        """The sub-layout of every label but `labels`."""
+        return self.sub(set(self.labels()) - self._known(labels))
 
     def reordered(self, label_order: Sequence[str]) -> "RegisterLayout":
         if sorted(label_order) != sorted(self.labels()):

@@ -87,26 +87,15 @@ def _pairs_to_complex(pairs: list[list[float]], shape: tuple[int, ...]) -> np.nd
     return np.array([_entry(z) for z in pairs], dtype=np.complex128).reshape(shape)
 
 
-def isometry_to_json(op: Isometry) -> dict[str, Any]:
-    return {
-        "type": "isometry",
-        "input_layout": layout_to_json(op.input_layout),
-        "output_layout": layout_to_json(op.output_layout),
-        "matrix": _complex_to_pairs(op.matrix),
-    }
-
-
-def kraus_to_json(op: KrausChannel) -> dict[str, Any]:
-    return {
-        "type": "kraus_channel",
-        "input_layout": layout_to_json(op.input_layout),
-        "output_layout": layout_to_json(op.output_layout),
-        "kraus_ops": [_complex_to_pairs(k) for k in op.kraus_ops],
-    }
-
-
 def operation_to_json(op: Operation) -> dict[str, Any]:
-    return isometry_to_json(op) if isinstance(op, Isometry) else kraus_to_json(op)
+    iso = isinstance(op, Isometry)
+    return {
+        "type": "isometry" if iso else "kraus_channel",
+        "input_layout": layout_to_json(op.input_layout),
+        "output_layout": layout_to_json(op.output_layout),
+        **({"matrix": _complex_to_pairs(op.matrix)} if iso else
+           {"kraus_ops": [_complex_to_pairs(k) for k in op.kraus_ops]}),
+    }
 
 
 def from_json(data: dict[str, Any]) -> Operation:

@@ -15,7 +15,7 @@ dilation against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence, Union
 
 import numpy as np
@@ -39,6 +39,21 @@ def _frozen_array(values, shape=None) -> np.ndarray:
     return arr
 
 
+def _same(a, b) -> bool:
+    if isinstance(a, tuple):   # Kraus operators, one by one and never stacked
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+def _fieldwise_eq(self, other) -> bool:
+    """The `__eq__` of every value type here: the same type and equal
+    fields, layouts by their own equality and arrays entry by entry."""
+    return type(other) is type(self) and all(
+        _same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Unit vector over a register layout."""
@@ -53,9 +68,7 @@ class StateVector:
             raise LayoutError(f"state vector norm {norm} is not 1 within {ATOL_NORM}")
         object.__setattr__(self, "amplitudes", amps)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, StateVector) and self.layout == other.layout
-                and np.array_equal(self.amplitudes, other.amplitudes))
+    __eq__ = _fieldwise_eq
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,9 +93,7 @@ class DensityOperator:
             )
         object.__setattr__(self, "matrix", mat)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, DensityOperator) and self.layout == other.layout
-                and np.array_equal(self.matrix, other.matrix))
+    __eq__ = _fieldwise_eq
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,11 +121,7 @@ class Isometry:
     def is_unitary(self) -> bool:
         return self.input_layout.total_dim == self.output_layout.total_dim
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Isometry)
-                and self.input_layout == other.input_layout
-                and self.output_layout == other.output_layout
-                and np.array_equal(self.matrix, other.matrix))
+    __eq__ = _fieldwise_eq
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,13 +144,7 @@ class KrausChannel:
             raise LayoutError("Kraus operators do not sum to the identity (not TP)")
         object.__setattr__(self, "kraus_ops", ops)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, KrausChannel)
-                and self.input_layout == other.input_layout
-                and self.output_layout == other.output_layout
-                and len(self.kraus_ops) == len(other.kraus_ops)
-                and all(np.array_equal(a, b)
-                        for a, b in zip(self.kraus_ops, other.kraus_ops)))
+    __eq__ = _fieldwise_eq
 
 
 Operation = Union[Isometry, KrausChannel]

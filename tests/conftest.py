@@ -6,6 +6,7 @@ library itself only runs pure states through dilations; these oracles are
 what that pure engine is checked against.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from qpirlab.adversary import install
 from qpirlab.linalg import haar_unitary_matrix, trace_distance_matrices
 from qpirlab.protocol import ProtocolSpec
-from qpirlab.qpir import QpirProtocol, builtin
+from qpirlab.qpir import QpirProtocol, build_index_in_clear, builtin
 from qpirlab.registers import RegisterLayout, concat
 from qpirlab.states import (
     DensityOperator,
@@ -231,6 +232,19 @@ def mixing_client_random(n: int, seed: int) -> QpirProtocol:
 
     return QpirProtocol(spec.with_party("B", spec.b_memory,
                                         tuple(map(mixed, spec.b_ops))))
+
+
+def scrambled_index_in_clear(n: int, seed: int) -> QpirProtocol:
+    """index-in-clear whose client sends a Haar-random isometric image of
+    i, entangled with its memory, in place of i itself.  The server's
+    factors stay tall (n * 2n columns against d_server = 2^n n), as in
+    index-in-clear, but its marginals now differ by distances below 1."""
+    spec = build_index_in_clear(n).spec
+    b1 = spec.b_ops[0]
+    u = haar_unitary_matrix(n * n, np.random.default_rng(seed))[:, :n]
+    scrambled = dataclasses.replace(b1, matrix=u)
+    return QpirProtocol(dataclasses.replace(
+        spec, b_ops=(scrambled,) + spec.b_ops[1:]))
 
 
 @pytest.fixture

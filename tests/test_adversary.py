@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -246,28 +248,52 @@ def _environment_recovery(spec, adv, rng):
 
 
 @pytest.mark.parametrize("case", ["memory-discarding A", "Kraus B",
-                                  "memory-discarding A, environment recovery"])
+                                  "memory-discarding A, environment recovery",
+                                  "noisier client"])
 def test_certify_rows_match_the_density_oracle(case, rng):
     """Row by row, certification on purified runs equals the density-operator
     definition: apply F_t to the adversarial state, trace out F_t's
-    environment and compare it with the honest one."""
-    spec = two_round_protocol()
-    if case.startswith("memory-discarding A"):
-        adv = AdversaryStrategy("A", spec.a_memory,
-                                (spec.a_ops[0], _memory_discarding_op(spec)))
-    else:
-        adv = _kraus_b_adversary(spec, rng)
-    if case.endswith("environment recovery"):
-        recovery = _environment_recovery(spec, adv, rng)
-    else:
+    environment and compare it with the honest one.
+
+    The noisier client runs noisy-trivial n=2's client channel at
+    delta = 0.4 in the host at delta = 0.2.  The host's client is a
+    channel, so its purified run carries a purifier, which is traced out
+    like the adversary's.  What is left of each input after the client's
+    op is the server's copy of x and the client's i and x with each bit
+    flipped independently, so every row with x fixed compares
+    Bernoulli(0.2)^2 with Bernoulli(0.4)^2 on the flips:
+    epsilon_hat = (|0.64 - 0.36| + 2 |0.16 - 0.24| + |0.04 - 0.16|) / 2
+    = 0.28, certified at gamma = 0.3 and not at 0.25."""
+    if case == "noisier client":
+        spec = builtin("noisy-trivial", 2, delta=0.2).spec
+        noisier = builtin("noisy-trivial", 2, delta=0.4).spec
+        adv = AdversaryStrategy("B", spec.b_memory, noisier.b_ops)
         recovery = trace_out_recovery(spec, adv)
-    inputs = small_inputs(spec, rng) + default_input_suite(spec)
+        inputs = default_input_suite(spec)
+    else:
+        spec = two_round_protocol()
+        if case.startswith("memory-discarding A"):
+            adv = AdversaryStrategy("A", spec.a_memory,
+                                    (spec.a_ops[0], _memory_discarding_op(spec)))
+        else:
+            adv = _kraus_b_adversary(spec, rng)
+        if case.endswith("environment recovery"):
+            recovery = _environment_recovery(spec, adv, rng)
+        else:
+            recovery = trace_out_recovery(spec, adv)
+        inputs = small_inputs(spec, rng) + default_input_suite(spec)
     rep = certify_specious(spec, adv, recovery, inputs)
     want = certify_oracle(spec, adv, recovery, inputs)
     assert [(r.step, r.input_id) for r in rep.rows] == [w[:2] for w in want]
     for row, (_, _, distance) in zip(rep.rows, want):
         assert abs(row.distance - distance) < 1e-12
-    assert rep.epsilon_hat > 0.3
+    if case != "noisier client":
+        assert rep.epsilon_hat > 0.3
+        return
+    assert rep.epsilon_hat == pytest.approx(0.28, abs=1e-12)
+    for gamma, certified in ((0.3, True), (0.25, False)):
+        claimed = dataclasses.replace(adv, gamma=gamma)
+        assert certify_specious(spec, claimed, recovery, inputs).certified is certified
 
 
 @pytest.mark.parametrize("case", ["Kraus channel", "honest register renamed"])

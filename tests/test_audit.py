@@ -253,18 +253,18 @@ def test_decoders_are_thin():
 
 def test_the_reduction_reads_no_purified_last_op_and_no_final_run(monkeypatch, calls):
     """noisy-trivial's last op is a channel.  Only its Kraus form is
-    restricted to the span the client reaches, never its dilation, and
+    composed with the span the client reaches, never its dilation, and
     neither the reduction nor privacy nor the attack runs anything through
     the whole protocol: no final-layout batch, and no final run kept."""
     import qpirlab.qpir as qpir_module
     qpir = builtin("noisy-trivial", 3, delta=0.2)
-    restricted, seen = qpir_module._restricted, []
+    kraus_span, seen = qpir_module._kraus_span, []
 
-    def recorded(op, memory, q):
+    def recorded(op, q):
         seen.append(op)
-        return restricted(op, memory, q)
+        return kraus_span(op, q)
 
-    monkeypatch.setattr(qpir_module, "_restricted", recorded)
+    monkeypatch.setattr(qpir_module, "_kraus_span", recorded)
     rep = bound_report(qpir)
     assert rep.compressed_dim == 8 and rep.epsilon_used == 0.0
     assert seen and all(op is qpir.spec.b_ops[-1] for op in seen)
@@ -962,11 +962,11 @@ def test_index_batches_run_in_the_client_reachable_span(seed, d_b1, r):
     run = PurifiedRun(builtin("random", 6, seed=seed))
     d_client = run.qpir.spec.b_memory[-1].total_dim
     assert run.qpir.spec.b_memory[1].total_dim == d_b1
+    last = run.qpir.spec.b_ops[-1]
+    assert last.output_layout.total_dim == d_client
     for i in (1, 6):
         assert run.helstrom_operator(i).shape == (r, r)
-        last = run.last_op(i)
-        assert last.output_layout.total_dim == d_client
-        assert _kraus_span(last).shape == (r, r)
+        assert _kraus_span(last, run._reach(i)[1]).shape == (r, r)
 
 
 def test_index_batches_slice_a_composite_client_input(tmp_path):

@@ -16,7 +16,6 @@ d_client x d_client Uhlmann unitary times it, and each measurement as the
 projector onto the eigenvectors of the dense Gamma_i above d_client * eps.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -36,7 +35,6 @@ from qpirlab.qpir import (
     _kraus_span,
     _pushed_through,
     bit_of,
-    build_index_in_clear,
     build_trivial,
     builtin,
     correctness_delta,
@@ -47,22 +45,14 @@ from qpirlab.reduction import _encode, build_rae, recovery_rates
 from qpirlab.registers import Register, RegisterLayout, concat
 from qpirlab.states import Isometry, matricize
 
-from conftest import mixing_client_random, split_memory_random, three_round_random
+from conftest import (
+    mixing_client_random,
+    scrambled_index_in_clear,
+    split_memory_random,
+    three_round_random,
+)
 
 TOL = 1e-12
-
-
-def scrambled_index_in_clear(n: int, seed: int) -> QpirProtocol:
-    """index-in-clear whose client sends a Haar-random isometric image of
-    i, entangled with its memory, in place of i itself.  The server's
-    factors stay tall (n * 2n columns against d_server = 2^n n), as in
-    index-in-clear, but its marginals now differ by distances below 1."""
-    spec = build_index_in_clear(n).spec
-    b1 = spec.b_ops[0]
-    u = haar_unitary_matrix(n * n, np.random.default_rng(seed))[:, :n]
-    scrambled = dataclasses.replace(b1, matrix=u)
-    return QpirProtocol(dataclasses.replace(
-        spec, b_ops=(scrambled,) + spec.b_ops[1:]))
 
 
 def forgetful_trivial(n: int) -> QpirProtocol:
@@ -214,7 +204,7 @@ def test_deltas_and_probabilities_match_the_dense_reference(run):
         w = np.linalg.eigvalsh(dense_gamma(run, i))
         want = min(1.0, 0.5 + 0.5 * float(np.sum(np.abs(w))))
         got, _ = _pushed_through(run.helstrom_operator(i),
-                                 _kraus_span(run.last_op(i)))
+                                 _kraus_span(run.qpir.spec.b_ops[-1], run._reach(i)[1]))
         assert abs(got - want) <= TOL
         assert abs(rep.deltas[i - 1] - max(0.0, 1.0 - want)) <= TOL
 
@@ -296,15 +286,16 @@ def test_marginals_live_in_the_runs_span_only_when_it_is_smaller():
 def test_new_cases_exercise_the_last_op_span():
     # a purifier before the last op and m = 2; then m d_pre < d_client
     mixing = PurifiedRun(mixing_client_random(3, 1))
-    b_pre = mixing._reach(1)[0][-1].output_layout   # held B_1, purifier, Y_1
+    ops, q = mixing._reach(1)
+    b_pre = ops[-1].output_layout   # held B_1, purifier, Y_1
     assert b_pre.labels()[1] == "Bbar" and b_pre.dims()[1] == 2
-    r = _kraus_span(mixing.last_op(1))
-    assert r.shape[1] == 2 * mixing.last_op(1).input_layout.total_dim
+    r = _kraus_span(mixing.qpir.spec.b_ops[-1], q)
+    assert r.shape[1] == 2 * mixing.helstrom_operator(1).shape[0]
     widening = PurifiedRun(widening_random(3, 2))
-    last = widening.last_op(1)
-    d_pre = last.input_layout.total_dim
+    last = widening.qpir.spec.b_ops[-1]
+    d_pre = widening.helstrom_operator(1).shape[0]
     assert last.output_layout.total_dim == 2 * d_pre
-    assert _kraus_span(last).shape == (d_pre, d_pre)
+    assert _kraus_span(last, widening._reach(1)[1]).shape == (d_pre, d_pre)
     assert correctness_delta(widening).measurements[0].shape[1] == d_pre
 
 
@@ -328,7 +319,8 @@ def test_new_cases_exercise_the_reachable_span():
     split = PurifiedRun(split_memory_random(3, 1))
     assert split.qpir.spec.b_memory[1].dims() == (3, 8)
     assert _held_dims(split, 1) == [8]
-    assert split.last_op(1).input_layout.dims() == (8, 1)
+    assert split._reach(1)[1].shape[1] == 8   # the last op reads held B_1 (8), X_2 (1)
+    assert split.qpir.spec.x_comm[-1].dims() == (1,)
     # index-in-clear reaches all of B_1: the factoring changes no dimension
     clear = PurifiedRun(builtin("index-in-clear", 3))
     assert _held_dims(clear, 1) == [clear.qpir.spec.b_memory[1].total_dim]

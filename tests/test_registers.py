@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -27,6 +28,18 @@ def test_zero_dimension_rejected():
         RegisterLayout.of(("a", 0))
 
 
+@pytest.mark.parametrize("dim", [2.5, 2.0, "3", np.float64(2.0), None])
+def test_a_dimension_that_is_not_an_integer_is_refused(dim):
+    """A float, even a whole one, or text is refused, not truncated or parsed."""
+    with pytest.raises(LayoutError, match="not an integer"):
+        RegisterLayout.of(("A", dim))
+
+
+def test_numpy_integer_dimensions_are_ints():
+    lay = RegisterLayout.of(("A", np.int64(3)), ("B", np.uint8(2)))
+    assert lay.dims() == (3, 2) and all(type(d) is int for d in lay.dims())
+
+
 def test_dim_guard_enforced():
     set_dim_guard(16)
     try:
@@ -41,8 +54,10 @@ def test_dim_guard_enforced():
 def test_sub_keeps_original_order():
     lay = RegisterLayout.of(("a", 2), ("b", 3), ("c", 4))
     assert lay.sub(["c", "a"]).labels() == ("a", "c")
-    with pytest.raises(LayoutError):
-        lay.sub(["nope"])
+    assert lay.drop(["b"]) == lay.sub(["a", "c"])
+    for select in (lay.sub, lay.drop):
+        with pytest.raises(LayoutError, match="unknown register labels"):
+            select(["b", "nope"])
 
 
 def test_concat_rejects_clashes():
