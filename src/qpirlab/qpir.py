@@ -4,21 +4,26 @@ Party A is the server (database input x, 2^n-dimensional computational
 encoding), party B the client (index input i, n-dimensional encoding).
 Every audit reads one `PurifiedRun`: the protocol with the server and the
 client's ops before its last one purified, run on the basis inputs |x>|i>
-one index at a time (i fixed inside the client's first op, so no batch
-holds more than 2^n inputs), and on the uniform database superposition
-with each index, one column per index.  No run goes through the client's
-last op, and that op is never dilated: it is local and comes after the
-last message, so what an audit needs of it is pulled back onto its inputs.
+one index at a time (i fixed inside the client's first op), and on the
+uniform database superposition with each index, one column per index.
+Index i's basis inputs run in chunks of databases sized from one byte
+budget, `CHUNK_BYTES`, and each chunk is closed under flipping bit i, so
+no chunk holds more than the budget allows (or one pair of databases).
+Step 1 on a basis input |x> is column x of the server's first op, so each
+chunk starts from a gather of that op's columns, not a matmul.  No run
+goes through the client's last op, and that op is never dilated: it is
+local and comes after the last message, so what an audit needs of it is
+pulled back onto its inputs.
 
 Correctness is judged by optimal (Helstrom) discrimination of the client's
 final states averaged over {x : x_i = 0} and over {x : x_i = 1}.  The
 client's last op touches only its own registers, so their Helstrom
 operator Gamma_i = rho_0/2 - rho_1/2 is that op, as a channel, applied to
-Gamma_i^pre, the same operator on the op's inputs.  Gamma_i^pre is formed
-from index i's batch in one matmul that pairs each x with its bit-i
-partner, and Gamma_i is diagonalized in the span of the op's Kraus
+Gamma_i^pre, the same operator on the op's inputs.  Gamma_i^pre is summed
+over index i's chunks, one matmul per chunk that pairs each x with its
+bit-i partner, and Gamma_i is diagonalized in the span of the op's Kraus
 operators.  With i fixed, each client memory B_1..B_{s-1} is written in
-the span the client's ops can reach, one thin QR per op, so the batch,
+the span the client's ops can reach, one thin QR per op, so each chunk,
 Gamma_i^pre and that span are only as large as what the client can hold.
 The last op itself is never rebuilt on that span: each of its Kraus
 operators is composed with the span's isometry Q_{s-1} in turn, and only
@@ -37,7 +42,6 @@ from __future__ import annotations
 
 import math
 import urllib.parse
-from collections import deque
 from dataclasses import asdict, dataclass
 from itertools import islice
 
@@ -50,7 +54,7 @@ from .linalg import (
     marginals_in_span,
     trace_distance_matrices,
 )
-from .registers import Register, RegisterLayout, concat
+from .registers import Register, RegisterLayout, concat, fresh_label
 from .states import (
     Isometry,
     KrausChannel,
@@ -118,10 +122,43 @@ def qpir_input(qpir: QpirProtocol, x: int | None, i: int) -> StateVector:
 # the purified run every audit reads
 # ---------------------------------------------------------------------------
 
-def _held(memory: RegisterLayout, dim: int) -> RegisterLayout:
-    """The one register, under `memory`'s first label, that holds a
-    `dim`-dimensional span of `memory`."""
-    return RegisterLayout((Register(memory.labels()[0], dim),))
+#: Bytes that the widest state of a chunk of basis runs, or of the
+#: amplitudes `reduction.recovery_rates` forms, may take.  A chunk never
+#: holds less than one pair of databases, whatever the budget.
+CHUNK_BYTES = 4 * 2**20
+
+
+def _chunk_columns(width: int) -> int:
+    """How many columns of `width` complex amplitudes fit in `CHUNK_BYTES`,
+    at least one; an empty column counts as one amplitude."""
+    return max(1, CHUNK_BYTES // (16 * max(1, width)))
+
+
+def _rectangles(n: int, i: int, columns: int):
+    """The 2^n databases in chunks that flipping bit i maps onto
+    themselves, each (hi, 2, lo): a block of hi values of the bits above
+    bit i, both values of bit i, and a block of lo values of the bits
+    below it.  A chunk holds the largest power of two of databases that is
+    at most `columns`, and at least 2.  With `columns` >= 2^n there is one
+    chunk, every database in increasing order."""
+    below = 2 ** (n - i)
+    size = 1 << (min(2 ** n, max(2, columns)).bit_length() - 1)
+    lo = min(below, size // 2)
+    hi = size // (2 * lo)
+    x = np.arange(2 ** n).reshape(-1, 2, below)
+    for h in range(0, len(x), hi):
+        for low in range(0, below, lo):
+            yield x[h:h + hi, :, low:low + lo]
+
+
+def _through(schedule, lay: RegisterLayout,
+             columns: np.ndarray) -> tuple[RegisterLayout, np.ndarray]:
+    """`columns`, over `lay`, after every (step, isometry) of `schedule`,
+    and the layout they end over."""
+    cur = columns
+    for _, lay, cur in _steps(schedule, lay, columns):
+        pass
+    return lay, cur
 
 
 def _compose(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -132,24 +169,25 @@ def _compose(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (q.T @ matrix.T.reshape(q.shape[0], -1)).reshape(-1, matrix.shape[0]).T
 
 
-def _paired_operator(t: np.ndarray, i: int) -> np.ndarray:
-    """rho_0/2 - rho_1/2 for the factors t (d, d_rest, 2^n) of the basis
-    runs x, rho_b their average over {x : x_i = b}.
+def _paired_operator(t: np.ndarray, lo: int) -> np.ndarray:
+    """2^n (rho_0 - rho_1) restricted to one chunk of basis runs: the
+    factors t (d, d_rest, C), their C databases laid out as (hi, 2, lo)
+    (`_rectangles`), rho_b the average of all 2^n runs over {x : x_i = b}.
 
-    The x axis is viewed as (2^(i-1), 2, 2^(n-i)), which lines each x with
-    x_i = 0 up with its partner x + 2^(n-i).  With M_0 and M_1 those
-    columns, G = (M_0 + M_1)(M_0 - M_1)^dagger has M_0 M_0^dagger -
-    M_1 M_1^dagger as its Hermitian part (the cross terms are
-    anti-Hermitian), so the operator is (G + G^dagger) / 2^(n+1), one
-    matmul over half the columns.
+    The view (hi, 2, lo) lines each x with x_i = 0 up with its partner
+    x + 2^(n-i).  With M_0 and M_1 those columns, G = (M_0 + M_1)(M_0 -
+    M_1)^dagger has M_0 M_0^dagger - M_1 M_1^dagger as its Hermitian part
+    (the cross terms are anti-Hermitian), so the chunk's share is
+    G + G^dagger, one matmul over half its columns; the sum over chunks,
+    divided by 2^(n+1), is rho_0/2 - rho_1/2.
     """
-    d, _, da = t.shape
-    pairs = t.reshape(d, -1, 2 ** (i - 1), 2, da >> i)
+    d = t.shape[0]
+    pairs = t.reshape(d, t.shape[1], -1, 2, lo)
     m0, m1 = pairs[:, :, :, 0, :], pairs[:, :, :, 1, :]
     diff = m0 - m1
     np.conj(diff, out=diff)
     g = (m0 + m1).reshape(d, -1) @ diff.reshape(d, -1).T
-    return (g + g.conj().T) / (2 * da)
+    return g + g.conj().T
 
 
 class PurifiedRun:
@@ -159,23 +197,29 @@ class PurifiedRun:
     `spec` is the protocol with its server purified; the client's ops
     1..s-1 are purified with it, each party once, and its last op is
     never dilated, since no run reaches it.  Every run starts with B_0
-    fixed at i and goes through steps 1..2s-1 (`_run`), each index's
+    fixed at i and goes through steps 1..2s-1 (`_schedule`), each index's
     built when it starts (`_reach`): each honest client memory B_k, k < s,
     is replaced by the r_k-dimensional span its op reaches, op k factored
-    as V_k = (Q_k (x) 1) W_k.  The purifier is kept whole.  The last op
-    reads that span through Q_{s-1}, which `_kraus_span` composes into
-    each of its Kraus operators.  All runs share one layout, A_s first.
+    as V_k = (Q_k (x) 1) W_k.  That span is one register, under B_k's
+    first label, or under a fresh one when B_k has no registers.  The
+    purifier is kept whole.  The last op reads that span through Q_{s-1},
+    which `_kraus_span` composes into each of its Kraus operators.  All
+    runs share one layout, A_s first.
 
-    * `index_batch(i)`: index i's basis inputs |x>|i>, one column per
-      database x, so no batch holds more than 2^n inputs, and the layout
-      they are over.  The batch of the index asked for last is kept until
-      its Helstrom operator is formed, so each index runs once.
+    * `index_pass(i, visit)`: index i's basis inputs |x>|i>, run in chunks
+      of databases (`_chunks`), each closed under flipping bit i and no
+      wider than `CHUNK_BYTES` allows.  Each chunk adds its share to
+      Gamma_i^pre and is handed to `visit`, then freed; every (i, x)
+      column runs once per pass.  Gamma_i^pre is kept until
+      `helstrom_operator(i)` reads it, so the encoding's pass over index 1
+      also gives correctness its Gamma_1^pre.
     * `nu(i)`: the uniform database with index i (the state nu_i), one
       column through the same steps, kept.
-    * `helstrom_operator(i)`: Gamma_i^pre = rho_0/2 - rho_1/2 from index
-      i's batch, on the registers `pre` that the last op reads, B_{s-1}'s
-      held span and then X_s, everything else, purifiers included, traced
-      out.  The batch is freed once this is formed.
+    * `helstrom_operator(i)`: Gamma_i^pre = rho_0/2 - rho_1/2 over index
+      i's basis runs, on the registers `pre` that the last op reads,
+      B_{s-1}'s held span and then X_s, everything else, purifiers
+      included, traced out.  It is the kept one when the last pass was
+      index i's, and is read once.
     """
 
     def __init__(self, qpir: QpirProtocol) -> None:
@@ -183,10 +227,17 @@ class PurifiedRun:
         self.spec = purify_party(qpir.spec, "A")
         pairs = islice(_purified_ops(self.spec, "B"), qpir.spec.rounds - 1)
         self._client_ops = [op for op, _ in pairs]
-        self.pre = qpir.spec.b_memory[-2].labels()[:1] + qpir.spec.x_comm[-1].labels()
+        taken = self.spec.labels()
+        self._held = [memory.labels()[0] if memory else fresh_label(f"B{k}", taken)
+                      for k, memory in enumerate(qpir.spec.b_memory)]
+        self.pre = (self._held[-2],) + qpir.spec.x_comm[-1].labels()
         self._reached: dict[int, tuple[list[Isometry], np.ndarray]] = {}
-        self._batch: tuple[int, RegisterLayout, np.ndarray] | None = None
+        self._gamma: tuple[int, np.ndarray] | None = None
         self._nus: dict[int, StateVector] = {}
+
+    def _span(self, k: int, dim: int) -> RegisterLayout:
+        """The one register that holds a `dim`-dimensional span of B_k."""
+        return RegisterLayout((Register(self._held[k], dim),))
 
     def _reach(self, i: int) -> tuple[list[Isometry], np.ndarray]:
         """Index i's purified client ops 1..s-1 on what they reach, and
@@ -205,46 +256,66 @@ class PurifiedRun:
             q = np.eye(self.qpir.n, dtype=np.complex128)[:, i - 1:i]
             ops = []
             for k, op in enumerate(self._client_ops, start=1):
-                lay = concat(_held(memory[k - 1], q.shape[1]),
+                lay = concat(self._span(k - 1, q.shape[1]),
                              op.input_layout.drop(memory[k - 1].labels()))
                 v = _compose(op.matrix, q)
                 q, w = np.linalg.qr(v.reshape(memory[k].total_dim, -1))
-                out = concat(_held(memory[k], q.shape[1]),
+                out = concat(self._span(k, q.shape[1]),
                              op.output_layout.drop(memory[k].labels()))
                 ops.append(Isometry(lay, out, w.reshape(out.total_dim, -1)))
             self._reached[i] = (ops, q)
         return self._reached[i]
 
-    def _run(self, i: int, columns: np.ndarray) -> tuple[RegisterLayout, np.ndarray]:
-        """`columns`, each a server input with B_0 = |i>, after steps
-        1..2s-1, and the layout they are over."""
+    def _schedule(self, i: int) -> list[tuple]:
+        """(step, isometry) for steps 1..2s-1, with index i's client ops."""
         ops, _ = self._reach(i)
         by_party = {"A": self.spec.a_ops, "B": ops}
-        schedule = [(step, by_party[step.party][step.round - 1])
-                    for step in self.spec.steps[:-1]]
-        lay = concat(self.spec.a_memory[0], _held(self.spec.b_memory[0], 1))
-        (_, lay, cur), = deque(_steps(schedule, lay, columns), maxlen=1)
-        return lay, cur
+        return [(step, by_party[step.party][step.round - 1])
+                for step in self.spec.steps[:-1]]
 
-    def index_batch(self, i: int) -> tuple[RegisterLayout, np.ndarray]:
-        if self._batch is None or self._batch[0] != i:
-            self._batch = None   # the previous index's batch goes first
-            eye = np.eye(2 ** self.qpir.n, dtype=np.complex128)
-            self._batch = (i, *self._run(i, eye))
-        return self._batch[1:]
+    def _chunks(self, i: int):
+        """Yield (xs, layout, columns): index i's basis runs after steps
+        1..2s-1, one chunk of databases xs (hi, 2, lo) at a time
+        (`_rectangles`), the columns in the order of xs.
+
+        Step 1 on |x> is column x of the server's first op, so a chunk
+        starts as those columns, gathered.  Its size comes from the widest
+        state a later step makes, which the layouts give before anything
+        is allocated: `CHUNK_BYTES` over that width (`_chunk_columns`).
+        """
+        (_, first), *rest = self._schedule(i)
+        lay = concat(first.output_layout, self._span(0, 1))
+        width = widest = lay.total_dim
+        for _, op in rest:
+            width = width // op.input_layout.total_dim * op.output_layout.total_dim
+            widest = max(widest, width)
+        for xs in _rectangles(self.qpir.n, i, _chunk_columns(widest)):
+            yield (xs, *_through(rest, lay, first.matrix[:, xs.reshape(-1)]))
+
+    def index_pass(self, i: int, visit=None) -> None:
+        self._gamma = None   # the previous index's goes first
+        total = None
+        for xs, lay, cur in self._chunks(i):
+            part = _paired_operator(matricize(cur, lay, self.pre), xs.shape[-1])
+            total = part if total is None else np.add(total, part, out=total)
+            if visit is not None:
+                visit(xs.reshape(-1), lay, cur)
+        self._gamma = (i, total / 2 ** (self.qpir.n + 1))
 
     def nu(self, i: int) -> StateVector:
         if i not in self._nus:
             da = 2 ** self.qpir.n
             uniform = np.full((da, 1), 1.0 / math.sqrt(da), dtype=np.complex128)
-            lay, cur = self._run(i, uniform)
+            lay = concat(self.spec.a_memory[0], self._span(0, 1))
+            lay, cur = _through(self._schedule(i), lay, uniform)
             self._nus[i] = StateVector(lay, cur[:, 0])
         return self._nus[i]
 
     def helstrom_operator(self, i: int) -> np.ndarray:
-        lay, cur = self.index_batch(i)
-        self._batch = None      # read once: the batch goes with this call
-        return _paired_operator(matricize(cur, lay, self.pre), i)
+        if self._gamma is None or self._gamma[0] != i:
+            self.index_pass(i)
+        (_, gamma), self._gamma = self._gamma, None
+        return gamma
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +375,8 @@ def correctness_delta(run: PurifiedRun) -> CorrectnessReport:
     evaluated on the client's final registers with everything else traced
     out; the overall report carries both max_i and mean_i.  The client's
     last op acts on its registers alone, so Gamma_i = rho_0/2 - rho_1/2 is
-    that op, as a channel, applied to Gamma_i^pre on its inputs: each index
-    batch stops before the last op (`PurifiedRun.helstrom_operator`), and
+    that op, as a channel, applied to Gamma_i^pre on its inputs: index i's
+    runs stop before the last op (`PurifiedRun.helstrom_operator`), and
     Gamma_i is diagonalized in the span of the op's Kraus operators, which
     is min(d_client, m d_pre)-dimensional.  d_pre counts B_{s-1} only as
     far as the client reaches it with i fixed, so each index pulls its

@@ -5,25 +5,28 @@ Pipeline: every stage reads one `PurifiedRun` (the server and the client's
 ops before its last one purified, each party once; the basis inputs run
 one index at a time, i fixed in the client's first op and each client
 memory before the last op written in the span the client reaches with i
-fixed; each index batch runs once, and no run goes on through the
-client's last op, which is never dilated).  Purified, that op would be a
-local isometry, which moves neither the encoding's size, nor its
-decoders' success, nor the server's marginals, so every stage is built
-before it.  There the states nu_i, the uniform database with each index,
-give the client subspace actually used, which is Schmidt-compressed to
-rank r; each database is encoded as the compressed client state of its
-index-1 basis run; and any index i is decoded by rotating nu_1 onto nu_i
-with a purifier-side (Uhlmann) unitary, from index 1's span to index
-i's, before index i's Helstrom measurement from the
-correctness audit, pulled back through the last op.  Each decoder is
-stored as the d_pre x r partial isometry U E (E the compressor).  The same
-batches yield delta (one matmul pairing every database with its bit-i
-partner forms the Helstrom operator on the last op's inputs, which is
-pushed through that op and diagonalized in the span of its Kraus
-operators); epsilon compares the server marginals of the same nu_i, with
-the eigensolver's round-off floored, so a private protocol's epsilon is
-exactly 0.  The measured recovery rate feeds the entropy bound on
-random-access-encoding size, which bounds the communication from below.
+fixed; each index's runs stream in chunks of databases sized from one
+byte budget, and each (index, database) run is made once: index 1's
+chunks feed the encoding and its Helstrom operator in one pass.  No run
+goes on through the client's last op, which is never dilated).
+Purified, that op would be a local isometry, which moves neither the
+encoding's size, nor its decoders' success, nor the server's marginals,
+so every stage is built before it.  There the states nu_i, the uniform
+database with each index, give the client subspace actually used, which
+is Schmidt-compressed to rank r; each database is encoded as the
+compressed client state of its index-1 basis run; and any index i is
+decoded by rotating nu_1 onto nu_i with a purifier-side (Uhlmann)
+unitary, from index 1's span to index i's, before index i's Helstrom
+measurement from the correctness audit, pulled back through the last op.
+Each decoder is stored as the d_pre x r partial isometry U E (E the
+compressor).  The same runs yield delta (one matmul per chunk pairing
+every database with its bit-i partner adds to the Helstrom operator on
+the last op's inputs, which is pushed through that op and diagonalized in
+the span of its Kraus operators); epsilon compares the server marginals
+of the same nu_i, with the eigensolver's round-off floored, so a private
+protocol's epsilon is exactly 0.  The measured recovery rate, formed over
+slices of databases, feeds the entropy bound on random-access-encoding
+size, which bounds the communication from below.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .qpir import (
     PrivacyReport,
     PurifiedRun,
     QpirProtocol,
+    _chunk_columns,
     correctness_delta,
     privacy_epsilon_purified,
 )
@@ -87,8 +91,9 @@ def build_rae(run: PurifiedRun,
     The compressor comes from the support of nu_1's marginal on all but
     A_s; every per-database run must live inside that support (a violation
     signals a rank-tolerance misconfiguration or a protocol whose server
-    does not retain the database branches).  Index 1's batch gives the
-    encoding before correctness runs the rest; the decoders rotate the nu_i.
+    does not retain the database branches).  Index 1's pass gives the
+    encoding, and Gamma_1^pre with it, before correctness runs the rest;
+    the decoders rotate the nu_i.
     """
     qpir = run.qpir
     n = qpir.n
@@ -129,50 +134,64 @@ def _encode(run: PurifiedRun, emat: np.ndarray, rank_tol: float) -> np.ndarray:
     by `emat` and renormalized, as (r, server_dim, 2^n).  With M_x run x's
     column, it compresses to (1 (x) E^dagger) M_x and leaves the
     compression support by ||M_x - (1 (x) E)(1 (x) E^dagger) M_x||; a leak
-    beyond 1e-8 is a SupportViolation."""
+    beyond 1e-8 is a SupportViolation.  The runs come one chunk at a time
+    from index 1's pass (`PurifiedRun.index_pass`), which also keeps
+    Gamma_1^pre for correctness, so no index-1 run is made twice."""
     da = 2 ** run.qpir.n
-    lay, batch = run.index_batch(1)
-    m = matricize(batch, lay, run.spec.a_memory[-1].labels())  # A_s leads: a view
-    comp = emat.conj().T @ m            # (d_server, r, da)
-    outside = emat @ comp
-    np.subtract(m, outside, out=outside)
-    # each column's squared norm, summed over its real and imaginary parts
-    parts = outside.reshape(-1, da).view(np.float64)
-    leaks = np.sqrt(np.einsum("kj,kj->j", parts, parts).reshape(da, 2).sum(axis=1))
-    del outside, parts
+    server = run.spec.a_memory[-1]
+    comp = np.empty((emat.shape[1], server.total_dim, da), dtype=np.complex128)
+    leaks = np.empty(da)
+
+    def encode(xs: np.ndarray, lay, cur: np.ndarray) -> None:
+        m = matricize(cur, lay, server.labels())   # A_s leads: a view
+        part = emat.conj().T @ m                    # (d_server, r, len(xs))
+        outside = emat @ part
+        np.subtract(m, outside, out=outside)
+        # each column's squared norm, summed over its real and imaginary parts
+        parts = outside.reshape(-1, len(xs)).view(np.float64)
+        leaks[xs] = np.sqrt(np.einsum("kj,kj->j", parts, parts).reshape(-1, 2).sum(axis=1))
+        if np.max(leaks[xs]) <= 1e-8:     # else refused below, after every chunk
+            part /= np.linalg.norm(part.reshape(-1, len(xs)), axis=0)
+            comp[:, :, xs] = part.transpose(1, 0, 2)
+
+    run.index_pass(1, encode)
     worst = float(np.max(leaks))
     if worst > 1e-8:
         raise SupportViolation(
             f"a database run leaves the compression support by {worst:.3e}; "
             f"check the rank tolerance ({rank_tol})"
         )
-    comp /= np.linalg.norm(comp.reshape(-1, da), axis=0)
-    return np.ascontiguousarray(comp.transpose(1, 0, 2))
+    return comp
 
 
 def recovery_rates(rae: RandomAccessEncoding) -> tuple[tuple[float, ...], float]:
     """Average probability of recovering bit i over uniform databases.
 
     Works on the stored pure runs (decoding commutes with tracing the
-    server side), batching all databases through one matmul per index:
+    server side), one matmul per index and slice of databases:
     p_0(x) = ||(W_i (x) 1) U E c_x||^2, with the decoder's purifier, if
     any, riding along.  W_i is folded into the decoder first, so that
-    matmul is (k d_bar) x r, with k the rows of W_i.  Each outcome
-    probability and each rate is clamped to [0, 1] against round-off; one
-    beyond it by more than 1e-9 is a ValueError.
+    matmul is (k d_bar) x r, with k the rows of W_i; each slice holds as
+    many databases as `CHUNK_BYTES` allows of its (k d_bar) x d_server
+    amplitudes per database.  Each outcome probability and each rate is
+    clamped to [0, 1] against round-off; one beyond it by more than 1e-9
+    is a ValueError.
     """
     n = rae.n
     da = 2 ** n
     comp = rae.compressed_runs           # (r, d_server, da)
-    r = comp.shape[0]
+    r, d_server, _ = comp.shape
     correctness = rae.correctness
     p0 = np.empty((n, da))
     for i, (decoder, w) in enumerate(zip(rae.decoders, correctness.measurements)):
         decode = matricize(decoder.matrix, decoder.output_layout,
                            correctness.measured_labels)           # (d_pre, d_bar, r)
         measured = (w @ decode.reshape(w.shape[1], -1)).reshape(-1, r)
-        amp = measured @ comp.reshape(r, -1)                       # (k*d_bar, ds*da)
-        p0[i] = np.sum(np.abs(amp.reshape(-1, da)) ** 2, axis=0)
+        step = _chunk_columns(measured.shape[0] * d_server)
+        for x in range(0, da, step):
+            runs = comp[:, :, x:x + step]
+            amp = measured @ runs.reshape(r, -1)                   # (k*d_bar, ds*slice)
+            p0[i, x:x + step] = np.sum(np.abs(amp.reshape(-1, runs.shape[2])) ** 2, axis=0)
     for i, row in enumerate(p0, start=1):
         for extreme in (row.min(), row.max()):
             _unit_interval(float(extreme), f"index {i}'s outcome-0 probability")

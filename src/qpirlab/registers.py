@@ -35,7 +35,11 @@ def dim_guard() -> int:
 
 
 def _dim(label, dim) -> int:
-    """`dim` as an int: an int or a numpy integer, never a float or text."""
+    """`dim` as an int: an int or a numpy integer, never a bool, a float or
+    text."""
+    if isinstance(dim, bool):   # operator.index would read True as 1
+        raise LayoutError(f"register {label!r} has dimension {dim!r}, which is "
+                          f"a bool, not an integer")
     try:
         return operator.index(dim)
     except TypeError:

@@ -31,6 +31,7 @@ from qpirlab.qpir import (
     PurifiedRun,
     QpirProtocol,
     _kraus_span,
+    _rectangles,
     build_index_in_clear,
     builtin,
     builtin_from_address,
@@ -54,6 +55,7 @@ from conftest import (
     split_memory_random,
     three_round_random,
 )
+from test_golden import _assert_matches
 
 
 def _h(p: float) -> float:
@@ -272,8 +274,8 @@ def test_the_reduction_reads_no_purified_last_op_and_no_final_run(monkeypatch, c
     assert privacy_epsilon_purified(PurifiedRun(qpir)).epsilon_hat == 0.0
     assert superposition_attack(qpir).verdict == "PRIVATE"
     assert seen == []   # privacy reads no last op at all
-    last = 2 * qpir.spec.rounds - 1
-    assert calls["batches"] == [] and all(steps == last for _, steps in calls["runs"])
+    final = 2 * qpir.spec.rounds   # the client's last op
+    assert calls["batches"] == [] and all(final not in steps for _, steps in calls["runs"])
     assert not any(hasattr(PurifiedRun(qpir), name) for name in ("superposition", "layout"))
 
 
@@ -737,7 +739,7 @@ def test_out_of_memory_ends_in_a_clean_error(monkeypatch, capsys):
 @pytest.mark.parametrize("cap_mib", [200, 210, 220])
 def test_a_capped_process_ends_in_one_error_line(cap_mib):
     """trivial n=7's `reduce` under an address-space cap, in its own process
-    with one BLAS thread: it fits in about 300 MiB, so these caps stop it.
+    with one BLAS thread: it fits in about 240 MiB, so these caps stop it.
     Wherever the allocation that fails is, the process exits 1 with one
     `qpirlab: error:` line, never with a message of OpenBLAS's own."""
     def cap():
@@ -797,12 +799,14 @@ def test_certify_at_n3_reads_exactly_zero(address, party):
 def calls(monkeypatch):
     """Record the party of every purification, count execute,
     server_marginals and op dilation calls, and record the column count of
-    every execute_pure_batch call and (columns, steps taken) of every run
-    of the step loop."""
+    every execute_pure_batch call, (columns, numbers of the steps taken) of
+    every run of the step loop, and (index, database) of every basis run
+    that a chunk of an index pass starts."""
     import qpirlab.protocol as protocol
     import qpirlab.qpir as qpir
     seen = {"purified": [], "execute": 0, "server_marginals": 0, "batches": [],
-            "runs": [], "dilated": 0}
+            "runs": [], "dilated": 0, "columns": []}
+    rectangles = qpir._rectangles
     purify, batch = protocol._purified_ops, protocol.execute_pure_batch
     execute, marginals = protocol.execute, qpir.server_marginals
     steps, dilate = protocol._steps, protocol._dilate_op
@@ -828,11 +832,18 @@ def calls(monkeypatch):
         return batch(spec, layout, columns)
 
     def counted_steps(schedule, lay, columns):
-        run = [columns.shape[1], 0]
+        run = [columns.shape[1], []]
         seen["runs"].append(run)
         for item in steps(schedule, lay, columns):
-            run[1] += 1
+            run[1].append(item[0].number)
             yield item
+
+    def counted_rectangles(n, i, columns):
+        for xs in rectangles(n, i, columns):
+            seen["columns"].extend((i, int(x)) for x in xs.reshape(-1))
+            yield xs
+
+    monkeypatch.setattr(qpir, "_rectangles", counted_rectangles)
 
     for name, module in list(sys.modules.items()):
         if module is None or not name.startswith("qpirlab"):
@@ -853,25 +864,48 @@ def calls(monkeypatch):
     return seen
 
 
-def test_reduce_purifies_once_and_runs_each_index_batch_once(calls):
-    """Each party purified once; one uniform-database column per index and
-    one batch of 2^n databases per index, all through steps 1..2s-1, the
-    batch of index 1 read by the encoding as well as by correctness.  No
-    batch holds every index, and no run goes through the client's last op."""
+def _assert_each_basis_run_once(calls, n: int, s: int, chunk: int) -> None:
+    """Every (index, database) column started once, by a gather of the
+    server's first op, each chunk of `chunk` columns then run through steps
+    2..2s-1, so none through the client's last op."""
+    assert sorted(calls["columns"]) == [(i, x) for i in range(1, n + 1)
+                                        for x in range(2 ** n)]
+    chunks = [run for run in calls["runs"] if run[1][:1] != [1]]
+    assert chunks == [[chunk, list(range(2, 2 * s))]] * (n * 2 ** n // chunk)
+
+
+@pytest.mark.parametrize("budget, chunk", [(None, 16), (1, 2)],
+                         ids=["one-chunk", "one-pair"])
+def test_reduce_purifies_once_and_runs_each_index_batch_once(calls, monkeypatch,
+                                                              budget, chunk):
+    """Each party purified once; one uniform-database column per index
+    through steps 1..2s-1, and each index's 2^n databases in chunks, as
+    one chunk at the default budget and in pairs at a budget of one byte.
+    Index 1's pass feeds the encoding and correctness both, so each
+    (index, database) column runs once, and no run goes through the
+    client's last op."""
+    import qpirlab.qpir as qpir
+    if budget is not None:
+        monkeypatch.setattr(qpir, "CHUNK_BYTES", budget)
     n, s = 4, 2
     bound_report(builtin("random", n, seed=5))
     assert calls["purified"] == ["A", "B"]
     assert calls["server_marginals"] == 1
     assert calls["batches"] == []
-    assert sorted(calls["runs"]) == [[1, 2 * s - 1]] * n + [[2 ** n, 2 * s - 1]] * n
+    nus = [run for run in calls["runs"] if run[1][:1] == [1]]
+    assert nus == [[1, list(range(1, 2 * s))]] * n
+    _assert_each_basis_run_once(calls, n, s, chunk)
 
 
-def test_correctness_runs_no_index_through_the_last_op(calls):
+def test_correctness_runs_no_index_through_the_last_op(calls, monkeypatch):
+    import qpirlab.qpir as qpir
+    monkeypatch.setattr(qpir, "CHUNK_BYTES", 1)
     n, s = 4, 2
     run = PurifiedRun(builtin("random", n, seed=5))
     correctness_delta(run)
-    assert calls["runs"] == [[2 ** n, 2 * s - 1]] * n
-    assert run._batch is None   # each batch is freed with its Helstrom operator
+    assert len(calls["runs"]) == n * 2 ** (n - 1)   # no nu run
+    _assert_each_basis_run_once(calls, n, s, 2)
+    assert run._gamma is None   # each Gamma_i^pre is read once
 
 
 @pytest.mark.parametrize("verb", ["qpir-privacy", "attack"])
@@ -880,7 +914,7 @@ def test_privacy_and_attack_run_one_column_per_index(calls, verb):
     assert _cli([verb, "--protocol", f"builtin:trivial?n={n}"])[0] == 0
     assert calls["purified"] == ["A", "B"]
     assert calls["batches"] == []
-    assert calls["runs"] == [[1, 2 * s - 1]] * n
+    assert calls["runs"] == [[1, list(range(1, 2 * s))]] * n
 
 
 def test_schmidt_executes_the_protocol_once(calls):
@@ -922,30 +956,40 @@ def _dense_before_last_op(spec: ProtocolSpec) -> tuple[RegisterLayout, np.ndarra
 
 
 def _assert_index_batches_are_dense_columns(qpir: QpirProtocol) -> None:
-    """Index i's batch, stopped before the client's last op, is columns
-    x*n + (i-1) of every |x>|i> run at once, once the span it holds of
-    B_{s-1} is lifted back through Q_{s-1}."""
+    """Each chunk of index i's pass, stopped before the client's last op,
+    is columns x*n + (i-1), x in the chunk, of every |x>|i> run at once,
+    once the span it holds of B_{s-1} is lifted back through Q_{s-1}; the
+    chunks cover every database once."""
     run = PurifiedRun(qpir)
     dense_lay, dense = _dense_before_last_op(purify_both(qpir.spec))
     n = qpir.n
     memory = qpir.spec.b_memory[-2]
-    held = memory.labels()[:1]
+    held = run.pre[:1]
     for i in range(1, n + 1):
-        lay, batch = run.index_batch(i)
         _, q = run._reach(i)
-        t = matricize(batch, lay, held)
-        lifted = (q @ t.reshape(t.shape[0], -1)).reshape(-1, 2 ** n)
-        assert lifted.shape == (dense.shape[0], 2 ** n)
-        want = matricize(dense[:, i - 1::n], dense_lay,
-                         concat(memory, lay.drop(held)).labels())
-        assert np.max(np.abs(lifted - want.reshape(lifted.shape))) < 1e-12
+        seen = []
+        for xs, lay, cur in run._chunks(i):
+            xs = xs.reshape(-1)
+            seen.extend(xs)
+            t = matricize(cur, lay, held)
+            lifted = (q @ t.reshape(t.shape[0], -1)).reshape(-1, len(xs))
+            assert lifted.shape == (dense.shape[0], len(xs))
+            want = matricize(dense[:, xs * n + i - 1], dense_lay,
+                             concat(memory, lay.drop(held)).labels())
+            assert np.max(np.abs(lifted - want.reshape(lifted.shape))) < 1e-12
+        assert sorted(seen) == list(range(2 ** n))
 
 
+@pytest.mark.parametrize("budget", [None, 1], ids=["one-chunk", "one-pair"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("name, params", [
     ("trivial", {}), ("index-in-clear", {}),
     ("noisy-trivial", {"delta": 0.2}), ("random", {"seed": 1})])
-def test_index_batches_are_the_dense_basis_columns(name, params, n):
+def test_index_batches_are_the_dense_basis_columns(monkeypatch, name, params, n,
+                                                   budget):
+    import qpirlab.qpir as qpir
+    if budget is not None:
+        monkeypatch.setattr(qpir, "CHUNK_BYTES", budget)
     _assert_index_batches_are_dense_columns(builtin(name, n, **params))
 
 
@@ -982,3 +1026,106 @@ def test_index_batches_slice_a_composite_client_input(tmp_path):
     loaded = serialize.protocol_spec_from_json(serialize.load(str(path)))
     assert loaded.b_memory[0] == b0
     _assert_index_batches_are_dense_columns(QpirProtocol(loaded))
+
+
+def test_a_client_memory_with_no_registers_is_held_under_a_fresh_label(tmp_path):
+    """index-in-clear n=2 whose client sends i and keeps nothing, so B_1 has
+    no registers, read from a file.  Its held span gets a label of its own,
+    and every audit reads the same values as index-in-clear n=2: the server
+    sends nothing, then the one bit x_i after learning i, so comm =
+    0 + 1 + 1 = 2, every delta_i = 0, epsilon = 1 and m = 1.  The client's
+    one bit is x_1, so index 1 is recovered always and index 2 half the
+    time, and the report is non-private (comm is not below n)."""
+    n = 2
+    spec = build_index_in_clear(n).spec
+    b0, (x1, x2), (y1,) = spec.b_memory[0], spec.x_comm, spec.y_comm
+    b1, b2 = RegisterLayout(()), RegisterLayout.of(("B2", 2))
+    send = Isometry(concat(b0, x1), concat(b1, y1), np.eye(n, dtype=complex))
+    store = Isometry(concat(b1, x2), b2, np.eye(2, dtype=complex))
+    path = tmp_path / "forgets-i.json"
+    serialize.dump(serialize.protocol_spec_to_json(
+        spec.with_party("B", (b0, b1, b2), (send, store))), str(path))
+    code, out = _cli(["reduce", "--protocol", str(path)])
+    rep = json.loads(out)
+    assert code == 0
+    assert rep["communication"] == 2.0 and rep["m"] == 1.0
+    assert rep["deltas"] == [0.0, 0.0] and rep["epsilon_used"] == 1.0
+    assert rep["recovery_per_index"] == pytest.approx([1.0, 0.5], abs=1e-12)
+    assert rep["consistency"] == "non-private"
+    for verb in ("qpir-correctness", "qpir-privacy", "attack"):
+        assert _cli([verb, "--protocol", str(path)])[0] == 0
+    run = PurifiedRun(QpirProtocol(serialize.protocol_spec_from_json(
+        serialize.load(str(path)))))
+    assert run.pre[0] not in run.spec.labels() and run.pre[1:] == ("X2",)
+
+
+# -- each index's basis runs stream in chunks of databases ---------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("columns", [1, 2, 3, 4, 8, 16])
+def test_chunks_are_rectangles_closed_under_the_bit_i_pairing(n, columns):
+    """Each chunk pairs every x with x_i = 0 with x + 2^(n-i); the chunks
+    cover the 2^n databases once, each as many as the largest power of two
+    up to `columns` allows, and at least a pair; one chunk that fits them
+    all is every database in increasing order."""
+    size = min(2 ** n, 2 ** max(1, columns.bit_length() - 1))
+    for i in range(1, n + 1):
+        chunks = list(_rectangles(n, i, columns))
+        assert all(xs.size == size and xs.shape[1] == 2 for xs in chunks)
+        assert sorted(np.concatenate([xs.reshape(-1) for xs in chunks])) == \
+            list(range(2 ** n))
+        for xs in chunks:
+            assert not np.any(xs[:, 0, :] >> (n - i) & 1)
+            assert np.array_equal(xs[:, 1, :], xs[:, 0, :] + 2 ** (n - i))
+        if size == 2 ** n:
+            assert [xs.reshape(-1).tolist() for xs in chunks] == [list(range(2 ** n))]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("name, params", [
+    ("trivial", {}), ("index-in-clear", {}),
+    ("noisy-trivial", {"delta": 0.2}), ("random", {"seed": 1})])
+def test_one_pair_chunks_give_the_single_chunk_results(monkeypatch, name, params, n):
+    """With the budget forced below one column, every chunk is one pair of
+    databases and `recovery_rates` takes one database at a time; reduce,
+    qpir-correctness and the compressed runs agree with one chunk, every
+    value within 1e-12 (the golden reports' tolerance) and every other
+    field equal."""
+    import qpirlab.qpir as qpir
+    query = "&".join(f"{key}={value}" for key, value in {"n": n, **params}.items())
+    argvs = [[verb, "--protocol", f"builtin:{name}?{query}"]
+             for verb in ("reduce", "qpir-correctness")]
+    got = {}
+    for budget in (2 ** 62, 1):
+        monkeypatch.setattr(qpir, "CHUNK_BYTES", budget)
+        reports = [json.loads(_cli(argv)[1]) for argv in argvs]
+        comp = build_rae(PurifiedRun(builtin(name, n, **params))).compressed_runs
+        got[budget] = reports, comp
+    (one, comp_one), (pairs, comp_pairs) = got.values()
+    for argv, want, have in zip(argvs, one, pairs):
+        _assert_matches(have, want, " ".join(argv))
+    assert comp_pairs.shape == comp_one.shape
+    assert np.max(np.abs(comp_pairs - comp_one)) <= 1e-12
+
+
+@pytest.mark.parametrize("name, params", [
+    ("trivial", {}), ("index-in-clear", {}),
+    ("noisy-trivial", {"delta": 0.2}), ("random", {"seed": 1})])
+def test_step_one_gather_matches_the_one_hot_matmul(monkeypatch, name, params):
+    """A chunk starts as the server's first op gathered at its databases,
+    which is that op times their one-hot columns exactly, and ends where
+    the one-hot columns run through every step before the client's last
+    op do."""
+    import qpirlab.qpir as qpir
+    monkeypatch.setattr(qpir, "CHUNK_BYTES", 1)
+    n = 3
+    run = PurifiedRun(builtin(name, n, **params))
+    first = run.spec.a_ops[0].matrix
+    start = concat(run.spec.a_memory[0], run._span(0, 1))
+    for i in range(1, n + 1):
+        for xs, lay, cur in run._chunks(i):
+            one_hot = np.eye(2 ** n, dtype=complex)[:, xs.reshape(-1)]
+            assert np.array_equal(first[:, xs.reshape(-1)], first @ one_hot)
+            want_lay, want = qpir._through(run._schedule(i), start, one_hot)
+            assert lay == want_lay
+            assert np.max(np.abs(cur - want)) <= 1e-12

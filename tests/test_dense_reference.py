@@ -329,17 +329,24 @@ def test_new_cases_exercise_the_reachable_span():
 @pytest.mark.parametrize("build", [lambda: builtin("trivial", 2),
                                    lambda: mixing_client_random(3, 1)],
                          ids=["trivial-n2", "mixing-client-random-n3"])
-def test_the_encoding_refuses_a_compressor_short_of_the_support(build):
+@pytest.mark.parametrize("budget", [None, 1], ids=["one-chunk", "one-pair"])
+def test_the_encoding_refuses_a_compressor_short_of_the_support(monkeypatch, build,
+                                                                budget):
     """A compressor that lacks one column of nu_1's client support is
     refused; the mixing client holds a purifier before its last op.
     trivial n=2's four runs have client parts that are a basis of that
-    support, so their squared leaks sum to 1 and the worst is >= 1/2."""
+    support, so their squared leaks sum to 1 and the worst is >= 1/2.
+    Each encoding is one pass over index 1, so each gets a run of its own;
+    the refusal comes after every chunk, with the worst leak of all."""
+    import qpirlab.qpir as qpir
+    if budget is not None:
+        monkeypatch.setattr(qpir, "CHUNK_BYTES", budget)
     run = PurifiedRun(build())
     nu1 = run.nu(1)
     emat = schmidt_compressor(nu1, nu1.layout.drop(run.spec.a_memory[-1].labels())
                               .labels()).matrix
     _encode(run, emat, DEFAULT_RANK_TOL)
     with pytest.raises(SupportViolation, match="leaves the compression support") as exc:
-        _encode(run, emat[:, 1:], DEFAULT_RANK_TOL)
+        _encode(PurifiedRun(build()), emat[:, 1:], DEFAULT_RANK_TOL)
     if run.qpir.n == 2:
         assert float(str(exc.value).split(" by ")[1].split(";")[0]) >= 0.5

@@ -28,10 +28,17 @@ def test_zero_dimension_rejected():
         RegisterLayout.of(("a", 0))
 
 
-@pytest.mark.parametrize("dim", [2.5, 2.0, "3", np.float64(2.0), None])
+@pytest.mark.parametrize("dim", [2.5, 2.0, "3", np.float64(2.0), None, np.bool_(True)])
 def test_a_dimension_that_is_not_an_integer_is_refused(dim):
     """A float, even a whole one, or text is refused, not truncated or parsed."""
     with pytest.raises(LayoutError, match="not an integer"):
+        RegisterLayout.of(("A", dim))
+
+
+@pytest.mark.parametrize("dim", [True, False])
+def test_a_boolean_dimension_is_refused_for_its_type(dim):
+    """True is not read as 1, nor False as a dimension below 1."""
+    with pytest.raises(LayoutError, match="is a bool, not an integer"):
         RegisterLayout.of(("A", dim))
 
 
