@@ -18,6 +18,7 @@ from .errors import (
 )
 from .registers import Register, RegisterLayout, concat, dim_guard, set_dim_guard
 from .states import (
+    BasisMap,
     DensityOperator,
     Isometry,
     KrausChannel,

@@ -9,7 +9,7 @@ registers plus any environment registers, which are traced out when states
 are compared; a Kraus channel enters through `states.stinespring`.  The
 maps are a plain tuple F_1..F_2s, one per step.  `trace_out_recovery`
 builds the identity on each view, with every register the honest party
-lacks as environment.
+lacks as environment, each a basis map, so no identity is stored dense.
 
 Certification runs pure, on the engine the audits use: the honest protocol
 and the protocol with the adversary installed, each with both parties
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .registers import Register, RegisterLayout, concat, fresh_label
-from .states import Isometry, Operation, StateVector, matricize
+from .states import BasisMap, Isometry, Operation, StateVector, matricize
 from .linalg import marginals_in_span, trace_distance_matrices
 from .protocol import (ProtocolSpec, _inputs, _isometries, _spectator_layout,
                        _steps, purify_both, purify_party)
@@ -123,8 +123,7 @@ def trace_out_recovery(spec: ProtocolSpec,
     maps, and so does a purified one.
     """
     views = (recovery_shapes(spec, adv, t)[0] for t in range(1, 2 * spec.rounds + 1))
-    return tuple(Isometry(lay, lay, np.eye(lay.total_dim, dtype=np.complex128))
-                 for lay in views)
+    return tuple(Isometry(lay, lay, BasisMap.identity(lay.total_dim)) for lay in views)
 
 
 def _check_map(spec: ProtocolSpec, adv: AdversaryStrategy, step: int,

@@ -9,7 +9,8 @@ purification, the rank audit, random protocols and the adversary's recovery
 shapes all read that table.
 
 Execution is pure and has one loop, `_steps`, which pushes a batch of
-columns through the isometries; a reference register rides as a batch axis.
+columns through the isometries, a matmul by a dense one and a scatter by a
+basis map (`states.apply`); a reference register rides as a batch axis.
 `execute` and `execute_pure_batch` read one runner, `_run`, which checks
 the reference register, runs `_steps` and writes each state in its step's
 `order`: `execute` runs one input and returns the tuple of states after
@@ -47,6 +48,7 @@ from .states import (
     Isometry,
     Operation,
     StateVector,
+    apply,
     as_single_isometry,
     matricize,
     stinespring,
@@ -247,7 +249,7 @@ def _steps(schedule, lay: RegisterLayout, columns: np.ndarray):
     for step, iso in schedule:
         labels = iso.input_layout.labels()
         t = matricize(cur, lay, labels)
-        cur = (iso.matrix @ t.reshape(t.shape[0], -1)).reshape(-1, nb)
+        cur = apply(iso.matrix, t.reshape(t.shape[0], -1)).reshape(-1, nb)
         del t   # a paused run holds only the step's output
         lay = concat(iso.output_layout, lay.drop(labels))
         yield step, lay, cur

@@ -10,10 +10,13 @@ Index i's basis inputs run in chunks of databases sized from one byte
 budget, `CHUNK_BYTES`, and each chunk is closed under flipping bit i, so
 no chunk holds more than the budget allows (or one pair of databases).
 Step 1 on a basis input |x> is column x of the server's first op, so each
-chunk starts from a gather of that op's columns, not a matmul.  No run
-goes through the client's last op, and that op is never dilated: it is
-local and comes after the last message, so what an audit needs of it is
-pulled back onto its inputs.
+chunk starts as those columns (`states.dense`), gathered from a dense op
+or scattered into zeros from a basis map, never a matmul.  trivial,
+index-in-clear and noisy-trivial store every op as a basis map, and a
+consumer that needs a dense matrix makes one Kraus operator dense at a
+time.  No run goes through the client's last op, and that op is never
+dilated: it is local and comes after the last message, so what an audit
+needs of it is pulled back onto its inputs.
 
 Correctness is judged by optimal (Helstrom) discrimination of the client's
 final states averaged over {x : x_i = 0} and over {x : x_i = 1}.  The
@@ -56,10 +59,14 @@ from .linalg import (
 )
 from .registers import Register, RegisterLayout, concat, fresh_label
 from .states import (
+    CHUNK_BYTES,
+    BasisMap,
     Isometry,
     KrausChannel,
+    Matrix,
     Operation,
     StateVector,
+    dense,
     matricize,
 )
 from .protocol import (
@@ -72,7 +79,8 @@ from .protocol import (
 
 
 def bit_of(x: int, i: int, n: int) -> int:
-    """Bit i (1-indexed, x_1 most significant) of the n-bit database x."""
+    """Bit i (1-indexed, x_1 most significant) of the n-bit database x;
+    elementwise for integer arrays x and i."""
     return (x >> (n - i)) & 1
 
 
@@ -122,15 +130,11 @@ def qpir_input(qpir: QpirProtocol, x: int | None, i: int) -> StateVector:
 # the purified run every audit reads
 # ---------------------------------------------------------------------------
 
-#: Bytes that the widest state of a chunk of basis runs, or of the
-#: amplitudes `reduction.recovery_rates` forms, may take.  A chunk never
-#: holds less than one pair of databases, whatever the budget.
-CHUNK_BYTES = 4 * 2**20
-
-
 def _chunk_columns(width: int) -> int:
     """How many columns of `width` complex amplitudes fit in `CHUNK_BYTES`,
-    at least one; an empty column counts as one amplitude."""
+    at least one; an empty column counts as one amplitude.  A chunk of
+    basis runs never holds less than one pair of databases, whatever the
+    budget."""
     return max(1, CHUNK_BYTES // (16 * max(1, width)))
 
 
@@ -161,11 +165,19 @@ def _through(schedule, lay: RegisterLayout,
     return lay, cur
 
 
-def _compose(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """matrix (Q (x) 1), for a matrix whose input starts with the memory
-    that the isometry q's rows run over; with q = |i> this fixes that
-    memory at i.  The rows of matrix^T run over the memory first, so this
-    is one matmul with Q^T."""
+def _compose(matrix: Matrix, q: Matrix) -> np.ndarray:
+    """matrix (Q (x) 1), dense, for a matrix whose input starts with the
+    memory that the isometry q's rows run over.
+
+    A basis map q = |i> (Q_0) fixes that memory at i: the result is
+    matrix's i-th block of columns, gathered from a dense matrix or
+    scattered from a basis map (`dense`).  A dense q is one matmul with
+    Q^T, since the rows of matrix^T run over the memory first."""
+    if isinstance(q, BasisMap):
+        d_rest = matrix.shape[1] // q.shape[0]
+        xs = (q.rows[:, None] * d_rest + np.arange(d_rest)).reshape(-1)
+        return dense(matrix, xs) * np.repeat(q.values, d_rest)
+    matrix = dense(matrix)
     return (q.T @ matrix.T.reshape(q.shape[0], -1)).reshape(-1, matrix.shape[0]).T
 
 
@@ -231,7 +243,7 @@ class PurifiedRun:
         self._held = [memory.labels()[0] if memory else fresh_label(f"B{k}", taken)
                       for k, memory in enumerate(qpir.spec.b_memory)]
         self.pre = (self._held[-2],) + qpir.spec.x_comm[-1].labels()
-        self._reached: dict[int, tuple[list[Isometry], np.ndarray]] = {}
+        self._reached: dict[int, tuple[list[Isometry], Matrix]] = {}
         self._gamma: tuple[int, np.ndarray] | None = None
         self._nus: dict[int, StateVector] = {}
 
@@ -239,21 +251,21 @@ class PurifiedRun:
         """The one register that holds a `dim`-dimensional span of B_k."""
         return RegisterLayout((Register(self._held[k], dim),))
 
-    def _reach(self, i: int) -> tuple[list[Isometry], np.ndarray]:
+    def _reach(self, i: int) -> tuple[list[Isometry], Matrix]:
         """Index i's purified client ops 1..s-1 on what they reach, and
         Q_{s-1}, each index's kept once built.
 
-        B_0 is fixed at i, as Q_0 = |i>.  Each op k < s, with Q_{k-1}
-        composed into its input, is V_k = (Q_k (x) 1) W_k by one thin QR of
-        V_k with the honest memory B_k as rows and everything else, the
-        purifier included, as columns.  W_k writes an r_k-dimensional
+        B_0 is fixed at i, as the basis map Q_0 = |i>.  Each op k < s,
+        with Q_{k-1} composed into its input, is V_k = (Q_k (x) 1) W_k by
+        one thin QR of V_k with the honest memory B_k as rows and
+        everything else, the purifier included, as columns.  W_k writes an r_k-dimensional
         register in place of B_k, r_k = min(d_{B_k}, d_rest d_in), with
         d_rest the dimension of Y_k and of any purifier, and d_in that of
         op k's restricted input.  No tolerance decides r_k.
         """
         if i not in self._reached:
             memory = self.qpir.spec.b_memory
-            q = np.eye(self.qpir.n, dtype=np.complex128)[:, i - 1:i]
+            q = BasisMap((self.qpir.n, 1), [i - 1], [1.0])
             ops = []
             for k, op in enumerate(self._client_ops, start=1):
                 lay = concat(self._span(k - 1, q.shape[1]),
@@ -279,7 +291,8 @@ class PurifiedRun:
         (`_rectangles`), the columns in the order of xs.
 
         Step 1 on |x> is column x of the server's first op, so a chunk
-        starts as those columns, gathered.  Its size comes from the widest
+        starts as those columns (`dense`), gathered from a dense op and
+        scattered from a basis map.  Its size comes from the widest
         state a later step makes, which the layouts give before anything
         is allocated: `CHUNK_BYTES` over that width (`_chunk_columns`).
         """
@@ -290,7 +303,7 @@ class PurifiedRun:
             width = width // op.input_layout.total_dim * op.output_layout.total_dim
             widest = max(widest, width)
         for xs in _rectangles(self.qpir.n, i, _chunk_columns(widest)):
-            yield (xs, *_through(rest, lay, first.matrix[:, xs.reshape(-1)]))
+            yield (xs, *_through(rest, lay, dense(first.matrix, xs.reshape(-1))))
 
     def index_pass(self, i: int, visit=None) -> None:
         self._gamma = None   # the previous index's goes first
@@ -341,12 +354,13 @@ class CorrectnessReport:
     measured_labels: tuple[str, ...]       # what each W_i reads: held B_{s-1}, then X_s
 
 
-def _kraus_span(op: Operation, q: np.ndarray) -> np.ndarray:
+def _kraus_span(op: Operation, q: Matrix) -> np.ndarray:
     """R of the reduced QR [K_1 ... K_m] = QR of `op`'s Kraus operators
     side by side, each composed with the isometry q on the memory its input
-    starts with (`_compose`), one at a time: r x m d_in, with d_in the
-    composed input's dimension and r = min(d_out, m d_in).  Q is an
-    isometry, so R keeps every product K_j^dagger K_k."""
+    starts with (`_compose`), one at a time, so at most one Kraus
+    operator is dense at a time: r x m d_in, with d_in the composed input's
+    dimension and r = min(d_out, m d_in).  Q is an isometry, so R keeps
+    every product K_j^dagger K_k."""
     kraus = (op.matrix,) if isinstance(op, Isometry) else op.kraus_ops
     d_in = q.shape[1] * op.input_layout.total_dim // q.shape[0]
     side = np.empty((op.output_layout.total_dim, len(kraus), d_in), dtype=np.complex128)
@@ -490,15 +504,20 @@ def _layout(label: str, dim: int) -> RegisterLayout:
     return RegisterLayout((Register(label, dim),))
 
 
+def _copy(d: int) -> BasisMap:
+    """The basis copy |j> -> |j>|j> of a d-dimensional register."""
+    return BasisMap((d * d, d), np.arange(d) * (d + 1), np.ones(d))
+
+
 def build_trivial(n: int) -> QpirProtocol:
-    """Server keeps a basis copy of x and ships |x> whole; client stores it."""
+    """Server keeps a basis copy of x and ships |x> whole; client stores it.
+    Both ops are basis maps."""
     da = 2 ** n
     a0, a1 = _layout("A0", da), _layout("A1", da)
     x1 = _layout("X1", da)
     b0, b1 = _layout("B0", n), _layout("B1", n * da)
-    eye = np.eye(da, dtype=np.complex128)
-    a_op = Isometry(a0, concat(a1, x1), _copy_matrix(eye, eye))
-    b_op = Isometry(concat(b0, x1), b1, np.eye(n * da, dtype=np.complex128))
+    a_op = Isometry(a0, concat(a1, x1), _copy(da))
+    b_op = Isometry(concat(b0, x1), b1, BasisMap.identity(n * da))
     spec = ProtocolSpec(1, (a0, a1), (b0, b1), (x1,), (), (a_op,), (b_op,))
     return QpirProtocol(spec)
 
@@ -507,7 +526,8 @@ def build_index_in_clear(n: int) -> QpirProtocol:
     """Client announces i in the clear; server answers the one bit x_i.
 
     Sub-linear communication (log2 n + 1 qubits) bought by giving up
-    privacy entirely: the server's memory ends up holding |i>.
+    privacy entirely: the server's memory ends up holding |i>.  Every op is
+    a basis map.
     """
     da = 2 ** n
     a0, a1, a2 = _layout("A0", da), _layout("A1", da), _layout("A2", da * n)
@@ -515,16 +535,13 @@ def build_index_in_clear(n: int) -> QpirProtocol:
     b0, b1, b2 = _layout("B0", n), _layout("B1", n), _layout("B2", 2 * n)
     y1 = _layout("Y1", n)
 
-    a1_op = Isometry(a0, concat(a1, x1), np.eye(da, dtype=np.complex128))
-    eye = np.eye(n, dtype=np.complex128)
-    b1_op = Isometry(concat(b0, x1), concat(b1, y1), _copy_matrix(eye, eye))
-    answer = np.zeros((da * n * 2, da * n), dtype=np.complex128)
-    for x in range(da):
-        for i in range(1, n + 1):
-            col = x * n + (i - 1)
-            answer[col * 2 + bit_of(x, i, n), col] = 1.0
+    a1_op = Isometry(a0, concat(a1, x1), BasisMap.identity(da))
+    b1_op = Isometry(concat(b0, x1), concat(b1, y1), _copy(n))
+    x, i = np.divmod(np.arange(da * n), n)   # column x n + (i - 1)
+    answer = BasisMap((da * n * 2, da * n),
+                      2 * np.arange(da * n) + bit_of(x, i + 1, n), np.ones(da * n))
     a2_op = Isometry(concat(a1, y1), concat(a2, x2), answer)
-    b2_op = Isometry(concat(b1, x2), b2, np.eye(2 * n, dtype=np.complex128))
+    b2_op = Isometry(concat(b1, x2), b2, BasisMap.identity(2 * n))
     spec = ProtocolSpec(2, (a0, a1, a2), (b0, b1, b2), (x1, x2), (y1,),
                         (a1_op, a2_op), (b1_op, b2_op))
     return QpirProtocol(spec)
@@ -537,6 +554,14 @@ def build_noisy_trivial(n: int, delta: float | None = None) -> QpirProtocol:
     strength delta, which makes every per-index Helstrom error exactly
     delta while keeping the purifying environment at 2^n dimensions.
     delta is required: None, for one not given, is an error.
+
+    Kraus operator `mask` is 1_n (x) F_1 (x) ... (x) F_n, with F_j =
+    sqrt(delta) X if bit j-1 of mask is set and sqrt(1 - delta) 1
+    otherwise.  It is a basis map: it flips each bit x_j of the stored
+    database that mask names and scales every column by one weight, the
+    F_j's weights multiplied in the order F_1, F_2, ..., as the Kronecker
+    product multiplies them, so its entries are that product's bit for
+    bit.
     """
     if delta is None or not 0.0 <= delta <= 0.5:
         raise LayoutError(f"noisy-trivial needs a noise level delta in [0, 0.5], "
@@ -544,16 +569,15 @@ def build_noisy_trivial(n: int, delta: float | None = None) -> QpirProtocol:
     base = build_trivial(n)
     if delta == 0.0:
         return base
-    flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-    eye2 = np.eye(2, dtype=np.complex128)
+    d = n * 2 ** n
     kraus = []
     for mask in range(2 ** n):
-        f = np.ones((1, 1), dtype=np.complex128)
+        weight, flips = 1.0, 0
         for j in range(n):
-            factor = math.sqrt(delta) * flip if (mask >> j) & 1 else \
-                math.sqrt(1.0 - delta) * eye2
-            f = np.kron(f, factor)
-        kraus.append(np.kron(np.eye(n, dtype=np.complex128), f))
+            bit = (mask >> j) & 1
+            weight *= math.sqrt(delta) if bit else math.sqrt(1.0 - delta)
+            flips |= bit << (n - 1 - j)
+        kraus.append(BasisMap((d, d), np.arange(d) ^ flips, np.full(d, weight)))
     spec = base.spec
     (store,) = spec.b_ops
     noisy = KrausChannel(store.input_layout, store.output_layout, tuple(kraus))

@@ -1,12 +1,14 @@
 """JSON serialization for layouts, operations, and protocol specs.
 
-Complex entries are stored row-major as [re, im] pairs.  Python's default
-float formatting is shortest-round-trip, so doubles survive a JSON round
-trip bit-exactly.  Decoding is strict: a dimension or round count that is
-not an integer >= 1, an entry that is not a numeric pair, a matrix of the
-wrong size, a value of the wrong JSON type, or a field that nothing reads
-(an isometry's `kraus_ops`, a comment) is a LayoutError, at every level:
-a protocol, its layouts and ops, each register and each op.  A protocol's
+Complex entries are stored row-major as [re, im] pairs, a basis map
+(`states.BasisMap`) as its dense form, so a file never says which form an
+op was built in and loads dense.  Python's default float formatting is
+shortest-round-trip, so doubles survive a JSON round trip bit-exactly.
+Decoding is strict: a dimension or round count that is not an integer
+>= 1, an entry that is not a numeric pair, a matrix of the wrong size, a
+value of the wrong JSON type, or a field that nothing reads (an
+isometry's `kraus_ops`, a comment) is a LayoutError, at every level: a
+protocol, its layouts and ops, each register and each op.  A protocol's
 top level may also hold an "n", which is its reader's to check.
 """
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import LayoutError
 from .registers import Register, RegisterLayout
-from .states import Isometry, KrausChannel, Operation
+from .states import Isometry, KrausChannel, Operation, dense
 
 
 def _positive_int(value, what: str) -> int:
@@ -93,8 +95,8 @@ def operation_to_json(op: Operation) -> dict[str, Any]:
         "type": "isometry" if iso else "kraus_channel",
         "input_layout": layout_to_json(op.input_layout),
         "output_layout": layout_to_json(op.output_layout),
-        **({"matrix": _complex_to_pairs(op.matrix)} if iso else
-           {"kraus_ops": [_complex_to_pairs(k) for k in op.kraus_ops]}),
+        **({"matrix": _complex_to_pairs(dense(op.matrix))} if iso else
+           {"kraus_ops": [_complex_to_pairs(dense(k)) for k in op.kraus_ops]}),
     }
 
 

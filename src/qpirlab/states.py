@@ -1,8 +1,15 @@
 """State and operator value types over labeled register layouts.
 
-Everything is an immutable dense complex array plus a layout.  `matricize`
-is the one tensor helper: it moves the factors named by label to the front,
-which also reorders a state's factors, so callers never juggle axis
+States are immutable dense complex arrays plus a layout.  An operator's
+matrix is either a dense complex array or a `BasisMap`, a matrix with one
+nonzero per column stored as the row and the value of each column, which
+holds an op that sends basis vectors to basis vectors, up to a weight, in
+d_in integers instead of d_out x d_in amplitudes.  `dense` gives any of
+them as an array, columns `xs` or whole, and `apply` multiplies one into a
+batch of columns; on a basis map both scatter, one product per nonzero
+entry, so they give the same bits as the dense matmul.  `matricize` is the
+one tensor helper: it moves the factors named by label to the front, which
+also reorders a state's factors, so callers never juggle axis
 permutations by hand.
 
 Execution is pure: protocols run batches of amplitude columns through
@@ -28,6 +35,11 @@ ATOL_HERMITIAN = 1e-9
 ATOL_EIGENVALUE = 1e-9
 ATOL_ISOMETRY = 1e-9
 
+#: Bytes that the widest working array of a loop over blocks may take: a
+#: chunk of basis runs (`qpir`), the amplitudes `reduction.recovery_rates`
+#: forms, or a block of columns of a dense operator's Gram check.
+CHUNK_BYTES = 4 * 2**20
+
 
 def _frozen_array(values, shape=None) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128, order="C")
@@ -39,11 +51,121 @@ def _frozen_array(values, shape=None) -> np.ndarray:
     return arr
 
 
+@dataclass(frozen=True, eq=False)
+class BasisMap:
+    """A d_out x d_in matrix with one nonzero per column: column j is
+    values[j] |rows[j]>.
+
+    `shape` is (d_out, d_in), each row an integer in 0..d_out-1.  Nothing
+    here asks the rows to be distinct; an `Isometry` or a `KrausChannel`
+    checks what it needs of them.  Two matrices, in either form, are equal
+    when their dense forms are (`_same`).
+    """
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        d_out, d_in = self.shape
+        rows = np.array(self.rows)
+        if rows.shape != (d_in,) or not np.issubdtype(rows.dtype, np.integer):
+            raise LayoutError(f"basis map rows must be {d_in} integers, got "
+                              f"shape {rows.shape} of {rows.dtype}")
+        if d_in and not 0 <= rows.min() <= rows.max() < d_out:
+            raise LayoutError(f"basis map rows must lie in 0..{d_out - 1}, got "
+                              f"{rows.min()}..{rows.max()}")
+        rows = rows.astype(np.intp, copy=False)
+        rows.setflags(write=False)
+        object.__setattr__(self, "shape", (d_out, d_in))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "values", _frozen_array(self.values, shape=(d_in,)))
+
+    @classmethod
+    def identity(cls, d: int) -> BasisMap:
+        return cls((d, d), np.arange(d), np.ones(d))
+
+    def __eq__(self, other) -> bool:
+        return _same(self, other)
+
+
+Matrix = Union[np.ndarray, BasisMap]
+
+
+def dense(matrix: Matrix, xs=slice(None)) -> np.ndarray:
+    """Columns `xs` of `matrix` (all of them by default) as a dense array:
+    a basis map's values scattered into zeros, a dense matrix's columns
+    indexed (a view for a slice)."""
+    if isinstance(matrix, np.ndarray):
+        return matrix[:, xs]
+    rows, values = matrix.rows[xs], matrix.values[xs]
+    out = np.zeros((matrix.shape[0], len(rows)), dtype=np.complex128)
+    out[rows, np.arange(len(rows))] = values
+    return out
+
+
+def apply(matrix: Matrix, columns: np.ndarray) -> np.ndarray:
+    """matrix @ columns.  A basis map scatters row j of `columns`, scaled
+    by values[j], into row rows[j], so its rows must be distinct, as an
+    isometry's are (`Isometry` checks them).  Each output entry is then one
+    product, which is also all the dense matmul adds to zeros, so both
+    give the same bits."""
+    if isinstance(matrix, np.ndarray):
+        return matrix @ columns
+    out = np.zeros((matrix.shape[0], columns.shape[1]), dtype=np.complex128)
+    out[matrix.rows] = matrix.values[:, None] * columns
+    return out
+
+
+def _checked(matrix, shape: tuple[int, int]) -> Matrix:
+    """`matrix` as an operator stores it: a basis map of that shape, or a
+    frozen copy of a dense one."""
+    if isinstance(matrix, BasisMap):
+        if matrix.shape != shape:
+            raise LayoutError(f"array shape {matrix.shape} != expected {shape}")
+        return matrix
+    return _frozen_array(matrix, shape=shape)
+
+
+def _distinct(rows: np.ndarray) -> bool:
+    ordered = np.sort(rows)
+    return bool(np.all(ordered[1:] != ordered[:-1]))
+
+
+def _gram_deviation(matrices: Sequence[Matrix]) -> float:
+    """max |sum_k K_k^dagger K_k - 1| over the entries, for the d_out x
+    d_in matrices K_k: the deviation from an isometry of [K_1; ...; K_m]
+    stacked, which is the Stinespring matrix of a channel.
+
+    When every K_k is a basis map with distinct rows, the sum is diagonal,
+    sum_k |values_k|^2 per column, and no d_in x d_in array is formed.
+    Otherwise it is formed over blocks of columns B of each K_k in turn,
+    as B^dagger K_k, which `CHUNK_BYTES` bounds (and a basis map is made
+    dense first).
+    """
+    d_out, d_in = matrices[0].shape
+    if all(isinstance(k, BasisMap) and _distinct(k.rows) for k in matrices):
+        total = sum(k.values.real ** 2 + k.values.imag ** 2 for k in matrices)
+        return float(np.max(np.abs(total - 1.0)))
+    first, *rest = (dense(k) for k in matrices)
+    width = max(1, CHUNK_BYTES // (16 * max(d_out, d_in)))
+    worst = 0.0
+    for start in range(0, d_in, width):
+        gram = np.conj(first[:, start:start + width]).T @ first
+        for k in rest:
+            gram += np.conj(k[:, start:start + width]).T @ k
+        gram.reshape(-1)[start::d_in + 1] -= 1.0   # entries (r, start + r)
+        worst = max(worst, np.abs(gram).max())
+    return float(worst)
+
+
 def _same(a, b) -> bool:
     if isinstance(a, tuple):   # Kraus operators, one by one and never stacked
         return len(a) == len(b) and all(map(_same, a, b))
-    if isinstance(a, np.ndarray):
-        return np.array_equal(a, b)
+    if isinstance(a, (np.ndarray, BasisMap)):
+        if not isinstance(b, (np.ndarray, BasisMap)) or a.shape != b.shape:
+            return False
+        return np.array_equal(dense(a), dense(b))
     return a == b
 
 
@@ -102,7 +224,7 @@ class Isometry:
 
     input_layout: RegisterLayout
     output_layout: RegisterLayout
-    matrix: np.ndarray
+    matrix: Matrix
 
     def __post_init__(self) -> None:
         din = self.input_layout.total_dim
@@ -111,9 +233,8 @@ class Isometry:
             raise LayoutError(
                 f"isometry output dim {dout} smaller than input dim {din}"
             )
-        mat = _frozen_array(self.matrix, shape=(dout, din))
-        gram = mat.conj().T @ mat
-        if np.max(np.abs(gram - np.eye(din))) > ATOL_ISOMETRY:
+        mat = _checked(self.matrix, (dout, din))
+        if _gram_deviation((mat,)) > ATOL_ISOMETRY:
             raise LayoutError("isometry columns are not orthonormal within tolerance")
         object.__setattr__(self, "matrix", mat)
 
@@ -130,17 +251,16 @@ class KrausChannel:
 
     input_layout: RegisterLayout
     output_layout: RegisterLayout
-    kraus_ops: tuple[np.ndarray, ...]
+    kraus_ops: tuple[Matrix, ...]
 
     def __post_init__(self) -> None:
         if len(self.kraus_ops) == 0:
             raise LayoutError("channel needs at least one Kraus operator")
         din = self.input_layout.total_dim
         dout = self.output_layout.total_dim
-        ops = tuple(_frozen_array(k, shape=(dout, din)) for k in self.kraus_ops)
+        ops = tuple(_checked(k, (dout, din)) for k in self.kraus_ops)
         # the Gram of the Stinespring matrix: its dilation is an isometry
-        total = sum(k.conj().T @ k for k in ops)
-        if np.max(np.abs(total - np.eye(din))) > ATOL_ISOMETRY:
+        if _gram_deviation(ops) > ATOL_ISOMETRY:
             raise LayoutError("Kraus operators do not sum to the identity (not TP)")
         object.__setattr__(self, "kraus_ops", ops)
 
@@ -168,7 +288,11 @@ def stinespring(op: Operation) -> np.ndarray:
     gives back the channel's output.
     """
     kraus = (op.matrix,) if isinstance(op, Isometry) else op.kraus_ops
-    return np.stack(kraus, axis=1).reshape(-1, op.input_layout.total_dim)
+    d_in = op.input_layout.total_dim
+    v = np.empty((op.output_layout.total_dim, len(kraus), d_in), dtype=np.complex128)
+    for e, k in enumerate(kraus):
+        v[:, e] = dense(k)
+    return v.reshape(-1, d_in)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +352,7 @@ def apply_isometry(op: Isometry, state: StateVector) -> StateVector:
     lay = state.layout
     _check_factor(lay, op.input_layout)
     labels = op.input_layout.labels()
-    out = op.matrix @ matricize(state.amplitudes, lay, labels)
+    out = apply(op.matrix, matricize(state.amplitudes, lay, labels))
     new_lay = concat(op.output_layout, lay.drop(labels))
     return StateVector(new_lay, out.reshape(-1))
 
@@ -244,6 +368,7 @@ def apply_channel(op: Operation, rho: DensityOperator) -> DensityOperator:
     drest = t.shape[1]
     acc = np.zeros((dout, drest, dout, drest), dtype=np.complex128)
     for k in kraus:
+        k = dense(k)
         acc += np.einsum("xi,iajb,yj->xayb", k, t, k.conj(), optimize=True)
     new_lay = concat(op.output_layout, lay.drop(labels))
     d = new_lay.total_dim

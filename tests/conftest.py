@@ -3,7 +3,9 @@
 The density-operator reference (`density_run`, `certify_oracle`) runs a
 protocol with `apply_channel` on D x D matrices, channels and all.  The
 library itself only runs pure states through dilations; these oracles are
-what that pure engine is checked against.
+what that pure engine is checked against.  `dense_builtin` builds the
+builtins whose ops are basis maps with every op a dense array, as the
+reference their basis maps are checked against.
 """
 
 import dataclasses
@@ -15,7 +17,14 @@ import pytest
 from qpirlab.adversary import install
 from qpirlab.linalg import haar_unitary_matrix, trace_distance_matrices
 from qpirlab.protocol import ProtocolSpec
-from qpirlab.qpir import QpirProtocol, build_index_in_clear, builtin
+from qpirlab.qpir import (
+    QpirProtocol,
+    _copy_matrix,
+    _layout,
+    bit_of,
+    build_index_in_clear,
+    builtin,
+)
 from qpirlab.registers import RegisterLayout, concat
 from qpirlab.states import (
     DensityOperator,
@@ -23,6 +32,7 @@ from qpirlab.states import (
     KrausChannel,
     StateVector,
     apply_channel,
+    dense,
     matricize,
     pure_density,
 )
@@ -138,7 +148,74 @@ def dephased(op: Isometry) -> KrausChannel:
     with one Kraus operator per input basis state."""
     d = op.input_layout.total_dim
     return KrausChannel(op.input_layout, op.output_layout,
-                        tuple(op.matrix * e for e in np.eye(d)))
+                        tuple(dense(op.matrix) * e for e in np.eye(d)))
+
+
+# ---------------------------------------------------------------------------
+# dense references for the builtins whose ops are basis maps: each op as
+# the dense array the builders made before they stored basis maps
+# ---------------------------------------------------------------------------
+
+def dense_trivial(n: int) -> QpirProtocol:
+    da = 2 ** n
+    a0, a1 = _layout("A0", da), _layout("A1", da)
+    x1 = _layout("X1", da)
+    b0, b1 = _layout("B0", n), _layout("B1", n * da)
+    eye = np.eye(da, dtype=np.complex128)
+    a_op = Isometry(a0, concat(a1, x1), _copy_matrix(eye, eye))
+    b_op = Isometry(concat(b0, x1), b1, np.eye(n * da, dtype=np.complex128))
+    spec = ProtocolSpec(1, (a0, a1), (b0, b1), (x1,), (), (a_op,), (b_op,))
+    return QpirProtocol(spec)
+
+
+def dense_index_in_clear(n: int) -> QpirProtocol:
+    da = 2 ** n
+    a0, a1, a2 = _layout("A0", da), _layout("A1", da), _layout("A2", da * n)
+    x1, x2 = _layout("X1", 1), _layout("X2", 2)
+    b0, b1, b2 = _layout("B0", n), _layout("B1", n), _layout("B2", 2 * n)
+    y1 = _layout("Y1", n)
+
+    a1_op = Isometry(a0, concat(a1, x1), np.eye(da, dtype=np.complex128))
+    eye = np.eye(n, dtype=np.complex128)
+    b1_op = Isometry(concat(b0, x1), concat(b1, y1), _copy_matrix(eye, eye))
+    answer = np.zeros((da * n * 2, da * n), dtype=np.complex128)
+    for x in range(da):
+        for i in range(1, n + 1):
+            col = x * n + (i - 1)
+            answer[col * 2 + bit_of(x, i, n), col] = 1.0
+    a2_op = Isometry(concat(a1, y1), concat(a2, x2), answer)
+    b2_op = Isometry(concat(b1, x2), b2, np.eye(2 * n, dtype=np.complex128))
+    spec = ProtocolSpec(2, (a0, a1, a2), (b0, b1, b2), (x1, x2), (y1,),
+                        (a1_op, a2_op), (b1_op, b2_op))
+    return QpirProtocol(spec)
+
+
+def dense_noisy_trivial(n: int, delta: float) -> QpirProtocol:
+    base = dense_trivial(n)
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+    eye2 = np.eye(2, dtype=np.complex128)
+    kraus = []
+    for mask in range(2 ** n):
+        f = np.ones((1, 1), dtype=np.complex128)
+        for j in range(n):
+            factor = math.sqrt(delta) * flip if (mask >> j) & 1 else \
+                math.sqrt(1.0 - delta) * eye2
+            f = np.kron(f, factor)
+        kraus.append(np.kron(np.eye(n, dtype=np.complex128), f))
+    spec = base.spec
+    (store,) = spec.b_ops
+    noisy = KrausChannel(store.input_layout, store.output_layout, tuple(kraus))
+    return QpirProtocol(spec.with_party("B", spec.b_memory, (noisy,)))
+
+
+def dense_builtin(name: str, n: int, **params) -> QpirProtocol:
+    """The dense reference of builtin `name`; random's ops are dense
+    already, so it is the builtin itself."""
+    if name == "random":
+        return builtin(name, n, **params)
+    build = {"trivial": dense_trivial, "index-in-clear": dense_index_in_clear,
+             "noisy-trivial": dense_noisy_trivial}[name]
+    return build(n, **params)
 
 
 def bloch_grid_success(rho0: np.ndarray, rho1: np.ndarray,

@@ -9,6 +9,7 @@ from qpirlab.states import (
     Isometry,
     KrausChannel,
     StateVector,
+    dense,
     reduced_density_matrix,
 )
 from qpirlab.protocol import ProtocolSpec, execute, purify_both
@@ -181,7 +182,7 @@ def test_adversarial_measurement_does_not_signal(rng):
     # fold the measurement into B's last op
     final = spec.b_ops[1]
     folded = KrausChannel(lay_in, final.output_layout,
-                          tuple(final.matrix @ k for k in kraus))
+                          tuple(dense(final.matrix) @ k for k in kraus))
     adv = AdversaryStrategy("B", spec.b_memory, (spec.b_ops[0], folded))
     tampered = install(spec, adv)
     lay = concat(spec.a_memory[0], spec.b_memory[0])

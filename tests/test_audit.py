@@ -47,7 +47,7 @@ from qpirlab.reduction import (
     superposition_attack,
 )
 from qpirlab.registers import RegisterLayout, concat
-from qpirlab.states import Isometry, KrausChannel, StateVector, matricize
+from qpirlab.states import Isometry, KrausChannel, StateVector, dense, matricize
 
 from conftest import (
     identity_support,
@@ -362,7 +362,7 @@ def leaky_index_in_clear(n: int = 3, forward: float = 0.4) -> ProtocolSpec:
     """
     spec = build_index_in_clear(n).spec
     b1 = spec.b_ops[0]
-    copy = b1.matrix                        # |i>|0> -> |i>|i> on (B1, Y1)
+    copy = dense(b1.matrix)                 # |i>|0> -> |i>|i> on (B1, Y1)
     kraus = [math.sqrt(forward) * copy]
     for j in range(n):
         k = np.zeros_like(copy)
@@ -736,10 +736,10 @@ def test_out_of_memory_ends_in_a_clean_error(monkeypatch, capsys):
     assert err == "qpirlab: error: MemoryError: Unable to allocate 1.53 GiB\n"
 
 
-@pytest.mark.parametrize("cap_mib", [200, 210, 220])
+@pytest.mark.parametrize("cap_mib", [160, 170, 180])
 def test_a_capped_process_ends_in_one_error_line(cap_mib):
     """trivial n=7's `reduce` under an address-space cap, in its own process
-    with one BLAS thread: it fits in about 240 MiB, so these caps stop it.
+    with one BLAS thread: it fits in about 190 MiB, so these caps stop it.
     Wherever the allocation that fails is, the process exits 1 with one
     `qpirlab: error:` line, never with a message of OpenBLAS's own."""
     def cap():
@@ -961,7 +961,7 @@ def _assert_index_batches_are_dense_columns(qpir: QpirProtocol) -> None:
     once the span it holds of B_{s-1} is lifted back through Q_{s-1}; the
     chunks cover every database once."""
     run = PurifiedRun(qpir)
-    dense_lay, dense = _dense_before_last_op(purify_both(qpir.spec))
+    full_lay, full = _dense_before_last_op(purify_both(qpir.spec))
     n = qpir.n
     memory = qpir.spec.b_memory[-2]
     held = run.pre[:1]
@@ -972,9 +972,9 @@ def _assert_index_batches_are_dense_columns(qpir: QpirProtocol) -> None:
             xs = xs.reshape(-1)
             seen.extend(xs)
             t = matricize(cur, lay, held)
-            lifted = (q @ t.reshape(t.shape[0], -1)).reshape(-1, len(xs))
-            assert lifted.shape == (dense.shape[0], len(xs))
-            want = matricize(dense[:, xs * n + i - 1], dense_lay,
+            lifted = (dense(q) @ t.reshape(t.shape[0], -1)).reshape(-1, len(xs))
+            assert lifted.shape == (full.shape[0], len(xs))
+            want = matricize(full[:, xs * n + i - 1], full_lay,
                              concat(memory, lay.drop(held)).labels())
             assert np.max(np.abs(lifted - want.reshape(lifted.shape))) < 1e-12
         assert sorted(seen) == list(range(2 ** n))
@@ -1125,7 +1125,7 @@ def test_step_one_gather_matches_the_one_hot_matmul(monkeypatch, name, params):
     for i in range(1, n + 1):
         for xs, lay, cur in run._chunks(i):
             one_hot = np.eye(2 ** n, dtype=complex)[:, xs.reshape(-1)]
-            assert np.array_equal(first[:, xs.reshape(-1)], first @ one_hot)
+            assert np.array_equal(dense(first, xs.reshape(-1)), dense(first) @ one_hot)
             want_lay, want = qpir._through(run._schedule(i), start, one_hot)
             assert lay == want_lay
             assert np.max(np.abs(cur - want)) <= 1e-12

@@ -1,0 +1,211 @@
+"""Basis maps (`states.BasisMap`) against the dense arrays they stand for.
+
+trivial, index-in-clear and noisy-trivial store every op as basis maps;
+`conftest.dense_builtin` builds the same protocols dense.  The builtins'
+matrices, their runs through `protocol._steps`, the gather of columns and
+the JSON they serialize to must equal the dense reference bit for bit, and
+the structural isometry and trace-preservation checks must give the dense
+Gram checks' verdict and error.
+"""
+
+import json
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from qpirlab import states
+from qpirlab.errors import LayoutError
+from qpirlab.linalg import haar_unitary_matrix
+from qpirlab.protocol import _inputs, _isometries, _steps, purify_both
+from qpirlab.qpir import build_index_in_clear, build_noisy_trivial, build_trivial, builtin
+from qpirlab.registers import RegisterLayout
+from qpirlab.serialize import protocol_spec_from_json, protocol_spec_to_json
+from qpirlab.states import BasisMap, Isometry, KrausChannel, apply, dense
+
+from conftest import dense_builtin
+
+BUILTINS = [("trivial", {}), ("index-in-clear", {}), ("noisy-trivial", {"delta": 0.2})]
+CASES = ([(name, n, params) for n in (1, 2, 3) for name, params in BUILTINS]
+         + [("noisy-trivial", 4, {"delta": d}) for d in (0.074495, 0.416768)])
+
+
+def _ids(case):
+    name, n, params = case
+    return f"{name}-n{n}" + "".join(f"-{v}" for v in params.values())
+
+
+def _bits(a: np.ndarray) -> bytes:
+    """The bytes of `a` with each zero's sign dropped: the dense matmul
+    sums signed zero products into the entries that a basis map leaves
+    +0, and -0 == +0."""
+    return (a + 0.0).tobytes()
+
+
+def _matrices(spec):
+    """Every op's matrices, A's ops then B's: an isometry's one matrix, a
+    channel's Kraus operators in order."""
+    for op in spec.a_ops + spec.b_ops:
+        yield from (op.matrix,) if isinstance(op, Isometry) else op.kraus_ops
+
+
+@pytest.mark.parametrize("name, n, params", CASES, ids=map(_ids, CASES))
+def test_builtin_ops_are_basis_maps_equal_to_the_dense_reference(name, n, params):
+    built = builtin(name, n, **params).spec
+    for got, want in zip(_matrices(built), _matrices(dense_builtin(name, n, **params).spec),
+                         strict=True):
+        assert isinstance(got, BasisMap)
+        assert dense(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name, n, params", CASES, ids=map(_ids, CASES))
+def test_scatter_and_gather_equal_the_dense_matmul_bit_for_bit(name, n, params, rng):
+    for m in _matrices(builtin(name, n, **params).spec):
+        d_in = m.shape[1]
+        cols = rng.standard_normal((d_in, 3)) + 1j * rng.standard_normal((d_in, 3))
+        assert _bits(apply(m, cols)) == _bits(dense(m) @ cols)
+        xs = rng.permutation(d_in)[:max(1, d_in // 2)]
+        one_hot = np.eye(d_in, dtype=complex)[:, xs]
+        assert _bits(dense(m, xs)) == _bits(dense(m) @ one_hot)
+
+
+@pytest.mark.parametrize("name, n, params", CASES, ids=map(_ids, CASES))
+def test_runs_through_basis_maps_equal_the_dense_runs_bit_for_bit(name, n, params, rng):
+    """`_steps` of the purified protocol, on random input columns, gives
+    the dense reference's states after every step; noisy-trivial's client
+    channel is dilated (`stinespring`), one Kraus operator at a time."""
+    built = purify_both(builtin(name, n, **params).spec)
+    ref = purify_both(dense_builtin(name, n, **params).spec)
+    lay = _inputs(built)
+    cols = (rng.standard_normal((lay.total_dim, 4))
+            + 1j * rng.standard_normal((lay.total_dim, 4)))
+    runs = zip(_steps(_isometries(built), lay, cols), _steps(_isometries(ref), lay, cols),
+               strict=True)
+    for (_, got_lay, got), (_, want_lay, want) in runs:
+        assert got_lay == want_lay
+        assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("name, n, params", [c for c in CASES if c[1] <= 3],
+                         ids=map(_ids, [c for c in CASES if c[1] <= 3]))
+def test_serialize_writes_the_dense_reference_json(name, n, params):
+    built = builtin(name, n, **params).spec
+    text = json.dumps(protocol_spec_to_json(built))
+    assert text == json.dumps(protocol_spec_to_json(dense_builtin(name, n, **params).spec))
+    assert protocol_spec_from_json(json.loads(text)) == built
+
+
+def test_builtins_hold_no_dense_operator():
+    """Dense, trivial n=8's two ops are 256 MiB and 64 MiB, index-in-clear
+    n=8's answer op 128 MiB and noisy-trivial n=6's 64 Kraus operators
+    144 MiB; as basis maps all three protocols take under 1 MiB."""
+    build_trivial(1)   # imports and caches warm
+    tracemalloc.start()
+    try:
+        built = (build_trivial(8), build_index_in_clear(8), build_noisy_trivial(6, 0.2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(built) == 3
+    assert peak < 2 * 2**20
+
+
+def test_dense_isometry_check_makes_no_whole_matrix_temporary(monkeypatch, rng):
+    """The Gram matrix is formed over blocks of columns, B^dagger M, so
+    past its own copy the check holds no more than a few blocks."""
+    monkeypatch.setattr(states, "CHUNK_BYTES", 2**18)
+    u = haar_unitary_matrix(512, rng)   # 4 MiB
+    lay = RegisterLayout.of(("a", 512))
+    tracemalloc.start()
+    try:
+        Isometry(lay, lay, u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * u.nbytes
+
+
+# ---------------------------------------------------------------------------
+# structural checks against the dense Gram checks
+# ---------------------------------------------------------------------------
+
+def _lay(label, dim):
+    return RegisterLayout.of((label, dim))
+
+
+def _verdict(kind, d_out, d_in, matrices):
+    """None if the op builds, else its LayoutError's message."""
+    lin, lout = _lay("i", d_in), _lay("o", d_out)
+    try:
+        if kind == "isometry":
+            (matrix,) = matrices
+            Isometry(lin, lout, matrix)
+        else:
+            KrausChannel(lin, lout, tuple(matrices))
+    except LayoutError as exc:
+        return str(exc)
+    return None
+
+
+S = math.sqrt(0.5)
+PHASE = np.exp(0.3j)
+#: (kind, d_out, d_in, basis maps, whether the dense check accepts them)
+STRUCTURAL = {
+    "repeated-row": ("isometry", 4, 3, [BasisMap((4, 3), [0, 1, 1], np.ones(3))], False),
+    "phase-1e-6-off-unit": ("isometry", 3, 3,
+                            [BasisMap((3, 3), [2, 0, 1], [1, PHASE * (1 + 1e-6), 1])], False),
+    "phases-on-the-unit-circle": ("isometry", 4, 3,
+                                  [BasisMap((4, 3), [3, 0, 1], [1j, PHASE, -1])], True),
+    "weights-6e-9-off-tp": ("channel", 2, 2,
+                            [BasisMap((2, 2), [0, 1], np.full(2, math.sqrt(0.3))),
+                             BasisMap((2, 2), [1, 0], np.full(2, math.sqrt(0.7 + 6e-9)))],
+                            False),
+    "weights-5e-10-off-tp": ("channel", 2, 2,
+                             [BasisMap((2, 2), [0, 1], np.full(2, math.sqrt(0.3))),
+                              BasisMap((2, 2), [1, 0], np.full(2, math.sqrt(0.7 + 5e-10)))],
+                             True),
+    "channel-repeated-row": ("channel", 2, 2,
+                             [BasisMap((2, 2), [0, 0], [S, S]),
+                              BasisMap((2, 2), [1, 1], [S, 0.5])], False),
+    # repeated rows whose cross terms cancel between the two operators
+    "channel-cancelling-rows": ("channel", 2, 2,
+                                [BasisMap((2, 2), [0, 0], [S, S]),
+                                 BasisMap((2, 2), [1, 1], [S, -S])], True),
+}
+
+
+@pytest.mark.parametrize("kind, d_out, d_in, maps, accepted", STRUCTURAL.values(),
+                         ids=STRUCTURAL.keys())
+def test_structural_checks_give_the_dense_checks_verdict_and_error(kind, d_out, d_in,
+                                                                    maps, accepted):
+    basis = _verdict(kind, d_out, d_in, maps)
+    assert basis == _verdict(kind, d_out, d_in, [dense(m) for m in maps])
+    assert (basis is None) == accepted
+
+
+def test_a_basis_map_refuses_a_nan_and_a_row_outside_its_output():
+    with pytest.raises(LayoutError, match="array contains non-finite entries"):
+        BasisMap((3, 3), [0, 1, 2], [1, np.nan, 1])
+    with pytest.raises(LayoutError, match="array contains non-finite entries"):
+        Isometry(_lay("i", 3), _lay("o", 3), np.diag([1, np.nan, 1]))
+    for rows in ([0, 1, 3], [0, -1, 2]):
+        with pytest.raises(LayoutError, match=r"rows must lie in 0\.\.2"):
+            BasisMap((3, 3), rows, np.ones(3))
+    with pytest.raises(LayoutError, match="rows must be 3 integers"):
+        BasisMap((3, 3), [0.0, 1.0, 2.0], np.ones(3))
+    # a dense matrix cannot hold a row past its output: its shape is refused
+    for matrix in (np.eye(4)[:, :3], BasisMap((4, 3), [0, 1, 3], np.ones(3))):
+        with pytest.raises(LayoutError, match=r"array shape \(4, 3\) != expected \(3, 3\)"):
+            Isometry(_lay("i", 3), _lay("o", 3), matrix)
+
+
+def test_matrices_compare_equal_across_forms():
+    ident = BasisMap.identity(3)
+    assert ident == BasisMap((3, 3), [0, 1, 2], [1, 1, 1])
+    assert ident == np.eye(3)
+    assert ident != BasisMap((3, 3), [1, 0, 2], [1, 1, 1])
+    assert ident != BasisMap.identity(4)
+    lay = _lay("a", 3)
+    assert Isometry(lay, lay, ident) == Isometry(lay, lay, np.eye(3))
+    assert Isometry(lay, lay, ident) != Isometry(lay, lay, np.eye(3)[:, [1, 0, 2]])
