@@ -23,11 +23,13 @@ final states averaged over {x : x_i = 0} and over {x : x_i = 1}.  The
 client's last op touches only its own registers, so their Helstrom
 operator Gamma_i = rho_0/2 - rho_1/2 is that op, as a channel, applied to
 Gamma_i^pre, the same operator on the op's inputs.  Gamma_i^pre is summed
-over index i's chunks, one matmul per chunk that pairs each x with its
-bit-i partner, and Gamma_i is diagonalized in the span of the op's Kraus
-operators.  With i fixed, each client memory B_1..B_{s-1} is written in
-the span the client's ops can reach, one thin QR per op, so each chunk,
-Gamma_i^pre and that span are only as large as what the client can hold.
+over index i's chunks in one pass, one matmul per chunk that pairs each x
+with its bit-i partner, and Gamma_i is diagonalized in the span of the
+op's Kraus operators.  No chunk outlives its matmul; the reduction makes
+its own pass over index 1's chunks for the encoding.  With i fixed, each
+client memory B_1..B_{s-1} is written in the span the client's ops can
+reach, one thin QR per op, so each chunk, Gamma_i^pre and that span are
+only as large as what the client can hold.
 The last op itself is never rebuilt on that span: each of its Kraus
 operators is composed with the span's isometry Q_{s-1} in turn, and only
 the triangular factor of the composed operators is kept (`_kraus_span`).
@@ -218,20 +220,17 @@ class PurifiedRun:
     which `_kraus_span` composes into each of its Kraus operators.  All
     runs share one layout, A_s first.
 
-    * `index_pass(i, visit)`: index i's basis inputs |x>|i>, run in chunks
-      of databases (`_chunks`), each closed under flipping bit i and no
-      wider than `CHUNK_BYTES` allows.  Each chunk adds its share to
-      Gamma_i^pre and is handed to `visit`, then freed; every (i, x)
-      column runs once per pass.  Gamma_i^pre is kept until
-      `helstrom_operator(i)` reads it, so the encoding's pass over index 1
-      also gives correctness its Gamma_1^pre.
+    * `_chunks(i)`: index i's basis inputs |x>|i>, run in chunks of
+      databases, each closed under flipping bit i and no wider than
+      `CHUNK_BYTES` allows; every (i, x) column runs once per pass, and
+      each chunk is freed before the next is made.
     * `nu(i)`: the uniform database with index i (the state nu_i), one
       column through the same steps, kept.
     * `helstrom_operator(i)`: Gamma_i^pre = rho_0/2 - rho_1/2 over index
       i's basis runs, on the registers `pre` that the last op reads,
       B_{s-1}'s held span and then X_s, everything else, purifiers
-      included, traced out.  It is the kept one when the last pass was
-      index i's, and is read once.
+      included, traced out: one pass over index i's chunks, each adding
+      its share.  Nothing of the pass is kept.
     """
 
     def __init__(self, qpir: QpirProtocol) -> None:
@@ -244,7 +243,6 @@ class PurifiedRun:
                       for k, memory in enumerate(qpir.spec.b_memory)]
         self.pre = (self._held[-2],) + qpir.spec.x_comm[-1].labels()
         self._reached: dict[int, tuple[list[Isometry], Matrix]] = {}
-        self._gamma: tuple[int, np.ndarray] | None = None
         self._nus: dict[int, StateVector] = {}
 
     def _span(self, k: int, dim: int) -> RegisterLayout:
@@ -305,16 +303,6 @@ class PurifiedRun:
         for xs in _rectangles(self.qpir.n, i, _chunk_columns(widest)):
             yield (xs, *_through(rest, lay, dense(first.matrix, xs.reshape(-1))))
 
-    def index_pass(self, i: int, visit=None) -> None:
-        self._gamma = None   # the previous index's goes first
-        total = None
-        for xs, lay, cur in self._chunks(i):
-            part = _paired_operator(matricize(cur, lay, self.pre), xs.shape[-1])
-            total = part if total is None else np.add(total, part, out=total)
-            if visit is not None:
-                visit(xs.reshape(-1), lay, cur)
-        self._gamma = (i, total / 2 ** (self.qpir.n + 1))
-
     def nu(self, i: int) -> StateVector:
         if i not in self._nus:
             da = 2 ** self.qpir.n
@@ -325,10 +313,11 @@ class PurifiedRun:
         return self._nus[i]
 
     def helstrom_operator(self, i: int) -> np.ndarray:
-        if self._gamma is None or self._gamma[0] != i:
-            self.index_pass(i)
-        (_, gamma), self._gamma = self._gamma, None
-        return gamma
+        total = None
+        for xs, lay, cur in self._chunks(i):
+            part = _paired_operator(matricize(cur, lay, self.pre), xs.shape[-1])
+            total = part if total is None else np.add(total, part, out=total)
+        return total / 2 ** (self.qpir.n + 1)
 
 
 # ---------------------------------------------------------------------------

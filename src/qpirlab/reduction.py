@@ -6,9 +6,8 @@ ops before its last one purified, each party once; the basis inputs run
 one index at a time, i fixed in the client's first op and each client
 memory before the last op written in the span the client reaches with i
 fixed; each index's runs stream in chunks of databases sized from one
-byte budget, and each (index, database) run is made once: index 1's
-chunks feed the encoding and its Helstrom operator in one pass.  No run
-goes on through the client's last op, which is never dilated).
+byte budget, and no chunk is kept once used.  No run goes on through the
+client's last op, which is never dilated).
 Purified, that op would be a local isometry, which moves neither the
 encoding's size, nor its decoders' success, nor the server's marginals,
 so every stage is built before it.  There the states nu_i, the uniform
@@ -19,14 +18,18 @@ decoded by rotating nu_1 onto nu_i with a purifier-side (Uhlmann)
 unitary, from index 1's span to index i's, before index i's Helstrom
 measurement from the correctness audit, pulled back through the last op.
 Each decoder is stored as the d_pre x r partial isometry U E (E the
-compressor).  The same runs yield delta (one matmul per chunk pairing
-every database with its bit-i partner adds to the Helstrom operator on
-the last op's inputs, which is pushed through that op and diagonalized in
-the span of its Kraus operators); epsilon compares the server marginals
-of the same nu_i, with the eigensolver's round-off floored, so a private
-protocol's epsilon is exactly 0.  The measured recovery rate, formed over
-slices of databases, feeds the entropy bound on random-access-encoding
-size, which bounds the communication from below.
+compressor).  delta comes from one pass over each index's runs (one
+matmul per chunk pairing every database with its bit-i partner adds to
+the Helstrom operator on the last op's inputs, which is pushed through
+that op and diagonalized in the span of its Kraus operators); epsilon
+compares the server marginals of the same nu_i, with the eigensolver's
+round-off floored, so a private protocol's epsilon is exactly 0.  Once
+every measurement and decoder is known, one more pass over index 1's
+runs encodes each chunk of databases and decodes it at every index,
+keeping only the (n, 2^n) probabilities of outcome 0; so index 1's runs
+are made twice, and no encoded state outlives its chunk.  The measured
+recovery rate feeds the entropy bound on random-access-encoding size,
+which bounds the communication from below.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from .qpir import (
     PrivacyReport,
     PurifiedRun,
     QpirProtocol,
-    _chunk_columns,
     correctness_delta,
     privacy_epsilon_purified,
 )
@@ -59,6 +61,44 @@ from .qpir import (
 #: Above this privacy leak the purifier-rotation argument says nothing:
 #: the marginal-distance budget 2*eps stops being a trace-distance bound.
 PRIVACY_PREMISE_MAX = 0.5
+
+#: How far a state that lies in the compression support may seem to leave
+#: it: the round-off of compressing and decompressing it.  E's columns are
+#: orthonormal to about d u, so a unit column in range(E) leaves it by
+#: about sqrt(d) u, near 1e-14 at the sizes audited.  A Schmidt direction
+#: that the rank tolerance cuts, or a server that keeps no copy of x,
+#: leaves it by far more, and that run is refused.
+SUPPORT_LEAK_TOL = 1e-8
+
+#: How far a probability or a rate formed in floating point may stray
+#: outside [0, 1] and still be clamped onto it: the round-off of a sum of
+#: squared amplitudes of a unit vector, a few ulps (without the clamp,
+#: index 1 of random n=4 seed 1 recovers with 1 + 4.4e-16).  A value
+#: beyond it is an error, not round-off.
+UNIT_INTERVAL_SLACK = 1e-9
+
+#: `reduce`'s verdicts (`BoundReport.consistency`): with the privacy
+#: premise, whether comm meets the bound; without it, whether comm is
+#: below n.
+BOUND_APPLIES = "bound-applies"
+BOUND_VIOLATED = "BOUND-VIOLATED"
+CONSISTENT_BECAUSE_NON_PRIVATE = "consistent-because-non-private"
+NON_PRIVATE = "non-private"
+REDUCE_CONSISTENCY = (BOUND_APPLIES, BOUND_VIOLATED,
+                      CONSISTENT_BECAUSE_NON_PRIVATE, NON_PRIVATE)
+
+#: `attack`'s verdicts on how far the server's marginals tell indices
+#: apart (`AttackReport.verdict`), and on the protocol's cost
+#: (`AttackReport.consistency`, which shares `reduce`'s
+#: `CONSISTENT_BECAUSE_NON_PRIVATE`).
+PRIVATE = "PRIVATE"
+LEAKY = "LEAKY"
+NOT_PRIVATE = "NOT-PRIVATE"
+ATTACK_VERDICT = (PRIVATE, LEAKY, NOT_PRIVATE)
+BOUND_RESPECTED = "bound-respected"
+SUBLINEAR_AND_PRIVATE = "SUBLINEAR-AND-PRIVATE"
+ATTACK_CONSISTENCY = (BOUND_RESPECTED, SUBLINEAR_AND_PRIVATE,
+                      CONSISTENT_BECAUSE_NON_PRIVATE)
 
 
 @dataclass(frozen=True)
@@ -69,7 +109,9 @@ class RandomAccessEncoding:
     ceiling); decoding index i applies its decoder, which decompresses and
     rotates in one step, and then index i's Helstrom measurement from
     `correctness`.  Each client space is the d_pre-dimensional one before
-    the client's last op.
+    the client's last op.  The encoded states themselves are not kept:
+    each is decoded at every index as it is made, and only the
+    probability of outcome 0 is stored.
     """
 
     n: int
@@ -81,7 +123,7 @@ class RandomAccessEncoding:
     decoders: tuple[Isometry, ...]           # U^{1->i} E: compressed -> index i's client, (d_pre, r)
     correctness: CorrectnessReport           # carries the per-index measurements
     rotation_distances: tuple[float, ...]    # D((1 x U E)c_1, nu_i) achieved
-    compressed_runs: np.ndarray              # (r, server_dim, 2^n), unit columns
+    outcome_zero: np.ndarray                 # (n, 2^n): ||(W_i (x) 1) U E c_x||^2, unclamped
 
 
 def build_rae(run: PurifiedRun,
@@ -89,11 +131,13 @@ def build_rae(run: PurifiedRun,
     """Construct the random access encoding induced by a QPIR protocol.
 
     The compressor comes from the support of nu_1's marginal on all but
-    A_s; every per-database run must live inside that support (a violation
-    signals a rank-tolerance misconfiguration or a protocol whose server
-    does not retain the database branches).  Index 1's pass gives the
-    encoding, and Gamma_1^pre with it, before correctness runs the rest;
-    the decoders rotate the nu_i.
+    A_s; nu_1 and every per-database run must live inside that support
+    (a violation signals a rank-tolerance misconfiguration or a protocol
+    whose server does not retain the database branches), and each
+    refusal names the rank tolerance.  nu_1 is checked first, then
+    correctness runs every index's pass for its measurements W_i, the
+    decoders rotate the nu_i, and one more pass over index 1 encodes
+    every database and decodes it at every index (`_encode`).
     """
     qpir = run.qpir
     n = qpir.n
@@ -103,18 +147,25 @@ def build_rae(run: PurifiedRun,
     r = compressor.input_layout.total_dim
     m = math.log2(r)
     emat = compressor.matrix
-    comp = _encode(run, emat, rank_tol)
-    comp.setflags(write=False)
+    m1 = matricize(nu1.amplitudes, nu1.layout, client)
+    c1 = emat.conj().T @ m1
+    _refuse_leak(float(np.linalg.norm(m1 - emat @ c1)),
+                 "the uniform database's run with index 1", rank_tol)
     correctness = correctness_delta(run)
 
-    c1 = emat.conj().T @ matricize(nu1.amplitudes, nu1.layout, client)
-    decoders, rot_dist = [], []
-    for i in range(1, n + 1):
+    decoders, rot_dist, measured = [], [], []
+    for i, w in enumerate(correctness.measurements, start=1):
         nui = run.nu(i)
-        decoders.append(uhlmann_unitary(nui, nu1, support=compressor))
+        decoder = uhlmann_unitary(nui, nu1, support=compressor)
+        decoders.append(decoder)
         rot_dist.append(pure_distance_amplitudes(
             matricize(nui.amplitudes, nui.layout, client).reshape(-1),
-            (decoders[-1].matrix @ c1).reshape(-1)))
+            (decoder.matrix @ c1).reshape(-1)))
+        decode = matricize(decoder.matrix, decoder.output_layout,
+                           correctness.measured_labels)           # (d_pre, d_bar, r)
+        measured.append((w @ decode.reshape(w.shape[1], -1)).reshape(-1, r))
+    outcome_zero = _encode(run, emat, measured, rank_tol)
+    outcome_zero.setflags(write=False)
     return RandomAccessEncoding(
         n=n,
         communication=communication_complexity(qpir.spec),
@@ -125,78 +176,89 @@ def build_rae(run: PurifiedRun,
         decoders=tuple(decoders),
         correctness=correctness,
         rotation_distances=tuple(rot_dist),
-        compressed_runs=comp,
+        outcome_zero=outcome_zero,
     )
 
 
-def _encode(run: PurifiedRun, emat: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Every database's index-1 run before the client's last op, compressed
-    by `emat` and renormalized, as (r, server_dim, 2^n).  With M_x run x's
-    column, it compresses to (1 (x) E^dagger) M_x and leaves the
-    compression support by ||M_x - (1 (x) E)(1 (x) E^dagger) M_x||; a leak
-    beyond 1e-8 is a SupportViolation.  The runs come one chunk at a time
-    from index 1's pass (`PurifiedRun.index_pass`), which also keeps
-    Gamma_1^pre for correctness, so no index-1 run is made twice."""
-    da = 2 ** run.qpir.n
-    server = run.spec.a_memory[-1]
-    comp = np.empty((emat.shape[1], server.total_dim, da), dtype=np.complex128)
-    leaks = np.empty(da)
-
-    def encode(xs: np.ndarray, lay, cur: np.ndarray) -> None:
-        m = matricize(cur, lay, server.labels())   # A_s leads: a view
-        part = emat.conj().T @ m                    # (d_server, r, len(xs))
-        outside = emat @ part
-        np.subtract(m, outside, out=outside)
-        # each column's squared norm, summed over its real and imaginary parts
-        parts = outside.reshape(-1, len(xs)).view(np.float64)
-        leaks[xs] = np.sqrt(np.einsum("kj,kj->j", parts, parts).reshape(-1, 2).sum(axis=1))
-        if np.max(leaks[xs]) <= 1e-8:     # else refused below, after every chunk
-            part /= np.linalg.norm(part.reshape(-1, len(xs)), axis=0)
-            comp[:, :, xs] = part.transpose(1, 0, 2)
-
-    run.index_pass(1, encode)
-    worst = float(np.max(leaks))
-    if worst > 1e-8:
+def _refuse_leak(leak: float, what: str, rank_tol: float) -> None:
+    """A SupportViolation, naming the rank tolerance, if `what` leaves the
+    compression support by more than `SUPPORT_LEAK_TOL`."""
+    if leak > SUPPORT_LEAK_TOL:
         raise SupportViolation(
-            f"a database run leaves the compression support by {worst:.3e}; "
+            f"{what} leaves the compression support by {leak:.3e}; "
             f"check the rank tolerance ({rank_tol})"
         )
-    return comp
+
+
+def _encode(run: PurifiedRun, emat: np.ndarray, measured: list[np.ndarray],
+            rank_tol: float) -> np.ndarray:
+    """p_0[i, x] = ||(measured_i (x) 1) c_x||^2 for each matrix in
+    `measured` (an index's measurement folded into its decoder, (k d_bar)
+    x r) and every database x, as (len(measured), 2^n).
+
+    c_x is database x's index-1 run before the client's last op, M_x,
+    compressed by `emat` to (1 (x) E^dagger) M_x (`_compressed`) and
+    renormalized.  The runs come one chunk at a time from a pass over
+    index 1 (`PurifiedRun._chunks`); each chunk is compressed, decoded at
+    every index and freed, so no encoded state outlives its chunk.  A run that
+    leaves the compression support by more than `SUPPORT_LEAK_TOL` is a
+    SupportViolation, raised after every chunk with the worst leak of all.
+    """
+    server = run.spec.a_memory[-1].labels()
+    r = emat.shape[1]
+    p0 = np.empty((len(measured), 2 ** run.qpir.n))
+    worst = 0.0
+    for xs, lay, cur in run._chunks(1):
+        xs = xs.reshape(-1)
+        # the chunk is kept in one form at a time (its runs, compressed,
+        # then laid out r first for the decoders), so no more than one
+        # chunk-sized array outlives the step that made the next
+        part, leak = _compressed(emat, matricize(cur, lay, server))  # A_s leads
+        del cur
+        worst = max(worst, leak)
+        if worst > SUPPORT_LEAK_TOL:      # refused below, after every chunk
+            continue
+        part /= np.linalg.norm(part.reshape(-1, len(xs)), axis=0)
+        runs = part.transpose(1, 0, 2).reshape(r, -1)    # (r, d_server * len(xs))
+        del part
+        for p, meas in zip(p0, measured):
+            # amplitudes (k*d_bar, d_server * len(xs)), freed once squared
+            p[xs] = np.sum(np.abs((meas @ runs).reshape(-1, len(xs))) ** 2, axis=0)
+        del runs
+    _refuse_leak(worst, "a database run", rank_tol)
+    return p0
+
+
+def _compressed(emat: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, float]:
+    """(1 (x) E^dagger) M for runs m, (d_server, d_pre, C), as (d_server,
+    r, C), and the largest distance ||M_x - (1 (x) E)(1 (x) E^dagger)
+    M_x|| of a run from the compression support."""
+    part = emat.conj().T @ m
+    outside = emat @ part
+    np.subtract(m, outside, out=outside)
+    # each column's squared norm, summed over its real and imaginary parts
+    parts = outside.reshape(-1, m.shape[-1]).view(np.float64)
+    leaks = np.einsum("kj,kj->j", parts, parts).reshape(-1, 2).sum(axis=1)
+    return part, math.sqrt(float(np.max(leaks)))
 
 
 def recovery_rates(rae: RandomAccessEncoding) -> tuple[tuple[float, ...], float]:
     """Average probability of recovering bit i over uniform databases.
 
-    Works on the stored pure runs (decoding commutes with tracing the
-    server side), one matmul per index and slice of databases:
-    p_0(x) = ||(W_i (x) 1) U E c_x||^2, with the decoder's purifier, if
-    any, riding along.  W_i is folded into the decoder first, so that
-    matmul is (k d_bar) x r, with k the rows of W_i; each slice holds as
-    many databases as `CHUNK_BYTES` allows of its (k d_bar) x d_server
-    amplitudes per database.  Each outcome probability and each rate is
-    clamped to [0, 1] against round-off; one beyond it by more than 1e-9
-    is a ValueError.
+    Reads the outcome-0 probabilities the encoding stored, p_0(x) =
+    ||(W_i (x) 1) U E c_x||^2, formed on the pure runs (decoding commutes
+    with tracing the server side), with the decoder's purifier, if any,
+    riding along.  Each outcome probability and each rate is clamped to
+    [0, 1] against round-off; one beyond it by more than
+    `UNIT_INTERVAL_SLACK` is a ValueError.
     """
     n = rae.n
-    da = 2 ** n
-    comp = rae.compressed_runs           # (r, d_server, da)
-    r, d_server, _ = comp.shape
-    correctness = rae.correctness
-    p0 = np.empty((n, da))
-    for i, (decoder, w) in enumerate(zip(rae.decoders, correctness.measurements)):
-        decode = matricize(decoder.matrix, decoder.output_layout,
-                           correctness.measured_labels)           # (d_pre, d_bar, r)
-        measured = (w @ decode.reshape(w.shape[1], -1)).reshape(-1, r)
-        step = _chunk_columns(measured.shape[0] * d_server)
-        for x in range(0, da, step):
-            runs = comp[:, :, x:x + step]
-            amp = measured @ runs.reshape(r, -1)                   # (k*d_bar, ds*slice)
-            p0[i, x:x + step] = np.sum(np.abs(amp.reshape(-1, runs.shape[2])) ** 2, axis=0)
+    p0 = rae.outcome_zero
     for i, row in enumerate(p0, start=1):
         for extreme in (row.min(), row.max()):
             _unit_interval(float(extreme), f"index {i}'s outcome-0 probability")
     p0 = np.clip(p0, 0.0, 1.0)
-    bits = np.arange(da) >> (n - np.arange(1, n + 1))[:, None] & 1
+    bits = np.arange(2 ** n) >> (n - np.arange(1, n + 1))[:, None] & 1
     correct = np.where(bits, 1.0 - p0, p0)
     rates = tuple(_unit_interval(float(np.mean(row)), f"index {i}'s recovery rate")
                   for i, row in enumerate(correct, start=1))
@@ -209,7 +271,7 @@ def recovery_rates(rae: RandomAccessEncoding) -> tuple[tuple[float, ...], float]
 
 def _unit_interval(value: float, name: str) -> float:
     """Clamp round-off dust at the ends of [0, 1]; reject real violations."""
-    if not -1e-9 <= value <= 1.0 + 1e-9:
+    if not -UNIT_INTERVAL_SLACK <= value <= 1.0 + UNIT_INTERVAL_SLACK:
         raise ValueError(f"{name} {value} outside [0, 1]")
     return min(1.0, max(0.0, value))
 
@@ -311,10 +373,10 @@ def bound_report(qpir: QpirProtocol,
     bound_consistent = (rae.communication >= bound - 1e-6) if premise_ok else None
     premise_failure = None if premise_ok else "privacy"
     if premise_ok:
-        consistency = "bound-applies" if bound_consistent else "BOUND-VIOLATED"
+        consistency = BOUND_APPLIES if bound_consistent else BOUND_VIOLATED
     else:
-        consistency = ("consistent-because-non-private"
-                       if rae.communication < rae.n else "non-private")
+        consistency = (CONSISTENT_BECAUSE_NON_PRIVATE
+                       if rae.communication < rae.n else NON_PRIVATE)
     return BoundReport(
         n=rae.n,
         communication=rae.communication,
@@ -374,20 +436,20 @@ def superposition_attack(qpir: QpirProtocol) -> AttackReport:
     max_pair = float(np.max(dist))
     guess = min(1.0, 0.5 + 0.5 * max_pair)
     if max_pair >= 1.0 - 1e-9:
-        verdict = "NOT-PRIVATE"
+        verdict = NOT_PRIVATE
     elif max_pair > 1e-9:
-        verdict = "LEAKY"
+        verdict = LEAKY
     else:
-        verdict = "PRIVATE"
+        verdict = PRIVATE
     c = communication_complexity(qpir.spec)
     premise = privacy.epsilon_hat <= PRIVACY_PREMISE_MAX + 1e-9
     sublinear = c < n - 1e-9
     if sublinear and not premise:
-        consistency = "consistent-because-non-private"
+        consistency = CONSISTENT_BECAUSE_NON_PRIVATE
     elif sublinear:
-        consistency = "SUBLINEAR-AND-PRIVATE"
+        consistency = SUBLINEAR_AND_PRIVATE
     else:
-        consistency = "bound-respected"
+        consistency = BOUND_RESPECTED
     return AttackReport(
         n=n,
         communication=c,

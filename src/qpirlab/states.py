@@ -36,8 +36,9 @@ ATOL_EIGENVALUE = 1e-9
 ATOL_ISOMETRY = 1e-9
 
 #: Bytes that the widest working array of a loop over blocks may take: a
-#: chunk of basis runs (`qpir`), the amplitudes `reduction.recovery_rates`
-#: forms, or a block of columns of a dense operator's Gram check.
+#: chunk of basis runs (`qpir`), which the encoding (`reduction._encode`)
+#: compresses and decodes in place of a chunk of its own, or a block of
+#: columns of a dense operator's Gram check.
 CHUNK_BYTES = 4 * 2**20
 
 

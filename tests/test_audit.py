@@ -17,6 +17,7 @@ import pathlib
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,7 +325,7 @@ def test_recovery_rates_stay_in_the_unit_interval():
 
 def test_recovery_rates_reject_a_probability_beyond_round_off():
     rae = build_rae(PurifiedRun(builtin("trivial", 2)))
-    inflated = dataclasses.replace(rae, compressed_runs=1.1 * rae.compressed_runs)
+    inflated = dataclasses.replace(rae, outcome_zero=1.21 * rae.outcome_zero)
     with pytest.raises(ValueError, match="outcome-0 probability 1.21"):
         recovery_rates(inflated)
 
@@ -736,11 +737,13 @@ def test_out_of_memory_ends_in_a_clean_error(monkeypatch, capsys):
     assert err == "qpirlab: error: MemoryError: Unable to allocate 1.53 GiB\n"
 
 
-@pytest.mark.parametrize("cap_mib", [160, 170, 180])
+@pytest.mark.parametrize("cap_mib", [160, 175, 190])
 def test_a_capped_process_ends_in_one_error_line(cap_mib):
-    """trivial n=7's `reduce` under an address-space cap, in its own process
-    with one BLAS thread: it fits in about 190 MiB, so these caps stop it.
-    Wherever the allocation that fails is, the process exits 1 with one
+    """random n=7 seed 1's `reduce` under an address-space cap, in its own
+    process with one BLAS thread: it fits in about 260 MiB, and under
+    150-200 MiB it fails on one of its dense 32 MiB arrays, so each of
+    these caps stops it with some margin on either side.  Wherever the
+    allocation that fails is, the process exits 1 with one
     `qpirlab: error:` line, never with a message of OpenBLAS's own."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (cap_mib << 20, cap_mib << 20))
@@ -750,11 +753,11 @@ def test_a_capped_process_ends_in_one_error_line(cap_mib):
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, path))}
     done = subprocess.run(
-        [sys.executable, "-m", "qpirlab.cli", "reduce", "--protocol", "builtin:trivial?n=7"],
+        [sys.executable, "-m", "qpirlab.cli", "reduce", "--protocol",
+         "builtin:random?n=7&seed=1"],
         env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120)
-    if done.returncode != 0:
-        assert done.returncode == 1
-        assert done.stderr.startswith("qpirlab: error:") and done.stderr.count("\n") == 1
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("qpirlab: error:") and done.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("flag", [["--recovery", "/nonexistent.json"],
@@ -864,14 +867,18 @@ def calls(monkeypatch):
     return seen
 
 
-def _assert_each_basis_run_once(calls, n: int, s: int, chunk: int) -> None:
-    """Every (index, database) column started once, by a gather of the
-    server's first op, each chunk of `chunk` columns then run through steps
-    2..2s-1, so none through the client's last op."""
-    assert sorted(calls["columns"]) == [(i, x) for i in range(1, n + 1)
-                                        for x in range(2 ** n)]
+def _assert_each_basis_run_once(calls, n: int, s: int, chunk: int,
+                                index_1_runs: int = 1) -> None:
+    """Every (index, database) column started once, index 1's
+    `index_1_runs` times, by a gather of the server's first op, each chunk
+    of `chunk` columns then run through steps 2..2s-1, so none through the
+    client's last op."""
+    assert sorted(calls["columns"]) == sorted(
+        [(1, x) for x in range(2 ** n)] * index_1_runs
+        + [(i, x) for i in range(2, n + 1) for x in range(2 ** n)])
     chunks = [run for run in calls["runs"] if run[1][:1] != [1]]
-    assert chunks == [[chunk, list(range(2, 2 * s))]] * (n * 2 ** n // chunk)
+    columns = (n - 1 + index_1_runs) * 2 ** n
+    assert chunks == [[chunk, list(range(2, 2 * s))]] * (columns // chunk)
 
 
 @pytest.mark.parametrize("budget, chunk", [(None, 16), (1, 2)],
@@ -881,8 +888,9 @@ def test_reduce_purifies_once_and_runs_each_index_batch_once(calls, monkeypatch,
     """Each party purified once; one uniform-database column per index
     through steps 1..2s-1, and each index's 2^n databases in chunks, as
     one chunk at the default budget and in pairs at a budget of one byte.
-    Index 1's pass feeds the encoding and correctness both, so each
-    (index, database) column runs once, and no run goes through the
+    Correctness makes one pass per index, and the encoding one more over
+    index 1 once every measurement is known, so each (i >= 2, x) column
+    runs once and each (1, x) column twice; no run goes through the
     client's last op."""
     import qpirlab.qpir as qpir
     if budget is not None:
@@ -894,7 +902,7 @@ def test_reduce_purifies_once_and_runs_each_index_batch_once(calls, monkeypatch,
     assert calls["batches"] == []
     nus = [run for run in calls["runs"] if run[1][:1] == [1]]
     assert nus == [[1, list(range(1, 2 * s))]] * n
-    _assert_each_basis_run_once(calls, n, s, chunk)
+    _assert_each_basis_run_once(calls, n, s, chunk, index_1_runs=2)
 
 
 def test_correctness_runs_no_index_through_the_last_op(calls, monkeypatch):
@@ -905,7 +913,6 @@ def test_correctness_runs_no_index_through_the_last_op(calls, monkeypatch):
     correctness_delta(run)
     assert len(calls["runs"]) == n * 2 ** (n - 1)   # no nu run
     _assert_each_basis_run_once(calls, n, s, 2)
-    assert run._gamma is None   # each Gamma_i^pre is read once
 
 
 @pytest.mark.parametrize("verb", ["qpir-privacy", "attack"])
@@ -1087,10 +1094,10 @@ def test_chunks_are_rectangles_closed_under_the_bit_i_pairing(n, columns):
     ("noisy-trivial", {"delta": 0.2}), ("random", {"seed": 1})])
 def test_one_pair_chunks_give_the_single_chunk_results(monkeypatch, name, params, n):
     """With the budget forced below one column, every chunk is one pair of
-    databases and `recovery_rates` takes one database at a time; reduce,
-    qpir-correctness and the compressed runs agree with one chunk, every
-    value within 1e-12 (the golden reports' tolerance) and every other
-    field equal."""
+    databases, encoded and decoded one pair at a time; reduce,
+    qpir-correctness and the stored outcome-0 probabilities agree with one
+    chunk, every value within 1e-12 (the golden reports' tolerance) and
+    every other field equal."""
     import qpirlab.qpir as qpir
     query = "&".join(f"{key}={value}" for key, value in {"n": n, **params}.items())
     argvs = [[verb, "--protocol", f"builtin:{name}?{query}"]
@@ -1099,13 +1106,31 @@ def test_one_pair_chunks_give_the_single_chunk_results(monkeypatch, name, params
     for budget in (2 ** 62, 1):
         monkeypatch.setattr(qpir, "CHUNK_BYTES", budget)
         reports = [json.loads(_cli(argv)[1]) for argv in argvs]
-        comp = build_rae(PurifiedRun(builtin(name, n, **params))).compressed_runs
-        got[budget] = reports, comp
-    (one, comp_one), (pairs, comp_pairs) = got.values()
+        p0 = build_rae(PurifiedRun(builtin(name, n, **params))).outcome_zero
+        got[budget] = reports, p0
+    (one, p0_one), (pairs, p0_pairs) = got.values()
     for argv, want, have in zip(argvs, one, pairs):
         _assert_matches(have, want, " ".join(argv))
-    assert comp_pairs.shape == comp_one.shape
-    assert np.max(np.abs(comp_pairs - comp_one)) <= 1e-12
+    assert p0_pairs.shape == p0_one.shape == (n, 2 ** n)
+    assert np.max(np.abs(p0_pairs - p0_one)) <= 1e-12
+
+
+def test_reduce_keeps_no_encoded_state_of_every_database():
+    """trivial n=7's encoding has r = 128 and 128 server dimensions, so its
+    2^7 compressed runs, held at once, would be (128, 128, 128): 32 MiB.
+    Each chunk of index 1's runs is encoded, decoded at every index and
+    freed, so the whole of `bound_report` peaks below that one array."""
+    n = 7
+    qpir = builtin("trivial", n)
+    bound_report(builtin("trivial", 2))   # imports and caches warm
+    tracemalloc.start()
+    try:
+        rep = bound_report(qpir)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.compressed_dim == 2 ** n and rep.recovery_avg == 1.0
+    assert peak < 2 ** n * 2 ** n * 2 ** n * 16
 
 
 @pytest.mark.parametrize("name, params", [

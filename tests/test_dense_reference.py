@@ -336,8 +336,9 @@ def test_the_encoding_refuses_a_compressor_short_of_the_support(monkeypatch, bui
     refused; the mixing client holds a purifier before its last op.
     trivial n=2's four runs have client parts that are a basis of that
     support, so their squared leaks sum to 1 and the worst is >= 1/2.
-    Each encoding is one pass over index 1, so each gets a run of its own;
-    the refusal comes after every chunk, with the worst leak of all."""
+    Each encoding is one pass over index 1, decoded here at no index; the
+    refusal comes after every chunk, with the worst leak of all, and
+    names the rank tolerance."""
     import qpirlab.qpir as qpir
     if budget is not None:
         monkeypatch.setattr(qpir, "CHUNK_BYTES", budget)
@@ -345,8 +346,9 @@ def test_the_encoding_refuses_a_compressor_short_of_the_support(monkeypatch, bui
     nu1 = run.nu(1)
     emat = schmidt_compressor(nu1, nu1.layout.drop(run.spec.a_memory[-1].labels())
                               .labels()).matrix
-    _encode(run, emat, DEFAULT_RANK_TOL)
+    assert _encode(run, emat, [], DEFAULT_RANK_TOL).shape == (0, 2 ** run.qpir.n)
     with pytest.raises(SupportViolation, match="leaves the compression support") as exc:
-        _encode(PurifiedRun(build()), emat[:, 1:], DEFAULT_RANK_TOL)
+        _encode(run, emat[:, 1:], [], DEFAULT_RANK_TOL)
+    assert f"rank tolerance ({DEFAULT_RANK_TOL})" in str(exc.value)
     if run.qpir.n == 2:
         assert float(str(exc.value).split(" by ")[1].split(";")[0]) >= 0.5

@@ -1,6 +1,19 @@
-"""Verdicts that no other test reaches, in one table, each row derived by
-hand and checked through `cli.main` as a user would reach it.
+"""Every verdict that `reduce` and `attack` can print (the constants in
+`reduction`) and certify's failure, in one table, each row derived by
+hand and checked through `cli.main` as a user would reach it.  The two
+verdicts that no protocol here reaches yet are listed as such.
 
+* trivial(2): the server ships |x> whole and keeps a copy of it, so
+  comm = n = 2, every delta_i = 0 and every server marginal is the
+  uniform mixture over x whatever the index: epsilon = 0.  The guarantee
+  is g = 1, the bound (1 - H(1)) n = 2 <= comm: `reduce` reads
+  `bound-applies`, and `attack` reads `PRIVATE` and, comm not being
+  below n, `bound-respected`.
+* index-in-clear(3): the client sends i (one message of 3 dimensions),
+  the server answers x_i (2 dimensions) after an empty first message,
+  so comm = 0 + log2(3) + 1 < 3.  The server ends up holding i, so
+  epsilon = 1 > 1/2 and the premise fails below n qubits:
+  `consistent-because-non-private`.
 * index-then-database(3): the server's first message is empty, the client
   sends i in the clear, and the server then sends x whole and keeps a copy
   of both.  comm = log2(1) + log2(3) + log2(2^3) = 3 + log2(3) >= n.  The
@@ -38,6 +51,8 @@ from qpirlab import cli, serialize
 from qpirlab.adversary import AdversaryStrategy
 from qpirlab.protocol import ProtocolSpec
 from qpirlab.qpir import QpirProtocol, builtin
+from qpirlab.reduction import (ATTACK_CONSISTENCY, ATTACK_VERDICT, BOUND_VIOLATED,
+                               REDUCE_CONSISTENCY, SUBLINEAR_AND_PRIVATE)
 from qpirlab.registers import RegisterLayout, concat
 from qpirlab.states import Isometry
 
@@ -78,6 +93,16 @@ def noisier_client(gamma: float) -> AdversaryStrategy:
 #: (verb, protocol, exit code, the report fields the module docstring
 #: derives).  certify runs the noisier client in place of the purified one.
 VERDICTS = [
+    ("reduce", "builtin:trivial?n=2", 0,
+     {"consistency": "bound-applies", "privacy_premise_ok": True,
+      "communication": 2.0, "delta_max": 0.0, "epsilon_used": 0.0,
+      "guarantee": 1.0, "bound_value": 2.0, "m": 2.0}),
+    ("attack", "builtin:trivial?n=2", 0,
+     {"verdict": "PRIVATE", "consistency": "bound-respected",
+      "sublinear": False, "max_pairwise": 0.0}),
+    ("reduce", "builtin:index-in-clear?n=3", 0,
+     {"consistency": "consistent-because-non-private", "privacy_premise_ok": False,
+      "communication": 1 + math.log2(3), "epsilon_used": 1.0}),
     ("reduce", "index-then-database", 0,
      {"consistency": "non-private", "privacy_premise_ok": False,
       "communication": 3 + math.log2(3), "delta_max": 0.0, "epsilon_used": 1.0,
@@ -91,6 +116,16 @@ VERDICTS = [
       "communication": 1 + math.log2(3)}),
     ("certify", "noisier-client", 2,
      {"certified": False, "epsilon_hat": 0.28, "gamma": 0.25}),
+]
+
+#: (verb, report field, every value `reduction` defines for it, those that
+#: no row reaches yet).  SUBLINEAR-AND-PRIVATE needs a private protocol
+#: below n qubits, which no builtin is; BOUND-VIOLATED needs a broken link
+#: in the reduction's proof chain, which correct code never has.
+VERDICT_FIELDS = [
+    ("reduce", "consistency", REDUCE_CONSISTENCY, {BOUND_VIOLATED}),
+    ("attack", "verdict", ATTACK_VERDICT, set()),
+    ("attack", "consistency", ATTACK_CONSISTENCY, {SUBLINEAR_AND_PRIVATE}),
 ]
 
 PROTOCOLS = {
@@ -107,6 +142,8 @@ def test_verdict_is_reached(verb, protocol, code, fields, tmp_path, monkeypatch)
                             lambda spec, party: noisier_client(0.25))
         address = "builtin:noisy-trivial?n=2&delta=0.2"
         argv = [verb, "--protocol", address, "--party", "B"]
+    elif protocol.startswith("builtin:"):
+        argv = [verb, "--protocol", protocol]
     else:
         path = tmp_path / f"{protocol}.json"
         serialize.dump(serialize.protocol_spec_to_json(PROTOCOLS[protocol]().spec),
@@ -121,3 +158,13 @@ def test_verdict_is_reached(verb, protocol, code, fields, tmp_path, monkeypatch)
             assert report[key] == pytest.approx(want, abs=1e-12), key
         else:
             assert report[key] == want, key
+
+
+@pytest.mark.parametrize("verb, field, values, unreached", VERDICT_FIELDS,
+                         ids=[f"{v}-{f}" for v, f, _, _ in VERDICT_FIELDS])
+def test_the_table_covers_every_verdict(verb, field, values, unreached):
+    reached = {fields[field] for v, _, _, fields in VERDICTS
+               if v == verb and field in fields}
+    assert len(set(values)) == len(values)
+    assert reached | unreached == set(values)
+    assert not reached & unreached
