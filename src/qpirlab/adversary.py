@@ -39,6 +39,11 @@ from .linalg import marginals_in_span, trace_distance_matrices
 from .protocol import (ProtocolSpec, _inputs, _isometries, _spectator_layout,
                        _steps, purify_both, purify_party)
 
+#: How far the certified distance may exceed the claimed gamma and still
+#: certify: the round-off of a trace distance between two marginals, an
+#: eigenvalue sum good to a few ulps of the marginals' size.
+SPECIOUS_SLACK = 1e-8
+
 
 @dataclass(frozen=True)
 class AdversaryStrategy:
@@ -242,7 +247,7 @@ def certify_specious(spec: ProtocolSpec, adv: AdversaryStrategy,
                  in zip(inputs, dist) for t, d in enumerate(by_step, start=1))
     eps = max(row.distance for row in rows)
     return CertificationReport(rows, eps, adv.gamma,
-                               None if adv.gamma is None else eps <= adv.gamma + 1e-8)
+                               None if adv.gamma is None else eps <= adv.gamma + SPECIOUS_SLACK)
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,14 @@ and no event exceeds its bound.
 
 --n must be positive, --seed and --trials non-negative, --delta and
 --epsilon in [0, 1], and --rank-tol in (0, 1).  JSON is the contract format
-(text/csv are derived); exit code 0 on success, 2 when a checked verdict
-fails, 1 on input errors and on runs that exhaust memory.
+(text/csv are derived); exit code 0 on success, 1 on input errors and on
+runs that exhaust memory, and 2 when a checked verdict fails.  One report
+field decides each verb's exit 2: `reduce`'s `BoundReport.verdict_failed`
+(a property, so not in the JSON), `certify`'s `certified` being false,
+`schmidt`'s `rank_within_cap` being false or any event's `ok` being false,
+and `fuzz`'s `violations` being nonempty.  `run`, `bound`,
+`qpir-correctness`, `qpir-privacy` and `attack` never exit 2.  The rules
+behind `reduce`'s, `attack`'s and `bound`'s verdicts live in `reduction`.
 Reports are deterministic per seed, byte for byte, at a fixed BLAS thread
 count.  The thread count changes how BLAS splits its sums, so the last bits
 of floats can differ between thread counts (e.g. `reduce` on random n=6
@@ -50,6 +56,7 @@ seed 1 gives bound_value 5.99999256557387 with OPENBLAS_NUM_THREADS=1 and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -87,6 +94,7 @@ from .qpir import (
 )
 from .reduction import (
     bound_report,
+    guarantee_vacuous,
     guarantee_value,
     lower_bound,
     superposition_attack,
@@ -119,7 +127,24 @@ _PROTOCOL_VERBS = ("run", "reduce", "qpir-correctness", "qpir-privacy",
                    "attack", "certify", "schmidt")
 
 
+#: How far the final Schmidt rank may exceed the cap 2^c and still be
+#: within it: the round-off of 2 raised to comm, a sum of log2's.  That is
+#: exact when every message dimension is a power of two, and below this
+#: for a single message of any dimension under 2^19.
+RANK_CAP_SLACK = 1e-9
+
+#: How far a trace distance may stray outside the Fuchs-van de Graaf
+#: interval [1 - F, sqrt(1 - F^2)] and still fall inside it: the round-off
+#: of the distance and of the fidelity, each a sum of eigen- or singular
+#: values of a matrix of at most 8 dimensions.
+FVDG_SLACK = 1e-9
+
+
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser of every verb, built on the first call and reused: each
+    parse makes a fresh namespace from the defaults, so no call sees
+    another's values."""
     parser = _Parser(prog="qpirlab")
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb in _VERBS:
@@ -196,7 +221,7 @@ def _verb_run(args):
     report = {
         "n": qpir.n,
         "rounds": spec.rounds,
-        "communication": communication_complexity(spec),
+        "communication": qpir.communication,
         "input": {"x": args.x, "i": args.i},
         "steps": [{"step": st.number, "registers": list(st.order)}
                   for st in spec.steps],
@@ -217,7 +242,7 @@ def _verb_bound(args):
         "epsilon": args.epsilon,
         "guarantee": g,
         "bound": value,
-        "vacuous": g <= 0.5,
+        "vacuous": guarantee_vacuous(g),
     }
     return report, False
 
@@ -225,10 +250,7 @@ def _verb_bound(args):
 def _verb_reduce(args):
     qpir = _resolve_qpir(args)
     rep = bound_report(qpir, rank_tol=args.rank_tol)
-    failed = not rep.nayak.holds
-    if rep.privacy_premise_ok:
-        failed = failed or not rep.guarantee_met or not rep.bound_consistent
-    return rep.to_dict(), failed
+    return rep.to_dict(), rep.verdict_failed
 
 
 def _verb_correctness(args):
@@ -264,7 +286,7 @@ def _verb_certify(args):
 def _rank_verdict(events, cap: float) -> tuple[bool, bool]:
     """(final rank within the cap 2^c, audit failed): the rank audit fails
     when the final rank exceeds the cap or any event exceeds its bound."""
-    within = events[-1].rank <= cap + 1e-9
+    within = events[-1].rank <= cap + RANK_CAP_SLACK
     return within, not within or not all(e.ok for e in events)
 
 
@@ -273,7 +295,7 @@ def _verb_schmidt(args):
     psi = qpir_input(qpir, None, args.i)
     events = rank_trace(purify_both(qpir.spec), psi, rank_tol=args.rank_tol)
     kept = events[-1].coefficients  # B's last step: cut at A's final memory
-    c = communication_complexity(qpir.spec)
+    c = qpir.communication
     cap = 2 ** c
     within, failed = _rank_verdict(events, cap)
     report = {
@@ -319,7 +341,8 @@ def _verb_fuzz(args):
         sigma = _random_density(rng, dim)
         d = trace_distance_matrices(rho, sigma)
         f = fidelity_matrices(rho, sigma)
-        if not (1.0 - f - 1e-9 <= d <= math.sqrt(max(0.0, 1.0 - f * f)) + 1e-9):
+        if not (1.0 - f - FVDG_SLACK <= d
+                <= math.sqrt(max(0.0, 1.0 - f * f)) + FVDG_SLACK):
             fvdg_violations.append(t)
 
     report = {

@@ -43,12 +43,18 @@ DEFAULT_RANK_TOL = 1e-10
 #: round-off.
 PSD_ERROR_TOL = 1e-9
 
+#: How far a state that lies in a compression support may seem to leave
+#: it: the round-off of compressing and decompressing it.  E's columns are
+#: orthonormal to about d u, so a unit column in range(E) leaves it by
+#: about sqrt(d) u, near 1e-14 at the sizes audited.  A Schmidt direction
+#: that the rank tolerance cuts, or a server that keeps no copy of x,
+#: leaves it by far more, and that state is refused.
+SUPPORT_LEAK_TOL = 1e-8
 
-def _require_same_layout(a, b) -> None:
-    if a.layout != b.layout:
-        raise LayoutMismatch(
-            f"layout mismatch: {a.layout.labels()} vs {b.layout.labels()}"
-        )
+#: An overlap of two unit vectors at most this large has no phase worth
+#: aligning: it is round-off of orthogonal vectors, and their difference
+#: has norm sqrt(2) to within it whatever phase is taken.
+PHASE_FLOOR = 1e-12
 
 
 def trace_distance_matrices(a: np.ndarray, b: np.ndarray) -> float:
@@ -95,7 +101,7 @@ def pure_distance_amplitudes(a: np.ndarray, b: np.ndarray) -> float:
     """
     ov = np.vdot(a, b)
     mag = abs(ov)
-    phase = ov / mag if mag > 1e-12 else 1.0
+    phase = ov / mag if mag > PHASE_FLOOR else 1.0
     diff = float(np.linalg.norm(b - phase * a))  # ||diff||^2 = 2(1 - |ov|)
     return min(1.0, diff * math.sqrt(max(0.0, 1.0 + min(mag, 1.0)) / 2.0))
 
@@ -194,9 +200,12 @@ def uhlmann_unitary(phi: StateVector, psi: StateVector,
     If D(tr_purifier phi, tr_purifier psi) <= eps, the rotated psi lands
     within sqrt(eps (2 - eps)) of phi in trace distance.  Raises
     SupportViolation when psi's purifier side leaves range(E) by more
-    than 1e-8.
+    than `SUPPORT_LEAK_TOL`.
     """
-    _require_same_layout(phi, psi)
+    if phi.layout != psi.layout:
+        raise LayoutMismatch(
+            f"layout mismatch: {phi.layout.labels()} vs {psi.layout.labels()}"
+        )
     _check_factor(phi.layout, support.output_layout)
     purifier = support.output_layout.labels()
     if len(purifier) in (0, len(phi.layout)):
@@ -207,7 +216,7 @@ def uhlmann_unitary(phi: StateVector, psi: StateVector,
     e = support.matrix
     ct = e.conj().T @ mpsi                    # c^T, (r, d_rest)
     leak = float(np.linalg.norm(mpsi - e @ ct))
-    if leak > 1e-8:
+    if leak > SUPPORT_LEAK_TOL:
         raise SupportViolation(
             f"psi leaves the Uhlmann support by {leak:.3e}"
         )

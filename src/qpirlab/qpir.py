@@ -79,6 +79,12 @@ from .protocol import (
     purify_party,
 )
 
+#: How far a reference index's epsilon may sit above the smallest and still
+#: tie with it: the round-off of trace distances between different pairs of
+#: marginals, each a sum of eigenvalues good to a few ulps.  The lowest
+#: tied index is the reference, so the pick does not hang on summation order.
+REFERENCE_TIE_TOL = 1e-12
+
 
 def bit_of(x: int, i: int, n: int) -> int:
     """Bit i (1-indexed, x_1 most significant) of the n-bit database x;
@@ -421,8 +427,8 @@ class PrivacyReport:
     n: int
     distance_matrix: np.ndarray          # Delta(server_i, server_j) on |xi>|i>
     epsilon_by_reference: tuple[float, ...]
-    epsilon_hat: float                   # min over reference indices, to 1e-12
-    reference_index: int                 # 1-based, lowest within 1e-12 of the min
+    epsilon_hat: float                   # min over reference indices
+    reference_index: int                 # 1-based, lowest tied with the min
     per_index_distances: tuple[float, ...]
     pairwise_lower: float                # max pairwise distance, halved
 
@@ -467,7 +473,7 @@ def privacy_epsilon_purified(run: PurifiedRun) -> PrivacyReport:
             dist[a, b] = dist[b, a] = trace_distance_matrices(margs[a], margs[b])
     by_ref = tuple(float(np.max(dist[:, j])) for j in range(n))
     # the lowest index within round-off of the minimum, not float order's pick
-    ref = next(j for j, e in enumerate(by_ref) if e <= min(by_ref) + 1e-12)
+    ref = next(j for j, e in enumerate(by_ref) if e <= min(by_ref) + REFERENCE_TIE_TOL)
     dist.setflags(write=False)
     return PrivacyReport(
         n=n,
@@ -489,10 +495,6 @@ def _copy_matrix(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[:, None, :] * v[None, :, :]).reshape(-1, u.shape[1])
 
 
-def _layout(label: str, dim: int) -> RegisterLayout:
-    return RegisterLayout((Register(label, dim),))
-
-
 def _copy(d: int) -> BasisMap:
     """The basis copy |j> -> |j>|j> of a d-dimensional register."""
     return BasisMap((d * d, d), np.arange(d) * (d + 1), np.ones(d))
@@ -502,9 +504,8 @@ def build_trivial(n: int) -> QpirProtocol:
     """Server keeps a basis copy of x and ships |x> whole; client stores it.
     Both ops are basis maps."""
     da = 2 ** n
-    a0, a1 = _layout("A0", da), _layout("A1", da)
-    x1 = _layout("X1", da)
-    b0, b1 = _layout("B0", n), _layout("B1", n * da)
+    a0, a1, x1, b0, b1 = (RegisterLayout.of(reg) for reg in (
+        ("A0", da), ("A1", da), ("X1", da), ("B0", n), ("B1", n * da)))
     a_op = Isometry(a0, concat(a1, x1), _copy(da))
     b_op = Isometry(concat(b0, x1), b1, BasisMap.identity(n * da))
     spec = ProtocolSpec(1, (a0, a1), (b0, b1), (x1,), (), (a_op,), (b_op,))
@@ -519,10 +520,9 @@ def build_index_in_clear(n: int) -> QpirProtocol:
     a basis map.
     """
     da = 2 ** n
-    a0, a1, a2 = _layout("A0", da), _layout("A1", da), _layout("A2", da * n)
-    x1, x2 = _layout("X1", 1), _layout("X2", 2)
-    b0, b1, b2 = _layout("B0", n), _layout("B1", n), _layout("B2", 2 * n)
-    y1 = _layout("Y1", n)
+    a0, a1, a2, x1, x2, b0, b1, b2, y1 = (RegisterLayout.of(reg) for reg in (
+        ("A0", da), ("A1", da), ("A2", da * n), ("X1", 1), ("X2", 2),
+        ("B0", n), ("B1", n), ("B2", 2 * n), ("Y1", n)))
 
     a1_op = Isometry(a0, concat(a1, x1), BasisMap.identity(da))
     b1_op = Isometry(concat(b0, x1), concat(b1, y1), _copy(n))
@@ -589,14 +589,10 @@ def build_random_qpir(n: int, seed: int = 0) -> QpirProtocol:
     ell = int(rng.integers(0, 2))       # qubits sent back by the client
     kq = int(rng.integers(0, ell + 1))  # qubits the server re-sends
 
-    a0, a1 = _layout("A0", da), _layout("A1", da)
-    x1 = _layout("X1", da)
-    b0 = _layout("B0", n)
-    b1 = _layout("B1", n * da // (2 ** ell))
-    y1 = _layout("Y1", 2 ** ell)
-    a2 = _layout("A2", da * 2 ** (ell - kq))
-    x2 = _layout("X2", 2 ** kq)
-    b2 = _layout("B2", b1.total_dim * 2 ** kq)
+    a0, a1, x1, b0, b1, y1, a2, x2 = (RegisterLayout.of(reg) for reg in (
+        ("A0", da), ("A1", da), ("X1", da), ("B0", n), ("B1", n * da // (2 ** ell)),
+        ("Y1", 2 ** ell), ("A2", da * 2 ** (ell - kq)), ("X2", 2 ** kq)))
+    b2 = RegisterLayout.of(("B2", b1.total_dim * 2 ** kq))
 
     u_a = haar_unitary_matrix(da, rng)
     u_x = haar_unitary_matrix(da, rng)

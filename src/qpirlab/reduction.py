@@ -30,6 +30,13 @@ keeping only the (n, 2^n) probabilities of outcome 0; so index 1's runs
 are made twice, and no encoded state outlives its chunk.  The measured
 recovery rate feeds the entropy bound on random-access-encoding size,
 which bounds the communication from below.
+
+Each rule a verdict rests on is decided here once, for every verb:
+`privacy_premise_holds` (the premise epsilon <= 1/2), `below_n` (comm
+below n qubits), `guarantee_vacuous` (a guarantee g <= 1/2, whose bound
+is 0) and `nayak_check`; `BoundReport.verdict_failed` decides `reduce`'s
+exit status.  Every comparison's slack is a named constant that says
+what round-off it absorbs.
 """
 
 from __future__ import annotations
@@ -42,13 +49,13 @@ import numpy as np
 from .errors import SupportViolation
 from .linalg import (
     DEFAULT_RANK_TOL,
+    SUPPORT_LEAK_TOL,
     binary_entropy,
     pure_distance_amplitudes,
     schmidt_compressor,
     uhlmann_unitary,
 )
 from .states import Isometry, matricize
-from .protocol import communication_complexity
 from .qpir import (
     CorrectnessReport,
     PrivacyReport,
@@ -62,20 +69,43 @@ from .qpir import (
 #: the marginal-distance budget 2*eps stops being a trace-distance bound.
 PRIVACY_PREMISE_MAX = 0.5
 
-#: How far a state that lies in the compression support may seem to leave
-#: it: the round-off of compressing and decompressing it.  E's columns are
-#: orthonormal to about d u, so a unit column in range(E) leaves it by
-#: about sqrt(d) u, near 1e-14 at the sizes audited.  A Schmidt direction
-#: that the rank tolerance cuts, or a server that keeps no copy of x,
-#: leaves it by far more, and that run is refused.
-SUPPORT_LEAK_TOL = 1e-8
+#: How far a privacy leak may exceed `PRIVACY_PREMISE_MAX` and still meet
+#: the premise: the round-off of a trace distance, an eigenvalue sum good
+#: to a few ulps.
+PREMISE_SLACK = 1e-9
 
-#: How far a probability or a rate formed in floating point may stray
-#: outside [0, 1] and still be clamped onto it: the round-off of a sum of
-#: squared amplitudes of a unit vector, a few ulps (without the clamp,
-#: index 1 of random n=4 seed 1 recovers with 1 + 4.4e-16).  A value
-#: beyond it is an error, not round-off.
+#: How far a probability, a rate or a trace distance formed in floating
+#: point may stray past an end of [0, 1] and still count as that end: the
+#: round-off of a sum of squared amplitudes of a unit vector, or of an
+#: eigenvalue sum, a few ulps (without the clamp, index 1 of random n=4
+#: seed 1 recovers with 1 + 4.4e-16).  A probability beyond it is an
+#: error, not round-off.
 UNIT_INTERVAL_SLACK = 1e-9
+
+#: How far below n qubits a protocol must exchange to count as sublinear:
+#: the round-off of comm, a sum of log2's of a few integer dimensions, a
+#: few ulps of n.  comm is log2 of an integer product P, so P < 2^n puts it
+#: at least 2^-n / ln 2 below n, which exceeds this for every n <= 30.
+SUBLINEAR_SLACK = 1e-9
+
+#: How far m may fall short of Nayak's (1 - H(p)) n and still pass: the
+#: round-off of the entropy at a measured rate p, times n.
+NAYAK_SLACK = 1e-9
+
+#: How far the measured recovery rate may fall short of the guarantee g and
+#: still meet it: the round-off of a rate read through SVD-built decoders,
+#: and of epsilon, which g's 2 sqrt(eps (1 - eps)) lifts (an epsilon of
+#: 2.5e-13 costs g 1e-6).
+GUARANTEE_SLACK = 1e-6
+
+#: How far comm may fall short of the bound (1 - H(g)) n and still meet it:
+#: the round-off of g lifted by the entropy, whose slope log2((1 - g) / g)
+#: is steep near g = 1, and by the guarantee's square root, times n.
+BOUND_SLACK = 1e-6
+
+#: How far log2 of the compressed dimension may sit above an integer and
+#: still be that many qubits: log2's round-off, a few ulps.
+QUBIT_CEIL_SLACK = 1e-12
 
 #: `reduce`'s verdicts (`BoundReport.consistency`): with the privacy
 #: premise, whether comm meets the bound; without it, whether comm is
@@ -168,9 +198,9 @@ def build_rae(run: PurifiedRun,
     outcome_zero.setflags(write=False)
     return RandomAccessEncoding(
         n=n,
-        communication=communication_complexity(qpir.spec),
+        communication=qpir.communication,
         m=m,
-        m_ceil=math.ceil(m - 1e-12),
+        m_ceil=math.ceil(m - QUBIT_CEIL_SLACK),
         compressed_dim=r,
         compressor=compressor,
         decoders=tuple(decoders),
@@ -285,15 +315,41 @@ def guarantee_value(delta: float, epsilon: float) -> float:
 
 def lower_bound(n: int, delta: float, epsilon: float) -> float:
     """Communication lower bound (1 - H_bin(g)) n at the guaranteed recovery
-    rate g = 1 - delta - 2 sqrt(eps(1-eps)).
-
-    Nayak's entropy bound says nothing about recovery rates below 1/2, so
-    the bound is 0 whenever g <= 1/2 (the report layer flags it vacuous).
-    """
+    rate g = 1 - delta - 2 sqrt(eps(1-eps)), and 0 where g is vacuous
+    (`guarantee_vacuous`)."""
     g = guarantee_value(delta, epsilon)
-    if g <= 0.5:
+    if guarantee_vacuous(g):
         return 0.0
     return (1.0 - binary_entropy(g)) * n
+
+
+# ---------------------------------------------------------------------------
+# the verdict rules: each decided here, once, for every verb
+# ---------------------------------------------------------------------------
+
+def privacy_premise_holds(epsilon: float) -> bool:
+    """The theorem's premise, epsilon <= 1/2, up to `PREMISE_SLACK`.
+
+    Each verb passes the epsilon its argument rests on.  `reduce` passes
+    the replay epsilon pinned to index 1: its decoders rotate index 1's
+    run onto each index's, so the distance from each server marginal to
+    index 1's is the budget those rotations spend.  `attack` passes the
+    best replay epsilon_hat: it asks whether any replay simulator makes
+    the protocol private, whatever index it replays.
+    """
+    return epsilon <= PRIVACY_PREMISE_MAX + PREMISE_SLACK
+
+
+def below_n(communication: float, n: int) -> bool:
+    """Whether comm qubits are fewer than the n a protocol that ships the
+    database whole exchanges, by more than `SUBLINEAR_SLACK`."""
+    return communication < n - SUBLINEAR_SLACK
+
+
+def guarantee_vacuous(g: float) -> bool:
+    """Whether the guaranteed recovery rate g says nothing: Nayak's entropy
+    bound (FOCS 1999) needs a rate above 1/2, so at g <= 1/2 the bound is 0."""
+    return g <= 0.5
 
 
 @dataclass(frozen=True)
@@ -312,7 +368,7 @@ def nayak_check(n: int, m: float, p: float) -> NayakVerdict:
     p = _unit_interval(p, "recovery probability")
     bound = (1.0 - binary_entropy(p)) * n
     slack = m - bound
-    return NayakVerdict(n, m, p, bound, slack, slack >= -1e-9)
+    return NayakVerdict(n, m, p, bound, slack, slack >= -NAYAK_SLACK)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +403,14 @@ class BoundReport:
     premise_failure: str | None
     consistency: str
 
+    @property
+    def verdict_failed(self) -> bool:
+        """`reduce`'s exit 2: Nayak's check fails, or, under the privacy
+        premise, the guarantee is not met or comm is below the bound."""
+        return not self.nayak.holds or (
+            self.privacy_premise_ok
+            and not (self.guarantee_met and self.bound_consistent))
+
     def to_dict(self) -> dict:
         """The fields in order; of the verdict, only bound, slack and holds."""
         v = self.nayak
@@ -367,16 +431,15 @@ def bound_report(qpir: QpirProtocol,
     g = guarantee_value(delta_avg, eps)
     bound = lower_bound(rae.n, delta_avg, eps)
     nayak = nayak_check(rae.n, rae.m, p_avg)
-    premise_ok = eps <= PRIVACY_PREMISE_MAX + 1e-9
-    vacuous = g <= 0.5
-    guarantee_met = (p_avg >= g - 1e-6) if premise_ok else None
-    bound_consistent = (rae.communication >= bound - 1e-6) if premise_ok else None
+    premise_ok = privacy_premise_holds(eps)
+    guarantee_met = (p_avg >= g - GUARANTEE_SLACK) if premise_ok else None
+    bound_consistent = (rae.communication >= bound - BOUND_SLACK) if premise_ok else None
     premise_failure = None if premise_ok else "privacy"
     if premise_ok:
         consistency = BOUND_APPLIES if bound_consistent else BOUND_VIOLATED
     else:
         consistency = (CONSISTENT_BECAUSE_NON_PRIVATE
-                       if rae.communication < rae.n else NON_PRIVATE)
+                       if below_n(rae.communication, rae.n) else NON_PRIVATE)
     return BoundReport(
         n=rae.n,
         communication=rae.communication,
@@ -396,7 +459,7 @@ def bound_report(qpir: QpirProtocol,
         rotation_distances=rae.rotation_distances,
         marginal_distances=tuple(float(d) for d in privacy.distance_matrix[:, 0]),
         privacy_premise_ok=premise_ok,
-        guarantee_vacuous=vacuous,
+        guarantee_vacuous=guarantee_vacuous(g),
         guarantee_met=guarantee_met,
         bound_consistent=bound_consistent,
         premise_failure=premise_failure,
@@ -435,15 +498,15 @@ def superposition_attack(qpir: QpirProtocol) -> AttackReport:
     dist = privacy.distance_matrix
     max_pair = float(np.max(dist))
     guess = min(1.0, 0.5 + 0.5 * max_pair)
-    if max_pair >= 1.0 - 1e-9:
+    if max_pair >= 1.0 - UNIT_INTERVAL_SLACK:
         verdict = NOT_PRIVATE
-    elif max_pair > 1e-9:
+    elif max_pair > UNIT_INTERVAL_SLACK:
         verdict = LEAKY
     else:
         verdict = PRIVATE
-    c = communication_complexity(qpir.spec)
-    premise = privacy.epsilon_hat <= PRIVACY_PREMISE_MAX + 1e-9
-    sublinear = c < n - 1e-9
+    c = qpir.communication
+    premise = privacy_premise_holds(privacy.epsilon_hat)
+    sublinear = below_n(c, n)
     if sublinear and not premise:
         consistency = CONSISTENT_BECAUSE_NON_PRIVATE
     elif sublinear:

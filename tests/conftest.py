@@ -20,7 +20,6 @@ from qpirlab.protocol import ProtocolSpec
 from qpirlab.qpir import (
     QpirProtocol,
     _copy_matrix,
-    _layout,
     bit_of,
     build_index_in_clear,
     builtin,
@@ -158,9 +157,8 @@ def dephased(op: Isometry) -> KrausChannel:
 
 def dense_trivial(n: int) -> QpirProtocol:
     da = 2 ** n
-    a0, a1 = _layout("A0", da), _layout("A1", da)
-    x1 = _layout("X1", da)
-    b0, b1 = _layout("B0", n), _layout("B1", n * da)
+    a0, a1, x1, b0, b1 = (RegisterLayout.of(reg) for reg in (
+        ("A0", da), ("A1", da), ("X1", da), ("B0", n), ("B1", n * da)))
     eye = np.eye(da, dtype=np.complex128)
     a_op = Isometry(a0, concat(a1, x1), _copy_matrix(eye, eye))
     b_op = Isometry(concat(b0, x1), b1, np.eye(n * da, dtype=np.complex128))
@@ -170,10 +168,9 @@ def dense_trivial(n: int) -> QpirProtocol:
 
 def dense_index_in_clear(n: int) -> QpirProtocol:
     da = 2 ** n
-    a0, a1, a2 = _layout("A0", da), _layout("A1", da), _layout("A2", da * n)
-    x1, x2 = _layout("X1", 1), _layout("X2", 2)
-    b0, b1, b2 = _layout("B0", n), _layout("B1", n), _layout("B2", 2 * n)
-    y1 = _layout("Y1", n)
+    a0, a1, a2, x1, x2, b0, b1, b2, y1 = (RegisterLayout.of(reg) for reg in (
+        ("A0", da), ("A1", da), ("A2", da * n), ("X1", 1), ("X2", 2),
+        ("B0", n), ("B1", n), ("B2", 2 * n), ("Y1", n)))
 
     a1_op = Isometry(a0, concat(a1, x1), np.eye(da, dtype=np.complex128))
     eye = np.eye(n, dtype=np.complex128)
