@@ -72,7 +72,6 @@ from .linalg import (
     trace_distance_matrices,
 )
 from .protocol import (
-    communication_complexity,
     product_input,
     purify_both,
     random_protocol,
@@ -126,12 +125,6 @@ _RANK_TOL = _checked(float, lambda v: 0.0 < v < 1.0, "rank tolerance")
 _PROTOCOL_VERBS = ("run", "reduce", "qpir-correctness", "qpir-privacy",
                    "attack", "certify", "schmidt")
 
-
-#: How far the final Schmidt rank may exceed the cap 2^c and still be
-#: within it: the round-off of 2 raised to comm, a sum of log2's.  That is
-#: exact when every message dimension is a power of two, and below this
-#: for a single message of any dimension under 2^19.
-RANK_CAP_SLACK = 1e-9
 
 #: How far a trace distance may stray outside the Fuchs-van de Graaf
 #: interval [1 - F, sqrt(1 - F^2)] and still fall inside it: the round-off
@@ -283,10 +276,13 @@ def _verb_certify(args):
     return {"party": args.party, **asdict(rep)}, rep.certified is False
 
 
-def _rank_verdict(events, cap: float) -> tuple[bool, bool]:
+def _rank_verdict(events, spec) -> tuple[bool, bool]:
     """(final rank within the cap 2^c, audit failed): the rank audit fails
-    when the final rank exceeds the cap or any event exceeds its bound."""
-    within = events[-1].rank <= cap + RANK_CAP_SLACK
+    when the final rank exceeds the cap or any event exceeds its bound.
+    The cap is compared as the integer it is, the product of the message
+    dimensions, not as 2 raised to comm, a sum of log2's."""
+    cap = math.prod(lay.total_dim for lay in spec.x_comm + spec.y_comm)
+    within = events[-1].rank <= cap
     return within, not within or not all(e.ok for e in events)
 
 
@@ -296,14 +292,13 @@ def _verb_schmidt(args):
     events = rank_trace(purify_both(qpir.spec), psi, rank_tol=args.rank_tol)
     kept = events[-1].coefficients  # B's last step: cut at A's final memory
     c = qpir.communication
-    cap = 2 ** c
-    within, failed = _rank_verdict(events, cap)
+    within, failed = _rank_verdict(events, qpir.spec)
     report = {
         "n": qpir.n,
         "i": args.i,
         "communication": c,
         "rank": len(kept),
-        "rank_cap": cap,
+        "rank_cap": 2 ** c,
         "rank_within_cap": within,
         "coefficients": list(kept),
         "events": [{"step": e.step, "rank": e.rank, "bound": e.bound,
@@ -331,7 +326,7 @@ def _verb_fuzz(args):
         spec = random_protocol(seed * 1_000_003 + t, rounds, budget)
         psi = product_input(spec, seed=seed + t)
         events = rank_trace(spec, psi, rank_tol=args.rank_tol)
-        if _rank_verdict(events, 2 ** communication_complexity(spec))[1]:
+        if _rank_verdict(events, spec)[1]:
             schmidt_violations.append(t)
 
     fvdg_violations = []
@@ -405,7 +400,8 @@ def main(argv=None) -> int:
         print(f"qpirlab: error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # a run too large for this machine
-        print(f"qpirlab: error: MemoryError: {exc}", file=sys.stderr)
+        detail = f": {exc}" if str(exc) else ""
+        print(f"qpirlab: error: MemoryError{detail}", file=sys.stderr)
         return 1
     text = _render(report, args.format)
     if args.out:

@@ -235,24 +235,30 @@ class HelstromResult(NamedTuple):
     positive: np.ndarray   # (d, k) orthonormal basis of the outcome-0 eigenspace
 
 
-def helstrom_matrices(gamma: np.ndarray) -> HelstromResult:
-    """Optimal two-outcome discrimination at priors 1/2 from the Helstrom
-    operator gamma = rho0/2 - rho1/2: success 1/2 + (1/2)||gamma||_1.
+def helstrom_spectrum(w: np.ndarray) -> tuple[float, np.ndarray]:
+    """Optimal two-outcome discrimination at priors 1/2 from the eigenvalues
+    w of the Helstrom operator gamma = rho0/2 - rho1/2: the success
+    probability 1/2 + (1/2)||gamma||_1, at most 1, and which eigenvalues
+    the optimal measurement keeps, those above the floor len(w) * eps.
 
-    The caller forms gamma (`qpir` does so without either state, in the
-    span of the client's last op).  Returns the success probability
-    together with an orthonormal basis of the eigenvectors of gamma whose
-    eigenvalues exceed d * eps: the optimal measurement projects onto
-    their span, and outcome 0 fires when it clicks.  That floor is the one
-    `trace_distance_matrices` applies to rho0/2 and rho1/2, whose traces
-    sum to 1.  Any split of gamma's kernel is optimal, but a rate read
-    from the measurement should not hinge on the round-off sign of a
-    kernel eigenvalue: within the floor, none is kept.
+    That floor is the one `trace_distance_matrices` applies to rho0/2 and
+    rho1/2, whose traces sum to 1.  Any split of gamma's kernel is
+    optimal, but a rate read from the measurement should not hinge on the
+    round-off sign of a kernel eigenvalue: within the floor, none is kept.
     """
-    w, v = np.linalg.eigh(gamma)
     prob = 0.5 + 0.5 * float(np.sum(np.abs(w)))
-    floor = len(w) * np.finfo(float).eps
-    return HelstromResult(min(1.0, prob), v[:, w > floor])
+    return min(1.0, prob), w > len(w) * np.finfo(float).eps
+
+
+def helstrom_matrices(gamma: np.ndarray) -> HelstromResult:
+    """`helstrom_spectrum` of a Helstrom operator given as a matrix, with an
+    orthonormal basis of the eigenvectors it keeps: the optimal
+    measurement projects onto their span, and outcome 0 fires when it
+    clicks.  The caller forms gamma (`qpir` does so without either state,
+    in the span of the client's last op)."""
+    w, v = np.linalg.eigh(gamma)
+    prob, kept = helstrom_spectrum(w)
+    return HelstromResult(prob, v[:, kept])
 
 
 # ---------------------------------------------------------------------------

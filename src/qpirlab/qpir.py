@@ -23,16 +23,22 @@ final states averaged over {x : x_i = 0} and over {x : x_i = 1}.  The
 client's last op touches only its own registers, so their Helstrom
 operator Gamma_i = rho_0/2 - rho_1/2 is that op, as a channel, applied to
 Gamma_i^pre, the same operator on the op's inputs.  Gamma_i^pre is summed
-over index i's chunks in one pass, one matmul per chunk that pairs each x
-with its bit-i partner, and Gamma_i is diagonalized in the span of the
-op's Kraus operators.  No chunk outlives its matmul; the reduction makes
-its own pass over index 1's chunks for the encoding.  With i fixed, each
-client memory B_1..B_{s-1} is written in the span the client's ops can
-reach, one thin QR per op, so each chunk, Gamma_i^pre and that span are
-only as large as what the client can hold.
-The last op itself is never rebuilt on that span: each of its Kraus
-operators is composed with the span's isometry Q_{s-1} in turn, and only
-the triangular factor of the composed operators is kept (`_kraus_span`).
+over index i's chunks in one pass, and no chunk outlives its share; the
+reduction makes its own pass over index 1's chunks for the encoding.
+With i fixed, each client memory B_1..B_{s-1} is written in the span the
+client's ops can reach, one thin QR per op, so each chunk, Gamma_i^pre
+and that span are only as large as what the client can hold.  The last
+op itself is never rebuilt on that span: each of its Kraus operators is
+composed with the span's isometry Q_{s-1} in turn.  Op types alone pick
+one of two paths.  When every op of index i's schedule, Q_{s-1} and every
+Kraus operator of the last op are basis maps, as in trivial and
+noisy-trivial, each run stays one-hot, so Gamma_i^pre is diagonal, a sum
+of signed squared amplitudes; pushed through the Kraus operators it stays
+diagonal, and delta_i is read off its entries, with no eigensolver and no
+dense Kraus operator.  Otherwise each chunk adds one matmul that pairs
+each x with its bit-i partner, and Gamma_i is diagonalized in the span of
+the composed Kraus operators, of which only the triangular factor is kept
+(`_kraus_span`).
 Each index's optimal measurement is kept pulled back through the last op,
 as a factor W_i of the effect it induces on the op's inputs, for the
 reduction's decoder to apply.  Privacy compares the purified server's
@@ -56,6 +62,7 @@ from .errors import LayoutError
 from .linalg import (
     haar_unitary_matrix,
     helstrom_matrices,
+    helstrom_spectrum,
     marginals_in_span,
     trace_distance_matrices,
 )
@@ -173,18 +180,25 @@ def _through(schedule, lay: RegisterLayout,
     return lay, cur
 
 
-def _compose(matrix: Matrix, q: Matrix) -> np.ndarray:
-    """matrix (Q (x) 1), dense, for a matrix whose input starts with the
-    memory that the isometry q's rows run over.
+def _compose(matrix: Matrix, q: Matrix) -> Matrix:
+    """matrix (Q (x) 1) for a matrix whose input starts with the memory
+    that the isometry q's rows run over: a basis map when both are, and
+    dense otherwise.
 
-    A basis map q = |i> (Q_0) fixes that memory at i: the result is
-    matrix's i-th block of columns, gathered from a dense matrix or
-    scattered from a basis map (`dense`).  A dense q is one matmul with
-    Q^T, since the rows of matrix^T run over the memory first."""
+    A basis map q, such as Q_0 = |i>, sends each of its columns to one
+    value of that memory: the result is the matching blocks of matrix's
+    columns, each scaled by q's value, taken as rows and values from a
+    basis map, and gathered or scattered (`dense`) otherwise.  A dense q
+    is one matmul with Q^T, since the rows of matrix^T run over the
+    memory first."""
     if isinstance(q, BasisMap):
         d_rest = matrix.shape[1] // q.shape[0]
         xs = (q.rows[:, None] * d_rest + np.arange(d_rest)).reshape(-1)
-        return dense(matrix, xs) * np.repeat(q.values, d_rest)
+        values = np.repeat(q.values, d_rest)
+        if isinstance(matrix, BasisMap):
+            return BasisMap((matrix.shape[0], len(xs)), matrix.rows[xs],
+                            matrix.values[xs] * values)
+        return dense(matrix, xs) * values
     matrix = dense(matrix)
     return (q.T @ matrix.T.reshape(q.shape[0], -1)).reshape(-1, matrix.shape[0]).T
 
@@ -237,6 +251,11 @@ class PurifiedRun:
       B_{s-1}'s held span and then X_s, everything else, purifiers
       included, traced out: one pass over index i's chunks, each adding
       its share.  Nothing of the pass is kept.
+    * `helstrom_diagonal(i)`: the same operator's diagonal, for an index
+      whose runs are `one_hot`.  Each run's marginal on `pre` is then a
+      diagonal projector, so Gamma_i^pre is diagonal: (-1)^(x_i)
+      |amplitude|^2 summed over the other registers and over the
+      databases, over 2^n, with no matmul.
     """
 
     def __init__(self, qpir: QpirProtocol) -> None:
@@ -274,7 +293,7 @@ class PurifiedRun:
             for k, op in enumerate(self._client_ops, start=1):
                 lay = concat(self._span(k - 1, q.shape[1]),
                              op.input_layout.drop(memory[k - 1].labels()))
-                v = _compose(op.matrix, q)
+                v = dense(_compose(op.matrix, q))
                 q, w = np.linalg.qr(v.reshape(memory[k].total_dim, -1))
                 out = concat(self._span(k, q.shape[1]),
                              op.output_layout.drop(memory[k].labels()))
@@ -325,6 +344,20 @@ class PurifiedRun:
             total = part if total is None else np.add(total, part, out=total)
         return total / 2 ** (self.qpir.n + 1)
 
+    def one_hot(self, i: int) -> bool:
+        """Whether index i's runs stay one-hot up to the last op's inputs:
+        every op of its schedule, and Q_{s-1}, is a basis map."""
+        matrices = [op.matrix for _, op in self._schedule(i)] + [self._reach(i)[1]]
+        return all(isinstance(m, BasisMap) for m in matrices)
+
+    def helstrom_diagonal(self, i: int) -> np.ndarray:
+        total = 0.0
+        for xs, lay, cur in self._chunks(i):
+            t = matricize(cur, lay, self.pre)
+            p = (t.real ** 2 + t.imag ** 2).sum(axis=1).reshape(len(t), -1, 2, xs.shape[-1])
+            total = total + (p[:, :, 0] - p[:, :, 1]).sum(axis=(1, 2))
+        return total / 2 ** self.qpir.n
+
 
 # ---------------------------------------------------------------------------
 # correctness
@@ -338,14 +371,18 @@ class CorrectnessReport:
     state over {x : x_i = 0} from the one over {x : x_i = 1}; it depends on
     i but never on x.  It is stored pulled back onto the inputs of the
     client's last op, K_k its Kraus operators and Pi_i its outcome-0
-    projector, as W_i^dagger W_i = sum_k K_k^dagger Pi_i K_k.
+    projector, as W_i^dagger W_i = sum_k K_k^dagger Pi_i K_k.  Op types
+    pick W_i's form (`correctness_delta`): on the basis path, where every
+    op the runs and the last op meet is a basis map, W_i is a diagonal
+    with its zero rows dropped (upper triangular when columns of a Kraus
+    operator share a row); on the dense path it is upper triangular.
     """
 
     n: int
     deltas: tuple[float, ...]
     delta_max: float
     delta_avg: float
-    measurements: tuple[np.ndarray, ...]   # W_i, upper triangular, at most d_pre x d_pre
+    measurements: tuple[np.ndarray, ...]   # W_i, at most d_pre x d_pre
     measured_labels: tuple[str, ...]       # what each W_i reads: held B_{s-1}, then X_s
 
 
@@ -355,12 +392,15 @@ def _kraus_span(op: Operation, q: Matrix) -> np.ndarray:
     starts with (`_compose`), one at a time, so at most one Kraus
     operator is dense at a time: r x m d_in, with d_in the composed input's
     dimension and r = min(d_out, m d_in).  Q is an isometry, so R keeps
-    every product K_j^dagger K_k."""
+    every product K_j^dagger K_k.  Only the dense path of
+    `correctness_delta` reads it, the one taken when an op of index i's
+    schedule, Q_{s-1} or a Kraus operator of `op` is dense; on the basis
+    path no Kraus operator is made dense."""
     kraus = (op.matrix,) if isinstance(op, Isometry) else op.kraus_ops
     d_in = q.shape[1] * op.input_layout.total_dim // q.shape[0]
     side = np.empty((op.output_layout.total_dim, len(kraus), d_in), dtype=np.complex128)
     for k, matrix in enumerate(kraus):
-        side[:, k] = _compose(matrix, q)
+        side[:, k] = dense(_compose(matrix, q))
     return np.linalg.qr(side.reshape(len(side), -1), mode="r")
 
 
@@ -377,6 +417,41 @@ def _pushed_through(gamma_pre: np.ndarray, r: np.ndarray) -> tuple[float, np.nda
     return res.probability, np.linalg.qr(f, mode="r")
 
 
+def _basis_pushed_through(gamma_pre: np.ndarray,
+                          kraus: list[BasisMap]) -> tuple[float, np.ndarray]:
+    """The Helstrom measurement of sum_k K_k Gamma^pre K_k^dagger for a
+    diagonal Gamma^pre, given as its diagonal, and basis maps K_k, column
+    j of K_k being v_kj |r_kj>.
+
+    Each K_k Gamma^pre K_k^dagger is then diagonal, gamma_j |v_kj|^2 at
+    row r_kj, and so is their sum: its entries are its eigenvalues, read
+    under `helstrom_spectrum`'s rule.  With Pi the diagonal projector onto
+    the rows kept, W^dagger W = sum_k (Pi K_k)^dagger (Pi K_k).  A column
+    of K_k alone in its row adds |v_kj|^2 at (j, j), and W holds those
+    sums as a diagonal, its zero rows dropped.  Columns that share a row
+    of K_k, which only a channel's Kraus operators may have, add that row
+    of Pi K_k to W, and W is then the triangular factor of a QR of them
+    all, at most d_pre x d_pre."""
+    d_out, d_pre = kraus[0].shape
+    gamma = np.zeros(d_out)
+    for k in kraus:
+        gamma += np.bincount(k.rows, weights=(k.values.real ** 2 + k.values.imag ** 2)
+                             * gamma_pre, minlength=d_out)
+    probability, kept = helstrom_spectrum(gamma)
+    weight, shared = np.zeros(d_pre), []
+    for k in kraus:
+        values = np.where(kept[k.rows], k.values, 0.0)
+        alone = np.bincount(k.rows, minlength=d_out)[k.rows] == 1
+        weight += np.where(alone, values.real ** 2 + values.imag ** 2, 0.0)
+        if not alone.all():
+            rows = dense(BasisMap(k.shape, k.rows, np.where(alone, 0.0, values)))
+            shared.append(rows[np.any(rows, axis=1)])
+    w = np.diag(np.sqrt(weight))[weight > 0.0]
+    if shared:
+        w = np.linalg.qr(np.concatenate([w, *shared]), mode="r")
+    return probability, w
+
+
 def correctness_delta(run: PurifiedRun) -> CorrectnessReport:
     """Max/average failure probability of the best x-independent measurement.
 
@@ -385,20 +460,33 @@ def correctness_delta(run: PurifiedRun) -> CorrectnessReport:
     out; the overall report carries both max_i and mean_i.  The client's
     last op acts on its registers alone, so Gamma_i = rho_0/2 - rho_1/2 is
     that op, as a channel, applied to Gamma_i^pre on its inputs: index i's
-    runs stop before the last op (`PurifiedRun.helstrom_operator`), and
-    Gamma_i is diagonalized in the span of the op's Kraus operators, which
-    is min(d_client, m d_pre)-dimensional.  d_pre counts B_{s-1} only as
-    far as the client reaches it with i fixed, so each index pulls its
-    measurement back through the last op's Kraus operators composed with
-    its own Q_{s-1} (`_kraus_span`).
+    runs stop before the last op, and each index's measurement is pulled
+    back through that op's Kraus operators composed with its own Q_{s-1}.
+    d_pre counts B_{s-1} only as far as the client reaches it with i fixed.
+
+    Types alone pick one of two paths for each index.  When its runs are
+    `PurifiedRun.one_hot` and every Kraus operator of the last op is a
+    basis map, Gamma_i^pre is diagonal (`PurifiedRun.helstrom_diagonal`)
+    and so is Gamma_i, read off its entries with no eigensolver
+    (`_basis_pushed_through`); W_i^dagger W_i is then diagonal for every
+    builtin.  Otherwise Gamma_i^pre is summed dense
+    (`PurifiedRun.helstrom_operator`), and Gamma_i is diagonalized in the
+    span of the Kraus operators (`_kraus_span`), which is min(d_client,
+    m d_pre)-dimensional, with W_i upper triangular (`_pushed_through`).
     """
     n = run.qpir.n
     deltas = []
     measurements = []
     last = run.qpir.spec.b_ops[-1]
+    kraus = (last.matrix,) if isinstance(last, Isometry) else last.kraus_ops
     for i in range(1, n + 1):
-        probability, w = _pushed_through(run.helstrom_operator(i),
-                                         _kraus_span(last, run._reach(i)[1]))
+        q = run._reach(i)[1]
+        if run.one_hot(i) and all(isinstance(k, BasisMap) for k in kraus):
+            probability, w = _basis_pushed_through(
+                run.helstrom_diagonal(i), [_compose(k, q) for k in kraus])
+        else:
+            probability, w = _pushed_through(run.helstrom_operator(i),
+                                             _kraus_span(last, q))
         deltas.append(max(0.0, 1.0 - probability))
         measurements.append(w)
     return CorrectnessReport(

@@ -18,12 +18,13 @@ decoded by rotating nu_1 onto nu_i with a purifier-side (Uhlmann)
 unitary, from index 1's span to index i's, before index i's Helstrom
 measurement from the correctness audit, pulled back through the last op.
 Each decoder is stored as the d_pre x r partial isometry U E (E the
-compressor).  delta comes from one pass over each index's runs (one
-matmul per chunk pairing every database with its bit-i partner adds to
-the Helstrom operator on the last op's inputs, which is pushed through
-that op and diagonalized in the span of its Kraus operators); epsilon
-compares the server marginals of the same nu_i, with the eigensolver's
-round-off floored, so a private protocol's epsilon is exactly 0.  Once
+compressor).  delta comes from one pass over each index's runs, which
+sums the Helstrom operator on the last op's inputs and pushes it through
+that op: read off a diagonal when every op those runs and that op meet
+is a basis map, and diagonalized in the span of the op's Kraus operators
+otherwise (`qpir.correctness_delta`); epsilon compares the server
+marginals of the same nu_i, with the eigensolver's round-off floored, so
+a private protocol's epsilon is exactly 0.  Once
 every measurement and decoder is known, one more pass over index 1's
 runs encodes each chunk of databases and decodes it at every index,
 keeping only the (n, 2^n) probabilities of outcome 0; so index 1's runs

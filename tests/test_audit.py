@@ -103,9 +103,15 @@ def test_final_states_have_flat_schmidt_coefficients(name, n, rank):
         assert np.max(np.abs(kept - 1 / math.sqrt(rank))) < 1e-12
 
 
-def test_the_helstrom_solves_are_the_only_eigendecompositions(monkeypatch):
-    """One eigh per index: the decoder applies the Helstrom eigenvectors
-    from the correctness audit instead of diagonalizing again."""
+@pytest.mark.parametrize("name, params, solves", [
+    ("random", {"seed": 1}, 3), ("index-in-clear", {}, 3),
+    ("trivial", {}, 0), ("noisy-trivial", {"delta": 0.2}, 0)])
+def test_the_helstrom_solves_are_the_only_eigendecompositions(monkeypatch, name,
+                                                               params, solves):
+    """One eigh per index on the dense path: the decoder applies the
+    Helstrom eigenvectors from the correctness audit instead of
+    diagonalizing again.  On the basis path, Gamma_i is diagonal and read
+    off its entries, with no eigh at all."""
     eigh, count = np.linalg.eigh, [0]
 
     def counted(*args, **kwargs):
@@ -113,8 +119,8 @@ def test_the_helstrom_solves_are_the_only_eigendecompositions(monkeypatch):
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    bound_report(builtin("trivial", 3))
-    assert count[0] == 3
+    bound_report(builtin(name, 3, **params))
+    assert count[0] == solves
 
 
 def test_schmidt_takes_one_svd_per_cut(monkeypatch):
@@ -261,16 +267,17 @@ def test_the_reduction_reads_no_purified_last_op_and_no_final_run(monkeypatch, c
     the whole protocol: no final-layout batch, and no final run kept."""
     import qpirlab.qpir as qpir_module
     qpir = builtin("noisy-trivial", 3, delta=0.2)
-    kraus_span, seen = qpir_module._kraus_span, []
+    compose, seen = qpir_module._compose, []
 
-    def recorded(op, q):
-        seen.append(op)
-        return kraus_span(op, q)
+    def recorded(matrix, q):
+        seen.append(matrix)
+        return compose(matrix, q)
 
-    monkeypatch.setattr(qpir_module, "_kraus_span", recorded)
+    monkeypatch.setattr(qpir_module, "_compose", recorded)
     rep = bound_report(qpir)
     assert rep.compressed_dim == 8 and rep.epsilon_used == 0.0
-    assert seen and all(op is qpir.spec.b_ops[-1] for op in seen)
+    kraus = qpir.spec.b_ops[-1].kraus_ops
+    assert seen and all(any(m is k for k in kraus) for m in seen)
     del seen[:]
     assert privacy_epsilon_purified(PurifiedRun(qpir)).epsilon_hat == 0.0
     assert superposition_attack(qpir).verdict == "PRIVATE"
@@ -278,6 +285,28 @@ def test_the_reduction_reads_no_purified_last_op_and_no_final_run(monkeypatch, c
     final = 2 * qpir.spec.rounds   # the client's last op
     assert calls["batches"] == [] and all(final not in steps for _, steps in calls["runs"])
     assert not any(hasattr(PurifiedRun(qpir), name) for name in ("superposition", "layout"))
+
+
+class _DensePath(Exception):
+    pass
+
+
+def test_basis_maps_read_correctness_with_no_kraus_span(monkeypatch):
+    """noisy-trivial's ops, Q_0 = |i> and Kraus operators are basis maps,
+    so its reduce forms neither the Kraus span (a (2^n n, 2^n, 2^n) side
+    array) nor its eigensolve.  random's ops are dense, and
+    index-in-clear's Q_1 is a thin QR factor: both take the dense path."""
+    import qpirlab.qpir as qpir_module
+
+    def dense_path(*args):
+        raise _DensePath
+
+    monkeypatch.setattr(qpir_module, "_kraus_span", dense_path)
+    monkeypatch.setattr(qpir_module, "_pushed_through", dense_path)
+    assert _cli(["reduce", "--protocol", "builtin:noisy-trivial?n=3&delta=0.2"])[0] == 0
+    for address in ("builtin:random?n=2&seed=1", "builtin:index-in-clear?n=3"):
+        with pytest.raises(_DensePath):
+            _cli(["reduce", "--protocol", address])
 
 
 @pytest.mark.parametrize("build", [
@@ -735,6 +764,16 @@ def test_out_of_memory_ends_in_a_clean_error(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 1 and out == ""
     assert err == "qpirlab: error: MemoryError: Unable to allocate 1.53 GiB\n"
+
+
+def test_out_of_memory_with_no_message_ends_in_a_clean_error(monkeypatch, capsys):
+    def oom(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "bound_report", oom)
+    code, out = _cli(["reduce", "--protocol", "builtin:trivial?n=2"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "qpirlab: error: MemoryError\n"
 
 
 @pytest.mark.parametrize("cap_mib", [160, 175, 190])

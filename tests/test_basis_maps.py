@@ -5,7 +5,9 @@ trivial, index-in-clear and noisy-trivial store every op as basis maps;
 matrices, their runs through `protocol._steps`, the gather of columns and
 the JSON they serialize to must equal the dense reference bit for bit, and
 the structural isometry and trace-preservation checks must give the dense
-Gram checks' verdict and error.
+Gram checks' verdict and error.  Their audits, which read correctness off
+a diagonal (the basis path of `qpir.correctness_delta`), must agree with
+the dense reference's, which diagonalizes in the Kraus span, within 1e-12.
 """
 
 import json
@@ -19,12 +21,22 @@ from qpirlab import states
 from qpirlab.errors import LayoutError
 from qpirlab.linalg import haar_unitary_matrix
 from qpirlab.protocol import _inputs, _isometries, _steps, purify_both
-from qpirlab.qpir import build_index_in_clear, build_noisy_trivial, build_trivial, builtin
+from qpirlab.qpir import (
+    PurifiedRun,
+    QpirProtocol,
+    build_index_in_clear,
+    build_noisy_trivial,
+    build_trivial,
+    builtin,
+    correctness_delta,
+)
+from qpirlab.reduction import bound_report
 from qpirlab.registers import RegisterLayout
 from qpirlab.serialize import protocol_spec_from_json, protocol_spec_to_json
 from qpirlab.states import BasisMap, Isometry, KrausChannel, apply, dense
 
 from conftest import dense_builtin
+from test_golden import _assert_matches
 
 BUILTINS = [("trivial", {}), ("index-in-clear", {}), ("noisy-trivial", {"delta": 0.2})]
 CASES = ([(name, n, params) for n in (1, 2, 3) for name, params in BUILTINS]
@@ -124,6 +136,62 @@ def test_dense_isometry_check_makes_no_whole_matrix_temporary(monkeypatch, rng):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * u.nbytes
+
+
+# ---------------------------------------------------------------------------
+# audits on the basis path against the dense path
+# ---------------------------------------------------------------------------
+
+AUDITED = ([("trivial", n, {}) for n in (1, 2, 3, 4)]
+           + [("noisy-trivial", n, {"delta": d}) for n in (1, 2, 3, 4)
+              for d in (0.074495, 0.2, 0.416768, 0.5)])
+
+
+def _assert_same_audit(basis: QpirProtocol, reference: QpirProtocol) -> None:
+    """bound_report's fields and correctness_delta's agree within 1e-12,
+    and so does each index's effect W_i^dagger W_i."""
+    got, want = (json.loads(json.dumps(bound_report(q).to_dict()))
+                 for q in (basis, reference))
+    _assert_matches(got, want, "bound_report")
+    got, want = (correctness_delta(PurifiedRun(q)) for q in (basis, reference))
+    _assert_matches([got.n, list(got.deltas), got.delta_max, got.delta_avg],
+                    [want.n, list(want.deltas), want.delta_max, want.delta_avg],
+                    "correctness")
+    assert got.measured_labels == want.measured_labels
+    for a, b in zip(got.measurements, want.measurements, strict=True):
+        assert a.shape[1] == b.shape[1]
+        assert np.max(np.abs(a.conj().T @ a - b.conj().T @ b), initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("name, n, params", AUDITED, ids=map(_ids, AUDITED))
+def test_audits_on_the_basis_path_match_the_dense_path(name, n, params):
+    basis, reference = builtin(name, n, **params), dense_builtin(name, n, **params)
+    assert PurifiedRun(basis).one_hot(1) and not PurifiedRun(reference).one_hot(1)
+    _assert_same_audit(basis, reference)
+
+
+def _measured_trivial(form) -> QpirProtocol:
+    """trivial n=2 whose client keeps x_1 and measures x_2 in the +/-
+    basis, recording the outcome in place of x_2: its two Kraus operators,
+    each matrix given as `form` makes it, send both values of x_2 to one
+    row, so their columns share rows."""
+    spec = build_trivial(2).spec
+    (store,) = spec.b_ops
+    x = np.arange(8)   # column (i - 1) 4 + 2 x_1 + x_2
+    kraus = [BasisMap((8, 8), x - x % 2 + a, math.sqrt(0.5) * (1 - 2 * a * (x % 2)))
+             for a in (0, 1)]
+    measure = KrausChannel(store.input_layout, store.output_layout,
+                           tuple(form(k) for k in kraus))
+    return QpirProtocol(spec.with_party("B", spec.b_memory, (measure,)))
+
+
+def test_kraus_operators_that_share_rows_match_the_dense_path():
+    """Pi K_k is not diagonal in its Gram when columns share a row; the
+    shared rows enter W whole.  Bit 1 is kept (delta 0) and bit 2 is
+    erased (delta 1/2)."""
+    basis = _measured_trivial(lambda k: k)
+    assert correctness_delta(PurifiedRun(basis)).deltas == (0.0, 0.5)
+    _assert_same_audit(basis, _measured_trivial(dense))
 
 
 # ---------------------------------------------------------------------------

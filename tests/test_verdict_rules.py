@@ -11,6 +11,8 @@ its rule's slack and checks the verdict on both sides.
 * bound at n = 4: delta = 1/2 and epsilon = 0 give g = 1/2 exactly,
   vacuous with bound 0; delta = 0.49 gives g = 0.51 and the bound
   (1 - H(0.51)) 4, which is 2 (0.01)^2 / ln 2 * 4 to within 1e-7.
+* the rank cap: `schmidt` and `fuzz` hold the final Schmidt rank to the
+  product of the message dimensions, 2^c as an integer.
 """
 
 import contextlib
@@ -27,6 +29,7 @@ import sys
 import pytest
 
 from qpirlab import cli, reduction
+from qpirlab.protocol import ProtocolSpec, RankEvent
 from qpirlab.qpir import QpirProtocol, builtin
 from qpirlab.reduction import (
     CONSISTENT_BECAUSE_NON_PRIVATE,
@@ -40,6 +43,8 @@ from qpirlab.reduction import (
     privacy_premise_holds,
     superposition_attack,
 )
+from qpirlab.registers import RegisterLayout, concat
+from qpirlab.states import BasisMap, Isometry
 
 TRIVIAL = "builtin:trivial?n=2"
 
@@ -191,6 +196,24 @@ def test_reduce_exit_code(monkeypatch, trivial_report, holds, premise, met,
     assert got == code
     assert json.loads(out) == json.loads(json.dumps(rep.to_dict()))
     assert "verdict_failed" not in json.loads(out)
+
+
+# -- the rank cap ------------------------------------------------------------
+
+def test_the_rank_cap_is_the_product_of_the_message_dimensions():
+    """One message of dimension P = 899,876, the smallest P for which
+    2 ** log2(P), 899,875.9999999988, is more than 1e-9 below P: a final
+    rank of P is within the cap, read as the integer P, and P + 1 is not."""
+    p = 899_876
+    assert 2 ** math.log2(p) < p - 1e-9
+    a0, a1, b0 = (RegisterLayout.of((label, 1)) for label in ("A0", "A1", "B0"))
+    x1, b1 = RegisterLayout.of(("X1", p)), RegisterLayout.of(("B1", p))
+    spec = ProtocolSpec(1, (a0, a1), (b0, b1), (x1,), (),
+                        (Isometry(a0, concat(a1, x1), BasisMap((p, 1), [0], [1.0])),),
+                        (Isometry(concat(b0, x1), b1, BasisMap.identity(p)),))
+    for rank, verdict in ((p, (True, False)), (p + 1, (False, True))):
+        events = [RankEvent("B1", (1.0,) * rank, rank, True)]
+        assert cli._rank_verdict(events, spec) == verdict
 
 
 # -- the parser, built once --------------------------------------------------
