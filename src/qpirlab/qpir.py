@@ -7,8 +7,10 @@ client's ops before its last one purified, run on the basis inputs |x>|i>
 one index at a time (i fixed inside the client's first op), and on the
 uniform database superposition with each index, one column per index.
 Index i's basis inputs run in chunks of databases sized from one byte
-budget, `CHUNK_BYTES`, and each chunk is closed under flipping bit i, so
-no chunk holds more than the budget allows (or one pair of databases).
+budget, `CHUNK_BYTES`: each chunk is a slice of the databases with
+x_i = 0 followed by their partners x + 2^(n-i), so no chunk holds more
+than the budget allows (or one pair of databases), and every pass reads
+each chunk matricized once, its two halves lined up pair by pair.
 Step 1 on a basis input |x> is column x of the server's first op, so each
 chunk starts as those columns (`states.dense`), gathered from a dense op
 or scattered into zeros from a basis map, never a matmul.  trivial,
@@ -29,16 +31,17 @@ With i fixed, each client memory B_1..B_{s-1} is written in the span the
 client's ops can reach, one thin QR per op, so each chunk, Gamma_i^pre
 and that span are only as large as what the client can hold.  The last
 op itself is never rebuilt on that span: each of its Kraus operators is
-composed with the span's isometry Q_{s-1} in turn.  Op types alone pick
-one of two paths.  When every op of index i's schedule, Q_{s-1} and every
-Kraus operator of the last op are basis maps, as in trivial and
-noisy-trivial, each run stays one-hot, so Gamma_i^pre is diagonal, a sum
-of signed squared amplitudes; pushed through the Kraus operators it stays
-diagonal, and delta_i is read off its entries, with no eigensolver and no
-dense Kraus operator.  Otherwise each chunk adds one matmul that pairs
-each x with its bit-i partner, and Gamma_i is diagonalized in the span of
-the composed Kraus operators, of which only the triangular factor is kept
-(`_kraus_span`).
+composed with the span's isometry Q_{s-1} in turn.  Op types, and
+whether each Kraus operator's rows are distinct, pick one of two paths.
+When every op of index i's schedule, Q_{s-1} and every Kraus operator of
+the last op are basis maps, and no two columns of a Kraus operator share
+a row, as in trivial and noisy-trivial, each run stays one-hot, so
+Gamma_i^pre is diagonal, a sum of signed squared amplitudes; pushed
+through the Kraus operators it stays diagonal, and delta_i is read off
+its entries, with no eigensolver and no dense Kraus operator.  Otherwise
+each chunk adds one matmul that pairs each x with its bit-i partner, and
+Gamma_i is diagonalized in the span of the composed Kraus operators, of
+which only the triangular factor is kept (`_kraus_span`).
 Each index's optimal measurement is kept pulled back through the last op,
 as a factor W_i of the effect it induces on the op's inputs, for the
 reduction's decoder to apply.  Privacy compares the purified server's
@@ -68,14 +71,16 @@ from .linalg import (
 )
 from .registers import Register, RegisterLayout, concat, fresh_label
 from .states import (
-    CHUNK_BYTES,
     BasisMap,
     Isometry,
     KrausChannel,
     Matrix,
     Operation,
     StateVector,
+    _chunk_columns,
+    _distinct,
     dense,
+    kraus_operators,
     matricize,
 )
 from .protocol import (
@@ -145,39 +150,23 @@ def qpir_input(qpir: QpirProtocol, x: int | None, i: int) -> StateVector:
 # the purified run every audit reads
 # ---------------------------------------------------------------------------
 
-def _chunk_columns(width: int) -> int:
-    """How many columns of `width` complex amplitudes fit in `CHUNK_BYTES`,
-    at least one; an empty column counts as one amplitude.  A chunk of
-    basis runs never holds less than one pair of databases, whatever the
-    budget."""
-    return max(1, CHUNK_BYTES // (16 * max(1, width)))
-
-
-def _rectangles(n: int, i: int, columns: int):
-    """The 2^n databases in chunks that flipping bit i maps onto
-    themselves, each (hi, 2, lo): a block of hi values of the bits above
-    bit i, both values of bit i, and a block of lo values of the bits
-    below it.  A chunk holds the largest power of two of databases that is
-    at most `columns`, and at least 2.  With `columns` >= 2^n there is one
-    chunk, every database in increasing order."""
-    below = 2 ** (n - i)
-    size = 1 << (min(2 ** n, max(2, columns)).bit_length() - 1)
-    lo = min(below, size // 2)
-    hi = size // (2 * lo)
-    x = np.arange(2 ** n).reshape(-1, 2, below)
-    for h in range(0, len(x), hi):
-        for low in range(0, below, lo):
-            yield x[h:h + hi, :, low:low + lo]
+def _first_halves(n: int, i: int, half: int):
+    """The databases with x_i = 0, in increasing order, in slices of the
+    largest power of two of them that is at most `half`, and at least 1."""
+    zeros = np.flatnonzero(bit_of(np.arange(2 ** n), i, n) == 0)
+    size = 1 << (max(1, half).bit_length() - 1)
+    for start in range(0, len(zeros), size):
+        yield zeros[start:start + size]
 
 
 def _through(schedule, lay: RegisterLayout,
-             columns: np.ndarray) -> tuple[RegisterLayout, np.ndarray]:
+             columns: np.ndarray) -> tuple[np.ndarray, RegisterLayout]:
     """`columns`, over `lay`, after every (step, isometry) of `schedule`,
-    and the layout they end over."""
+    and the layout they end over, in `matricize`'s argument order."""
     cur = columns
     for _, lay, cur in _steps(schedule, lay, columns):
         pass
-    return lay, cur
+    return cur, lay
 
 
 def _compose(matrix: Matrix, q: Matrix) -> Matrix:
@@ -203,21 +192,20 @@ def _compose(matrix: Matrix, q: Matrix) -> Matrix:
     return (q.T @ matrix.T.reshape(q.shape[0], -1)).reshape(-1, matrix.shape[0]).T
 
 
-def _paired_operator(t: np.ndarray, lo: int) -> np.ndarray:
+def _paired_operator(t: np.ndarray) -> np.ndarray:
     """2^n (rho_0 - rho_1) restricted to one chunk of basis runs: the
-    factors t (d, d_rest, C), their C databases laid out as (hi, 2, lo)
-    (`_rectangles`), rho_b the average of all 2^n runs over {x : x_i = b}.
+    factors t (d, d_rest, C) of `PurifiedRun._chunks`, rho_b the average
+    of all 2^n runs over {x : x_i = b}.
 
-    The view (hi, 2, lo) lines each x with x_i = 0 up with its partner
-    x + 2^(n-i).  With M_0 and M_1 those columns, G = (M_0 + M_1)(M_0 -
-    M_1)^dagger has M_0 M_0^dagger - M_1 M_1^dagger as its Hermitian part
-    (the cross terms are anti-Hermitian), so the chunk's share is
-    G + G^dagger, one matmul over half its columns; the sum over chunks,
-    divided by 2^(n+1), is rho_0/2 - rho_1/2.
+    The halves M_0 and M_1 of t's last axis line each x with x_i = 0 up
+    with its partner x + 2^(n-i).  G = (M_0 + M_1)(M_0 - M_1)^dagger has
+    M_0 M_0^dagger - M_1 M_1^dagger as its Hermitian part (the cross terms
+    are anti-Hermitian), so the chunk's share is G + G^dagger, one matmul
+    over half its columns; the sum over chunks, divided by 2^(n+1), is
+    rho_0/2 - rho_1/2.
     """
     d = t.shape[0]
-    pairs = t.reshape(d, t.shape[1], -1, 2, lo)
-    m0, m1 = pairs[:, :, :, 0, :], pairs[:, :, :, 1, :]
+    m0, m1 = np.split(t, 2, axis=2)
     diff = m0 - m1
     np.conj(diff, out=diff)
     g = (m0 + m1).reshape(d, -1) @ diff.reshape(d, -1).T
@@ -240,10 +228,11 @@ class PurifiedRun:
     which `_kraus_span` composes into each of its Kraus operators.  All
     runs share one layout, A_s first.
 
-    * `_chunks(i)`: index i's basis inputs |x>|i>, run in chunks of
-      databases, each closed under flipping bit i and no wider than
-      `CHUNK_BYTES` allows; every (i, x) column runs once per pass, and
-      each chunk is freed before the next is made.
+    * `_chunks(i, front)`: index i's basis inputs |x>|i>, run in chunks
+      of databases no wider than `CHUNK_BYTES` allows, each some databases
+      with x_i = 0 and then their partners x + 2^(n-i), and matricized
+      with the registers `front` first; every (i, x) column runs once per
+      pass.
     * `nu(i)`: the uniform database with index i (the state nu_i), one
       column through the same steps, kept.
     * `helstrom_operator(i)`: Gamma_i^pre = rho_0/2 - rho_1/2 over index
@@ -308,16 +297,23 @@ class PurifiedRun:
         return [(step, by_party[step.party][step.round - 1])
                 for step in self.spec.steps[:-1]]
 
-    def _chunks(self, i: int):
-        """Yield (xs, layout, columns): index i's basis runs after steps
-        1..2s-1, one chunk of databases xs (hi, 2, lo) at a time
-        (`_rectangles`), the columns in the order of xs.
+    def _chunks(self, i: int, front: tuple[str, ...]):
+        """Yield (xs, t): index i's basis runs after steps 1..2s-1, one
+        chunk of databases xs at a time, matricized with the registers
+        `front` first, so t is (d_front, d_rest, len(xs)), its columns in
+        the order of xs.  xs is a slice of the databases with x_i = 0
+        (`_first_halves`) followed by their partners x + 2^(n-i), so the
+        halves of t's last axis line each x up with its partner.
 
         Step 1 on |x> is column x of the server's first op, so a chunk
         starts as those columns (`dense`), gathered from a dense op and
         scattered from a basis map.  Its size comes from the widest
         state a later step makes, which the layouts give before anything
-        is allocated: `CHUNK_BYTES` over that width (`_chunk_columns`).
+        is allocated: a chunk holds at most half the columns of that
+        width that fit in `CHUNK_BYTES` (`_chunk_columns`) with x_i = 0,
+        and at least one, each with its partner.  A chunk is matricized
+        as it is yielded, so this frame keeps no reference to it while
+        the consumer works.
         """
         (_, first), *rest = self._schedule(i)
         lay = concat(first.output_layout, self._span(0, 1))
@@ -325,22 +321,24 @@ class PurifiedRun:
         for _, op in rest:
             width = width // op.input_layout.total_dim * op.output_layout.total_dim
             widest = max(widest, width)
-        for xs in _rectangles(self.qpir.n, i, _chunk_columns(widest)):
-            yield (xs, *_through(rest, lay, dense(first.matrix, xs.reshape(-1))))
+        n = self.qpir.n
+        for zeros in _first_halves(n, i, _chunk_columns(widest) // 2):
+            xs = np.concatenate((zeros, zeros + 2 ** (n - i)))
+            yield xs, matricize(*_through(rest, lay, dense(first.matrix, xs)), front)
 
     def nu(self, i: int) -> StateVector:
         if i not in self._nus:
             da = 2 ** self.qpir.n
             uniform = np.full((da, 1), 1.0 / math.sqrt(da), dtype=np.complex128)
             lay = concat(self.spec.a_memory[0], self._span(0, 1))
-            lay, cur = _through(self._schedule(i), lay, uniform)
+            cur, lay = _through(self._schedule(i), lay, uniform)
             self._nus[i] = StateVector(lay, cur[:, 0])
         return self._nus[i]
 
     def helstrom_operator(self, i: int) -> np.ndarray:
         total = None
-        for xs, lay, cur in self._chunks(i):
-            part = _paired_operator(matricize(cur, lay, self.pre), xs.shape[-1])
+        for _, t in self._chunks(i, self.pre):
+            part = _paired_operator(t)
             total = part if total is None else np.add(total, part, out=total)
         return total / 2 ** (self.qpir.n + 1)
 
@@ -352,10 +350,9 @@ class PurifiedRun:
 
     def helstrom_diagonal(self, i: int) -> np.ndarray:
         total = 0.0
-        for xs, lay, cur in self._chunks(i):
-            t = matricize(cur, lay, self.pre)
-            p = (t.real ** 2 + t.imag ** 2).sum(axis=1).reshape(len(t), -1, 2, xs.shape[-1])
-            total = total + (p[:, :, 0] - p[:, :, 1]).sum(axis=(1, 2))
+        for _, t in self._chunks(i, self.pre):
+            p0, p1 = np.split((t.real ** 2 + t.imag ** 2).sum(axis=1), 2, axis=1)
+            total = total + (p0 - p1).sum(axis=1)
         return total / 2 ** self.qpir.n
 
 
@@ -371,11 +368,11 @@ class CorrectnessReport:
     state over {x : x_i = 0} from the one over {x : x_i = 1}; it depends on
     i but never on x.  It is stored pulled back onto the inputs of the
     client's last op, K_k its Kraus operators and Pi_i its outcome-0
-    projector, as W_i^dagger W_i = sum_k K_k^dagger Pi_i K_k.  Op types
-    pick W_i's form (`correctness_delta`): on the basis path, where every
-    op the runs and the last op meet is a basis map, W_i is a diagonal
-    with its zero rows dropped (upper triangular when columns of a Kraus
-    operator share a row); on the dense path it is upper triangular.
+    projector, as W_i^dagger W_i = sum_k K_k^dagger Pi_i K_k.  The path
+    `correctness_delta` takes picks W_i's form: on the basis path, where
+    every op the runs and the last op meet is a basis map and each Kraus
+    operator's rows are distinct, W_i is a diagonal with its zero rows
+    dropped; on the dense path it is upper triangular.
     """
 
     n: int
@@ -396,7 +393,7 @@ def _kraus_span(op: Operation, q: Matrix) -> np.ndarray:
     `correctness_delta` reads it, the one taken when an op of index i's
     schedule, Q_{s-1} or a Kraus operator of `op` is dense; on the basis
     path no Kraus operator is made dense."""
-    kraus = (op.matrix,) if isinstance(op, Isometry) else op.kraus_ops
+    kraus = kraus_operators(op)
     d_in = q.shape[1] * op.input_layout.total_dim // q.shape[0]
     side = np.empty((op.output_layout.total_dim, len(kraus), d_in), dtype=np.complex128)
     for k, matrix in enumerate(kraus):
@@ -420,36 +417,25 @@ def _pushed_through(gamma_pre: np.ndarray, r: np.ndarray) -> tuple[float, np.nda
 def _basis_pushed_through(gamma_pre: np.ndarray,
                           kraus: list[BasisMap]) -> tuple[float, np.ndarray]:
     """The Helstrom measurement of sum_k K_k Gamma^pre K_k^dagger for a
-    diagonal Gamma^pre, given as its diagonal, and basis maps K_k, column
-    j of K_k being v_kj |r_kj>.
+    diagonal Gamma^pre, given as its diagonal, and basis maps K_k with
+    distinct rows, column j of K_k being v_kj |r_kj>.
 
     Each K_k Gamma^pre K_k^dagger is then diagonal, gamma_j |v_kj|^2 at
     row r_kj, and so is their sum: its entries are its eigenvalues, read
     under `helstrom_spectrum`'s rule.  With Pi the diagonal projector onto
-    the rows kept, W^dagger W = sum_k (Pi K_k)^dagger (Pi K_k).  A column
-    of K_k alone in its row adds |v_kj|^2 at (j, j), and W holds those
-    sums as a diagonal, its zero rows dropped.  Columns that share a row
-    of K_k, which only a channel's Kraus operators may have, add that row
-    of Pi K_k to W, and W is then the triangular factor of a QR of them
-    all, at most d_pre x d_pre."""
+    the rows kept, W^dagger W = sum_k (Pi K_k)^dagger (Pi K_k) is diagonal
+    too, since no two columns of a K_k share a row: |v_kj|^2 summed over
+    the k whose row r_kj is kept.  W is its square root, a diagonal with
+    its zero rows dropped, at most d_pre x d_pre."""
     d_out, d_pre = kraus[0].shape
-    gamma = np.zeros(d_out)
+    gamma, weight = np.zeros(d_out), np.zeros(d_pre)
     for k in kraus:
-        gamma += np.bincount(k.rows, weights=(k.values.real ** 2 + k.values.imag ** 2)
-                             * gamma_pre, minlength=d_out)
+        gamma[k.rows] += (k.values.real ** 2 + k.values.imag ** 2) * gamma_pre
     probability, kept = helstrom_spectrum(gamma)
-    weight, shared = np.zeros(d_pre), []
     for k in kraus:
         values = np.where(kept[k.rows], k.values, 0.0)
-        alone = np.bincount(k.rows, minlength=d_out)[k.rows] == 1
-        weight += np.where(alone, values.real ** 2 + values.imag ** 2, 0.0)
-        if not alone.all():
-            rows = dense(BasisMap(k.shape, k.rows, np.where(alone, 0.0, values)))
-            shared.append(rows[np.any(rows, axis=1)])
-    w = np.diag(np.sqrt(weight))[weight > 0.0]
-    if shared:
-        w = np.linalg.qr(np.concatenate([w, *shared]), mode="r")
-    return probability, w
+        weight += values.real ** 2 + values.imag ** 2
+    return probability, np.diag(np.sqrt(weight))[weight > 0.0]
 
 
 def correctness_delta(run: PurifiedRun) -> CorrectnessReport:
@@ -464,12 +450,15 @@ def correctness_delta(run: PurifiedRun) -> CorrectnessReport:
     back through that op's Kraus operators composed with its own Q_{s-1}.
     d_pre counts B_{s-1} only as far as the client reaches it with i fixed.
 
-    Types alone pick one of two paths for each index.  When its runs are
-    `PurifiedRun.one_hot` and every Kraus operator of the last op is a
-    basis map, Gamma_i^pre is diagonal (`PurifiedRun.helstrom_diagonal`)
-    and so is Gamma_i, read off its entries with no eigensolver
-    (`_basis_pushed_through`); W_i^dagger W_i is then diagonal for every
-    builtin.  Otherwise Gamma_i^pre is summed dense
+    Types, and distinct rows, pick one of two paths for each index.  When
+    its runs are `PurifiedRun.one_hot` and every Kraus operator of the
+    last op is a basis map whose rows are distinct (`states._distinct`,
+    as the channel's own check reads them), Gamma_i^pre is diagonal
+    (`PurifiedRun.helstrom_diagonal`) and so is Gamma_i, read off its
+    entries with no eigensolver (`_basis_pushed_through`), and
+    W_i^dagger W_i is diagonal.  A channel whose basis-map Kraus
+    operators share rows, which only the library builds, takes the dense
+    path.  Otherwise Gamma_i^pre is summed dense
     (`PurifiedRun.helstrom_operator`), and Gamma_i is diagonalized in the
     span of the Kraus operators (`_kraus_span`), which is min(d_client,
     m d_pre)-dimensional, with W_i upper triangular (`_pushed_through`).
@@ -478,10 +467,11 @@ def correctness_delta(run: PurifiedRun) -> CorrectnessReport:
     deltas = []
     measurements = []
     last = run.qpir.spec.b_ops[-1]
-    kraus = (last.matrix,) if isinstance(last, Isometry) else last.kraus_ops
+    kraus = kraus_operators(last)
+    basis = all(isinstance(k, BasisMap) and _distinct(k.rows) for k in kraus)
     for i in range(1, n + 1):
         q = run._reach(i)[1]
-        if run.one_hot(i) and all(isinstance(k, BasisMap) for k in kraus):
+        if basis and run.one_hot(i):
             probability, w = _basis_pushed_through(
                 run.helstrom_diagonal(i), [_compose(k, q) for k in kraus])
         else:

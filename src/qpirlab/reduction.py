@@ -62,6 +62,7 @@ from .qpir import (
     PrivacyReport,
     PurifiedRun,
     QpirProtocol,
+    bit_of,
     correctness_delta,
     privacy_epsilon_purified,
 )
@@ -230,8 +231,9 @@ def _encode(run: PurifiedRun, emat: np.ndarray, measured: list[np.ndarray],
     c_x is database x's index-1 run before the client's last op, M_x,
     compressed by `emat` to (1 (x) E^dagger) M_x (`_compressed`) and
     renormalized.  The runs come one chunk at a time from a pass over
-    index 1 (`PurifiedRun._chunks`); each chunk is compressed, decoded at
-    every index and freed, so no encoded state outlives its chunk.  A run that
+    index 1 (`PurifiedRun._chunks`), A_s first; each chunk is compressed,
+    decoded at every index and freed, so no encoded state outlives its
+    chunk.  A run that
     leaves the compression support by more than `SUPPORT_LEAK_TOL` is a
     SupportViolation, raised after every chunk with the worst leak of all.
     """
@@ -239,13 +241,12 @@ def _encode(run: PurifiedRun, emat: np.ndarray, measured: list[np.ndarray],
     r = emat.shape[1]
     p0 = np.empty((len(measured), 2 ** run.qpir.n))
     worst = 0.0
-    for xs, lay, cur in run._chunks(1):
-        xs = xs.reshape(-1)
+    for xs, t in run._chunks(1, server):
         # the chunk is kept in one form at a time (its runs, compressed,
         # then laid out r first for the decoders), so no more than one
         # chunk-sized array outlives the step that made the next
-        part, leak = _compressed(emat, matricize(cur, lay, server))  # A_s leads
-        del cur
+        part, leak = _compressed(emat, t)  # A_s leads
+        del t
         worst = max(worst, leak)
         if worst > SUPPORT_LEAK_TOL:      # refused below, after every chunk
             continue
@@ -289,7 +290,7 @@ def recovery_rates(rae: RandomAccessEncoding) -> tuple[tuple[float, ...], float]
         for extreme in (row.min(), row.max()):
             _unit_interval(float(extreme), f"index {i}'s outcome-0 probability")
     p0 = np.clip(p0, 0.0, 1.0)
-    bits = np.arange(2 ** n) >> (n - np.arange(1, n + 1))[:, None] & 1
+    bits = bit_of(np.arange(2 ** n), np.arange(1, n + 1)[:, None], n)
     correct = np.where(bits, 1.0 - p0, p0)
     rates = tuple(_unit_interval(float(np.mean(row)), f"index {i}'s recovery rate")
                   for i, row in enumerate(correct, start=1))

@@ -42,6 +42,12 @@ ATOL_ISOMETRY = 1e-9
 CHUNK_BYTES = 4 * 2**20
 
 
+def _chunk_columns(width: int) -> int:
+    """How many columns of `width` complex amplitudes fit in `CHUNK_BYTES`,
+    at least one; an empty column counts as one amplitude."""
+    return max(1, CHUNK_BYTES // (16 * max(1, width)))
+
+
 def _frozen_array(values, shape=None) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128, order="C")
     if shape is not None and arr.shape != shape:
@@ -149,7 +155,7 @@ def _gram_deviation(matrices: Sequence[Matrix]) -> float:
         total = sum(k.values.real ** 2 + k.values.imag ** 2 for k in matrices)
         return float(np.max(np.abs(total - 1.0)))
     first, *rest = (dense(k) for k in matrices)
-    width = max(1, CHUNK_BYTES // (16 * max(d_out, d_in)))
+    width = _chunk_columns(max(d_out, d_in))
     worst = 0.0
     for start in range(0, d_in, width):
         gram = np.conj(first[:, start:start + width]).T @ first
@@ -281,6 +287,11 @@ def as_single_isometry(op: Operation) -> Isometry | None:
     return None
 
 
+def kraus_operators(op: Operation) -> tuple[Matrix, ...]:
+    """`op`'s Kraus operators: an isometry's one matrix, or a channel's."""
+    return (op.matrix,) if isinstance(op, Isometry) else op.kraus_ops
+
+
 def stinespring(op: Operation) -> np.ndarray:
     """Stinespring isometry V = sum_e K_e (x) |e> of `op`, (d_out * m) x d_in.
 
@@ -288,7 +299,7 @@ def stinespring(op: Operation) -> np.ndarray:
     m Kraus operators fastest; tracing the environment out of V rho V^dagger
     gives back the channel's output.
     """
-    kraus = (op.matrix,) if isinstance(op, Isometry) else op.kraus_ops
+    kraus = kraus_operators(op)
     d_in = op.input_layout.total_dim
     v = np.empty((op.output_layout.total_dim, len(kraus), d_in), dtype=np.complex128)
     for e, k in enumerate(kraus):
@@ -360,7 +371,6 @@ def apply_isometry(op: Isometry, state: StateVector) -> StateVector:
 
 def apply_channel(op: Operation, rho: DensityOperator) -> DensityOperator:
     """Apply a channel (or isometry) to the factors named by its input layout."""
-    kraus = (op.matrix,) if isinstance(op, Isometry) else op.kraus_ops
     lay = rho.layout
     _check_factor(lay, op.input_layout)
     labels = op.input_layout.labels()
@@ -368,7 +378,7 @@ def apply_channel(op: Operation, rho: DensityOperator) -> DensityOperator:
     dout = op.output_layout.total_dim
     drest = t.shape[1]
     acc = np.zeros((dout, drest, dout, drest), dtype=np.complex128)
-    for k in kraus:
+    for k in kraus_operators(op):
         k = dense(k)
         acc += np.einsum("xi,iajb,yj->xayb", k, t, k.conj(), optimize=True)
     new_lay = concat(op.output_layout, lay.drop(labels))

@@ -22,7 +22,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qpirlab import cli, serialize
+from qpirlab import cli, serialize, states
 from qpirlab.errors import LayoutError
 from qpirlab.linalg import haar_unitary_matrix, schmidt_coefficients, uhlmann_unitary
 from qpirlab.protocol import (ProtocolSpec, execute, product_input, purify_both,
@@ -32,7 +32,6 @@ from qpirlab.qpir import (
     PurifiedRun,
     QpirProtocol,
     _kraus_span,
-    _rectangles,
     build_index_in_clear,
     builtin,
     builtin_from_address,
@@ -848,7 +847,7 @@ def calls(monkeypatch):
     import qpirlab.qpir as qpir
     seen = {"purified": [], "execute": 0, "server_marginals": 0, "batches": [],
             "runs": [], "dilated": 0, "columns": []}
-    rectangles = qpir._rectangles
+    first_halves = qpir._first_halves
     purify, batch = protocol._purified_ops, protocol.execute_pure_batch
     execute, marginals = protocol.execute, qpir.server_marginals
     steps, dilate = protocol._steps, protocol._dilate_op
@@ -880,12 +879,13 @@ def calls(monkeypatch):
             run[1].append(item[0].number)
             yield item
 
-    def counted_rectangles(n, i, columns):
-        for xs in rectangles(n, i, columns):
-            seen["columns"].extend((i, int(x)) for x in xs.reshape(-1))
-            yield xs
+    def counted_first_halves(n, i, half):
+        for zeros in first_halves(n, i, half):
+            xs = np.concatenate((zeros, zeros + 2 ** (n - i)))
+            seen["columns"].extend((i, int(x)) for x in xs)
+            yield zeros
 
-    monkeypatch.setattr(qpir, "_rectangles", counted_rectangles)
+    monkeypatch.setattr(qpir, "_first_halves", counted_first_halves)
 
     for name, module in list(sys.modules.items()):
         if module is None or not name.startswith("qpirlab"):
@@ -931,9 +931,8 @@ def test_reduce_purifies_once_and_runs_each_index_batch_once(calls, monkeypatch,
     index 1 once every measurement is known, so each (i >= 2, x) column
     runs once and each (1, x) column twice; no run goes through the
     client's last op."""
-    import qpirlab.qpir as qpir
     if budget is not None:
-        monkeypatch.setattr(qpir, "CHUNK_BYTES", budget)
+        monkeypatch.setattr(states, "CHUNK_BYTES", budget)
     n, s = 4, 2
     bound_report(builtin("random", n, seed=5))
     assert calls["purified"] == ["A", "B"]
@@ -945,8 +944,7 @@ def test_reduce_purifies_once_and_runs_each_index_batch_once(calls, monkeypatch,
 
 
 def test_correctness_runs_no_index_through_the_last_op(calls, monkeypatch):
-    import qpirlab.qpir as qpir
-    monkeypatch.setattr(qpir, "CHUNK_BYTES", 1)
+    monkeypatch.setattr(states, "CHUNK_BYTES", 1)
     n, s = 4, 2
     run = PurifiedRun(builtin("random", n, seed=5))
     correctness_delta(run)
@@ -1002,10 +1000,11 @@ def _dense_before_last_op(spec: ProtocolSpec) -> tuple[RegisterLayout, np.ndarra
 
 
 def _assert_index_batches_are_dense_columns(qpir: QpirProtocol) -> None:
-    """Each chunk of index i's pass, stopped before the client's last op,
-    is columns x*n + (i-1), x in the chunk, of every |x>|i> run at once,
-    once the span it holds of B_{s-1} is lifted back through Q_{s-1}; the
-    chunks cover every database once."""
+    """Each chunk of index i's pass, stopped before the client's last op
+    and matricized with the span it holds of B_{s-1} first, is columns
+    x*n + (i-1), x in the chunk, of every |x>|i> run at once, once that
+    span is lifted back through Q_{s-1}; the chunks cover every database
+    once.  Every run of index i ends over the layout nu_i does."""
     run = PurifiedRun(qpir)
     full_lay, full = _dense_before_last_op(purify_both(qpir.spec))
     n = qpir.n
@@ -1013,11 +1012,10 @@ def _assert_index_batches_are_dense_columns(qpir: QpirProtocol) -> None:
     held = run.pre[:1]
     for i in range(1, n + 1):
         _, q = run._reach(i)
+        lay = run.nu(i).layout
         seen = []
-        for xs, lay, cur in run._chunks(i):
-            xs = xs.reshape(-1)
+        for xs, t in run._chunks(i, held):
             seen.extend(xs)
-            t = matricize(cur, lay, held)
             lifted = (dense(q) @ t.reshape(t.shape[0], -1)).reshape(-1, len(xs))
             assert lifted.shape == (full.shape[0], len(xs))
             want = matricize(full[:, xs * n + i - 1], full_lay,
@@ -1033,9 +1031,8 @@ def _assert_index_batches_are_dense_columns(qpir: QpirProtocol) -> None:
     ("noisy-trivial", {"delta": 0.2}), ("random", {"seed": 1})])
 def test_index_batches_are_the_dense_basis_columns(monkeypatch, name, params, n,
                                                    budget):
-    import qpirlab.qpir as qpir
     if budget is not None:
-        monkeypatch.setattr(qpir, "CHUNK_BYTES", budget)
+        monkeypatch.setattr(states, "CHUNK_BYTES", budget)
     _assert_index_batches_are_dense_columns(builtin(name, n, **params))
 
 
@@ -1108,23 +1105,25 @@ def test_a_client_memory_with_no_registers_is_held_under_a_fresh_label(tmp_path)
 # -- each index's basis runs stream in chunks of databases ---------------------
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("columns", [1, 2, 3, 4, 8, 16])
-def test_chunks_are_rectangles_closed_under_the_bit_i_pairing(n, columns):
-    """Each chunk pairs every x with x_i = 0 with x + 2^(n-i); the chunks
-    cover the 2^n databases once, each as many as the largest power of two
-    up to `columns` allows, and at least a pair; one chunk that fits them
-    all is every database in increasing order."""
-    size = min(2 ** n, 2 ** max(1, columns.bit_length() - 1))
+@pytest.mark.parametrize("half", [0, 1, 2, 3, 4, 8, 16])
+def test_chunks_pair_each_first_half_with_its_bit_i_partners(monkeypatch, n, half):
+    """Each chunk's second half is its first half + 2^(n-i), and the first
+    halves, in order, are the databases with x_i = 0 in slices of the
+    largest power of two at most `half` (and at least 1), so they
+    partition them.  trivial's widest state has 4^n amplitudes, so a
+    budget of 32 half 4^n bytes allows 2 half columns."""
+    monkeypatch.setattr(states, "CHUNK_BYTES", 32 * half * 4 ** n)
+    run = PurifiedRun(builtin("trivial", n))
+    size = min(2 ** (n - 1), 1 << (max(1, half).bit_length() - 1))
     for i in range(1, n + 1):
-        chunks = list(_rectangles(n, i, columns))
-        assert all(xs.size == size and xs.shape[1] == 2 for xs in chunks)
-        assert sorted(np.concatenate([xs.reshape(-1) for xs in chunks])) == \
-            list(range(2 ** n))
-        for xs in chunks:
-            assert not np.any(xs[:, 0, :] >> (n - i) & 1)
-            assert np.array_equal(xs[:, 1, :], xs[:, 0, :] + 2 ** (n - i))
-        if size == 2 ** n:
-            assert [xs.reshape(-1).tolist() for xs in chunks] == [list(range(2 ** n))]
+        zeros = [x for x in range(2 ** n) if not x >> (n - i) & 1]
+        firsts = []
+        for xs, t in run._chunks(i, run.pre):
+            first, second = np.split(xs, 2)
+            assert np.array_equal(second, first + 2 ** (n - i))
+            assert t.shape[2] == len(xs) == 2 * size
+            firsts.append(first.tolist())
+        assert firsts == [zeros[k:k + size] for k in range(0, len(zeros), size)]
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -1137,13 +1136,12 @@ def test_one_pair_chunks_give_the_single_chunk_results(monkeypatch, name, params
     qpir-correctness and the stored outcome-0 probabilities agree with one
     chunk, every value within 1e-12 (the golden reports' tolerance) and
     every other field equal."""
-    import qpirlab.qpir as qpir
     query = "&".join(f"{key}={value}" for key, value in {"n": n, **params}.items())
     argvs = [[verb, "--protocol", f"builtin:{name}?{query}"]
              for verb in ("reduce", "qpir-correctness")]
     got = {}
     for budget in (2 ** 62, 1):
-        monkeypatch.setattr(qpir, "CHUNK_BYTES", budget)
+        monkeypatch.setattr(states, "CHUNK_BYTES", budget)
         reports = [json.loads(_cli(argv)[1]) for argv in argvs]
         p0 = build_rae(PurifiedRun(builtin(name, n, **params))).outcome_zero
         got[budget] = reports, p0
@@ -1179,17 +1177,17 @@ def test_step_one_gather_matches_the_one_hot_matmul(monkeypatch, name, params):
     """A chunk starts as the server's first op gathered at its databases,
     which is that op times their one-hot columns exactly, and ends where
     the one-hot columns run through every step before the client's last
-    op do."""
+    op do, matricized the same way."""
     import qpirlab.qpir as qpir
-    monkeypatch.setattr(qpir, "CHUNK_BYTES", 1)
+    monkeypatch.setattr(states, "CHUNK_BYTES", 1)
     n = 3
     run = PurifiedRun(builtin(name, n, **params))
     first = run.spec.a_ops[0].matrix
     start = concat(run.spec.a_memory[0], run._span(0, 1))
     for i in range(1, n + 1):
-        for xs, lay, cur in run._chunks(i):
-            one_hot = np.eye(2 ** n, dtype=complex)[:, xs.reshape(-1)]
-            assert np.array_equal(dense(first, xs.reshape(-1)), dense(first) @ one_hot)
-            want_lay, want = qpir._through(run._schedule(i), start, one_hot)
-            assert lay == want_lay
-            assert np.max(np.abs(cur - want)) <= 1e-12
+        for xs, t in run._chunks(i, run.pre):
+            one_hot = np.eye(2 ** n, dtype=complex)[:, xs]
+            assert np.array_equal(dense(first, xs), dense(first) @ one_hot)
+            want = matricize(*qpir._through(run._schedule(i), start, one_hot), run.pre)
+            assert t.shape == want.shape
+            assert np.max(np.abs(t - want)) <= 1e-12

@@ -186,12 +186,32 @@ def _measured_trivial(form) -> QpirProtocol:
 
 
 def test_kraus_operators_that_share_rows_match_the_dense_path():
-    """Pi K_k is not diagonal in its Gram when columns share a row; the
-    shared rows enter W whole.  Bit 1 is kept (delta 0) and bit 2 is
-    erased (delta 1/2)."""
+    """Pi K_k is not diagonal in its Gram when columns share a row, so
+    such Kraus operators take the dense path, as basis maps or dense.
+    Bit 1 is kept (delta 0) and bit 2 is erased (delta 1/2)."""
     basis = _measured_trivial(lambda k: k)
     assert correctness_delta(PurifiedRun(basis)).deltas == (0.0, 0.5)
     _assert_same_audit(basis, _measured_trivial(dense))
+
+
+class _BasisPath(Exception):
+    pass
+
+
+def test_only_kraus_operators_with_distinct_rows_take_the_basis_path(monkeypatch):
+    """With `_basis_pushed_through` raising, `_measured_trivial`'s
+    row-sharing basis maps still give delta = (0, 1/2), on the dense path,
+    and noisy-trivial n=3's bit flips, each with distinct rows, reach it."""
+    import qpirlab.qpir as qpir_module
+
+    def basis_path(*args):
+        raise _BasisPath
+
+    monkeypatch.setattr(qpir_module, "_basis_pushed_through", basis_path)
+    basis = _measured_trivial(lambda k: k)
+    assert correctness_delta(PurifiedRun(basis)).deltas == (0.0, 0.5)
+    with pytest.raises(_BasisPath):
+        correctness_delta(PurifiedRun(builtin("noisy-trivial", 3, delta=0.2)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import math
 import numpy as np
 import pytest
 
+from qpirlab import states
 from qpirlab.errors import SupportViolation
 from qpirlab.linalg import (
     DEFAULT_RANK_TOL,
@@ -339,9 +340,8 @@ def test_the_encoding_refuses_a_compressor_short_of_the_support(monkeypatch, bui
     Each encoding is one pass over index 1, decoded here at no index; the
     refusal comes after every chunk, with the worst leak of all, and
     names the rank tolerance."""
-    import qpirlab.qpir as qpir
     if budget is not None:
-        monkeypatch.setattr(qpir, "CHUNK_BYTES", budget)
+        monkeypatch.setattr(states, "CHUNK_BYTES", budget)
     run = PurifiedRun(build())
     nu1 = run.nu(1)
     emat = schmidt_compressor(nu1, nu1.layout.drop(run.spec.a_memory[-1].labels())
