@@ -3,7 +3,9 @@ Helstrom solvers, on raw matrices and state vectors.
 
 Every Schmidt question (the coefficients, the rank, the compressor onto the
 support) is one SVD of the state's amplitudes matricized across a validated
-cut; ranks count the coefficients above a tolerance.
+cut; ranks count the coefficients above a tolerance.  A state with one
+nonzero per column across the cut has a diagonal marginal, and its
+compressor is read off the rows' norms with no SVD (`one_hot_compressor`).
 
 Conventions:
     trace distance   D(rho, sigma) = (1/2) ||rho - sigma||_1
@@ -30,6 +32,7 @@ from .errors import (
 )
 from .registers import Register, RegisterLayout
 from .states import (
+    BasisMap,
     Isometry,
     StateVector,
     _check_factor,
@@ -168,15 +171,44 @@ def schmidt_compressor(state: StateVector, cut: Iterable[str],
     """
     cut_lay, m = _across(state, cut)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
+    compressed = _compressed_register(cut_lay, s, rank_tol)
+    return Isometry(compressed, cut_lay, u[:, :compressed.total_dim])
+
+
+def one_hot_compressor(cut: RegisterLayout, rows: np.ndarray, amplitudes: np.ndarray,
+                       rank_tol: float = DEFAULT_RANK_TOL) -> Isometry:
+    """`schmidt_compressor` for a state whose amplitudes, matricized across
+    the `cut` layout, have at most one nonzero per column: `amplitudes`,
+    each in a column of its own, at the cut's rows `rows`.
+
+    The marginal on the cut is then diagonal, so the Schmidt coefficients
+    are the norms of those rows, and the support is spanned by the rows
+    whose norm exceeds `rank_tol`.  The compressor is the basis map onto
+    them, in increasing order, with no SVD; the rank rule and its error
+    are `schmidt_compressor`'s.
+    """
+    held = np.flatnonzero(np.bincount(rows, minlength=cut.total_dim))
+    s = np.sqrt(np.bincount(rows, amplitudes.real ** 2 + amplitudes.imag ** 2,
+                            minlength=cut.total_dim)[held])
+    compressed = _compressed_register(cut, s, rank_tol)
+    kept = held[s > rank_tol]
+    return Isometry(compressed, cut,
+                    BasisMap((cut.total_dim, len(kept)), kept, np.ones(len(kept))))
+
+
+def _compressed_register(cut: RegisterLayout, s: np.ndarray,
+                         rank_tol: float) -> RegisterLayout:
+    """The one register of a compressor onto the `cut` layout that keeps
+    the Schmidt coefficients `s` above `rank_tol`; keeping none is a
+    LayoutError that names the tolerance and the largest coefficient."""
     r = int(np.sum(s > rank_tol))
     if r == 0:
         raise LayoutError(
             f"rank tolerance {rank_tol} is at or above every Schmidt coefficient "
-            f"across {cut_lay.labels()} (largest {s[0]:.6g}): "
+            f"across {cut.labels()} (largest {np.max(s):.6g}): "
             f"nothing is left to compress onto"
         )
-    compressed = RegisterLayout((Register("+".join(cut_lay.labels()) + "'", r),))
-    return Isometry(compressed, cut_lay, u[:, :r])
+    return RegisterLayout((Register("+".join(cut.labels()) + "'", r),))
 
 
 # ---------------------------------------------------------------------------

@@ -6,50 +6,54 @@ Every audit reads one `PurifiedRun`: the protocol with the server and the
 client's ops before its last one purified, run on the basis inputs |x>|i>
 one index at a time (i fixed inside the client's first op), and on the
 uniform database superposition with each index, one column per index.
-Index i's basis inputs run in chunks of databases sized from one byte
-budget, `CHUNK_BYTES`: each chunk is a slice of the databases with
-x_i = 0 followed by their partners x + 2^(n-i), so no chunk holds more
-than the budget allows (or one pair of databases), and every pass reads
-each chunk matricized once, its two halves lined up pair by pair.
-Step 1 on a basis input |x> is column x of the server's first op, so each
-chunk starts as those columns (`states.dense`), gathered from a dense op
-or scattered into zeros from a basis map, never a matmul.  trivial,
-index-in-clear and noisy-trivial store every op as a basis map, and a
-consumer that needs a dense matrix makes one Kraus operator dense at a
-time.  No run goes through the client's last op, and that op is never
-dilated: it is local and comes after the last message, so what an audit
-needs of it is pulled back onto its inputs.
+No run goes through the client's last op, and that op is never dilated:
+it is local and comes after the last message, so what an audit needs of
+it is pulled back onto its inputs.  trivial, index-in-clear and
+noisy-trivial store every op as a basis map, and a consumer that needs a
+dense matrix makes one Kraus operator dense at a time.
+
+Op types alone pick how index i's basis runs are held.  When every op of
+its schedule and Q_{s-1} (below) is a basis map, as in trivial and
+noisy-trivial, each run stays one-hot (`PurifiedRun.one_hot`), and the
+runs are composed through steps 1..2s-1 as one basis map from the
+databases, one row and one value per database (`PurifiedRun.basis_runs`),
+with no amplitude array.  Otherwise they run in chunks of databases sized
+from one byte budget, `CHUNK_BYTES`: each chunk is a slice of the
+databases with x_i = 0 followed by their partners x + 2^(n-i), so no
+chunk holds more than the budget allows (or one pair of databases), and
+every pass reads each chunk matricized once, its two halves lined up pair
+by pair.  Step 1 on a basis input |x> is column x of the server's first
+op, so each chunk starts as those columns (`states.dense`), gathered from
+a dense op or scattered into zeros from a basis map, never a matmul.
 
 Correctness is judged by optimal (Helstrom) discrimination of the client's
 final states averaged over {x : x_i = 0} and over {x : x_i = 1}.  The
 client's last op touches only its own registers, so their Helstrom
 operator Gamma_i = rho_0/2 - rho_1/2 is that op, as a channel, applied to
-Gamma_i^pre, the same operator on the op's inputs.  Gamma_i^pre is summed
-over index i's chunks in one pass, and no chunk outlives its share; the
-reduction makes its own pass over index 1's chunks for the encoding.
-With i fixed, each client memory B_1..B_{s-1} is written in the span the
-client's ops can reach, one thin QR per op, so each chunk, Gamma_i^pre
-and that span are only as large as what the client can hold.  The last
-op itself is never rebuilt on that span: each of its Kraus operators is
-composed with the span's isometry Q_{s-1} in turn.  Op types, and
-whether each Kraus operator's rows are distinct, pick one of two paths.
-When every op of index i's schedule, Q_{s-1} and every Kraus operator of
-the last op are basis maps, and no two columns of a Kraus operator share
-a row, as in trivial and noisy-trivial, each run stays one-hot, so
-Gamma_i^pre is diagonal, a sum of signed squared amplitudes; pushed
-through the Kraus operators it stays diagonal, and delta_i is read off
-its entries, with no eigensolver and no dense Kraus operator.  Otherwise
-each chunk adds one matmul that pairs each x with its bit-i partner, and
-Gamma_i is diagonalized in the span of the composed Kraus operators, of
-which only the triangular factor is kept (`_kraus_span`).
+Gamma_i^pre, the same operator on the op's inputs.  With i fixed, each
+client memory B_1..B_{s-1} is written in the span the client's ops can
+reach, one thin QR per op, so Gamma_i^pre and that span are only as large
+as what the client can hold.  The last op itself is never rebuilt on that
+span: each of its Kraus operators is composed with the span's isometry
+Q_{s-1}.  Two paths follow.  When index i's runs are one-hot and no two
+columns of a Kraus operator of the last op share a row, each run's
+marginal is a diagonal projector, so Gamma_i^pre is diagonal, one signed
+bincount of the runs' squared values; pushed through the Kraus operators,
+composed side by side as stacked rows and values, it stays diagonal, and
+delta_i is read off its entries, with no eigensolver and no dense Kraus
+operator.  Otherwise Gamma_i^pre is summed over index i's chunks in one
+pass, each chunk adding one matmul that pairs each x with its bit-i
+partner, and Gamma_i is diagonalized in the span of the composed Kraus
+operators, of which only the triangular factor is kept (`_kraus_span`).
 Each index's optimal measurement is kept pulled back through the last op,
 as a factor W_i of the effect it induces on the op's inputs, for the
-reduction's decoder to apply.  Privacy compares the purified server's
-marginals of the superposition runs nu_i across index inputs.  The
-server's registers are final once it sends its last message, so the
-marginals are read before the client's last op, as they are after it;
-when the n runs span fewer dimensions than the server's registers, the
-marginals are written in that span, which keeps every trace distance.
+reduction's decoder to apply: a diagonal basis map on the basis path.
+Privacy compares the purified server's marginals of the superposition
+runs nu_i across index inputs.  The server's registers are final once it
+sends its last message, so the marginals are read before the client's
+last op, as they are after it; when the n runs span fewer dimensions than
+the server's registers, the marginals are written in that span, which
+keeps every trace distance.
 """
 
 from __future__ import annotations
@@ -82,6 +86,7 @@ from .states import (
     dense,
     kraus_operators,
     matricize,
+    matricized_rows,
 )
 from .protocol import (
     ProtocolSpec,
@@ -169,24 +174,44 @@ def _through(schedule, lay: RegisterLayout,
     return cur, lay
 
 
-def _compose(matrix: Matrix, q: Matrix) -> Matrix:
-    """matrix (Q (x) 1) for a matrix whose input starts with the memory
-    that the isometry q's rows run over: a basis map when both are, and
-    dense otherwise.
+def _basis_through(schedule, lay: RegisterLayout,
+                   runs: BasisMap) -> tuple[BasisMap, RegisterLayout]:
+    """`_through` for one-hot columns and basis-map steps: column j of
+    `runs` is the state values[j] |rows[j]> over `lay`, and each step
+    sends its row's input factors to the op's row for them, times the op's
+    value, the untouched factors riding along.  One row and one value per
+    column, with no amplitude array."""
+    rows, values = runs.rows, runs.values
+    for _, op in schedule:
+        labels = op.input_layout.labels()
+        front, rest = matricized_rows(rows, lay, labels)
+        d_rest = lay.total_dim // op.input_layout.total_dim
+        rows = op.matrix.rows[front] * d_rest + rest
+        values = op.matrix.values[front] * values
+        lay = concat(op.output_layout, lay.drop(labels))
+    return BasisMap((lay.total_dim, len(rows)), rows, values), lay
+
+
+def _selected(q: BasisMap, d_in: int) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of a matrix with d_in columns, its input starting with
+    the memory that the basis map q's rows run over, that (Q (x) 1)
+    selects, and the value of q that scales each."""
+    d_rest = d_in // q.shape[0]
+    xs = (q.rows[:, None] * d_rest + np.arange(d_rest)).reshape(-1)
+    return xs, np.repeat(q.values, d_rest)
+
+
+def _compose(matrix: Matrix, q: Matrix) -> np.ndarray:
+    """matrix (Q (x) 1), dense, for a matrix whose input starts with the
+    memory that the isometry q's rows run over.
 
     A basis map q, such as Q_0 = |i>, sends each of its columns to one
     value of that memory: the result is the matching blocks of matrix's
-    columns, each scaled by q's value, taken as rows and values from a
-    basis map, and gathered or scattered (`dense`) otherwise.  A dense q
-    is one matmul with Q^T, since the rows of matrix^T run over the
-    memory first."""
+    columns, each scaled by q's value, gathered or scattered (`dense`).
+    A dense q is one matmul with Q^T, since the rows of matrix^T run over
+    the memory first."""
     if isinstance(q, BasisMap):
-        d_rest = matrix.shape[1] // q.shape[0]
-        xs = (q.rows[:, None] * d_rest + np.arange(d_rest)).reshape(-1)
-        values = np.repeat(q.values, d_rest)
-        if isinstance(matrix, BasisMap):
-            return BasisMap((matrix.shape[0], len(xs)), matrix.rows[xs],
-                            matrix.values[xs] * values)
+        xs, values = _selected(q, matrix.shape[1])
         return dense(matrix, xs) * values
     matrix = dense(matrix)
     return (q.T @ matrix.T.reshape(q.shape[0], -1)).reshape(-1, matrix.shape[0]).T
@@ -225,8 +250,9 @@ class PurifiedRun:
     as V_k = (Q_k (x) 1) W_k.  That span is one register, under B_k's
     first label, or under a fresh one when B_k has no registers.  The
     purifier is kept whole.  The last op reads that span through Q_{s-1},
-    which `_kraus_span` composes into each of its Kraus operators.  All
-    runs share one layout, A_s first.
+    which `_kraus_span`, or `_composed_kraus` on the basis path, composes
+    into each of its Kraus operators.  All runs share one layout, A_s
+    first.
 
     * `_chunks(i, front)`: index i's basis inputs |x>|i>, run in chunks
       of databases no wider than `CHUNK_BYTES` allows, each some databases
@@ -240,11 +266,16 @@ class PurifiedRun:
       B_{s-1}'s held span and then X_s, everything else, purifiers
       included, traced out: one pass over index i's chunks, each adding
       its share.  Nothing of the pass is kept.
-    * `helstrom_diagonal(i)`: the same operator's diagonal, for an index
-      whose runs are `one_hot`.  Each run's marginal on `pre` is then a
-      diagonal projector, so Gamma_i^pre is diagonal: (-1)^(x_i)
-      |amplitude|^2 summed over the other registers and over the
-      databases, over 2^n, with no matmul.
+    * `basis_runs(i)`: for an index whose runs are `one_hot`, all of them
+      after steps 1..2s-1 as one basis map from the 2^n databases onto
+      the layout they end over: column x is the run of |x>|i>, its one
+      row and value composed through the steps on integers
+      (`_basis_through`), and kept.
+    * `helstrom_diagonal(i)`: Gamma_i^pre's diagonal, for an index whose
+      runs are `one_hot`.  Each run's marginal on `pre` is then a diagonal
+      projector, so Gamma_i^pre is diagonal: (-1)^(x_i) |value|^2 of each
+      run at its `pre` row, one signed bincount over the databases
+      (`basis_runs`), over 2^n, with no chunk and no matmul.
     """
 
     def __init__(self, qpir: QpirProtocol) -> None:
@@ -257,6 +288,7 @@ class PurifiedRun:
                       for k, memory in enumerate(qpir.spec.b_memory)]
         self.pre = (self._held[-2],) + qpir.spec.x_comm[-1].labels()
         self._reached: dict[int, tuple[list[Isometry], Matrix]] = {}
+        self._basis: dict[int, tuple[BasisMap, RegisterLayout]] = {}
         self._nus: dict[int, StateVector] = {}
 
     def _span(self, k: int, dim: int) -> RegisterLayout:
@@ -282,7 +314,7 @@ class PurifiedRun:
             for k, op in enumerate(self._client_ops, start=1):
                 lay = concat(self._span(k - 1, q.shape[1]),
                              op.input_layout.drop(memory[k - 1].labels()))
-                v = dense(_compose(op.matrix, q))
+                v = _compose(op.matrix, q)
                 q, w = np.linalg.qr(v.reshape(memory[k].total_dim, -1))
                 out = concat(self._span(k, q.shape[1]),
                              op.output_layout.drop(memory[k].labels()))
@@ -348,12 +380,20 @@ class PurifiedRun:
         matrices = [op.matrix for _, op in self._schedule(i)] + [self._reach(i)[1]]
         return all(isinstance(m, BasisMap) for m in matrices)
 
+    def basis_runs(self, i: int) -> tuple[BasisMap, RegisterLayout]:
+        if i not in self._basis:
+            (_, first), *rest = self._schedule(i)
+            lay = concat(first.output_layout, self._span(0, 1))
+            self._basis[i] = _basis_through(rest, lay, first.matrix)
+        return self._basis[i]
+
     def helstrom_diagonal(self, i: int) -> np.ndarray:
-        total = 0.0
-        for _, t in self._chunks(i, self.pre):
-            p0, p1 = np.split((t.real ** 2 + t.imag ** 2).sum(axis=1), 2, axis=1)
-            total = total + (p0 - p1).sum(axis=1)
-        return total / 2 ** self.qpir.n
+        runs, lay = self.basis_runs(i)
+        pre, _ = matricized_rows(runs.rows, lay, self.pre)
+        n = self.qpir.n
+        signs = 1 - 2 * bit_of(np.arange(2 ** n), i, n)
+        weights = signs * (runs.values.real ** 2 + runs.values.imag ** 2)
+        return np.bincount(pre, weights, minlength=lay.sub(self.pre).total_dim) / 2 ** n
 
 
 # ---------------------------------------------------------------------------
@@ -371,15 +411,17 @@ class CorrectnessReport:
     projector, as W_i^dagger W_i = sum_k K_k^dagger Pi_i K_k.  The path
     `correctness_delta` takes picks W_i's form: on the basis path, where
     every op the runs and the last op meet is a basis map and each Kraus
-    operator's rows are distinct, W_i is a diagonal with its zero rows
-    dropped; on the dense path it is upper triangular.
+    operator's rows are distinct, W_i is the d_pre x d_pre diagonal
+    `BasisMap` of the square roots of the effect's weights, zeros
+    included, d_pre values where a dense diagonal holds d_pre^2; on the
+    dense path it is an upper triangular array.
     """
 
     n: int
     deltas: tuple[float, ...]
     delta_max: float
     delta_avg: float
-    measurements: tuple[np.ndarray, ...]   # W_i, at most d_pre x d_pre
+    measurements: tuple[Matrix, ...]       # W_i, at most d_pre x d_pre
     measured_labels: tuple[str, ...]       # what each W_i reads: held B_{s-1}, then X_s
 
 
@@ -397,7 +439,7 @@ def _kraus_span(op: Operation, q: Matrix) -> np.ndarray:
     d_in = q.shape[1] * op.input_layout.total_dim // q.shape[0]
     side = np.empty((op.output_layout.total_dim, len(kraus), d_in), dtype=np.complex128)
     for k, matrix in enumerate(kraus):
-        side[:, k] = dense(_compose(matrix, q))
+        side[:, k] = _compose(matrix, q)
     return np.linalg.qr(side.reshape(len(side), -1), mode="r")
 
 
@@ -414,28 +456,39 @@ def _pushed_through(gamma_pre: np.ndarray, r: np.ndarray) -> tuple[float, np.nda
     return res.probability, np.linalg.qr(f, mode="r")
 
 
-def _basis_pushed_through(gamma_pre: np.ndarray,
-                          kraus: list[BasisMap]) -> tuple[float, np.ndarray]:
+def _composed_kraus(kraus: tuple[BasisMap, ...],
+                    q: BasisMap) -> tuple[np.ndarray, np.ndarray]:
+    """The basis-map Kraus operators `kraus`, each composed with the basis
+    map q as `_compose` composes one, as rows and values, each (m, d), row
+    k of each K_k's.  q selects the same columns of every K_k, so this is
+    one gather of those columns per operator, and nothing is made dense."""
+    xs, scale = _selected(q, kraus[0].shape[1])
+    rows = np.stack([k.rows[xs] for k in kraus])
+    values = np.stack([k.values[xs] for k in kraus]) * scale
+    return rows, values
+
+
+def _basis_pushed_through(gamma_pre: np.ndarray, d_out: int, rows: np.ndarray,
+                          values: np.ndarray) -> tuple[float, BasisMap]:
     """The Helstrom measurement of sum_k K_k Gamma^pre K_k^dagger for a
-    diagonal Gamma^pre, given as its diagonal, and basis maps K_k with
-    distinct rows, column j of K_k being v_kj |r_kj>.
+    diagonal Gamma^pre, given as its diagonal, and d_out x d_pre basis
+    maps K_k with distinct rows, stacked (`_composed_kraus`): column j of
+    K_k is values[k, j] |rows[k, j]>.
 
     Each K_k Gamma^pre K_k^dagger is then diagonal, gamma_j |v_kj|^2 at
-    row r_kj, and so is their sum: its entries are its eigenvalues, read
-    under `helstrom_spectrum`'s rule.  With Pi the diagonal projector onto
-    the rows kept, W^dagger W = sum_k (Pi K_k)^dagger (Pi K_k) is diagonal
-    too, since no two columns of a K_k share a row: |v_kj|^2 summed over
-    the k whose row r_kj is kept.  W is its square root, a diagonal with
-    its zero rows dropped, at most d_pre x d_pre."""
-    d_out, d_pre = kraus[0].shape
-    gamma, weight = np.zeros(d_out), np.zeros(d_pre)
-    for k in kraus:
-        gamma[k.rows] += (k.values.real ** 2 + k.values.imag ** 2) * gamma_pre
+    row r_kj, and so is their sum, one weighted bincount: its entries are
+    its eigenvalues, read under `helstrom_spectrum`'s rule.  With Pi the
+    diagonal projector onto the rows kept, W^dagger W = sum_k (Pi
+    K_k)^dagger (Pi K_k) is diagonal too, since no two columns of a K_k
+    share a row: |v_kj|^2 summed over the k whose row r_kj is kept.  W is
+    its square root, the d_pre x d_pre diagonal basis map."""
+    d_pre = len(gamma_pre)
+    weights = values.real ** 2 + values.imag ** 2
+    gamma = np.bincount(rows.reshape(-1), (weights * gamma_pre).reshape(-1),
+                        minlength=d_out)
     probability, kept = helstrom_spectrum(gamma)
-    for k in kraus:
-        values = np.where(kept[k.rows], k.values, 0.0)
-        weight += values.real ** 2 + values.imag ** 2
-    return probability, np.diag(np.sqrt(weight))[weight > 0.0]
+    weight = np.where(kept[rows], weights, 0.0).sum(axis=0)
+    return probability, BasisMap((d_pre, d_pre), np.arange(d_pre), np.sqrt(weight))
 
 
 def correctness_delta(run: PurifiedRun) -> CorrectnessReport:
@@ -454,9 +507,11 @@ def correctness_delta(run: PurifiedRun) -> CorrectnessReport:
     its runs are `PurifiedRun.one_hot` and every Kraus operator of the
     last op is a basis map whose rows are distinct (`states._distinct`,
     as the channel's own check reads them), Gamma_i^pre is diagonal
-    (`PurifiedRun.helstrom_diagonal`) and so is Gamma_i, read off its
-    entries with no eigensolver (`_basis_pushed_through`), and
-    W_i^dagger W_i is diagonal.  A channel whose basis-map Kraus
+    (`PurifiedRun.helstrom_diagonal`), and so is Gamma_i: the Kraus
+    operators, composed with Q_{s-1} in one gather each and stacked
+    (`_composed_kraus`), push it through as one weighted bincount, read
+    off its entries with no eigensolver (`_basis_pushed_through`), and
+    W_i is a diagonal basis map.  A channel whose basis-map Kraus
     operators share rows, which only the library builds, takes the dense
     path.  Otherwise Gamma_i^pre is summed dense
     (`PurifiedRun.helstrom_operator`), and Gamma_i is diagonalized in the
@@ -473,7 +528,8 @@ def correctness_delta(run: PurifiedRun) -> CorrectnessReport:
         q = run._reach(i)[1]
         if basis and run.one_hot(i):
             probability, w = _basis_pushed_through(
-                run.helstrom_diagonal(i), [_compose(k, q) for k in kraus])
+                run.helstrom_diagonal(i), last.output_layout.total_dim,
+                *_composed_kraus(kraus, q))
         else:
             probability, w = _pushed_through(run.helstrom_operator(i),
                                              _kraus_span(last, q))

@@ -5,32 +5,47 @@ Pipeline: every stage reads one `PurifiedRun` (the server and the client's
 ops before its last one purified, each party once; the basis inputs run
 one index at a time, i fixed in the client's first op and each client
 memory before the last op written in the span the client reaches with i
-fixed; each index's runs stream in chunks of databases sized from one
-byte budget, and no chunk is kept once used.  No run goes on through the
-client's last op, which is never dilated).
-Purified, that op would be a local isometry, which moves neither the
-encoding's size, nor its decoders' success, nor the server's marginals,
-so every stage is built before it.  There the states nu_i, the uniform
-database with each index, give the client subspace actually used, which
-is Schmidt-compressed to rank r; each database is encoded as the
+fixed.  No run goes on through the client's last op, which is never
+dilated).  Purified, that op would be a local isometry, which moves
+neither the encoding's size, nor its decoders' success, nor the server's
+marginals, so every stage is built before it.  There the states nu_i, the
+uniform database with each index, give the client subspace actually used,
+which is Schmidt-compressed to rank r; each database is encoded as the
 compressed client state of its index-1 basis run; and any index i is
 decoded by rotating nu_1 onto nu_i with a purifier-side (Uhlmann)
 unitary, from index 1's span to index i's, before index i's Helstrom
-measurement from the correctness audit, pulled back through the last op.
-Each decoder is stored as the d_pre x r partial isometry U E (E the
-compressor).  delta comes from one pass over each index's runs, which
-sums the Helstrom operator on the last op's inputs and pushes it through
-that op: read off a diagonal when every op those runs and that op meet
-is a basis map, and diagonalized in the span of the op's Kraus operators
-otherwise (`qpir.correctness_delta`); epsilon compares the server
-marginals of the same nu_i, with the eigensolver's round-off floored, so
-a private protocol's epsilon is exactly 0.  Once
-every measurement and decoder is known, one more pass over index 1's
-runs encodes each chunk of databases and decodes it at every index,
-keeping only the (n, 2^n) probabilities of outcome 0; so index 1's runs
-are made twice, and no encoded state outlives its chunk.  The measured
-recovery rate feeds the entropy bound on random-access-encoding size,
-which bounds the communication from below.
+measurement W_i from the correctness audit, pulled back through the last
+op.  Each decoder is stored as the d_pre x r partial isometry U E (E the
+compressor).  Only the (n, 2^n) probabilities of outcome 0 are kept, and
+the measured recovery rate feeds the entropy bound on
+random-access-encoding size, which bounds the communication from below.
+
+Two paths build the encoding (`build_rae`), picked by the column test
+on index 1's composed integer rows (`_one_hot_split`):
+
+* Basis path: index 1's runs are one-hot (`PurifiedRun.one_hot`, as in
+  trivial and noisy-trivial) and no two share a server column, so nu_1
+  has one nonzero per server column.  E is the basis map onto the client
+  rows of nu_1 that the rank rule keeps, each decoder is monomial (its
+  polar part the phase of each entry) wherever K = c_1^T conj(nu_i) is,
+  and p_0[i, x] is a gather of W_i's weights.  Index 1's runs are composed
+  once, as one row and one value per database (`PurifiedRun.basis_runs`),
+  and no chunk is run.
+* Dense path, for everything else (random, protocol files, index-in-clear,
+  whose client writes its span by QR, and any protocol that fails the
+  column test): E is an SVD of nu_1, each decoder an Uhlmann polar
+  factor, and once every measurement and decoder is known one more pass
+  over index 1's chunks encodes each chunk of databases and decodes it at
+  every index, so index 1's runs are made twice and no encoded state
+  outlives its chunk (`_encode`).
+
+delta comes from each index's runs, summing the Helstrom operator on the
+last op's inputs and pushing it through that op: read off a diagonal when
+every op those runs and that op meet is a basis map, and diagonalized in
+the span of the op's Kraus operators otherwise
+(`qpir.correctness_delta`); epsilon compares the server marginals of the
+same nu_i, with the eigensolver's round-off floored, so a private
+protocol's epsilon is exactly 0.
 
 Each rule a verdict rests on is decided here once, for every verb:
 `privacy_premise_holds` (the premise epsilon <= 1/2), `below_n` (comm
@@ -52,11 +67,13 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     SUPPORT_LEAK_TOL,
     binary_entropy,
+    one_hot_compressor,
     pure_distance_amplitudes,
     schmidt_compressor,
     uhlmann_unitary,
 )
-from .states import Isometry, matricize
+from .registers import RegisterLayout
+from .states import BasisMap, Isometry, _distinct, dense, matricize, matricized_rows
 from .qpir import (
     CorrectnessReport,
     PrivacyReport,
@@ -141,9 +158,10 @@ class RandomAccessEncoding:
     ceiling); decoding index i applies its decoder, which decompresses and
     rotates in one step, and then index i's Helstrom measurement from
     `correctness`.  Each client space is the d_pre-dimensional one before
-    the client's last op.  The encoded states themselves are not kept:
-    each is decoded at every index as it is made, and only the
-    probability of outcome 0 is stored.
+    the client's last op.  On the basis path the compressor and each
+    monomial decoder hold basis maps, d_pre integers and phases where a
+    dense one would be d_pre x r amplitudes.  The encoded states
+    themselves are not kept: only the probability of outcome 0 is stored.
     """
 
     n: int
@@ -168,16 +186,22 @@ def build_rae(run: PurifiedRun,
     whose server does not retain the database branches), and each
     refusal names the rank tolerance.  nu_1 is checked first, then
     correctness runs every index's pass for its measurements W_i, the
-    decoders rotate the nu_i, and one more pass over index 1 encodes
-    every database and decodes it at every index (`_encode`).
+    decoders rotate the nu_i, and every database is encoded and decoded
+    at every index.
+
+    Index 1's runs pick one of two paths.  When they pass the column test
+    (`_one_hot_split`), the encoding is read off their rows and values
+    (`_basis_rae`).  Otherwise the compressor is an SVD of nu_1
+    (`schmidt_compressor`), each decoder an Uhlmann polar factor, and one
+    more pass over index 1's chunks encodes every database (`_encode`).
     """
-    qpir = run.qpir
-    n = qpir.n
+    split = _one_hot_split(run)
+    if split is not None:
+        return _basis_rae(run, *split, rank_tol)
     nu1 = run.nu(1)
     client = nu1.layout.drop(run.spec.a_memory[-1].labels()).labels()
     compressor = schmidt_compressor(nu1, client, rank_tol=rank_tol)
     r = compressor.input_layout.total_dim
-    m = math.log2(r)
     emat = compressor.matrix
     m1 = matricize(nu1.amplitudes, nu1.layout, client)
     c1 = emat.conj().T @ m1
@@ -187,20 +211,26 @@ def build_rae(run: PurifiedRun,
 
     decoders, rot_dist, measured = [], [], []
     for i, w in enumerate(correctness.measurements, start=1):
-        nui = run.nu(i)
-        decoder = uhlmann_unitary(nui, nu1, support=compressor)
+        decoder, distance = _uhlmann_decoder(run, i, compressor, c1)
         decoders.append(decoder)
-        rot_dist.append(pure_distance_amplitudes(
-            matricize(nui.amplitudes, nui.layout, client).reshape(-1),
-            (decoder.matrix @ c1).reshape(-1)))
+        rot_dist.append(distance)
         decode = matricize(decoder.matrix, decoder.output_layout,
                            correctness.measured_labels)           # (d_pre, d_bar, r)
         measured.append((w @ decode.reshape(w.shape[1], -1)).reshape(-1, r))
     outcome_zero = _encode(run, emat, measured, rank_tol)
+    return _encoding(run, compressor, correctness, decoders, rot_dist, outcome_zero)
+
+
+def _encoding(run: PurifiedRun, compressor: Isometry, correctness: CorrectnessReport,
+              decoders: list[Isometry], rot_dist: list[float],
+              outcome_zero: np.ndarray) -> RandomAccessEncoding:
+    """The encoding with these parts, its size read off the compressor."""
+    r = compressor.input_layout.total_dim
+    m = math.log2(r)
     outcome_zero.setflags(write=False)
     return RandomAccessEncoding(
-        n=n,
-        communication=qpir.communication,
+        n=run.qpir.n,
+        communication=run.qpir.communication,
         m=m,
         m_ceil=math.ceil(m - QUBIT_CEIL_SLACK),
         compressed_dim=r,
@@ -210,6 +240,152 @@ def build_rae(run: PurifiedRun,
         rotation_distances=tuple(rot_dist),
         outcome_zero=outcome_zero,
     )
+
+
+def _uhlmann_decoder(run: PurifiedRun, i: int, support: Isometry,
+                     c1: np.ndarray) -> tuple[Isometry, float]:
+    """Index i's decoder U E, the Uhlmann polar factor that rotates nu_1
+    onto nu_i within the dense compressor `support`, and the distance
+    D((1 x U E) c_1, nu_i) it achieves, c_1 = E^dagger nu_1 as (r,
+    d_server)."""
+    nui = run.nu(i)
+    decoder = uhlmann_unitary(nui, run.nu(1), support=support)
+    client = support.output_layout.labels()
+    return decoder, pure_distance_amplitudes(
+        matricize(nui.amplitudes, nui.layout, client).reshape(-1),
+        (decoder.matrix @ c1).reshape(-1))
+
+
+def _one_hot_split(run: PurifiedRun):
+    """The column test: whether index 1's runs are one-hot
+    (`PurifiedRun.one_hot`) and no two of them share a server column, so
+    that nu_1, matricized with the client's registers as rows, has at
+    most one nonzero per column.  It reads the composed integer rows
+    (`PurifiedRun.basis_runs`), never a value or a tolerance.  When it
+    holds: the client's layout and each database's (client row, server
+    column); otherwise None."""
+    if not run.one_hot(1):
+        return None
+    runs, lay = run.basis_runs(1)
+    client = lay.drop(run.spec.a_memory[-1].labels())
+    rows, cols = matricized_rows(runs.rows, lay, client.labels())
+    return (client, rows, cols) if _distinct(cols) else None
+
+
+def _basis_rae(run: PurifiedRun, client: RegisterLayout, rows: np.ndarray,
+               cols: np.ndarray, rank_tol: float) -> RandomAccessEncoding:
+    """`build_rae` for index-1 runs that pass the column test: database x's
+    run sits at client row rows[x] and server column cols[x], no two in
+    one column, so nu_1's entries are those runs' amplitudes.
+
+    * The compressor E is the basis map onto nu_1's client rows that the
+      rank rule keeps (`one_hot_compressor`), and c_1 = E^dagger nu_1
+      keeps nu_1's entries, each at its compressed row.  A run outside E
+      would leave nu_1 outside it by at least its own amplitude, so
+      nu_1's check is every run's.
+    * Each decoder is monomial where K = c_1^T conj(nu_i) is
+      (`_monomial_decoder`), and otherwise the SVD-built Uhlmann polar
+      factor on E made dense (`_uhlmann_decoder`).
+    * c_x is database x's run, compressed and renormalized: a phase at
+      its compressed row k_x.  So p_0[i, x] = ||(W_i (x) 1) U E |k_x>||^2,
+      a gather of one value per compressed row (`_outcome_zero_by_row`).
+
+    No chunk is run, no SVD taken and no encoded state formed.
+    """
+    n = run.qpir.n
+    runs, lay = run.basis_runs(1)
+    amps = run.nu(1).amplitudes[runs.rows]
+    compressor = one_hot_compressor(client, rows, amps, rank_tol)
+    r = compressor.input_layout.total_dim
+    compressed = np.full(client.total_dim, -1)
+    compressed[compressor.matrix.rows] = np.arange(r)
+    ks = compressed[rows]                     # each database's compressed row, -1 if cut
+    outside = amps[ks < 0]
+    _refuse_leak(math.sqrt(np.sum(outside.real ** 2 + outside.imag ** 2)),
+                 "the uniform database's run with index 1", rank_tol)
+    correctness = correctness_delta(run)
+
+    by_column = np.full(lay.total_dim // client.total_dim, -1)
+    by_column[cols] = np.arange(len(cols))    # the database in each server column
+    decoders, rot_dist = [], []
+    outcome_zero = np.empty((n, 2 ** n))
+    for i, w in enumerate(correctness.measurements, start=1):
+        found = _monomial_decoder(run, i, compressor, ks, cols, by_column, amps)
+        if found is None:
+            c1 = np.zeros((r, len(by_column)), dtype=np.complex128)
+            c1[ks, cols] = amps
+            support = Isometry(compressor.input_layout, client, dense(compressor.matrix))
+            found = _uhlmann_decoder(run, i, support, c1)
+        decoders.append(found[0])
+        rot_dist.append(found[1])
+        outcome_zero[i - 1] = _outcome_zero_by_row(w, found[0],
+                                                   correctness.measured_labels)[ks]
+    return _encoding(run, compressor, correctness, decoders, rot_dist, outcome_zero)
+
+
+def _monomial_decoder(run: PurifiedRun, i: int, compressor: Isometry, ks: np.ndarray,
+                      cols: np.ndarray, by_column: np.ndarray,
+                      amps: np.ndarray) -> tuple[Isometry, float] | None:
+    """Index i's decoder U E as a basis map, and the distance
+    D((1 x U E) c_1, nu_i) it achieves, when K = c_1^T conj(nu_i) is
+    monomial; None otherwise.
+
+    nu_1's entry for database x is amps[x], at compressed row ks[x] and
+    server column cols[x]; by_column gives the database in each server
+    column, -1 for none.  Index i's runs must be one-hot.  One-hot runs
+    meet no client op before the last, whose span would be a QR factor,
+    so every index's runs end over nu_1's layout.  Each run of index i in
+    a column of nu_1's adds c_1[k, s] conj(nu_i[b, s]) to K[k, b].  When,
+    on the integer rows alone, each compressed row k gets exactly one such
+    term and no two terms share a client row b, K = sum_k kappa_k |k><b_k|
+    and its polar factor, the Uhlmann decoder, is sum_k (conj(kappa_k) /
+    |kappa_k|) |b_k><k|, exactly.
+    """
+    if not run.one_hot(i):
+        return None
+    runs, lay = run.basis_runs(i)
+    client = compressor.output_layout
+    b, s = matricized_rows(runs.rows, lay, client.labels())
+    partner = by_column[s]
+    hit = partner >= 0
+    k = ks[partner[hit]]
+    r = compressor.input_layout.total_dim
+    if not (np.array_equal(np.sort(k), np.arange(r)) and _distinct(b[hit])):
+        return None
+    nui = run.nu(i).amplitudes
+    kappa = amps[partner[hit]] * nui[runs.rows[hit]].conj()
+    rows, phases = np.empty(r, dtype=np.intp), np.empty(r, dtype=np.complex128)
+    rows[k], phases[k] = b[hit], kappa.conj() / np.abs(kappa)
+    decoder = Isometry(compressor.input_layout, client,
+                       BasisMap((client.total_dim, r), rows, phases))
+    # (1 x U E) c_1 puts nu_1's entry for each x at (b_{k_x}, cols[x]),
+    # times a phase: on index i's run in that column where there is one,
+    # and where nu_i is 0 otherwise.  The runs in no column of nu_1's may
+    # share rows, and each of their rows is one entry of nu_i.
+    partnered = np.zeros(len(cols), dtype=bool)
+    partnered[partner[hit]] = True
+    others = np.zeros(lay.total_dim, dtype=bool)
+    others[runs.rows[~hit]] = True
+    others = nui[np.flatnonzero(others)]
+    alone = amps[~partnered]
+    target = np.concatenate((nui[runs.rows[hit]], others, np.zeros_like(alone)))
+    moved = np.concatenate((phases[k] * amps[partner[hit]], np.zeros_like(others),
+                            phases[ks[~partnered]] * alone))
+    return decoder, pure_distance_amplitudes(target, moved)
+
+
+def _outcome_zero_by_row(w, decoder: Isometry, labels: tuple[str, ...]) -> np.ndarray:
+    """||(W (x) 1) U E |k>||^2 for each compressed row k, W a measurement
+    on the `labels` registers of the decoder's output.  A monomial
+    decoder sends |k> to a phase at one client row, so a basis-map W
+    gives the squared magnitude of its value at that row's `labels`
+    part; otherwise W is applied to the dense decoder."""
+    if isinstance(w, BasisMap) and isinstance(decoder.matrix, BasisMap):
+        pre, _ = matricized_rows(decoder.matrix.rows, decoder.output_layout, labels)
+        return (w.values.real ** 2 + w.values.imag ** 2)[pre]
+    decode = matricize(dense(decoder.matrix), decoder.output_layout, labels)
+    measured = dense(w) @ decode.reshape(w.shape[1], -1)
+    return np.sum(np.abs(measured.reshape(-1, decode.shape[-1])) ** 2, axis=0)
 
 
 def _refuse_leak(leak: float, what: str, rank_tol: float) -> None:
@@ -224,18 +400,20 @@ def _refuse_leak(leak: float, what: str, rank_tol: float) -> None:
 
 def _encode(run: PurifiedRun, emat: np.ndarray, measured: list[np.ndarray],
             rank_tol: float) -> np.ndarray:
-    """p_0[i, x] = ||(measured_i (x) 1) c_x||^2 for each matrix in
-    `measured` (an index's measurement folded into its decoder, (k d_bar)
-    x r) and every database x, as (len(measured), 2^n).
+    """The dense path's encoding: p_0[i, x] = ||(measured_i (x) 1) c_x||^2
+    for each matrix in `measured` (an index's measurement folded into its
+    decoder, (k d_bar) x r) and every database x, as (len(measured), 2^n).
 
     c_x is database x's index-1 run before the client's last op, M_x,
-    compressed by `emat` to (1 (x) E^dagger) M_x (`_compressed`) and
-    renormalized.  The runs come one chunk at a time from a pass over
-    index 1 (`PurifiedRun._chunks`), A_s first; each chunk is compressed,
-    decoded at every index and freed, so no encoded state outlives its
-    chunk.  A run that
-    leaves the compression support by more than `SUPPORT_LEAK_TOL` is a
-    SupportViolation, raised after every chunk with the worst leak of all.
+    compressed by the dense compressor `emat` to (1 (x) E^dagger) M_x
+    (`_compressed`) and renormalized.  The runs come one chunk at a time
+    from a pass over index 1 (`PurifiedRun._chunks`), A_s first; each
+    chunk is compressed, decoded at every index and freed, so no encoded
+    state outlives its chunk.  A run that leaves the compression support
+    by more than `SUPPORT_LEAK_TOL` is a SupportViolation, raised after
+    every chunk with the worst leak of all.  The basis path
+    (`_basis_rae`) never calls it: there each c_x is a phase at one
+    compressed row, and p_0 a gather.
     """
     server = run.spec.a_memory[-1].labels()
     r = emat.shape[1]

@@ -7,10 +7,12 @@ holds an op that sends basis vectors to basis vectors, up to a weight, in
 d_in integers instead of d_out x d_in amplitudes.  `dense` gives any of
 them as an array, columns `xs` or whole, and `apply` multiplies one into a
 batch of columns; on a basis map both scatter, one product per nonzero
-entry, so they give the same bits as the dense matmul.  `matricize` is the
+entry, so they give the same bits as the dense matmul, and numpy reads
+a basis map as its dense form (`BasisMap.__array__`).  `matricize` is the
 one tensor helper: it moves the factors named by label to the front, which
 also reorders a state's factors, so callers never juggle axis
-permutations by hand.
+permutations by hand; `matricized_rows` does the same to the row indices
+of one-hot columns held as rows and values.
 
 Execution is pure: protocols run batches of amplitude columns through
 isometries, and a `KrausChannel` enters a run only through its Stinespring
@@ -94,6 +96,19 @@ class BasisMap:
 
     def __eq__(self, other) -> bool:
         return _same(self, other)
+
+    def conj(self) -> BasisMap:
+        return BasisMap(self.shape, self.rows, self.values.conj())
+
+    @property
+    def T(self) -> np.ndarray:
+        """The transpose, dense: its rows, not its columns, are one-hot."""
+        return dense(self).T
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The dense form (`dense`), so numpy takes a basis map wherever it
+        takes an array, such as either side of a matmul."""
+        return dense(self) if dtype is None else dense(self).astype(dtype)
 
 
 Matrix = Union[np.ndarray, BasisMap]
@@ -343,6 +358,25 @@ def matricize(array: np.ndarray, layout: RegisterLayout, labels: Sequence[str],
     batch = array.shape[1:]
     t = array.reshape(dims + batch).transpose(perm + list(range(n, n + len(batch))))
     return t.reshape(shape + batch)
+
+
+def matricized_rows(rows: np.ndarray, layout: RegisterLayout,
+                    labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Where `matricize` moves the entries at `rows` of an array over
+    `layout`: their (front, rest) indices, the `labels` factors in front in
+    the order of `labels`, the rest in layout order.  This is matricize on
+    indices, for one-hot columns held as rows and values."""
+    front = [layout.position(lb) for lb in labels]
+    rest = [k for k in range(len(layout)) if k not in front]
+    dims = layout.dims()
+    digits = np.unravel_index(rows, dims)
+    indices = []
+    for factors in (front, rest):
+        index = np.zeros_like(rows)
+        for k in factors:
+            index = index * dims[k] + digits[k]
+        indices.append(index)
+    return indices[0], indices[1]
 
 
 def _check_factor(layout: RegisterLayout, wanted: RegisterLayout) -> None:

@@ -5,9 +5,11 @@ against the `qpirlab` package under its own `src` directory, and writes
 each cell's exit code and stdout to a JSON file.  The grid is the golden
 grid (`test_golden.CELLS`) plus `reduce` and `qpir-correctness` on
 trivial, index-in-clear, noisy-trivial at delta 0.2 and 0.416768 and
-random seeds 1 and 5, at n = 1..7 (random up to 6).  The comparison then
-lists every cell whose exit code or stdout differs, field by field, and
-exits 1 if any does.  The name does not start with `test_`, so pytest
+random seeds 1 and 5, at n = 1..7 (random up to 6), and `reduce` on
+trivial n=8 and noisy-trivial n=8 at delta 0.2.  The comparison then
+lists every cell whose exit code or stdout differs, field by field, each
+moved float with its absolute difference, then the largest difference
+over the grid, and exits 1 if any cell differs.  The name does not start with `test_`, so pytest
 does not collect this file.
 
 To compare a change with its parent, check the parent out in a directory
@@ -41,6 +43,11 @@ def _protocols(n: int) -> list[str]:
     return cells
 
 
+#: `reduce` cells past n=7, where the encoding of the basis-map builtins
+#: is most of the run.
+LARGE = ("builtin:trivial?n=8", "builtin:noisy-trivial?n=8&delta=0.2")
+
+
 def grid() -> list[list[str]]:
     """The golden cells, then each extra cell the golden grid lacks."""
     from test_golden import CELLS
@@ -51,7 +58,7 @@ def grid() -> list[list[str]]:
                 argv = [verb, "--protocol", protocol]
                 if argv not in cells:
                     cells.append(argv)
-    return cells
+    return cells + [["reduce", "--protocol", protocol] for protocol in LARGE]
 
 
 def run(src: str, out: str) -> None:
@@ -92,10 +99,20 @@ def _parsed(text: str):
         return text
 
 
+def _moved(old, new) -> float | None:
+    """|new - old| for two floats (an int counts as one), else None."""
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                  for v in (old, new))
+    return abs(new - old) if numbers and float in (type(old), type(new)) else None
+
+
 def diff(a_path: str, b_path: str) -> int:
-    """Print every cell that differs, field by field; the count of them."""
+    """Print every cell that differs, field by field, each moved float with
+    its absolute difference, and the largest of those; the count of cells
+    that differ."""
     a, b = (json.loads(pathlib.Path(p).read_text()) for p in (a_path, b_path))
     differing = 0
+    largest = (0.0, None)
     for cell in sorted(set(a) | set(b), key=lambda c: (c not in a, c)):
         if cell not in a or cell not in b:
             print(f"{cell}: only in {a_path if cell in a else b_path}")
@@ -110,8 +127,14 @@ def diff(a_path: str, b_path: str) -> int:
             differing += 1
             print(f"{cell}:")
             for path, old, new in moved:
-                print(f"  {path}: {old!r} -> {new!r}")
+                gap = _moved(old, new)
+                print(f"  {path}: {old!r} -> {new!r}"
+                      + ("" if gap is None else f" (|difference| {gap:.3g})"))
+                if gap is not None and gap > largest[0]:
+                    largest = (gap, f"{cell} {path}")
     print(f"{differing} of {len(set(a) | set(b))} cells differ")
+    if largest[1] is not None:
+        print(f"largest float difference: {largest[0]:.3g}, at {largest[1]}")
     return differing
 
 

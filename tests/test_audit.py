@@ -263,16 +263,23 @@ def test_the_reduction_reads_no_purified_last_op_and_no_final_run(monkeypatch, c
     """noisy-trivial's last op is a channel.  Only its Kraus form is
     composed with the span the client reaches, never its dilation, and
     neither the reduction nor privacy nor the attack runs anything through
-    the whole protocol: no final-layout batch, and no final run kept."""
+    the whole protocol: no final-layout batch, and no final run kept.
+    Its Kraus operators are basis maps, composed side by side
+    (`_composed_kraus`); a dense one would be composed alone (`_compose`)."""
     import qpirlab.qpir as qpir_module
     qpir = builtin("noisy-trivial", 3, delta=0.2)
-    compose, seen = qpir_module._compose, []
+    compose, compose_all, seen = qpir_module._compose, qpir_module._composed_kraus, []
 
     def recorded(matrix, q):
         seen.append(matrix)
         return compose(matrix, q)
 
+    def recorded_all(kraus, q):
+        seen.extend(kraus)
+        return compose_all(kraus, q)
+
     monkeypatch.setattr(qpir_module, "_compose", recorded)
+    monkeypatch.setattr(qpir_module, "_composed_kraus", recorded_all)
     rep = bound_report(qpir)
     assert rep.compressed_dim == 8 and rep.epsilon_used == 0.0
     kraus = qpir.spec.b_ops[-1].kraus_ops

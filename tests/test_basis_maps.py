@@ -6,10 +6,14 @@ matrices, their runs through `protocol._steps`, the gather of columns and
 the JSON they serialize to must equal the dense reference bit for bit, and
 the structural isometry and trace-preservation checks must give the dense
 Gram checks' verdict and error.  Their audits, which read correctness off
-a diagonal (the basis path of `qpir.correctness_delta`), must agree with
-the dense reference's, which diagonalizes in the Kraus span, within 1e-12.
+a diagonal (the basis path of `qpir.correctness_delta`) and the encoding
+off the runs' rows and values (the basis path of `reduction.build_rae`),
+must agree with the dense reference's, which diagonalizes in the Kraus
+span and encodes through SVDs and chunk passes, within 1e-12.
 """
 
+import contextlib
+import io
 import json
 import math
 import tracemalloc
@@ -17,10 +21,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qpirlab import states
-from qpirlab.errors import LayoutError
+from qpirlab import cli, linalg, reduction, states
+from qpirlab.errors import LayoutError, SupportViolation
 from qpirlab.linalg import haar_unitary_matrix
-from qpirlab.protocol import _inputs, _isometries, _steps, purify_both
+from qpirlab.protocol import ProtocolSpec, _inputs, _isometries, _steps, purify_both
 from qpirlab.qpir import (
     PurifiedRun,
     QpirProtocol,
@@ -30,8 +34,8 @@ from qpirlab.qpir import (
     builtin,
     correctness_delta,
 )
-from qpirlab.reduction import bound_report
-from qpirlab.registers import RegisterLayout
+from qpirlab.reduction import _one_hot_split, bound_report, build_rae
+from qpirlab.registers import RegisterLayout, concat
 from qpirlab.serialize import protocol_spec_from_json, protocol_spec_to_json
 from qpirlab.states import BasisMap, Isometry, KrausChannel, apply, dense
 
@@ -212,6 +216,160 @@ def test_only_kraus_operators_with_distinct_rows_take_the_basis_path(monkeypatch
     assert correctness_delta(PurifiedRun(basis)).deltas == (0.0, 0.5)
     with pytest.raises(_BasisPath):
         correctness_delta(PurifiedRun(builtin("noisy-trivial", 3, delta=0.2)))
+
+
+# ---------------------------------------------------------------------------
+# the encoding on the basis path: compressor, decoders and p_0 off the runs
+# ---------------------------------------------------------------------------
+
+class _DensePath(Exception):
+    pass
+
+
+#: What the encoding's dense path calls and its basis path never does, by
+#: name, with every namespace that holds it.
+DENSE_ENCODING = {"schmidt_compressor": (linalg, reduction),
+                  "uhlmann_unitary": (linalg, reduction),
+                  "_compressed": (reduction,), "_chunks": (PurifiedRun,)}
+
+
+def _reduce(address: str) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["reduce", "--protocol", address])
+    return code, out.getvalue()
+
+
+def test_basis_map_builtins_encode_with_no_svd_and_no_chunk(monkeypatch):
+    """With the SVD compressor, the Uhlmann solver, the chunk compressor
+    and the chunk pass raising, trivial n=3 and noisy-trivial n=3 reduce
+    to the same report; random seed 1 (n=2), whose ops are dense, and
+    index-in-clear n=3, whose client op writes its span by QR, reach each
+    of them."""
+    basis = ["builtin:trivial?n=3", "builtin:noisy-trivial?n=3&delta=0.2"]
+    dense_path = ["builtin:random?n=2&seed=1", "builtin:index-in-clear?n=3"]
+    want = [_reduce(address) for address in basis]
+
+    def raising(*args, **kwargs):
+        raise _DensePath
+
+    for name, owners in DENSE_ENCODING.items():
+        with monkeypatch.context() as patch:
+            for owner in owners:
+                patch.setattr(owner, name, raising)
+            for address in dense_path:
+                with pytest.raises(_DensePath):
+                    _reduce(address)
+    for name, owners in DENSE_ENCODING.items():
+        for owner in owners:
+            monkeypatch.setattr(owner, name, raising)
+    assert [_reduce(address) for address in basis] == want
+    assert all(code == 0 for code, _ in want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("name, params", [("trivial", {}), ("noisy-trivial", {"delta": 0.2})])
+def test_basis_map_builtins_encode_into_n_qubits_with_exact_rotations(name, params, n):
+    """The client holds x before its last op, in 2^n rows of nu_1 of
+    equal weight, and every nu_i is nu_1: the compressor keeps all 2^n,
+    m = n, and each decoder is the identity, so every rotation lands
+    exactly: distance 0.0.  The compressor, the decoders and the
+    measurements are basis maps, none of them a dense d_pre-wide array."""
+    qpir = builtin(name, n, **params)
+    rep = bound_report(qpir)
+    assert rep.compressed_dim == 2 ** n and rep.m == n and rep.m_ceil == n
+    assert rep.rotation_distances == (0.0,) * n
+    rae = build_rae(PurifiedRun(qpir))
+    for matrix in (rae.compressor.matrix, *(decoder.matrix for decoder in rae.decoders),
+                   *rae.correctness.measurements):
+        assert isinstance(matrix, BasisMap)
+
+
+def _one_round(n: int, a1: int, x1: int, server_rows, form) -> QpirProtocol:
+    """One round: the server sends |x> to row server_rows[x] of A1 (x) X1,
+    of dimensions a1 and x1, and the client stores B0 (x) X1 whole; each
+    op's matrix given as `form` makes the basis map."""
+    da = 2 ** n
+    a0, a1, x1, b0, b1 = (RegisterLayout.of(reg) for reg in (
+        ("A0", da), ("A1", a1), ("X1", x1), ("B0", n), ("B1", n * x1)))
+    ship = BasisMap((a1.total_dim * x1.total_dim, da), server_rows, np.ones(da))
+    a_op = Isometry(a0, concat(a1, x1), form(ship))
+    b_op = Isometry(concat(b0, x1), b1, form(BasisMap.identity(b1.total_dim)))
+    return QpirProtocol(ProtocolSpec(1, (a0, a1), (b0, b1), (x1,), (), (a_op,), (b_op,)))
+
+
+def _forgetful(n: int, form) -> QpirProtocol:
+    """trivial whose server ships |x> and keeps nothing: A1 is 1-dimensional."""
+    return _one_round(n, 1, 2 ** n, np.arange(2 ** n), form)
+
+
+def _coarse(n: int, form) -> QpirProtocol:
+    """trivial whose server keeps x and ships only whether x is 2^n - 1:
+    nu_1's two client rows weigh 1 - 2^-n and 2^-n."""
+    x = np.arange(2 ** n)
+    return _one_round(n, 2 ** n, 2, 2 * x + (x == 2 ** n - 1), form)
+
+
+def _refusal(qpir: QpirProtocol, **kwargs) -> str:
+    with pytest.raises(SupportViolation) as exc:
+        build_rae(PurifiedRun(qpir), **kwargs)
+    return str(exc.value)
+
+
+def test_a_server_that_keeps_no_copy_fails_the_column_test():
+    """Every run of the forgetful server sits in its one server column, so
+    the basis maps take the dense path, and both forms refuse the runs
+    that leave nu_1's one-dimensional support, with one message."""
+    run = PurifiedRun(_forgetful(3, lambda m: m))
+    assert run.one_hot(1) and _one_hot_split(run) is None
+    got = _refusal(_forgetful(3, lambda m: m))
+    assert got == _refusal(_forgetful(3, dense))
+    assert got.startswith("a database run leaves the compression support")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_k_that_is_not_monomial_falls_back_to_the_uhlmann_unitary(monkeypatch, n):
+    """The coarse client's nu_1 has 2^n - 1 databases in one client row,
+    so K = c_1^T conj(nu_i) gets 2^n - 1 terms in that row: each index's
+    decoder is the Uhlmann polar factor, on the basis compressor made
+    dense, and the audit matches the dense protocol's."""
+    basis = _coarse(n, lambda m: m)
+    assert _one_hot_split(PurifiedRun(basis)) is not None
+    solve, solved = reduction.uhlmann_unitary, []
+
+    def counted(*args, **kwargs):
+        solved.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "uhlmann_unitary", counted)
+    _assert_same_audit(basis, _coarse(n, dense))
+    assert len(solved) == 2 * n   # n on each side
+    rae = build_rae(PurifiedRun(basis))
+    assert isinstance(rae.compressor.matrix, BasisMap) and rae.compressed_dim == 2
+    assert not any(isinstance(d.matrix, BasisMap) for d in rae.decoders)
+
+
+def test_a_rank_tolerance_that_cuts_a_row_is_refused_on_both_paths():
+    """At 0.6, between the coarse client's Schmidt coefficients sqrt(3/4)
+    and 1/2, the compressor keeps one row, and nu_1 leaves it by 1/2."""
+    got = _refusal(_coarse(2, lambda m: m), rank_tol=0.6)
+    assert got == _refusal(_coarse(2, dense), rank_tol=0.6)
+    assert got == ("the uniform database's run with index 1 leaves the compression "
+                   "support by 5.000e-01; check the rank tolerance (0.6)")
+
+
+def test_a_rank_tolerance_above_every_coefficient_names_it_on_both_paths():
+    """noisy-trivial n=3's eight Schmidt coefficients are 8^-1/2: at 0.36
+    no row is kept, and both paths give the dense path's words."""
+    messages = []
+    for qpir in (builtin("noisy-trivial", 3, delta=0.2),
+                 dense_builtin("noisy-trivial", 3, delta=0.2)):
+        with pytest.raises(LayoutError) as exc:
+            build_rae(PurifiedRun(qpir), rank_tol=0.36)
+        messages.append(str(exc.value))
+    assert messages == ["rank tolerance 0.36 is at or above every Schmidt coefficient "
+                        "across ('X1', 'B0') (largest 0.353553): nothing is left to "
+                        "compress onto"] * 2
 
 
 # ---------------------------------------------------------------------------
