@@ -12,19 +12,25 @@ it is pulled back onto its inputs.  trivial, index-in-clear and
 noisy-trivial store every op as a basis map, and a consumer that needs a
 dense matrix makes one Kraus operator dense at a time.
 
-Op types alone pick how index i's basis runs are held.  When every op of
-its schedule and Q_{s-1} (below) is a basis map, as in trivial and
-noisy-trivial, each run stays one-hot (`PurifiedRun.one_hot`), and the
-runs are composed through steps 1..2s-1 as one basis map from the
-databases, one row and one value per database (`PurifiedRun.basis_runs`),
-with no amplitude array.  Otherwise they run in chunks of databases sized
-from one byte budget, `CHUNK_BYTES`: each chunk is a slice of the
-databases with x_i = 0 followed by their partners x + 2^(n-i), so no
-chunk holds more than the budget allows (or one pair of databases), and
-every pass reads each chunk matricized once, its two halves lined up pair
-by pair.  Step 1 on a basis input |x> is column x of the server's first
-op, so each chunk starts as those columns (`states.dense`), gathered from
-a dense op or scattered into zeros from a basis map, never a matmul.
+Op types alone pick how the basis runs are held, once per run, since no
+op's type depends on i.  When every op of the schedule and Q_{s-1}
+(below) is a basis map, as in trivial and noisy-trivial, each run stays
+one-hot (`PurifiedRun.one_hot`).  Each index's runs are then composed
+through steps 1..2s-1 once, on integers, and split once into the record
+every audit reads (`PurifiedRun.basis_runs`, a `BasisRuns`): per
+database, the run's one row and value, nu_i's entry at that row, and the
+row's parts on the registers the last op reads, on the client's and on
+the server's.  That record is the one owner of the format: no consumer
+splits a row again, and neither correctness nor the encoding reads the
+dense nu_i (privacy still does, below).  Otherwise the runs go in chunks
+of databases sized from one byte budget, `CHUNK_BYTES`: each chunk is a
+slice of the databases with x_i = 0 followed by their partners
+x + 2^(n-i), so no chunk holds more than the budget allows (or one pair
+of databases), and every pass reads each chunk matricized once, its two
+halves lined up pair by pair.  Step 1 on a basis input |x> is column x
+of the server's first op, so each chunk starts as those columns
+(`states.dense`), gathered from a dense op or scattered into zeros from
+a basis map, never a matmul.
 
 Correctness is judged by optimal (Helstrom) discrimination of the client's
 final states averaged over {x : x_i = 0} and over {x : x_i = 1}.  The
@@ -35,10 +41,12 @@ client memory B_1..B_{s-1} is written in the span the client's ops can
 reach, one thin QR per op, so Gamma_i^pre and that span are only as large
 as what the client can hold.  The last op itself is never rebuilt on that
 span: each of its Kraus operators is composed with the span's isometry
-Q_{s-1}.  Two paths follow.  When index i's runs are one-hot and no two
-columns of a Kraus operator of the last op share a row, each run's
-marginal is a diagonal projector, so Gamma_i^pre is diagonal, one signed
-bincount of the runs' squared values; pushed through the Kraus operators,
+Q_{s-1}.  Two paths follow, picked once for all indices.  When the runs
+are one-hot and every Kraus operator of the last op is a basis map with
+distinct rows (`states._distinct_basis_maps`, the rule the channel's own
+check uses), each run's marginal is a diagonal projector, so
+Gamma_i^pre is diagonal, one signed bincount of the runs' squared
+values, read off their record; pushed through the Kraus operators,
 composed side by side as stacked rows and values, it stays diagonal, and
 delta_i is read off its entries, with no eigensolver and no dense Kraus
 operator.  Otherwise Gamma_i^pre is summed over index i's chunks in one
@@ -49,11 +57,12 @@ Each index's optimal measurement is kept pulled back through the last op,
 as a factor W_i of the effect it induces on the op's inputs, for the
 reduction's decoder to apply: a diagonal basis map on the basis path.
 Privacy compares the purified server's marginals of the superposition
-runs nu_i across index inputs.  The server's registers are final once it
-sends its last message, so the marginals are read before the client's
-last op, as they are after it; when the n runs span fewer dimensions than
-the server's registers, the marginals are written in that span, which
-keeps every trace distance.
+runs nu_i across index inputs, read off the dense nu_i on either path
+(`PurifiedRun.nu`).  The server's registers are final once it sends its
+last message, so the marginals are read before the client's last op, as
+they are after it; when the n runs span fewer dimensions than the
+server's registers, the marginals are written in that span, which keeps
+every trace distance.
 """
 
 from __future__ import annotations
@@ -61,6 +70,7 @@ from __future__ import annotations
 import math
 import urllib.parse
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -82,7 +92,7 @@ from .states import (
     Operation,
     StateVector,
     _chunk_columns,
-    _distinct,
+    _distinct_basis_maps,
     dense,
     kraus_operators,
     matricize,
@@ -174,24 +184,6 @@ def _through(schedule, lay: RegisterLayout,
     return cur, lay
 
 
-def _basis_through(schedule, lay: RegisterLayout,
-                   runs: BasisMap) -> tuple[BasisMap, RegisterLayout]:
-    """`_through` for one-hot columns and basis-map steps: column j of
-    `runs` is the state values[j] |rows[j]> over `lay`, and each step
-    sends its row's input factors to the op's row for them, times the op's
-    value, the untouched factors riding along.  One row and one value per
-    column, with no amplitude array."""
-    rows, values = runs.rows, runs.values
-    for _, op in schedule:
-        labels = op.input_layout.labels()
-        front, rest = matricized_rows(rows, lay, labels)
-        d_rest = lay.total_dim // op.input_layout.total_dim
-        rows = op.matrix.rows[front] * d_rest + rest
-        values = op.matrix.values[front] * values
-        lay = concat(op.output_layout, lay.drop(labels))
-    return BasisMap((lay.total_dim, len(rows)), rows, values), lay
-
-
 def _selected(q: BasisMap, d_in: int) -> tuple[np.ndarray, np.ndarray]:
     """The columns of a matrix with d_in columns, its input starting with
     the memory that the basis map q's rows run over, that (Q (x) 1)
@@ -237,6 +229,26 @@ def _paired_operator(t: np.ndarray) -> np.ndarray:
     return g + g.conj().T
 
 
+@dataclass(frozen=True)
+class BasisRuns:
+    """Index i's one-hot runs after steps 1..2s-1, each field one entry per
+    database x, in the order of x (`PurifiedRun.basis_runs`).
+
+    Every step is an isometry and a basis map, so the runs of distinct
+    databases stay in distinct rows, and nu_i, the uniform database's run,
+    is 2^(-n/2) times run x's value at row x: its entries are read here,
+    never from the dense state.
+    """
+
+    layout: RegisterLayout   # what the runs end over, A_s first
+    rows: np.ndarray         # each run's one row over `layout`
+    values: np.ndarray       # its value there
+    nu: np.ndarray           # nu_i's entry at that row
+    pre: np.ndarray          # its row of the registers `pre`
+    client: np.ndarray       # its row of the client's registers, all but A_s
+    server: np.ndarray       # its column, over A_s
+
+
 class PurifiedRun:
     """The protocol run on the inputs every audit reads, up to the client's
     last op.
@@ -254,6 +266,9 @@ class PurifiedRun:
     into each of its Kraus operators.  All runs share one layout, A_s
     first.
 
+    The runs come in one of two forms, picked once for the run by op
+    types (`one_hot`).  The dense form:
+
     * `_chunks(i, front)`: index i's basis inputs |x>|i>, run in chunks
       of databases no wider than `CHUNK_BYTES` allows, each some databases
       with x_i = 0 and then their partners x + 2^(n-i), and matricized
@@ -266,16 +281,17 @@ class PurifiedRun:
       B_{s-1}'s held span and then X_s, everything else, purifiers
       included, traced out: one pass over index i's chunks, each adding
       its share.  Nothing of the pass is kept.
-    * `basis_runs(i)`: for an index whose runs are `one_hot`, all of them
-      after steps 1..2s-1 as one basis map from the 2^n databases onto
-      the layout they end over: column x is the run of |x>|i>, its one
-      row and value composed through the steps on integers
-      (`_basis_through`), and kept.
-    * `helstrom_diagonal(i)`: Gamma_i^pre's diagonal, for an index whose
-      runs are `one_hot`.  Each run's marginal on `pre` is then a diagonal
-      projector, so Gamma_i^pre is diagonal: (-1)^(x_i) |value|^2 of each
-      run at its `pre` row, one signed bincount over the databases
-      (`basis_runs`), over 2^n, with no chunk and no matmul.
+
+    The one-hot form, when every index's runs stay one-hot up to the last
+    op's inputs:
+
+    * `basis_runs(i)`: index i's runs as one record (`BasisRuns`), the
+      only reader of the runs' one-hot format, kept.
+    * `helstrom_diagonal(i)`: Gamma_i^pre's diagonal.  Each run's
+      marginal on `pre` is a diagonal projector, so Gamma_i^pre is
+      diagonal: (-1)^(x_i) |value|^2 of each run at its `pre` row, one
+      signed bincount over the databases, over 2^n, with no chunk and no
+      matmul.
     """
 
     def __init__(self, qpir: QpirProtocol) -> None:
@@ -288,7 +304,7 @@ class PurifiedRun:
                       for k, memory in enumerate(qpir.spec.b_memory)]
         self.pre = (self._held[-2],) + qpir.spec.x_comm[-1].labels()
         self._reached: dict[int, tuple[list[Isometry], Matrix]] = {}
-        self._basis: dict[int, tuple[BasisMap, RegisterLayout]] = {}
+        self._basis: dict[int, BasisRuns] = {}
         self._nus: dict[int, StateVector] = {}
 
     def _span(self, k: int, dim: int) -> RegisterLayout:
@@ -374,26 +390,55 @@ class PurifiedRun:
             total = part if total is None else np.add(total, part, out=total)
         return total / 2 ** (self.qpir.n + 1)
 
-    def one_hot(self, i: int) -> bool:
-        """Whether index i's runs stay one-hot up to the last op's inputs:
-        every op of its schedule, and Q_{s-1}, is a basis map."""
-        matrices = [op.matrix for _, op in self._schedule(i)] + [self._reach(i)[1]]
+    @cached_property
+    def one_hot(self) -> bool:
+        """Whether every op of the schedule, and Q_{s-1}, is a basis map.
+        The server's ops are every index's, Q_0 = |i> is a basis map for
+        every i, and a client op before the last is always the dense
+        factor of a QR, so index 1's ops decide for every index."""
+        matrices = [op.matrix for _, op in self._schedule(1)] + [self._reach(1)[1]]
         return all(isinstance(m, BasisMap) for m in matrices)
 
-    def basis_runs(self, i: int) -> tuple[BasisMap, RegisterLayout]:
+    def basis_runs(self, i: int) -> BasisRuns:
+        """Index i's runs after steps 1..2s-1, when they are `one_hot`.
+
+        Run x starts as column x of the server's first op, its one row
+        and value, and each later step sends the row's input factors to
+        the op's row for them, times the op's value, the untouched
+        factors riding along: `_through` on integers, with no amplitude
+        array.  nu_i's entry at run x's row is the uniform amplitude
+        2^(-n/2) times run x's value.  A one-hot run takes one step, the
+        server's first op, since a client op before the last is a QR
+        factor; there this is the one product `states.apply` forms, so the
+        entries are nu_i's amplitudes bit for bit.  Each final row is
+        split once, by `matricized_rows`, into its `pre` row and its
+        (client row, server column).
+        """
         if i not in self._basis:
             (_, first), *rest = self._schedule(i)
             lay = concat(first.output_layout, self._span(0, 1))
-            self._basis[i] = _basis_through(rest, lay, first.matrix)
+            rows, values = first.matrix.rows, first.matrix.values
+            for _, op in rest:
+                labels = op.input_layout.labels()
+                front, back = matricized_rows(rows, lay, labels)
+                d_back = lay.total_dim // op.input_layout.total_dim
+                rows = op.matrix.rows[front] * d_back + back
+                values = op.matrix.values[front] * values
+                lay = concat(op.output_layout, lay.drop(labels))
+            pre, _ = matricized_rows(rows, lay, self.pre)
+            client = lay.drop(self.spec.a_memory[-1].labels()).labels()
+            uniform = complex(1.0 / math.sqrt(2 ** self.qpir.n))
+            self._basis[i] = BasisRuns(lay, rows, values, values * uniform, pre,
+                                       *matricized_rows(rows, lay, client))
         return self._basis[i]
 
     def helstrom_diagonal(self, i: int) -> np.ndarray:
-        runs, lay = self.basis_runs(i)
-        pre, _ = matricized_rows(runs.rows, lay, self.pre)
+        runs = self.basis_runs(i)
         n = self.qpir.n
         signs = 1 - 2 * bit_of(np.arange(2 ** n), i, n)
         weights = signs * (runs.values.real ** 2 + runs.values.imag ** 2)
-        return np.bincount(pre, weights, minlength=lay.sub(self.pre).total_dim) / 2 ** n
+        d_pre = runs.layout.sub(self.pre).total_dim
+        return np.bincount(runs.pre, weights, minlength=d_pre) / 2 ** n
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +548,11 @@ def correctness_delta(run: PurifiedRun) -> CorrectnessReport:
     back through that op's Kraus operators composed with its own Q_{s-1}.
     d_pre counts B_{s-1} only as far as the client reaches it with i fixed.
 
-    Types, and distinct rows, pick one of two paths for each index.  When
-    its runs are `PurifiedRun.one_hot` and every Kraus operator of the
-    last op is a basis map whose rows are distinct (`states._distinct`,
-    as the channel's own check reads them), Gamma_i^pre is diagonal
+    Types, and distinct rows, pick one of two paths, once for every
+    index.  When the runs are `PurifiedRun.one_hot` and every Kraus
+    operator of the last op is a basis map whose rows are distinct
+    (`states._distinct_basis_maps`, the rule of the channel's own Gram
+    check), Gamma_i^pre is diagonal
     (`PurifiedRun.helstrom_diagonal`), and so is Gamma_i: the Kraus
     operators, composed with Q_{s-1} in one gather each and stacked
     (`_composed_kraus`), push it through as one weighted bincount, read
@@ -519,14 +565,13 @@ def correctness_delta(run: PurifiedRun) -> CorrectnessReport:
     m d_pre)-dimensional, with W_i upper triangular (`_pushed_through`).
     """
     n = run.qpir.n
-    deltas = []
-    measurements = []
+    deltas, measurements = [], []
     last = run.qpir.spec.b_ops[-1]
     kraus = kraus_operators(last)
-    basis = all(isinstance(k, BasisMap) and _distinct(k.rows) for k in kraus)
+    basis = run.one_hot and _distinct_basis_maps(kraus)
     for i in range(1, n + 1):
         q = run._reach(i)[1]
-        if basis and run.one_hot(i):
+        if basis:
             probability, w = _basis_pushed_through(
                 run.helstrom_diagonal(i), last.output_layout.total_dim,
                 *_composed_kraus(kraus, q))

@@ -21,16 +21,19 @@ the measured recovery rate feeds the entropy bound on
 random-access-encoding size, which bounds the communication from below.
 
 Two paths build the encoding (`build_rae`), picked by the column test
-on index 1's composed integer rows (`_one_hot_split`):
+on index 1's server columns (`_one_hot_split`):
 
-* Basis path: index 1's runs are one-hot (`PurifiedRun.one_hot`, as in
-  trivial and noisy-trivial) and no two share a server column, so nu_1
-  has one nonzero per server column.  E is the basis map onto the client
-  rows of nu_1 that the rank rule keeps, each decoder is monomial (its
-  polar part the phase of each entry) wherever K = c_1^T conj(nu_i) is,
-  and p_0[i, x] is a gather of W_i's weights.  Index 1's runs are composed
-  once, as one row and one value per database (`PurifiedRun.basis_runs`),
-  and no chunk is run.
+* Basis path: the runs are one-hot (`PurifiedRun.one_hot`, as in trivial
+  and noisy-trivial) and no two of index 1's share a server column, so
+  nu_1 has one nonzero per server column.  Everything is read off each
+  index's record of its runs (`PurifiedRun.basis_runs`), composed and
+  split once, which carries nu_i's entries: E is the basis map onto the
+  client rows of nu_1 that the rank rule keeps, each decoder is monomial
+  (its polar part the phase of each entry) wherever K = c_1^T conj(nu_i)
+  is, and p_0[i, x] is a gather of W_i's weights.  No chunk is run, no
+  row is split again, and no array is sized by the runs' whole layout;
+  only a decoder whose K is not monomial forms the dense nu_i, for its
+  Uhlmann solve.
 * Dense path, for everything else (random, protocol files, index-in-clear,
   whose client writes its span by QR, and any protocol that fails the
   column test): E is an SVD of nu_1, each decoder an Uhlmann polar
@@ -72,9 +75,9 @@ from .linalg import (
     schmidt_compressor,
     uhlmann_unitary,
 )
-from .registers import RegisterLayout
 from .states import BasisMap, Isometry, _distinct, dense, matricize, matricized_rows
 from .qpir import (
+    BasisRuns,
     CorrectnessReport,
     PrivacyReport,
     PurifiedRun,
@@ -195,9 +198,9 @@ def build_rae(run: PurifiedRun,
     (`schmidt_compressor`), each decoder an Uhlmann polar factor, and one
     more pass over index 1's chunks encodes every database (`_encode`).
     """
-    split = _one_hot_split(run)
-    if split is not None:
-        return _basis_rae(run, *split, rank_tol)
+    runs = _one_hot_split(run)
+    if runs is not None:
+        return _basis_rae(run, runs, rank_tol)
     nu1 = run.nu(1)
     client = nu1.layout.drop(run.spec.a_memory[-1].labels()).labels()
     compressor = schmidt_compressor(nu1, client, rank_tol=rank_tol)
@@ -256,27 +259,22 @@ def _uhlmann_decoder(run: PurifiedRun, i: int, support: Isometry,
         (decoder.matrix @ c1).reshape(-1))
 
 
-def _one_hot_split(run: PurifiedRun):
-    """The column test: whether index 1's runs are one-hot
-    (`PurifiedRun.one_hot`) and no two of them share a server column, so
-    that nu_1, matricized with the client's registers as rows, has at
-    most one nonzero per column.  It reads the composed integer rows
-    (`PurifiedRun.basis_runs`), never a value or a tolerance.  When it
-    holds: the client's layout and each database's (client row, server
-    column); otherwise None."""
-    if not run.one_hot(1):
-        return None
-    runs, lay = run.basis_runs(1)
-    client = lay.drop(run.spec.a_memory[-1].labels())
-    rows, cols = matricized_rows(runs.rows, lay, client.labels())
-    return (client, rows, cols) if _distinct(cols) else None
+def _one_hot_split(run: PurifiedRun) -> BasisRuns | None:
+    """The column test: index 1's runs (`PurifiedRun.basis_runs`) when
+    they are `PurifiedRun.one_hot` and no two of them share a server
+    column, so that nu_1, matricized with the client's registers as rows,
+    has at most one nonzero per column; otherwise None.  It reads the
+    runs' integer columns, never a value or a tolerance."""
+    if run.one_hot and _distinct(run.basis_runs(1).server):
+        return run.basis_runs(1)
+    return None
 
 
-def _basis_rae(run: PurifiedRun, client: RegisterLayout, rows: np.ndarray,
-               cols: np.ndarray, rank_tol: float) -> RandomAccessEncoding:
+def _basis_rae(run: PurifiedRun, runs: BasisRuns, rank_tol: float) -> RandomAccessEncoding:
     """`build_rae` for index-1 runs that pass the column test: database x's
-    run sits at client row rows[x] and server column cols[x], no two in
-    one column, so nu_1's entries are those runs' amplitudes.
+    run sits at client row runs.client[x] and server column
+    runs.server[x], no two in one column, so nu_1's entries are the runs'
+    own (runs.nu).
 
     * The compressor E is the basis map onto nu_1's client rows that the
       rank rule keeps (`one_hot_compressor`), and c_1 = E^dagger nu_1
@@ -284,93 +282,88 @@ def _basis_rae(run: PurifiedRun, client: RegisterLayout, rows: np.ndarray,
       would leave nu_1 outside it by at least its own amplitude, so
       nu_1's check is every run's.
     * Each decoder is monomial where K = c_1^T conj(nu_i) is
-      (`_monomial_decoder`), and otherwise the SVD-built Uhlmann polar
-      factor on E made dense (`_uhlmann_decoder`).
+      (`_monomial_decoder`, on index i's runs), and otherwise the
+      SVD-built Uhlmann polar factor on E made dense (`_uhlmann_decoder`,
+      which reads the dense nu_i).
     * c_x is database x's run, compressed and renormalized: a phase at
       its compressed row k_x.  So p_0[i, x] = ||(W_i (x) 1) U E |k_x>||^2,
       a gather of one value per compressed row (`_outcome_zero_by_row`).
 
-    No chunk is run, no SVD taken and no encoded state formed.
+    No chunk is run, no SVD taken and no encoded state formed, and no
+    array is sized by the runs' whole layout.
     """
-    n = run.qpir.n
-    runs, lay = run.basis_runs(1)
-    amps = run.nu(1).amplitudes[runs.rows]
-    compressor = one_hot_compressor(client, rows, amps, rank_tol)
+    client = runs.layout.drop(run.spec.a_memory[-1].labels())
+    compressor = one_hot_compressor(client, runs.client, runs.nu, rank_tol)
     r = compressor.input_layout.total_dim
     compressed = np.full(client.total_dim, -1)
     compressed[compressor.matrix.rows] = np.arange(r)
-    ks = compressed[rows]                     # each database's compressed row, -1 if cut
-    outside = amps[ks < 0]
+    ks = compressed[runs.client]              # each database's compressed row, -1 if cut
+    outside = runs.nu[ks < 0]
     _refuse_leak(math.sqrt(np.sum(outside.real ** 2 + outside.imag ** 2)),
                  "the uniform database's run with index 1", rank_tol)
     correctness = correctness_delta(run)
 
-    by_column = np.full(lay.total_dim // client.total_dim, -1)
-    by_column[cols] = np.arange(len(cols))    # the database in each server column
-    decoders, rot_dist = [], []
-    outcome_zero = np.empty((n, 2 ** n))
+    # the database whose run is in each server column, -1 for none
+    by_column = np.full(runs.layout.total_dim // client.total_dim, -1)
+    by_column[runs.server] = np.arange(len(runs.server))
+    decoders, rot_dist, outcome_zero = [], [], []
     for i, w in enumerate(correctness.measurements, start=1):
-        found = _monomial_decoder(run, i, compressor, ks, cols, by_column, amps)
+        found = _monomial_decoder(runs, run.basis_runs(i), compressor, ks, by_column)
         if found is None:
             c1 = np.zeros((r, len(by_column)), dtype=np.complex128)
-            c1[ks, cols] = amps
+            c1[ks, runs.server] = runs.nu
             support = Isometry(compressor.input_layout, client, dense(compressor.matrix))
             found = _uhlmann_decoder(run, i, support, c1)
         decoders.append(found[0])
         rot_dist.append(found[1])
-        outcome_zero[i - 1] = _outcome_zero_by_row(w, found[0],
-                                                   correctness.measured_labels)[ks]
-    return _encoding(run, compressor, correctness, decoders, rot_dist, outcome_zero)
+        outcome_zero.append(_outcome_zero_by_row(w, found[0],
+                                                 correctness.measured_labels)[ks])
+    return _encoding(run, compressor, correctness, decoders, rot_dist,
+                     np.array(outcome_zero))
 
 
-def _monomial_decoder(run: PurifiedRun, i: int, compressor: Isometry, ks: np.ndarray,
-                      cols: np.ndarray, by_column: np.ndarray,
-                      amps: np.ndarray) -> tuple[Isometry, float] | None:
+def _monomial_decoder(first: BasisRuns, runs: BasisRuns, compressor: Isometry,
+                      ks: np.ndarray, by_column: np.ndarray) -> tuple[Isometry, float] | None:
     """Index i's decoder U E as a basis map, and the distance
     D((1 x U E) c_1, nu_i) it achieves, when K = c_1^T conj(nu_i) is
     monomial; None otherwise.
 
-    nu_1's entry for database x is amps[x], at compressed row ks[x] and
-    server column cols[x]; by_column gives the database in each server
-    column, -1 for none.  Index i's runs must be one-hot.  One-hot runs
-    meet no client op before the last, whose span would be a QR factor,
-    so every index's runs end over nu_1's layout.  Each run of index i in
-    a column of nu_1's adds c_1[k, s] conj(nu_i[b, s]) to K[k, b].  When,
-    on the integer rows alone, each compressed row k gets exactly one such
-    term and no two terms share a client row b, K = sum_k kappa_k |k><b_k|
-    and its polar factor, the Uhlmann decoder, is sum_k (conj(kappa_k) /
-    |kappa_k|) |b_k><k|, exactly.
+    `first` is index 1's runs and `runs` index i's, both read off
+    `PurifiedRun.basis_runs`, over one layout: one-hot runs meet no client
+    op before the last, whose span would be a QR factor.  nu_1's entry for
+    database x is first.nu[x], at compressed row ks[x] and server column
+    first.server[x]; by_column gives the database in each server column,
+    -1 for none.  Each run of index i in a column of nu_1's adds
+    c_1[k, s] conj(nu_i[b, s]) to K[k, b].  When, on the integer rows
+    alone, each compressed row k gets exactly one such term and no two
+    terms share a client row b, K = sum_k kappa_k |k><b_k| and its polar
+    factor, the Uhlmann decoder, is sum_k (conj(kappa_k) / |kappa_k|)
+    |b_k><k|, exactly.
     """
-    if not run.one_hot(i):
-        return None
-    runs, lay = run.basis_runs(i)
     client = compressor.output_layout
-    b, s = matricized_rows(runs.rows, lay, client.labels())
-    partner = by_column[s]
+    partner = by_column[runs.server]
     hit = partner >= 0
     k = ks[partner[hit]]
     r = compressor.input_layout.total_dim
-    if not (np.array_equal(np.sort(k), np.arange(r)) and _distinct(b[hit])):
+    b = runs.client[hit]
+    if not (np.array_equal(np.sort(k), np.arange(r)) and _distinct(b)):
         return None
-    nui = run.nu(i).amplitudes
-    kappa = amps[partner[hit]] * nui[runs.rows[hit]].conj()
+    kappa = first.nu[partner[hit]] * runs.nu[hit].conj()
     rows, phases = np.empty(r, dtype=np.intp), np.empty(r, dtype=np.complex128)
-    rows[k], phases[k] = b[hit], kappa.conj() / np.abs(kappa)
+    rows[k], phases[k] = b, kappa.conj() / np.abs(kappa)
     decoder = Isometry(compressor.input_layout, client,
                        BasisMap((client.total_dim, r), rows, phases))
-    # (1 x U E) c_1 puts nu_1's entry for each x at (b_{k_x}, cols[x]),
+    # (1 x U E) c_1 puts nu_1's entry for each x at (b_{k_x}, first.server[x]),
     # times a phase: on index i's run in that column where there is one,
-    # and where nu_i is 0 otherwise.  The runs in no column of nu_1's may
-    # share rows, and each of their rows is one entry of nu_i.
-    partnered = np.zeros(len(cols), dtype=bool)
-    partnered[partner[hit]] = True
-    others = np.zeros(lay.total_dim, dtype=bool)
-    others[runs.rows[~hit]] = True
-    others = nui[np.flatnonzero(others)]
-    alone = amps[~partnered]
-    target = np.concatenate((nui[runs.rows[hit]], others, np.zeros_like(alone)))
-    moved = np.concatenate((phases[k] * amps[partner[hit]], np.zeros_like(others),
-                            phases[ks[~partnered]] * alone))
+    # and where nu_i is 0 otherwise.  No two runs share a row, so each
+    # run in no column of nu_1's is one entry of nu_i, listed in row
+    # order, as the dense nu_i lists them, so the distance keeps its bits.
+    alone = np.ones(len(first.nu), dtype=bool)   # nu_1's runs in no column of index i's
+    alone[partner[hit]] = False
+    others = runs.nu[~hit][np.argsort(runs.rows[~hit])]
+    target = np.concatenate((runs.nu[hit], others, np.zeros_like(first.nu[alone])))
+    moved = np.concatenate((phases[k] * first.nu[partner[hit]], np.zeros_like(others),
+                            phases[ks[alone]] * first.nu[alone]))
     return decoder, pure_distance_amplitudes(target, moved)
 
 

@@ -154,6 +154,14 @@ def _distinct(rows: np.ndarray) -> bool:
     return bool(np.all(ordered[1:] != ordered[:-1]))
 
 
+def _distinct_basis_maps(matrices: Sequence[Matrix]) -> bool:
+    """Whether every matrix is a basis map whose rows are distinct, so that
+    each K_k^dagger K_k, and each K_k D K_k^dagger for a diagonal D, is
+    diagonal: the rule by which a channel's Gram check and the correctness
+    audit both take their basis path."""
+    return all(isinstance(k, BasisMap) and _distinct(k.rows) for k in matrices)
+
+
 def _gram_deviation(matrices: Sequence[Matrix]) -> float:
     """max |sum_k K_k^dagger K_k - 1| over the entries, for the d_out x
     d_in matrices K_k: the deviation from an isometry of [K_1; ...; K_m]
@@ -166,7 +174,7 @@ def _gram_deviation(matrices: Sequence[Matrix]) -> float:
     dense first).
     """
     d_out, d_in = matrices[0].shape
-    if all(isinstance(k, BasisMap) and _distinct(k.rows) for k in matrices):
+    if _distinct_basis_maps(matrices):
         total = sum(k.values.real ** 2 + k.values.imag ** 2 for k in matrices)
         return float(np.max(np.abs(total - 1.0)))
     first, *rest = (dense(k) for k in matrices)

@@ -5,8 +5,10 @@ against the `qpirlab` package under its own `src` directory, and writes
 each cell's exit code and stdout to a JSON file.  The grid is the golden
 grid (`test_golden.CELLS`) plus `reduce` and `qpir-correctness` on
 trivial, index-in-clear, noisy-trivial at delta 0.2 and 0.416768 and
-random seeds 1 and 5, at n = 1..7 (random up to 6), and `reduce` on
-trivial n=8 and noisy-trivial n=8 at delta 0.2.  The comparison then
+random seeds 1 and 5, at n = 1..7 (random up to 6), `reduce` on
+trivial n=8 and noisy-trivial n=8 at delta 0.2, and `qpir-privacy` and
+`attack` on trivial, noisy-trivial at delta 0.2 and index-in-clear at
+n = 4..7, each with its whole distance matrix.  The comparison then
 lists every cell whose exit code or stdout differs, field by field, each
 moved float with its absolute difference, then the largest difference
 over the grid, and exits 1 if any cell differs.  The name does not start with `test_`, so pytest
@@ -47,6 +49,10 @@ def _protocols(n: int) -> list[str]:
 #: is most of the run.
 LARGE = ("builtin:trivial?n=8", "builtin:noisy-trivial?n=8&delta=0.2")
 
+#: Protocols whose privacy reports are diffed past the golden grid's n=3.
+PRIVACY = ("builtin:trivial?n={}", "builtin:noisy-trivial?n={}&delta=0.2",
+           "builtin:index-in-clear?n={}")
+
 
 def grid() -> list[list[str]]:
     """The golden cells, then each extra cell the golden grid lacks."""
@@ -58,7 +64,9 @@ def grid() -> list[list[str]]:
                 argv = [verb, "--protocol", protocol]
                 if argv not in cells:
                     cells.append(argv)
-    return cells + [["reduce", "--protocol", protocol] for protocol in LARGE]
+    cells += [["reduce", "--protocol", protocol] for protocol in LARGE]
+    return cells + [[verb, "--protocol", protocol.format(n)] for n in range(4, 8)
+                    for protocol in PRIVACY for verb in ("qpir-privacy", "attack")]
 
 
 def run(src: str, out: str) -> None:

@@ -9,7 +9,9 @@ Gram checks' verdict and error.  Their audits, which read correctness off
 a diagonal (the basis path of `qpir.correctness_delta`) and the encoding
 off the runs' rows and values (the basis path of `reduction.build_rae`),
 must agree with the dense reference's, which diagonalizes in the Kraus
-span and encodes through SVDs and chunk passes, within 1e-12.
+span and encodes through SVDs and chunk passes, within 1e-12.  The record
+both read (`PurifiedRun.basis_runs`) must hold nu_i's amplitudes bit for
+bit, so neither forms the dense nu_i.
 """
 
 import contextlib
@@ -170,7 +172,7 @@ def _assert_same_audit(basis: QpirProtocol, reference: QpirProtocol) -> None:
 @pytest.mark.parametrize("name, n, params", AUDITED, ids=map(_ids, AUDITED))
 def test_audits_on_the_basis_path_match_the_dense_path(name, n, params):
     basis, reference = builtin(name, n, **params), dense_builtin(name, n, **params)
-    assert PurifiedRun(basis).one_hot(1) and not PurifiedRun(reference).one_hot(1)
+    assert PurifiedRun(basis).one_hot and not PurifiedRun(reference).one_hot
     _assert_same_audit(basis, reference)
 
 
@@ -321,7 +323,7 @@ def test_a_server_that_keeps_no_copy_fails_the_column_test():
     the basis maps take the dense path, and both forms refuse the runs
     that leave nu_1's one-dimensional support, with one message."""
     run = PurifiedRun(_forgetful(3, lambda m: m))
-    assert run.one_hot(1) and _one_hot_split(run) is None
+    assert run.one_hot and _one_hot_split(run) is None
     got = _refusal(_forgetful(3, lambda m: m))
     assert got == _refusal(_forgetful(3, dense))
     assert got.startswith("a database run leaves the compression support")
@@ -347,6 +349,68 @@ def test_a_k_that_is_not_monomial_falls_back_to_the_uhlmann_unitary(monkeypatch,
     rae = build_rae(PurifiedRun(basis))
     assert isinstance(rae.compressor.matrix, BasisMap) and rae.compressed_dim == 2
     assert not any(isinstance(d.matrix, BasisMap) for d in rae.decoders)
+
+
+ONE_HOT = ([(f"trivial-n{n}", lambda n=n: build_trivial(n)) for n in (1, 2, 3, 4)]
+           + [(f"noisy-trivial-n{n}-{d}", lambda n=n, d=d: build_noisy_trivial(n, d))
+              for n in (1, 2, 3, 4) for d in (0.2, 0.416768)]
+           + [(f"{form.__name__}-n{n}", lambda n=n, form=form: form(n, lambda m: m))
+              for n in (2, 3) for form in (_forgetful, _coarse)])
+
+
+@pytest.mark.parametrize("build", [b for _, b in ONE_HOT], ids=[k for k, _ in ONE_HOT])
+def test_basis_runs_hold_nu_entries_and_distinct_client_server_pairs(build):
+    """Every step is a basis-map isometry, so no two runs of an index share
+    a row, and nu_i's entry at each run's row is 2^(-n/2) times its value:
+    `basis_runs` gives the dense nu_i's amplitudes there bit for bit, and
+    each run's (client row, server column) pair, and its `pre` row, are
+    `matricized_rows` of its row."""
+    run = PurifiedRun(build())
+    assert run.one_hot
+    for i in range(1, run.qpir.n + 1):
+        runs = run.basis_runs(i)
+        nu = run.nu(i)
+        assert runs.layout == nu.layout
+        assert runs.nu.tobytes() == nu.amplitudes[runs.rows].tobytes()
+        client = runs.layout.drop(run.spec.a_memory[-1].labels()).labels()
+        got = (runs.client, runs.server, runs.pre)
+        want = (*states.matricized_rows(runs.rows, runs.layout, client),
+                states.matricized_rows(runs.rows, runs.layout, run.pre)[0])
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+        d_server = runs.layout.total_dim // runs.layout.sub(client).total_dim
+        assert states._distinct(runs.client * d_server + runs.server)
+
+
+def _encoding_bits(rae) -> tuple:
+    return (rae.m, rae.compressed_dim, rae.rotation_distances, rae.outcome_zero.tobytes(),
+            tuple(dense(d.matrix).tobytes() for d in rae.decoders),
+            _correctness_bits(rae.correctness))
+
+
+def _correctness_bits(report) -> tuple:
+    return (report.deltas, report.delta_max, report.delta_avg,
+            tuple(dense(w).tobytes() for w in report.measurements))
+
+
+def test_the_basis_path_reads_nu_off_the_runs(monkeypatch):
+    """With `PurifiedRun.nu` raising, trivial n=3 and noisy-trivial n=3
+    encode and measure to the same bits; random seed 1 (n=2), whose ops
+    are dense, and index-in-clear n=3, whose client op writes its span by
+    QR, still reach it."""
+    def audits():
+        return [(_encoding_bits(build_rae(PurifiedRun(q))),
+                 _correctness_bits(correctness_delta(PurifiedRun(q))))
+                for q in (build_trivial(3), build_noisy_trivial(3, 0.2))]
+
+    def raising(self, i):
+        raise _DensePath
+
+    want = audits()
+    monkeypatch.setattr(PurifiedRun, "nu", raising)
+    assert audits() == want
+    for qpir in (builtin("random", 2, seed=1), build_index_in_clear(3)):
+        with pytest.raises(_DensePath):
+            build_rae(PurifiedRun(qpir))
 
 
 def test_a_rank_tolerance_that_cuts_a_row_is_refused_on_both_paths():
