@@ -72,7 +72,16 @@ def trace_distance_matrices(a: np.ndarray, b: np.ndarray) -> float:
     2 sqrt(eps (1 - eps)) would lift to about 3e-8.
     """
     w = np.linalg.eigvalsh(a - b)
-    floor = len(w) * np.finfo(float).eps * (abs(np.trace(a)) + abs(np.trace(b)))
+    return floored_distance(w, len(w), abs(np.trace(a)) + abs(np.trace(b)))
+
+
+def floored_distance(w: np.ndarray, dim: int, traces: float) -> float:
+    """Half the sum of |w| over the eigenvalues w of a - b, in the order
+    given, under `trace_distance_matrices`' floor rule for a dim x dim
+    eigensolve of states whose traces' magnitudes sum to `traces`: the
+    floor is dim * eps * traces, eigenvalues within it count as 0, and a
+    sum within it of 1, or above 1, reads as exactly 1."""
+    floor = dim * np.finfo(float).eps * traces
     dist = float(0.5 * np.sum(np.abs(w[np.abs(w) > floor])))
     return 1.0 if dist >= 1.0 - floor else dist
 

@@ -13,17 +13,20 @@ noisy-trivial store every op as a basis map, and a consumer that needs a
 dense matrix makes one Kraus operator dense at a time.
 
 Op types alone pick how the basis runs are held, once per run, since no
-op's type depends on i.  When every op of the schedule and Q_{s-1}
-(below) is a basis map, as in trivial and noisy-trivial, each run stays
-one-hot (`PurifiedRun.one_hot`).  Each index's runs are then composed
-through steps 1..2s-1 once, on integers, and split once into the record
-every audit reads (`PurifiedRun.basis_runs`, a `BasisRuns`): per
-database, the run's one row and value, nu_i's entry at that row, and the
-row's parts on the registers the last op reads, on the client's and on
-the server's.  That record is the one owner of the format: no consumer
-splits a row again, and neither correctness nor the encoding reads the
-dense nu_i (privacy still does, below).  Otherwise the runs go in chunks
-of databases sized from one byte budget, `CHUNK_BYTES`: each chunk is a
+op's type depends on i.  When every op of the schedule is a basis map,
+as in every builtin but random (a client op before the last is one when
+it and the span before it are, below), each run stays one-hot
+(`PurifiedRun.one_hot`).  Each index's runs are then composed through
+steps 1..2s-1 once, on integers, and split once into the record every
+audit reads (`PurifiedRun.basis_runs`, a `BasisRuns`): per database, the
+run's one row and value, nu_i's entry at that row, and the row's parts
+on the registers the last op reads, on the client's and on the
+server's.  That record is the one owner of the format: no consumer
+splits a row again, and neither correctness, nor the encoding, nor
+privacy when its marginals are diagonal (below) reads the dense nu_i.
+Otherwise, which leaves random, protocol files and fuzz ops, whose ops
+are dense, the runs go in chunks of databases sized from one byte
+budget, `CHUNK_BYTES`: each chunk is a
 slice of the databases with x_i = 0 followed by their partners
 x + 2^(n-i), so no chunk holds more than the budget allows (or one pair
 of databases), and every pass reads each chunk matricized once, its two
@@ -38,16 +41,19 @@ client's last op touches only its own registers, so their Helstrom
 operator Gamma_i = rho_0/2 - rho_1/2 is that op, as a channel, applied to
 Gamma_i^pre, the same operator on the op's inputs.  With i fixed, each
 client memory B_1..B_{s-1} is written in the span the client's ops can
-reach, one thin QR per op, so Gamma_i^pre and that span are only as large
-as what the client can hold.  The last op itself is never rebuilt on that
+reach, so Gamma_i^pre and that span are only as large as what the client
+can hold: the basis map onto the rows it reaches when the op and the
+span before it are basis maps, and one thin QR per op otherwise
+(`PurifiedRun._reach`).  The last op itself is never rebuilt on that
 span: each of its Kraus operators is composed with the span's isometry
 Q_{s-1}.  Two paths follow, picked once for all indices.  When the runs
 are one-hot and every Kraus operator of the last op is a basis map with
-distinct rows (`states._distinct_basis_maps`, the rule the channel's own
-check uses), each run's marginal is a diagonal projector, so
+distinct rows (its `distinct_basis_maps`, decided once by the op's own
+check), each run's marginal is a diagonal projector, so
 Gamma_i^pre is diagonal, one signed bincount of the runs' squared
 values, read off their record; pushed through the Kraus operators,
-composed side by side as stacked rows and values, it stays diagonal, and
+stacked once as rows and values and composed with each index's Q_{s-1}
+by one gather, it stays diagonal, and
 delta_i is read off its entries, with no eigensolver and no dense Kraus
 operator.  Otherwise Gamma_i^pre is summed over index i's chunks in one
 pass, each chunk adding one matmul that pairs each x with its bit-i
@@ -57,10 +63,16 @@ Each index's optimal measurement is kept pulled back through the last op,
 as a factor W_i of the effect it induces on the op's inputs, for the
 reduction's decoder to apply: a diagonal basis map on the basis path.
 Privacy compares the purified server's marginals of the superposition
-runs nu_i across index inputs, read off the dense nu_i on either path
-(`PurifiedRun.nu`).  The server's registers are final once it sends its
-last message, so the marginals are read before the client's last op, as
-they are after it; when the n runs span fewer dimensions than the
+runs nu_i across index inputs.  The server's registers are final once it
+sends its last message, so the marginals are read before the client's
+last op, as they are after it.  When the runs are one-hot and no two
+databases of any index share a client column, as in trivial and
+noisy-trivial, each marginal is diagonal, one bincount of |nu_i|^2 over
+the runs' server rows, read off the record, and each trace distance is
+half the sum of the diagonals' differences, under the eigensolver's
+floor, with no eigensolver.  Otherwise, as in index-in-clear, whose
+client holds only x_i, they are read off the dense nu_i
+(`PurifiedRun.nu`); when the n runs span fewer dimensions than the
 server's registers, the marginals are written in that span, which keeps
 every trace distance.
 """
@@ -70,13 +82,14 @@ from __future__ import annotations
 import math
 import urllib.parse
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
 
 import numpy as np
 
 from .errors import LayoutError
 from .linalg import (
+    floored_distance,
     haar_unitary_matrix,
     helstrom_matrices,
     helstrom_spectrum,
@@ -92,7 +105,7 @@ from .states import (
     Operation,
     StateVector,
     _chunk_columns,
-    _distinct_basis_maps,
+    _distinct,
     dense,
     kraus_operators,
     matricize,
@@ -237,7 +250,9 @@ class BasisRuns:
     Every step is an isometry and a basis map, so the runs of distinct
     databases stay in distinct rows, and nu_i, the uniform database's run,
     is 2^(-n/2) times run x's value at row x: its entries are read here,
-    never from the dense state.
+    never from the dense state.  The server's marginal of nu_i is
+    diagonal when no two databases share a `client` row, a bincount of
+    |nu|^2 over `server` (`server_marginals`).
     """
 
     layout: RegisterLayout   # what the runs end over, A_s first
@@ -259,12 +274,15 @@ class PurifiedRun:
     fixed at i and goes through steps 1..2s-1 (`_schedule`), each index's
     built when it starts (`_reach`): each honest client memory B_k, k < s,
     is replaced by the r_k-dimensional span its op reaches, op k factored
-    as V_k = (Q_k (x) 1) W_k.  That span is one register, under B_k's
+    as V_k = (Q_k (x) 1) W_k, on integers when op k and Q_{k-1} are basis
+    maps and by a QR otherwise.  That span is one register, under B_k's
     first label, or under a fresh one when B_k has no registers.  The
     purifier is kept whole.  The last op reads that span through Q_{s-1},
     which `_kraus_span`, or `_composed_kraus` on the basis path, composes
-    into each of its Kraus operators.  All runs share one layout, A_s
-    first.
+    into each of its Kraus operators.  All of an index's runs share one
+    layout, A_s first, and every index's do when the client reaches as
+    many dimensions of each memory with every index, as a QR's span
+    always does.
 
     The runs come in one of two forms, picked once for the run by op
     types (`one_hot`).  The dense form:
@@ -286,7 +304,8 @@ class PurifiedRun:
     op's inputs:
 
     * `basis_runs(i)`: index i's runs as one record (`BasisRuns`), the
-      only reader of the runs' one-hot format, kept.
+      only reader of the runs' one-hot format, kept; the encoding and,
+      when its marginals are diagonal, privacy read nu_i off it.
     * `helstrom_diagonal(i)`: Gamma_i^pre's diagonal.  Each run's
       marginal on `pre` is a diagonal projector, so Gamma_i^pre is
       diagonal: (-1)^(x_i) |value|^2 of each run at its `pre` row, one
@@ -316,12 +335,20 @@ class PurifiedRun:
         Q_{s-1}, each index's kept once built.
 
         B_0 is fixed at i, as the basis map Q_0 = |i>.  Each op k < s,
-        with Q_{k-1} composed into its input, is V_k = (Q_k (x) 1) W_k by
-        one thin QR of V_k with the honest memory B_k as rows and
-        everything else, the purifier included, as columns.  W_k writes an r_k-dimensional
-        register in place of B_k, r_k = min(d_{B_k}, d_rest d_in), with
-        d_rest the dimension of Y_k and of any purifier, and d_in that of
-        op k's restricted input.  No tolerance decides r_k.
+        with Q_{k-1} composed into its input, is factored as V_k = (Q_k
+        (x) 1) W_k, with the honest memory B_k as V_k's rows and
+        everything else, the purifier included, as its columns; W_k writes
+        an r_k-dimensional register in place of B_k.  Types alone pick
+        how, and no tolerance decides r_k:
+
+        * Q_{k-1} and op k basis maps: V_k is the gather of op k's columns
+          that Q_{k-1} selects (`_selected`), a basis map.  Q_k is the
+          basis map onto the B_k rows it reaches, in increasing order,
+          with values 1, and W_k is V_k with each row renumbered into
+          them, so r_k counts the rows reached, all on integers.
+        * Otherwise one thin QR of V_k: Q_k is its dense factor, r_k =
+          min(d_{B_k}, d_rest d_in), with d_rest the dimension of Y_k and
+          of any purifier, and d_in that of op k's restricted input.
         """
         if i not in self._reached:
             memory = self.qpir.spec.b_memory
@@ -330,11 +357,25 @@ class PurifiedRun:
             for k, op in enumerate(self._client_ops, start=1):
                 lay = concat(self._span(k - 1, q.shape[1]),
                              op.input_layout.drop(memory[k - 1].labels()))
-                v = _compose(op.matrix, q)
-                q, w = np.linalg.qr(v.reshape(memory[k].total_dim, -1))
+                d_other = op.output_layout.total_dim // memory[k].total_dim
+                if isinstance(q, BasisMap) and isinstance(op.matrix, BasisMap):
+                    xs, values = _selected(q, op.matrix.shape[1])
+                    held, other = np.divmod(op.matrix.rows[xs], d_other)
+                    reached, held = np.unique(held, return_inverse=True)
+                    q = BasisMap((memory[k].total_dim, len(reached)), reached,
+                                 np.ones(len(reached)))
+                    w = BasisMap((len(reached) * d_other, len(xs)), held * d_other + other,
+                                 op.matrix.values[xs] * values)
+                else:
+                    # v is kept until op k is built: freed before the QR's
+                    # factors, it left the heap so that random n=6's reduce
+                    # peaked 1.3 MB higher
+                    v = _compose(op.matrix, q)
+                    q, w = np.linalg.qr(v.reshape(memory[k].total_dim, -1))
+                    w = w.reshape(q.shape[1] * d_other, -1)
                 out = concat(self._span(k, q.shape[1]),
                              op.output_layout.drop(memory[k].labels()))
-                ops.append(Isometry(lay, out, w.reshape(out.total_dim, -1)))
+                ops.append(Isometry(lay, out, w))
             self._reached[i] = (ops, q)
         return self._reached[i]
 
@@ -392,12 +433,13 @@ class PurifiedRun:
 
     @cached_property
     def one_hot(self) -> bool:
-        """Whether every op of the schedule, and Q_{s-1}, is a basis map.
-        The server's ops are every index's, Q_0 = |i> is a basis map for
-        every i, and a client op before the last is always the dense
-        factor of a QR, so index 1's ops decide for every index."""
-        matrices = [op.matrix for _, op in self._schedule(1)] + [self._reach(1)[1]]
-        return all(isinstance(m, BasisMap) for m in matrices)
+        """Whether every op of the schedule is a basis map.  The server's
+        ops are every index's, and a client op before the last is the
+        basis-map factor W_k exactly when Q_{k-1} and op k are basis maps
+        (`_reach`), with Q_0 = |i> one for every i: types alone decide,
+        so index 1's ops decide for every index, and Q_{s-1} is then a
+        basis map too."""
+        return all(isinstance(op.matrix, BasisMap) for _, op in self._schedule(1))
 
     def basis_runs(self, i: int) -> BasisRuns:
         """Index i's runs after steps 1..2s-1, when they are `one_hot`.
@@ -406,29 +448,29 @@ class PurifiedRun:
         and value, and each later step sends the row's input factors to
         the op's row for them, times the op's value, the untouched
         factors riding along: `_through` on integers, with no amplitude
-        array.  nu_i's entry at run x's row is the uniform amplitude
-        2^(-n/2) times run x's value.  A one-hot run takes one step, the
-        server's first op, since a client op before the last is a QR
-        factor; there this is the one product `states.apply` forms, so the
-        entries are nu_i's amplitudes bit for bit.  Each final row is
-        split once, by `matricized_rows`, into its `pre` row and its
-        (client row, server column).
+        array.  nu_i's entry at run x's row is formed as `states.apply`
+        forms it on the uniform column: the uniform amplitude 2^(-n/2)
+        times the first op's value, then times each later op's value in
+        turn, so the entries are nu_i's amplitudes bit for bit.  Each
+        final row is split once, by `matricized_rows`, into its `pre`
+        row and its (client row, server column).
         """
         if i not in self._basis:
             (_, first), *rest = self._schedule(i)
             lay = concat(first.output_layout, self._span(0, 1))
             rows, values = first.matrix.rows, first.matrix.values
+            nu = first.matrix.values * complex(1.0 / math.sqrt(2 ** self.qpir.n))
             for _, op in rest:
                 labels = op.input_layout.labels()
                 front, back = matricized_rows(rows, lay, labels)
                 d_back = lay.total_dim // op.input_layout.total_dim
                 rows = op.matrix.rows[front] * d_back + back
                 values = op.matrix.values[front] * values
+                nu = op.matrix.values[front] * nu
                 lay = concat(op.output_layout, lay.drop(labels))
             pre, _ = matricized_rows(rows, lay, self.pre)
             client = lay.drop(self.spec.a_memory[-1].labels()).labels()
-            uniform = complex(1.0 / math.sqrt(2 ** self.qpir.n))
-            self._basis[i] = BasisRuns(lay, rows, values, values * uniform, pre,
+            self._basis[i] = BasisRuns(lay, rows, values, nu, pre,
                                        *matricized_rows(rows, lay, client))
         return self._basis[i]
 
@@ -501,16 +543,18 @@ def _pushed_through(gamma_pre: np.ndarray, r: np.ndarray) -> tuple[float, np.nda
     return res.probability, np.linalg.qr(f, mode="r")
 
 
-def _composed_kraus(kraus: tuple[BasisMap, ...],
-                    q: BasisMap) -> tuple[np.ndarray, np.ndarray]:
-    """The basis-map Kraus operators `kraus`, each composed with the basis
-    map q as `_compose` composes one, as rows and values, each (m, d), row
-    k of each K_k's.  q selects the same columns of every K_k, so this is
-    one gather of those columns per operator, and nothing is made dense."""
-    xs, scale = _selected(q, kraus[0].shape[1])
-    rows = np.stack([k.rows[xs] for k in kraus])
-    values = np.stack([k.values[xs] for k in kraus]) * scale
-    return rows, values
+def _composed_kraus(kraus: tuple[BasisMap, ...], qs):
+    """The basis-map Kraus operators `kraus`, each composed with each basis
+    map q of `qs` as `_compose` composes one, as rows and values, each
+    (m, d), row k of each K_k's, one pair per q in turn.  The operators
+    are stacked once, and q selects the same columns of every K_k, so each
+    q is one gather of those columns of the stack, into a C-ordered array
+    as the stack is, and nothing is made dense."""
+    rows = np.stack([k.rows for k in kraus])
+    values = np.stack([k.values for k in kraus])
+    for q in qs:
+        xs, scale = _selected(q, rows.shape[1])
+        yield np.take(rows, xs, axis=1), np.take(values, xs, axis=1) * scale
 
 
 def _basis_pushed_through(gamma_pre: np.ndarray, d_out: int, rows: np.ndarray,
@@ -550,12 +594,12 @@ def correctness_delta(run: PurifiedRun) -> CorrectnessReport:
 
     Types, and distinct rows, pick one of two paths, once for every
     index.  When the runs are `PurifiedRun.one_hot` and every Kraus
-    operator of the last op is a basis map whose rows are distinct
-    (`states._distinct_basis_maps`, the rule of the channel's own Gram
-    check), Gamma_i^pre is diagonal
+    operator of the last op is a basis map whose rows are distinct (the
+    op's `distinct_basis_maps`, the rule of its own Gram check, decided
+    there once), Gamma_i^pre is diagonal
     (`PurifiedRun.helstrom_diagonal`), and so is Gamma_i: the Kraus
-    operators, composed with Q_{s-1} in one gather each and stacked
-    (`_composed_kraus`), push it through as one weighted bincount, read
+    operators, stacked once and composed with each index's Q_{s-1} in
+    one gather (`_composed_kraus`), push it through as one weighted bincount, read
     off its entries with no eigensolver (`_basis_pushed_through`), and
     W_i is a diagonal basis map.  A channel whose basis-map Kraus
     operators share rows, which only the library builds, takes the dense
@@ -567,17 +611,17 @@ def correctness_delta(run: PurifiedRun) -> CorrectnessReport:
     n = run.qpir.n
     deltas, measurements = [], []
     last = run.qpir.spec.b_ops[-1]
-    kraus = kraus_operators(last)
-    basis = run.one_hot and _distinct_basis_maps(kraus)
+    basis = run.one_hot and last.distinct_basis_maps
+    if basis:
+        composed = _composed_kraus(kraus_operators(last),
+                                   (run._reach(i)[1] for i in range(1, n + 1)))
     for i in range(1, n + 1):
-        q = run._reach(i)[1]
         if basis:
             probability, w = _basis_pushed_through(
-                run.helstrom_diagonal(i), last.output_layout.total_dim,
-                *_composed_kraus(kraus, q))
+                run.helstrom_diagonal(i), last.output_layout.total_dim, *next(composed))
         else:
             probability, w = _pushed_through(run.helstrom_operator(i),
-                                             _kraus_span(last, q))
+                                             _kraus_span(last, run._reach(i)[1]))
         deltas.append(max(0.0, 1.0 - probability))
         measurements.append(w)
     return CorrectnessReport(
@@ -617,20 +661,52 @@ class PrivacyReport:
         return {**asdict(self), "distance_matrix": rows}
 
 
+def _diagonal(run: PurifiedRun) -> bool:
+    """The client-column test: whether the runs are `PurifiedRun.one_hot`
+    and no two databases of any index share a client column, so that
+    each nu_j, matricized with the server's registers as rows, has at
+    most one nonzero per column.  It reads the runs' integer rows, never
+    a value or a tolerance."""
+    return run.one_hot and all(_distinct(run.basis_runs(j).client)
+                               for j in range(1, run.qpir.n + 1))
+
+
 def server_marginals(run: PurifiedRun) -> list[np.ndarray]:
     """Purified server's reduced state per index input on the uniform
     database superposition: t_j t_j^dagger for the server factor t_j
-    (d_server x d_rest) of each nu_j (`PurifiedRun.nu`), written in the
-    span of all n factors (`marginals_in_span`).
+    (d_server x d_rest) of each nu_j.
+
+    When the runs pass the client-column test (`_diagonal`), each column
+    of t_j holds at most one entry of nu_j, so t_j t_j^dagger is
+    diagonal, and the marginal is given as its diagonal: |nu_j|^2 of
+    each run summed at its server row, one bincount over index j's
+    record (`PurifiedRun.basis_runs`), with no dense nu_j.  Otherwise
+    each is the matrix of the dense nu_j (`PurifiedRun.nu`), written in
+    the span of all n factors (`marginals_in_span`).
 
     The nu_j stop before the client's last op.  The server's registers A_s
     are final after its last message, and that op acts on the client's
     registers alone, so it leaves every marginal as it is and need not be
     run, nor dilated.
     """
+    n = run.qpir.n
+    if _diagonal(run):
+        d_server = run.spec.a_memory[-1].total_dim
+        return [np.bincount(runs.server, runs.nu.real ** 2 + runs.nu.imag ** 2,
+                            minlength=d_server)
+                for runs in map(run.basis_runs, range(1, n + 1))]
     server = run.spec.a_memory[-1].labels()
-    nus = [run.nu(j) for j in range(1, run.qpir.n + 1)]
+    nus = [run.nu(j) for j in range(1, n + 1)]
     return marginals_in_span([matricize(nu.amplitudes, nu.layout, server) for nu in nus])
+
+
+def _diagonal_distance(a: np.ndarray, b: np.ndarray, dim: int) -> float:
+    """`trace_distance_matrices` of the diagonal marginals a and b as the
+    dense path writes them, dim x dim: the eigenvalues of a - b are its
+    entries, and the nonzero ones are summed in ascending order, as
+    `eigvalsh` returns them, under the same floor (`floored_distance`)."""
+    w = a - b
+    return floored_distance(np.sort(w[w != 0.0]), dim, abs(a.sum()) + abs(b.sum()))
 
 
 def privacy_epsilon_purified(run: PurifiedRun) -> PrivacyReport:
@@ -642,14 +718,22 @@ def privacy_epsilon_purified(run: PurifiedRun) -> PrivacyReport:
     simulator-independent pairwise lower bound.  Each distance floors the
     eigensolver's round-off (`trace_distance_matrices`), so a private
     protocol's epsilon is exactly 0, not round-off that the guarantee's
-    2 sqrt(eps (1 - eps)) would lift to about 1e-8.
+    2 sqrt(eps (1 - eps)) would lift to about 1e-8.  Diagonal marginals
+    are compared with no eigensolver (`_diagonal_distance`), under the
+    floor of the dimension the dense path would diagonalize in,
+    min(d_server, sum_j d_rest_j) (`marginals_in_span`).
     """
     n = run.qpir.n
     margs = server_marginals(run)
+    distance = trace_distance_matrices
+    if margs[0].ndim == 1:
+        d_server = len(margs[0])
+        widths = sum(run.basis_runs(j).layout.total_dim // d_server for j in range(1, n + 1))
+        distance = partial(_diagonal_distance, dim=min(d_server, widths))
     dist = np.zeros((n, n))
     for a in range(n):
         for b in range(a + 1, n):
-            dist[a, b] = dist[b, a] = trace_distance_matrices(margs[a], margs[b])
+            dist[a, b] = dist[b, a] = distance(margs[a], margs[b])
     by_ref = tuple(float(np.max(dist[:, j])) for j in range(n))
     # the lowest index within round-off of the minimum, not float order's pick
     ref = next(j for j, e in enumerate(by_ref) if e <= min(by_ref) + REFERENCE_TIE_TOL)

@@ -23,8 +23,8 @@ random-access-encoding size, which bounds the communication from below.
 Two paths build the encoding (`build_rae`), picked by the column test
 on index 1's server columns (`_one_hot_split`):
 
-* Basis path: the runs are one-hot (`PurifiedRun.one_hot`, as in trivial
-  and noisy-trivial) and no two of index 1's share a server column, so
+* Basis path: the runs are one-hot (`PurifiedRun.one_hot`, as in every
+  builtin but random) and no two of index 1's share a server column, so
   nu_1 has one nonzero per server column.  Everything is read off each
   index's record of its runs (`PurifiedRun.basis_runs`), composed and
   split once, which carries nu_i's entries: E is the basis map onto the
@@ -33,22 +33,23 @@ on index 1's server columns (`_one_hot_split`):
   is, and p_0[i, x] is a gather of W_i's weights.  No chunk is run, no
   row is split again, and no array is sized by the runs' whole layout;
   only a decoder whose K is not monomial forms the dense nu_i, for its
-  Uhlmann solve.
-* Dense path, for everything else (random, protocol files, index-in-clear,
-  whose client writes its span by QR, and any protocol that fails the
-  column test): E is an SVD of nu_1, each decoder an Uhlmann polar
-  factor, and once every measurement and decoder is known one more pass
-  over index 1's chunks encodes each chunk of databases and decodes it at
-  every index, so index 1's runs are made twice and no encoded state
-  outlives its chunk (`_encode`).
+  Uhlmann solve, as each of index-in-clear's does, since its server
+  learns i.
+* Dense path, for everything else (random, protocol files, and any
+  protocol that fails the column test): E is an SVD of nu_1, each
+  decoder an Uhlmann polar factor, and once every measurement and
+  decoder is known one more pass over index 1's chunks encodes each
+  chunk of databases and decodes it at every index, so index 1's runs
+  are made twice and no encoded state outlives its chunk (`_encode`).
 
 delta comes from each index's runs, summing the Helstrom operator on the
 last op's inputs and pushing it through that op: read off a diagonal when
 every op those runs and that op meet is a basis map, and diagonalized in
 the span of the op's Kraus operators otherwise
 (`qpir.correctness_delta`); epsilon compares the server marginals of the
-same nu_i, with the eigensolver's round-off floored, so a private
-protocol's epsilon is exactly 0.
+same nu_i, read off the runs' records as diagonals when no two
+databases share a client column, with the eigensolver's round-off
+floored, so a private protocol's epsilon is exactly 0.
 
 Each rule a verdict rests on is decided here once, for every verb:
 `privacy_premise_holds` (the premise epsilon <= 1/2), `below_n` (comm
@@ -75,7 +76,7 @@ from .linalg import (
     schmidt_compressor,
     uhlmann_unitary,
 )
-from .states import BasisMap, Isometry, _distinct, dense, matricize, matricized_rows
+from .states import BasisMap, Isometry, _distinct, dense, matricize
 from .qpir import (
     BasisRuns,
     CorrectnessReport,
@@ -313,24 +314,29 @@ def _basis_rae(run: PurifiedRun, runs: BasisRuns, rank_tol: float) -> RandomAcce
             c1 = np.zeros((r, len(by_column)), dtype=np.complex128)
             c1[ks, runs.server] = runs.nu
             support = Isometry(compressor.input_layout, client, dense(compressor.matrix))
-            found = _uhlmann_decoder(run, i, support, c1)
-        decoders.append(found[0])
-        rot_dist.append(found[1])
-        outcome_zero.append(_outcome_zero_by_row(w, found[0],
-                                                 correctness.measured_labels)[ks])
+            found = (*_uhlmann_decoder(run, i, support, c1), None)
+        decoder, distance, pre = found
+        decoders.append(decoder)
+        rot_dist.append(distance)
+        outcome_zero.append(_outcome_zero_by_row(w, decoder, correctness.measured_labels,
+                                                 pre)[ks])
     return _encoding(run, compressor, correctness, decoders, rot_dist,
                      np.array(outcome_zero))
 
 
 def _monomial_decoder(first: BasisRuns, runs: BasisRuns, compressor: Isometry,
-                      ks: np.ndarray, by_column: np.ndarray) -> tuple[Isometry, float] | None:
-    """Index i's decoder U E as a basis map, and the distance
-    D((1 x U E) c_1, nu_i) it achieves, when K = c_1^T conj(nu_i) is
+                      ks: np.ndarray, by_column: np.ndarray
+                      ) -> tuple[Isometry, float, np.ndarray] | None:
+    """Index i's decoder U E as a basis map, the distance D((1 x U E) c_1,
+    nu_i) it achieves, and the `pre` row that each compressed row k lands
+    on, b_k's, read off index i's record, when K = c_1^T conj(nu_i) is
     monomial; None otherwise.
 
     `first` is index 1's runs and `runs` index i's, both read off
-    `PurifiedRun.basis_runs`, over one layout: one-hot runs meet no client
-    op before the last, whose span would be a QR factor.  nu_1's entry for
+    `PurifiedRun.basis_runs`.  They end over one layout when the client
+    reaches as many rows of each memory with either index, as in every
+    builtin; when they do not, this is None too, and the Uhlmann solve
+    refuses the two layouts.  nu_1's entry for
     database x is first.nu[x], at compressed row ks[x] and server column
     first.server[x]; by_column gives the database in each server column,
     -1 for none.  Each run of index i in a column of nu_1's adds
@@ -340,6 +346,8 @@ def _monomial_decoder(first: BasisRuns, runs: BasisRuns, compressor: Isometry,
     factor, the Uhlmann decoder, is sum_k (conj(kappa_k) / |kappa_k|)
     |b_k><k|, exactly.
     """
+    if runs.layout != first.layout:
+        return None
     client = compressor.output_layout
     partner = by_column[runs.server]
     hit = partner >= 0
@@ -349,8 +357,9 @@ def _monomial_decoder(first: BasisRuns, runs: BasisRuns, compressor: Isometry,
     if not (np.array_equal(np.sort(k), np.arange(r)) and _distinct(b)):
         return None
     kappa = first.nu[partner[hit]] * runs.nu[hit].conj()
-    rows, phases = np.empty(r, dtype=np.intp), np.empty(r, dtype=np.complex128)
-    rows[k], phases[k] = b, kappa.conj() / np.abs(kappa)
+    rows, pre = np.empty(r, dtype=np.intp), np.empty(r, dtype=np.intp)
+    phases = np.empty(r, dtype=np.complex128)
+    rows[k], phases[k], pre[k] = b, kappa.conj() / np.abs(kappa), runs.pre[hit]
     decoder = Isometry(compressor.input_layout, client,
                        BasisMap((client.total_dim, r), rows, phases))
     # (1 x U E) c_1 puts nu_1's entry for each x at (b_{k_x}, first.server[x]),
@@ -364,17 +373,18 @@ def _monomial_decoder(first: BasisRuns, runs: BasisRuns, compressor: Isometry,
     target = np.concatenate((runs.nu[hit], others, np.zeros_like(first.nu[alone])))
     moved = np.concatenate((phases[k] * first.nu[partner[hit]], np.zeros_like(others),
                             phases[ks[alone]] * first.nu[alone]))
-    return decoder, pure_distance_amplitudes(target, moved)
+    return decoder, pure_distance_amplitudes(target, moved), pre
 
 
-def _outcome_zero_by_row(w, decoder: Isometry, labels: tuple[str, ...]) -> np.ndarray:
+def _outcome_zero_by_row(w, decoder: Isometry, labels: tuple[str, ...],
+                         pre: np.ndarray | None) -> np.ndarray:
     """||(W (x) 1) U E |k>||^2 for each compressed row k, W a measurement
     on the `labels` registers of the decoder's output.  A monomial
-    decoder sends |k> to a phase at one client row, so a basis-map W
-    gives the squared magnitude of its value at that row's `labels`
-    part; otherwise W is applied to the dense decoder."""
-    if isinstance(w, BasisMap) and isinstance(decoder.matrix, BasisMap):
-        pre, _ = matricized_rows(decoder.matrix.rows, decoder.output_layout, labels)
+    decoder sends |k> to a phase at one client row, whose `labels` part
+    is pre[k] (`_monomial_decoder`), so a diagonal basis-map W gives the
+    squared magnitude of its value there, one gather; otherwise, or with
+    no `pre`, W is applied to the dense decoder."""
+    if isinstance(w, BasisMap) and pre is not None:
         return (w.values.real ** 2 + w.values.imag ** 2)[pre]
     decode = matricize(dense(decoder.matrix), decoder.output_layout, labels)
     measured = dense(w) @ decode.reshape(w.shape[1], -1)

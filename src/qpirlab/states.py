@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -162,19 +163,19 @@ def _distinct_basis_maps(matrices: Sequence[Matrix]) -> bool:
     return all(isinstance(k, BasisMap) and _distinct(k.rows) for k in matrices)
 
 
-def _gram_deviation(matrices: Sequence[Matrix]) -> float:
+def _gram_deviation(matrices: Sequence[Matrix], distinct: bool) -> float:
     """max |sum_k K_k^dagger K_k - 1| over the entries, for the d_out x
     d_in matrices K_k: the deviation from an isometry of [K_1; ...; K_m]
     stacked, which is the Stinespring matrix of a channel.
 
-    When every K_k is a basis map with distinct rows, the sum is diagonal,
-    sum_k |values_k|^2 per column, and no d_in x d_in array is formed.
-    Otherwise it is formed over blocks of columns B of each K_k in turn,
-    as B^dagger K_k, which `CHUNK_BYTES` bounds (and a basis map is made
-    dense first).
+    When every K_k is a basis map with distinct rows, as `distinct` says
+    (`_distinct_basis_maps`), the sum is diagonal, sum_k |values_k|^2 per
+    column, and no d_in x d_in array is formed.  Otherwise it is formed
+    over blocks of columns B of each K_k in turn, as B^dagger K_k, which
+    `CHUNK_BYTES` bounds (and a basis map is made dense first).
     """
     d_out, d_in = matrices[0].shape
-    if _distinct_basis_maps(matrices):
+    if distinct:
         total = sum(k.values.real ** 2 + k.values.imag ** 2 for k in matrices)
         return float(np.max(np.abs(total - 1.0)))
     first, *rest = (dense(k) for k in matrices)
@@ -264,13 +265,20 @@ class Isometry:
                 f"isometry output dim {dout} smaller than input dim {din}"
             )
         mat = _checked(self.matrix, (dout, din))
-        if _gram_deviation((mat,)) > ATOL_ISOMETRY:
+        if _gram_deviation((mat,), _distinct_basis_maps((mat,))) > ATOL_ISOMETRY:
             raise LayoutError("isometry columns are not orthonormal within tolerance")
         object.__setattr__(self, "matrix", mat)
 
     @property
     def is_unitary(self) -> bool:
         return self.input_layout.total_dim == self.output_layout.total_dim
+
+    @property
+    def distinct_basis_maps(self) -> bool:
+        """`_distinct_basis_maps` of the one matrix: whether it is a basis
+        map, since two columns of one in a shared row, or a zero column,
+        fail the isometry check."""
+        return isinstance(self.matrix, BasisMap)
 
     __eq__ = _fieldwise_eq
 
@@ -288,11 +296,17 @@ class KrausChannel:
             raise LayoutError("channel needs at least one Kraus operator")
         din = self.input_layout.total_dim
         dout = self.output_layout.total_dim
-        ops = tuple(_checked(k, (dout, din)) for k in self.kraus_ops)
+        object.__setattr__(self, "kraus_ops",
+                           tuple(_checked(k, (dout, din)) for k in self.kraus_ops))
         # the Gram of the Stinespring matrix: its dilation is an isometry
-        if _gram_deviation(ops) > ATOL_ISOMETRY:
+        if _gram_deviation(self.kraus_ops, self.distinct_basis_maps) > ATOL_ISOMETRY:
             raise LayoutError("Kraus operators do not sum to the identity (not TP)")
-        object.__setattr__(self, "kraus_ops", ops)
+
+    @cached_property
+    def distinct_basis_maps(self) -> bool:
+        """`_distinct_basis_maps` of the Kraus operators, decided once per
+        channel, by its own check."""
+        return _distinct_basis_maps(self.kraus_ops)
 
     __eq__ = _fieldwise_eq
 

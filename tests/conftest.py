@@ -19,6 +19,7 @@ from qpirlab.linalg import haar_unitary_matrix, trace_distance_matrices
 from qpirlab.protocol import ProtocolSpec
 from qpirlab.qpir import (
     QpirProtocol,
+    _copy,
     _copy_matrix,
     bit_of,
     build_index_in_clear,
@@ -26,6 +27,7 @@ from qpirlab.qpir import (
 )
 from qpirlab.registers import RegisterLayout, concat
 from qpirlab.states import (
+    BasisMap,
     DensityOperator,
     Isometry,
     KrausChannel,
@@ -213,6 +215,35 @@ def dense_builtin(name: str, n: int, **params) -> QpirProtocol:
     build = {"trivial": dense_trivial, "index-in-clear": dense_index_in_clear,
              "noisy-trivial": dense_noisy_trivial}[name]
     return build(n, **params)
+
+
+def half_leaky(n: int, form=lambda m: m) -> QpirProtocol:
+    """Two rounds of basis maps, n >= 2, each op's matrix given as `form`
+    makes the basis map.  The server keeps a copy of x and ships one.  The
+    client keeps i and x, and sends its top index bit t, the top bit of
+    i - 1 written in ceil(log2 n) bits.  The server keeps t in A_2 when
+    x_1 = 1 and returns it in X_2 otherwise, and the client stores what
+    returns.  So the server's marginals of two indices with different t
+    differ on the half of the databases with x_1 = 1, where each puts
+    its weight 2^-n on another row: epsilon = 1/2, by hand."""
+    da = 2 ** n
+    a0, a1, a2, x1, x2, b0, b1, b2, y1 = (RegisterLayout.of(reg) for reg in (
+        ("A0", da), ("A1", da), ("A2", 2 * da), ("X1", da), ("X2", 2),
+        ("B0", n), ("B1", n * da), ("B2", 2 * n * da), ("Y1", 2)))
+    a1_op = Isometry(a0, concat(a1, x1), form(_copy(da)))
+    column = np.arange(n * da)                        # (i - 1) 2^n + x
+    top = (column // da) >> ((n - 1).bit_length() - 1)
+    send = BasisMap((2 * n * da, n * da), 2 * column + top, np.ones(n * da))
+    b1_op = Isometry(concat(b0, x1), concat(b1, y1), form(send))
+    x, t = np.divmod(np.arange(2 * da), 2)            # column 2 x + t
+    kept = bit_of(x, 1, n)
+    answer = BasisMap((4 * da, 2 * da), 2 * (2 * x + kept * t) + (1 - kept) * t,
+                      np.ones(2 * da))
+    a2_op = Isometry(concat(a1, y1), concat(a2, x2), form(answer))
+    b2_op = Isometry(concat(b1, x2), b2, form(BasisMap.identity(2 * n * da)))
+    spec = ProtocolSpec(2, (a0, a1, a2), (b0, b1, b2), (x1, x2), (y1,),
+                        (a1_op, a2_op), (b1_op, b2_op))
+    return QpirProtocol(spec)
 
 
 def bloch_grid_success(rho0: np.ndarray, rho1: np.ndarray,

@@ -50,6 +50,7 @@ from qpirlab.registers import RegisterLayout, concat
 from qpirlab.states import Isometry, KrausChannel, StateVector, dense, matricize
 
 from conftest import (
+    dense_index_in_clear,
     identity_support,
     mixing_client_random,
     split_memory_random,
@@ -102,23 +103,29 @@ def test_final_states_have_flat_schmidt_coefficients(name, n, rank):
         assert np.max(np.abs(kept - 1 / math.sqrt(rank))) < 1e-12
 
 
-@pytest.mark.parametrize("name, params, solves", [
-    ("random", {"seed": 1}, 3), ("index-in-clear", {}, 3),
-    ("trivial", {}, 0), ("noisy-trivial", {"delta": 0.2}, 0)])
-def test_the_helstrom_solves_are_the_only_eigendecompositions(monkeypatch, name,
-                                                               params, solves):
+@pytest.mark.parametrize("build, solves", [
+    (lambda: builtin("random", 3, seed=1), 3), (lambda: dense_index_in_clear(3), 3),
+    (lambda: builtin("index-in-clear", 3), 0), (lambda: builtin("trivial", 3), 0),
+    (lambda: builtin("noisy-trivial", 3, delta=0.2), 0)],
+    ids=["random-seed1", "dense-index-in-clear", "index-in-clear", "trivial",
+         "noisy-trivial"])
+def test_the_helstrom_solves_are_the_only_eigendecompositions(monkeypatch, build,
+                                                               solves):
     """One eigh per index on the dense path: the decoder applies the
     Helstrom eigenvectors from the correctness audit instead of
     diagonalizing again.  On the basis path, Gamma_i is diagonal and read
-    off its entries, with no eigh at all."""
+    off its entries, with no eigh at all; index-in-clear takes it since
+    its client's span is a basis map (`PurifiedRun._reach`), and its
+    dense twin takes the dense path."""
     eigh, count = np.linalg.eigh, [0]
 
     def counted(*args, **kwargs):
         count[0] += 1
         return eigh(*args, **kwargs)
 
+    qpir = build()
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    bound_report(builtin(name, 3, **params))
+    bound_report(qpir)
     assert count[0] == solves
 
 
@@ -193,12 +200,13 @@ def test_reference_index_is_the_lowest_within_round_off(n):
 
 def test_reference_index_does_not_follow_float_order(monkeypatch):
     """Distances that differ by round-off only: argmin would pick index 4,
-    whose column is 2e-15 below the first one's."""
+    whose column is 2e-15 below the first one's.  random's marginals are
+    dense, so each distance is a `trace_distance_matrices` call."""
     import qpirlab.qpir as qpir
     calls = iter(range(6))
     monkeypatch.setattr(qpir, "trace_distance_matrices",
                         lambda a, b: 0.5 - 1e-15 * next(calls))
-    rep = privacy_epsilon_purified(PurifiedRun(builtin("trivial", 4)))
+    rep = privacy_epsilon_purified(PurifiedRun(builtin("random", 4, seed=5)))
     assert rep.epsilon_by_reference[3] < rep.epsilon_by_reference[0]
     assert rep.reference_index == 1
     assert rep.epsilon_hat == rep.epsilon_by_reference[0]
@@ -300,8 +308,10 @@ class _DensePath(Exception):
 def test_basis_maps_read_correctness_with_no_kraus_span(monkeypatch):
     """noisy-trivial's ops, Q_0 = |i> and Kraus operators are basis maps,
     so its reduce forms neither the Kraus span (a (2^n n, 2^n, 2^n) side
-    array) nor its eigensolve.  random's ops are dense, and
-    index-in-clear's Q_1 is a thin QR factor: both take the dense path."""
+    array) nor its eigensolve, and neither does index-in-clear's, whose
+    Q_1 is the basis map onto the one row of B_1 its client reaches.
+    random's ops are dense, and so are index-in-clear's dense twin's,
+    whose Q_1 is a thin QR factor: both take the dense path."""
     import qpirlab.qpir as qpir_module
 
     def dense_path(*args):
@@ -309,10 +319,12 @@ def test_basis_maps_read_correctness_with_no_kraus_span(monkeypatch):
 
     monkeypatch.setattr(qpir_module, "_kraus_span", dense_path)
     monkeypatch.setattr(qpir_module, "_pushed_through", dense_path)
-    assert _cli(["reduce", "--protocol", "builtin:noisy-trivial?n=3&delta=0.2"])[0] == 0
-    for address in ("builtin:random?n=2&seed=1", "builtin:index-in-clear?n=3"):
-        with pytest.raises(_DensePath):
-            _cli(["reduce", "--protocol", address])
+    for address in ("builtin:noisy-trivial?n=3&delta=0.2", "builtin:index-in-clear?n=3"):
+        assert _cli(["reduce", "--protocol", address])[0] == 0
+    with pytest.raises(_DensePath):
+        _cli(["reduce", "--protocol", "builtin:random?n=2&seed=1"])
+    with pytest.raises(_DensePath):
+        bound_report(dense_index_in_clear(3))
 
 
 @pytest.mark.parametrize("build", [
@@ -961,11 +973,17 @@ def test_correctness_runs_no_index_through_the_last_op(calls, monkeypatch):
 
 @pytest.mark.parametrize("verb", ["qpir-privacy", "attack"])
 def test_privacy_and_attack_run_one_column_per_index(calls, verb):
-    n, s = 4, 1
-    assert _cli([verb, "--protocol", f"builtin:trivial?n={n}"])[0] == 0
+    """random's marginals are dense: one uniform-database column per index
+    runs through steps 1..2s-1, and no chunk.  trivial's are read off its
+    runs' records, and run no column at all."""
+    n, s = 4, 2
+    assert _cli([verb, "--protocol", f"builtin:random?n={n}&seed=5"])[0] == 0
     assert calls["purified"] == ["A", "B"]
     assert calls["batches"] == []
     assert calls["runs"] == [[1, list(range(1, 2 * s))]] * n
+    del calls["runs"][:]
+    assert _cli([verb, "--protocol", f"builtin:trivial?n={n}"])[0] == 0
+    assert calls["runs"] == []
 
 
 def test_schmidt_executes_the_protocol_once(calls):

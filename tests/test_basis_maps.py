@@ -11,7 +11,9 @@ off the runs' rows and values (the basis path of `reduction.build_rae`),
 must agree with the dense reference's, which diagonalizes in the Kraus
 span and encodes through SVDs and chunk passes, within 1e-12.  The record
 both read (`PurifiedRun.basis_runs`) must hold nu_i's amplitudes bit for
-bit, so neither forms the dense nu_i.
+bit, so neither forms the dense nu_i, and privacy reads the server's
+diagonal marginals off it with no eigensolver, within 1e-12 of the dense
+path's distances (`conftest.half_leaky`, whose epsilon is 1/2).
 """
 
 import contextlib
@@ -30,18 +32,21 @@ from qpirlab.protocol import ProtocolSpec, _inputs, _isometries, _steps, purify_
 from qpirlab.qpir import (
     PurifiedRun,
     QpirProtocol,
+    _diagonal,
+    _diagonal_distance,
     build_index_in_clear,
     build_noisy_trivial,
     build_trivial,
     builtin,
     correctness_delta,
+    privacy_epsilon_purified,
 )
 from qpirlab.reduction import _one_hot_split, bound_report, build_rae
 from qpirlab.registers import RegisterLayout, concat
 from qpirlab.serialize import protocol_spec_from_json, protocol_spec_to_json
 from qpirlab.states import BasisMap, Isometry, KrausChannel, apply, dense
 
-from conftest import dense_builtin
+from conftest import dense_builtin, half_leaky
 from test_golden import _assert_matches
 
 BUILTINS = [("trivial", {}), ("index-in-clear", {}), ("noisy-trivial", {"delta": 0.2})]
@@ -176,6 +181,29 @@ def test_audits_on_the_basis_path_match_the_dense_path(name, n, params):
     _assert_same_audit(basis, reference)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_index_in_clear_holds_one_row_of_b1_and_audits_as_the_dense_path(n):
+    """The client's first op copies i into B_1 and Y_1, so with i fixed it
+    reaches one row of B_1: the basis-map span holds it in 1 dimension,
+    Q_1 = |i> (`PurifiedRun._reach`), where the dense twin's QR holds all
+    n.  The audits' numbers do not see the span: bound_report's fields
+    and the deltas match the dense twin's within 1e-12."""
+    basis, reference = build_index_in_clear(n), dense_builtin("index-in-clear", n)
+    run = PurifiedRun(basis)
+    assert run.one_hot and not PurifiedRun(reference).one_hot
+    for i in range(1, n + 1):
+        ops, q = run._reach(i)
+        assert isinstance(q, BasisMap) and q.shape == (n, 1) and q.rows[0] == i - 1
+        assert all(isinstance(op.matrix, BasisMap) for op in ops)
+        assert ops[0].output_layout.dims()[0] == 1
+    assert PurifiedRun(reference)._reach(1)[1].shape == (n, n)
+    got, want = (json.loads(json.dumps(bound_report(q).to_dict()))
+                 for q in (basis, reference))
+    _assert_matches(got, want, "bound_report")
+    got, want = (correctness_delta(PurifiedRun(q)).deltas for q in (basis, reference))
+    _assert_matches(list(got), list(want), "deltas")
+
+
 def _measured_trivial(form) -> QpirProtocol:
     """trivial n=2 whose client keeps x_1 and measures x_2 in the +/-
     basis, recording the outcome in place of x_2: its two Kraus operators,
@@ -245,12 +273,16 @@ def _reduce(address: str) -> tuple[int, str]:
 def test_basis_map_builtins_encode_with_no_svd_and_no_chunk(monkeypatch):
     """With the SVD compressor, the Uhlmann solver, the chunk compressor
     and the chunk pass raising, trivial n=3 and noisy-trivial n=3 reduce
-    to the same report; random seed 1 (n=2), whose ops are dense, and
-    index-in-clear n=3, whose client op writes its span by QR, reach each
-    of them."""
+    to the same report, and random seed 1 (n=2), whose ops are dense,
+    reaches each of them.  index-in-clear n=3's client op is a basis map,
+    so its span is too (`PurifiedRun._reach`): with the SVD compressor,
+    the chunk compressor and the chunk pass raising, it reduces to the
+    same report.  Its server learns i, so no K is monomial, and each
+    decoder is an Uhlmann solve on the basis compressor made dense."""
     basis = ["builtin:trivial?n=3", "builtin:noisy-trivial?n=3&delta=0.2"]
-    dense_path = ["builtin:random?n=2&seed=1", "builtin:index-in-clear?n=3"]
+    clear = "builtin:index-in-clear?n=3"
     want = [_reduce(address) for address in basis]
+    want_clear = _reduce(clear)
 
     def raising(*args, **kwargs):
         raise _DensePath
@@ -259,12 +291,19 @@ def test_basis_map_builtins_encode_with_no_svd_and_no_chunk(monkeypatch):
         with monkeypatch.context() as patch:
             for owner in owners:
                 patch.setattr(owner, name, raising)
-            for address in dense_path:
+            with pytest.raises(_DensePath):
+                _reduce("builtin:random?n=2&seed=1")
+            if name == "uhlmann_unitary":
                 with pytest.raises(_DensePath):
-                    _reduce(address)
+                    _reduce(clear)
     for name, owners in DENSE_ENCODING.items():
+        if name == "uhlmann_unitary":
+            continue
         for owner in owners:
             monkeypatch.setattr(owner, name, raising)
+    assert _reduce(clear) == want_clear and want_clear[0] == 0
+    for owner in DENSE_ENCODING["uhlmann_unitary"]:
+        monkeypatch.setattr(owner, "uhlmann_unitary", raising)
     assert [_reduce(address) for address in basis] == want
     assert all(code == 0 for code, _ in want)
 
@@ -352,6 +391,9 @@ def test_a_k_that_is_not_monomial_falls_back_to_the_uhlmann_unitary(monkeypatch,
 
 
 ONE_HOT = ([(f"trivial-n{n}", lambda n=n: build_trivial(n)) for n in (1, 2, 3, 4)]
+           + [(f"index-in-clear-n{n}", lambda n=n: build_index_in_clear(n))
+              for n in (1, 2, 3, 4)]
+           + [(f"half-leaky-n{n}", lambda n=n: half_leaky(n)) for n in (2, 3)]
            + [(f"noisy-trivial-n{n}-{d}", lambda n=n, d=d: build_noisy_trivial(n, d))
               for n in (1, 2, 3, 4) for d in (0.2, 0.416768)]
            + [(f"{form.__name__}-n{n}", lambda n=n, form=form: form(n, lambda m: m))
@@ -361,7 +403,10 @@ ONE_HOT = ([(f"trivial-n{n}", lambda n=n: build_trivial(n)) for n in (1, 2, 3, 4
 @pytest.mark.parametrize("build", [b for _, b in ONE_HOT], ids=[k for k, _ in ONE_HOT])
 def test_basis_runs_hold_nu_entries_and_distinct_client_server_pairs(build):
     """Every step is a basis-map isometry, so no two runs of an index share
-    a row, and nu_i's entry at each run's row is 2^(-n/2) times its value:
+    a row, and nu_i's entry at each run's row is 2^(-n/2) times its
+    values, multiplied as the dense run multiplies them, which
+    index-in-clear and half-leaky take through three steps (the client's
+    first op on its reached span, `PurifiedRun._reach`):
     `basis_runs` gives the dense nu_i's amplitudes there bit for bit, and
     each run's (client row, server column) pair, and its `pre` row, are
     `matricized_rows` of its row."""
@@ -395,8 +440,8 @@ def _correctness_bits(report) -> tuple:
 def test_the_basis_path_reads_nu_off_the_runs(monkeypatch):
     """With `PurifiedRun.nu` raising, trivial n=3 and noisy-trivial n=3
     encode and measure to the same bits; random seed 1 (n=2), whose ops
-    are dense, and index-in-clear n=3, whose client op writes its span by
-    QR, still reach it."""
+    are dense, and index-in-clear n=3, whose decoders are Uhlmann solves,
+    still reach it."""
     def audits():
         return [(_encoding_bits(build_rae(PurifiedRun(q))),
                  _correctness_bits(correctness_delta(PurifiedRun(q))))
@@ -411,6 +456,93 @@ def test_the_basis_path_reads_nu_off_the_runs(monkeypatch):
     for qpir in (builtin("random", 2, seed=1), build_index_in_clear(3)):
         with pytest.raises(_DensePath):
             build_rae(PurifiedRun(qpir))
+
+
+# ---------------------------------------------------------------------------
+# privacy on the basis path: diagonal server marginals off the runs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_a_half_leaky_protocol_reads_epsilon_one_half_off_diagonals(monkeypatch, n):
+    """half-leaky's runs are one-hot and pass the client-column test, so
+    its privacy is read off diagonal marginals with no eigensolver, and
+    its report, correctness and the bound's epsilon fields match its
+    dense twin's within 1e-12: epsilon = 1/2 on both.  (Its decoders at
+    the leaking indices are not unique, so the recovery is not
+    compared.)"""
+    basis, reference = half_leaky(n), half_leaky(n, dense)
+    run = PurifiedRun(basis)
+    assert run.one_hot and _diagonal(run) and not PurifiedRun(reference).one_hot
+    want = privacy_epsilon_purified(PurifiedRun(reference)).to_dict()
+    with monkeypatch.context() as patch:
+        for name in ("eigvalsh", "eigh"):
+            patch.setattr(np.linalg, name, _raising)
+        got = privacy_epsilon_purified(run).to_dict()
+    _assert_matches(got, want, "privacy")
+    assert got["epsilon_hat"] == pytest.approx(0.5, abs=1e-12)
+    assert got["reference_index"] == want["reference_index"] == 1
+    got, want = (correctness_delta(PurifiedRun(q)).deltas for q in (basis, reference))
+    assert got == (0.0,) * n and max(want) <= 1e-12
+    got, want = (bound_report(q) for q in (basis, reference))
+    for field in ("epsilon_used", "epsilon_min", "marginal_distances", "guarantee",
+                  "bound_value", "privacy_premise_ok", "consistency"):
+        _assert_matches(getattr(got, field), getattr(want, field), field)
+
+
+def _raising(*args, **kwargs):
+    raise _DensePath
+
+
+def test_diagonal_distances_floor_round_off_to_exactly_0_and_1():
+    """Two diagonals of one mixture summed in two orders differ by
+    round-off alone, and read 0.0; two of disjoint support, each of eight
+    weights (2^(-3/2))^2, sum to 0.9999999999999998 apart, and read 1.0."""
+    rng = np.random.default_rng(3)
+    rows, weights = rng.integers(0, 8, 64), rng.random(64)
+    weights /= weights.sum()
+    order = rng.permutation(64)
+    a = np.bincount(rows, weights, minlength=8)
+    b = np.bincount(rows[order], weights[order], minlength=8)
+    assert np.any(a != b)
+    assert _diagonal_distance(a, b, 8) == 0.0
+    assert _diagonal_distance(a, a, 8) == 0.0
+    entry = complex(1.0 / math.sqrt(8))
+    half = np.full(8, entry.real ** 2 + entry.imag ** 2)
+    a, b = np.concatenate((half, np.zeros(8))), np.concatenate((np.zeros(8), half))
+    assert 0.5 * np.sum(np.abs(a - b)) < 1.0
+    assert _diagonal_distance(a, b, 16) == 1.0
+
+
+def _verb(verb: str, address: str) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([verb, "--protocol", address])
+    return code, out.getvalue()
+
+
+def test_privacy_reads_no_dense_nu_and_no_eigensolver_on_the_basis_path(monkeypatch):
+    """With `trace_distance_matrices`, `marginals_in_span` and
+    `PurifiedRun.nu` raising, reduce, qpir-privacy and attack on trivial
+    n=3 and noisy-trivial n=3 print the same reports; random seed 1
+    (n=2), whose ops are dense, reaches each of the three."""
+    import qpirlab.qpir as qpir_module
+    cells = [(verb, address) for verb in ("reduce", "qpir-privacy", "attack")
+             for address in ("builtin:trivial?n=3", "builtin:noisy-trivial?n=3&delta=0.2")]
+    want = [_verb(*cell) for cell in cells]
+    patched = {"trace_distance_matrices": (linalg, qpir_module),
+               "marginals_in_span": (linalg, qpir_module), "nu": (PurifiedRun,)}
+    for name, owners in patched.items():
+        with monkeypatch.context() as patch:
+            for owner in owners:
+                patch.setattr(owner, name, _raising)
+            for verb in ("reduce", "qpir-privacy", "attack"):
+                with pytest.raises(_DensePath):
+                    _verb(verb, "builtin:random?n=2&seed=1")
+    for name, owners in patched.items():
+        for owner in owners:
+            monkeypatch.setattr(owner, name, _raising)
+    assert [_verb(*cell) for cell in cells] == want
+    assert all(code == 0 for code, _ in want)
 
 
 def test_a_rank_tolerance_that_cuts_a_row_is_refused_on_both_paths():

@@ -47,6 +47,8 @@ from qpirlab.registers import Register, RegisterLayout, concat
 from qpirlab.states import Isometry, matricize
 
 from conftest import (
+    dense_builtin,
+    half_leaky,
     mixing_client_random,
     scrambled_index_in_clear,
     split_memory_random,
@@ -95,6 +97,7 @@ CASES = [
                          ("random", {"seed": 1}), ("random", {"seed": 2}))
 ] + [
     ("index-in-clear-n4", lambda: builtin("index-in-clear", 4)),
+    ("half-leaky-n3", lambda: half_leaky(3)),
     ("trivial-n4", lambda: builtin("trivial", 4)),
     ("scrambled-index-in-clear-n3", lambda: scrambled_index_in_clear(3, 5)),
     ("forgetful-trivial-n3", lambda: forgetful_trivial(3)),
@@ -275,13 +278,23 @@ def test_forgetful_server_leaves_cross_terms():
 
 
 def test_marginals_live_in_the_runs_span_only_when_it_is_smaller():
-    # index-in-clear n=3: 3 factors of 24 x 6, so 18 columns < d_server = 24
-    tall = server_marginals(PurifiedRun(builtin("index-in-clear", 3)))
+    # dense index-in-clear n=3: 3 factors of 24 x 6, so 18 columns < d_server = 24
+    tall = server_marginals(PurifiedRun(dense_builtin("index-in-clear", 3)))
     assert [m.shape for m in tall] == [(18, 18)] * 3
-    wide_run = PurifiedRun(builtin("trivial", 3))
+    wide_run = PurifiedRun(dense_builtin("trivial", 3))
     d_server = wide_run.spec.a_memory[-1].total_dim
     assert [m.shape for m in server_marginals(wide_run)] == \
         [(d_server, d_server)] * 3
+    # as basis maps, trivial's runs pass the client-column test, and its
+    # marginals are diagonals over all d_server rows; index-in-clear's
+    # client holds only x_i (its B_1 span is 1-dimensional), so its
+    # databases share client columns, and its 3 factors of 24 x 2 are
+    # compared in their 6-dimensional span
+    run = PurifiedRun(builtin("trivial", 3))
+    d_server = run.spec.a_memory[-1].total_dim
+    assert [m.shape for m in server_marginals(run)] == [(d_server,)] * 3
+    assert [m.shape for m in server_marginals(PurifiedRun(builtin("index-in-clear", 3)))] \
+        == [(6, 6)] * 3
 
 
 def test_new_cases_exercise_the_last_op_span():
@@ -322,9 +335,11 @@ def test_new_cases_exercise_the_reachable_span():
     assert _held_dims(split, 1) == [8]
     assert split._reach(1)[1].shape[1] == 8   # the last op reads held B_1 (8), X_2 (1)
     assert split.qpir.spec.x_comm[-1].dims() == (1,)
-    # index-in-clear reaches all of B_1: the factoring changes no dimension
-    clear = PurifiedRun(builtin("index-in-clear", 3))
+    # dense index-in-clear's QR holds all of B_1: the factoring changes no
+    # dimension; as basis maps, the one row of B_1 its client reaches
+    clear = PurifiedRun(dense_builtin("index-in-clear", 3))
     assert _held_dims(clear, 1) == [clear.qpir.spec.b_memory[1].total_dim]
+    assert _held_dims(PurifiedRun(builtin("index-in-clear", 3)), 1) == [1]
 
 
 @pytest.mark.parametrize("build", [lambda: builtin("trivial", 2),
