@@ -20,6 +20,7 @@ from .registers import Register, RegisterLayout, concat, dim_guard, set_dim_guar
 from .states import (
     BasisMap,
     DensityOperator,
+    IdentityKron,
     Isometry,
     KrausChannel,
     StateVector,

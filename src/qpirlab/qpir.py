@@ -25,7 +25,9 @@ server's.  That record is the one owner of the format: no consumer
 splits a row again, and neither correctness, nor the encoding, nor
 privacy when its marginals are diagonal (below) reads the dense nu_i.
 Otherwise, which leaves random, protocol files and fuzz ops, whose ops
-are dense, the runs go in chunks of databases sized from one byte
+are dense but for random's server scramble of what the client returns,
+1 (x) U stored as its block U (an `IdentityKron`) and applied one slice
+at a time, the runs go in chunks of databases sized from one byte
 budget, `CHUNK_BYTES`: each chunk is a
 slice of the databases with x_i = 0 followed by their partners
 x + 2^(n-i), so no chunk holds more than the budget allows (or one pair
@@ -45,11 +47,12 @@ reach, so Gamma_i^pre and that span are only as large as what the client
 can hold: the basis map onto the rows it reaches when the op and the
 span before it are basis maps, and one thin QR per op otherwise
 (`PurifiedRun._reach`).  The last op itself is never rebuilt on that
-span: each of its Kraus operators is composed with the span's isometry
-Q_{s-1}.  Two paths follow, picked once for all indices.  When the runs
-are one-hot and every Kraus operator of the last op is a basis map with
-distinct rows (its `distinct_basis_maps`, decided once by the op's own
-check), each run's marginal is a diagonal projector, so
+span: where it is read at all, each of its Kraus operators is composed
+with the span's isometry Q_{s-1}.  Three paths follow, picked once for
+all indices.  When the runs are one-hot and every Kraus operator of the
+last op is a basis map with distinct rows (its `distinct_basis_maps`,
+decided once by the op's own check), each run's marginal is a diagonal
+projector, so
 Gamma_i^pre is diagonal, one signed bincount of the runs' squared
 values, read off their record; pushed through the Kraus operators,
 stacked once as rows and values and composed with each index's Q_{s-1}
@@ -57,11 +60,17 @@ by one gather, it stays diagonal, and
 delta_i is read off its entries, with no eigensolver and no dense Kraus
 operator.  Otherwise Gamma_i^pre is summed over index i's chunks in one
 pass, each chunk adding one matmul that pairs each x with its bit-i
-partner, and Gamma_i is diagonalized in the span of the composed Kraus
+partner.  When the last op has one Kraus operator K, as random's does,
+K (Q_{s-1} (x) 1) is an isometry, which keeps Gamma_i^pre's nonzero
+spectrum and pulls the optimal projector back to Gamma_i^pre's own, so
+Gamma_i^pre is diagonalized as it is and the op is never read.
+Otherwise Gamma_i is diagonalized in the span of the composed Kraus
 operators, of which only the triangular factor is kept (`_kraus_span`).
 Each index's optimal measurement is kept pulled back through the last op,
 as a factor W_i of the effect it induces on the op's inputs, for the
-reduction's decoder to apply: a diagonal basis map on the basis path.
+reduction's decoder to apply: a diagonal basis map on the basis path,
+and the adjoint of Gamma_i^pre's outcome-0 eigenbasis for one Kraus
+operator.
 Privacy compares the purified server's marginals of the superposition
 runs nu_i across index inputs.  The server's registers are final once it
 sends its last message, so the marginals are read before the client's
@@ -99,6 +108,7 @@ from .linalg import (
 from .registers import Register, RegisterLayout, concat, fresh_label
 from .states import (
     BasisMap,
+    IdentityKron,
     Isometry,
     KrausChannel,
     Matrix,
@@ -279,10 +289,11 @@ class PurifiedRun:
     first label, or under a fresh one when B_k has no registers.  The
     purifier is kept whole.  The last op reads that span through Q_{s-1},
     which `_kraus_span`, or `_composed_kraus` on the basis path, composes
-    into each of its Kraus operators.  All of an index's runs share one
-    layout, A_s first, and every index's do when the client reaches as
-    many dimensions of each memory with every index, as a QR's span
-    always does.
+    into each of its Kraus operators; off the basis path, a last op of
+    one Kraus operator is not read at all (`correctness_delta`).  All of
+    an index's runs share one layout, A_s first, and every index's do
+    when the client reaches as many dimensions of each memory with every
+    index, as a QR's span always does.
 
     The runs come in one of two forms, picked once for the run by op
     types (`one_hot`).  The dense form:
@@ -500,8 +511,11 @@ class CorrectnessReport:
     every op the runs and the last op meet is a basis map and each Kraus
     operator's rows are distinct, W_i is the d_pre x d_pre diagonal
     `BasisMap` of the square roots of the effect's weights, zeros
-    included, d_pre values where a dense diagonal holds d_pre^2; on the
-    dense path it is an upper triangular array.
+    included, d_pre values where a dense diagonal holds d_pre^2.  On the
+    dense path it is an array: for a last op of one Kraus operator K,
+    P_i^dagger, with P_i the orthonormal basis of Gamma_i^pre's kept
+    eigenvectors, since K (Q_{s-1} (x) 1) is an isometry and pulls Pi_i
+    back to P_i P_i^dagger; for more, an upper triangular array.
     """
 
     n: int
@@ -520,8 +534,10 @@ def _kraus_span(op: Operation, q: Matrix) -> np.ndarray:
     dimension and r = min(d_out, m d_in).  Q is an isometry, so R keeps
     every product K_j^dagger K_k.  Only the dense path of
     `correctness_delta` reads it, the one taken when an op of index i's
-    schedule, Q_{s-1} or a Kraus operator of `op` is dense; on the basis
-    path no Kraus operator is made dense."""
+    schedule, Q_{s-1} or a Kraus operator of `op` is not a basis map,
+    and only when `op` has two or more Kraus operators: one K composed
+    with Q is an isometry, and Gamma^pre's own eigensolve stands in for
+    the span.  On the basis path no Kraus operator is made dense."""
     kraus = kraus_operators(op)
     d_in = q.shape[1] * op.input_layout.total_dim // q.shape[0]
     side = np.empty((op.output_layout.total_dim, len(kraus), d_in), dtype=np.complex128)
@@ -604,9 +620,15 @@ def correctness_delta(run: PurifiedRun) -> CorrectnessReport:
     W_i is a diagonal basis map.  A channel whose basis-map Kraus
     operators share rows, which only the library builds, takes the dense
     path.  Otherwise Gamma_i^pre is summed dense
-    (`PurifiedRun.helstrom_operator`), and Gamma_i is diagonalized in the
-    span of the Kraus operators (`_kraus_span`), which is min(d_client,
-    m d_pre)-dimensional, with W_i upper triangular (`_pushed_through`).
+    (`PurifiedRun.helstrom_operator`).  A last op of one Kraus operator K,
+    an `Isometry` or a one-operator channel, composed with Q_{s-1} is an
+    isometry: Gamma_i = K Gamma_i^pre K^dagger has Gamma_i^pre's nonzero
+    spectrum, with the same floor length d_pre, and K^dagger Pi_i K =
+    P_i P_i^dagger, so delta_i and W_i = P_i^dagger come off one
+    `helstrom_matrices` of Gamma_i^pre, with no Kraus span.  For two or
+    more, Gamma_i is diagonalized in the span of the Kraus operators
+    (`_kraus_span`), which is min(d_client, m d_pre)-dimensional, with W_i
+    upper triangular (`_pushed_through`).
     """
     n = run.qpir.n
     deltas, measurements = [], []
@@ -619,6 +641,9 @@ def correctness_delta(run: PurifiedRun) -> CorrectnessReport:
         if basis:
             probability, w = _basis_pushed_through(
                 run.helstrom_diagonal(i), last.output_layout.total_dim, *next(composed))
+        elif len(kraus_operators(last)) == 1:
+            res = helstrom_matrices(run.helstrom_operator(i))
+            probability, w = res.probability, res.positive.conj().T
         else:
             probability, w = _pushed_through(run.helstrom_operator(i),
                                              _kraus_span(last, run._reach(i)[1]))
@@ -844,6 +869,11 @@ def build_random_qpir(n: int, seed: int = 0) -> QpirProtocol:
     qubits back, and the server scrambles whatever returns.  Keeping the
     copy pins the database branches to orthogonal server states, so the
     compression step of the encoding reduction stays well-posed.
+
+    Every op is dense but the server's scramble of what returns, which
+    leaves its memory A_1 alone: it is stored as its 2^l x 2^l block U,
+    1 (x) U (`IdentityKron`), and applied to each slice of A_1 as one
+    small matmul.  No op is a basis map, so the runs take the dense path.
     """
     if seed < 0:
         raise LayoutError(f"seed must be >= 0, got {seed}")
@@ -863,8 +893,7 @@ def build_random_qpir(n: int, seed: int = 0) -> QpirProtocol:
     b1_op = Isometry(concat(b0, x1), concat(b1, y1),
                      haar_unitary_matrix(n * da, rng))
     a2_op = Isometry(concat(a1, y1), concat(a2, x2),
-                     np.kron(np.eye(da, dtype=np.complex128),
-                             haar_unitary_matrix(2 ** ell, rng)))
+                     IdentityKron(da, haar_unitary_matrix(2 ** ell, rng)))
     b2_op = Isometry(concat(b1, x2), b2,
                      haar_unitary_matrix(b2.total_dim, rng))
     spec = ProtocolSpec(2, (a0, a1, a2), (b0, b1, b2), (x1, x2), (y1,),

@@ -1,8 +1,9 @@
 """JSON serialization for layouts, operations, and protocol specs.
 
 Complex entries are stored row-major as [re, im] pairs, a basis map
-(`states.BasisMap`) as its dense form, so a file never says which form an
-op was built in and loads dense.  Python's default float formatting is
+(`states.BasisMap`) or an identity product (`states.IdentityKron`) as its
+dense form, so a file never says which form an op was built in and loads
+dense.  Python's default float formatting is
 shortest-round-trip, so doubles survive a JSON round trip bit-exactly.
 Decoding is strict: a dimension or round count that is not an integer
 >= 1, an entry that is not a numeric pair, a matrix of the wrong size, a

@@ -1,18 +1,22 @@
 """State and operator value types over labeled register layouts.
 
 States are immutable dense complex arrays plus a layout.  An operator's
-matrix is either a dense complex array or a `BasisMap`, a matrix with one
-nonzero per column stored as the row and the value of each column, which
-holds an op that sends basis vectors to basis vectors, up to a weight, in
-d_in integers instead of d_out x d_in amplitudes.  `dense` gives any of
-them as an array, columns `xs` or whole, and `apply` multiplies one into a
-batch of columns; on a basis map both scatter, one product per nonzero
-entry, so they give the same bits as the dense matmul, and numpy reads
-a basis map as its dense form (`BasisMap.__array__`).  `matricize` is the
-one tensor helper: it moves the factors named by label to the front, which
-also reorders a state's factors, so callers never juggle axis
-permutations by hand; `matricized_rows` does the same to the row indices
-of one-hot columns held as rows and values.
+matrix takes one of three forms: a dense complex array; a `BasisMap`, a
+matrix with one nonzero per column stored as the row and the value of
+each column, which holds an op that sends basis vectors to basis vectors,
+up to a weight, in d_in integers instead of d_out x d_in amplitudes; or
+an `IdentityKron`, 1_d (x) B stored as its block B, which holds an op
+that leaves a leading factor of dimension d alone in b_out b_in
+amplitudes instead of d^2 b_out b_in.  `dense` gives any of them as an
+array, columns `xs` or whole, and `apply` multiplies one into a batch of
+columns; on a basis map both scatter, one product per nonzero entry, so
+they give the same bits as the dense matmul, and on an identity product
+`apply` multiplies B into each of the d slices of the columns.  numpy
+reads either structured form as its dense form (`__array__`).
+`matricize` is the one tensor helper: it moves the factors named by
+label to the front, which also reorders a state's factors, so callers
+never juggle axis permutations by hand; `matricized_rows` does the same
+to the row indices of one-hot columns held as rows and values.
 
 Execution is pure: protocols run batches of amplitude columns through
 isometries, and a `KrausChannel` enters a run only through its Stinespring
@@ -61,15 +65,27 @@ def _frozen_array(values, shape=None) -> np.ndarray:
     return arr
 
 
+class _DenseForm:
+    """What a structured matrix shows as its dense form (`dense`): two
+    matrices, in any form, are equal when their dense forms are (`_same`),
+    and numpy takes one wherever it takes an array, such as either side
+    of a matmul."""
+
+    def __eq__(self, other) -> bool:
+        return _same(self, other)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return dense(self) if dtype is None else dense(self).astype(dtype)
+
+
 @dataclass(frozen=True, eq=False)
-class BasisMap:
+class BasisMap(_DenseForm):
     """A d_out x d_in matrix with one nonzero per column: column j is
     values[j] |rows[j]>.
 
     `shape` is (d_out, d_in), each row an integer in 0..d_out-1.  Nothing
     here asks the rows to be distinct; an `Isometry` or a `KrausChannel`
-    checks what it needs of them.  Two matrices, in either form, are equal
-    when their dense forms are (`_same`).
+    checks what it needs of them.
     """
 
     shape: tuple[int, int]
@@ -95,9 +111,6 @@ class BasisMap:
     def identity(cls, d: int) -> BasisMap:
         return cls((d, d), np.arange(d), np.ones(d))
 
-    def __eq__(self, other) -> bool:
-        return _same(self, other)
-
     def conj(self) -> BasisMap:
         return BasisMap(self.shape, self.rows, self.values.conj())
 
@@ -106,21 +119,48 @@ class BasisMap:
         """The transpose, dense: its rows, not its columns, are one-hot."""
         return dense(self).T
 
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """The dense form (`dense`), so numpy takes a basis map wherever it
-        takes an array, such as either side of a matmul."""
-        return dense(self) if dtype is None else dense(self).astype(dtype)
+
+@dataclass(frozen=True, eq=False)
+class IdentityKron(_DenseForm):
+    """The (d b_out) x (d b_in) matrix 1_d (x) block: the op `block` on the
+    trailing factor of its input, the leading d-dimensional factor left
+    alone.  Its Gram is 1_d (x) block^dagger block, so an `Isometry`
+    checks the block's own (`_gram_deviation`).
+    """
+
+    d: int
+    block: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.d < 1:
+            raise LayoutError(f"identity factor must be at least 1, got {self.d}")
+        block = _frozen_array(self.block)
+        if block.ndim != 2:
+            raise LayoutError(f"block must be a matrix, got shape {block.shape}")
+        object.__setattr__(self, "block", block)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        b_out, b_in = self.block.shape
+        return self.d * b_out, self.d * b_in
 
 
-Matrix = Union[np.ndarray, BasisMap]
+Matrix = Union[np.ndarray, BasisMap, IdentityKron]
 
 
 def dense(matrix: Matrix, xs=slice(None)) -> np.ndarray:
     """Columns `xs` of `matrix` (all of them by default) as a dense array:
-    a basis map's values scattered into zeros, a dense matrix's columns
-    indexed (a view for a slice)."""
+    a basis map's values scattered into zeros, an identity product's block
+    columns scattered into zeros, each into its slice of the identity
+    factor, and a dense matrix's columns indexed (a view for a slice)."""
     if isinstance(matrix, np.ndarray):
         return matrix[:, xs]
+    if isinstance(matrix, IdentityKron):
+        b_out, b_in = matrix.block.shape
+        slices, cols = np.divmod(np.arange(matrix.shape[1])[xs], b_in)
+        out = np.zeros((matrix.d, b_out, len(cols)), dtype=np.complex128)
+        out[slices, :, np.arange(len(cols))] = matrix.block[:, cols].T
+        return out.reshape(-1, len(cols))
     rows, values = matrix.rows[xs], matrix.values[xs]
     out = np.zeros((matrix.shape[0], len(rows)), dtype=np.complex128)
     out[rows, np.arange(len(rows))] = values
@@ -132,18 +172,24 @@ def apply(matrix: Matrix, columns: np.ndarray) -> np.ndarray:
     by values[j], into row rows[j], so its rows must be distinct, as an
     isometry's are (`Isometry` checks them).  Each output entry is then one
     product, which is also all the dense matmul adds to zeros, so both
-    give the same bits."""
+    give the same bits.  An identity product multiplies its block into
+    each of the d slices of `columns`, one b_out x b_in matmul each, with
+    none of the zeros of the dense form."""
     if isinstance(matrix, np.ndarray):
         return matrix @ columns
+    if isinstance(matrix, IdentityKron):
+        b_out, b_in = matrix.block.shape
+        out = matrix.block @ columns.reshape(matrix.d, b_in, -1)
+        return out.reshape(matrix.d * b_out, -1)
     out = np.zeros((matrix.shape[0], columns.shape[1]), dtype=np.complex128)
     out[matrix.rows] = matrix.values[:, None] * columns
     return out
 
 
 def _checked(matrix, shape: tuple[int, int]) -> Matrix:
-    """`matrix` as an operator stores it: a basis map of that shape, or a
-    frozen copy of a dense one."""
-    if isinstance(matrix, BasisMap):
+    """`matrix` as an operator stores it: a basis map or an identity
+    product of that shape, or a frozen copy of a dense one."""
+    if isinstance(matrix, _DenseForm):
         if matrix.shape != shape:
             raise LayoutError(f"array shape {matrix.shape} != expected {shape}")
         return matrix
@@ -170,14 +216,19 @@ def _gram_deviation(matrices: Sequence[Matrix], distinct: bool) -> float:
 
     When every K_k is a basis map with distinct rows, as `distinct` says
     (`_distinct_basis_maps`), the sum is diagonal, sum_k |values_k|^2 per
-    column, and no d_in x d_in array is formed.  Otherwise it is formed
-    over blocks of columns B of each K_k in turn, as B^dagger K_k, which
-    `CHUNK_BYTES` bounds (and a basis map is made dense first).
+    column, and no d_in x d_in array is formed.  When every K_k is an
+    identity product 1_d (x) B_k with one d, the sum is 1_d (x) sum_k
+    B_k^dagger B_k, and the blocks' own deviation is its deviation.
+    Otherwise it is formed over blocks of columns B of each K_k in turn,
+    as B^dagger K_k, which `CHUNK_BYTES` bounds (and a basis map or an
+    identity product is made dense first).
     """
     d_out, d_in = matrices[0].shape
     if distinct:
         total = sum(k.values.real ** 2 + k.values.imag ** 2 for k in matrices)
         return float(np.max(np.abs(total - 1.0)))
+    if all(isinstance(k, IdentityKron) and k.d == matrices[0].d for k in matrices):
+        return _gram_deviation([k.block for k in matrices], False)
     first, *rest = (dense(k) for k in matrices)
     width = _chunk_columns(max(d_out, d_in))
     worst = 0.0
@@ -193,8 +244,8 @@ def _gram_deviation(matrices: Sequence[Matrix], distinct: bool) -> float:
 def _same(a, b) -> bool:
     if isinstance(a, tuple):   # Kraus operators, one by one and never stacked
         return len(a) == len(b) and all(map(_same, a, b))
-    if isinstance(a, (np.ndarray, BasisMap)):
-        if not isinstance(b, (np.ndarray, BasisMap)) or a.shape != b.shape:
+    if isinstance(a, (np.ndarray, _DenseForm)):
+        if not isinstance(b, (np.ndarray, _DenseForm)) or a.shape != b.shape:
             return False
         return np.array_equal(dense(a), dense(b))
     return a == b

@@ -208,10 +208,8 @@ def dense_noisy_trivial(n: int, delta: float) -> QpirProtocol:
 
 
 def dense_builtin(name: str, n: int, **params) -> QpirProtocol:
-    """The dense reference of builtin `name`; random's ops are dense
-    already, so it is the builtin itself."""
-    if name == "random":
-        return builtin(name, n, **params)
+    """The dense reference of basis-map builtin `name`: trivial,
+    index-in-clear or noisy-trivial."""
     build = {"trivial": dense_trivial, "index-in-clear": dense_index_in_clear,
              "noisy-trivial": dense_noisy_trivial}[name]
     return build(n, **params)

@@ -32,6 +32,7 @@ from qpirlab.qpir import (
     PurifiedRun,
     QpirProtocol,
     _kraus_span,
+    _pushed_through,
     build_index_in_clear,
     builtin,
     builtin_from_address,
@@ -51,6 +52,7 @@ from qpirlab.states import Isometry, KrausChannel, StateVector, dense, matricize
 
 from conftest import (
     dense_index_in_clear,
+    dense_noisy_trivial,
     identity_support,
     mixing_client_random,
     split_memory_random,
@@ -305,13 +307,8 @@ class _DensePath(Exception):
     pass
 
 
-def test_basis_maps_read_correctness_with_no_kraus_span(monkeypatch):
-    """noisy-trivial's ops, Q_0 = |i> and Kraus operators are basis maps,
-    so its reduce forms neither the Kraus span (a (2^n n, 2^n, 2^n) side
-    array) nor its eigensolve, and neither does index-in-clear's, whose
-    Q_1 is the basis map onto the one row of B_1 its client reaches.
-    random's ops are dense, and so are index-in-clear's dense twin's,
-    whose Q_1 is a thin QR factor: both take the dense path."""
+def _raise_on_the_kraus_span(monkeypatch) -> None:
+    """Make `_kraus_span` and `_pushed_through` raise `_DensePath`."""
     import qpirlab.qpir as qpir_module
 
     def dense_path(*args):
@@ -319,12 +316,43 @@ def test_basis_maps_read_correctness_with_no_kraus_span(monkeypatch):
 
     monkeypatch.setattr(qpir_module, "_kraus_span", dense_path)
     monkeypatch.setattr(qpir_module, "_pushed_through", dense_path)
+
+
+def test_basis_maps_read_correctness_with_no_kraus_span(monkeypatch):
+    """noisy-trivial's ops, Q_0 = |i> and Kraus operators are basis maps,
+    so its reduce forms neither the Kraus span (a (2^n n, 2^n, 2^n) side
+    array) nor its eigensolve, and neither does index-in-clear's, whose
+    Q_1 is the basis map onto the one row of B_1 its client reaches.
+    noisy-trivial's dense twin and the mixing client's random end in a
+    dense channel of 2^n and of 2 Kraus operators: both take the span."""
+    _raise_on_the_kraus_span(monkeypatch)
     for address in ("builtin:noisy-trivial?n=3&delta=0.2", "builtin:index-in-clear?n=3"):
         assert _cli(["reduce", "--protocol", address])[0] == 0
-    with pytest.raises(_DensePath):
-        _cli(["reduce", "--protocol", "builtin:random?n=2&seed=1"])
-    with pytest.raises(_DensePath):
-        bound_report(dense_index_in_clear(3))
+    for qpir in (dense_noisy_trivial(3, 0.2), mixing_client_random(2, 1)):
+        with pytest.raises(_DensePath):
+            bound_report(qpir)
+
+
+def test_a_one_kraus_last_op_reads_correctness_with_no_kraus_span(monkeypatch):
+    """random's last op is one Haar unitary, and index-in-clear's dense
+    twin's one identity.  Composed with Q_{s-1}, each is an isometry,
+    which keeps Gamma_i^pre's spectrum, so delta_i and W_i come off
+    Gamma_i^pre's own eigensolve: with the Kraus span and its push-through
+    raising, both reduce, to the span path's delta_i and effect W_i^dagger
+    W_i within 1e-12."""
+    qpir = builtin("random", 2, seed=1)
+    run = PurifiedRun(qpir)
+    spanned = [_pushed_through(run.helstrom_operator(i),
+                               _kraus_span(qpir.spec.b_ops[-1], run._reach(i)[1]))
+               for i in (1, 2)]
+    _raise_on_the_kraus_span(monkeypatch)
+    report = correctness_delta(PurifiedRun(qpir))
+    for (probability, w_span), delta, w in zip(spanned, report.deltas, report.measurements):
+        assert abs(delta - max(0.0, 1.0 - probability)) <= 1e-12
+        assert np.max(np.abs(w.conj().T @ w - w_span.conj().T @ w_span)) <= 1e-12
+    code, out = _cli(["reduce", "--protocol", "builtin:random?n=2&seed=1"])
+    assert code == 0 and json.loads(out)["n"] == 2
+    assert bound_report(dense_index_in_clear(3)).delta_max <= 1e-12
 
 
 @pytest.mark.parametrize("build", [

@@ -273,8 +273,8 @@ def _reduce(address: str) -> tuple[int, str]:
 def test_basis_map_builtins_encode_with_no_svd_and_no_chunk(monkeypatch):
     """With the SVD compressor, the Uhlmann solver, the chunk compressor
     and the chunk pass raising, trivial n=3 and noisy-trivial n=3 reduce
-    to the same report, and random seed 1 (n=2), whose ops are dense,
-    reaches each of them.  index-in-clear n=3's client op is a basis map,
+    to the same report, and random seed 1 (n=2), whose ops are not basis
+    maps, reaches each of them.  index-in-clear n=3's client op is a basis map,
     so its span is too (`PurifiedRun._reach`): with the SVD compressor,
     the chunk compressor and the chunk pass raising, it reduces to the
     same report.  Its server learns i, so no K is monomial, and each
@@ -440,8 +440,8 @@ def _correctness_bits(report) -> tuple:
 def test_the_basis_path_reads_nu_off_the_runs(monkeypatch):
     """With `PurifiedRun.nu` raising, trivial n=3 and noisy-trivial n=3
     encode and measure to the same bits; random seed 1 (n=2), whose ops
-    are dense, and index-in-clear n=3, whose decoders are Uhlmann solves,
-    still reach it."""
+    are not basis maps, and index-in-clear n=3, whose decoders are
+    Uhlmann solves, still reach it."""
     def audits():
         return [(_encoding_bits(build_rae(PurifiedRun(q))),
                  _correctness_bits(correctness_delta(PurifiedRun(q))))
@@ -524,7 +524,7 @@ def test_privacy_reads_no_dense_nu_and_no_eigensolver_on_the_basis_path(monkeypa
     """With `trace_distance_matrices`, `marginals_in_span` and
     `PurifiedRun.nu` raising, reduce, qpir-privacy and attack on trivial
     n=3 and noisy-trivial n=3 print the same reports; random seed 1
-    (n=2), whose ops are dense, reaches each of the three."""
+    (n=2), whose ops are not basis maps, reaches each of the three."""
     import qpirlab.qpir as qpir_module
     cells = [(verb, address) for verb in ("reduce", "qpir-privacy", "attack")
              for address in ("builtin:trivial?n=3", "builtin:noisy-trivial?n=3&delta=0.2")]

@@ -35,6 +35,16 @@ def test_protocol_spec_round_trip():
     assert serialize.protocol_spec_from_json(json.loads(blob)) == spec
 
 
+def test_random_survives_a_round_trip():
+    """random's server scramble is stored as 1 (x) U and written dense, so
+    the spec read back holds it dense and still equals the builtin's."""
+    spec = builtin_from_address("builtin:random?n=3&seed=1").spec
+    blob = json.dumps(serialize.protocol_spec_to_json(spec))
+    back = serialize.protocol_spec_from_json(json.loads(blob))
+    assert type(back.a_ops[1].matrix) is not type(spec.a_ops[1].matrix)
+    assert back == spec
+
+
 def test_unknown_type_rejected():
     with pytest.raises(LayoutError):
         serialize.from_json({"type": "mystery"})

@@ -1,16 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 
 from qpirlab.errors import LayoutError, LayoutMismatch, NotPositiveSemidefinite
+from qpirlab.linalg import haar_unitary_matrix
 from qpirlab.registers import RegisterLayout, concat
 from qpirlab.states import (
     DensityOperator,
+    IdentityKron,
     Isometry,
     KrausChannel,
     StateVector,
     apply_channel,
     apply_isometry,
+    apply,
     as_single_isometry,
+    dense,
     pure_density,
     reduced_density_matrix,
     stinespring,
@@ -63,6 +69,52 @@ def test_kraus_trace_preservation_checked():
     assert as_single_isometry(ch) is None
     ident = KrausChannel(lay, lay, (np.eye(2),))
     assert as_single_isometry(ident) is not None
+
+
+IDENTITY_KRONS = [(d, b) for d in (1, 3, 4) for b in (1, 2)]
+
+
+@pytest.mark.parametrize("d, b", IDENTITY_KRONS)
+def test_identity_kron_is_the_kronecker_product(d, b, rng):
+    """1_d (x) B scattered from its block equals numpy's Kronecker
+    product entry for entry, whole and column by column, and numpy reads
+    it as that dense form."""
+    block = haar_unitary_matrix(b, rng)
+    m = IdentityKron(d, block)
+    want = np.kron(np.eye(d), block)
+    assert m.shape == want.shape
+    assert np.array_equal(dense(m), want)
+    assert np.array_equal(np.asarray(m), want)
+    xs = rng.permutation(d * b)[:max(1, d * b // 2)]
+    assert np.array_equal(dense(m, xs), want[:, xs])
+    assert m == want and m == IdentityKron(d, block)
+
+
+@pytest.mark.parametrize("d, b", IDENTITY_KRONS)
+def test_identity_kron_apply_matches_the_dense_matmul(d, b, rng):
+    m = IdentityKron(d, haar_unitary_matrix(b, rng))
+    cols = rng.standard_normal((d * b, 5)) + 1j * rng.standard_normal((d * b, 5))
+    assert np.max(np.abs(apply(m, cols) - dense(m) @ cols)) <= 1e-14
+
+
+def test_identity_kron_isometry_checks_the_block():
+    """The Gram of 1_d (x) B is 1_d (x) B^dagger B: a non-isometric block
+    is refused, as are a shape that does not fit the layouts and a
+    channel whose blocks do not sum to the identity."""
+    lay = RegisterLayout.of(("a", 3), ("q", 2))
+    unitary = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert Isometry(lay, lay, IdentityKron(3, unitary)).is_unitary
+    with pytest.raises(LayoutError, match="not orthonormal"):
+        Isometry(lay, lay, IdentityKron(3, np.array([[1.0, 0.0], [0.0, 0.5]])))
+    with pytest.raises(LayoutError, match="shape"):
+        Isometry(lay, lay, IdentityKron(2, unitary))
+    half = math.sqrt(0.5)
+    KrausChannel(lay, lay, (IdentityKron(3, half * unitary),
+                            IdentityKron(3, half * np.eye(2))))
+    with pytest.raises(LayoutError, match="not TP"):
+        KrausChannel(lay, lay, (IdentityKron(3, half * unitary),))
+    with pytest.raises(LayoutError):
+        IdentityKron(0, unitary)
 
 
 def test_partial_trace_bell_gives_maximally_mixed():
