@@ -3,9 +3,9 @@ Helstrom solvers, on raw matrices and state vectors.
 
 Every Schmidt question (the coefficients, the rank, the compressor onto the
 support) is one SVD of the state's amplitudes matricized across a validated
-cut; ranks count the coefficients above a tolerance.  A state with one
-nonzero per column across the cut has a diagonal marginal, and its
-compressor is read off the rows' norms with no SVD (`one_hot_compressor`).
+cut; ranks count the coefficients above a tolerance.  A state whose
+marginal on the cut is diagonal has its compressor read off that
+diagonal's entries, with no SVD (`one_hot_compressor`).
 
 Conventions:
     trace distance   D(rho, sigma) = (1/2) ||rho - sigma||_1
@@ -184,23 +184,20 @@ def schmidt_compressor(state: StateVector, cut: Iterable[str],
     return Isometry(compressed, cut_lay, u[:, :compressed.total_dim])
 
 
-def one_hot_compressor(cut: RegisterLayout, rows: np.ndarray, amplitudes: np.ndarray,
+def one_hot_compressor(cut: RegisterLayout, diagonal: np.ndarray,
                        rank_tol: float = DEFAULT_RANK_TOL) -> Isometry:
-    """`schmidt_compressor` for a state whose amplitudes, matricized across
-    the `cut` layout, have at most one nonzero per column: `amplitudes`,
-    each in a column of its own, at the cut's rows `rows`.
+    """`schmidt_compressor` for a state whose marginal on the `cut` layout
+    is diagonal, given as that `diagonal`.
 
-    The marginal on the cut is then diagonal, so the Schmidt coefficients
-    are the norms of those rows, and the support is spanned by the rows
-    whose norm exceeds `rank_tol`.  The compressor is the basis map onto
-    them, in increasing order, with no SVD; the rank rule and its error
-    are `schmidt_compressor`'s.
+    The Schmidt coefficients are then the square roots of its entries, and
+    the support is spanned by the rows whose coefficient exceeds
+    `rank_tol`.  The compressor is the basis map onto them, in increasing
+    order, with no SVD; the rank rule and its error are
+    `schmidt_compressor`'s.
     """
-    held = np.flatnonzero(np.bincount(rows, minlength=cut.total_dim))
-    s = np.sqrt(np.bincount(rows, amplitudes.real ** 2 + amplitudes.imag ** 2,
-                            minlength=cut.total_dim)[held])
+    s = np.sqrt(diagonal)
     compressed = _compressed_register(cut, s, rank_tol)
-    kept = held[s > rank_tol]
+    kept = np.flatnonzero(s > rank_tol)
     return Isometry(compressed, cut,
                     BasisMap((cut.total_dim, len(kept)), kept, np.ones(len(kept))))
 

@@ -74,13 +74,16 @@ operator.
 Privacy compares the purified server's marginals of the superposition
 runs nu_i across index inputs.  The server's registers are final once it
 sends its last message, so the marginals are read before the client's
-last op, as they are after it.  When the runs are one-hot and no two
-databases of any index share a client column, as in trivial and
-noisy-trivial, each marginal is diagonal, one bincount of |nu_i|^2 over
-the runs' server rows, read off the record, and each trace distance is
-half the sum of the diagonals' differences, under the eigensolver's
-floor, with no eigensolver.  Otherwise, as in index-in-clear, whose
-client holds only x_i, they are read off the dense nu_i
+last op, as they are after it.  Whether a marginal of nu_i is diagonal
+is decided in one place, on the record's integer rows
+(`BasisRuns.marginal`): on one side it is when no two databases share a
+row of the other side, and it is then one bincount of |nu_i|^2 over that
+side's rows.  The encoding's compressor reads the client side of nu_1.
+When every index's server side is diagonal, as in trivial and
+noisy-trivial, each trace distance is half the sum of the diagonals'
+differences, under the eigensolver's floor, with no eigensolver.
+Otherwise, as in index-in-clear, whose client holds only x_i, the
+marginals are read off the dense nu_i
 (`PurifiedRun.nu`); when the n runs span fewer dimensions than the
 server's registers, the marginals are written in that span, which keeps
 every trace distance.
@@ -242,13 +245,15 @@ def _paired_operator(t: np.ndarray) -> np.ndarray:
     M_0 M_0^dagger - M_1 M_1^dagger as its Hermitian part (the cross terms
     are anti-Hermitian), so the chunk's share is G + G^dagger, one matmul
     over half its columns; the sum over chunks, divided by 2^(n+1), is
-    rho_0/2 - rho_1/2.
+    rho_0/2 - rho_1/2.  t is a strided view of the run (`matricize`), and
+    the sum and difference are formed C-ordered, so each reshape of them
+    is a view, not one more copy of the chunk.
     """
     d = t.shape[0]
     m0, m1 = np.split(t, 2, axis=2)
-    diff = m0 - m1
+    diff = np.subtract(m0, m1, order="C")
     np.conj(diff, out=diff)
-    g = (m0 + m1).reshape(d, -1) @ diff.reshape(d, -1).T
+    g = np.add(m0, m1, order="C").reshape(d, -1) @ diff.reshape(d, -1).T
     return g + g.conj().T
 
 
@@ -260,18 +265,33 @@ class BasisRuns:
     Every step is an isometry and a basis map, so the runs of distinct
     databases stay in distinct rows, and nu_i, the uniform database's run,
     is 2^(-n/2) times run x's value at row x: its entries are read here,
-    never from the dense state.  The server's marginal of nu_i is
-    diagonal when no two databases share a `client` row, a bincount of
-    |nu|^2 over `server` (`server_marginals`).
+    never from the dense state, and so is each of its diagonal marginals
+    (`marginal`).
     """
 
     layout: RegisterLayout   # what the runs end over, A_s first
+    d_server: int            # the dimension of A_s
     rows: np.ndarray         # each run's one row over `layout`
     values: np.ndarray       # its value there
     nu: np.ndarray           # nu_i's entry at that row
     pre: np.ndarray          # its row of the registers `pre`
     client: np.ndarray       # its row of the client's registers, all but A_s
     server: np.ndarray       # its column, over A_s
+
+    def marginal(self, side: str) -> np.ndarray | None:
+        """The diagonal of nu_i's marginal on the `side` registers,
+        "client" (all but A_s) or "server" (A_s), or None when it is not
+        diagonal.  Matricized with that side's registers as rows, nu_i has
+        one entry per run, so when no two runs share a row of the other
+        side, each column holds at most one nonzero and the marginal is
+        diagonal: |nu|^2 of each run summed at its row, one bincount.  The
+        rule reads the runs' integer rows, never a value or a tolerance."""
+        rows, other = ((self.client, self.server) if side == "client"
+                       else (self.server, self.client))
+        if not _distinct(other):
+            return None
+        dim = self.layout.total_dim // self.d_server if side == "client" else self.d_server
+        return np.bincount(rows, self.nu.real ** 2 + self.nu.imag ** 2, minlength=dim)
 
 
 class PurifiedRun:
@@ -481,8 +501,8 @@ class PurifiedRun:
                 lay = concat(op.output_layout, lay.drop(labels))
             pre, _ = matricized_rows(rows, lay, self.pre)
             client = lay.drop(self.spec.a_memory[-1].labels()).labels()
-            self._basis[i] = BasisRuns(lay, rows, values, nu, pre,
-                                       *matricized_rows(rows, lay, client))
+            self._basis[i] = BasisRuns(lay, self.spec.a_memory[-1].total_dim, rows,
+                                       values, nu, pre, *matricized_rows(rows, lay, client))
         return self._basis[i]
 
     def helstrom_diagonal(self, i: int) -> np.ndarray:
@@ -686,28 +706,17 @@ class PrivacyReport:
         return {**asdict(self), "distance_matrix": rows}
 
 
-def _diagonal(run: PurifiedRun) -> bool:
-    """The client-column test: whether the runs are `PurifiedRun.one_hot`
-    and no two databases of any index share a client column, so that
-    each nu_j, matricized with the server's registers as rows, has at
-    most one nonzero per column.  It reads the runs' integer rows, never
-    a value or a tolerance."""
-    return run.one_hot and all(_distinct(run.basis_runs(j).client)
-                               for j in range(1, run.qpir.n + 1))
-
-
 def server_marginals(run: PurifiedRun) -> list[np.ndarray]:
     """Purified server's reduced state per index input on the uniform
     database superposition: t_j t_j^dagger for the server factor t_j
     (d_server x d_rest) of each nu_j.
 
-    When the runs pass the client-column test (`_diagonal`), each column
-    of t_j holds at most one entry of nu_j, so t_j t_j^dagger is
-    diagonal, and the marginal is given as its diagonal: |nu_j|^2 of
-    each run summed at its server row, one bincount over index j's
-    record (`PurifiedRun.basis_runs`), with no dense nu_j.  Otherwise
-    each is the matrix of the dense nu_j (`PurifiedRun.nu`), written in
-    the span of all n factors (`marginals_in_span`).
+    When the runs are `PurifiedRun.one_hot` and every index's server
+    marginal is diagonal (`BasisRuns.marginal`, no two databases of any
+    index in one client row), each is given as its diagonal, one
+    bincount over index j's record, with no dense nu_j.  Otherwise each
+    is the matrix of the dense nu_j (`PurifiedRun.nu`), written in the
+    span of all n factors (`marginals_in_span`).
 
     The nu_j stop before the client's last op.  The server's registers A_s
     are final after its last message, and that op acts on the client's
@@ -715,11 +724,10 @@ def server_marginals(run: PurifiedRun) -> list[np.ndarray]:
     run, nor dilated.
     """
     n = run.qpir.n
-    if _diagonal(run):
-        d_server = run.spec.a_memory[-1].total_dim
-        return [np.bincount(runs.server, runs.nu.real ** 2 + runs.nu.imag ** 2,
-                            minlength=d_server)
-                for runs in map(run.basis_runs, range(1, n + 1))]
+    if run.one_hot:
+        diagonals = [run.basis_runs(j).marginal("server") for j in range(1, n + 1)]
+        if all(d is not None for d in diagonals):
+            return diagonals
     server = run.spec.a_memory[-1].labels()
     nus = [run.nu(j) for j in range(1, n + 1)]
     return marginals_in_span([matricize(nu.amplitudes, nu.layout, server) for nu in nus])

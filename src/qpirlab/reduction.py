@@ -20,35 +20,39 @@ compressor).  Only the (n, 2^n) probabilities of outcome 0 are kept, and
 the measured recovery rate feeds the entropy bound on
 random-access-encoding size, which bounds the communication from below.
 
-Two paths build the encoding (`build_rae`), picked by the column test
-on index 1's server columns (`_one_hot_split`):
+One builder makes the encoding (`build_rae`).  The form of index 1's
+runs picks three of its parts, and nothing else: the compressor with
+c_1 = E^dagger nu_1 and nu_1's leak from it, each decoder, and p_0.
 
-* Basis path: the runs are one-hot (`PurifiedRun.one_hot`, as in every
-  builtin but random) and no two of index 1's share a server column, so
-  nu_1 has one nonzero per server column.  Everything is read off each
-  index's record of its runs (`PurifiedRun.basis_runs`), composed and
-  split once, which carries nu_i's entries: E is the basis map onto the
-  client rows of nu_1 that the rank rule keeps, each decoder is monomial
-  (its polar part the phase of each entry) wherever K = c_1^T conj(nu_i)
-  is, and p_0[i, x] is a gather of W_i's weights.  No chunk is run, no
-  row is split again, and no array is sized by the runs' whole layout;
-  only a decoder whose K is not monomial forms the dense nu_i, for its
-  Uhlmann solve, as each of index-in-clear's does, since its server
-  learns i.
-* Dense path, for everything else (random, protocol files, and any
-  protocol that fails the column test): E is an SVD of nu_1, each
-  decoder an Uhlmann polar factor, and once every measurement and
-  decoder is known one more pass over index 1's chunks encodes each
-  chunk of databases and decodes it at every index, so index 1's runs
-  are made twice and no encoded state outlives its chunk (`_encode`).
+* One-hot runs (`PurifiedRun.one_hot`, as in every builtin but random)
+  whose nu_1 has a diagonal client marginal (`BasisRuns.marginal`: no
+  two of index 1's runs share a server column).  Everything is read
+  off each index's record of its runs (`PurifiedRun.basis_runs`),
+  composed and split once, which carries nu_i's entries: E is the
+  basis map onto the client rows of nu_1 that the rank rule keeps,
+  each decoder is monomial (its polar part the phase of each entry)
+  wherever K = c_1^T conj(nu_i) is, and p_0[i, x] is a gather of W_i's
+  weights.  No chunk is run, no row is split again, and no array is
+  sized by the runs' whole layout; only a decoder whose K is not
+  monomial forms the dense nu_i, for its Uhlmann solve, as each of
+  index-in-clear's does, since its server learns i, and those solves
+  share one dense E and c_1, built when the first needs them.
+* Everything else (random, protocol files, and any runs whose nu_1 has
+  no diagonal client marginal): E is an SVD of nu_1, each decoder an
+  Uhlmann polar factor, and once every measurement and decoder is known
+  one more pass over index 1's chunks encodes each chunk of databases
+  and decodes it at every index, so index 1's runs are made twice and
+  no encoded state outlives its chunk (`_encode`).
+
+Either way one helper folds each W_i into its decoder (`_measured`).
 
 delta comes from each index's runs, summing the Helstrom operator on the
 last op's inputs and pushing it through that op: read off a diagonal when
 every op those runs and that op meet is a basis map, and diagonalized in
 the span of the op's Kraus operators otherwise
 (`qpir.correctness_delta`); epsilon compares the server marginals of the
-same nu_i, read off the runs' records as diagonals when no two
-databases share a client column, with the eigensolver's round-off
+same nu_i, read off the runs' records as diagonals when every one is
+diagonal (`BasisRuns.marginal`), with the eigensolver's round-off
 floored, so a private protocol's epsilon is exactly 0.
 
 Each rule a verdict rests on is decided here once, for every verb:
@@ -76,7 +80,7 @@ from .linalg import (
     schmidt_compressor,
     uhlmann_unitary,
 )
-from .states import BasisMap, Isometry, _distinct, dense, matricize
+from .states import BasisMap, Isometry, Matrix, _distinct, dense, matricize
 from .qpir import (
     BasisRuns,
     CorrectnessReport,
@@ -184,7 +188,7 @@ def build_rae(run: PurifiedRun,
               rank_tol: float = DEFAULT_RANK_TOL) -> RandomAccessEncoding:
     """Construct the random access encoding induced by a QPIR protocol.
 
-    The compressor comes from the support of nu_1's marginal on all but
+    The compressor E comes from the support of nu_1's marginal on all but
     A_s; nu_1 and every per-database run must live inside that support
     (a violation signals a rank-tolerance misconfiguration or a protocol
     whose server does not retain the database branches), and each
@@ -193,45 +197,79 @@ def build_rae(run: PurifiedRun,
     decoders rotate the nu_i, and every database is encoded and decoded
     at every index.
 
-    Index 1's runs pick one of two paths.  When they pass the column test
-    (`_one_hot_split`), the encoding is read off their rows and values
-    (`_basis_rae`).  Otherwise the compressor is an SVD of nu_1
-    (`schmidt_compressor`), each decoder an Uhlmann polar factor, and one
-    more pass over index 1's chunks encodes every database (`_encode`).
+    The form of index 1's runs picks three things, and nothing else.
+    When they are one-hot and nu_1's client marginal is diagonal
+    (`BasisRuns.marginal`, no two runs in one server column), database
+    x's run sits at client row runs.client[x] and server column
+    runs.server[x], and nu_1's entries are the runs' own (runs.nu):
+
+    * E is the basis map onto nu_1's client rows that the rank rule keeps
+      (`one_hot_compressor`), and c_1 = E^dagger nu_1 keeps nu_1's
+      entries, each at its compressed row.  A run outside E would leave
+      nu_1 outside it by at least its own amplitude, so nu_1's check is
+      every run's.
+    * Each decoder is monomial where K = c_1^T conj(nu_i) is
+      (`_monomial_decoder`, on index i's runs), and otherwise the
+      Uhlmann polar factor on E made dense, which reads the dense nu_i;
+      that E and the dense c_1 are built once, when a decoder first
+      needs them.
+    * c_x is database x's run, compressed and renormalized: a phase at
+      its compressed row k_x, so p_0[i, x] is a gather of the weight
+      ||(W_i (x) 1) U E |k>||^2 of each compressed row.
+
+    Otherwise E is an SVD of nu_1 (`schmidt_compressor`), each decoder an
+    Uhlmann polar factor, and one more pass over index 1's chunks encodes
+    every database (`_encode`).  Either way each W_i is folded into its
+    decoder by `_measured`.
     """
-    runs = _one_hot_split(run)
-    if runs is not None:
-        return _basis_rae(run, runs, rank_tol)
-    nu1 = run.nu(1)
-    client = nu1.layout.drop(run.spec.a_memory[-1].labels()).labels()
-    compressor = schmidt_compressor(nu1, client, rank_tol=rank_tol)
-    r = compressor.input_layout.total_dim
-    emat = compressor.matrix
-    m1 = matricize(nu1.amplitudes, nu1.layout, client)
-    c1 = emat.conj().T @ m1
-    _refuse_leak(float(np.linalg.norm(m1 - emat @ c1)),
-                 "the uniform database's run with index 1", rank_tol)
+    server = run.spec.a_memory[-1].labels()
+    first = run.basis_runs(1) if run.one_hot else None
+    diagonal = None if first is None else first.marginal("client")
+    if diagonal is None:
+        nu1 = run.nu(1)
+        client = nu1.layout.drop(server)
+        compressor = schmidt_compressor(nu1, client.labels(), rank_tol=rank_tol)
+        m1 = matricize(nu1.amplitudes, nu1.layout, client.labels())
+        c1 = compressor.matrix.conj().T @ m1
+        leak = float(np.linalg.norm(m1 - compressor.matrix @ c1))
+        support = (compressor, c1)
+    else:
+        client = first.layout.drop(server)
+        compressor = one_hot_compressor(client, diagonal, rank_tol)
+        compressed = np.full(client.total_dim, -1)
+        compressed[compressor.matrix.rows] = np.arange(compressor.input_layout.total_dim)
+        ks = compressed[first.client]       # each database's compressed row, -1 if cut
+        outside = first.nu[ks < 0]
+        leak = math.sqrt(np.sum(outside.real ** 2 + outside.imag ** 2))
+        # the database whose run is in each server column, -1 for none
+        by_column = np.full(first.d_server, -1)
+        by_column[first.server] = np.arange(len(first.server))
+        support = None
+    _refuse_leak(leak, "the uniform database's run with index 1", rank_tol)
     correctness = correctness_delta(run)
 
+    r = compressor.input_layout.total_dim
     decoders, rot_dist, measured = [], [], []
     for i, w in enumerate(correctness.measurements, start=1):
-        decoder, distance = _uhlmann_decoder(run, i, compressor, c1)
+        found = None if diagonal is None else _monomial_decoder(
+            first, run.basis_runs(i), compressor, ks, by_column)
+        if found is None:
+            if support is None:
+                c1 = np.zeros((r, first.d_server), dtype=np.complex128)
+                c1[ks, first.server] = first.nu
+                support = (Isometry(compressor.input_layout, client,
+                                    dense(compressor.matrix)), c1)
+            found = (*_uhlmann_decoder(run, i, *support), None)
+        decoder, distance, pre = found
         decoders.append(decoder)
         rot_dist.append(distance)
-        decode = matricize(decoder.matrix, decoder.output_layout,
-                           correctness.measured_labels)           # (d_pre, d_bar, r)
-        measured.append((w @ decode.reshape(w.shape[1], -1)).reshape(-1, r))
-    outcome_zero = _encode(run, emat, measured, rank_tol)
-    return _encoding(run, compressor, correctness, decoders, rot_dist, outcome_zero)
-
-
-def _encoding(run: PurifiedRun, compressor: Isometry, correctness: CorrectnessReport,
-              decoders: list[Isometry], rot_dist: list[float],
-              outcome_zero: np.ndarray) -> RandomAccessEncoding:
-    """The encoding with these parts, its size read off the compressor."""
-    r = compressor.input_layout.total_dim
-    m = math.log2(r)
+        measured.append(_measured(w, decoder, correctness.measured_labels, pre))
+    if diagonal is None:
+        outcome_zero = _encode(run, compressor.matrix, measured, rank_tol)
+    else:
+        outcome_zero = np.array([_weights(m)[ks] for m in measured])
     outcome_zero.setflags(write=False)
+    m = math.log2(r)
     return RandomAccessEncoding(
         n=run.qpir.n,
         communication=run.qpir.communication,
@@ -258,70 +296,6 @@ def _uhlmann_decoder(run: PurifiedRun, i: int, support: Isometry,
     return decoder, pure_distance_amplitudes(
         matricize(nui.amplitudes, nui.layout, client).reshape(-1),
         (decoder.matrix @ c1).reshape(-1))
-
-
-def _one_hot_split(run: PurifiedRun) -> BasisRuns | None:
-    """The column test: index 1's runs (`PurifiedRun.basis_runs`) when
-    they are `PurifiedRun.one_hot` and no two of them share a server
-    column, so that nu_1, matricized with the client's registers as rows,
-    has at most one nonzero per column; otherwise None.  It reads the
-    runs' integer columns, never a value or a tolerance."""
-    if run.one_hot and _distinct(run.basis_runs(1).server):
-        return run.basis_runs(1)
-    return None
-
-
-def _basis_rae(run: PurifiedRun, runs: BasisRuns, rank_tol: float) -> RandomAccessEncoding:
-    """`build_rae` for index-1 runs that pass the column test: database x's
-    run sits at client row runs.client[x] and server column
-    runs.server[x], no two in one column, so nu_1's entries are the runs'
-    own (runs.nu).
-
-    * The compressor E is the basis map onto nu_1's client rows that the
-      rank rule keeps (`one_hot_compressor`), and c_1 = E^dagger nu_1
-      keeps nu_1's entries, each at its compressed row.  A run outside E
-      would leave nu_1 outside it by at least its own amplitude, so
-      nu_1's check is every run's.
-    * Each decoder is monomial where K = c_1^T conj(nu_i) is
-      (`_monomial_decoder`, on index i's runs), and otherwise the
-      SVD-built Uhlmann polar factor on E made dense (`_uhlmann_decoder`,
-      which reads the dense nu_i).
-    * c_x is database x's run, compressed and renormalized: a phase at
-      its compressed row k_x.  So p_0[i, x] = ||(W_i (x) 1) U E |k_x>||^2,
-      a gather of one value per compressed row (`_outcome_zero_by_row`).
-
-    No chunk is run, no SVD taken and no encoded state formed, and no
-    array is sized by the runs' whole layout.
-    """
-    client = runs.layout.drop(run.spec.a_memory[-1].labels())
-    compressor = one_hot_compressor(client, runs.client, runs.nu, rank_tol)
-    r = compressor.input_layout.total_dim
-    compressed = np.full(client.total_dim, -1)
-    compressed[compressor.matrix.rows] = np.arange(r)
-    ks = compressed[runs.client]              # each database's compressed row, -1 if cut
-    outside = runs.nu[ks < 0]
-    _refuse_leak(math.sqrt(np.sum(outside.real ** 2 + outside.imag ** 2)),
-                 "the uniform database's run with index 1", rank_tol)
-    correctness = correctness_delta(run)
-
-    # the database whose run is in each server column, -1 for none
-    by_column = np.full(runs.layout.total_dim // client.total_dim, -1)
-    by_column[runs.server] = np.arange(len(runs.server))
-    decoders, rot_dist, outcome_zero = [], [], []
-    for i, w in enumerate(correctness.measurements, start=1):
-        found = _monomial_decoder(runs, run.basis_runs(i), compressor, ks, by_column)
-        if found is None:
-            c1 = np.zeros((r, len(by_column)), dtype=np.complex128)
-            c1[ks, runs.server] = runs.nu
-            support = Isometry(compressor.input_layout, client, dense(compressor.matrix))
-            found = (*_uhlmann_decoder(run, i, support, c1), None)
-        decoder, distance, pre = found
-        decoders.append(decoder)
-        rot_dist.append(distance)
-        outcome_zero.append(_outcome_zero_by_row(w, decoder, correctness.measured_labels,
-                                                 pre)[ks])
-    return _encoding(run, compressor, correctness, decoders, rot_dist,
-                     np.array(outcome_zero))
 
 
 def _monomial_decoder(first: BasisRuns, runs: BasisRuns, compressor: Isometry,
@@ -376,19 +350,29 @@ def _monomial_decoder(first: BasisRuns, runs: BasisRuns, compressor: Isometry,
     return decoder, pure_distance_amplitudes(target, moved), pre
 
 
-def _outcome_zero_by_row(w, decoder: Isometry, labels: tuple[str, ...],
-                         pre: np.ndarray | None) -> np.ndarray:
-    """||(W (x) 1) U E |k>||^2 for each compressed row k, W a measurement
-    on the `labels` registers of the decoder's output.  A monomial
-    decoder sends |k> to a phase at one client row, whose `labels` part
-    is pre[k] (`_monomial_decoder`), so a diagonal basis-map W gives the
-    squared magnitude of its value there, one gather; otherwise, or with
-    no `pre`, W is applied to the dense decoder."""
+def _measured(w: Matrix, decoder: Isometry, labels: tuple[str, ...],
+              pre: np.ndarray | None) -> Matrix:
+    """Index i's measurement W, on the `labels` registers of the decoder's
+    output, folded into its decoder U E: a matrix N with ||N c|| =
+    ||(W (x) 1) U E c|| for every compressed state c.
+
+    A monomial decoder sends |k> to a phase at one client row, whose
+    `labels` part is pre[k] (`_monomial_decoder`), and a diagonal
+    basis-map W scales that row by its value there, so N is the diagonal
+    basis map of those values, r of them, U E's isometry dropped.
+    Otherwise, or with no `pre`, N is (W (x) 1) U E itself, dense, (k
+    d_bar) x r."""
     if isinstance(w, BasisMap) and pre is not None:
-        return (w.values.real ** 2 + w.values.imag ** 2)[pre]
+        return BasisMap((len(pre), len(pre)), np.arange(len(pre)), w.values[pre])
     decode = matricize(dense(decoder.matrix), decoder.output_layout, labels)
-    measured = dense(w) @ decode.reshape(w.shape[1], -1)
-    return np.sum(np.abs(measured.reshape(-1, decode.shape[-1])) ** 2, axis=0)
+    return (dense(w) @ decode.reshape(w.shape[1], -1)).reshape(-1, decode.shape[-1])
+
+
+def _weights(m: Matrix) -> np.ndarray:
+    """||m |k>||^2 for each column k of m."""
+    if isinstance(m, BasisMap):
+        return m.values.real ** 2 + m.values.imag ** 2
+    return np.sum(np.abs(m) ** 2, axis=0)
 
 
 def _refuse_leak(leak: float, what: str, rank_tol: float) -> None:
@@ -414,9 +398,9 @@ def _encode(run: PurifiedRun, emat: np.ndarray, measured: list[np.ndarray],
     chunk is compressed, decoded at every index and freed, so no encoded
     state outlives its chunk.  A run that leaves the compression support
     by more than `SUPPORT_LEAK_TOL` is a SupportViolation, raised after
-    every chunk with the worst leak of all.  The basis path
-    (`_basis_rae`) never calls it: there each c_x is a phase at one
-    compressed row, and p_0 a gather.
+    every chunk with the worst leak of all.  One-hot runs whose client
+    marginal is diagonal never come here: there each c_x is a phase at
+    one compressed row, and p_0 a gather (`build_rae`).
     """
     server = run.spec.a_memory[-1].labels()
     r = emat.shape[1]

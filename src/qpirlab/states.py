@@ -11,8 +11,9 @@ amplitudes instead of d^2 b_out b_in.  `dense` gives any of them as an
 array, columns `xs` or whole, and `apply` multiplies one into a batch of
 columns; on a basis map both scatter, one product per nonzero entry, so
 they give the same bits as the dense matmul, and on an identity product
-`apply` multiplies B into each of the d slices of the columns.  numpy
-reads either structured form as its dense form (`__array__`).
+`apply` multiplies B into each of the d slices of the columns.  Neither
+structured form converts to a numpy array: a caller that needs the dense
+form calls `dense`, so none is made silently.
 `matricize` is the one tensor helper: it moves the factors named by
 label to the front, which also reorders a state's factors, so callers
 never juggle axis permutations by hand; `matricized_rows` does the same
@@ -67,15 +68,12 @@ def _frozen_array(values, shape=None) -> np.ndarray:
 
 class _DenseForm:
     """What a structured matrix shows as its dense form (`dense`): two
-    matrices, in any form, are equal when their dense forms are (`_same`),
-    and numpy takes one wherever it takes an array, such as either side
-    of a matmul."""
+    matrices, in any form, are equal when their dense forms are (`_same`).
+    numpy does not take one as an array: a caller that needs the dense
+    form asks `dense` for it, so none is made silently."""
 
     def __eq__(self, other) -> bool:
         return _same(self, other)
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return dense(self) if dtype is None else dense(self).astype(dtype)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,14 +108,6 @@ class BasisMap(_DenseForm):
     @classmethod
     def identity(cls, d: int) -> BasisMap:
         return cls((d, d), np.arange(d), np.ones(d))
-
-    def conj(self) -> BasisMap:
-        return BasisMap(self.shape, self.rows, self.values.conj())
-
-    @property
-    def T(self) -> np.ndarray:
-        """The transpose, dense: its rows, not its columns, are one-hot."""
-        return dense(self).T
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,13 +6,14 @@ each cell's exit code and stdout to a JSON file.  The grid is the golden
 grid (`test_golden.CELLS`) plus `reduce` and `qpir-correctness` on
 trivial, index-in-clear, noisy-trivial at delta 0.2 and 0.416768 and
 random seeds 1 and 5, at n = 1..7 (random up to 6), `reduce` on
-trivial n=8 and noisy-trivial n=8 at delta 0.2, and `qpir-privacy` and
-`attack` on trivial, noisy-trivial at delta 0.2 and index-in-clear at
-n = 4..7, each with its whole distance matrix.  The comparison then
-lists every cell whose exit code or stdout differs, field by field, each
-moved float with its absolute difference, then the largest difference
-over the grid, and exits 1 if any cell differs.  The name does not start with `test_`, so pytest
-does not collect this file.
+trivial n=8, noisy-trivial n=8 at delta 0.2 and index-in-clear at
+n = 8..10 (its decoders are Uhlmann solves on the one-hot runs), and
+`qpir-privacy` and `attack` on trivial, noisy-trivial at delta 0.2 and
+index-in-clear at n = 4..7, each with its whole distance matrix.  The
+comparison then lists every cell whose exit code or stdout differs, field
+by field, each moved float with its absolute difference, then the largest
+difference over the grid, and exits 1 if any cell differs.  The name does
+not start with `test_`, so pytest does not collect this file.
 
 To compare a change with its parent, check the parent out in a directory
 of its own (`git worktree add`, or `git archive` into one) and run, at a
@@ -46,8 +47,10 @@ def _protocols(n: int) -> list[str]:
 
 
 #: `reduce` cells past n=7, where the encoding of the basis-map builtins
-#: is most of the run.
-LARGE = ("builtin:trivial?n=8", "builtin:noisy-trivial?n=8&delta=0.2")
+#: is most of the run: index-in-clear's takes the Uhlmann fallback on
+#: one-hot runs, each decoder a solve on the dense compressor.
+LARGE = ("builtin:trivial?n=8", "builtin:noisy-trivial?n=8&delta=0.2",
+         *(f"builtin:index-in-clear?n={n}" for n in (8, 9, 10)))
 
 #: Protocols whose privacy reports are diffed past the golden grid's n=3.
 PRIVACY = ("builtin:trivial?n={}", "builtin:noisy-trivial?n={}&delta=0.2",

@@ -242,7 +242,7 @@ def test_decoders_agree_with_the_full_uhlmann_unitary(name, params, n):
     its polar factor is unique."""
     run = PurifiedRun(builtin(name, n, **params))
     rae = build_rae(run)
-    e = rae.compressor.matrix
+    e = dense(rae.compressor.matrix)
     client = rae.compressor.output_layout.labels()
     nus = [run.nu(i) for i in range(1, n + 1)]
     c1t = e.conj().T @ matricize(nus[0].amplitudes, nus[0].layout, client)
@@ -251,7 +251,7 @@ def test_decoders_agree_with_the_full_uhlmann_unitary(name, params, n):
         if np.linalg.svd(k, compute_uv=False)[-1] < 1e-6:
             continue
         full = uhlmann_unitary(nu, nus[0], identity_support(nu.layout, client))
-        assert np.max(np.abs(decoder.matrix - full.matrix @ e)) < 1e-10
+        assert np.max(np.abs(dense(decoder.matrix) - full.matrix @ e)) < 1e-10
 
 
 def test_decoders_are_thin():

@@ -32,7 +32,6 @@ from qpirlab.protocol import ProtocolSpec, _inputs, _isometries, _steps, purify_
 from qpirlab.qpir import (
     PurifiedRun,
     QpirProtocol,
-    _diagonal,
     _diagonal_distance,
     build_index_in_clear,
     build_noisy_trivial,
@@ -41,7 +40,7 @@ from qpirlab.qpir import (
     correctness_delta,
     privacy_epsilon_purified,
 )
-from qpirlab.reduction import _one_hot_split, bound_report, build_rae
+from qpirlab.reduction import bound_report, build_rae
 from qpirlab.registers import RegisterLayout, concat
 from qpirlab.serialize import protocol_spec_from_json, protocol_spec_to_json
 from qpirlab.states import BasisMap, Isometry, KrausChannel, apply, dense
@@ -170,6 +169,7 @@ def _assert_same_audit(basis: QpirProtocol, reference: QpirProtocol) -> None:
                     "correctness")
     assert got.measured_labels == want.measured_labels
     for a, b in zip(got.measurements, want.measurements, strict=True):
+        a, b = dense(a), dense(b)
         assert a.shape[1] == b.shape[1]
         assert np.max(np.abs(a.conj().T @ a - b.conj().T @ b), initial=0.0) <= 1e-12
 
@@ -362,7 +362,7 @@ def test_a_server_that_keeps_no_copy_fails_the_column_test():
     the basis maps take the dense path, and both forms refuse the runs
     that leave nu_1's one-dimensional support, with one message."""
     run = PurifiedRun(_forgetful(3, lambda m: m))
-    assert run.one_hot and _one_hot_split(run) is None
+    assert run.one_hot and run.basis_runs(1).marginal("client") is None
     got = _refusal(_forgetful(3, lambda m: m))
     assert got == _refusal(_forgetful(3, dense))
     assert got.startswith("a database run leaves the compression support")
@@ -375,7 +375,7 @@ def test_a_k_that_is_not_monomial_falls_back_to_the_uhlmann_unitary(monkeypatch,
     decoder is the Uhlmann polar factor, on the basis compressor made
     dense, and the audit matches the dense protocol's."""
     basis = _coarse(n, lambda m: m)
-    assert _one_hot_split(PurifiedRun(basis)) is not None
+    assert PurifiedRun(basis).basis_runs(1).marginal("client") is not None
     solve, solved = reduction.uhlmann_unitary, []
 
     def counted(*args, **kwargs):
@@ -426,6 +426,56 @@ def test_basis_runs_hold_nu_entries_and_distinct_client_server_pairs(build):
         assert states._distinct(runs.client * d_server + runs.server)
 
 
+MARGINALS = [("trivial-n3", lambda: build_trivial(3)),
+             ("noisy-trivial-n3-0.2", lambda: build_noisy_trivial(3, 0.2)),
+             ("half-leaky-n3", lambda: half_leaky(3))]
+
+
+@pytest.mark.parametrize("build", [b for _, b in MARGINALS], ids=[k for k, _ in MARGINALS])
+def test_diagonal_marginals_are_the_dense_marginals_diagonals(build):
+    """No two runs of an index of trivial, noisy-trivial or half-leaky
+    share a client row or a server column, so both of nu_j's marginals
+    are diagonal: `BasisRuns.marginal` gives the diagonal of each, and
+    the marginal built from the dense nu_j has those entries and zeros
+    off them."""
+    run = PurifiedRun(build())
+    server = run.spec.a_memory[-1].labels()
+    for j in range(1, run.qpir.n + 1):
+        nu = run.nu(j)
+        for side, labels in (("client", nu.layout.drop(server).labels()), ("server", server)):
+            t = states.matricize(nu.amplitudes, nu.layout, labels)
+            got = run.basis_runs(j).marginal(side)
+            assert got is not None and got.shape == (len(t),)
+            assert np.max(np.abs(np.diag(got) - t @ t.conj().T)) <= 1e-15
+
+
+def test_a_shared_row_leaves_the_other_sides_marginal_not_diagonal():
+    """The forgetful server keeps nothing, so every run of an index sits
+    in its one server column and nu_j's client marginal is not diagonal;
+    index-in-clear's client holds only x_j, so its databases share client
+    rows and nu_j's server marginal is not.  Each reads None."""
+    forgetful = PurifiedRun(_forgetful(3, lambda m: m))
+    clear = PurifiedRun(build_index_in_clear(3))
+    for j in (1, 2, 3):
+        assert forgetful.basis_runs(j).marginal("client") is None
+        assert clear.basis_runs(j).marginal("server") is None
+
+
+def test_the_uhlmann_fallback_makes_the_compressor_dense_once(monkeypatch):
+    """index-in-clear's decoders are Uhlmann solves on its one-hot runs,
+    each within the basis compressor made dense: that support is built
+    once per encoding, and each of the n solves gets the one object."""
+    solve, supports = reduction.uhlmann_unitary, []
+
+    def recorded(*args, support):
+        supports.append(support)
+        return solve(*args, support=support)
+
+    monkeypatch.setattr(reduction, "uhlmann_unitary", recorded)
+    build_rae(PurifiedRun(build_index_in_clear(3)))
+    assert len(supports) == 3 and all(s is supports[0] for s in supports)
+
+
 def _encoding_bits(rae) -> tuple:
     return (rae.m, rae.compressed_dim, rae.rotation_distances, rae.outcome_zero.tobytes(),
             tuple(dense(d.matrix).tobytes() for d in rae.decoders),
@@ -464,15 +514,16 @@ def test_the_basis_path_reads_nu_off_the_runs(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_a_half_leaky_protocol_reads_epsilon_one_half_off_diagonals(monkeypatch, n):
-    """half-leaky's runs are one-hot and pass the client-column test, so
-    its privacy is read off diagonal marginals with no eigensolver, and
-    its report, correctness and the bound's epsilon fields match its
-    dense twin's within 1e-12: epsilon = 1/2 on both.  (Its decoders at
-    the leaking indices are not unique, so the recovery is not
-    compared.)"""
+    """half-leaky's runs are one-hot and every server marginal is
+    diagonal (`BasisRuns.marginal`), so its privacy is read off them with
+    no eigensolver, and its report, correctness and the bound's epsilon
+    fields match its dense twin's within 1e-12: epsilon = 1/2 on both.
+    (Its decoders at the leaking indices are not unique, so the recovery
+    is not compared.)"""
     basis, reference = half_leaky(n), half_leaky(n, dense)
     run = PurifiedRun(basis)
-    assert run.one_hot and _diagonal(run) and not PurifiedRun(reference).one_hot
+    assert run.one_hot and not PurifiedRun(reference).one_hot
+    assert all(run.basis_runs(j).marginal("server") is not None for j in range(1, n + 1))
     want = privacy_epsilon_purified(PurifiedRun(reference)).to_dict()
     with monkeypatch.context() as patch:
         for name in ("eigvalsh", "eigh"):

@@ -220,7 +220,7 @@ def test_outcome_zero_basis_is_optimal_for_the_dense_operator(run):
     rep = correctness_delta(run)
     for i in range(1, run.qpir.n + 1):
         w = np.linalg.eigvalsh(dense_gamma(run, i))
-        effect = rep.measurements[i - 1]
+        effect = states.dense(rep.measurements[i - 1])
         attained = float(np.trace(effect @ run.helstrom_operator(i)
                                   @ effect.conj().T).real)
         assert abs(attained - float(np.sum(w[w > 0.0]))) <= TOL
@@ -285,7 +285,7 @@ def test_marginals_live_in_the_runs_span_only_when_it_is_smaller():
     d_server = wide_run.spec.a_memory[-1].total_dim
     assert [m.shape for m in server_marginals(wide_run)] == \
         [(d_server, d_server)] * 3
-    # as basis maps, trivial's runs pass the client-column test, and its
+    # as basis maps, trivial's server marginals are diagonal, and its
     # marginals are diagonals over all d_server rows; index-in-clear's
     # client holds only x_i (its B_1 span is 1-dimensional), so its
     # databases share client columns, and its 3 factors of 24 x 2 are
