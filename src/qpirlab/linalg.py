@@ -5,7 +5,10 @@ Every Schmidt question (the coefficients, the rank, the compressor onto the
 support) is one SVD of the state's amplitudes matricized across a validated
 cut; ranks count the coefficients above a tolerance.  A state whose
 marginal on the cut is diagonal has its compressor read off that
-diagonal's entries, with no SVD (`one_hot_compressor`).
+diagonal's entries, with no SVD (`one_hot_compressor`).  The Uhlmann
+solver takes the cross-Gram K of two purifications and returns its polar
+factor (`uhlmann_unitary`): the caller forms K, once it has checked the
+compression support, on whichever form its states are held in.
 
 Conventions:
     trace distance   D(rho, sigma) = (1/2) ||rho - sigma||_1
@@ -24,20 +27,9 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    LayoutError,
-    LayoutMismatch,
-    NotPositiveSemidefinite,
-    SupportViolation,
-)
+from .errors import LayoutError, NotPositiveSemidefinite
 from .registers import Register, RegisterLayout
-from .states import (
-    BasisMap,
-    Isometry,
-    StateVector,
-    _check_factor,
-    matricize,
-)
+from .states import BasisMap, Isometry, StateVector, matricize
 
 #: Singular values below this count as zero when ranks/supports are decided.
 DEFAULT_RANK_TOL = 1e-10
@@ -221,47 +213,28 @@ def _compressed_register(cut: RegisterLayout, s: np.ndarray,
 # Uhlmann solver (Procrustes on the purifying factor, restricted to a support)
 # ---------------------------------------------------------------------------
 
-def uhlmann_unitary(phi: StateVector, psi: StateVector,
-                    support: Isometry) -> Isometry:
-    """Uhlmann unitary U on the purifier, kept only on the support of psi.
+def uhlmann_unitary(k: np.ndarray, compressed: RegisterLayout,
+                    client: RegisterLayout) -> Isometry:
+    """The Uhlmann decoder X = U E, the polar factor of the cross-Gram K
+    = c^T conj(phi), as an isometry from the `compressed` register into
+    the purifier's `client` layout.
 
-    `support` is an isometry E from a compressed register into the purifier
-    factor (its output layout) whose range holds psi's purifier side, so
-    psi = (1 x E)|c>.  The result is the partial isometry X = U E, with
-    E's layouts, maximizing |<phi|(1 x X)|c>|; the non-purifier factor
-    carries the reduced states whose fidelity that overlap attains.  X is
-    the polar factor of the r x d_purifier cross-Gram operator
-    K = c^T conj(phi), so the cost is O(r^2 d_purifier) and no
-    d_purifier^2 array is formed.  Any maximizer is accepted under SVD
-    degeneracy.  An identity support gives the full unitary U.
+    psi = (1 x E)|c> lies in the range of a compressor E, c^T is the r x
+    d_rest matrix of c's amplitudes with the non-purifier factor as
+    columns, and phi is the d_rest x d_client one with the purifier as
+    columns, so K is r x d_client.  X maximizes |<phi|(1 x X)|c>|
+    (Uhlmann, Rep. Math. Phys. 9, 1976); the non-purifier factor carries
+    the reduced states whose fidelity that overlap attains.  One SVD of K
+    costs O(r^2 d_client), and no d_client^2 array is formed.  Any
+    maximizer is accepted under SVD degeneracy.  An identity E gives the
+    full unitary U.
 
     If D(tr_purifier phi, tr_purifier psi) <= eps, the rotated psi lands
-    within sqrt(eps (2 - eps)) of phi in trace distance.  Raises
-    SupportViolation when psi's purifier side leaves range(E) by more
-    than `SUPPORT_LEAK_TOL`.
+    within sqrt(eps (2 - eps)) of phi in trace distance.  K reads only c,
+    so the caller checks that psi lies in E's range.
     """
-    if phi.layout != psi.layout:
-        raise LayoutMismatch(
-            f"layout mismatch: {phi.layout.labels()} vs {psi.layout.labels()}"
-        )
-    _check_factor(phi.layout, support.output_layout)
-    purifier = support.output_layout.labels()
-    if len(purifier) in (0, len(phi.layout)):
-        raise LayoutError("purifier must be a proper nonempty subset")
-    # matricize with the purifier (in the support's order) as rows
-    mphi = matricize(phi.amplitudes, phi.layout, purifier)
-    mpsi = matricize(psi.amplitudes, psi.layout, purifier)
-    e = support.matrix
-    ct = e.conj().T @ mpsi                    # c^T, (r, d_rest)
-    leak = float(np.linalg.norm(mpsi - e @ ct))
-    if leak > SUPPORT_LEAK_TOL:
-        raise SupportViolation(
-            f"psi leaves the Uhlmann support by {leak:.3e}"
-        )
-    k = ct @ mphi.conj().T                    # K[j, b] = sum_a c[a,j] conj(phi[a,b])
     v, _, wh = np.linalg.svd(k, full_matrices=False)
-    x = wh.conj().T @ v.conj().T
-    return Isometry(support.input_layout, support.output_layout, x)
+    return Isometry(compressed, client, wh.conj().T @ v.conj().T)
 
 
 # ---------------------------------------------------------------------------

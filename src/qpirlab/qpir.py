@@ -22,8 +22,7 @@ audit reads (`PurifiedRun.basis_runs`, a `BasisRuns`): per database, the
 run's one row and value, nu_i's entry at that row, and the row's parts
 on the registers the last op reads, on the client's and on the
 server's.  That record is the one owner of the format: no consumer
-splits a row again, and neither correctness, nor the encoding, nor
-privacy when its marginals are diagonal (below) reads the dense nu_i.
+splits a row again, and no audit of a one-hot builtin reads the dense nu_i.
 Otherwise, which leaves random, protocol files and fuzz ops, whose ops
 are dense but for random's server scramble of what the client returns,
 1 (x) U stored as its block U (an `IdentityKron`) and applied one slice
@@ -82,11 +81,12 @@ side's rows.  The encoding's compressor reads the client side of nu_1.
 When every index's server side is diagonal, as in trivial and
 noisy-trivial, each trace distance is half the sum of the diagonals'
 differences, under the eigensolver's floor, with no eigensolver.
-Otherwise, as in index-in-clear, whose client holds only x_i, the
-marginals are read off the dense nu_i
-(`PurifiedRun.nu`); when the n runs span fewer dimensions than the
-server's registers, the marginals are written in that span, which keeps
-every trace distance.
+Otherwise each marginal is t_i t_i^dagger, with t_i nu_i's server
+factor (`PurifiedRun.server_factor`): scattered from the record on
+one-hot runs, as index-in-clear's, whose client holds only x_i, and read
+off the dense nu_i on the others.  When the n factors span fewer
+dimensions than the server's registers, the marginals are written in
+that span, which keeps every trace distance.
 """
 
 from __future__ import annotations
@@ -266,11 +266,13 @@ class BasisRuns:
     databases stay in distinct rows, and nu_i, the uniform database's run,
     is 2^(-n/2) times run x's value at row x: its entries are read here,
     never from the dense state, and so is each of its diagonal marginals
-    (`marginal`).
+    (`marginal`) and, where a marginal is not diagonal, its server factor
+    (`factor`).
     """
 
     layout: RegisterLayout   # what the runs end over, A_s first
     d_server: int            # the dimension of A_s
+    client_layout: RegisterLayout  # the client's registers, all but A_s
     rows: np.ndarray         # each run's one row over `layout`
     values: np.ndarray       # its value there
     nu: np.ndarray           # nu_i's entry at that row
@@ -290,8 +292,16 @@ class BasisRuns:
                        else (self.server, self.client))
         if not _distinct(other):
             return None
-        dim = self.layout.total_dim // self.d_server if side == "client" else self.d_server
+        dim = self.client_layout.total_dim if side == "client" else self.d_server
         return np.bincount(rows, self.nu.real ** 2 + self.nu.imag ** 2, minlength=dim)
+
+    def factor(self) -> np.ndarray:
+        """nu_i matricized with A_s as rows, d_server x d_client, as
+        `matricize` gives it from the dense nu_i: each run's entry
+        scattered to its (server column, client row), zeros elsewhere."""
+        t = np.zeros((self.d_server, self.client_layout.total_dim), dtype=np.complex128)
+        t[self.server, self.client] = self.nu
+        return t
 
 
 class PurifiedRun:
@@ -331,12 +341,15 @@ class PurifiedRun:
       included, traced out: one pass over index i's chunks, each adding
       its share.  Nothing of the pass is kept.
 
+    Either form gives `server_factor(i)`.
+
     The one-hot form, when every index's runs stay one-hot up to the last
     op's inputs:
 
     * `basis_runs(i)`: index i's runs as one record (`BasisRuns`), the
-      only reader of the runs' one-hot format, kept; the encoding and,
-      when its marginals are diagonal, privacy read nu_i off it.
+      only reader of the runs' one-hot format, kept; the encoding and
+      privacy read nu_i off it, its diagonal marginals and, where those
+      are not diagonal, its server factor.
     * `helstrom_diagonal(i)`: Gamma_i^pre's diagonal.  Each run's
       marginal on `pre` is a diagonal projector, so Gamma_i^pre is
       diagonal: (-1)^(x_i) |value|^2 of each run at its `pre` row, one
@@ -500,10 +513,25 @@ class PurifiedRun:
                 nu = op.matrix.values[front] * nu
                 lay = concat(op.output_layout, lay.drop(labels))
             pre, _ = matricized_rows(rows, lay, self.pre)
-            client = lay.drop(self.spec.a_memory[-1].labels()).labels()
-            self._basis[i] = BasisRuns(lay, self.spec.a_memory[-1].total_dim, rows,
-                                       values, nu, pre, *matricized_rows(rows, lay, client))
+            client = lay.drop(self.spec.a_memory[-1].labels())
+            self._basis[i] = BasisRuns(lay, self.spec.a_memory[-1].total_dim, client, rows,
+                                       values, nu, pre,
+                                       *matricized_rows(rows, lay, client.labels()))
         return self._basis[i]
+
+    def server_factor(self, i: int) -> tuple[RegisterLayout, np.ndarray]:
+        """Index i's client registers, all but A_s, and nu_i matricized
+        with A_s as rows, d_server x d_client, which privacy and the
+        Uhlmann decoders read: scattered from the record on `one_hot`
+        runs (`BasisRuns.factor`), off the dense nu_i otherwise.  One-hot
+        runs read the dense nu_i only for an encoding whose nu_1 has no
+        diagonal client marginal (`reduction.build_rae`)."""
+        if self.one_hot:
+            runs = self.basis_runs(i)
+            return runs.client_layout, runs.factor()
+        server = self.spec.a_memory[-1].labels()
+        nu = self.nu(i)
+        return nu.layout.drop(server), matricize(nu.amplitudes, nu.layout, server)
 
     def helstrom_diagonal(self, i: int) -> np.ndarray:
         runs = self.basis_runs(i)
@@ -714,9 +742,9 @@ def server_marginals(run: PurifiedRun) -> list[np.ndarray]:
     When the runs are `PurifiedRun.one_hot` and every index's server
     marginal is diagonal (`BasisRuns.marginal`, no two databases of any
     index in one client row), each is given as its diagonal, one
-    bincount over index j's record, with no dense nu_j.  Otherwise each
-    is the matrix of the dense nu_j (`PurifiedRun.nu`), written in the
-    span of all n factors (`marginals_in_span`).
+    bincount over index j's record.  Otherwise each is the matrix of
+    t_j (`PurifiedRun.server_factor`, off the record on one-hot runs),
+    written in the span of all n factors (`marginals_in_span`).
 
     The nu_j stop before the client's last op.  The server's registers A_s
     are final after its last message, and that op acts on the client's
@@ -728,9 +756,7 @@ def server_marginals(run: PurifiedRun) -> list[np.ndarray]:
         diagonals = [run.basis_runs(j).marginal("server") for j in range(1, n + 1)]
         if all(d is not None for d in diagonals):
             return diagonals
-    server = run.spec.a_memory[-1].labels()
-    nus = [run.nu(j) for j in range(1, n + 1)]
-    return marginals_in_span([matricize(nu.amplitudes, nu.layout, server) for nu in nus])
+    return marginals_in_span([run.server_factor(j)[1] for j in range(1, n + 1)])
 
 
 def _diagonal_distance(a: np.ndarray, b: np.ndarray, dim: int) -> float:
@@ -760,9 +786,8 @@ def privacy_epsilon_purified(run: PurifiedRun) -> PrivacyReport:
     margs = server_marginals(run)
     distance = trace_distance_matrices
     if margs[0].ndim == 1:
-        d_server = len(margs[0])
-        widths = sum(run.basis_runs(j).layout.total_dim // d_server for j in range(1, n + 1))
-        distance = partial(_diagonal_distance, dim=min(d_server, widths))
+        widths = sum(run.basis_runs(j).client_layout.total_dim for j in range(1, n + 1))
+        distance = partial(_diagonal_distance, dim=min(len(margs[0]), widths))
     dist = np.zeros((n, n))
     for a in range(n):
         for b in range(a + 1, n):

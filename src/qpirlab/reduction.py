@@ -32,19 +32,22 @@ c_1 = E^dagger nu_1 and nu_1's leak from it, each decoder, and p_0.
   basis map onto the client rows of nu_1 that the rank rule keeps,
   each decoder is monomial (its polar part the phase of each entry)
   wherever K = c_1^T conj(nu_i) is, and p_0[i, x] is a gather of W_i's
-  weights.  No chunk is run, no row is split again, and no array is
-  sized by the runs' whole layout; only a decoder whose K is not
-  monomial forms the dense nu_i, for its Uhlmann solve, as each of
-  index-in-clear's does, since its server learns i, and those solves
-  share one dense E and c_1, built when the first needs them.
+  weights.  No chunk is run, no row is split again, and no dense nu_i
+  is formed; only a decoder whose K is not monomial, as each of
+  index-in-clear's is, since its server learns i, reads index i's
+  server factor scattered from its record, and the dense c_1, built
+  when the first needs it.
 * Everything else (random, protocol files, and any runs whose nu_1 has
-  no diagonal client marginal): E is an SVD of nu_1, each decoder an
-  Uhlmann polar factor, and once every measurement and decoder is known
-  one more pass over index 1's chunks encodes each chunk of databases
-  and decodes it at every index, so index 1's runs are made twice and
-  no encoded state outlives its chunk (`_encode`).
+  no diagonal client marginal): E is an SVD of nu_1, and once every
+  measurement and decoder is known one more pass over index 1's chunks
+  encodes each chunk of databases and decodes it at every index, so
+  index 1's runs are made twice and no encoded state outlives its chunk
+  (`_encode`).
 
-Either way one helper folds each W_i into its decoder (`_measured`).
+Either way a decoder that is not monomial is the Uhlmann polar factor of
+K, one solve for both forms (`_uhlmann_decoder`), into index i's own
+client registers, and one helper folds each W_i into its decoder
+(`_measured`).
 
 delta comes from each index's runs, summing the Helstrom operator on the
 last op's inputs and pushing it through that op: read off a diagonal when
@@ -80,6 +83,7 @@ from .linalg import (
     schmidt_compressor,
     uhlmann_unitary,
 )
+from .registers import RegisterLayout
 from .states import BasisMap, Isometry, Matrix, _distinct, dense, matricize
 from .qpir import (
     BasisRuns,
@@ -210,31 +214,32 @@ def build_rae(run: PurifiedRun,
       every run's.
     * Each decoder is monomial where K = c_1^T conj(nu_i) is
       (`_monomial_decoder`, on index i's runs), and otherwise the
-      Uhlmann polar factor on E made dense, which reads the dense nu_i;
-      that E and the dense c_1 are built once, when a decoder first
-      needs them.
+      Uhlmann polar factor of K, which reads index i's server factor off
+      its record and the dense c_1, built once, when a decoder first
+      needs it.
     * c_x is database x's run, compressed and renormalized: a phase at
       its compressed row k_x, so p_0[i, x] is a gather of the weight
       ||(W_i (x) 1) U E |k>||^2 of each compressed row.
 
-    Otherwise E is an SVD of nu_1 (`schmidt_compressor`), each decoder an
-    Uhlmann polar factor, and one more pass over index 1's chunks encodes
-    every database (`_encode`).  Either way each W_i is folded into its
+    Otherwise E is an SVD of nu_1 (`schmidt_compressor`), c_1 and nu_1's
+    leak are read off it once, each decoder is the Uhlmann polar factor
+    of K on nu_i's server factor (`PurifiedRun.server_factor`), and one
+    more pass over index 1's chunks encodes every database (`_encode`).
+    Either way each Uhlmann decoder is one solve (`_uhlmann_decoder`)
+    into index i's own client registers, and each W_i is folded into its
     decoder by `_measured`.
     """
-    server = run.spec.a_memory[-1].labels()
     first = run.basis_runs(1) if run.one_hot else None
     diagonal = None if first is None else first.marginal("client")
     if diagonal is None:
         nu1 = run.nu(1)
-        client = nu1.layout.drop(server)
+        client = nu1.layout.drop(run.spec.a_memory[-1].labels())
         compressor = schmidt_compressor(nu1, client.labels(), rank_tol=rank_tol)
         m1 = matricize(nu1.amplitudes, nu1.layout, client.labels())
         c1 = compressor.matrix.conj().T @ m1
         leak = float(np.linalg.norm(m1 - compressor.matrix @ c1))
-        support = (compressor, c1)
     else:
-        client = first.layout.drop(server)
+        client = first.client_layout
         compressor = one_hot_compressor(client, diagonal, rank_tol)
         compressed = np.full(client.total_dim, -1)
         compressed[compressor.matrix.rows] = np.arange(compressor.input_layout.total_dim)
@@ -244,7 +249,7 @@ def build_rae(run: PurifiedRun,
         # the database whose run is in each server column, -1 for none
         by_column = np.full(first.d_server, -1)
         by_column[first.server] = np.arange(len(first.server))
-        support = None
+        c1 = None
     _refuse_leak(leak, "the uniform database's run with index 1", rank_tol)
     correctness = correctness_delta(run)
 
@@ -252,14 +257,13 @@ def build_rae(run: PurifiedRun,
     decoders, rot_dist, measured = [], [], []
     for i, w in enumerate(correctness.measurements, start=1):
         found = None if diagonal is None else _monomial_decoder(
-            first, run.basis_runs(i), compressor, ks, by_column)
+            first, run.basis_runs(i), compressor.input_layout, ks, by_column)
         if found is None:
-            if support is None:
+            if c1 is None:
                 c1 = np.zeros((r, first.d_server), dtype=np.complex128)
                 c1[ks, first.server] = first.nu
-                support = (Isometry(compressor.input_layout, client,
-                                    dense(compressor.matrix)), c1)
-            found = (*_uhlmann_decoder(run, i, *support), None)
+            found = (*_uhlmann_decoder(compressor.input_layout, c1,
+                                       *run.server_factor(i)), None)
         decoder, distance, pre = found
         decoders.append(decoder)
         rot_dist.append(distance)
@@ -284,49 +288,48 @@ def build_rae(run: PurifiedRun,
     )
 
 
-def _uhlmann_decoder(run: PurifiedRun, i: int, support: Isometry,
-                     c1: np.ndarray) -> tuple[Isometry, float]:
+def _uhlmann_decoder(compressed: RegisterLayout, c1: np.ndarray,
+                     client: RegisterLayout, t: np.ndarray) -> tuple[Isometry, float]:
     """Index i's decoder U E, the Uhlmann polar factor that rotates nu_1
-    onto nu_i within the dense compressor `support`, and the distance
-    D((1 x U E) c_1, nu_i) it achieves, c_1 = E^dagger nu_1 as (r,
-    d_server)."""
-    nui = run.nu(i)
-    decoder = uhlmann_unitary(nui, run.nu(1), support=support)
-    client = support.output_layout.labels()
-    return decoder, pure_distance_amplitudes(
-        matricize(nui.amplitudes, nui.layout, client).reshape(-1),
-        (decoder.matrix @ c1).reshape(-1))
+    onto nu_i, from the `compressed` register into index i's `client`
+    registers, and the distance D((1 x U E) c_1, nu_i) it achieves.
+
+    c_1 = E^dagger nu_1 is (r, d_server), and t is nu_i's server factor
+    (`PurifiedRun.server_factor`), (d_server, d_client), so the
+    cross-Gram is K = c_1^T conj(nu_i) = c_1 conj(t), r x d_client, with
+    no compressor in it: each run form's decoders share this one solve.
+    """
+    decoder = uhlmann_unitary(c1 @ t.conj(), compressed, client)
+    return decoder, pure_distance_amplitudes(t.T.reshape(-1),
+                                             (decoder.matrix @ c1).reshape(-1))
 
 
-def _monomial_decoder(first: BasisRuns, runs: BasisRuns, compressor: Isometry,
+def _monomial_decoder(first: BasisRuns, runs: BasisRuns, compressed: RegisterLayout,
                       ks: np.ndarray, by_column: np.ndarray
                       ) -> tuple[Isometry, float, np.ndarray] | None:
-    """Index i's decoder U E as a basis map, the distance D((1 x U E) c_1,
-    nu_i) it achieves, and the `pre` row that each compressed row k lands
-    on, b_k's, read off index i's record, when K = c_1^T conj(nu_i) is
-    monomial; None otherwise.
+    """Index i's decoder U E as a basis map, from the `compressed`
+    register into index i's client registers, the distance D((1 x U E)
+    c_1, nu_i) it achieves, and the `pre` row that each compressed row k
+    lands on, b_k's, read off index i's record, when K = c_1^T conj(nu_i)
+    is monomial; None otherwise.
 
     `first` is index 1's runs and `runs` index i's, both read off
-    `PurifiedRun.basis_runs`.  They end over one layout when the client
-    reaches as many rows of each memory with either index, as in every
-    builtin; when they do not, this is None too, and the Uhlmann solve
-    refuses the two layouts.  nu_1's entry for
-    database x is first.nu[x], at compressed row ks[x] and server column
-    first.server[x]; by_column gives the database in each server column,
-    -1 for none.  Each run of index i in a column of nu_1's adds
-    c_1[k, s] conj(nu_i[b, s]) to K[k, b].  When, on the integer rows
-    alone, each compressed row k gets exactly one such term and no two
-    terms share a client row b, K = sum_k kappa_k |k><b_k| and its polar
-    factor, the Uhlmann decoder, is sum_k (conj(kappa_k) / |kappa_k|)
-    |b_k><k|, exactly.
+    `PurifiedRun.basis_runs`; the client may reach a different number of
+    rows of a memory with each index, so each decoder maps into its own
+    index's layout.  nu_1's entry for database x is first.nu[x], at
+    compressed row ks[x] and server column first.server[x]; by_column
+    gives the database in each server column, -1 for none.  Each run of
+    index i in a column of nu_1's adds c_1[k, s] conj(nu_i[b, s]) to
+    K[k, b].  When, on the integer rows alone, each compressed row k gets
+    exactly one such term and no two terms share a client row b, K =
+    sum_k kappa_k |k><b_k| and its polar factor, the Uhlmann decoder, is
+    sum_k (conj(kappa_k) / |kappa_k|) |b_k><k|, exactly.
     """
-    if runs.layout != first.layout:
-        return None
-    client = compressor.output_layout
+    client = runs.client_layout
     partner = by_column[runs.server]
     hit = partner >= 0
     k = ks[partner[hit]]
-    r = compressor.input_layout.total_dim
+    r = compressed.total_dim
     b = runs.client[hit]
     if not (np.array_equal(np.sort(k), np.arange(r)) and _distinct(b)):
         return None
@@ -334,8 +337,7 @@ def _monomial_decoder(first: BasisRuns, runs: BasisRuns, compressor: Isometry,
     rows, pre = np.empty(r, dtype=np.intp), np.empty(r, dtype=np.intp)
     phases = np.empty(r, dtype=np.complex128)
     rows[k], phases[k], pre[k] = b, kappa.conj() / np.abs(kappa), runs.pre[hit]
-    decoder = Isometry(compressor.input_layout, client,
-                       BasisMap((client.total_dim, r), rows, phases))
+    decoder = Isometry(compressed, client, BasisMap((client.total_dim, r), rows, phases))
     # (1 x U E) c_1 puts nu_1's entry for each x at (b_{k_x}, first.server[x]),
     # times a phase: on index i's run in that column where there is one,
     # and where nu_i is 0 otherwise.  No two runs share a row, so each

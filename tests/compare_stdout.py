@@ -48,7 +48,8 @@ def _protocols(n: int) -> list[str]:
 
 #: `reduce` cells past n=7, where the encoding of the basis-map builtins
 #: is most of the run: index-in-clear's takes the Uhlmann fallback on
-#: one-hot runs, each decoder a solve on the dense compressor.
+#: one-hot runs, each decoder the polar factor of a K formed from index
+#: i's server factor, scattered from the runs' record.
 LARGE = ("builtin:trivial?n=8", "builtin:noisy-trivial?n=8&delta=0.2",
          *(f"builtin:index-in-clear?n={n}" for n in (8, 9, 10)))
 

@@ -60,6 +60,17 @@ def identity_support(layout, labels) -> Isometry:
     return Isometry(sub, sub, np.eye(sub.total_dim))
 
 
+def cross_gram(phi: StateVector, psi: StateVector, support: Isometry) -> tuple:
+    """`uhlmann_unitary`'s arguments for rotating psi onto phi within
+    `support`, an isometry E into the purifier factor that holds psi's
+    purifier side: K = c^T conj(phi), r x d_purifier, with c = E^dagger
+    psi, and E's input and output layouts."""
+    purifier = support.output_layout.labels()
+    c = dense(support.matrix).conj().T @ matricize(psi.amplitudes, psi.layout, purifier)
+    k = c @ matricize(phi.amplitudes, phi.layout, purifier).conj().T
+    return k, support.input_layout, support.output_layout
+
+
 def shannon_entropy(dist) -> float:
     """Shannon entropy in bits of a probability vector; the oracle for
     `binary_entropy`."""

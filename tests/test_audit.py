@@ -51,6 +51,7 @@ from qpirlab.registers import RegisterLayout, concat
 from qpirlab.states import Isometry, KrausChannel, StateVector, dense, matricize
 
 from conftest import (
+    cross_gram,
     dense_index_in_clear,
     dense_noisy_trivial,
     identity_support,
@@ -250,7 +251,8 @@ def test_decoders_agree_with_the_full_uhlmann_unitary(name, params, n):
         k = c1t @ matricize(nu.amplitudes, nu.layout, client).conj().T
         if np.linalg.svd(k, compute_uv=False)[-1] < 1e-6:
             continue
-        full = uhlmann_unitary(nu, nus[0], identity_support(nu.layout, client))
+        support = identity_support(nu.layout, client)
+        full = uhlmann_unitary(*cross_gram(nu, nus[0], support))
         assert np.max(np.abs(dense(decoder.matrix) - full.matrix @ e)) < 1e-10
 
 

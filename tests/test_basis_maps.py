@@ -13,7 +13,9 @@ span and encodes through SVDs and chunk passes, within 1e-12.  The record
 both read (`PurifiedRun.basis_runs`) must hold nu_i's amplitudes bit for
 bit, so neither forms the dense nu_i, and privacy reads the server's
 diagonal marginals off it with no eigensolver, within 1e-12 of the dense
-path's distances (`conftest.half_leaky`, whose epsilon is 1/2).
+path's distances (`conftest.half_leaky`, whose epsilon is 1/2).  Where a
+marginal is not diagonal, privacy and the Uhlmann decoders read each
+index's server factor off the record (`BasisRuns.factor`).
 """
 
 import contextlib
@@ -32,6 +34,7 @@ from qpirlab.protocol import ProtocolSpec, _inputs, _isometries, _steps, purify_
 from qpirlab.qpir import (
     PurifiedRun,
     QpirProtocol,
+    _copy,
     _diagonal_distance,
     build_index_in_clear,
     build_noisy_trivial,
@@ -278,7 +281,7 @@ def test_basis_map_builtins_encode_with_no_svd_and_no_chunk(monkeypatch):
     so its span is too (`PurifiedRun._reach`): with the SVD compressor,
     the chunk compressor and the chunk pass raising, it reduces to the
     same report.  Its server learns i, so no K is monomial, and each
-    decoder is an Uhlmann solve on the basis compressor made dense."""
+    decoder is an Uhlmann solve on index i's server factor."""
     basis = ["builtin:trivial?n=3", "builtin:noisy-trivial?n=3&delta=0.2"]
     clear = "builtin:index-in-clear?n=3"
     want = [_reduce(address) for address in basis]
@@ -351,6 +354,64 @@ def _coarse(n: int, form) -> QpirProtocol:
     return _one_round(n, 2 ** n, 2, 2 * x + (x == 2 ** n - 1), form)
 
 
+def _last_bit_sent(n: int, returned: bool, form) -> QpirProtocol:
+    """Two rounds, n >= 2, each op's matrix given as `form` makes the
+    basis map.  The server keeps a copy of x and ships one.  The client
+    keeps i and sends x_n, which the server knows already; it keeps x
+    whole with i >= 2 and drops x_n with i = 1, so with i fixed its first
+    op reaches 2^n rows of B_1 at i >= 2 and 2^(n-1) at i = 1.  The
+    server then holds x_n in A_2, or, `returned`, sends it back in X_2,
+    and the client stores what it holds."""
+    da = 2 ** n
+    a0, a1, a2, x1, x2, b0, b1, b2, y1 = (RegisterLayout.of(reg) for reg in (
+        ("A0", da), ("A1", da), ("A2", da if returned else 2 * da), ("X1", da),
+        ("X2", 2 if returned else 1), ("B0", n), ("B1", n * da),
+        ("B2", n * da * (2 if returned else 1)), ("Y1", 2)))
+    i, x = np.divmod(np.arange(n * da), da)       # column (i - 1) 2^n + x
+    held = i * da + np.where(i == 0, x >> 1, x)
+    b1_op = BasisMap((n * da * 2, n * da), 2 * held + (x & 1), np.ones(n * da))
+    ops = (Isometry(a0, concat(a1, x1), form(_copy(da))),
+           Isometry(concat(a1, y1), concat(a2, x2), form(BasisMap.identity(2 * da))),
+           Isometry(concat(b0, x1), concat(b1, y1), form(b1_op)),
+           Isometry(concat(b1, x2), b2, form(BasisMap.identity(b2.total_dim))))
+    return QpirProtocol(ProtocolSpec(2, (a0, a1, a2), (b0, b1, b2), (x1, x2), (y1,),
+                                     ops[:2], ops[2:]))
+
+
+@pytest.mark.parametrize("returned", [True, False], ids=["returned", "kept"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_decoders_map_into_each_indexs_own_client_registers(monkeypatch, returned, n):
+    """The client reaches fewer rows of B_1 with i = 1 than with i >= 2,
+    so on the basis path index 1's runs end over a smaller layout than
+    index 2's, where the dense twin's QR spans hold as many rows for
+    every index.  Each decoder maps into its own index's client
+    registers.  With x_n returned, every K is monomial; with x_n kept,
+    index 1's client row holds two databases, so every K has two terms
+    in each row and the decoders are Uhlmann solves.  Either way K has
+    full rank r, so each decoder, and the recovery, is unique: reduce
+    exits 0, and bound_report's fields and the deltas match the dense
+    twin's within 1e-12."""
+    basis, reference = (_last_bit_sent(n, returned, form) for form in (lambda m: m, dense))
+    monkeypatch.setattr(cli, "_resolve_qpir", lambda args: basis)
+    assert _verb("reduce", "python-built")[0] == 0
+    run = PurifiedRun(basis)
+    assert run.one_hot and not PurifiedRun(reference).one_hot
+    server = run.spec.a_memory[-1].labels()
+    rae = build_rae(run)
+    c1 = dense(rae.compressor.matrix).conj().T @ run.basis_runs(1).factor().T
+    for i, decoder in enumerate(rae.decoders, start=1):
+        client = run.basis_runs(i).layout.drop(server)
+        assert decoder.output_layout == client
+        assert client.total_dim == (2 ** (n - 1) if i == 1 else 2 ** n) * (1 + returned)
+        assert isinstance(decoder.matrix, BasisMap) == returned
+        k = c1 @ run.basis_runs(i).factor().conj()
+        assert np.linalg.svd(k, compute_uv=False)[-1] > 1e-6
+    got, want = (json.loads(json.dumps(bound_report(q).to_dict())) for q in (basis, reference))
+    _assert_matches(got, want, "bound_report")
+    got, want = (correctness_delta(PurifiedRun(q)).deltas for q in (basis, reference))
+    _assert_matches(list(got), list(want), "deltas")
+
+
 def _refusal(qpir: QpirProtocol, **kwargs) -> str:
     with pytest.raises(SupportViolation) as exc:
         build_rae(PurifiedRun(qpir), **kwargs)
@@ -372,8 +433,8 @@ def test_a_server_that_keeps_no_copy_fails_the_column_test():
 def test_a_k_that_is_not_monomial_falls_back_to_the_uhlmann_unitary(monkeypatch, n):
     """The coarse client's nu_1 has 2^n - 1 databases in one client row,
     so K = c_1^T conj(nu_i) gets 2^n - 1 terms in that row: each index's
-    decoder is the Uhlmann polar factor, on the basis compressor made
-    dense, and the audit matches the dense protocol's."""
+    decoder is the Uhlmann polar factor, of K read off the runs' record,
+    and the audit matches the dense protocol's."""
     basis = _coarse(n, lambda m: m)
     assert PurifiedRun(basis).basis_runs(1).marginal("client") is not None
     solve, solved = reduction.uhlmann_unitary, []
@@ -461,19 +522,29 @@ def test_a_shared_row_leaves_the_other_sides_marginal_not_diagonal():
         assert clear.basis_runs(j).marginal("server") is None
 
 
-def test_the_uhlmann_fallback_makes_the_compressor_dense_once(monkeypatch):
+def test_uhlmann_decoders_on_one_hot_runs_read_no_dense_nu(monkeypatch):
     """index-in-clear's decoders are Uhlmann solves on its one-hot runs,
-    each within the basis compressor made dense: that support is built
-    once per encoding, and each of the n solves gets the one object."""
-    solve, supports = reduction.uhlmann_unitary, []
+    and so are the coarse client's, whose K has 2^n - 1 terms in one row;
+    index-in-clear's and the coarse client's server marginals are not
+    diagonal.  With `PurifiedRun.nu` raising, reduce, qpir-privacy and
+    attack print the same reports on index-in-clear n=3 and the coarse
+    client at n=2 and 3: each K and each marginal is read off the runs'
+    record (`BasisRuns.factor`)."""
+    protocols = [build_index_in_clear(3), _coarse(2, lambda m: m), _coarse(3, lambda m: m)]
 
-    def recorded(*args, support):
-        supports.append(support)
-        return solve(*args, support=support)
+    def reports():
+        out = []
+        for qpir in protocols:
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_resolve_qpir", lambda args: qpir)
+                out += [_verb(verb, "python-built")
+                        for verb in ("reduce", "qpir-privacy", "attack")]
+        return out
 
-    monkeypatch.setattr(reduction, "uhlmann_unitary", recorded)
-    build_rae(PurifiedRun(build_index_in_clear(3)))
-    assert len(supports) == 3 and all(s is supports[0] for s in supports)
+    want = reports()
+    assert all(code == 0 for code, _ in want)
+    monkeypatch.setattr(PurifiedRun, "nu", _raising)
+    assert reports() == want
 
 
 def _encoding_bits(rae) -> tuple:
@@ -488,14 +559,15 @@ def _correctness_bits(report) -> tuple:
 
 
 def test_the_basis_path_reads_nu_off_the_runs(monkeypatch):
-    """With `PurifiedRun.nu` raising, trivial n=3 and noisy-trivial n=3
-    encode and measure to the same bits; random seed 1 (n=2), whose ops
-    are not basis maps, and index-in-clear n=3, whose decoders are
-    Uhlmann solves, still reach it."""
+    """With `PurifiedRun.nu` raising, trivial n=3, noisy-trivial n=3 and
+    index-in-clear n=3, whose decoders are Uhlmann solves, encode and
+    measure to the same bits; random seed 1 (n=2), whose ops are not
+    basis maps, still reaches it."""
     def audits():
         return [(_encoding_bits(build_rae(PurifiedRun(q))),
                  _correctness_bits(correctness_delta(PurifiedRun(q))))
-                for q in (build_trivial(3), build_noisy_trivial(3, 0.2))]
+                for q in (build_trivial(3), build_noisy_trivial(3, 0.2),
+                          build_index_in_clear(3))]
 
     def raising(self, i):
         raise _DensePath
@@ -503,9 +575,8 @@ def test_the_basis_path_reads_nu_off_the_runs(monkeypatch):
     want = audits()
     monkeypatch.setattr(PurifiedRun, "nu", raising)
     assert audits() == want
-    for qpir in (builtin("random", 2, seed=1), build_index_in_clear(3)):
-        with pytest.raises(_DensePath):
-            build_rae(PurifiedRun(qpir))
+    with pytest.raises(_DensePath):
+        build_rae(PurifiedRun(builtin("random", 2, seed=1)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from qpirlab.linalg import (
 )
 
 from conftest import (
+    cross_gram,
     identity_support,
     on_factor,
     random_density,
@@ -103,7 +104,7 @@ def test_uhlmann_achieves_reduced_state_fidelity(seed):
     lay = RegisterLayout.of(("a", da), ("p", dp))
     phi = StateVector(lay, random_pure(rng, da * dp))
     psi = StateVector(lay, random_pure(rng, da * dp))
-    u = uhlmann_unitary(phi, psi, identity_support(lay, ["p"]))
+    u = uhlmann_unitary(*cross_gram(phi, psi, identity_support(lay, ["p"])))
     rotated = on_factor(u.matrix, psi, ["p"])
     achieved = abs(np.vdot(on_factor(np.eye(dp), phi, ["p"]), rotated))
     f = fidelity_matrices(reduced_density_matrix(phi, ["a"]),
@@ -128,7 +129,7 @@ def test_thin_uhlmann_on_the_compressed_support_achieves_fidelity(seed):
     psi = StateVector(lay, (m / np.linalg.norm(m)).reshape(-1))
     e = schmidt_compressor(psi, ["p"])
     assert e.input_layout.total_dim == rank
-    x = uhlmann_unitary(phi, psi, e)
+    x = uhlmann_unitary(*cross_gram(phi, psi, e))
     assert x.matrix.shape == (dp, rank)
     rotated = on_factor(x.matrix @ e.matrix.conj().T, psi, ["p"])
     achieved = abs(np.vdot(on_factor(np.eye(dp), phi, ["p"]), rotated))
